@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prolif", help="class-sequence sum over a slice base")
     add_common(p, "slice base: {base: {...}, sigma: [...]}")
     p.add_argument("--mode", choices=("sum", "sliver", "factored"), default="sum")
-    p.add_argument("--budget", type=int, help="class-sequence budget")
+    p.add_argument("--budget", type=int, help="node budget of the class-sequence search")
 
     p = sub.add_parser("lustig", help="ideal counts of the basic two-generator local ring")
     p.add_argument("--q", type=int, required=True)

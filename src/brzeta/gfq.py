@@ -2,7 +2,7 @@
 
 Field elements are integers ``0..q-1`` encoding polynomials over F_p in base
 p; all arithmetic goes through dense int64 lookup tables so prime and
-prime-power fields share the same kernels (see :mod:`brzeta._kernels`).
+prime-power fields share the same rref and matrix-product kernels.
 Subspaces are held in reduced-row-echelon canonical form, which makes them
 hashable and makes equality a byte comparison.  Every enumeration is counted
 first (Gaussian binomials) and refused if it would exceed the budget.
@@ -17,7 +17,6 @@ from itertools import combinations, product
 
 import numpy as np
 
-from . import _kernels
 from .errors import ResourceBudgetError, SchemaError
 from .qcomb import gaussian_binomial
 
@@ -219,12 +218,51 @@ def _as_matrix(mat, ambient=None) -> np.ndarray:
     return arr
 
 
+def _rref_in_place(a, add, mul, neg, inv, pivots):
+    """Reduce ``a`` to reduced row echelon form in place, one pivot column at a time.
+
+    Returns the rank; ``pivots[:rank]`` receives the pivot columns.
+    """
+    rows, cols = a.shape
+    rank = 0
+    for c in range(cols):
+        if rank == rows:
+            break
+        nz = np.nonzero(a[rank:, c])[0]
+        if nz.size == 0:
+            continue
+        p = rank + nz[0]
+        if p != rank:
+            a[[rank, p]] = a[[p, rank]]
+        piv = a[rank, c]
+        if piv != 1:
+            a[rank] = mul[inv[piv], a[rank]]
+        col = a[:, c].copy()
+        col[rank] = 0
+        hit = np.nonzero(col)[0]
+        if hit.size:
+            a[hit] = add[a[hit], mul[neg[col[hit]][:, None], a[rank][None, :]]]
+        pivots[rank] = c
+        rank += 1
+    return rank
+
+
+def _mat_mul_tables(a, b, add, mul):
+    """Table-driven product of int64 matrices, accumulated one column of ``a`` at a time."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for k in range(a.shape[1]):
+        col = a[:, k]
+        if np.any(col):
+            out = add[out, mul[col[:, None], b[k][None, :]]]
+    return out
+
+
 def rref(field: FieldSpec, mat) -> tuple[np.ndarray, int, np.ndarray]:
     """RREF copy, rank, and pivot columns."""
     t = tables(field)
     a = _as_matrix(mat).copy()
     pivots = np.zeros(max(min(a.shape), 1), dtype=np.int64)
-    rank = _kernels.rref_kernel(a, t.add, t.mul, t.neg, t.inv, pivots) if a.size else 0
+    rank = _rref_in_place(a, t.add, t.mul, t.neg, t.inv, pivots) if a.size else 0
     return a, rank, pivots[:rank].copy()
 
 
@@ -236,7 +274,7 @@ def mat_mul(field: FieldSpec, a, b) -> np.ndarray:
         raise SchemaError(f"matmul shape mismatch {a.shape} x {b.shape}")
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    return _kernels.matmul_kernel(a, b, t.add, t.mul)
+    return _mat_mul_tables(a, b, t.add, t.mul)
 
 
 class SubspaceRep:

@@ -25,7 +25,15 @@ import numpy as np
 
 from . import gfq
 from .errors import FormulaViolationError, NonUnitError, SchemaError, TruncationBoundError
-from .series import Alphabet, AlphabetEntry, Monomial, TruncatedSeries, mono_degree, slice_coefficient
+from .series import (
+    Alphabet,
+    AlphabetEntry,
+    Monomial,
+    TruncatedSeries,
+    geometric_product,
+    mono_degree,
+    slice_coefficient,
+)
 
 DEFAULT_BUDGET = gfq.DEFAULT_BUDGET
 
@@ -95,17 +103,18 @@ def _validate_pair(order: HereditaryOrderSpec, module: HereditaryModuleSpec):
         )
 
 
-def z_alphabet(order: HereditaryOrderSpec) -> Alphabet:
-    n = order.n
-    labels = ["z"] if n == 1 else [f"z{i}" for i in range(1, n + 1)]
-    return Alphabet(tuple(AlphabetEntry(lab, order.q, 1) for lab in labels))
+def _labels(prefix: str, n: int) -> list[str]:
+    return [prefix] if n == 1 else [f"{prefix}{i}" for i in range(1, n + 1)]
 
 
-def doubled_alphabet(order: HereditaryOrderSpec) -> Alphabet:
-    n = order.n
-    z_labels = ["z"] if n == 1 else [f"z{i}" for i in range(1, n + 1)]
-    w_labels = ["w"] if n == 1 else [f"w{i}" for i in range(1, n + 1)]
-    return Alphabet(tuple(AlphabetEntry(lab, order.q, 1) for lab in z_labels + w_labels))
+def z_alphabet(q: int, n: int) -> Alphabet:
+    """Colength markers z (n = 1) or z1..zn, one per simple class of residue field size q."""
+    return Alphabet(tuple(AlphabetEntry(lab, q, 1) for lab in _labels("z", n)))
+
+
+def doubled_alphabet(q: int, n: int) -> Alphabet:
+    """The z block of :func:`z_alphabet` followed by the class markers w or w1..wn."""
+    return Alphabet(tuple(AlphabetEntry(lab, q, 1) for lab in _labels("z", n) + _labels("w", n)))
 
 
 def substitution_data(
@@ -251,10 +260,7 @@ def solomon_hey_factor(
         v_exps = (1,)
     if v_exps is None:
         raise SchemaError("custom alphabet needs explicit v exponents")
-    out = TruncatedSeries.one(alphabet, bound)
-    for j in range(r):
-        out = out * TruncatedSeries.geometric(alphabet, bound, v_exps, q**j)
-    return out
+    return geometric_product(alphabet, bound, ((v_exps, q**j) for j in range(r)))
 
 
 def hermite_orbit_sum(m: int, r: int, q: int, bound: int) -> TruncatedSeries:
@@ -265,10 +271,33 @@ def hermite_orbit_sum(m: int, r: int, q: int, bound: int) -> TruncatedSeries:
     if not 0 <= m <= r:
         raise SchemaError(f"stratum dimension must satisfy 0 <= m <= r, got m={m}, r={r}")
     alphabet = Alphabet((AlphabetEntry("v", q, 1),))
-    out = TruncatedSeries.monomial(alphabet, bound, (r - m,))
-    for j in range(m + 1, r + 1):
-        out = out * TruncatedSeries.geometric(alphabet, bound, (1,), q ** (j - 1))
-    return out
+    orbits = geometric_product(alphabet, bound, (((1,), q ** (j - 1)) for j in range(m + 1, r + 1)))
+    return TruncatedSeries.monomial(alphabet, bound, (r - m,)) * orbits
+
+
+def _stratum_sum(
+    order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound: int, budget: int
+) -> TruncatedSeries:
+    """Sum over strata Ybar of F_q^r of chain polynomial times Hermite weight.
+
+    Strata are grouped by (filtration dims, dim Ybar), which is all the two
+    factors depend on.  The sum is over the doubled alphabet at ``bound``,
+    before the base count and the column-shift division.
+    """
+    q, r = order.q, module.r
+    alphabet = doubled_alphabet(q, order.n)
+    _, v_exps, t_exps = substitution_data(order, module)
+    groups: dict[tuple[tuple[int, ...], int], int] = {}
+    for ybar in gfq.enumerate_subspaces(gfq.GF(q), r, budget=budget):
+        dims = filtered_dims(order, module, ybar).dims
+        key = (dims, ybar.dim)
+        groups[key] = groups.get(key, 0) + 1
+    acc = TruncatedSeries.zero(alphabet, bound)
+    for (dims, m), count in sorted(groups.items()):
+        p_series = filtered_poly(gfq.FilteredSpace(dims), q, t_exps, alphabet, bound, budget)
+        q_series = poly_in_monomial(alphabet, bound, hermite_Q(m, r, q), v_exps)
+        acc = acc + (p_series * q_series).scaled(count)
+    return acc
 
 
 def brz_two_variable(
@@ -285,28 +314,10 @@ def brz_two_variable(
     _validate_pair(order, module)
     if z_bound < 0:
         raise TruncationBoundError(f"bound must be >= 0, got {z_bound}")
-    q, n, r = order.q, order.n, module.r
-    alphabet = doubled_alphabet(order)
-    u_exps, v_exps, t_exps = substitution_data(order, module)
-    deg_u = mono_degree(u_exps)
-    internal_bound = z_bound + r + deg_u
-    field = gfq.GF(q)
-
-    groups: dict[tuple[tuple[int, ...], int], int] = {}
-    for ybar in gfq.enumerate_subspaces(field, r, budget=budget):
-        dims = filtered_dims(order, module, ybar).dims
-        key = (dims, ybar.dim)
-        groups[key] = groups.get(key, 0) + 1
-
-    acc = TruncatedSeries.zero(alphabet, internal_bound)
-    for (dims, m), count in sorted(groups.items()):
-        p_series = filtered_poly(
-            gfq.FilteredSpace(dims), q, t_exps, alphabet, internal_bound, budget
-        )
-        q_series = poly_in_monomial(alphabet, internal_bound, hermite_Q(m, r, q), v_exps)
-        acc = acc + (p_series * q_series).scaled(count)
-
-    shifted = acc * solomon_hey_factor(r, q, internal_bound, alphabet, v_exps)
+    u_exps, v_exps, _ = substitution_data(order, module)
+    internal_bound = z_bound + module.r + mono_degree(u_exps)
+    acc = _stratum_sum(order, module, internal_bound, budget)
+    shifted = acc * solomon_hey_factor(module.r, order.q, internal_bound, acc.alphabet, v_exps)
     try:
         return shifted.divided_by_monomial(u_exps)
     except NonUnitError as exc:
@@ -329,23 +340,12 @@ def brs_F(
     sit below the requested bound.
     """
     _validate_pair(order, module)
-    q, n, r = order.q, order.n, module.r
-    alphabet = doubled_alphabet(order)
-    u_exps, v_exps, t_exps = substitution_data(order, module)
+    r = module.r
+    u_exps, _, _ = substitution_data(order, module)
     # every factor is an exact polynomial: chain sums have z-degree <= r(n-1)
     # and stratum weights z-degree <= rn, so 2rn total covers the assembly
-    exact_bound = 2 * r * n + r
-    field = gfq.GF(q)
-    groups: dict[tuple[tuple[int, ...], int], int] = {}
-    for ybar in gfq.enumerate_subspaces(field, r, budget=budget):
-        dims = filtered_dims(order, module, ybar).dims
-        key = (dims, ybar.dim)
-        groups[key] = groups.get(key, 0) + 1
-    acc = TruncatedSeries.zero(alphabet, exact_bound)
-    for (dims, m), count in sorted(groups.items()):
-        p_series = filtered_poly(gfq.FilteredSpace(dims), q, t_exps, alphabet, exact_bound, budget)
-        q_series = poly_in_monomial(alphabet, exact_bound, hermite_Q(m, r, q), v_exps)
-        acc = acc + (p_series * q_series).scaled(count)
+    exact_bound = 2 * r * order.n + r
+    acc = _stratum_sum(order, module, exact_bound, budget)
     try:
         poly = acc.divided_by_monomial(u_exps)
     except NonUnitError as exc:
@@ -375,7 +375,7 @@ def partial_zeta(
     if len(rho) != n:
         raise SchemaError(f"class vector has {len(rho)} slots, order has {n} classes")
     if sum(rho) != module.r:
-        return TruncatedSeries.zero(z_alphabet(order), z_bound)
+        return TruncatedSeries.zero(z_alphabet(order.q, order.n), z_bound)
     joint = brz_two_variable(order, module, z_bound, budget)
     return slice_coefficient(joint, (0,) * n + tuple(rho), n)
 
@@ -394,7 +394,7 @@ def total_zeta(
         zpart = exps[:n]
         if mono_degree(zpart) <= z_bound:
             out[zpart] = out.get(zpart, Fraction(0)) + c
-    return TruncatedSeries(z_alphabet(order), z_bound, out)
+    return TruncatedSeries(z_alphabet(order.q, order.n), z_bound, out)
 
 
 def hereditary_from_json(payload) -> tuple[HereditaryOrderSpec, HereditaryModuleSpec]:

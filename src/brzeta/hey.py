@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import SchemaError
 from .qcomb import cauchy_poly
-from .series import Alphabet, AlphabetEntry, TruncatedSeries
+from .series import Alphabet, AlphabetEntry, TruncatedSeries, geometric_product
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,11 @@ class SemisimpleData:
             try:
                 q = int(item["q"])
                 m = int(item["m"])
+                r = int(item.get("r", 1))
             except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"class {i} needs integer fields q and m: {exc}") from exc
-            r = int(item.get("r", 1))
+                raise SchemaError(
+                    f"class {i} needs integer fields q and m (and r, if given): {exc}"
+                ) from exc
             label = item.get("label") or ("z" if len(payload) == 1 else f"z{i + 1}")
             entries.append(SemisimpleEntry(str(label), q, m, r))
         return cls(entries)
@@ -101,12 +103,9 @@ def hey_product(data: SemisimpleData, bound: int) -> TruncatedSeries:
     the colength class along that block.
     """
     al = data.alphabet()
-    out = TruncatedSeries.one(al, bound)
-    for i, e in enumerate(data.entries):
-        unit = al.unit(i)
-        for j in range(e.m):
-            out = out * TruncatedSeries.geometric(al, bound, unit, e.q**j)
-    return out
+    return geometric_product(
+        al, bound, ((al.unit(i), e.q**j) for i, e in enumerate(data.entries) for j in range(e.m))
+    )
 
 
 def moebius_inverse_series(data: SemisimpleData, bound: int) -> TruncatedSeries:

@@ -24,25 +24,11 @@ import numpy as np
 
 from . import gfq
 from .errors import FormulaViolationError, ResourceBudgetError, SchemaError
+from .hereditary import doubled_alphabet, z_alphabet
 from .prolif import ChainData
-from .series import Alphabet, AlphabetEntry, Monomial, TruncatedSeries
+from .series import Alphabet, Monomial, TruncatedSeries
 
 DEFAULT_NODE_BUDGET = 200_000
-
-
-def _z_alphabet(q: int, n: int) -> Alphabet:
-    if n == 1:
-        return Alphabet((AlphabetEntry("z", q, 1),))
-    return Alphabet(tuple(AlphabetEntry(f"z{i + 1}", q, 1) for i in range(n)))
-
-
-def _doubled_alphabet(q: int, n: int) -> Alphabet:
-    zs = tuple(_z_alphabet(q, n))
-    if n == 1:
-        ws = (AlphabetEntry("w", q, 1),)
-    else:
-        ws = tuple(AlphabetEntry(f"w{i + 1}", q, 1) for i in range(n))
-    return Alphabet(zs + ws)
 
 
 @dataclass
@@ -106,7 +92,7 @@ def chain_module(q: int, c: int, rank: int = 1, exact: bool = False) -> RingMode
         gens=gens,
         rad_names=("t",),
         idem_names=("e1",),
-        alphabet=_z_alphabet(q, 1),
+        alphabet=z_alphabet(q, 1),
         depth=c,
         params={"kind": "chain", "q": q, "c": c, "rank": rank},
         exact=exact,
@@ -139,7 +125,7 @@ def local2d_module(q: int, c: int, rank: int = 1) -> RingModel:
         gens=gens,
         rad_names=("u", "t"),
         idem_names=("e1",),
-        alphabet=_z_alphabet(q, 1),
+        alphabet=z_alphabet(q, 1),
         depth=c,
         params={"kind": "local2d", "q": q, "c": c, "rank": rank},
         slice_gen="u",
@@ -221,7 +207,7 @@ def triangular_module(q: int, n: int, c: int, columns) -> RingModel:
         gens=gens,
         rad_names=("g",),
         idem_names=tuple(f"e{i + 1}" for i in range(n)),
-        alphabet=_z_alphabet(q, n),
+        alphabet=z_alphabet(q, n),
         depth=n * c,
         params={"kind": "triangular", "q": q, "n": n, "c": c, "columns": list(columns)},
     )
@@ -258,7 +244,7 @@ def skew_module(q: int, n: int, c_pi: int, c_t: int) -> RingModel:
         gens=gens,
         rad_names=("g", "t"),
         idem_names=base.idem_names,
-        alphabet=_z_alphabet(q, n),
+        alphabet=z_alphabet(q, n),
         depth=min(c_t, n * c_pi),
         params={"kind": "skew_poly", "q": q, "n": n, "c_pi": c_pi, "c_t": c_t},
         slice_gen="t",
@@ -533,7 +519,7 @@ def empirical_zeta(
             raise SchemaError(f"top vector has {len(partial)} slots, model has {n} classes")
     if joint:
         r = sum(top_class(model, model.full()))
-        alphabet = _doubled_alphabet(q, n)
+        alphabet = doubled_alphabet(q, n)
         out_bound = bound + r
     else:
         alphabet = model.alphabet

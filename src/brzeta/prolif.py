@@ -35,6 +35,7 @@ from .series import (
     AlphabetEntry,
     Monomial,
     TruncatedSeries,
+    geometric_product,
     mono_degree,
     product_eval,
     slice_coefficient,
@@ -79,6 +80,8 @@ class SliceBase:
         if kind == "semisimple":
             if not isinstance(data, SemisimpleData):
                 raise SchemaError("semisimple base needs SemisimpleData")
+            if not data.entries:
+                raise SchemaError("semisimple base needs at least one class")
             self.data = data
             n = len(data.entries)
         elif kind == "dvr":
@@ -125,8 +128,8 @@ class SliceBase:
         if self.kind == "semisimple":
             return self.data.alphabet()
         if self.kind == "dvr":
-            return Alphabet((AlphabetEntry("z", self.q, 1),))
-        return _her.z_alphabet(self.order)
+            return _her.z_alphabet(self.q, 1)
+        return _her.z_alphabet(self.order.q, self.order.n)
 
     def class_qs(self) -> tuple[int, ...]:
         if self.kind == "semisimple":
@@ -189,7 +192,7 @@ class SliceBase:
         if self.kind == "dvr":
             if lower != upper:
                 return TruncatedSeries.zero(al, bound)
-            return _hey_single(al, bound, self.q, upper[0])
+            return _her.solomon_hey_factor(upper[0], self.q, bound, al, (1,))
         mod = _module_of_class(upper)
         kw = {} if budget is None else {"budget": budget}
         return _her.partial_zeta(self.order, mod, _her.TopClass(lower), bound, **kw)
@@ -203,7 +206,7 @@ class SliceBase:
                 out = out + self.pair_zeta(self.top_class(), lower, bound)
             return out
         if self.kind == "dvr":
-            return _hey_single(al, bound, self.q, self.m)
+            return _her.solomon_hey_factor(self.m, self.q, bound, al, (1,))
         kw = {} if budget is None else {"budget": budget}
         return _her.total_zeta(self.order, self.module, bound, **kw)
 
@@ -247,14 +250,6 @@ def sigma_from_one_based(raw, n: int):
     if not isinstance(raw, (list, tuple)):
         raise SchemaError("sigma must be a list of 1-based images")
     return validate_permutation([int(x) - 1 for x in raw], n)
-
-
-def _hey_single(al: Alphabet, bound: int, q: int, m: int) -> TruncatedSeries:
-    out = TruncatedSeries.one(al, bound)
-    unit = al.unit(0)
-    for j in range(m):
-        out = out * TruncatedSeries.geometric(al, bound, unit, q**j)
-    return out
 
 
 def _module_of_class(rho: ClassVec) -> _her.HereditaryModuleSpec:
@@ -384,20 +379,13 @@ def semisimple_partial_zeta(
 # -- proliferation sums -------------------------------------------------------
 
 
-def _sequence_budget_guard(base: SliceBase, bound: int, budget: int):
-    leaves = len(base.fibre_classes()) ** max(bound, 0)
-    if leaves > budget:
-        raise ResourceBudgetError(
-            "class-sequence search tree too large", required=leaves, budget=budget
-        )
-
-
 def _proliferation_dfs(base: SliceBase, bound: int, pair_series, budget: int) -> TruncatedSeries:
     """Sum over class sequences of the product of substituted layer counts.
 
     ``pair_series(upper, lower, src_bound)`` supplies the layer count in the
     slice alphabet; layers at positions >= bound reduce to 1 at this bound
-    because a class jump at position j costs degree >= j+1.
+    because a class jump at position j costs degree >= j+1.  Every visited
+    node of the search counts against ``budget``.
     """
     al = base.alphabet()
     if bound < 0:
@@ -405,11 +393,11 @@ def _proliferation_dfs(base: SliceBase, bound: int, pair_series, budget: int) ->
     one = TruncatedSeries.one(al, bound)
     if bound == 0:
         return one
-    _sequence_budget_guard(base, bound, budget)
     top = base.top_class()
     classes = base.fibre_classes()
     total = TruncatedSeries.zero(al, bound)
     cache: dict[tuple[ClassVec, ClassVec, int], TruncatedSeries] = {}
+    visited = 0
 
     def raw_pair(upper: ClassVec, lower: ClassVec, src_bound: int) -> TruncatedSeries:
         key = (upper, lower, src_bound)
@@ -419,7 +407,12 @@ def _proliferation_dfs(base: SliceBase, bound: int, pair_series, budget: int) ->
         return hit
 
     def rec(j: int, seq: tuple[ClassVec, ...], acc: TruncatedSeries):
-        nonlocal total
+        nonlocal total, visited
+        visited += 1
+        if visited > budget:
+            raise ResourceBudgetError(
+                "class-sequence search visited too many nodes", required=visited, budget=budget
+            )
         if j == bound:
             total = total + acc
             return
@@ -531,11 +524,8 @@ def hom_slice_dirichlet(q: int, r: int, m: int, s_count: int, n_max: int) -> dic
     bound = 0
     while (q**r) ** (bound + 1) <= n_max:
         bound += 1
-    out = TruncatedSeries.one(al, bound)
-    for layer in range(bound):
-        for j in range(m):
-            factor = TruncatedSeries.geometric(al, bound, (layer + 1,), q ** (j + m * layer))
-            out = out * factor**s_count
+    factors = [((layer + 1,), q ** (j + m * layer)) for layer in range(bound) for j in range(m)]
+    out = geometric_product(al, bound, [f for f in factors for _ in range(s_count)])
     return _int_coeffs(out.dirichlet_coeffs(n_max), "hom-weighted slice count")
 
 
@@ -554,9 +544,7 @@ def lustig_coeffs(q: int, i_max: int) -> list[int]:
         else:
             by_partitions.append(sum(partition_count(i, j) * q ** (i - j) for j in range(1, i + 1)))
     al = Alphabet((AlphabetEntry("z", q, 1),))
-    series = TruncatedSeries.one(al, i_max)
-    for layer in range(i_max):
-        series = series * TruncatedSeries.geometric(al, i_max, (layer + 1,), q**layer)
+    series = geometric_product(al, i_max, (((layer + 1,), q**layer) for layer in range(i_max)))
     by_product = [int(series.coefficient((i,))) for i in range(i_max + 1)]
     if by_partitions != by_product:
         raise FormulaViolationError(
@@ -642,9 +630,7 @@ def zjv_factor(ell: int, q: int, j: int, bound: int) -> TruncatedSeries:
     al = Alphabet((AlphabetEntry("v", q, 1),))
     src = _her.solomon_hey_factor(ell, q, bound // (j + 1))
     out = src.substitute(al, {0: (Fraction(q) ** (j * ell), (j + 1,))}, bound)
-    closed = TruncatedSeries.one(al, bound)
-    for i in range(ell):
-        closed = closed * TruncatedSeries.geometric(al, bound, (j + 1,), q ** (i + j * ell))
+    closed = geometric_product(al, bound, (((j + 1,), q ** (i + j * ell)) for i in range(ell)))
     if out != closed:
         raise FormulaViolationError(
             "substituted and closed-form layer factors disagree",

@@ -528,6 +528,16 @@ class TruncatedSeries:
         return cls(alphabet, bound, coeffs)
 
 
+def geometric_product(
+    alphabet: Alphabet, bound: int, factors: Iterable[tuple[Monomial, int | Fraction]]
+) -> TruncatedSeries:
+    """``prod (1 - scalar*m)**-1`` over ``(exps, scalar)`` pairs, each ``m`` of degree >= 1."""
+    out = TruncatedSeries.one(alphabet, bound)
+    for exps, scalar in factors:
+        out = out * TruncatedSeries.geometric(alphabet, bound, exps, scalar)
+    return out
+
+
 def product_eval(
     alphabet: Alphabet,
     bound: int,

@@ -248,11 +248,20 @@ class TestInputHandling:
         assert code == 2
         assert "invalid JSON" in err
 
-    def test_non_prime_power_model(self, capsys):
-        code, _, err = run_cli(
-            capsys, ["oracle", "--model", '{"kind": "chain", "q": 6, "c": 2}', "--colength", "1"]
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--model", '{"kind": "chain", "q": 6, "c": 2}', "--colength", "1"],
+            ["hey", "--data", '[{"q": 2, "m": 1, "r": "x"}]', "--truncate", "2"],
+            ["prolif", "--data", '{"kind": "semisimple", "entries": []}', "--truncate", "3"],
+        ],
+        ids=["non-prime-power-model", "non-integer-r", "empty-semisimple-base"],
+    )
+    def test_malformed_input_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
         assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_negative_truncation(self, capsys):
         code, _, err = run_cli(capsys, ["hey", "--data", '[{"q": 2, "m": 1}]', "--truncate", "-1"])

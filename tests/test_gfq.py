@@ -1,13 +1,9 @@
 """Finite-field linear algebra: fields, echelon forms, subspace enumeration."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from brzeta import _kernels, gfq
+from brzeta import gfq
 from brzeta.errors import ResourceBudgetError, SchemaError
 from brzeta.qcomb import gaussian_binomial
 
@@ -140,60 +136,78 @@ class TestChains:
             assert got == gfq.count_chains(q, v)
 
 
-def _numba_importable():
-    """Whether ``import numba`` works here, decided as ``_kernels`` decides it."""
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
+def _reference_rref(a, add, mul, neg, inv, pivots):
+    """Scalar table-driven RREF in place: the reference for ``gfq.rref``.
+
+    Returns the rank; ``pivots[:rank]`` receives the pivot columns.
+    """
+    rows, cols = a.shape
+    rank = 0
+    for c in range(cols):
+        if rank == rows:
+            break
+        p = -1
+        for r in range(rank, rows):
+            if a[r, c] != 0:
+                p = r
+                break
+        if p < 0:
+            continue
+        if p != rank:
+            for j in range(cols):
+                t = a[rank, j]
+                a[rank, j] = a[p, j]
+                a[p, j] = t
+        piv = a[rank, c]
+        if piv != 1:
+            s = inv[piv]
+            for j in range(cols):
+                a[rank, j] = mul[s, a[rank, j]]
+        for r in range(rows):
+            if r != rank and a[r, c] != 0:
+                f = neg[a[r, c]]
+                for j in range(cols):
+                    a[r, j] = add[a[r, j], mul[f, a[rank, j]]]
+        pivots[rank] = c
+        rank += 1
+    return rank
 
 
-class TestBackends:
-    def test_backend_reports_a_name(self):
-        assert _kernels.BACKEND in ("numba", "numpy")
+def _reference_mat_mul(a, b, add, mul):
+    """Scalar table-driven matrix product: the reference for ``gfq.mat_mul``."""
+    n, kk = a.shape
+    m = b.shape[1]
+    out = np.zeros((n, m), dtype=np.int64)
+    for i in range(n):
+        for k in range(kk):
+            v = a[i, k]
+            if v != 0:
+                for j in range(m):
+                    out[i, j] = add[out[i, j], mul[v, b[k, j]]]
+    return out
 
-    def test_numpy_and_numba_kernels_agree_in_process(self):
-        if not _kernels.HAS_NUMBA:
-            pytest.skip("numba not importable")
-        f = gfq.GF(4)
+
+class TestKernels:
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_rref_and_mat_mul_match_scalar_reference(self, q):
+        f = gfq.GF(q)
         t = gfq.tables(f)
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            mat = rng.integers(0, 4, size=(5, 7)).astype(np.int64)
-            a1, a2 = mat.copy(), mat.copy()
-            p1 = np.zeros(7, dtype=np.int64)
-            p2 = np.zeros(7, dtype=np.int64)
-            rank1 = _kernels.numba_rref(a1, t.add, t.mul, t.neg, t.inv, p1)
-            rank2 = _kernels.numpy_rref(a2, t.add, t.mul, t.neg, t.inv, p2)
-            assert rank1 == rank2
-            assert np.array_equal(a1, a2)
-            assert np.array_equal(p1[:rank1], p2[:rank2])
-            b = rng.integers(0, 4, size=(7, 4)).astype(np.int64)
-            assert np.array_equal(
-                _kernels.numba_matmul(mat, b, t.add, t.mul),
-                _kernels.numpy_matmul(mat, b, t.add, t.mul),
-            )
-
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
-    def test_backend_selection_subprocess(self, backend):
-        env = dict(os.environ, BRZETA_BACKEND=backend)
-        code = (
-            "from brzeta import _kernels, gfq, hey\n"
-            "assert _kernels.BACKEND == %r, _kernels.BACKEND\n"
-            "d = hey.SemisimpleData.from_specs([(2, 2)])\n"
-            "print(hey.hey_product(d, 3))\n" % backend
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        if backend == "numba" and not _numba_importable():
-            # BRZETA_BACKEND=numba must refuse, never fall back to numpy.
-            assert proc.returncode != 0
-            assert proc.stdout == ""
-            assert proc.stderr.strip().splitlines()[-1] == (
-                "ImportError: BRZETA_BACKEND=numba requested but numba is not importable"
-            ), proc.stderr
-            return
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "1 + 3*z + 7*z^2 + 15*z^3"
+        rng = np.random.default_rng(q)
+        for trial in range(12):
+            rows, cols, inner = (int(x) for x in rng.integers(1, 21, size=3))
+            mat = rng.integers(0, q, size=(rows, cols)).astype(np.int64)
+            if trial % 3 == 1:  # sparse: zero columns and rank deficiency
+                mat[rng.random((rows, cols)) < 0.7] = 0
+            elif trial % 3 == 2:  # rank at most 3 by construction
+                left = rng.integers(0, q, size=(rows, 3)).astype(np.int64)
+                right = rng.integers(0, q, size=(3, cols)).astype(np.int64)
+                mat = _reference_mat_mul(left, right, t.add, t.mul)
+            expected = mat.copy()
+            pivots = np.zeros(max(rows, cols), dtype=np.int64)
+            rank = _reference_rref(expected, t.add, t.mul, t.neg, t.inv, pivots)
+            got, got_rank, got_pivots = gfq.rref(f, mat)
+            assert got_rank == rank
+            assert np.array_equal(got, expected)
+            assert np.array_equal(got_pivots, pivots[:rank])
+            other = rng.integers(0, q, size=(cols, inner)).astype(np.int64)
+            assert np.array_equal(gfq.mat_mul(f, mat, other), _reference_mat_mul(mat, other, t.add, t.mul))

@@ -144,6 +144,10 @@ class TestProliferationSum:
         base = pr.SliceBase.semisimple(SemisimpleData.from_specs([(2, 3), (2, 3)]))
         with pytest.raises(ResourceBudgetError):
             pr.proliferation_sum(base, 6, budget=10)
+        # the budget counts visited nodes, so a 2-class base at bound 6 (16^6
+        # class sequences, few of them nonzero) runs under the default budget
+        data = SemisimpleData.from_specs([(2, 2), (3, 2)])
+        assert pr.proliferation_sum(pr.SliceBase.semisimple(data), 6) == hey_product(data, 6)
 
 
 class TestSingleSliver:
