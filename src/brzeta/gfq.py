@@ -4,8 +4,11 @@ Field elements are integers ``0..q-1`` encoding polynomials over F_p in base
 p; all arithmetic goes through dense int64 lookup tables so prime and
 prime-power fields share the same rref and matrix-product kernels.
 Subspaces are held in reduced-row-echelon canonical form, which makes them
-hashable and makes equality a byte comparison.  Every enumeration is counted
-first (Gaussian binomials) and refused if it would exceed the budget.
+hashable and makes equality a byte comparison.  The one enumeration,
+:func:`enumerate_subspaces`, serves the brute-force oracle; it counts its
+output first (Gaussian binomials) and refuses to exceed the budget.  Chains of
+subspaces are not enumerated here: the closed engines count them with
+Gaussian binomials.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import ResourceBudgetError, SchemaError
-from .qcomb import gaussian_binomial
+from .qcomb import gaussian_binomial, prime_power_factors
 
 DEFAULT_BUDGET = 200_000
 
@@ -35,26 +38,6 @@ LatticePair = namedtuple("LatticePair", "meet join")
 
 
 # -- field construction ------------------------------------------------------
-
-
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise SchemaError(f"field size must be >= 2, got {q}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise SchemaError(f"{q} is not a prime power")
-    return p, e
 
 
 def _poly_trim(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -140,7 +123,10 @@ def GF(q: int, modulus=None) -> FieldSpec:
     """
     if q > 256:
         raise SchemaError(f"fields beyond q=256 are out of scope, got q={q}")
-    p, e = _factor_prime_power(q)
+    factors = prime_power_factors(q)
+    if factors is None:
+        raise SchemaError(f"field size must be a prime power, got {q}")
+    p, e = factors
     if e == 1:
         return FieldSpec(p, 1, (0, 1))
     if modulus is None:
@@ -424,19 +410,8 @@ class QuotientSpace:
         coords = _as_matrix(coords, self.dim)
         return mat_mul(self.field, coords, self.lift_rows)
 
-    def pull_back(self, sub: "SubspaceRep") -> SubspaceRep:
-        """Preimage in the ambient space of a subspace given in quotient coordinates."""
-        lifted = self.lift(sub.rows)
-        return SubspaceRep.from_rows(self.field, self.lower.ambient, np.vstack([self.lower.rows, lifted]))
-
 
 # -- enumeration ---------------------------------------------------------------
-
-
-def subspace_count(q: int, ambient: int, dim: int | None = None) -> int:
-    if dim is not None:
-        return gaussian_binomial(ambient, dim, q)
-    return sum(gaussian_binomial(ambient, d, q) for d in range(ambient + 1))
 
 
 def enumerate_subspaces(
@@ -481,105 +456,3 @@ def enumerate_subspaces(
                     mat[i, c] = v
                 out.append(SubspaceRep(field, ambient, mat, np.array(piv, dtype=np.int64)))
     return out
-
-
-def subspaces_between(
-    field: FieldSpec,
-    lower: SubspaceRep,
-    upper: SubspaceRep,
-    dims=None,
-    budget: int = DEFAULT_BUDGET,
-) -> list[SubspaceRep]:
-    """Subspaces W with lower <= W <= upper, via the quotient upper/lower."""
-    quot = QuotientSpace(field, lower, upper)
-    shift = lower.dim
-    if isinstance(dims, int):
-        dims = [dims]
-    rel_dims = None if dims is None else [d - shift for d in dims if shift <= d <= upper.dim]
-    if rel_dims == []:
-        return []
-    return [quot.pull_back(s) for s in enumerate_subspaces(field, quot.dim, rel_dims, budget)]
-
-
-@dataclass(frozen=True)
-class FilteredSpace:
-    """Weakly decreasing dimension vector d_1 >= ... >= d_n >= 0 of nested
-    coordinate subspaces V_j = span(e_1..e_{d_j}) inside F_q^{d_1}."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        d = tuple(int(x) for x in self.dims)
-        object.__setattr__(self, "dims", d)
-        if not d:
-            raise SchemaError("filtered space needs at least one level")
-        if any(x < 0 for x in d) or any(d[i] < d[i + 1] for i in range(len(d) - 1)):
-            raise SchemaError(f"dimension vector must be weakly decreasing and >= 0, got {d}")
-
-    @property
-    def n(self) -> int:
-        return len(self.dims)
-
-    @property
-    def ambient(self) -> int:
-        return self.dims[0]
-
-    def model_space(self, field: FieldSpec, j: int) -> SubspaceRep:
-        """V_j (1-based level), the span of the first dims[j-1] coordinates."""
-        d = self.dims[j - 1]
-        rows = np.zeros((d, self.ambient), dtype=np.int64)
-        for i in range(d):
-            rows[i, i] = 1
-        return SubspaceRep(field, self.ambient, rows, np.arange(d, dtype=np.int64))
-
-
-def count_chains(q: int, filtered: FilteredSpace) -> int:
-    """Number of chains W_1 = V_1 >= W_2 >= ... >= W_n with W_j <= V_j."""
-    dims = filtered.dims
-    n = len(dims)
-
-    @lru_cache(maxsize=None)
-    def ways(j: int, below: int) -> int:
-        if j == 1:
-            return 1
-        return sum(
-            gaussian_binomial(dims[j - 1] - below, b - below, q) * ways(j - 1, b)
-            for b in range(below, dims[j - 1] + 1)
-        )
-
-    return ways(n, 0)
-
-
-def enumerate_chains(
-    field: FieldSpec,
-    filtered: FilteredSpace,
-    budget: int = DEFAULT_BUDGET,
-) -> list[tuple[SubspaceRep, ...]]:
-    """All chains (W_2, ..., W_n); W_1 = V_1 and W_{n+1} = 0 are implicit."""
-    total = count_chains(field.q, filtered)
-    if total > budget:
-        raise ResourceBudgetError("chain enumeration too large", required=total, budget=budget)
-    n = filtered.n
-    if n == 1:
-        return [()]
-    models = {j: filtered.model_space(field, j) for j in range(2, n + 1)}
-    chains: list[tuple[SubspaceRep, ...]] = []
-
-    def rec(j: int, below: SubspaceRep, acc: list[SubspaceRep]):
-        if j == 1:
-            chains.append(tuple(reversed(acc)))
-            return
-        for w in subspaces_between(field, below, models[j], budget=budget):
-            rec(j - 1, w, acc + [w])
-
-    rec(n, zero_space(field, filtered.ambient), [])
-    return chains
-
-
-def chain_degree_vector(filtered: FilteredSpace, chain: tuple[SubspaceRep, ...]) -> tuple[int, ...]:
-    """dim(W_j / W_{j+1}) for j = 1..n, with W_1 = V_1 and W_{n+1} = 0."""
-    n = filtered.n
-    if len(chain) != n - 1:
-        raise SchemaError(f"chain has {len(chain)} levels, expected {n - 1}")
-    dims = [filtered.dims[0]] + [w.dim for w in chain] + [0]
-    return tuple(dims[j] - dims[j + 1] for j in range(n))

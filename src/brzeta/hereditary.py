@@ -6,11 +6,17 @@ multiset of column types c_1 <= ... <= c_r.  The count assembled here is
 
     sum over finite-colength sublattices X of  w^{iso class of X} z^{colength},
 
-computed by stratifying X by the image of X + pi*M_1 inside M_1/pi*M_1 =
-F_q^r, counting each stratum with a chain polynomial (enumerated over actual
-subspace chains), a Hermite-form stratum polynomial in v = z_1...z_n, and the
-rank-r one-variable base count.  The assembled sum is exactly divisible by a
-fixed column-shift monomial u; non-divisibility is a formula violation.
+computed by stratifying X by the image Ybar of X + pi*M_1 inside
+M_1/pi*M_1 = F_q^r, counting each stratum with a chain polynomial, a
+Hermite-form stratum polynomial in v = z_1...z_n, and the rank-r one-variable
+base count.  The assembled sum is exactly divisible by a fixed column-shift
+monomial u; non-divisibility is a formula violation.
+
+Nothing is enumerated: the strata are grouped by (filtration dims, dim Ybar),
+counted as Schubert cells of the coordinate column flag, and the chains of
+each filtration are counted by degree vector; both counts are products of
+Gaussian binomials (Andrews, *The Theory of Partitions*, ch. 3).  The
+brute-force oracle's triangular model is the independent check.
 
 Every returned term has w-degree exactly r, so a z-truncation at B is
 complete once the total-degree bound is B + r.
@@ -21,10 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import gfq
 from .errors import FormulaViolationError, NonUnitError, SchemaError, TruncationBoundError
+from .qcomb import gaussian_binomial
 from .series import (
     Alphabet,
     AlphabetEntry,
@@ -34,8 +38,6 @@ from .series import (
     mono_degree,
     slice_coefficient,
 )
-
-DEFAULT_BUDGET = gfq.DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -137,71 +139,78 @@ def substitution_data(
     return u, v, t
 
 
-def filtered_dims(
-    order: HereditaryOrderSpec, module: HereditaryModuleSpec, ybar: gfq.SubspaceRep
-) -> gfq.FilteredSpace:
-    """Dimension vector of the column filtration induced by a stratum Ybar.
-
-    d_j = dim(Ybar meet m_j) + (r - dim Ybar), with m_j the coordinate span of
-    the columns of type >= j; always starts at d_1 = r.
-    """
-    _validate_pair(order, module)
-    r = module.r
-    if ybar.ambient != r:
-        raise SchemaError(f"stratum lives in F^{ybar.ambient}, expected F^{r}")
-    field = ybar.field
-    dims = []
-    for j in range(1, order.n + 1):
-        coords = [k for k, c in enumerate(module.columns) if c >= j]
-        if len(coords) == r:
-            inter_dim = ybar.dim
-        else:
-            rows = np.zeros((len(coords), r), dtype=np.int64)
-            for row_i, k in enumerate(coords):
-                rows[row_i, k] = 1
-            mj = gfq.SubspaceRep(field, r, rows, np.array(coords, dtype=np.int64))
-            inter_dim = gfq.intersection(ybar, mj).dim
-        dims.append(inter_dim + (r - ybar.dim))
-    return gfq.FilteredSpace(tuple(dims))
+def _descending(first: int, caps) -> list[tuple[int, ...]]:
+    """Weakly decreasing vectors (first, x_2, ...) with 0 <= x_j <= caps[j - 2]."""
+    out = [(first,)]
+    for cap in caps:
+        out = [v + (x,) for v in out for x in range(min(v[-1], cap) + 1)]
+    return out
 
 
 _chain_count_cache: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], int]] = {}
 
 
-def chain_degree_counts(
-    q: int, dims: tuple[int, ...], budget: int = DEFAULT_BUDGET
-) -> dict[tuple[int, ...], int]:
-    """How many chains in the model filtered space have each degree vector."""
-    key = (q, tuple(dims))
+def chain_degree_counts(q: int, dims: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """How many chains V_1 = W_1 >= W_2 >= ... >= W_n with W_j <= V_j have each
+    degree vector dim(W_j / W_{j+1}), where V_j is the span of the first dims[j-1]
+    coordinates and W_{n+1} = 0.
+
+    The chains with dim W_j = w_j number prod_{j>=2} [d_j - w_{j+1} choose w_j - w_{j+1}]_q.
+    """
+    dims = tuple(dims)
+    key = (q, dims)
     hit = _chain_count_cache.get(key)
     if hit is None:
-        field = gfq.GF(q)
-        fs = gfq.FilteredSpace(tuple(dims))
-        counts: dict[tuple[int, ...], int] = {}
-        for ch in gfq.enumerate_chains(field, fs, budget):
-            vec = gfq.chain_degree_vector(fs, ch)
-            counts[vec] = counts.get(vec, 0) + 1
-        hit = _chain_count_cache[key] = counts
+        hit = {}
+        for w in _descending(dims[0], dims[1:]):
+            w = w + (0,)
+            count = 1
+            for j in range(1, len(dims)):
+                count *= gaussian_binomial(dims[j] - w[j + 1], w[j] - w[j + 1], q)
+            hit[tuple(w[j] - w[j + 1] for j in range(len(dims)))] = count
+        _chain_count_cache[key] = hit
     return hit
 
 
-def filtered_poly(
-    filtered: gfq.FilteredSpace,
-    q: int,
-    t_exps: list[Monomial],
-    alphabet: Alphabet,
-    bound: int,
-    budget: int = DEFAULT_BUDGET,
-) -> TruncatedSeries:
-    """Chain-sum polynomial: sum over chains of prod_j t_j^(step dimension).
+def stratum_counts(
+    order: HereditaryOrderSpec, module: HereditaryModuleSpec
+) -> dict[tuple[tuple[int, ...], int], int]:
+    """How many subspaces Ybar of F_q^r have each (filtration dims, dim Ybar).
 
-    Depends on the filtered space only through its dimension vector.
+    With f_j the dimension of the coordinate span m_j of the columns of type
+    >= j and a_j = dim(Ybar meet m_j), the filtration dims are a_j + r - dim Ybar
+    and the Ybar with a given a (a Schubert cell of the flag m_n <= ... <= m_1) number
+
+        [f_n choose a_n]_q * prod_{j<n} q^(k_j (f_{j+1} - a_{j+1})) [f_j - f_{j+1} choose k_j]_q,
+
+    with k_j = a_j - a_{j+1}.
     """
-    if len(t_exps) != filtered.n:
-        raise SchemaError(f"{filtered.n} filtration levels need {filtered.n} t-monomials")
+    _validate_pair(order, module)
+    q, r = order.q, module.r
+    flags = [module.flag_dim(j) for j in range(1, order.n + 1)]
+    out = {}
+    for m in range(r + 1):
+        for a in _descending(m, flags[1:]):
+            count = gaussian_binomial(flags[-1], a[-1], q)
+            for j in range(order.n - 1):
+                k = a[j] - a[j + 1]
+                count *= q ** (k * (flags[j + 1] - a[j + 1]))
+                count *= gaussian_binomial(flags[j] - flags[j + 1], k, q)
+            if count:
+                out[(tuple(x + r - m for x in a), m)] = count
+    return out
+
+
+def filtered_poly(
+    dims: tuple[int, ...], q: int, t_exps: list[Monomial], alphabet: Alphabet, bound: int
+) -> TruncatedSeries:
+    """Chain-sum polynomial: sum over chains of prod_j t_j^(step dimension),
+    for the filtration with dimension vector ``dims``."""
+    if len(t_exps) != len(dims):
+        raise SchemaError(f"{len(dims)} filtration levels need {len(dims)} t-monomials")
     width = len(alphabet)
     coeffs: dict[Monomial, Fraction] = {}
-    for degvec, cnt in chain_degree_counts(q, filtered.dims, budget).items():
+    for degvec, cnt in chain_degree_counts(q, dims).items():
         exps = [0] * width
         for j, d in enumerate(degvec):
             if d:
@@ -275,9 +284,7 @@ def hermite_orbit_sum(m: int, r: int, q: int, bound: int) -> TruncatedSeries:
     return TruncatedSeries.monomial(alphabet, bound, (r - m,)) * orbits
 
 
-def _stratum_sum(
-    order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound: int, budget: int
-) -> TruncatedSeries:
+def _stratum_sum(order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound: int) -> TruncatedSeries:
     """Sum over strata Ybar of F_q^r of chain polynomial times Hermite weight.
 
     Strata are grouped by (filtration dims, dim Ybar), which is all the two
@@ -287,25 +294,15 @@ def _stratum_sum(
     q, r = order.q, module.r
     alphabet = doubled_alphabet(q, order.n)
     _, v_exps, t_exps = substitution_data(order, module)
-    groups: dict[tuple[tuple[int, ...], int], int] = {}
-    for ybar in gfq.enumerate_subspaces(gfq.GF(q), r, budget=budget):
-        dims = filtered_dims(order, module, ybar).dims
-        key = (dims, ybar.dim)
-        groups[key] = groups.get(key, 0) + 1
     acc = TruncatedSeries.zero(alphabet, bound)
-    for (dims, m), count in sorted(groups.items()):
-        p_series = filtered_poly(gfq.FilteredSpace(dims), q, t_exps, alphabet, bound, budget)
+    for (dims, m), count in sorted(stratum_counts(order, module).items()):
+        p_series = filtered_poly(dims, q, t_exps, alphabet, bound)
         q_series = poly_in_monomial(alphabet, bound, hermite_Q(m, r, q), v_exps)
         acc = acc + (p_series * q_series).scaled(count)
     return acc
 
 
-def brz_two_variable(
-    order: HereditaryOrderSpec,
-    module: HereditaryModuleSpec,
-    z_bound: int,
-    budget: int = DEFAULT_BUDGET,
-) -> TruncatedSeries:
+def brz_two_variable(order: HereditaryOrderSpec, module: HereditaryModuleSpec, z_bound: int) -> TruncatedSeries:
     """Joint class/colength count over the doubled alphabet (z block, w block).
 
     Returned at total-degree bound z_bound + r; since every term has w-degree
@@ -316,7 +313,7 @@ def brz_two_variable(
         raise TruncationBoundError(f"bound must be >= 0, got {z_bound}")
     u_exps, v_exps, _ = substitution_data(order, module)
     internal_bound = z_bound + module.r + mono_degree(u_exps)
-    acc = _stratum_sum(order, module, internal_bound, budget)
+    acc = _stratum_sum(order, module, internal_bound)
     shifted = acc * solomon_hey_factor(module.r, order.q, internal_bound, acc.alphabet, v_exps)
     try:
         return shifted.divided_by_monomial(u_exps)
@@ -326,12 +323,7 @@ def brz_two_variable(
         ) from exc
 
 
-def brs_F(
-    order: HereditaryOrderSpec,
-    module: HereditaryModuleSpec,
-    bound: int,
-    budget: int = DEFAULT_BUDGET,
-) -> TruncatedSeries:
+def brs_F(order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound: int) -> TruncatedSeries:
     """Exact polynomial F with Z(M; z, w) = F * (rank-r base count in v).
 
     Computed without truncation loss (all ingredients are polynomials with an
@@ -345,7 +337,7 @@ def brs_F(
     # every factor is an exact polynomial: chain sums have z-degree <= r(n-1)
     # and stratum weights z-degree <= rn, so 2rn total covers the assembly
     exact_bound = 2 * r * order.n + r
-    acc = _stratum_sum(order, module, exact_bound, budget)
+    acc = _stratum_sum(order, module, exact_bound)
     try:
         poly = acc.divided_by_monomial(u_exps)
     except NonUnitError as exc:
@@ -363,11 +355,7 @@ def brs_F(
 
 
 def partial_zeta(
-    order: HereditaryOrderSpec,
-    module: HereditaryModuleSpec,
-    top: TopClass,
-    z_bound: int,
-    budget: int = DEFAULT_BUDGET,
+    order: HereditaryOrderSpec, module: HereditaryModuleSpec, top: TopClass, z_bound: int
 ) -> TruncatedSeries:
     """Count of sublattices in one isomorphism class, by colength monomial."""
     rho = top.rho if isinstance(top, TopClass) else TopClass(tuple(top)).rho
@@ -376,18 +364,13 @@ def partial_zeta(
         raise SchemaError(f"class vector has {len(rho)} slots, order has {n} classes")
     if sum(rho) != module.r:
         return TruncatedSeries.zero(z_alphabet(order.q, order.n), z_bound)
-    joint = brz_two_variable(order, module, z_bound, budget)
+    joint = brz_two_variable(order, module, z_bound)
     return slice_coefficient(joint, (0,) * n + tuple(rho), n)
 
 
-def total_zeta(
-    order: HereditaryOrderSpec,
-    module: HereditaryModuleSpec,
-    z_bound: int,
-    budget: int = DEFAULT_BUDGET,
-) -> TruncatedSeries:
+def total_zeta(order: HereditaryOrderSpec, module: HereditaryModuleSpec, z_bound: int) -> TruncatedSeries:
     """Colength count with the class markers forgotten (all w_i -> 1)."""
-    joint = brz_two_variable(order, module, z_bound, budget)
+    joint = brz_two_variable(order, module, z_bound)
     n = order.n
     out: dict[Monomial, Fraction] = {}
     for exps, c in joint.items():

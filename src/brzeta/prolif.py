@@ -176,7 +176,7 @@ class SliceBase:
 
     # -- slice counts --------------------------------------------------------
 
-    def pair_zeta(self, upper: ClassVec, lower: ClassVec, bound: int, budget=None) -> TruncatedSeries:
+    def pair_zeta(self, upper: ClassVec, lower: ClassVec, bound: int) -> TruncatedSeries:
         """Count of submodules of class ``lower`` inside a slice module of class
         ``upper``, by colength monomial over the slice alphabet."""
         al = self.alphabet()
@@ -193,11 +193,9 @@ class SliceBase:
             if lower != upper:
                 return TruncatedSeries.zero(al, bound)
             return _her.solomon_hey_factor(upper[0], self.q, bound, al, (1,))
-        mod = _module_of_class(upper)
-        kw = {} if budget is None else {"budget": budget}
-        return _her.partial_zeta(self.order, mod, _her.TopClass(lower), bound, **kw)
+        return _her.partial_zeta(self.order, _module_of_class(upper), _her.TopClass(lower), bound)
 
-    def total_zeta(self, bound: int, budget=None) -> TruncatedSeries:
+    def total_zeta(self, bound: int) -> TruncatedSeries:
         """Count of all finite-colength submodules of the slice module."""
         al = self.alphabet()
         if self.kind == "semisimple":
@@ -207,8 +205,7 @@ class SliceBase:
             return out
         if self.kind == "dvr":
             return _her.solomon_hey_factor(self.m, self.q, bound, al, (1,))
-        kw = {} if budget is None else {"budget": budget}
-        return _her.total_zeta(self.order, self.module, bound, **kw)
+        return _her.total_zeta(self.order, self.module, bound)
 
     def all_submodules_isomorphic(self) -> bool:
         """True when every finite-colength submodule of the slice is a copy of it."""

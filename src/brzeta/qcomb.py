@@ -1,4 +1,4 @@
-"""Gaussian binomials, subspace Moebius values, Cauchy products, partitions.
+"""Prime-power sizes, Gaussian binomials, subspace Moebius values, Cauchy products, partitions.
 
 Everything returns exact integers; the iterative Gaussian-binomial product
 uses stepwise exact division (each prefix is itself a Gaussian binomial).
@@ -9,6 +9,53 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import SchemaError
+
+
+#: Miller-Rabin bases; together they decide primality exactly below 3.3e24
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin over :data:`_WITNESSES` (a strong probable-prime test above 3.3e24)."""
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _integer_root(q: int, e: int) -> int:
+    """floor(q^(1/e)) by Newton's iteration from above."""
+    x = 1 << -(-q.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + q // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+@lru_cache(maxsize=None)
+def prime_power_factors(q: int) -> tuple[int, int] | None:
+    """(p, e) with q = p^e for a prime p, or None when q is not a prime power."""
+    if q < 2:
+        return None
+    for e in range(q.bit_length() - 1, 0, -1):
+        p = _integer_root(q, e)
+        if p**e == q and _is_prime(p):
+            return p, e
+    return None
 
 
 def gaussian_binomial(m: int, d: int, q: int) -> int:

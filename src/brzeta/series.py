@@ -28,6 +28,7 @@ from .errors import (
     SchemaError,
     TruncationBoundError,
 )
+from .qcomb import prime_power_factors
 
 #: Exponent vector of a monomial; one nonnegative entry per alphabet slot.
 Monomial = tuple[int, ...]
@@ -61,6 +62,8 @@ class AlphabetEntry:
             raise SchemaError("alphabet entry needs a nonempty string label")
         if self.q < 2:
             raise SchemaError(f"entry {self.label!r}: residue size q must be >= 2, got {self.q}")
+        if prime_power_factors(self.q) is None:
+            raise SchemaError(f"entry {self.label!r}: residue size q must be a prime power, got {self.q}")
         if self.r < 1:
             raise SchemaError(f"entry {self.label!r}: matrix size r must be >= 1, got {self.r}")
 

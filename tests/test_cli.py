@@ -97,6 +97,17 @@ class TestSeriesOutput:
         assert code == 0
         assert out == "monomial,num,den\n1,1,1\nz2,1,1\nz1,1,1\nz1*z2,5,1\n"
 
+    def test_hereditary_beyond_subspace_enumeration(self, capsys):
+        # F_3^7 has ~2e6 subspaces; the strata are counted, not enumerated
+        code, out, _ = run_cli(
+            capsys,
+            ["hereditary", "--joint", "--data", '{"q": 3, "n": 2, "columns": [1, 1, 1, 2, 2, 2, 2]}',
+             "--truncate", "2"],
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["terms"] and all(sum(t["exponents"][2:]) == 7 for t in doc["terms"])
+
     def test_lifted_hey_with_twist(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -254,8 +265,26 @@ class TestInputHandling:
             ["oracle", "--model", '{"kind": "chain", "q": 6, "c": 2}', "--colength", "1"],
             ["hey", "--data", '[{"q": 2, "m": 1, "r": "x"}]', "--truncate", "2"],
             ["prolif", "--data", '{"kind": "semisimple", "entries": []}', "--truncate", "3"],
+            ["hey", "--data", '[{"q": 6, "m": 1}]', "--truncate", "2"],
+            ["lifted-hey", "--data", '[{"q": 6, "m": 1}]', "--truncate", "2"],
+            ["hereditary", "--data", '{"q": 6, "n": 2, "columns": [1, 2]}', "--truncate", "2"],
+            ["lustig", "--q", "6", "--max", "3"],
+            ["hom-slice", "--q", "6", "--r", "1", "--m", "1", "--s-count", "1", "--max", "100"],
+            ["prolif", "--data", '{"kind": "dvr", "q": 6, "m": 1}', "--truncate", "2"],
+            ["prolif", "--data", '{"kind": "semisimple", "entries": [{"q": 6, "m": 1}]}', "--truncate", "2"],
         ],
-        ids=["non-prime-power-model", "non-integer-r", "empty-semisimple-base"],
+        ids=[
+            "non-prime-power-model",
+            "non-integer-r",
+            "empty-semisimple-base",
+            "hey-q6",
+            "lifted-hey-q6",
+            "hereditary-q6",
+            "lustig-q6",
+            "hom-slice-q6",
+            "prolif-dvr-q6",
+            "prolif-semisimple-q6",
+        ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, argv)

@@ -109,33 +109,6 @@ class TestQuotientSpace:
         assert not quo.project(np.array([[1, 1, 0]], dtype=np.int64)).any()
 
 
-class TestChains:
-    def test_single_layer_has_one_chain(self):
-        v = gfq.FilteredSpace((3,))
-        chains = list(gfq.enumerate_chains(gfq.GF(2), v))
-        assert len(chains) == 1
-        assert gfq.chain_degree_vector(v, chains[0]) == (3,)
-
-    def test_two_layer_full(self):
-        v = gfq.FilteredSpace((2, 2))
-        chains = list(gfq.enumerate_chains(gfq.GF(2), v))
-        degs = sorted(gfq.chain_degree_vector(v, c) for c in chains)
-        assert degs == [(0, 2), (1, 1), (1, 1), (1, 1), (2, 0)]
-
-    def test_two_layer_restricted(self):
-        v = gfq.FilteredSpace((2, 1))
-        chains = list(gfq.enumerate_chains(gfq.GF(2), v))
-        degs = sorted(gfq.chain_degree_vector(v, c) for c in chains)
-        assert degs == [(1, 1), (2, 0)]
-
-    @pytest.mark.parametrize("q", [2, 3])
-    def test_count_matches_closed_form(self, q):
-        for dims in [(2, 2), (3, 1), (3, 2), (2, 2, 1)]:
-            v = gfq.FilteredSpace(dims)
-            got = len(list(gfq.enumerate_chains(gfq.GF(q), v)))
-            assert got == gfq.count_chains(q, v)
-
-
 def _reference_rref(a, add, mul, neg, inv, pivots):
     """Scalar table-driven RREF in place: the reference for ``gfq.rref``.
 

@@ -1,9 +1,13 @@
 """Two-variable lattice counts over chain-form orders and their factorization."""
 
+import functools
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from brzeta import gfq
 from brzeta import hereditary as her
 from brzeta.errors import SchemaError
 from brzeta.qcomb import gaussian_binomial
@@ -52,29 +56,97 @@ class TestSubstitutionData:
         assert t == [(0, 1, 1, 0), (0, 0, 0, 1)]
 
 
-class TestFilteredDims:
-    def test_full_space(self):
-        from brzeta import gfq
+def _unit_span(field, r, coords):
+    """Coordinate subspace of F_q^r spanned by the given coordinates."""
+    rows = np.zeros((len(coords), r), dtype=np.int64)
+    for i, k in enumerate(coords):
+        rows[i, k] = 1
+    return gfq.row_space(field, rows, r)
 
-        f = gfq.GF(2)
-        full = gfq.full_space(f, 2)
-        assert her.filtered_dims(ORDER22, MOD12, full).dims == (2, 1)
 
-    def test_zero_space(self):
-        from brzeta import gfq
+@functools.lru_cache(maxsize=None)
+def _brute_chain_counts(q, dims):
+    """Chains V_1 = W_1 >= ... >= W_n, W_j <= V_j, found among all subspaces of F_q^{d_1}."""
+    field = gfq.GF(q)
+    spaces = gfq.enumerate_subspaces(field, dims[0])
+    models = [_unit_span(field, dims[0], range(d)) for d in dims]
+    counts = Counter()
 
-        f = gfq.GF(2)
-        zero = gfq.zero_space(f, 2)
-        assert her.filtered_dims(ORDER22, MOD12, zero).dims == (2, 2)
+    def rec(j, above, chain_dims):
+        if j == len(dims):
+            chain_dims = chain_dims + [0]
+            counts[tuple(chain_dims[i] - chain_dims[i + 1] for i in range(len(dims)))] += 1
+            return
+        for w in spaces:
+            if above.contains(w) and models[j].contains(w):
+                rec(j + 1, w, chain_dims + [w.dim])
 
-    def test_coordinate_line(self):
-        import numpy as np
+    rec(1, models[0], [dims[0]])
+    return dict(counts)
 
-        from brzeta import gfq
 
-        f = gfq.GF(2)
-        line = gfq.row_space(f, np.array([[1, 0]], dtype=np.int64))
-        assert her.filtered_dims(ORDER22, MOD12, line).dims == (2, 1)
+def _brute_stratum_counts(order, module):
+    """(filtration dims, dim Ybar) over every subspace Ybar of F_q^r, via intersections."""
+    field, r = gfq.GF(order.q), module.r
+    flag = [_unit_span(field, r, [k for k, c in enumerate(module.columns) if c >= j])
+            for j in range(1, order.n + 1)]
+    counts = Counter()
+    for ybar in gfq.enumerate_subspaces(field, r):
+        dims = tuple(gfq.intersection(ybar, mj).dim + r - ybar.dim for mj in flag)
+        counts[(dims, ybar.dim)] += 1
+    return dict(counts)
+
+
+#: hand-counted values, checked against both sides
+LITERAL_CHAINS = {
+    (2, (3,)): {(3,): 1},
+    (2, (2, 2)): {(0, 2): 1, (1, 1): 3, (2, 0): 1},
+    (2, (2, 1)): {(1, 1): 1, (2, 0): 1},
+}
+#: q=2, columns (1, 2): the full space and the line e_1 meet e_2's span in
+#: dims 1 and 0, giving filtration (2, 1); the zero space gives (2, 2)
+LITERAL_STRATA = {
+    (2, 2, (1, 2)): {((2, 2), 0): 1, ((2, 1), 1): 2, ((2, 2), 1): 1, ((2, 1), 2): 1},
+}
+
+
+class TestClosedCounts:
+    @pytest.mark.parametrize(
+        "q,n,columns",
+        [
+            (2, 1, (1, 1, 1)),
+            (2, 1, (1, 1, 1, 1)),
+            (2, 2, (1, 2)),
+            (2, 2, (1, 1, 2)),
+            (2, 2, (1, 1, 2, 2)),
+            (2, 2, (1, 2, 2, 2)),
+            (2, 3, (1, 2)),
+            (2, 3, (1, 2, 3)),
+            (2, 3, (1, 1, 2, 3)),
+            (2, 3, (1, 2, 3, 3)),
+            (3, 1, (1, 1, 1)),
+            (3, 2, (1, 2)),
+            (3, 2, (1, 1, 2)),
+            (3, 2, (1, 2, 2)),
+            (3, 2, (1, 1, 2, 2)),
+            (3, 3, (1, 2)),
+            (3, 3, (1, 2, 3)),
+            (3, 3, (2, 3, 3)),
+            (4, 2, (1, 2, 2)),
+            (4, 3, (1, 2, 3)),
+            (4, 2, (1, 1, 2, 2)),
+        ],
+        ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_counts_match_brute_force(self, q, n, columns):
+        order, module = her.HereditaryOrderSpec(q, n), her.HereditaryModuleSpec(columns)
+        strata = her.stratum_counts(order, module)
+        assert strata == _brute_stratum_counts(order, module)
+        assert strata == LITERAL_STRATA.get((q, n, columns), strata)
+        for dims in {dims for dims, _ in strata}:
+            chains = her.chain_degree_counts(q, dims)
+            assert chains == _brute_chain_counts(q, dims)
+            assert chains == LITERAL_CHAINS.get((q, dims), chains)
 
 
 class TestHermite:
@@ -152,6 +224,12 @@ class TestTwoVariable:
     def test_w_support_is_rank(self):
         joint = her.brz_two_variable(ORDER22, MOD12, 3)
         assert all(exps[2] + exps[3] == 2 for exps, _ in joint.items())
+
+    def test_rank_eight_dvr_slice(self):
+        # n = 1 is a DVR slice: the count is the rank-8 base count, with no
+        # walk over the ~4e5 subspaces of F_2^8
+        total = her.total_zeta(her.HereditaryOrderSpec(2, 1), her.HereditaryModuleSpec((1,) * 8), 3)
+        assert total == her.solomon_hey_factor(8, 2, 3, total.alphabet, (1,))
 
     def test_total_is_sum_of_partials(self):
         total = her.total_zeta(ORDER22, MOD12, 3)

@@ -9,8 +9,34 @@ from brzeta.qcomb import (
     euler_coeffs,
     gaussian_binomial,
     partition_count,
+    prime_power_factors,
     subspace_moebius,
 )
+
+
+def _trial_division(q):
+    """(p, e) with q = p^e, by dividing out the least factor; None otherwise."""
+    for p in range(2, q + 1):
+        if q % p == 0:
+            e = 0
+            while q % p == 0:
+                q, e = q // p, e + 1
+            return (p, e) if q == 1 else None
+    return None
+
+
+class TestPrimePowerFactors:
+    def test_matches_trial_division(self):
+        for q in range(0, 1025):
+            assert prime_power_factors(q) == _trial_division(q), q
+
+    def test_large_sizes(self):
+        m61, m31 = 2**61 - 1, 2**31 - 1  # Mersenne primes
+        assert prime_power_factors(m61) == (m61, 1)
+        assert prime_power_factors(m31**2) == (m31, 2)
+        assert prime_power_factors(3**200) == (3, 200)
+        assert prime_power_factors(3 * m61) is None
+        assert prime_power_factors(m31 * (2**19 - 1)) is None
 
 
 class TestGaussianBinomial:

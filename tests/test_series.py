@@ -52,6 +52,8 @@ class TestAlphabet:
             AlphabetEntry("z", 1, 1)
         with pytest.raises(SchemaError):
             AlphabetEntry("z", 2, 0)
+        with pytest.raises(SchemaError, match="prime power"):
+            AlphabetEntry("z", 6, 1)
 
     def test_json_roundtrip(self):
         assert Alphabet.from_json(Z3.to_json()) == Z3
