@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from brzeta import gfq
+from brzeta import gfq, hereditary
 from brzeta.errors import ResourceBudgetError, SchemaError
 from brzeta.qcomb import gaussian_binomial
 
@@ -107,6 +107,39 @@ class TestQuotientSpace:
         lower = gfq.row_space(f, np.array([[1, 1, 0]], dtype=np.int64))
         quo = gfq.QuotientSpace(f, lower)
         assert not quo.project(np.array([[1, 1, 0]], dtype=np.int64)).any()
+
+
+class TestChains:
+    """Chains V_1 >= W_2, W_2 <= V_2 of a two-layer filtered space over F_2.
+
+    Each chain is one subspace W_2 of F_2^2 inside V_2 = span(e_1, ..., e_{d_2});
+    its degree vector is (d_1 - dim W_2, dim W_2). The enumeration must agree
+    with the closed count ``hereditary.chain_degree_counts``.
+    """
+
+    @staticmethod
+    def _degree_vectors(dims):
+        d1, d2 = dims
+        field = gfq.GF(2)
+        v2 = gfq.row_space(field, np.eye(d1, dtype=np.int64)[:d2], d1)
+        return sorted((d1 - w.dim, w.dim) for w in gfq.enumerate_subspaces(field, d1) if v2.contains(w))
+
+    @staticmethod
+    def _as_counts(degs):
+        counts = {}
+        for d in degs:
+            counts[d] = counts.get(d, 0) + 1
+        return counts
+
+    def test_two_layer_full(self):
+        degs = self._degree_vectors((2, 2))
+        assert degs == [(0, 2), (1, 1), (1, 1), (1, 1), (2, 0)]
+        assert hereditary.chain_degree_counts(2, (2, 2)) == self._as_counts(degs)
+
+    def test_two_layer_restricted(self):
+        degs = self._degree_vectors((2, 1))
+        assert degs == [(1, 1), (2, 0)]
+        assert hereditary.chain_degree_counts(2, (2, 1)) == self._as_counts(degs)
 
 
 def _reference_rref(a, add, mul, neg, inv, pivots):

@@ -85,15 +85,19 @@ def _brute_chain_counts(q, dims):
     return dict(counts)
 
 
-def _brute_stratum_counts(order, module):
-    """(filtration dims, dim Ybar) over every subspace Ybar of F_q^r, via intersections."""
-    field, r = gfq.GF(order.q), module.r
+def _filtration_dims(order, module, ybar):
+    """Filtration dims of the stratum Ybar <= F_q^r, via intersections with the column flag."""
+    field, r = ybar.field, module.r
     flag = [_unit_span(field, r, [k for k, c in enumerate(module.columns) if c >= j])
             for j in range(1, order.n + 1)]
+    return tuple(gfq.intersection(ybar, mj).dim + r - ybar.dim for mj in flag)
+
+
+def _brute_stratum_counts(order, module):
+    """(filtration dims, dim Ybar) over every subspace Ybar of F_q^r."""
     counts = Counter()
-    for ybar in gfq.enumerate_subspaces(field, r):
-        dims = tuple(gfq.intersection(ybar, mj).dim + r - ybar.dim for mj in flag)
-        counts[(dims, ybar.dim)] += 1
+    for ybar in gfq.enumerate_subspaces(gfq.GF(order.q), module.r):
+        counts[(_filtration_dims(order, module, ybar), ybar.dim)] += 1
     return dict(counts)
 
 
@@ -108,6 +112,29 @@ LITERAL_CHAINS = {
 LITERAL_STRATA = {
     (2, 2, (1, 2)): {((2, 2), 0): 1, ((2, 1), 1): 2, ((2, 2), 1): 1, ((2, 1), 2): 1},
 }
+
+
+class TestFilteredDims:
+    """The strata of F_2^2 under columns (1, 2), each checked against ``stratum_counts``."""
+
+    def test_full_space(self):
+        full = gfq.full_space(gfq.GF(2), 2)
+        assert _filtration_dims(ORDER22, MOD12, full) == (2, 1)
+        # the full space is the only 2-dimensional stratum
+        assert her.stratum_counts(ORDER22, MOD12)[((2, 1), 2)] == 1
+
+    def test_zero_space(self):
+        zero = gfq.zero_space(gfq.GF(2), 2)
+        assert _filtration_dims(ORDER22, MOD12, zero) == (2, 2)
+        assert her.stratum_counts(ORDER22, MOD12)[((2, 2), 0)] == 1
+
+    def test_coordinate_line(self):
+        line = gfq.row_space(gfq.GF(2), np.array([[1, 0]], dtype=np.int64))
+        assert _filtration_dims(ORDER22, MOD12, line) == (2, 1)
+        # e_1 and e_1 + e_2 miss e_2's span; e_2 alone gives (2, 2)
+        counts = her.stratum_counts(ORDER22, MOD12)
+        assert counts[((2, 1), 1)] == 2
+        assert counts[((2, 2), 1)] == 1
 
 
 class TestClosedCounts:
