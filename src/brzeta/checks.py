@@ -443,13 +443,3 @@ ALL_CHECKS = {
     "integrality": check_integrality,
     "hall": check_hall,
 }
-
-
-def run_checks(names=None) -> list[CheckResult]:
-    names = list(ALL_CHECKS) if names is None else list(names)
-    out = []
-    for name in names:
-        if name not in ALL_CHECKS:
-            raise KeyError(f"unknown check {name!r}; known: {sorted(ALL_CHECKS)}")
-        out.append(ALL_CHECKS[name]())
-    return out

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the integer check for JSON payload fields."""
 
 
 class BrzetaError(Exception):
@@ -50,3 +50,13 @@ class ResourceBudgetError(BrzetaError):
 
 class CompletenessWarning(UserWarning):
     """Dirichlet coefficients requested beyond what the truncation certifies."""
+
+
+def as_int(value, name: str) -> int:
+    """``int(value)`` for a payload field; a bool, a fractional number or a non-number is a SchemaError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise SchemaError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{name} must be an integer, got {value!r}") from exc

@@ -1,10 +1,11 @@
 """Exact linear algebra over small finite fields GF(q), q = p^e <= 256.
 
 Field elements are integers ``0..q-1`` encoding polynomials over F_p in base
-p; all arithmetic goes through dense int64 lookup tables so prime and
-prime-power fields share the same rref and matrix-product kernels.
-Subspaces are held in reduced-row-echelon canonical form, which makes them
-hashable and makes equality a byte comparison.  The one enumeration,
+p.  All arithmetic goes through lookup tables held as tuples, so prime and
+prime-power fields share one rref and one matrix-product loop, written in
+plain Python over matrices held as lists of rows.  Subspaces are held in
+reduced-row-echelon canonical form as tuples of rows, which makes them
+hashable and makes equality a tuple comparison.  The one enumeration,
 :func:`enumerate_subspaces`, serves the brute-force oracle; it counts its
 output first (Gaussian binomials) and refuses to exceed the budget.  Chains of
 subspaces are not enumerated here: the closed engines count them with
@@ -17,8 +18,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-
-import numpy as np
 
 from .errors import ResourceBudgetError, SchemaError
 from .qcomb import gaussian_binomial, prime_power_factors
@@ -34,7 +33,6 @@ BUILTIN_MODULI = {
 }
 
 Tables = namedtuple("Tables", "add mul neg inv")
-LatticePair = namedtuple("LatticePair", "meet join")
 
 
 # -- field construction ------------------------------------------------------
@@ -144,150 +142,112 @@ def GF(q: int, modulus=None) -> FieldSpec:
 
 @lru_cache(maxsize=None)
 def tables(field: FieldSpec) -> Tables:
+    """Addition, multiplication, negation and inverse tables as tuples; ``inv[0]`` is 0."""
     q, p = field.q, field.p
-    add = np.zeros((q, q), dtype=np.int64)
-    mul = np.zeros((q, q), dtype=np.int64)
-    neg = np.zeros(q, dtype=np.int64)
-    inv = np.zeros(q, dtype=np.int64)
     if field.e == 1:
-        idx = np.arange(q, dtype=np.int64)
-        add[:] = (idx[:, None] + idx[None, :]) % q
-        mul[:] = (idx[:, None] * idx[None, :]) % q
-        neg[:] = (-idx) % q
+        add = tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
+        mul = tuple(tuple(a * b % q for b in range(q)) for a in range(q))
+        neg = tuple(-a % q for a in range(q))
     else:
         polys = [field.decode(v) for v in range(q)]
-        for a in range(q):
-            pa = polys[a]
-            neg[a] = field.encode(tuple((-c) % p for c in pa))
-            for b in range(a, q):
-                pb = polys[b]
-                s = field.encode(tuple((x + y) % p for x, y in zip(pa, pb)))
-                add[a, b] = add[b, a] = s
-                m = field.encode(_poly_mod(_poly_mul(_poly_trim(pa), _poly_trim(pb), p), field.modulus, p))
-                mul[a, b] = mul[b, a] = m
+        add = tuple(
+            tuple(field.encode(tuple((x + y) % p for x, y in zip(pa, pb))) for pb in polys) for pa in polys
+        )
+        mul = tuple(
+            tuple(
+                field.encode(_poly_mod(_poly_mul(_poly_trim(pa), _poly_trim(pb), p), field.modulus, p))
+                for pb in polys
+            )
+            for pa in polys
+        )
+        neg = tuple(field.encode(tuple(-c % p for c in pa)) for pa in polys)
+    inv = [0] * q
     for a in range(1, q):
-        hits = np.nonzero(mul[a] == 1)[0]
-        if hits.size != 1:
+        if mul[a].count(1) != 1:
             raise SchemaError(f"element {a} of GF({q}) has no unique inverse; bad modulus?")
-        inv[a] = hits[0]
-    for arr in (add, mul, neg, inv):
-        arr.setflags(write=False)
-    return Tables(add, mul, neg, inv)
-
-
-def validate_field(field: FieldSpec) -> None:
-    """Consistency checks on the arithmetic tables."""
-    t = tables(field)
-    q = field.q
-    idx = np.arange(q)
-    assert np.array_equal(t.add[0], idx), "0 is not additive identity"
-    assert np.array_equal(t.mul[1], idx), "1 is not multiplicative identity"
-    assert np.array_equal(t.add, t.add.T) and np.array_equal(t.mul, t.mul.T), "tables not commutative"
-    assert np.array_equal(t.add[idx, t.neg[idx]], np.zeros(q, dtype=np.int64)), "neg is not additive inverse"
-    nz = idx[1:]
-    assert np.array_equal(t.mul[nz, t.inv[nz]], np.ones(q - 1, dtype=np.int64)), "inv is not multiplicative inverse"
-    if q <= 16:
-        for a in range(q):
-            assert np.array_equal(t.mul[t.mul[a]], t.mul[a][t.mul]), f"associativity fails at {a}"
-            assert np.array_equal(t.mul[a][t.add], t.add[np.ix_(t.mul[a], t.mul[a])]), f"distributivity fails at {a}"
+        inv[a] = mul[a].index(1)
+    return Tables(add, mul, neg, tuple(inv))
 
 
 # -- matrices -----------------------------------------------------------------
+#
+# A matrix is a sequence of rows, each a sequence of field elements; results
+# are lists of row lists.  A matrix with no rows carries no width.
 
 
-def _as_matrix(mat, ambient=None) -> np.ndarray:
-    arr = np.ascontiguousarray(np.asarray(mat, dtype=np.int64))
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.size == 0:
-        arr = arr.reshape(0, ambient if ambient is not None else arr.shape[-1] if arr.ndim == 2 else 0)
-    return arr
+def identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _rref_in_place(a, add, mul, neg, inv, pivots):
-    """Reduce ``a`` to reduced row echelon form in place, one pivot column at a time.
-
-    Returns the rank; ``pivots[:rank]`` receives the pivot columns.
-    """
-    rows, cols = a.shape
-    rank = 0
+def rref(field: FieldSpec, mat) -> tuple[list[list[int]], int, list[int]]:
+    """RREF copy (zero rows last), rank, and pivot columns."""
+    add, mul, neg, inv = tables(field)
+    a = [list(row) for row in mat]
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    pivots = []
     for c in range(cols):
+        rank = len(pivots)
         if rank == rows:
             break
-        nz = np.nonzero(a[rank:, c])[0]
-        if nz.size == 0:
+        for p in range(rank, rows):
+            if a[p][c]:
+                break
+        else:
             continue
-        p = rank + nz[0]
-        if p != rank:
-            a[[rank, p]] = a[[p, rank]]
-        piv = a[rank, c]
-        if piv != 1:
-            a[rank] = mul[inv[piv], a[rank]]
-        col = a[:, c].copy()
-        col[rank] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            a[hit] = add[a[hit], mul[neg[col[hit]][:, None], a[rank][None, :]]]
-        pivots[rank] = c
-        rank += 1
-    return rank
+        a[rank], a[p] = a[p], a[rank]
+        top = a[rank]
+        if top[c] != 1:
+            scale = mul[inv[top[c]]]
+            top = a[rank] = [scale[x] for x in top]
+        for r in range(rows):
+            f = a[r][c]
+            if f and r != rank:
+                m = mul[neg[f]]
+                a[r] = [add[x][m[y]] for x, y in zip(a[r], top)]
+        pivots.append(c)
+    return a, len(pivots), pivots
 
 
-def _mat_mul_tables(a, b, add, mul):
-    """Table-driven product of int64 matrices, accumulated one column of ``a`` at a time."""
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k in range(a.shape[1]):
-        col = a[:, k]
-        if np.any(col):
-            out = add[out, mul[col[:, None], b[k][None, :]]]
+def mat_mul(field: FieldSpec, a, b) -> list[list[int]]:
+    """Product a·b, accumulated one row of ``b`` at a time."""
+    add, mul = tables(field)[:2]
+    if a and len(a[0]) != len(b):
+        raise SchemaError(f"matmul shape mismatch {len(a)}x{len(a[0])} x {len(b)} rows")
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, brow in zip(row, b):
+            if x:
+                m = mul[x]
+                acc = [add[s][m[y]] for s, y in zip(acc, brow)]
+        out.append(acc)
     return out
 
 
-def rref(field: FieldSpec, mat) -> tuple[np.ndarray, int, np.ndarray]:
-    """RREF copy, rank, and pivot columns."""
-    t = tables(field)
-    a = _as_matrix(mat).copy()
-    pivots = np.zeros(max(min(a.shape), 1), dtype=np.int64)
-    rank = _rref_in_place(a, t.add, t.mul, t.neg, t.inv, pivots) if a.size else 0
-    return a, rank, pivots[:rank].copy()
-
-
-def mat_mul(field: FieldSpec, a, b) -> np.ndarray:
-    t = tables(field)
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise SchemaError(f"matmul shape mismatch {a.shape} x {b.shape}")
-    if a.size == 0 or b.size == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    return _mat_mul_tables(a, b, t.add, t.mul)
-
-
 class SubspaceRep:
-    """Row space in RREF canonical form; hashable, equality by bytes."""
+    """Row space in RREF canonical form; hashable, equality by its rows."""
 
     __slots__ = ("field", "ambient", "rows", "pivots", "_key")
 
-    def __init__(self, field: FieldSpec, ambient: int, rows: np.ndarray, pivots: np.ndarray):
+    def __init__(self, field: FieldSpec, ambient: int, rows, pivots):
         self.field = field
         self.ambient = ambient
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        rows.setflags(write=False)
-        self.rows = rows
-        self.pivots = np.asarray(pivots, dtype=np.int64)
-        self._key = (field, ambient, rows.tobytes())
+        self.rows = tuple(tuple(row) for row in rows)
+        self.pivots = tuple(pivots)
+        self._key = (field, ambient, self.rows)
 
     @classmethod
     def from_rows(cls, field: FieldSpec, ambient: int, mat) -> "SubspaceRep":
-        a = _as_matrix(mat, ambient)
-        if a.shape[1] != ambient:
-            raise SchemaError(f"rows have {a.shape[1]} columns, ambient is {ambient}")
-        r, rank, piv = rref(field, a)
-        return cls(field, ambient, r[:rank].copy(), piv)
+        if any(len(row) != ambient for row in mat):
+            raise SchemaError(f"rows must have {ambient} columns, the ambient dimension")
+        r, rank, piv = rref(field, mat)
+        return cls(field, ambient, r[:rank], piv)
 
     @property
     def dim(self) -> int:
-        return self.rows.shape[0]
+        return len(self.rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SubspaceRep) and self._key == other._key
@@ -298,71 +258,64 @@ class SubspaceRep:
     def __repr__(self) -> str:
         return f"SubspaceRep(dim={self.dim}, ambient={self.ambient}, q={self.field.q})"
 
-    def reduce(self, mat) -> np.ndarray:
+    def reduce(self, mat) -> list[list[int]]:
         """Eliminate this space's pivot columns from the given rows (a copy)."""
-        t = tables(self.field)
-        out = _as_matrix(mat, self.ambient).copy()
-        for i, c in enumerate(self.pivots):
-            f = out[:, c]
-            hit = np.nonzero(f)[0]
-            if hit.size:
-                out[hit] = t.add[out[hit], t.mul[t.neg[f[hit]][:, None], self.rows[i][None, :]]]
+        add, mul, neg, _ = tables(self.field)
+        out = []
+        for row in mat:
+            for c, basis in zip(self.pivots, self.rows):
+                f = row[c]
+                if f:
+                    m = mul[neg[f]]
+                    row = [add[x][m[y]] for x, y in zip(row, basis)]
+            out.append(list(row))
         return out
-
-    def contains_vector(self, v) -> bool:
-        return not self.reduce(v).any()
 
     def contains(self, other: "SubspaceRep") -> bool:
         if other.dim > self.dim:
             return False
-        return not self.reduce(other.rows).any()
+        return not any(any(row) for row in self.reduce(other.rows))
 
 
 def zero_space(field: FieldSpec, ambient: int) -> SubspaceRep:
-    return SubspaceRep(field, ambient, np.zeros((0, ambient), dtype=np.int64), np.zeros(0, dtype=np.int64))
+    return SubspaceRep(field, ambient, (), ())
 
 
 def full_space(field: FieldSpec, ambient: int) -> SubspaceRep:
-    return SubspaceRep(field, ambient, np.eye(ambient, dtype=np.int64), np.arange(ambient, dtype=np.int64))
+    return SubspaceRep(field, ambient, identity(ambient), range(ambient))
 
 
 def row_space(field: FieldSpec, mat, ambient: int | None = None) -> SubspaceRep:
-    a = _as_matrix(mat, ambient)
-    return SubspaceRep.from_rows(field, ambient if ambient is not None else a.shape[1], a)
+    if ambient is None:
+        ambient = len(mat[0]) if mat else 0
+    return SubspaceRep.from_rows(field, ambient, mat)
 
 
 def left_kernel(field: FieldSpec, mat) -> SubspaceRep:
-    """All row vectors v with v @ mat = 0; ambient = number of rows of mat."""
-    a = _as_matrix(mat)
-    k, d = a.shape
+    """All row vectors v with v·mat = 0; ambient = number of rows of mat."""
+    k = len(mat)
     if k == 0:
         return zero_space(field, 0)
-    aug = np.hstack([a, np.eye(k, dtype=np.int64)])
+    d = len(mat[0])
+    aug = [list(row) + unit for row, unit in zip(mat, identity(k))]
     r, rank, piv = rref(field, aug)
-    keep = [i for i in range(rank) if piv[i] >= d]
-    return SubspaceRep.from_rows(field, k, r[keep, d:] if keep else np.zeros((0, k), dtype=np.int64))
+    return SubspaceRep.from_rows(field, k, [r[i][d:] for i in range(rank) if piv[i] >= d])
 
 
 def subspace_sum(a: SubspaceRep, b: SubspaceRep) -> SubspaceRep:
     _check_same_space(a, b)
-    return SubspaceRep.from_rows(a.field, a.ambient, np.vstack([a.rows, b.rows]))
+    return SubspaceRep.from_rows(a.field, a.ambient, a.rows + b.rows)
 
 
 def intersection(a: SubspaceRep, b: SubspaceRep) -> SubspaceRep:
     _check_same_space(a, b)
     if a.dim == 0 or b.dim == 0:
         return zero_space(a.field, a.ambient)
-    stacked = np.vstack([a.rows, b.rows])
-    ker = left_kernel(a.field, stacked)
+    ker = left_kernel(a.field, a.rows + b.rows)
     if ker.dim == 0:
         return zero_space(a.field, a.ambient)
-    vecs = mat_mul(a.field, ker.rows[:, : a.dim], a.rows)
+    vecs = mat_mul(a.field, [row[: a.dim] for row in ker.rows], a.rows)
     return SubspaceRep.from_rows(a.field, a.ambient, vecs)
-
-
-def lattice_ops(a: SubspaceRep, b: SubspaceRep) -> LatticePair:
-    """(meet, join); dim meet + dim join = dim a + dim b."""
-    return LatticePair(intersection(a, b), subspace_sum(a, b))
 
 
 def _check_same_space(a: SubspaceRep, b: SubspaceRep):
@@ -383,7 +336,7 @@ class QuotientSpace:
         self.lower = lower
         ambient = lower.ambient
         if upper is None:
-            upper_rows = np.eye(ambient, dtype=np.int64)
+            upper_rows = identity(ambient)
         else:
             _check_same_space(lower, upper)
             if not upper.contains(lower):
@@ -394,20 +347,18 @@ class QuotientSpace:
         self.lift_pivots = comp.pivots
         self.dim = comp.dim
 
-    def project(self, mat) -> np.ndarray:
+    def project(self, mat) -> list[list[int]]:
         """Quotient coordinates of each row; rows must lie in upper."""
         red = self.lower.reduce(mat)
+        coords = [[row[c] for c in self.lift_pivots] for row in red]
         if self.dim == 0:
-            if red.any():
+            if any(any(row) for row in red):
                 raise SchemaError("vector outside the quotient's upper space")
-            return np.zeros((red.shape[0], 0), dtype=np.int64)
-        coords = np.ascontiguousarray(red[:, self.lift_pivots])
-        if not np.array_equal(mat_mul(self.field, coords, self.lift_rows), red):
+        elif mat_mul(self.field, coords, self.lift_rows) != red:
             raise SchemaError("vector outside the quotient's upper space")
         return coords
 
-    def lift(self, coords) -> np.ndarray:
-        coords = _as_matrix(coords, self.dim)
+    def lift(self, coords) -> list[list[int]]:
         return mat_mul(self.field, coords, self.lift_rows)
 
 
@@ -439,20 +390,12 @@ def enumerate_subspaces(
         raise ResourceBudgetError("subspace enumeration too large", required=total, budget=budget)
     out: list[SubspaceRep] = []
     for d in dim_list:
-        if d == 0:
-            out.append(zero_space(field, ambient))
-            continue
         for piv in combinations(range(ambient), d):
             free = [(i, c) for i in range(d) for c in range(piv[i] + 1, ambient) if c not in piv]
-            base = np.zeros((d, ambient), dtype=np.int64)
-            for i, c in enumerate(piv):
-                base[i, c] = 1
-            if not free:
-                out.append(SubspaceRep(field, ambient, base.copy(), np.array(piv, dtype=np.int64)))
-                continue
+            base = [[1 if c == p else 0 for c in range(ambient)] for p in piv]
             for vals in product(range(q), repeat=len(free)):
-                mat = base.copy()
+                mat = [list(row) for row in base]
                 for (i, c), v in zip(free, vals):
-                    mat[i, c] = v
-                out.append(SubspaceRep(field, ambient, mat, np.array(piv, dtype=np.int64)))
+                    mat[i][c] = v
+                out.append(SubspaceRep(field, ambient, mat, piv))
     return out

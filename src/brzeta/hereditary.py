@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FormulaViolationError, NonUnitError, SchemaError, TruncationBoundError
+from .errors import FormulaViolationError, NonUnitError, SchemaError, TruncationBoundError, as_int
 from .qcomb import gaussian_binomial
 from .series import (
     Alphabet,
@@ -384,9 +384,9 @@ def hereditary_from_json(payload) -> tuple[HereditaryOrderSpec, HereditaryModule
     if not isinstance(payload, dict):
         raise SchemaError("hereditary input must be an object with q, n, columns")
     try:
-        q = int(payload["q"])
-        n = int(payload["n"])
-        columns = tuple(int(c) for c in payload["columns"])
+        q = as_int(payload["q"], "q")
+        n = as_int(payload["n"], "n")
+        columns = tuple(as_int(c, "column type") for c in payload["columns"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"hereditary input needs q, n, columns: {exc}") from exc
     order = HereditaryOrderSpec(q, n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import SchemaError, as_int
 from .qcomb import cauchy_poly
 from .series import Alphabet, AlphabetEntry, TruncatedSeries, geometric_product
 
@@ -80,9 +80,9 @@ class SemisimpleData:
             if not isinstance(item, dict):
                 raise SchemaError(f"class {i} must be an object, got {type(item).__name__}")
             try:
-                q = int(item["q"])
-                m = int(item["m"])
-                r = int(item.get("r", 1))
+                q = as_int(item["q"], "q")
+                m = as_int(item["m"], "m")
+                r = as_int(item.get("r", 1), "r")
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(
                     f"class {i} needs integer fields q and m (and r, if given): {exc}"

@@ -1,14 +1,15 @@
 """Brute-force ground truth over explicit finite quotient models.
 
 Each model realizes a module over a finite quotient of the ring of interest
-as a finite-field row space with generator action matrices (vectors are rows;
-a ring element acts on the right).  Submodules of colength <= B are found by
-repeated descent to maximal submodules, deduplicated by canonical echelon
-form; quotient composition classes and top classes are read off idempotent
-blocks.  A depth guard keeps truncation honest: when the model is a quotient
-of an infinite module by a kernel inside radical-power depth d, enumeration
-and labeling at colength <= B are faithful only if d >= B + 1, and that
-inequality is enforced rather than assumed.
+as a finite-field row space with generator action matrices, held as lists of
+rows for :mod:`brzeta.gfq` (vectors are rows; a ring element acts on the
+right).  Submodules of colength <= B are found by repeated descent to maximal
+submodules, deduplicated by canonical echelon form; quotient composition
+classes and top classes are read off idempotent blocks.  A depth guard keeps
+truncation honest: when the model is a quotient of an infinite module by a
+kernel inside radical-power depth d, enumeration and labeling at colength <= B
+are faithful only if d >= B + 1, and that inequality is enforced rather than
+assumed.
 
 Also here: Jordan types and Hall numbers over chain models, chain counting
 with prescribed isomorphism types, and the fiber chart sending a submodule X
@@ -20,10 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import gfq
-from .errors import FormulaViolationError, ResourceBudgetError, SchemaError
+from .errors import FormulaViolationError, ResourceBudgetError, SchemaError, as_int
 from .hereditary import doubled_alphabet, z_alphabet
 from .prolif import ChainData
 from .series import Alphabet, Monomial, TruncatedSeries
@@ -35,8 +34,8 @@ DEFAULT_NODE_BUDGET = 200_000
 class RingModel:
     """A finite module with ring generator actions.
 
-    ``gens`` maps generator names to square int64 matrices acting on row
-    vectors; ``rad_names`` generate the radical as a two-sided ideal;
+    ``gens`` maps generator names to square matrices (lists of rows) acting
+    on row vectors; ``rad_names`` generate the radical as a two-sided ideal;
     ``idem_names`` list one idempotent per simple class, in class order
     (every simple class here is one-dimensional over its idempotent block).
     ``depth``: the kernel of the defining quotient lies inside radical-power
@@ -63,9 +62,6 @@ class RingModel:
     def full(self) -> gfq.SubspaceRep:
         return gfq.full_space(self.field, self.dim)
 
-    def matrix(self, name: str) -> np.ndarray:
-        return self.gens[name]
-
 
 # -- model constructors ----------------------------------------------------
 
@@ -80,11 +76,11 @@ def chain_module(q: int, c: int, rank: int = 1, exact: bool = False) -> RingMode
     def idx(i, a):
         return i * c + a
 
-    t_mat = np.zeros((dim, dim), dtype=np.int64)
+    t_mat = _zeros(dim)
     for i in range(rank):
         for a in range(c - 1):
-            t_mat[idx(i, a), idx(i, a + 1)] = 1
-    gens = {"t": t_mat, "e1": np.eye(dim, dtype=np.int64)}
+            t_mat[idx(i, a)][idx(i, a + 1)] = 1
+    gens = {"t": t_mat, "e1": gfq.identity(dim)}
     return RingModel(
         kind="chain",
         field=field,
@@ -110,14 +106,14 @@ def local2d_module(q: int, c: int, rank: int = 1) -> RingModel:
     dim = rank * block
 
     def shift(da, db):
-        mat = np.zeros((dim, dim), dtype=np.int64)
+        mat = _zeros(dim)
         for i in range(rank):
             for (a, b), k in pos.items():
                 if a + da + b + db < c:
-                    mat[i * block + k, i * block + pos[(a + da, b + db)]] = 1
+                    mat[i * block + k][i * block + pos[(a + da, b + db)]] = 1
         return mat
 
-    gens = {"u": shift(1, 0), "t": shift(0, 1), "e1": np.eye(dim, dtype=np.int64)}
+    gens = {"u": shift(1, 0), "t": shift(0, 1), "e1": gfq.identity(dim)}
     return RingModel(
         kind="local2d",
         field=field,
@@ -151,30 +147,34 @@ def _column_maps(n: int, c: int, tau: int):
     basis = _column_basis(n, c, tau)
     pos = {b: k for k, b in enumerate(basis)}
     d = len(basis)
-    g_mat = np.zeros((d, d), dtype=np.int64)
+    g_mat = _zeros(d)
     for (i, a), k in pos.items():
         # g sends coordinate i to i-1, wrapping 1 -> n with one extra pi
         j, b = (i - 1, a) if i > 1 else (n, a + 1)
         if (j, b) in pos:
-            g_mat[k, pos[(j, b)]] = 1
+            g_mat[k][pos[(j, b)]] = 1
     idems = []
     for cls in range(1, n + 1):
-        e = np.zeros((d, d), dtype=np.int64)
+        e = _zeros(d)
         for (i, a), k in pos.items():
             if i == cls:
-                e[k, k] = 1
+                e[k][k] = 1
         idems.append(e)
     return d, g_mat, idems
 
 
+def _zeros(n: int) -> list[list[int]]:
+    return [[0] * n for _ in range(n)]
+
+
 def _block_diag(mats):
-    total = sum(m.shape[0] for m in mats)
-    out = np.zeros((total, total), dtype=np.int64)
+    total = sum(len(m) for m in mats)
+    out = []
     at = 0
     for m in mats:
-        d = m.shape[0]
-        out[at : at + d, at : at + d] = m
-        at += d
+        for row in m:
+            out.append([0] * at + list(row) + [0] * (total - at - len(m)))
+        at += len(m)
     return out
 
 
@@ -203,7 +203,7 @@ def triangular_module(q: int, n: int, c: int, columns) -> RingModel:
     return RingModel(
         kind="triangular",
         field=field,
-        dim=gens["g"].shape[0],
+        dim=len(gens["g"]),
         gens=gens,
         rad_names=("g",),
         idem_names=tuple(f"e{i + 1}" for i in range(n)),
@@ -225,15 +225,12 @@ def skew_module(q: int, n: int, c_pi: int, c_t: int) -> RingModel:
     dim = d0 * c_t
 
     def extend(mat):
-        out = np.zeros((dim, dim), dtype=np.int64)
-        for b in range(c_t):
-            out[b * d0 : (b + 1) * d0, b * d0 : (b + 1) * d0] = mat
-        return out
+        return _block_diag([mat] * c_t)
 
-    t_mat = np.zeros((dim, dim), dtype=np.int64)
+    t_mat = _zeros(dim)
     for b in range(c_t - 1):
         for k in range(d0):
-            t_mat[b * d0 + k, (b + 1) * d0 + k] = 1
+            t_mat[b * d0 + k][(b + 1) * d0 + k] = 1
     gens = {"g": extend(base.gens["g"]), "t": t_mat}
     for name in base.idem_names:
         gens[name] = extend(base.gens[name])
@@ -255,22 +252,20 @@ def model_from_json(payload) -> RingModel:
     if not isinstance(payload, dict):
         raise SchemaError("model description must be an object")
     kind = payload.get("kind")
+
+    def arg(name, default=None):
+        return as_int(payload[name] if default is None else payload.get(name, default), name)
+
     try:
         if kind == "chain":
-            return chain_module(
-                int(payload["q"]), int(payload["c"]),
-                int(payload.get("rank", 1)), bool(payload.get("exact", False)),
-            )
+            return chain_module(arg("q"), arg("c"), arg("rank", 1), bool(payload.get("exact", False)))
         if kind == "local2d":
-            return local2d_module(int(payload["q"]), int(payload["c"]), int(payload.get("rank", 1)))
+            return local2d_module(arg("q"), arg("c"), arg("rank", 1))
         if kind == "triangular":
-            return triangular_module(
-                int(payload["q"]), int(payload["n"]), int(payload["c"]), payload["columns"]
-            )
+            columns = [as_int(x, "column type") for x in payload["columns"]]
+            return triangular_module(arg("q"), arg("n"), arg("c"), columns)
         if kind == "skew_poly":
-            return skew_module(
-                int(payload["q"]), int(payload["n"]), int(payload["c_pi"]), int(payload["c_t"])
-            )
+            return skew_module(arg("q"), arg("n"), arg("c_pi"), arg("c_t"))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad {kind} model parameters: {exc}") from exc
     raise SchemaError(f"unknown model kind {kind!r}")
@@ -296,22 +291,21 @@ def radical_filtration(model: RingModel, start: gfq.SubspaceRep | None = None) -
 def validate_model(model: RingModel) -> int:
     """Check the structural identities; return the radical nilpotency index."""
     f = model.field
-    eye = np.eye(model.dim, dtype=np.int64)
+    eye = gfq.identity(model.dim)
     idems = [model.gens[name] for name in model.idem_names]
     for i, e in enumerate(idems):
-        if not np.array_equal(_mm(f, e, e), e):
+        if _mm(f, e, e) != e:
             raise SchemaError(f"idempotent {model.idem_names[i]} is not idempotent")
         for j, e2 in enumerate(idems):
-            if i != j and _mm(f, e, e2).any():
+            if i != j and any(any(row) for row in _mm(f, e, e2)):
                 raise SchemaError("idempotents are not orthogonal")
-    total = np.zeros_like(eye)
-    for e in idems:
-        total = total + e  # 0/1 diagonal blocks, disjoint by orthogonality
-    if not np.array_equal(total, eye):
+    # 0/1 diagonal blocks, disjoint by orthogonality: their integer sum is exact
+    total = [[sum(entries) for entries in zip(*rows)] for rows in zip(*idems)]
+    if total != eye:
         raise SchemaError("idempotents do not sum to the identity")
     if model.kind == "local2d":
         u, t = model.gens["u"], model.gens["t"]
-        if not np.array_equal(_mm(f, u, t), _mm(f, t, u)):
+        if _mm(f, u, t) != _mm(f, t, u):
             raise SchemaError("u and t do not commute")
     if model.kind in ("triangular", "skew_poly"):
         g = model.gens["g"]
@@ -321,18 +315,18 @@ def validate_model(model: RingModel) -> int:
         for i in range(n):
             lhs = _mm(f, g, idems[i])
             rhs = _mm(f, idems[(i + 1) % n], g)
-            if not np.array_equal(lhs, rhs):
+            if lhs != rhs:
                 raise SchemaError(f"corner generator does not shift class {i + 1}")
         gn = eye
         for _ in range(n):
             gn = _mm(f, gn, g)
         for name, mat in model.gens.items():
-            if not np.array_equal(_mm(f, gn, mat), _mm(f, mat, gn)):
+            if _mm(f, gn, mat) != _mm(f, mat, gn):
                 raise SchemaError(f"g^{n} (= pi) does not commute with {name}")
     if model.kind == "skew_poly":
         t = model.gens["t"]
         for name, mat in model.gens.items():
-            if not np.array_equal(_mm(f, t, mat), _mm(f, mat, t)):
+            if _mm(f, t, mat) != _mm(f, mat, t):
                 raise SchemaError(f"t is not central: fails against {name}")
     filt = radical_filtration(model)
     index = len(filt) - 1
@@ -359,14 +353,14 @@ def validate_model(model: RingModel) -> int:
 # -- submodule machinery -------------------------------------------------------
 
 
-def module_closure(model: RingModel, rows: np.ndarray) -> gfq.SubspaceRep:
+def module_closure(model: RingModel, rows) -> gfq.SubspaceRep:
     """Smallest action-stable row space containing the given rows."""
     sub = gfq.SubspaceRep.from_rows(model.field, model.dim, rows)
     while True:
-        stack = [sub.rows]
+        stack = list(sub.rows)
         for mat in model.gens.values():
-            stack.append(_mm(model.field, sub.rows, mat))
-        bigger = gfq.SubspaceRep.from_rows(model.field, model.dim, np.vstack(stack))
+            stack += _mm(model.field, sub.rows, mat)
+        bigger = gfq.SubspaceRep.from_rows(model.field, model.dim, stack)
         if bigger.dim == sub.dim:
             return sub
         sub = bigger
@@ -376,10 +370,10 @@ def radical_subspace(model: RingModel, rep: gfq.SubspaceRep) -> gfq.SubspaceRep:
     """J X for an action-stable X: closure of the radical generators' images."""
     if rep.dim == 0:
         return rep
-    stack = [np.zeros((0, model.dim), dtype=np.int64)]
+    stack = []
     for name in model.rad_names:
-        stack.append(_mm(model.field, rep.rows, model.gens[name]))
-    return module_closure(model, np.vstack(stack))
+        stack += _mm(model.field, rep.rows, model.gens[name])
+    return module_closure(model, stack)
 
 
 def _top_blocks(model: RingModel, rep: gfq.SubspaceRep):
@@ -414,7 +408,7 @@ def composition_class(model: RingModel, upper: gfq.SubspaceRep, lower: gfq.Subsp
     out = []
     for name in model.idem_names:
         image = _mm(model.field, upper.rows, model.gens[name])
-        joined = gfq.SubspaceRep.from_rows(model.field, model.dim, np.vstack([lower.rows, image]))
+        joined = gfq.SubspaceRep.from_rows(model.field, model.dim, [*lower.rows, *image])
         out.append(joined.dim - lower.dim)
     return tuple(out)
 
@@ -433,12 +427,12 @@ def maximal_submodules(model: RingModel, rep: gfq.SubspaceRep, budget: int = DEF
             continue
         others = [b.rows for j, b in enumerate(blocks) if j != bi and b.dim > 0]
         for hyper in gfq.enumerate_subspaces(model.field, d, dims=d - 1, budget=budget):
-            pieces = [jx.rows]
+            pieces = list(jx.rows)
             if hyper.dim > 0:
-                pieces.append(quo.lift(_mm(model.field, hyper.rows, block.rows)))
+                pieces += quo.lift(_mm(model.field, hyper.rows, block.rows))
             for rows in others:
-                pieces.append(quo.lift(rows))
-            child = gfq.SubspaceRep.from_rows(model.field, model.dim, np.vstack(pieces))
+                pieces += quo.lift(rows)
+            child = gfq.SubspaceRep.from_rows(model.field, model.dim, pieces)
             out.append((child, bi))
     return out
 
@@ -493,7 +487,7 @@ def submodule_bfs(
         if not frontier:
             break
     out = list(nodes.values())
-    out.sort(key=lambda nd: (nd.colength, nd.rep.rows.tobytes()))
+    out.sort(key=lambda nd: (nd.colength, nd.rep.rows))
     return out
 
 
@@ -566,7 +560,7 @@ def jordan_type(model: RingModel, rep: gfq.SubspaceRep, lower: gfq.SubspaceRep |
     ranks = []
     while True:
         if lower is not None:
-            space = gfq.SubspaceRep.from_rows(model.field, model.dim, np.vstack([lower.rows, cur]))
+            space = gfq.SubspaceRep.from_rows(model.field, model.dim, [*lower.rows, *cur])
             rank = space.dim - base
         else:
             rank = gfq.SubspaceRep.from_rows(model.field, model.dim, cur).dim
@@ -668,9 +662,9 @@ class FiberContext:
             exact=model.exact,
         )
         self.slice_full = gfq.full_space(f, self.quo.dim)
-        self._powers = [np.eye(model.dim, dtype=np.int64)]
+        self._powers = [gfq.identity(model.dim)]
 
-    def _power(self, j: int) -> np.ndarray:
+    def _power(self, j: int) -> list[list[int]]:
         while len(self._powers) <= j:
             self._powers.append(_mm(self.model.field, self._powers[-1], self.u))
         return self._powers[j]
@@ -681,8 +675,7 @@ class FiberContext:
         towers = []
         for j in range(max_level + 1):
             pre = gfq.left_kernel(f, rep.reduce(self._power(j)))
-            rows = self.quo.project(pre.rows) if pre.dim else np.zeros((0, self.quo.dim), dtype=np.int64)
-            y = gfq.SubspaceRep.from_rows(f, self.quo.dim, rows)
+            y = gfq.SubspaceRep.from_rows(f, self.quo.dim, self.quo.project(pre.rows))
             towers.append(y)
             if y == self.slice_full:
                 break
@@ -709,13 +702,6 @@ def fiber_partition(
         chain = ctx.chart(node.rep, bound)
         out.setdefault(chain, []).append(node)
     return out
-
-
-def fiber_enumerate(
-    model: RingModel, chain: ChainData, bound: int, budget: int = DEFAULT_NODE_BUDGET
-) -> list[SubmoduleNode]:
-    """The submodules of colength <= bound whose slice chart equals ``chain``."""
-    return fiber_partition(model, bound, budget).get(chain, [])
 
 
 def fiber_sum(model: RingModel, nodes, bound: int) -> TruncatedSeries:

@@ -27,6 +27,7 @@ from .errors import (
     ResourceBudgetError,
     SchemaError,
     TruncationBoundError,
+    as_int,
 )
 from .hey import SemisimpleData, SemisimpleEntry, hey_product
 from .qcomb import gaussian_binomial, partition_count
@@ -228,7 +229,7 @@ class SliceBase:
             return cls.semisimple(data, sigma)
         if kind == "dvr":
             try:
-                base = cls.dvr(int(spec["q"]), int(spec["m"]))
+                base = cls.dvr(as_int(spec["q"], "q"), as_int(spec["m"], "m"))
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"dvr base needs q and m: {exc}") from exc
             if raw_sigma is not None and sigma_from_one_based(raw_sigma, 1) != (0,):
@@ -246,7 +247,7 @@ def sigma_from_one_based(raw, n: int):
         return None
     if not isinstance(raw, (list, tuple)):
         raise SchemaError("sigma must be a list of 1-based images")
-    return validate_permutation([int(x) - 1 for x in raw], n)
+    return validate_permutation([as_int(x, "sigma entry") - 1 for x in raw], n)
 
 
 def _module_of_class(rho: ClassVec) -> _her.HereditaryModuleSpec:
@@ -297,11 +298,6 @@ class ChainData:
 
     def top_at(self, j: int) -> ClassVec:
         return self.y_tops[min(j, len(self.y_tops) - 1)]
-
-    def quotient_at(self, j: int) -> ClassVec:
-        if j < len(self.quotients):
-            return self.quotients[j]
-        return (0,) * len(self.y_tops[0])
 
 
 def change_of_variable(base: SliceBase, seq, j: int) -> dict[int, tuple[Fraction, Monomial]]:

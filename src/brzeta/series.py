@@ -27,6 +27,7 @@ from .errors import (
     PseudoConvergenceError,
     SchemaError,
     TruncationBoundError,
+    as_int,
 )
 from .qcomb import prime_power_factors
 
@@ -141,7 +142,7 @@ class Alphabet:
         ents = []
         for item in payload:
             try:
-                ents.append(AlphabetEntry(item["label"], int(item["q"]), int(item.get("r", 1))))
+                ents.append(AlphabetEntry(item["label"], as_int(item["q"], "q"), as_int(item.get("r", 1), "r")))
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"bad alphabet entry {item!r}: {exc}") from exc
         return cls(ents)
@@ -221,10 +222,6 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def min_degree(self) -> int | None:
-        """Least total degree with a nonzero coefficient, or None if zero."""
-        return min((mono_degree(k) for k in self.coeffs), default=None)
 
     def max_degree(self) -> int:
         return max((mono_degree(k) for k in self.coeffs), default=0)

@@ -1,6 +1,10 @@
 """End-to-end command-line behavior: exact output, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +276,16 @@ class TestInputHandling:
             ["hom-slice", "--q", "6", "--r", "1", "--m", "1", "--s-count", "1", "--max", "100"],
             ["prolif", "--data", '{"kind": "dvr", "q": 6, "m": 1}', "--truncate", "2"],
             ["prolif", "--data", '{"kind": "semisimple", "entries": [{"q": 6, "m": 1}]}', "--truncate", "2"],
+            ["prolif", "--data", '{"kind": "semisimple", "entries": [{"q": 2, "m": 1}], "sigma": [1, "a"]}',
+             "--truncate", "2"],
+            ["prolif", "--data", '{"kind": "hereditary", "q": 2, "n": 2, "columns": [1, 2], "sigma": [2, null]}',
+             "--truncate", "2"],
+            ["hey", "--data", '[{"q": 2.5, "m": 1}]', "--truncate", "2"],
+            ["hey", "--data", '[{"q": 2, "m": 1.7}]', "--truncate", "2"],
+            ["hey", "--data", '[{"q": 2, "m": true}]', "--truncate", "2"],
+            ["oracle", "--model", '{"kind": "chain", "q": 2.9, "c": 2}', "--colength", "1"],
+            ["hereditary", "--data", '{"q": 2, "n": 2, "columns": [1, 2.5]}', "--truncate", "2"],
+            ["prolif", "--data", '{"kind": "dvr", "q": 2, "m": 1.5}', "--truncate", "2"],
         ],
         ids=[
             "non-prime-power-model",
@@ -284,6 +298,14 @@ class TestInputHandling:
             "hom-slice-q6",
             "prolif-dvr-q6",
             "prolif-semisimple-q6",
+            "sigma-not-a-number",
+            "sigma-null",
+            "fractional-q",
+            "fractional-m",
+            "bool-m",
+            "fractional-model-q",
+            "fractional-column",
+            "fractional-dvr-m",
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
@@ -312,3 +334,27 @@ def test_output_is_deterministic(capsys):
     assert first == second
     doc = json.loads(first)
     assert doc["terms"] and all(t["den"] == "1" for t in doc["terms"])
+
+
+def test_runs_with_numpy_blocked():
+    """The package has no dependency: the CLI runs in an interpreter where numpy cannot import."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys; sys.modules['numpy'] = None; from brzeta.cli import main; sys.exit(main(sys.argv[1:]))"
+    cases = [
+        (
+            ["oracle", "--model", '{"kind": "chain", "q": 4, "c": 3, "rank": 2}', "--colength", "2",
+             "--format", "csv"],
+            "monomial,num,den\n1,1,1\nz,5,1\nz^2,21,1\n",
+        ),
+        (
+            ["verify", "--suite", "hall"],
+            "PASS hall (10 cases) \u2014 iso-class sums and chain products match enumeration\n",
+        ),
+    ]
+    for argv, expected in cases:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env=env, capture_output=True, text=True, encoding="utf-8", timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (0, expected), proc.stderr

@@ -1,6 +1,7 @@
 """Finite-field linear algebra: fields, echelon forms, subspace enumeration."""
 
-import numpy as np
+import random
+
 import pytest
 
 from brzeta import gfq, hereditary
@@ -11,7 +12,18 @@ from brzeta.qcomb import gaussian_binomial
 class TestFieldConstruction:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
     def test_prime_power_fields_validate(self, q):
-        gfq.validate_field(gfq.GF(q))
+        add, mul, neg, inv = gfq.tables(gfq.GF(q))
+        elems = range(q)
+        assert list(add[0]) == list(elems), "0 is not additive identity"
+        assert list(mul[1]) == list(elems), "1 is not multiplicative identity"
+        for a in elems:
+            assert add[a][neg[a]] == 0, "neg is not additive inverse"
+            assert a == 0 or mul[a][inv[a]] == 1, "inv is not multiplicative inverse"
+            for b in elems:
+                assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a], "tables not commutative"
+                for c in elems:
+                    assert mul[mul[a][b]][c] == mul[a][mul[b][c]], f"associativity fails at {a}"
+                    assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]], f"distributivity fails at {a}"
 
     @pytest.mark.parametrize("q", [1, 6, 10, 12])
     def test_non_prime_powers_rejected(self, q):
@@ -20,35 +32,36 @@ class TestFieldConstruction:
 
     def test_tables_shapes(self):
         t = gfq.tables(gfq.GF(4))
-        assert t.add.shape == (4, 4) and t.mul.shape == (4, 4)
+        assert len(t.add) == len(t.mul) == 4
+        assert all(len(row) == 4 for row in t.add + t.mul)
         assert t.inv[1] == 1
 
 
 class TestRref:
     def test_idempotent(self):
         f = gfq.GF(3)
-        mat = np.array([[1, 2, 0], [2, 1, 1], [0, 0, 2]], dtype=np.int64)
+        mat = [[1, 2, 0], [2, 1, 1], [0, 0, 2]]
         r1, rank1, _ = gfq.rref(f, mat)
         r2, rank2, _ = gfq.rref(f, r1)
         assert rank1 == rank2
-        assert np.array_equal(r1[:rank1], r2[:rank2])
+        assert r1[:rank1] == r2[:rank2]
 
     def test_rank_nullity(self):
         f = gfq.GF(2)
-        rng = np.random.default_rng(7)
+        rng = random.Random(7)
         for _ in range(20):
-            mat = rng.integers(0, 2, size=(4, 6)).astype(np.int64)
+            mat = _random_matrix(rng, 2, 4, 6)
             _, rank, _ = gfq.rref(f, mat)
-            ker = gfq.left_kernel(f, mat.T)  # vectors v with v @ mat.T = 0
+            ker = gfq.left_kernel(f, list(zip(*mat)))  # vectors v with v @ mat.T = 0
             assert ker.dim == 6 - rank
 
     def test_left_kernel_annihilates(self):
         f = gfq.GF(4)
-        rng = np.random.default_rng(11)
-        mat = rng.integers(0, 4, size=(5, 3)).astype(np.int64)
+        mat = _random_matrix(random.Random(11), 4, 5, 3)
         ker = gfq.left_kernel(f, mat)
         prod = gfq.mat_mul(f, ker.rows, mat)
-        assert not prod.any()
+        assert ker.dim == 2
+        assert not any(any(row) for row in prod)
 
 
 class TestSubspaces:
@@ -67,7 +80,7 @@ class TestSubspaces:
 
     def test_enumeration_deduplicates(self):
         subs = list(gfq.enumerate_subspaces(gfq.GF(2), 3))
-        keys = {s.rows.tobytes() for s in subs}
+        keys = {s.rows for s in subs}
         assert len(keys) == len(subs)
 
     def test_budget_enforced(self):
@@ -76,37 +89,39 @@ class TestSubspaces:
 
     def test_lattice_ops_modular_law(self):
         f = gfq.GF(2)
-        a = gfq.row_space(f, np.array([[1, 0, 0]], dtype=np.int64))
-        b = gfq.row_space(f, np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int64))
-        pair = gfq.lattice_ops(a, b)
-        assert pair.meet.dim == 1 and pair.join.dim == 2
+        a = gfq.row_space(f, [[1, 0, 0]])
+        b = gfq.row_space(f, [[1, 0, 0], [0, 1, 0]])
+        assert gfq.intersection(a, b) == a and gfq.subspace_sum(a, b) == b
 
     def test_dimension_formula(self):
         f = gfq.GF(2)
-        rng = np.random.default_rng(3)
+        rng = random.Random(3)
         for _ in range(15):
-            a = gfq.row_space(f, rng.integers(0, 2, size=(2, 4)).astype(np.int64))
-            b = gfq.row_space(f, rng.integers(0, 2, size=(2, 4)).astype(np.int64))
-            pair = gfq.lattice_ops(a, b)
-            assert a.dim + b.dim == pair.meet.dim + pair.join.dim
+            a = gfq.row_space(f, _random_matrix(rng, 2, 2, 4), 4)
+            b = gfq.row_space(f, _random_matrix(rng, 2, 2, 4), 4)
+            meet, join = gfq.intersection(a, b), gfq.subspace_sum(a, b)
+            assert a.dim + b.dim == meet.dim + join.dim
+            assert a.contains(meet) and b.contains(meet) and join.contains(a) and join.contains(b)
 
 
 class TestQuotientSpace:
     def test_project_lift_roundtrip(self):
         f = gfq.GF(2)
-        lower = gfq.row_space(f, np.array([[0, 0, 1, 0]], dtype=np.int64))
+        lower = gfq.row_space(f, [[0, 0, 1, 0]])
         quo = gfq.QuotientSpace(f, lower)
         assert quo.dim == 3
-        vec = np.array([[1, 1, 0, 0]], dtype=np.int64)
-        down = quo.project(vec)
+        down = quo.project([[1, 1, 0, 0]])
         back = quo.project(gfq.mat_mul(f, down, quo.lift_rows))
-        assert np.array_equal(down, back)
+        assert down == back == [[1, 1, 0]]
 
     def test_membership_projection(self):
         f = gfq.GF(2)
-        lower = gfq.row_space(f, np.array([[1, 1, 0]], dtype=np.int64))
+        lower = gfq.row_space(f, [[1, 1, 0]])
         quo = gfq.QuotientSpace(f, lower)
-        assert not quo.project(np.array([[1, 1, 0]], dtype=np.int64)).any()
+        assert quo.project([[1, 1, 0]]) == [[0, 0]]
+        upper = gfq.row_space(f, [[1, 1, 0], [0, 0, 1]])
+        with pytest.raises(SchemaError):
+            gfq.QuotientSpace(f, lower, upper).project([[1, 0, 0]])
 
 
 class TestChains:
@@ -121,7 +136,7 @@ class TestChains:
     def _degree_vectors(dims):
         d1, d2 = dims
         field = gfq.GF(2)
-        v2 = gfq.row_space(field, np.eye(d1, dtype=np.int64)[:d2], d1)
+        v2 = gfq.row_space(field, gfq.identity(d1)[:d2], d1)
         return sorted((d1 - w.dim, w.dim) for w in gfq.enumerate_subspaces(field, d1) if v2.contains(w))
 
     @staticmethod
@@ -142,38 +157,42 @@ class TestChains:
         assert hereditary.chain_degree_counts(2, (2, 1)) == self._as_counts(degs)
 
 
+def _random_matrix(rng, q, rows, cols):
+    return [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+
+
 def _reference_rref(a, add, mul, neg, inv, pivots):
     """Scalar table-driven RREF in place: the reference for ``gfq.rref``.
 
     Returns the rank; ``pivots[:rank]`` receives the pivot columns.
     """
-    rows, cols = a.shape
+    rows, cols = len(a), len(a[0])
     rank = 0
     for c in range(cols):
         if rank == rows:
             break
         p = -1
         for r in range(rank, rows):
-            if a[r, c] != 0:
+            if a[r][c] != 0:
                 p = r
                 break
         if p < 0:
             continue
         if p != rank:
             for j in range(cols):
-                t = a[rank, j]
-                a[rank, j] = a[p, j]
-                a[p, j] = t
-        piv = a[rank, c]
+                t = a[rank][j]
+                a[rank][j] = a[p][j]
+                a[p][j] = t
+        piv = a[rank][c]
         if piv != 1:
             s = inv[piv]
             for j in range(cols):
-                a[rank, j] = mul[s, a[rank, j]]
+                a[rank][j] = mul[s][a[rank][j]]
         for r in range(rows):
-            if r != rank and a[r, c] != 0:
-                f = neg[a[r, c]]
+            if r != rank and a[r][c] != 0:
+                f = neg[a[r][c]]
                 for j in range(cols):
-                    a[r, j] = add[a[r, j], mul[f, a[rank, j]]]
+                    a[r][j] = add[a[r][j]][mul[f][a[rank][j]]]
         pivots[rank] = c
         rank += 1
     return rank
@@ -181,39 +200,43 @@ def _reference_rref(a, add, mul, neg, inv, pivots):
 
 def _reference_mat_mul(a, b, add, mul):
     """Scalar table-driven matrix product: the reference for ``gfq.mat_mul``."""
-    n, kk = a.shape
-    m = b.shape[1]
-    out = np.zeros((n, m), dtype=np.int64)
+    n, kk = len(a), len(b)
+    m = len(b[0])
+    out = [[0] * m for _ in range(n)]
     for i in range(n):
         for k in range(kk):
-            v = a[i, k]
+            v = a[i][k]
             if v != 0:
                 for j in range(m):
-                    out[i, j] = add[out[i, j], mul[v, b[k, j]]]
+                    out[i][j] = add[out[i][j]][mul[v][b[k][j]]]
     return out
 
 
 class TestKernels:
-    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
     def test_rref_and_mat_mul_match_scalar_reference(self, q):
         f = gfq.GF(q)
         t = gfq.tables(f)
-        rng = np.random.default_rng(q)
+        rng = random.Random(q)
         for trial in range(12):
-            rows, cols, inner = (int(x) for x in rng.integers(1, 21, size=3))
-            mat = rng.integers(0, q, size=(rows, cols)).astype(np.int64)
+            rows, cols, inner = (rng.randint(1, 20) for _ in range(3))
+            mat = _random_matrix(rng, q, rows, cols)
             if trial % 3 == 1:  # sparse: zero columns and rank deficiency
-                mat[rng.random((rows, cols)) < 0.7] = 0
+                mat = [[0 if rng.random() < 0.7 else x for x in row] for row in mat]
             elif trial % 3 == 2:  # rank at most 3 by construction
-                left = rng.integers(0, q, size=(rows, 3)).astype(np.int64)
-                right = rng.integers(0, q, size=(3, cols)).astype(np.int64)
+                left = _random_matrix(rng, q, rows, 3)
+                right = _random_matrix(rng, q, 3, cols)
                 mat = _reference_mat_mul(left, right, t.add, t.mul)
-            expected = mat.copy()
-            pivots = np.zeros(max(rows, cols), dtype=np.int64)
+            expected = [list(row) for row in mat]
+            pivots = [0] * max(rows, cols)
             rank = _reference_rref(expected, t.add, t.mul, t.neg, t.inv, pivots)
             got, got_rank, got_pivots = gfq.rref(f, mat)
             assert got_rank == rank
-            assert np.array_equal(got, expected)
-            assert np.array_equal(got_pivots, pivots[:rank])
-            other = rng.integers(0, q, size=(cols, inner)).astype(np.int64)
-            assert np.array_equal(gfq.mat_mul(f, mat, other), _reference_mat_mul(mat, other, t.add, t.mul))
+            assert got == expected
+            assert list(got_pivots) == pivots[:rank]
+            other = _random_matrix(rng, q, cols, inner)
+            assert gfq.mat_mul(f, mat, other) == _reference_mat_mul(mat, other, t.add, t.mul)
+
+    def test_mat_mul_shape_mismatch(self):
+        with pytest.raises(SchemaError):
+            gfq.mat_mul(gfq.GF(2), [[1, 0]], [[1, 0, 1]])

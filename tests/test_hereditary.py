@@ -4,7 +4,6 @@ import functools
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from brzeta import gfq
@@ -58,10 +57,7 @@ class TestSubstitutionData:
 
 def _unit_span(field, r, coords):
     """Coordinate subspace of F_q^r spanned by the given coordinates."""
-    rows = np.zeros((len(coords), r), dtype=np.int64)
-    for i, k in enumerate(coords):
-        rows[i, k] = 1
-    return gfq.row_space(field, rows, r)
+    return gfq.row_space(field, [[1 if c == k else 0 for c in range(r)] for k in coords], r)
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,7 +125,7 @@ class TestFilteredDims:
         assert her.stratum_counts(ORDER22, MOD12)[((2, 2), 0)] == 1
 
     def test_coordinate_line(self):
-        line = gfq.row_space(gfq.GF(2), np.array([[1, 0]], dtype=np.int64))
+        line = gfq.row_space(gfq.GF(2), [[1, 0]])
         assert _filtration_dims(ORDER22, MOD12, line) == (2, 1)
         # e_1 and e_1 + e_2 miss e_2's span; e_2 alone gives (2, 2)
         counts = her.stratum_counts(ORDER22, MOD12)
