@@ -5,7 +5,8 @@ p.  All arithmetic goes through lookup tables held as tuples, so prime and
 prime-power fields share one rref and one matrix-product loop, written in
 plain Python over matrices held as lists of rows.  Subspaces are held in
 reduced-row-echelon canonical form as tuples of rows, which makes them
-hashable and makes equality a tuple comparison.  The one enumeration,
+hashable and makes equality a tuple comparison; ``SubspaceRep.extend`` grows
+one by new rows without reducing its basis again.  The one enumeration,
 :func:`enumerate_subspaces`, serves the brute-force oracle; it counts its
 output first (Gaussian binomials) and refuses to exceed the budget.  Chains of
 subspaces are not enumerated here: the closed engines count them with
@@ -260,21 +261,47 @@ class SubspaceRep:
 
     def reduce(self, mat) -> list[list[int]]:
         """Eliminate this space's pivot columns from the given rows (a copy)."""
-        add, mul, neg, _ = tables(self.field)
-        out = []
-        for row in mat:
-            for c, basis in zip(self.pivots, self.rows):
-                f = row[c]
-                if f:
-                    m = mul[neg[f]]
-                    row = [add[x][m[y]] for x, y in zip(row, basis)]
-            out.append(list(row))
-        return out
+        return [list(row) for row in _eliminate(self.field, mat, self.pivots, self.rows)]
+
+    def extend(self, mat) -> tuple["SubspaceRep", list[tuple[int, ...]]]:
+        """This space plus the row space of ``mat``, and the rows that are new.
+
+        The given rows are reduced against this basis, only their residue is
+        echelonized, and the residue's pivots are eliminated from the old
+        basis rows; the result equals ``from_rows(self.rows + mat)`` without
+        reducing the old basis again.  The new rows are the residue's RREF
+        rows: rows of the bigger basis that span it modulo this space.
+        """
+        if any(len(row) != self.ambient for row in mat):
+            raise SchemaError(f"rows must have {self.ambient} columns, the ambient dimension")
+        residue = [row for row in _eliminate(self.field, mat, self.pivots, self.rows) if any(row)]
+        if not residue:
+            return self, []
+        echelon, rank, new_pivots = rref(self.field, residue)
+        new = [tuple(row) for row in echelon[:rank]]
+        old = _eliminate(self.field, self.rows, new_pivots, new)
+        merged = sorted(zip((*self.pivots, *new_pivots), (*old, *new)), key=lambda pr: pr[0])
+        bigger = SubspaceRep(self.field, self.ambient, [row for _, row in merged], [c for c, _ in merged])
+        return bigger, new
 
     def contains(self, other: "SubspaceRep") -> bool:
         if other.dim > self.dim:
             return False
         return not any(any(row) for row in self.reduce(other.rows))
+
+
+def _eliminate(field: FieldSpec, mat, pivots, basis) -> list:
+    """Clear each pivot column of ``basis`` (unit at its pivot) from every row of ``mat``."""
+    add, mul, neg, _ = tables(field)
+    out = []
+    for row in mat:
+        for c, brow in zip(pivots, basis):
+            f = row[c]
+            if f:
+                m = mul[neg[f]]
+                row = [add[x][m[y]] for x, y in zip(row, brow)]
+        out.append(row)
+    return out
 
 
 def zero_space(field: FieldSpec, ambient: int) -> SubspaceRep:
@@ -304,7 +331,7 @@ def left_kernel(field: FieldSpec, mat) -> SubspaceRep:
 
 def subspace_sum(a: SubspaceRep, b: SubspaceRep) -> SubspaceRep:
     _check_same_space(a, b)
-    return SubspaceRep.from_rows(a.field, a.ambient, a.rows + b.rows)
+    return a.extend(b.rows)[0]
 
 
 def intersection(a: SubspaceRep, b: SubspaceRep) -> SubspaceRep:

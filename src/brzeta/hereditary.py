@@ -386,6 +386,8 @@ def hereditary_from_json(payload) -> tuple[HereditaryOrderSpec, HereditaryModule
     try:
         q = as_int(payload["q"], "q")
         n = as_int(payload["n"], "n")
+        if not isinstance(payload["columns"], list):
+            raise SchemaError(f"columns must be an array, got {payload['columns']!r}")
         columns = tuple(as_int(c, "column type") for c in payload["columns"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"hereditary input needs q, n, columns: {exc}") from exc

@@ -3,9 +3,14 @@
 Each model realizes a module over a finite quotient of the ring of interest
 as a finite-field row space with generator action matrices, held as lists of
 rows for :mod:`brzeta.gfq` (vectors are rows; a ring element acts on the
-right).  Submodules of colength <= B are found by repeated descent to maximal
-submodules, deduplicated by canonical echelon form; quotient composition
-classes and top classes are read off idempotent blocks.  A depth guard keeps
+right).  Every generator is a partial permutation matrix (shifts, the corner
+g, coordinate idempotents), so it acts on rows by gathering coordinates, and
+closures are computed by spinning: only rows new to the space are pushed
+through the generators again.  Submodules of colength <= B are found by
+repeated descent to maximal submodules, deduplicated by canonical echelon
+form; each child extends an echelon basis rather than re-reducing its parent.
+Quotient composition classes and top classes are read off idempotent blocks,
+and each expanded node keeps its top.  A depth guard keeps
 truncation honest: when the model is a quotient of an infinite module by a
 kernel inside radical-power depth d, enumeration and labeling at colength <= B
 are faithful only if d >= B + 1, and that inequality is enforced rather than
@@ -18,7 +23,7 @@ to its tower of slice images ((M meet I^-j X) + IM)/IM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import gfq
@@ -35,7 +40,10 @@ class RingModel:
     """A finite module with ring generator actions.
 
     ``gens`` maps generator names to square matrices (lists of rows) acting
-    on row vectors; ``rad_names`` generate the radical as a two-sided ideal;
+    on row vectors.  Each must be a partial permutation matrix (0/1 entries,
+    at most one 1 per row and per column); ``gathers`` holds its action as a
+    gather tuple, derived once here, and any other matrix is refused with
+    SchemaError.  ``rad_names`` generate the radical as a two-sided ideal;
     ``idem_names`` list one idempotent per simple class, in class order
     (every simple class here is one-dimensional over its idempotent block).
     ``depth``: the kernel of the defining quotient lies inside radical-power
@@ -54,6 +62,10 @@ class RingModel:
     params: dict
     slice_gen: str | None = None
     exact: bool = False
+    gathers: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.gathers = {name: _gather(name, mat, self.dim) for name, mat in self.gens.items()}
 
     @property
     def n_classes(self) -> int:
@@ -258,10 +270,15 @@ def model_from_json(payload) -> RingModel:
 
     try:
         if kind == "chain":
-            return chain_module(arg("q"), arg("c"), arg("rank", 1), bool(payload.get("exact", False)))
+            exact = payload.get("exact", False)
+            if not isinstance(exact, bool):
+                raise SchemaError(f"exact must be true or false, got {exact!r}")
+            return chain_module(arg("q"), arg("c"), arg("rank", 1), exact)
         if kind == "local2d":
             return local2d_module(arg("q"), arg("c"), arg("rank", 1))
         if kind == "triangular":
+            if not isinstance(payload["columns"], list):
+                raise SchemaError(f"columns must be an array, got {payload['columns']!r}")
             columns = [as_int(x, "column type") for x in payload["columns"]]
             return triangular_module(arg("q"), arg("n"), arg("c"), columns)
         if kind == "skew_poly":
@@ -271,11 +288,32 @@ def model_from_json(payload) -> RingModel:
     raise SchemaError(f"unknown model kind {kind!r}")
 
 
-# -- structural validation ---------------------------------------------------
+# -- generator actions and structural validation ------------------------------
 
 
-def _mm(field, a, b):
-    return gfq.mat_mul(field, a, b)
+def _gather(name: str, mat, dim: int) -> tuple[int, ...]:
+    """For each column of a partial permutation matrix, the row of its 1 (or -1).
+
+    A row vector times the matrix is then the vector gathered at these
+    indices, with 0 where the column is empty.
+    """
+    if len(mat) != dim or any(len(row) != dim for row in mat):
+        raise SchemaError(f"generator {name} must be a {dim} x {dim} matrix")
+    src = [-1] * dim
+    for j, row in enumerate(mat):
+        ones = [k for k, x in enumerate(row) if x]
+        if len(ones) > 1 or any(row[k] != 1 for k in ones):
+            raise SchemaError(f"generator {name} is not a partial permutation: row {j} is {list(row)}")
+        for k in ones:
+            if src[k] >= 0:
+                raise SchemaError(f"generator {name} is not a partial permutation: column {k} has two 1s")
+            src[k] = j
+    return tuple(src)
+
+
+def _mm(rows, gather) -> list[list[int]]:
+    """rows times a generator, given as its gather tuple."""
+    return [[row[k] if k >= 0 else 0 for k in gather] for row in rows]
 
 
 def radical_filtration(model: RingModel, start: gfq.SubspaceRep | None = None) -> list[gfq.SubspaceRep]:
@@ -290,22 +328,21 @@ def radical_filtration(model: RingModel, start: gfq.SubspaceRep | None = None) -
 
 def validate_model(model: RingModel) -> int:
     """Check the structural identities; return the radical nilpotency index."""
-    f = model.field
+    act = model.gathers
     eye = gfq.identity(model.dim)
     idems = [model.gens[name] for name in model.idem_names]
     for i, e in enumerate(idems):
-        if _mm(f, e, e) != e:
+        if _mm(e, act[model.idem_names[i]]) != e:
             raise SchemaError(f"idempotent {model.idem_names[i]} is not idempotent")
-        for j, e2 in enumerate(idems):
-            if i != j and any(any(row) for row in _mm(f, e, e2)):
+        for j, name in enumerate(model.idem_names):
+            if i != j and any(any(row) for row in _mm(e, act[name])):
                 raise SchemaError("idempotents are not orthogonal")
     # 0/1 diagonal blocks, disjoint by orthogonality: their integer sum is exact
     total = [[sum(entries) for entries in zip(*rows)] for rows in zip(*idems)]
     if total != eye:
         raise SchemaError("idempotents do not sum to the identity")
     if model.kind == "local2d":
-        u, t = model.gens["u"], model.gens["t"]
-        if _mm(f, u, t) != _mm(f, t, u):
+        if _mm(model.gens["u"], act["t"]) != _mm(model.gens["t"], act["u"]):
             raise SchemaError("u and t do not commute")
     if model.kind in ("triangular", "skew_poly"):
         g = model.gens["g"]
@@ -313,20 +350,21 @@ def validate_model(model: RingModel) -> int:
         # ring relation e_i g = g e_{i+1} (indices mod n): right-action matrices
         # compose in reverse, so check G @ E_i == E_{i+1} @ G
         for i in range(n):
-            lhs = _mm(f, g, idems[i])
-            rhs = _mm(f, idems[(i + 1) % n], g)
+            lhs = _mm(g, act[model.idem_names[i]])
+            rhs = _mm(idems[(i + 1) % n], act["g"])
             if lhs != rhs:
                 raise SchemaError(f"corner generator does not shift class {i + 1}")
         gn = eye
         for _ in range(n):
-            gn = _mm(f, gn, g)
+            gn = _mm(gn, act["g"])
+        gn_act = _gather(f"g^{n}", gn, model.dim)
         for name, mat in model.gens.items():
-            if _mm(f, gn, mat) != _mm(f, mat, gn):
+            if _mm(gn, act[name]) != _mm(mat, gn_act):
                 raise SchemaError(f"g^{n} (= pi) does not commute with {name}")
     if model.kind == "skew_poly":
         t = model.gens["t"]
         for name, mat in model.gens.items():
-            if _mm(f, t, mat) != _mm(f, mat, t):
+            if _mm(t, act[name]) != _mm(mat, act["t"]):
                 raise SchemaError(f"t is not central: fails against {name}")
     filt = radical_filtration(model)
     index = len(filt) - 1
@@ -354,30 +392,33 @@ def validate_model(model: RingModel) -> int:
 
 
 def module_closure(model: RingModel, rows) -> gfq.SubspaceRep:
-    """Smallest action-stable row space containing the given rows."""
-    sub = gfq.SubspaceRep.from_rows(model.field, model.dim, rows)
-    while True:
-        stack = list(sub.rows)
-        for mat in model.gens.values():
-            stack += _mm(model.field, sub.rows, mat)
-        bigger = gfq.SubspaceRep.from_rows(model.field, model.dim, stack)
-        if bigger.dim == sub.dim:
-            return sub
-        sub = bigger
+    """Smallest action-stable row space containing the given rows.
+
+    Spins: each round pushes only the rows that the last round added through
+    the generators, and extends the echelon basis by their images.
+    """
+    ident = tuple(range(model.dim))
+    acts = [act for act in model.gathers.values() if act != ident]  # the identity fixes every space
+    sub, new = gfq.zero_space(model.field, model.dim).extend(rows)
+    while new:
+        sub, new = sub.extend([img for act in acts for img in _mm(new, act)])
+    return sub
 
 
 def radical_subspace(model: RingModel, rep: gfq.SubspaceRep) -> gfq.SubspaceRep:
     """J X for an action-stable X: closure of the radical generators' images."""
     if rep.dim == 0:
         return rep
-    stack = []
-    for name in model.rad_names:
-        stack += _mm(model.field, rep.rows, model.gens[name])
-    return module_closure(model, stack)
+    images = [img for name in model.rad_names for img in _mm(rep.rows, model.gathers[name])]
+    return module_closure(model, images)
 
 
 def _top_blocks(model: RingModel, rep: gfq.SubspaceRep):
-    """(JX, quotient X/JX, per-class block subspaces in quotient coordinates)."""
+    """(JX, quotient X/JX, per-class block subspaces in quotient coordinates).
+
+    JX e_i lies in JX, so block i is spanned by the images of the quotient's
+    lift rows alone.
+    """
     jx = radical_subspace(model, rep)
     quo = gfq.QuotientSpace(model.field, lower=jx, upper=rep)
     blocks = []
@@ -385,15 +426,15 @@ def _top_blocks(model: RingModel, rep: gfq.SubspaceRep):
         if rep.dim == 0 or quo.dim == 0:
             blocks.append(gfq.zero_space(model.field, quo.dim))
             continue
-        rows = quo.project(_mm(model.field, rep.rows, model.gens[name]))
+        rows = quo.project(_mm(quo.lift_rows, model.gathers[name]))
         blocks.append(gfq.SubspaceRep.from_rows(model.field, quo.dim, rows))
     return jx, quo, blocks
 
 
 def top_class(model: RingModel, rep: gfq.SubspaceRep) -> Monomial:
-    """Multiplicity of each simple class in X/JX."""
-    _, _, blocks = _top_blocks(model, rep)
-    return tuple(b.dim for b in blocks)
+    """Multiplicity of each simple class in X/JX, as dim(JX + X e_i) - dim JX."""
+    jx = radical_subspace(model, rep)
+    return tuple(len(jx.extend(_mm(rep.rows, model.gathers[name]))[1]) for name in model.idem_names)
 
 
 def composition_class(model: RingModel, upper: gfq.SubspaceRep, lower: gfq.SubspaceRep) -> Monomial:
@@ -405,34 +446,30 @@ def composition_class(model: RingModel, upper: gfq.SubspaceRep, lower: gfq.Subsp
     """
     if not upper.contains(lower):
         raise SchemaError("composition class needs lower <= upper")
-    out = []
-    for name in model.idem_names:
-        image = _mm(model.field, upper.rows, model.gens[name])
-        joined = gfq.SubspaceRep.from_rows(model.field, model.dim, [*lower.rows, *image])
-        out.append(joined.dim - lower.dim)
-    return tuple(out)
+    return tuple(len(lower.extend(_mm(upper.rows, model.gathers[name]))[1]) for name in model.idem_names)
 
 
-def maximal_submodules(model: RingModel, rep: gfq.SubspaceRep, budget: int = DEFAULT_NODE_BUDGET):
+def maximal_submodules(
+    model: RingModel, rep: gfq.SubspaceRep, budget: int = DEFAULT_NODE_BUDGET, top_blocks=None
+):
     """All maximal submodules of X, each tagged with its simple quotient class.
 
     They are the pullbacks of block hyperplanes of the top X/JX; the action on
     each block is scalar, so every linear hyperplane of a block is stable.
+    JX is extended once per block by the other blocks' lifts, and that base
+    once per hyperplane.  ``top_blocks`` passes in ``_top_blocks(model, rep)``
+    when the caller has it already.
     """
-    jx, quo, blocks = _top_blocks(model, rep)
+    jx, quo, blocks = top_blocks if top_blocks is not None else _top_blocks(model, rep)
+    lifts = [quo.lift(b.rows) for b in blocks]
     out = []
     for bi, block in enumerate(blocks):
         d = block.dim
         if d == 0:
             continue
-        others = [b.rows for j, b in enumerate(blocks) if j != bi and b.dim > 0]
+        base = jx.extend([row for j, rows in enumerate(lifts) if j != bi for row in rows])[0]
         for hyper in gfq.enumerate_subspaces(model.field, d, dims=d - 1, budget=budget):
-            pieces = list(jx.rows)
-            if hyper.dim > 0:
-                pieces += quo.lift(_mm(model.field, hyper.rows, block.rows))
-            for rows in others:
-                pieces += quo.lift(rows)
-            child = gfq.SubspaceRep.from_rows(model.field, model.dim, pieces)
+            child = base.extend(gfq.mat_mul(model.field, hyper.rows, lifts[bi]))[0]
             out.append((child, bi))
     return out
 
@@ -442,6 +479,7 @@ class SubmoduleNode:
     rep: gfq.SubspaceRep
     colength: int
     cls: Monomial  # composition class of (start module)/X
+    top: Monomial | None = None  # top class of X, kept once the BFS expands X
 
 
 def submodule_bfs(
@@ -471,7 +509,9 @@ def submodule_bfs(
     for level in range(1, bound + 1):
         nxt: dict[gfq.SubspaceRep, SubmoduleNode] = {}
         for parent in frontier:
-            for child, bi in maximal_submodules(model, parent.rep, budget):
+            blocks = _top_blocks(model, parent.rep)
+            parent.top = tuple(b.dim for b in blocks[2])
+            for child, bi in maximal_submodules(model, parent.rep, budget, top_blocks=blocks):
                 if child in nxt or child in nodes:
                     continue
                 cls = tuple(c + (1 if i == bi else 0) for i, c in enumerate(parent.cls))
@@ -521,7 +561,7 @@ def empirical_zeta(
     coeffs: dict[Monomial, Fraction] = {}
     for node in nodes:
         if partial is not None or joint:
-            top = top_class(model, node.rep)
+            top = node.top if node.top is not None else top_class(model, node.rep)
         if partial is not None and top != partial:
             continue
         key = node.cls + top if joint else node.cls
@@ -554,20 +594,16 @@ def jordan_type(model: RingModel, rep: gfq.SubspaceRep, lower: gfq.SubspaceRep |
     """Partition of t-power ranks of X (or of X/lower) over a chain model."""
     if "t" not in model.gens:
         raise SchemaError(f"jordan_type needs a t action; model kind is {model.kind}")
-    t = model.gens["t"]
-    base = lower.dim if lower is not None else 0
+    t = model.gathers["t"]
+    base = lower if lower is not None else gfq.zero_space(model.field, model.dim)
     cur = rep.rows
     ranks = []
     while True:
-        if lower is not None:
-            space = gfq.SubspaceRep.from_rows(model.field, model.dim, [*lower.rows, *cur])
-            rank = space.dim - base
-        else:
-            rank = gfq.SubspaceRep.from_rows(model.field, model.dim, cur).dim
+        rank = len(base.extend(cur)[1])
         ranks.append(rank)
         if rank == 0:
             break
-        cur = _mm(model.field, cur, t)
+        cur = _mm(cur, t)
     return _partition_from_ranks(ranks)
 
 
@@ -642,13 +678,11 @@ class FiberContext:
             raise SchemaError(f"model kind {model.kind} has no designated ideal generator")
         self.model = model
         f = model.field
-        u = model.gens[model.slice_gen]
-        self.u = u
-        self.im = gfq.SubspaceRep.from_rows(f, model.dim, u)
+        self.im = gfq.SubspaceRep.from_rows(f, model.dim, model.gens[model.slice_gen])
         self.quo = gfq.QuotientSpace(f, lower=self.im)
         slice_gens = {}
-        for name, mat in model.gens.items():
-            slice_gens[name] = self.quo.project(_mm(f, self.quo.lift_rows, mat))
+        for name, act in model.gathers.items():
+            slice_gens[name] = self.quo.project(_mm(self.quo.lift_rows, act))
         self.slice_model = RingModel(
             kind=f"{model.kind}_slice",
             field=f,
@@ -666,7 +700,7 @@ class FiberContext:
 
     def _power(self, j: int) -> list[list[int]]:
         while len(self._powers) <= j:
-            self._powers.append(_mm(self.model.field, self._powers[-1], self.u))
+            self._powers.append(_mm(self._powers[-1], self.model.gathers[self.model.slice_gen]))
         return self._powers[j]
 
     def chart(self, rep: gfq.SubspaceRep, max_level: int) -> ChainData:

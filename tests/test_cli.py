@@ -286,6 +286,13 @@ class TestInputHandling:
             ["oracle", "--model", '{"kind": "chain", "q": 2.9, "c": 2}', "--colength", "1"],
             ["hereditary", "--data", '{"q": 2, "n": 2, "columns": [1, 2.5]}', "--truncate", "2"],
             ["prolif", "--data", '{"kind": "dvr", "q": 2, "m": 1.5}', "--truncate", "2"],
+            ["oracle", "--model", '{"kind": "chain", "q": 2, "c": 3, "exact": "no"}', "--colength", "5"],
+            ["oracle", "--model", '{"kind": "chain", "q": 2, "c": 3, "exact": "false"}', "--colength", "5"],
+            ["oracle", "--model", '{"kind": "chain", "q": 2, "c": 3, "exact": 1}', "--colength", "5"],
+            ["hereditary", "--data", '{"q": 2, "n": 2, "columns": "12"}', "--truncate", "2"],
+            ["prolif", "--data", '{"kind": "hereditary", "q": 2, "n": 2, "columns": "12"}', "--truncate", "2"],
+            ["oracle", "--model", '{"kind": "triangular", "q": 2, "n": 2, "c": 2, "columns": "12"}',
+             "--colength", "1"],
         ],
         ids=[
             "non-prime-power-model",
@@ -306,6 +313,12 @@ class TestInputHandling:
             "fractional-model-q",
             "fractional-column",
             "fractional-dvr-m",
+            "exact-string-no",
+            "exact-string-false",
+            "exact-integer",
+            "hereditary-columns-string",
+            "prolif-columns-string",
+            "triangular-columns-string",
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):

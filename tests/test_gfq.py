@@ -104,6 +104,49 @@ class TestSubspaces:
             assert a.contains(meet) and b.contains(meet) and join.contains(a) and join.contains(b)
 
 
+class TestExtend:
+    """``extend`` must give the RREF of the stacked rows without re-reducing the old basis."""
+
+    @staticmethod
+    def _check(a, rows):
+        bigger, new = a.extend(rows)
+        want = gfq.SubspaceRep.from_rows(a.field, a.ambient, [*a.rows, *rows])
+        assert bigger == want and bigger.rows == want.rows and bigger.pivots == want.pivots
+        assert a.dim + len(new) == bigger.dim
+        assert all(row in bigger.rows for row in new)
+        assert gfq.intersection(a, gfq.row_space(a.field, new, a.ambient)).dim == 0
+        return bigger, new
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+    def test_matches_from_rows(self, q):
+        f = gfq.GF(q)
+        rng = random.Random(100 + q)
+        for trial in range(40):
+            ambient = rng.randint(1, 9)
+            a = gfq.row_space(f, _random_matrix(rng, q, rng.randint(0, ambient), ambient), ambient)
+            rows = _random_matrix(rng, q, rng.randint(0, 4), ambient)
+            if trial % 4 == 1:  # sparse rows: zero columns and zero rows
+                rows = [[0 if rng.random() < 0.7 else x for x in row] for row in rows]
+            self._check(a, rows)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+    def test_edge_cases(self, q):
+        f = gfq.GF(q)
+        rng = random.Random(q)
+        a = gfq.row_space(f, _random_matrix(rng, q, 3, 6), 6)
+        assert self._check(a, []) == (a, [])
+        inside = gfq.mat_mul(f, _random_matrix(rng, q, 4, a.dim), a.rows)
+        assert self._check(a, inside) == (a, [])
+        full, new = self._check(a, gfq.identity(6))
+        assert full == gfq.full_space(f, 6) and len(new) == 6 - a.dim
+        empty = gfq.zero_space(f, 6)
+        assert self._check(empty, a.rows)[0] == a
+
+    def test_rejects_wrong_width(self):
+        with pytest.raises(SchemaError):
+            gfq.zero_space(gfq.GF(2), 3).extend([[1, 0]])
+
+
 class TestQuotientSpace:
     def test_project_lift_roundtrip(self):
         f = gfq.GF(2)

@@ -1,5 +1,8 @@
 """Brute-force enumeration models: construction, counting, Hall numbers, fibers."""
 
+import dataclasses
+import random
+
 import pytest
 
 import brzeta.gfq as gfq
@@ -39,6 +42,96 @@ class TestModelConstruction:
     def test_rejects_non_prime_power_field(self):
         with pytest.raises(SchemaError):
             orc.chain_module(6, 2)
+
+
+def _models(q):
+    """One model of every kind over GF(q), plus the fiber slice models."""
+    models = [
+        orc.chain_module(q, 3, rank=2),
+        orc.local2d_module(q, 3),
+        orc.triangular_module(q, 2, 2, (1, 2)),
+        orc.skew_module(q, 2, 1, 2),
+    ]
+    models += [orc.FiberContext(m).slice_model for m in models if m.slice_gen is not None]
+    return models
+
+
+def _random_rows(rng, model, count):
+    return [[rng.randrange(model.field.q) for _ in range(model.dim)] for _ in range(count)]
+
+
+class TestGeneratorActions:
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_gather_equals_matrix_product(self, q):
+        rng = random.Random(q)
+        kinds = set()
+        for model in _models(q):
+            kinds.add(model.kind)
+            assert set(model.gathers) == set(model.gens)
+            for name, mat in model.gens.items():
+                rows = _random_rows(rng, model, 4)
+                assert orc._mm(rows, model.gathers[name]) == gfq.mat_mul(model.field, rows, mat), (model.kind, name)
+        assert kinds == {"chain", "local2d", "triangular", "skew_poly", "local2d_slice", "skew_poly_slice"}
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[0, 2, 0], [0, 0, 1], [0, 0, 0]],  # an entry that is not 0 or 1
+            [[0, 1, 0], [0, 1, 0], [0, 0, 0]],  # two 1s in one column
+            [[0, 1, 1], [0, 0, 0], [0, 0, 0]],  # two 1s in one row
+            [[0, 1], [0, 0]],  # wrong shape
+        ],
+        ids=["entry-2", "column-two-ones", "row-two-ones", "wrong-shape"],
+    )
+    def test_non_partial_permutation_refused(self, bad):
+        model = orc.chain_module(3, 3)
+        with pytest.raises(SchemaError, match="generator t"):
+            dataclasses.replace(model, gens={**model.gens, "t": bad})
+
+
+def _fixed_point_closure(model, rows):
+    """Reference closure: re-reduce everything with every generator until the dimension stops."""
+    sub = gfq.SubspaceRep.from_rows(model.field, model.dim, rows)
+    while True:
+        stack = list(sub.rows)
+        for mat in model.gens.values():
+            stack += gfq.mat_mul(model.field, sub.rows, mat)
+        bigger = gfq.SubspaceRep.from_rows(model.field, model.dim, stack)
+        if bigger.dim == sub.dim:
+            return sub
+        sub = bigger
+
+
+class TestSpinAndTops:
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_spin_equals_fixed_point_closure(self, q):
+        rng = random.Random(10 + q)
+        for model in _models(q):
+            for count in (0, 1, 1, 2):
+                rows = _random_rows(rng, model, count)
+                if count and rng.random() < 0.5:  # sparse rows spin further before filling up
+                    rows = [[0 if rng.random() < 0.8 else x for x in row] for row in rows]
+                assert orc.module_closure(model, rows) == _fixed_point_closure(model, rows), model.kind
+
+    @pytest.mark.parametrize(
+        "model, bound",
+        [
+            (orc.chain_module(3, 3, rank=2), 2),
+            (orc.local2d_module(2, 4), 3),
+            (orc.triangular_module(2, 2, 2, (1, 2)), 3),
+            (orc.triangular_module(3, 3, 1, (1, 2, 3)), 2),
+            (orc.skew_module(2, 2, 2, 3), 2),
+        ],
+        ids=["chain", "local2d", "triangular-n2", "triangular-n3", "skew"],
+    )
+    def test_every_node_top_matches_blocks(self, model, bound):
+        nodes = orc.submodule_bfs(model, bound)
+        for node in nodes:
+            want = tuple(b.dim for b in orc._top_blocks(model, node.rep)[2])
+            assert orc.top_class(model, node.rep) == want
+            if node.colength < bound:
+                assert node.top == want
+        assert any(node.top is None for node in nodes)
 
 
 class TestModelFromJson:
