@@ -112,6 +112,9 @@ class TestSpinAndTops:
                 if count and rng.random() < 0.5:  # sparse rows spin further before filling up
                     rows = [[0 if rng.random() < 0.8 else x for x in row] for row in rows]
                 assert orc.module_closure(model, rows) == _fixed_point_closure(model, rows), model.kind
+            for k in range(model.dim):  # unit vectors: cyclic submodules of every depth
+                unit = [[1 if j == k else 0 for j in range(model.dim)]]
+                assert orc.module_closure(model, unit) == _fixed_point_closure(model, unit), (model.kind, k)
 
     @pytest.mark.parametrize(
         "model, bound",
