@@ -138,7 +138,7 @@ def check_brs_polynomial(qs=(2, 3), n_max=3, r_max=3, z_bound=3) -> CheckResult:
         al = joint.alphabet
         v_exps = (1,) * n + (0,) * n
         zfac = her.solomon_hey_factor(r, q, joint.bound, al, v_exps)
-        prod = f_full.truncated(joint.bound) * zfac if f_full.bound >= joint.bound else f_full.extended(joint.bound) * zfac
+        prod = f_full.extended(joint.bound) * zfac
         bad = _series_case("brs-polynomial", cases, prod, joint, f"q={q},n={n},cols={cols}")
         if bad:
             return bad
@@ -413,14 +413,8 @@ def _partitions_of(n: int, cap: int | None = None):
 
 
 def _witness(model, ambient, sub_t, quo_t):
-    colen = sum(quo_t)
-    for node in orc.submodule_bfs(model, colen, start=ambient):
-        if (
-            node.colength == colen
-            and orc.jordan_type(model, node.rep) == sub_t
-            and orc.jordan_type(model, ambient, lower=node.rep) == quo_t
-        ):
-            return node.rep
+    for rep in orc.typed_submodules(model, ambient, sub_t, quo_t):
+        return rep
     raise FormulaViolationError(f"no submodule of type {sub_t} with quotient {quo_t}")
 
 

@@ -6,7 +6,9 @@ prime-power fields share one rref and one matrix-product loop, written in
 plain Python over matrices held as lists of rows.  Subspaces are held in
 reduced-row-echelon canonical form as tuples of rows, which makes them
 hashable and makes equality a tuple comparison; ``SubspaceRep.extend`` grows
-one by new rows without reducing its basis again.  The one enumeration,
+one by new rows without reducing its basis again, and the rows it reports
+as new span the bigger space modulo the old one, which is all the oracle
+needs of a quotient.  The one enumeration,
 :func:`enumerate_subspaces`, serves the brute-force oracle; it counts its
 output first (Gaussian binomials) and refuses to exceed the budget.  Chains of
 subspaces are not enumerated here: the closed engines count them with
@@ -348,45 +350,6 @@ def intersection(a: SubspaceRep, b: SubspaceRep) -> SubspaceRep:
 def _check_same_space(a: SubspaceRep, b: SubspaceRep):
     if a.field != b.field or a.ambient != b.ambient:
         raise SchemaError(f"subspace mismatch: {a!r} vs {b!r}")
-
-
-class QuotientSpace:
-    """Coordinates on upper/lower for nested row spaces.
-
-    ``upper=None`` means the full ambient space.  ``project`` validates
-    membership in ``upper``, so a vector outside it is an error rather than
-    a silent wrong answer.
-    """
-
-    def __init__(self, field: FieldSpec, lower: SubspaceRep, upper: SubspaceRep | None = None):
-        self.field = field
-        self.lower = lower
-        ambient = lower.ambient
-        if upper is None:
-            upper_rows = identity(ambient)
-        else:
-            _check_same_space(lower, upper)
-            if not upper.contains(lower):
-                raise SchemaError("quotient needs lower <= upper")
-            upper_rows = upper.rows
-        comp = SubspaceRep.from_rows(field, ambient, lower.reduce(upper_rows))
-        self.lift_rows = comp.rows
-        self.lift_pivots = comp.pivots
-        self.dim = comp.dim
-
-    def project(self, mat) -> list[list[int]]:
-        """Quotient coordinates of each row; rows must lie in upper."""
-        red = self.lower.reduce(mat)
-        coords = [[row[c] for c in self.lift_pivots] for row in red]
-        if self.dim == 0:
-            if any(any(row) for row in red):
-                raise SchemaError("vector outside the quotient's upper space")
-        elif mat_mul(self.field, coords, self.lift_rows) != red:
-            raise SchemaError("vector outside the quotient's upper space")
-        return coords
-
-    def lift(self, coords) -> list[list[int]]:
-        return mat_mul(self.field, coords, self.lift_rows)
 
 
 # -- enumeration ---------------------------------------------------------------

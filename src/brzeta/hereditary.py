@@ -351,7 +351,7 @@ def brs_F(order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound: int) 
             expected=f"degree < {bound}",
             actual=f"degree {poly.max_degree()}",
         )
-    return poly.extended(bound) if bound >= poly.bound else poly.truncated(bound)
+    return poly.extended(bound)
 
 
 def partial_zeta(

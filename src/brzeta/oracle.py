@@ -1,16 +1,17 @@
 """Brute-force ground truth over explicit finite quotient models.
 
 Each model realizes a module over a finite quotient of the ring of interest
-as a finite-field row space with generator action matrices, held as lists of
-rows for :mod:`brzeta.gfq` (vectors are rows; a ring element acts on the
-right).  Every generator is a partial permutation matrix (shifts, the corner
-g, coordinate idempotents), so it acts on rows by gathering coordinates, and
-closures are computed by spinning: only rows new to the space are pushed
-through the generators again.  Submodules of colength <= B are found by
-repeated descent to maximal submodules, deduplicated by canonical echelon
-form; each child extends an echelon basis rather than re-reducing its parent.
-Quotient composition classes and top classes are read off idempotent blocks,
-and each expanded node keeps its top.  A depth guard keeps
+as a finite-field row space, held as lists of rows for :mod:`brzeta.gfq`
+(vectors are rows; a ring element acts on the right).  Every generator is a
+partial permutation (shifts, the corner g, coordinate idempotents), so it is
+held as a gather tuple and acts on rows by gathering coordinates; closures
+are computed by spinning: only rows new to the space are pushed through the
+generators again.  Submodules of colength <= B are found by repeated descent
+to maximal submodules, deduplicated by canonical echelon form; each child
+extends an echelon basis rather than re-reducing its parent.  One function
+splits the top X/JX into per-class row blocks: their sizes are the top
+class, and their hyperplanes give the maximal submodules; each expanded node
+keeps its top.  A depth guard keeps
 truncation honest: when the model is a quotient of an infinite module by a
 kernel inside radical-power depth d, enumeration and labeling at colength <= B
 are faithful only if d >= B + 1, and that inequality is enforced rather than
@@ -23,7 +24,7 @@ to its tower of slice images ((M meet I^-j X) + IM)/IM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gfq
@@ -39,11 +40,11 @@ DEFAULT_NODE_BUDGET = 200_000
 class RingModel:
     """A finite module with ring generator actions.
 
-    ``gens`` maps generator names to square matrices (lists of rows) acting
-    on row vectors.  Each must be a partial permutation matrix (0/1 entries,
-    at most one 1 per row and per column); ``gathers`` holds its action as a
-    gather tuple, derived once here, and any other matrix is refused with
-    SchemaError.  ``rad_names`` generate the radical as a two-sided ideal;
+    ``gens`` maps generator names to gather tuples of length ``dim``: entry k
+    is the coordinate that a row vector's image reads at k, or -1 where the
+    image is 0.  No source may repeat, so each generator is a partial
+    permutation; any other tuple is refused with SchemaError.
+    ``rad_names`` generate the radical as a two-sided ideal;
     ``idem_names`` list one idempotent per simple class, in class order
     (every simple class here is one-dimensional over its idempotent block).
     ``depth``: the kernel of the defining quotient lies inside radical-power
@@ -62,10 +63,17 @@ class RingModel:
     params: dict
     slice_gen: str | None = None
     exact: bool = False
-    gathers: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.gathers = {name: _gather(name, mat, self.dim) for name, mat in self.gens.items()}
+        self.gens = {name: tuple(src) for name, src in self.gens.items()}
+        for name, src in self.gens.items():
+            if len(src) != self.dim:
+                raise SchemaError(f"generator {name} must have {self.dim} entries, got {len(src)}")
+            used = [k for k in src if k != -1]
+            if any(not 0 <= k < self.dim for k in used):
+                raise SchemaError(f"generator {name} has a source outside -1..{self.dim - 1}: {src}")
+            if len(set(used)) != len(used):
+                raise SchemaError(f"generator {name} is not a partial permutation: a source repeats in {src}")
 
     @property
     def n_classes(self) -> int:
@@ -84,15 +92,8 @@ def chain_module(q: int, c: int, rank: int = 1, exact: bool = False) -> RingMode
         raise SchemaError(f"need c >= 1 and rank >= 1, got c={c}, rank={rank}")
     field = gfq.GF(q)
     dim = rank * c
-
-    def idx(i, a):
-        return i * c + a
-
-    t_mat = _zeros(dim)
-    for i in range(rank):
-        for a in range(c - 1):
-            t_mat[idx(i, a)][idx(i, a + 1)] = 1
-    gens = {"t": t_mat, "e1": gfq.identity(dim)}
+    # t raises the t-power within each copy: coordinate k reads k - 1
+    gens = {"t": tuple(k - 1 if k % c else -1 for k in range(dim)), "e1": tuple(range(dim))}
     return RingModel(
         kind="chain",
         field=field,
@@ -118,14 +119,13 @@ def local2d_module(q: int, c: int, rank: int = 1) -> RingModel:
     dim = rank * block
 
     def shift(da, db):
-        mat = _zeros(dim)
-        for i in range(rank):
-            for (a, b), k in pos.items():
-                if a + da + b + db < c:
-                    mat[i * block + k][i * block + pos[(a + da, b + db)]] = 1
-        return mat
+        return tuple(
+            i * block + pos[(a - da, b - db)] if a >= da and b >= db else -1
+            for i in range(rank)
+            for a, b in monos
+        )
 
-    gens = {"u": shift(1, 0), "t": shift(0, 1), "e1": gfq.identity(dim)}
+    gens = {"u": shift(1, 0), "t": shift(0, 1), "e1": tuple(range(dim))}
     return RingModel(
         kind="local2d",
         field=field,
@@ -155,39 +155,26 @@ def _column_basis(n: int, c: int, tau: int):
 
 
 def _column_maps(n: int, c: int, tau: int):
-    """Matrices of the corner generator g and the idempotents on one column."""
+    """Gathers of the corner generator g and the idempotents on one column."""
     basis = _column_basis(n, c, tau)
     pos = {b: k for k, b in enumerate(basis)}
-    d = len(basis)
-    g_mat = _zeros(d)
+    g = [-1] * len(basis)
     for (i, a), k in pos.items():
         # g sends coordinate i to i-1, wrapping 1 -> n with one extra pi
         j, b = (i - 1, a) if i > 1 else (n, a + 1)
         if (j, b) in pos:
-            g_mat[k][pos[(j, b)]] = 1
-    idems = []
-    for cls in range(1, n + 1):
-        e = _zeros(d)
-        for (i, a), k in pos.items():
-            if i == cls:
-                e[k][k] = 1
-        idems.append(e)
-    return d, g_mat, idems
+            g[pos[(j, b)]] = k
+    idems = [tuple(k if i == cls else -1 for k, (i, _) in enumerate(basis)) for cls in range(1, n + 1)]
+    return tuple(g), idems
 
 
-def _zeros(n: int) -> list[list[int]]:
-    return [[0] * n for _ in range(n)]
-
-
-def _block_diag(mats):
-    total = sum(len(m) for m in mats)
-    out = []
-    at = 0
-    for m in mats:
-        for row in m:
-            out.append([0] * at + list(row) + [0] * (total - at - len(m)))
-        at += len(m)
-    return out
+def _block_diag(gathers) -> tuple[int, ...]:
+    """The gather acting as each given gather on its own block of coordinates."""
+    out, at = [], 0
+    for src in gathers:
+        out += [k + at if k >= 0 else -1 for k in src]
+        at += len(src)
+    return tuple(out)
 
 
 def triangular_module(q: int, n: int, c: int, columns) -> RingModel:
@@ -205,8 +192,8 @@ def triangular_module(q: int, n: int, c: int, columns) -> RingModel:
     field = gfq.GF(q)
     g_blocks, idem_blocks = [], [[] for _ in range(n)]
     for tau in columns:
-        d, g_mat, idems = _column_maps(n, c, tau)
-        g_blocks.append(g_mat)
+        g, idems = _column_maps(n, c, tau)
+        g_blocks.append(g)
         for i in range(n):
             idem_blocks[i].append(idems[i])
     gens = {"g": _block_diag(g_blocks)}
@@ -235,17 +222,12 @@ def skew_module(q: int, n: int, c_pi: int, c_t: int) -> RingModel:
     base = triangular_module(q, n, c_pi, tuple(range(1, n + 1)))
     d0 = base.dim
     dim = d0 * c_t
-
-    def extend(mat):
-        return _block_diag([mat] * c_t)
-
-    t_mat = _zeros(dim)
-    for b in range(c_t - 1):
-        for k in range(d0):
-            t_mat[b * d0 + k][(b + 1) * d0 + k] = 1
-    gens = {"g": extend(base.gens["g"]), "t": t_mat}
+    gens = {
+        "g": _block_diag([base.gens["g"]] * c_t),
+        "t": tuple(k - d0 if k >= d0 else -1 for k in range(dim)),  # raise the t-digit
+    }
     for name in base.idem_names:
-        gens[name] = extend(base.gens[name])
+        gens[name] = _block_diag([base.gens[name]] * c_t)
     return RingModel(
         kind="skew_poly",
         field=base.field,
@@ -291,29 +273,14 @@ def model_from_json(payload) -> RingModel:
 # -- generator actions and structural validation ------------------------------
 
 
-def _gather(name: str, mat, dim: int) -> tuple[int, ...]:
-    """For each column of a partial permutation matrix, the row of its 1 (or -1).
-
-    A row vector times the matrix is then the vector gathered at these
-    indices, with 0 where the column is empty.
-    """
-    if len(mat) != dim or any(len(row) != dim for row in mat):
-        raise SchemaError(f"generator {name} must be a {dim} x {dim} matrix")
-    src = [-1] * dim
-    for j, row in enumerate(mat):
-        ones = [k for k, x in enumerate(row) if x]
-        if len(ones) > 1 or any(row[k] != 1 for k in ones):
-            raise SchemaError(f"generator {name} is not a partial permutation: row {j} is {list(row)}")
-        for k in ones:
-            if src[k] >= 0:
-                raise SchemaError(f"generator {name} is not a partial permutation: column {k} has two 1s")
-            src[k] = j
-    return tuple(src)
-
-
 def _mm(rows, gather) -> list[list[int]]:
     """rows times a generator, given as its gather tuple."""
     return [[row[k] if k >= 0 else 0 for k in gather] for row in rows]
+
+
+def _compose(a, b) -> tuple[int, ...]:
+    """Gather of acting by ``a`` and then by ``b``."""
+    return tuple(a[k] if k >= 0 else -1 for k in b)
 
 
 def radical_filtration(model: RingModel, start: gfq.SubspaceRep | None = None) -> list[gfq.SubspaceRep]:
@@ -328,43 +295,39 @@ def radical_filtration(model: RingModel, start: gfq.SubspaceRep | None = None) -
 
 def validate_model(model: RingModel) -> int:
     """Check the structural identities; return the radical nilpotency index."""
-    act = model.gathers
-    eye = gfq.identity(model.dim)
-    idems = [model.gens[name] for name in model.idem_names]
+    gens = model.gens
+    idems = [gens[name] for name in model.idem_names]
     for i, e in enumerate(idems):
-        if _mm(e, act[model.idem_names[i]]) != e:
+        if _compose(e, e) != e:
             raise SchemaError(f"idempotent {model.idem_names[i]} is not idempotent")
-        for j, name in enumerate(model.idem_names):
-            if i != j and any(any(row) for row in _mm(e, act[name])):
+        for j, f in enumerate(idems):
+            if i != j and any(k >= 0 for k in _compose(e, f)):
                 raise SchemaError("idempotents are not orthogonal")
-    # 0/1 diagonal blocks, disjoint by orthogonality: their integer sum is exact
-    total = [[sum(entries) for entries in zip(*rows)] for rows in zip(*idems)]
-    if total != eye:
+    # the sum of the idempotents is the identity: each coordinate k is read
+    # by exactly one of them, and from k itself
+    if any([e[k] for e in idems if e[k] >= 0] != [k] for k in range(model.dim)):
         raise SchemaError("idempotents do not sum to the identity")
     if model.kind == "local2d":
-        if _mm(model.gens["u"], act["t"]) != _mm(model.gens["t"], act["u"]):
+        if _compose(gens["u"], gens["t"]) != _compose(gens["t"], gens["u"]):
             raise SchemaError("u and t do not commute")
     if model.kind in ("triangular", "skew_poly"):
-        g = model.gens["g"]
+        g = gens["g"]
         n = model.n_classes
-        # ring relation e_i g = g e_{i+1} (indices mod n): right-action matrices
-        # compose in reverse, so check G @ E_i == E_{i+1} @ G
+        # ring relation e_i g = g e_{i+1} (indices mod n): right actions
+        # compose in reverse, so acting by g then e_i equals e_{i+1} then g
         for i in range(n):
-            lhs = _mm(g, act[model.idem_names[i]])
-            rhs = _mm(idems[(i + 1) % n], act["g"])
-            if lhs != rhs:
+            if _compose(g, idems[i]) != _compose(idems[(i + 1) % n], g):
                 raise SchemaError(f"corner generator does not shift class {i + 1}")
-        gn = eye
+        gn = tuple(range(model.dim))
         for _ in range(n):
-            gn = _mm(gn, act["g"])
-        gn_act = _gather(f"g^{n}", gn, model.dim)
-        for name, mat in model.gens.items():
-            if _mm(gn, act[name]) != _mm(mat, gn_act):
+            gn = _compose(gn, g)
+        for name, src in gens.items():
+            if _compose(gn, src) != _compose(src, gn):
                 raise SchemaError(f"g^{n} (= pi) does not commute with {name}")
     if model.kind == "skew_poly":
-        t = model.gens["t"]
-        for name, mat in model.gens.items():
-            if _mm(t, act[name]) != _mm(mat, act["t"]):
+        t = gens["t"]
+        for name, src in gens.items():
+            if _compose(t, src) != _compose(src, t):
                 raise SchemaError(f"t is not central: fails against {name}")
     filt = radical_filtration(model)
     index = len(filt) - 1
@@ -398,7 +361,7 @@ def module_closure(model: RingModel, rows) -> gfq.SubspaceRep:
     the generators, and extends the echelon basis by their images.
     """
     ident = tuple(range(model.dim))
-    acts = [act for act in model.gathers.values() if act != ident]  # the identity fixes every space
+    acts = [act for act in model.gens.values() if act != ident]  # the identity fixes every space
     sub, new = gfq.zero_space(model.field, model.dim).extend(rows)
     while new:
         sub, new = sub.extend([img for act in acts for img in _mm(new, act)])
@@ -409,32 +372,23 @@ def radical_subspace(model: RingModel, rep: gfq.SubspaceRep) -> gfq.SubspaceRep:
     """J X for an action-stable X: closure of the radical generators' images."""
     if rep.dim == 0:
         return rep
-    images = [img for name in model.rad_names for img in _mm(rep.rows, model.gathers[name])]
+    images = [img for name in model.rad_names for img in _mm(rep.rows, model.gens[name])]
     return module_closure(model, images)
 
 
-def _top_blocks(model: RingModel, rep: gfq.SubspaceRep):
-    """(JX, quotient X/JX, per-class block subspaces in quotient coordinates).
+def _top_rows(model: RingModel, rep: gfq.SubspaceRep):
+    """(JX, per-class rows): class i's rows span JX + X e_i modulo JX.
 
-    JX e_i lies in JX, so block i is spanned by the images of the quotient's
-    lift rows alone.
+    The idempotents sum to the identity, so X/JX is the direct sum of these
+    row blocks, and block i has the multiplicity of class i in the top.
     """
     jx = radical_subspace(model, rep)
-    quo = gfq.QuotientSpace(model.field, lower=jx, upper=rep)
-    blocks = []
-    for name in model.idem_names:
-        if rep.dim == 0 or quo.dim == 0:
-            blocks.append(gfq.zero_space(model.field, quo.dim))
-            continue
-        rows = quo.project(_mm(quo.lift_rows, model.gathers[name]))
-        blocks.append(gfq.SubspaceRep.from_rows(model.field, quo.dim, rows))
-    return jx, quo, blocks
+    return jx, [jx.extend(_mm(rep.rows, model.gens[name]))[1] for name in model.idem_names]
 
 
 def top_class(model: RingModel, rep: gfq.SubspaceRep) -> Monomial:
     """Multiplicity of each simple class in X/JX, as dim(JX + X e_i) - dim JX."""
-    jx = radical_subspace(model, rep)
-    return tuple(len(jx.extend(_mm(rep.rows, model.gathers[name]))[1]) for name in model.idem_names)
+    return tuple(len(rows) for rows in _top_rows(model, rep)[1])
 
 
 def composition_class(model: RingModel, upper: gfq.SubspaceRep, lower: gfq.SubspaceRep) -> Monomial:
@@ -446,30 +400,29 @@ def composition_class(model: RingModel, upper: gfq.SubspaceRep, lower: gfq.Subsp
     """
     if not upper.contains(lower):
         raise SchemaError("composition class needs lower <= upper")
-    return tuple(len(lower.extend(_mm(upper.rows, model.gathers[name]))[1]) for name in model.idem_names)
+    return tuple(len(lower.extend(_mm(upper.rows, model.gens[name]))[1]) for name in model.idem_names)
 
 
 def maximal_submodules(
-    model: RingModel, rep: gfq.SubspaceRep, budget: int = DEFAULT_NODE_BUDGET, top_blocks=None
+    model: RingModel, rep: gfq.SubspaceRep, budget: int = DEFAULT_NODE_BUDGET, top_rows=None
 ):
     """All maximal submodules of X, each tagged with its simple quotient class.
 
     They are the pullbacks of block hyperplanes of the top X/JX; the action on
     each block is scalar, so every linear hyperplane of a block is stable.
-    JX is extended once per block by the other blocks' lifts, and that base
-    once per hyperplane.  ``top_blocks`` passes in ``_top_blocks(model, rep)``
+    JX is extended once per block by the other blocks' rows, and that base
+    once per hyperplane.  ``top_rows`` passes in ``_top_rows(model, rep)``
     when the caller has it already.
     """
-    jx, quo, blocks = top_blocks if top_blocks is not None else _top_blocks(model, rep)
-    lifts = [quo.lift(b.rows) for b in blocks]
+    jx, blocks = top_rows if top_rows is not None else _top_rows(model, rep)
     out = []
     for bi, block in enumerate(blocks):
-        d = block.dim
+        d = len(block)
         if d == 0:
             continue
-        base = jx.extend([row for j, rows in enumerate(lifts) if j != bi for row in rows])[0]
+        base = jx.extend([row for j, rows in enumerate(blocks) if j != bi for row in rows])[0]
         for hyper in gfq.enumerate_subspaces(model.field, d, dims=d - 1, budget=budget):
-            child = base.extend(gfq.mat_mul(model.field, hyper.rows, lifts[bi]))[0]
+            child = base.extend(gfq.mat_mul(model.field, hyper.rows, block))[0]
             out.append((child, bi))
     return out
 
@@ -509,9 +462,9 @@ def submodule_bfs(
     for level in range(1, bound + 1):
         nxt: dict[gfq.SubspaceRep, SubmoduleNode] = {}
         for parent in frontier:
-            blocks = _top_blocks(model, parent.rep)
-            parent.top = tuple(b.dim for b in blocks[2])
-            for child, bi in maximal_submodules(model, parent.rep, budget, top_blocks=blocks):
+            top = _top_rows(model, parent.rep)
+            parent.top = tuple(len(rows) for rows in top[1])
+            for child, bi in maximal_submodules(model, parent.rep, budget, top_rows=top):
                 if child in nxt or child in nodes:
                     continue
                 cls = tuple(c + (1 if i == bi else 0) for i, c in enumerate(parent.cls))
@@ -594,7 +547,7 @@ def jordan_type(model: RingModel, rep: gfq.SubspaceRep, lower: gfq.SubspaceRep |
     """Partition of t-power ranks of X (or of X/lower) over a chain model."""
     if "t" not in model.gens:
         raise SchemaError(f"jordan_type needs a t action; model kind is {model.kind}")
-    t = model.gathers["t"]
+    t = model.gens["t"]
     base = lower if lower is not None else gfq.zero_space(model.field, model.dim)
     cur = rep.rows
     ranks = []
@@ -607,6 +560,28 @@ def jordan_type(model: RingModel, rep: gfq.SubspaceRep, lower: gfq.SubspaceRep |
     return _partition_from_ranks(ranks)
 
 
+def typed_submodules(
+    model: RingModel,
+    ambient: gfq.SubspaceRep,
+    sub_type,
+    quotient_type,
+    budget: int = DEFAULT_NODE_BUDGET,
+):
+    """Each D <= A with D of type ``sub_type`` and A/D of type ``quotient_type``, in BFS order."""
+    b = _as_partition(quotient_type)
+    c = _as_partition(sub_type)
+    colen = sum(b)
+    if sum(c) + colen != ambient.dim:
+        return  # lengths cannot match, so no D qualifies
+    for node in submodule_bfs(model, colen, start=ambient, budget=budget):
+        if (
+            node.colength == colen
+            and jordan_type(model, node.rep) == c
+            and jordan_type(model, ambient, lower=node.rep) == b
+        ):
+            yield node.rep
+
+
 def hall_number(
     model: RingModel,
     ambient: gfq.SubspaceRep,
@@ -615,21 +590,7 @@ def hall_number(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
     """Count D <= A with D of type ``sub_type`` and A/D of type ``quotient_type``."""
-    b = _as_partition(quotient_type)
-    c = _as_partition(sub_type)
-    colen = sum(b)
-    if sum(c) + colen != ambient.dim:
-        return 0  # lengths cannot match, so no D qualifies
-    count = 0
-    for node in submodule_bfs(model, colen, start=ambient, budget=budget):
-        if node.colength != colen:
-            continue
-        if jordan_type(model, node.rep) != c:
-            continue
-        if jordan_type(model, ambient, lower=node.rep) != b:
-            continue
-        count += 1
-    return count
+    return sum(1 for _ in typed_submodules(model, ambient, sub_type, quotient_type, budget))
 
 
 def chain_type_count(
@@ -647,19 +608,10 @@ def chain_type_count(
     if not steps:
         return 1
     (sub_t, quo_t), rest = steps[0], steps[1:]
-    b = _as_partition(quo_t)
-    c = _as_partition(sub_t)
-    colen = sum(b)
-    total = 0
-    for node in submodule_bfs(model, colen, start=ambient, budget=budget):
-        if node.colength != colen:
-            continue
-        if jordan_type(model, node.rep) != c:
-            continue
-        if jordan_type(model, ambient, lower=node.rep) != b:
-            continue
-        total += chain_type_count(model, node.rep, rest, budget)
-    return total
+    return sum(
+        chain_type_count(model, rep, rest, budget)
+        for rep in typed_submodules(model, ambient, sub_t, quo_t, budget)
+    )
 
 
 # -- fiber charts ---------------------------------------------------------------
@@ -668,9 +620,10 @@ def chain_type_count(
 class FiberContext:
     """Slice data for the chart X -> ((M meet I^-j X) + IM)/IM.
 
-    Built once per model: the image IM of the principal ideal generator, the
-    quotient coordinates on the slice M/IM, the induced slice model, and the
-    cached powers of the generator's matrix.
+    Built once per model: the coordinates ``free`` that the generator's
+    gather never writes (its image IM is spanned by the unit vectors e_k
+    with gather[k] >= 0, so the other coordinates are the slice M/IM), the
+    induced slice model, and the cached powers of the generator's matrix.
     """
 
     def __init__(self, model: RingModel):
@@ -678,16 +631,14 @@ class FiberContext:
             raise SchemaError(f"model kind {model.kind} has no designated ideal generator")
         self.model = model
         f = model.field
-        self.im = gfq.SubspaceRep.from_rows(f, model.dim, model.gens[model.slice_gen])
-        self.quo = gfq.QuotientSpace(f, lower=self.im)
-        slice_gens = {}
-        for name, act in model.gathers.items():
-            slice_gens[name] = self.quo.project(_mm(self.quo.lift_rows, act))
+        gen = model.gens[model.slice_gen]
+        self.free = [k for k in range(model.dim) if gen[k] < 0]
+        pos = {c: j for j, c in enumerate(self.free)}
         self.slice_model = RingModel(
             kind=f"{model.kind}_slice",
             field=f,
-            dim=self.quo.dim,
-            gens=slice_gens,
+            dim=len(self.free),
+            gens={name: tuple(pos.get(src[c], -1) for c in self.free) for name, src in model.gens.items()},
             rad_names=model.rad_names,
             idem_names=model.idem_names,
             alphabet=model.alphabet,
@@ -695,13 +646,17 @@ class FiberContext:
             params=dict(model.params, slice_of=model.kind),
             exact=model.exact,
         )
-        self.slice_full = gfq.full_space(f, self.quo.dim)
+        self.slice_full = gfq.full_space(f, len(self.free))
         self._powers = [gfq.identity(model.dim)]
 
     def _power(self, j: int) -> list[list[int]]:
         while len(self._powers) <= j:
-            self._powers.append(_mm(self._powers[-1], self.model.gathers[self.model.slice_gen]))
+            self._powers.append(_mm(self._powers[-1], self.model.gens[self.model.slice_gen]))
         return self._powers[j]
+
+    def project(self, rows) -> list[list[int]]:
+        """Slice coordinates of each row: its entries off IM."""
+        return [[row[c] for c in self.free] for row in rows]
 
     def chart(self, rep: gfq.SubspaceRep, max_level: int) -> ChainData:
         """Class-level chain data of the slice tower of X; must stabilize."""
@@ -709,7 +664,7 @@ class FiberContext:
         towers = []
         for j in range(max_level + 1):
             pre = gfq.left_kernel(f, rep.reduce(self._power(j)))
-            y = gfq.SubspaceRep.from_rows(f, self.quo.dim, self.quo.project(pre.rows))
+            y = gfq.SubspaceRep.from_rows(f, len(self.free), self.project(pre.rows))
             towers.append(y)
             if y == self.slice_full:
                 break

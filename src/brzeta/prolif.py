@@ -218,9 +218,9 @@ class SliceBase:
 
     @classmethod
     def from_json(cls, payload) -> "SliceBase":
-        if not isinstance(payload, dict):
+        spec = payload.get("base", payload) if isinstance(payload, dict) else payload
+        if not isinstance(spec, dict):
             raise SchemaError("slice base must be an object")
-        spec = payload.get("base", payload)
         kind = spec.get("kind")
         raw_sigma = payload.get("sigma", spec.get("sigma"))
         if kind == "semisimple":
@@ -678,7 +678,7 @@ def brs_factored_prolif(
             mod = _module_of_class(upper)
             poly = f_cache[upper] = _her.brs_F(order, mod, 2 * r * n + r)
         sliced = slice_coefficient(poly, (0,) * n + lower, n)
-        return sliced.extended(src_bound) if src_bound >= sliced.bound else sliced.truncated(src_bound)
+        return sliced.extended(src_bound)
 
     remainder = _proliferation_dfs(her_base, bound, pair_poly, budget)
     direct = proliferation_sum(her_base, bound, budget)

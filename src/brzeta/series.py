@@ -27,7 +27,6 @@ from .errors import (
     PseudoConvergenceError,
     SchemaError,
     TruncationBoundError,
-    as_int,
 )
 from .qcomb import prime_power_factors
 
@@ -132,20 +131,6 @@ class Alphabet:
                 parts.append(f"{entry.label}^{e}")
         return "*".join(parts) if parts else "1"
 
-    def to_json(self) -> list[dict]:
-        return [{"label": e.label, "q": e.q, "r": e.r} for e in self.entries]
-
-    @classmethod
-    def from_json(cls, payload) -> "Alphabet":
-        if not isinstance(payload, list):
-            raise SchemaError("alphabet payload must be a list of entries")
-        ents = []
-        for item in payload:
-            try:
-                ents.append(AlphabetEntry(item["label"], as_int(item["q"], "q"), as_int(item.get("r", 1), "r")))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"bad alphabet entry {item!r}: {exc}") from exc
-        return cls(ents)
 
 
 def _as_fraction(value) -> Fraction:
@@ -236,16 +221,6 @@ class TruncatedSeries:
             and self.bound == other.bound
             and self.coeffs == other.coeffs
         )
-
-    def agrees_with(self, other: "TruncatedSeries", up_to: int | None = None) -> bool:
-        """Coefficientwise agreement through ``up_to`` (default: smaller bound)."""
-        if self.alphabet != other.alphabet:
-            raise AlphabetMismatchError(f"{self.alphabet!r} vs {other.alphabet!r}")
-        cut = min(self.bound, other.bound) if up_to is None else up_to
-        if cut > min(self.bound, other.bound):
-            raise TruncationBoundError(f"agreement through {cut} exceeds bounds {self.bound}, {other.bound}")
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.coefficient(k) == other.coefficient(k) for k in keys if mono_degree(k) <= cut)
 
     def first_disagreement(self, other: "TruncatedSeries", up_to: int | None = None):
         """(monomial, self-coeff, other-coeff) at the least disagreeing monomial, or None."""
@@ -495,37 +470,6 @@ class TruncatedSeries:
                     actual=str(c),
                 )
         return self
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        terms = [
-            {"exp": list(k), "num": c.numerator, "den": c.denominator}
-            for k, c in sorted(self.coeffs.items())
-        ]
-        return {"alphabet": self.alphabet.to_json(), "bound": self.bound, "terms": terms}
-
-    @classmethod
-    def from_json_dict(cls, payload) -> "TruncatedSeries":
-        try:
-            alphabet = Alphabet.from_json(payload["alphabet"])
-            bound = int(payload["bound"])
-            raw = payload["terms"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad series payload: {exc}") from exc
-        coeffs: dict[Monomial, Fraction] = {}
-        for term in raw:
-            try:
-                exps = tuple(int(e) for e in term["exp"])
-                c = Fraction(int(term["num"]), int(term["den"]))
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-                raise SchemaError(f"bad series term {term!r}: {exc}") from exc
-            if mono_degree(exps) > bound:
-                raise SchemaError(f"term {term['exp']} exceeds declared bound {bound}")
-            if exps in coeffs:
-                raise SchemaError(f"duplicate exponent vector {term['exp']}")
-            coeffs[exps] = c
-        return cls(alphabet, bound, coeffs)
 
 
 def geometric_product(

@@ -293,6 +293,8 @@ class TestInputHandling:
             ["prolif", "--data", '{"kind": "hereditary", "q": 2, "n": 2, "columns": "12"}', "--truncate", "2"],
             ["oracle", "--model", '{"kind": "triangular", "q": 2, "n": 2, "c": 2, "columns": "12"}',
              "--colength", "1"],
+            ["prolif", "--data", '{"base": 5}', "--truncate", "2"],
+            ["prolif", "--data", '{"base": []}', "--truncate", "2"],
         ],
         ids=[
             "non-prime-power-model",
@@ -319,6 +321,8 @@ class TestInputHandling:
             "hereditary-columns-string",
             "prolif-columns-string",
             "triangular-columns-string",
+            "prolif-base-number",
+            "prolif-base-array",
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):

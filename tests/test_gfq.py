@@ -147,26 +147,6 @@ class TestExtend:
             gfq.zero_space(gfq.GF(2), 3).extend([[1, 0]])
 
 
-class TestQuotientSpace:
-    def test_project_lift_roundtrip(self):
-        f = gfq.GF(2)
-        lower = gfq.row_space(f, [[0, 0, 1, 0]])
-        quo = gfq.QuotientSpace(f, lower)
-        assert quo.dim == 3
-        down = quo.project([[1, 1, 0, 0]])
-        back = quo.project(gfq.mat_mul(f, down, quo.lift_rows))
-        assert down == back == [[1, 1, 0]]
-
-    def test_membership_projection(self):
-        f = gfq.GF(2)
-        lower = gfq.row_space(f, [[1, 1, 0]])
-        quo = gfq.QuotientSpace(f, lower)
-        assert quo.project([[1, 1, 0]]) == [[0, 0]]
-        upper = gfq.row_space(f, [[1, 1, 0], [0, 0, 1]])
-        with pytest.raises(SchemaError):
-            gfq.QuotientSpace(f, lower, upper).project([[1, 0, 0]])
-
-
 class TestChains:
     """Chains V_1 >= W_2, W_2 <= V_2 of a two-layer filtered space over F_2.
 

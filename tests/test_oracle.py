@@ -12,6 +12,11 @@ import brzeta.prolif as pr
 from brzeta.errors import ResourceBudgetError, SchemaError
 
 
+_TRI = orc.triangular_module(2, 2, 2, (1, 2))
+_LOCAL = orc.local2d_module(2, 3)
+_SKEW = orc.skew_module(2, 2, 1, 2)
+
+
 class TestModelConstruction:
     def test_validate_returns_nilpotency_index(self):
         assert orc.validate_model(orc.chain_module(2, 3, rank=2)) == 3
@@ -43,6 +48,24 @@ class TestModelConstruction:
         with pytest.raises(SchemaError):
             orc.chain_module(6, 2)
 
+    @pytest.mark.parametrize(
+        "model, name, src, message",
+        [
+            (_TRI, "e1", _TRI.gens["g"], "e1 is not idempotent"),
+            (_TRI, "e1", (0, -1, -1, -1, 4, 5, -1, -1), "do not sum to the identity"),
+            (_LOCAL, "t", (-1, 3, -1, -1, -1, -1), "u and t do not commute"),
+            (_TRI, "g", (-1, 0, -1, 2, -1, 4, -1, 6), "does not shift class 1"),  # g stays in each class
+            (_SKEW, "t", _SKEW.gens["g"], "t is not central"),
+        ],
+        ids=[
+            "not-idempotent", "idempotents-miss-a-coordinate", "u-t-not-commuting", "g-not-shifting", "t-not-central"
+        ],
+    )
+    def test_validate_refuses_broken_relations(self, model, name, src, message):
+        broken = dataclasses.replace(model, gens={**model.gens, name: src})
+        with pytest.raises(SchemaError, match=message):
+            orc.validate_model(broken)
+
 
 def _models(q):
     """One model of every kind over GF(q), plus the fiber slice models."""
@@ -60,6 +83,15 @@ def _random_rows(rng, model, count):
     return [[rng.randrange(model.field.q) for _ in range(model.dim)] for _ in range(count)]
 
 
+def _dense(src):
+    """The partial permutation matrix of a gather: row src[k] has its 1 in column k."""
+    mat = [[0] * len(src) for _ in src]
+    for k, j in enumerate(src):
+        if j >= 0:
+            mat[j][k] = 1
+    return mat
+
+
 class TestGeneratorActions:
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_gather_equals_matrix_product(self, q):
@@ -67,21 +99,40 @@ class TestGeneratorActions:
         kinds = set()
         for model in _models(q):
             kinds.add(model.kind)
-            assert set(model.gathers) == set(model.gens)
-            for name, mat in model.gens.items():
+            for name, src in model.gens.items():
                 rows = _random_rows(rng, model, 4)
-                assert orc._mm(rows, model.gathers[name]) == gfq.mat_mul(model.field, rows, mat), (model.kind, name)
+                assert orc._mm(rows, src) == gfq.mat_mul(model.field, rows, _dense(src)), (model.kind, name)
         assert kinds == {"chain", "local2d", "triangular", "skew_poly", "local2d_slice", "skew_poly_slice"}
+
+    def test_literal_generators(self):
+        chain = orc.chain_module(2, 3, rank=2)
+        assert chain.gens == {"t": (-1, 0, 1, -1, 3, 4), "e1": (0, 1, 2, 3, 4, 5)}
+        local = orc.local2d_module(2, 2)  # basis 1, t, u
+        assert local.gens == {"u": (-1, -1, 0), "t": (-1, 0, -1), "e1": (0, 1, 2)}
+        tri = orc.triangular_module(2, 2, 1, (1,))  # basis (1, pi^0), (2, pi^1)
+        assert tri.gens == {"g": (-1, 0), "e1": (0, -1), "e2": (-1, 1)}
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_slice_gathers_commute_with_projection(self, q):
+        rng = random.Random(20 + q)
+        for model in _models(q):
+            if model.slice_gen is None:
+                continue
+            ctx = orc.FiberContext(model)
+            for name, src in model.gens.items():
+                rows = _random_rows(rng, model, 4)
+                got = ctx.project(orc._mm(rows, src))
+                assert got == orc._mm(ctx.project(rows), ctx.slice_model.gens[name]), (model.kind, name)
 
     @pytest.mark.parametrize(
         "bad",
         [
-            [[0, 2, 0], [0, 0, 1], [0, 0, 0]],  # an entry that is not 0 or 1
-            [[0, 1, 0], [0, 1, 0], [0, 0, 0]],  # two 1s in one column
-            [[0, 1, 1], [0, 0, 0], [0, 0, 0]],  # two 1s in one row
-            [[0, 1], [0, 0]],  # wrong shape
+            (-1, 0, 0),  # source 0 read twice: row 0 of the matrix has two 1s
+            (-1, 0, 3),  # a source past the last coordinate
+            (-2, 0, 1),  # a source below -1
+            (-1, 0),  # wrong length
         ],
-        ids=["entry-2", "column-two-ones", "row-two-ones", "wrong-shape"],
+        ids=["row-two-ones", "source-dim", "source-minus-2", "wrong-shape"],
     )
     def test_non_partial_permutation_refused(self, bad):
         model = orc.chain_module(3, 3)
@@ -92,14 +143,27 @@ class TestGeneratorActions:
 def _fixed_point_closure(model, rows):
     """Reference closure: re-reduce everything with every generator until the dimension stops."""
     sub = gfq.SubspaceRep.from_rows(model.field, model.dim, rows)
+    mats = [_dense(src) for src in model.gens.values()]
     while True:
         stack = list(sub.rows)
-        for mat in model.gens.values():
+        for mat in mats:
             stack += gfq.mat_mul(model.field, sub.rows, mat)
         bigger = gfq.SubspaceRep.from_rows(model.field, model.dim, stack)
         if bigger.dim == sub.dim:
             return sub
         sub = bigger
+
+
+def _reference_top(model, rep):
+    """dim(JX + X E_i) - dim JX per class, with JX the closure of X's radical images."""
+    f = model.field
+    radical_images = [row for name in model.rad_names for row in gfq.mat_mul(f, rep.rows, _dense(model.gens[name]))]
+    jx = _fixed_point_closure(model, radical_images)
+    tops = []
+    for name in model.idem_names:
+        images = gfq.mat_mul(f, rep.rows, _dense(model.gens[name]))
+        tops.append(gfq.SubspaceRep.from_rows(f, model.dim, list(jx.rows) + images).dim - jx.dim)
+    return tuple(tops)
 
 
 class TestSpinAndTops:
@@ -130,7 +194,7 @@ class TestSpinAndTops:
     def test_every_node_top_matches_blocks(self, model, bound):
         nodes = orc.submodule_bfs(model, bound)
         for node in nodes:
-            want = tuple(b.dim for b in orc._top_blocks(model, node.rep)[2])
+            want = _reference_top(model, node.rep)
             assert orc.top_class(model, node.rep) == want
             if node.colength < bound:
                 assert node.top == want
@@ -181,6 +245,37 @@ class TestMaximalSubmodules:
         out = orc.maximal_submodules(m, m.full())
         assert len(out) == 2
         assert {bi for _, bi in out} == {0, 1}
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            orc.chain_module(3, 3, rank=2),
+            orc.local2d_module(2, 4),
+            orc.triangular_module(2, 2, 2, (1, 2)),
+            orc.triangular_module(2, 3, 1, (1, 2, 3)),
+            orc.local2d_module(4, 3),
+        ],
+        ids=["chain", "local2d", "triangular-n2", "triangular-n3", "local2d-q4"],
+    )
+    def test_matches_stable_hyperplanes(self, model):
+        f = model.field
+        for node in orc.submodule_bfs(model, 2):
+            x = node.rep
+            class_images = [
+                gfq.SubspaceRep.from_rows(f, model.dim, gfq.mat_mul(f, x.rows, _dense(model.gens[name])))
+                for name in model.idem_names
+            ]
+            want = set()
+            for hyper in gfq.enumerate_subspaces(f, x.dim, dims=x.dim - 1):
+                h = gfq.SubspaceRep.from_rows(f, model.dim, gfq.mat_mul(f, hyper.rows, x.rows))
+                if orc.module_closure(model, h.rows) != h:
+                    continue
+                # X/H is simple: exactly one class moves X out of H
+                (cls,) = [i for i, image in enumerate(class_images) if not h.contains(image)]
+                want.add((h, cls))
+            got = orc.maximal_submodules(model, x)
+            assert len(got) == len(want)
+            assert set(got) == want
 
 
 class TestSubmoduleCounts:
@@ -334,13 +429,12 @@ class TestFiberCharts:
 
     def test_two_generator_fibers(self):
         model = orc.local2d_module(2, 4)
-        f = model.field
         e0 = [[1] + [0] * (model.dim - 1)]
         assert orc.module_closure(model, e0) == model.full()
-        e0u = gfq.mat_mul(f, e0, model.gens["u"])
-        e0t = gfq.mat_mul(f, e0, model.gens["t"])
+        e0u = orc._mm(e0, model.gens["u"])
+        e0t = orc._mm(e0, model.gens["t"])
         ut = orc.module_closure(model, e0u + e0t)
-        ut2 = orc.module_closure(model, e0u + gfq.mat_mul(f, e0t, model.gens["t"]))
+        ut2 = orc.module_closure(model, e0u + orc._mm(e0t, model.gens["t"]))
         assert orc.composition_class(model, model.full(), ut) == (1,)
         assert orc.composition_class(model, model.full(), ut2) == (2,)
         ctx = orc.FiberContext(model)

@@ -55,9 +55,6 @@ class TestAlphabet:
         with pytest.raises(SchemaError, match="prime power"):
             AlphabetEntry("z", 6, 1)
 
-    def test_json_roundtrip(self):
-        assert Alphabet.from_json(Z3.to_json()) == Z3
-
     def test_format(self):
         assert Z3.format_monomial((0, 0, 0)) == "1"
         assert Z3.format_monomial((2, 1, 0)) == "z1^2*z2"
@@ -91,7 +88,6 @@ class TestArithmetic:
 
     def test_equality_requires_equal_bounds(self):
         assert (poly([1], bound=1) == poly([1], bound=2)) is False
-        assert poly([1], bound=1).agrees_with(poly([1], bound=2))
 
     def test_scalar_ops(self):
         f = poly([1, 1])
@@ -226,12 +222,6 @@ class TestSliceCoefficient:
         f = TruncatedSeries(self.ZW, 2, {})
         with pytest.raises(SchemaError):
             slice_coefficient(f, (1, 0), 1)
-
-
-class TestJson:
-    def test_roundtrip(self):
-        f = TruncatedSeries(Z3, 3, {(1, 1, 0): Fraction(5, 3), (0, 0, 1): -2})
-        assert TruncatedSeries.from_json_dict(f.to_json_dict()) == f
 
 
 small_series = st.builds(
