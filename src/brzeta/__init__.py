@@ -18,14 +18,14 @@ from .errors import (
     SchemaError,
     TruncationBoundError,
 )
-from .series import Alphabet, AlphabetEntry, TruncatedSeries, product_eval, slice_coefficient
+from .series import Alphabet, AlphabetEntry, TruncatedSeries, product_eval, split_trailing
 
 __all__ = [
     "Alphabet",
     "AlphabetEntry",
     "TruncatedSeries",
     "product_eval",
-    "slice_coefficient",
+    "split_trailing",
     "BrzetaError",
     "SchemaError",
     "AlphabetMismatchError",

@@ -10,7 +10,7 @@ triple pinpointing the first disagreement.  All comparisons are exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -326,7 +326,7 @@ def check_integrality(bound=4) -> CheckResult:
     module = her.HereditaryModuleSpec((1, 2))
     emitted.append(("hereditary joint", her.brz_two_variable(order, module, bound)))
     emitted.append(("hereditary total", her.total_zeta(order, module, bound)))
-    emitted.append(("hereditary partial", her.partial_zeta(order, module, her.TopClass((1, 1)), bound)))
+    emitted.append(("hereditary partial", her.partial_zeta(order, module, (1, 1), bound)))
     emitted.append(("prolif hereditary", pr.proliferation_sum(pr.SliceBase.hereditary(order, module), 3)))
     emitted.append(("prolif semisimple", pr.proliferation_sum(
         pr.SliceBase.semisimple(SemisimpleData.from_specs([(2, 1), (3, 2)])), 3)))

@@ -148,7 +148,7 @@ def _run_hereditary(config: RunConfig) -> int:
     bound = _require(config.truncate, "--truncate")
     partial = config.options.get("partial")
     if partial is not None:
-        series = her.partial_zeta(order, module, her.TopClass(_parse_ints(partial)), bound)
+        series = her.partial_zeta(order, module, _parse_ints(partial), bound)
     elif config.options.get("joint"):
         series = her.brz_two_variable(order, module, bound)
     elif config.options.get("factor"):
@@ -174,7 +174,7 @@ def _run_prolif(config: RunConfig) -> int:
     budget = config.budget if config.budget is not None else pr.DEFAULT_SEQUENCE_BUDGET
     mode = config.options.get("mode", "sum")
     if mode == "sliver":
-        return _emit(config, series=pr.single_sliver(base, bound, assert_isomorphic=True))
+        return _emit(config, series=pr.single_sliver(base, bound))
     if mode == "factored":
         prefactor, remainder = pr.brs_factored_prolif(base, bound, budget)
         doc = {

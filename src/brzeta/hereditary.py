@@ -19,7 +19,9 @@ Gaussian binomials (Andrews, *The Theory of Partitions*, ch. 3).  The
 brute-force oracle's triangular model is the independent check.
 
 Every returned term has w-degree exactly r, so a z-truncation at B is
-complete once the total-degree bound is B + r.
+complete once the total-degree bound is B + r.  Split by its w block once,
+the joint count gives one colength count per isomorphism class of sublattice
+(:func:`class_counts`); the partial and total counts read that table.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .series import (
     TruncatedSeries,
     geometric_product,
     mono_degree,
-    slice_coefficient,
+    split_trailing,
 )
 
 
@@ -83,19 +85,6 @@ class HereditaryModuleSpec:
     def top_vector(self, n: int) -> tuple[int, ...]:
         """Multiplicity of each simple class in M's top."""
         return tuple(sum(1 for c in self.columns if c == i) for i in range(1, n + 1))
-
-
-@dataclass(frozen=True)
-class TopClass:
-    """Isomorphism class of a full-rank sublattice: projective multiplicities."""
-
-    rho: tuple[int, ...]
-
-    def __post_init__(self):
-        rho = tuple(int(x) for x in self.rho)
-        object.__setattr__(self, "rho", rho)
-        if any(x < 0 for x in rho):
-            raise SchemaError(f"class multiplicities must be >= 0, got {rho}")
 
 
 def _validate_pair(order: HereditaryOrderSpec, module: HereditaryModuleSpec):
@@ -354,30 +343,33 @@ def brs_F(order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound: int) 
     return poly.extended(bound)
 
 
+def class_counts(
+    order: HereditaryOrderSpec, module: HereditaryModuleSpec, z_bound: int
+) -> dict[tuple[int, ...], TruncatedSeries]:
+    """Sublattice counts by colength monomial, one entry per isomorphism class
+    that occurs, keyed by its projective multiplicities.
+
+    The joint series is split by its w block once; every w-degree is r, so
+    each entry is complete through ``z_bound``.
+    """
+    return split_trailing(brz_two_variable(order, module, z_bound), order.n)
+
+
 def partial_zeta(
-    order: HereditaryOrderSpec, module: HereditaryModuleSpec, top: TopClass, z_bound: int
+    order: HereditaryOrderSpec, module: HereditaryModuleSpec, rho, z_bound: int
 ) -> TruncatedSeries:
     """Count of sublattices in one isomorphism class, by colength monomial."""
-    rho = top.rho if isinstance(top, TopClass) else TopClass(tuple(top)).rho
-    n = order.n
-    if len(rho) != n:
-        raise SchemaError(f"class vector has {len(rho)} slots, order has {n} classes")
-    if sum(rho) != module.r:
-        return TruncatedSeries.zero(z_alphabet(order.q, order.n), z_bound)
-    joint = brz_two_variable(order, module, z_bound)
-    return slice_coefficient(joint, (0,) * n + tuple(rho), n)
+    rho = tuple(rho)
+    if len(rho) != order.n or any(x < 0 for x in rho):
+        raise SchemaError(f"class vector needs {order.n} multiplicities >= 0, got {rho}")
+    hit = class_counts(order, module, z_bound).get(rho)
+    return hit if hit is not None else TruncatedSeries.zero(z_alphabet(order.q, order.n), z_bound)
 
 
 def total_zeta(order: HereditaryOrderSpec, module: HereditaryModuleSpec, z_bound: int) -> TruncatedSeries:
     """Colength count with the class markers forgotten (all w_i -> 1)."""
-    joint = brz_two_variable(order, module, z_bound)
-    n = order.n
-    out: dict[Monomial, Fraction] = {}
-    for exps, c in joint.items():
-        zpart = exps[:n]
-        if mono_degree(zpart) <= z_bound:
-            out[zpart] = out.get(zpart, Fraction(0)) + c
-    return TruncatedSeries(z_alphabet(order.q, order.n), z_bound, out)
+    zero = TruncatedSeries.zero(z_alphabet(order.q, order.n), z_bound)
+    return sum(class_counts(order, module, z_bound).values(), zero)
 
 
 def hereditary_from_json(payload) -> tuple[HereditaryOrderSpec, HereditaryModuleSpec]:

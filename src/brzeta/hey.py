@@ -91,9 +91,6 @@ class SemisimpleData:
             entries.append(SemisimpleEntry(str(label), q, m, r))
         return cls(entries)
 
-    def to_json(self) -> list:
-        return [{"label": e.label, "q": e.q, "m": e.m, "r": e.r} for e in self.entries]
-
 
 def hey_product(data: SemisimpleData, bound: int) -> TruncatedSeries:
     """Submodule-class generating series of the split module, as a product.

@@ -1,13 +1,15 @@
 """Assembly of full submodule counts from counts over a designated slice.
 
 The module M sits over a ring with an invertible ideal I; the slice M/IM is
-small (semisimple, a free module over a discrete valuation slice, or a
-lattice over a chain order), and a permutation sigma records how tensoring
-with I permutes the simple classes.  Every finite-colength submodule X of M
-is rebuilt layer by layer from its images in M/IM, which turns the full count
-into a sum over sequences of slice classes of substituted slice counts: the
-layer-j substitution sends each class variable to a degree-(j+1) monomial
-with a hom-count scalar, so the sum is finite under any truncation bound.
+small (split, or a lattice over a chain order; a free module over a discrete
+valuation slice is the one-class lattice), and a permutation sigma records
+how tensoring with I permutes the simple classes.  Every finite-colength
+submodule X of M is rebuilt layer by layer from its images in M/IM, which
+turns the full count into a sum over sequences of slice classes of
+substituted slice counts: the layer-j substitution sends each class variable
+to a degree-(j+1) monomial with a hom-count scalar, so the sum is finite
+under any truncation bound.  Each layer reads one per-class table: the
+submodules of a slice module of the upper class, keyed by their own class.
 
 Also here: the layered product form for split slices, Dirichlet
 specializations (one-class ideal counts, the integer power-series ring count
@@ -29,7 +31,7 @@ from .errors import (
     TruncationBoundError,
     as_int,
 )
-from .hey import SemisimpleData, SemisimpleEntry, hey_product
+from .hey import SemisimpleData
 from .qcomb import gaussian_binomial, partition_count
 from .series import (
     Alphabet,
@@ -37,9 +39,8 @@ from .series import (
     Monomial,
     TruncatedSeries,
     geometric_product,
-    mono_degree,
     product_eval,
-    slice_coefficient,
+    split_trailing,
 )
 
 ClassVec = tuple[int, ...]
@@ -71,12 +72,13 @@ def perm_apply(sigma: tuple[int, ...], vec: ClassVec) -> ClassVec:
 class SliceBase:
     """The slice M/IM plus the class permutation induced by tensoring with I.
 
-    Kinds: ``semisimple`` (split module, one variable per simple class),
-    ``dvr`` (free rank-m module over a discrete valuation slice, one class),
-    ``hereditary`` (chain-order lattice, classes 1..n).
+    Kinds: ``semisimple`` (split module, one variable per simple class) and
+    ``hereditary`` (chain-order lattice, classes 1..n).  Each kind hands out
+    one table per slice class: the submodules of a slice module of that
+    class, keyed by their own class (:meth:`class_counts`).
     """
 
-    def __init__(self, kind, *, data=None, q=None, m=None, order=None, module=None, sigma=None):
+    def __init__(self, kind, *, data=None, order=None, module=None, sigma=None):
         self.kind = kind
         if kind == "semisimple":
             if not isinstance(data, SemisimpleData):
@@ -85,11 +87,6 @@ class SliceBase:
                 raise SchemaError("semisimple base needs at least one class")
             self.data = data
             n = len(data.entries)
-        elif kind == "dvr":
-            if q is None or m is None or q < 2 or m < 0:
-                raise SchemaError(f"dvr base needs q >= 2 and m >= 0, got q={q}, m={m}")
-            self.q, self.m = int(q), int(m)
-            n = 1
         elif kind == "hereditary":
             if not isinstance(order, _her.HereditaryOrderSpec) or not isinstance(
                 module, _her.HereditaryModuleSpec
@@ -108,19 +105,20 @@ class SliceBase:
 
     @classmethod
     def dvr(cls, q: int, m: int) -> "SliceBase":
-        return cls("dvr", q=q, m=m)
+        """Free rank-m module over a discrete valuation slice: the one-class
+        lattice of rank m, or for m = 0 the zero split module."""
+        if q < 2 or m < 0:
+            raise SchemaError(f"dvr base needs q >= 2 and m >= 0, got q={q}, m={m}")
+        if m == 0:
+            return cls.semisimple(SemisimpleData.from_specs([(q, 0)]))
+        return cls.hereditary(_her.HereditaryOrderSpec(q, 1), _her.HereditaryModuleSpec((1,) * m))
 
     @classmethod
     def hereditary(cls, order, module, sigma=None) -> "SliceBase":
         return cls("hereditary", order=order, module=module, sigma=sigma)
 
     def __repr__(self) -> str:
-        if self.kind == "semisimple":
-            core = repr(self.data)
-        elif self.kind == "dvr":
-            core = f"q={self.q}, m={self.m}"
-        else:
-            core = f"{self.order}, {self.module}"
+        core = repr(self.data) if self.kind == "semisimple" else f"{self.order}, {self.module}"
         return f"SliceBase({self.kind}, {core}, sigma={self.sigma})"
 
     # -- class bookkeeping -------------------------------------------------
@@ -128,22 +126,16 @@ class SliceBase:
     def alphabet(self) -> Alphabet:
         if self.kind == "semisimple":
             return self.data.alphabet()
-        if self.kind == "dvr":
-            return _her.z_alphabet(self.q, 1)
         return _her.z_alphabet(self.order.q, self.order.n)
 
     def class_qs(self) -> tuple[int, ...]:
         if self.kind == "semisimple":
             return tuple(e.q for e in self.data.entries)
-        if self.kind == "dvr":
-            return (self.q,)
         return (self.order.q,) * self.order.n
 
     def top_class(self) -> ClassVec:
         if self.kind == "semisimple":
             return tuple(e.m for e in self.data.entries)
-        if self.kind == "dvr":
-            return (self.m,)
         return self.module.top_vector(self.order.n)
 
     def fibre_classes(self) -> list[ClassVec]:
@@ -151,8 +143,6 @@ class SliceBase:
         if self.kind == "semisimple":
             ranges = [range(e.m + 1) for e in self.data.entries]
             return [tuple(v) for v in _iter_product(*ranges)]
-        if self.kind == "dvr":
-            return [(self.m,)]
         # lattice classes of the same rank: compositions of r into n parts
         r, n = self.module.r, self.order.n
         out = []
@@ -177,44 +167,33 @@ class SliceBase:
 
     # -- slice counts --------------------------------------------------------
 
-    def pair_zeta(self, upper: ClassVec, lower: ClassVec, bound: int) -> TruncatedSeries:
-        """Count of submodules of class ``lower`` inside a slice module of class
-        ``upper``, by colength monomial over the slice alphabet."""
+    def class_counts(self, upper: ClassVec, bound: int) -> dict[ClassVec, TruncatedSeries]:
+        """Submodules of a slice module of class ``upper`` by colength monomial
+        over the slice alphabet, keyed by their class; only classes that occur
+        at this bound are present."""
+        if self.kind == "hereditary":
+            return _her.class_counts(self.order, _module_of_class(upper), bound)
         al = self.alphabet()
-        if self.kind == "semisimple":
-            coeff = 1
-            exps = []
-            for e, a, b in zip(self.data.entries, upper, lower):
-                if b > a:
-                    return TruncatedSeries.zero(al, bound)
-                coeff *= gaussian_binomial(a, b, e.q)
-                exps.append(a - b)
-            return TruncatedSeries(al, bound, {tuple(exps): Fraction(coeff)})
-        if self.kind == "dvr":
-            if lower != upper:
-                return TruncatedSeries.zero(al, bound)
-            return _her.solomon_hey_factor(upper[0], self.q, bound, al, (1,))
-        return _her.partial_zeta(self.order, _module_of_class(upper), _her.TopClass(lower), bound)
+        out = {}
+        for lower in _iter_product(*(range(a + 1) for a in upper)):
+            exps = tuple(a - b for a, b in zip(upper, lower))
+            if sum(exps) <= bound:
+                coeff = 1
+                for e, a, b in zip(self.data.entries, upper, lower):
+                    coeff *= gaussian_binomial(a, b, e.q)
+                out[lower] = TruncatedSeries(al, bound, {exps: coeff})
+        return out
 
     def total_zeta(self, bound: int) -> TruncatedSeries:
         """Count of all finite-colength submodules of the slice module."""
-        al = self.alphabet()
-        if self.kind == "semisimple":
-            out = TruncatedSeries.zero(al, bound)
-            for lower in self.fibre_classes():
-                out = out + self.pair_zeta(self.top_class(), lower, bound)
-            return out
-        if self.kind == "dvr":
-            return _her.solomon_hey_factor(self.m, self.q, bound, al, (1,))
-        return _her.total_zeta(self.order, self.module, bound)
+        zero = TruncatedSeries.zero(self.alphabet(), bound)
+        return sum(self.class_counts(self.top_class(), bound).values(), zero)
 
     def all_submodules_isomorphic(self) -> bool:
         """True when every finite-colength submodule of the slice is a copy of it."""
-        if self.kind == "dvr":
-            return True
         if self.kind == "hereditary":
             return self.order.n == 1
-        return False
+        return not any(self.top_class())
 
     @classmethod
     def from_json(cls, payload) -> "SliceBase":
@@ -261,20 +240,6 @@ def _module_of_class(rho: ClassVec) -> _her.HereditaryModuleSpec:
 
 
 @dataclass(frozen=True)
-class ClassSequence:
-    """Finite prefix of a class sequence; the last stored entry repeats forever."""
-
-    entries: tuple[ClassVec, ...]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise SchemaError("class sequence needs at least one entry")
-
-    def at(self, j: int) -> ClassVec:
-        return self.entries[min(j, len(self.entries) - 1)]
-
-
-@dataclass(frozen=True)
 class ChainData:
     """Increasing chain of slice submodules by class: tops of the Y_j and the
     classes of the successive quotients Y_{j+1}/Y_j; constant beyond the
@@ -300,17 +265,19 @@ class ChainData:
         return self.y_tops[min(j, len(self.y_tops) - 1)]
 
 
-def change_of_variable(base: SliceBase, seq, j: int) -> dict[int, tuple[Fraction, Monomial]]:
+def change_of_variable(
+    base: SliceBase, seq: tuple[ClassVec, ...], j: int
+) -> dict[int, tuple[Fraction, Monomial]]:
     """Layer-j substitution targets: z_i -> scalar_i * prod_k z_{sigma^k(i)}.
 
-    ``seq`` supplies the classes P_0..P_j (a ClassSequence or plain sequence);
+    ``seq`` supplies the classes P_0..P_j, its last entry repeating forever;
     the scalar divides out the hom count from P_j and multiplies the hom counts
     from P_{j-k} against the k-times-twisted class, so the j=0 map is the
     identity.  Targets have degree j+1, which keeps truncation sound.
     """
     if j < 0:
         raise SchemaError(f"layer index must be >= 0, got {j}")
-    at = seq.at if isinstance(seq, ClassSequence) else lambda k: seq[min(k, len(seq) - 1)]
+    last = len(seq) - 1
     n = base.n_classes
     sigma = base.sigma
     mapping: dict[int, tuple[Fraction, Monomial]] = {}
@@ -321,10 +288,10 @@ def change_of_variable(base: SliceBase, seq, j: int) -> dict[int, tuple[Fraction
         for k in range(j + 1):
             exps[tgt] += 1
             unit = tuple(1 if s == tgt else 0 for s in range(n))
-            num *= base.hom_count(at(j - k), unit)
+            num *= base.hom_count(seq[min(j - k, last)], unit)
             tgt = sigma[tgt]
         unit_i = tuple(1 if s == i else 0 for s in range(n))
-        mapping[i] = (num / base.hom_count(at(j), unit_i), tuple(exps))
+        mapping[i] = (num / base.hom_count(seq[min(j, last)], unit_i), tuple(exps))
     return mapping
 
 
@@ -356,28 +323,17 @@ def fundamental_fiber_product(base: SliceBase, chain: ChainData, bound: int) -> 
     return TruncatedSeries(al, bound, {tuple(exps): coeff})
 
 
-def semisimple_partial_zeta(
-    a: int, b: int, q: int, entry: int, bound: int, alphabet: Alphabet | None = None
-) -> TruncatedSeries:
-    """Submodule count of one split class: gaussian_binomial(a,b,q) z_entry^(a-b)."""
-    if not 0 <= b <= a:
-        raise SchemaError(f"need 0 <= b <= a, got a={a}, b={b}")
-    if alphabet is None:
-        alphabet = Alphabet((AlphabetEntry("z", q, 1),))
-    exps = [0] * len(alphabet)
-    exps[entry] = a - b
-    return TruncatedSeries(alphabet, bound, {tuple(exps): Fraction(gaussian_binomial(a, b, q))})
-
-
 # -- proliferation sums -------------------------------------------------------
 
 
-def _proliferation_dfs(base: SliceBase, bound: int, pair_series, budget: int) -> TruncatedSeries:
+def _proliferation_dfs(base: SliceBase, bound: int, class_counts, budget: int) -> TruncatedSeries:
     """Sum over class sequences of the product of substituted layer counts.
 
-    ``pair_series(upper, lower, src_bound)`` supplies the layer count in the
-    slice alphabet; layers at positions >= bound reduce to 1 at this bound
-    because a class jump at position j costs degree >= j+1.  Every visited
+    ``class_counts(upper, src_bound)`` supplies the layer counts in the slice
+    alphabet, keyed by the lower class, as :meth:`SliceBase.class_counts`
+    does; it is asked once per (upper, src_bound).  Layers at positions
+    >= bound reduce to 1 at this bound because a class jump at position j
+    costs degree >= j+1.  Every visited
     node of the search counts against ``budget``.
     """
     al = base.alphabet()
@@ -389,15 +345,8 @@ def _proliferation_dfs(base: SliceBase, bound: int, pair_series, budget: int) ->
     top = base.top_class()
     classes = base.fibre_classes()
     total = TruncatedSeries.zero(al, bound)
-    cache: dict[tuple[ClassVec, ClassVec, int], TruncatedSeries] = {}
+    tables: dict[tuple[ClassVec, int], dict[ClassVec, TruncatedSeries]] = {}
     visited = 0
-
-    def raw_pair(upper: ClassVec, lower: ClassVec, src_bound: int) -> TruncatedSeries:
-        key = (upper, lower, src_bound)
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = pair_series(upper, lower, src_bound)
-        return hit
 
     def rec(j: int, seq: tuple[ClassVec, ...], acc: TruncatedSeries):
         nonlocal total, visited
@@ -411,8 +360,11 @@ def _proliferation_dfs(base: SliceBase, bound: int, pair_series, budget: int) ->
             return
         src_bound = bound // (j + 1)
         for upper in classes if j + 1 < bound else [top]:
-            raw = raw_pair(upper, seq[j], src_bound)
-            if raw.is_zero():
+            table = tables.get((upper, src_bound))
+            if table is None:
+                table = tables[upper, src_bound] = class_counts(upper, src_bound)
+            raw = table.get(seq[j])
+            if raw is None:
                 continue
             mapping = change_of_variable(base, seq + (upper,), j)
             factor = raw.substitute(al, mapping, bound)
@@ -428,28 +380,26 @@ def _proliferation_dfs(base: SliceBase, bound: int, pair_series, budget: int) ->
 
 def proliferation_sum(base: SliceBase, bound: int, budget: int = DEFAULT_SEQUENCE_BUDGET) -> TruncatedSeries:
     """Full submodule count of M assembled from slice counts over class sequences."""
-    return _proliferation_dfs(base, bound, lambda u, l, b: base.pair_zeta(u, l, b), budget)
+    return _proliferation_dfs(base, bound, base.class_counts, budget)
 
 
-def single_sliver(base: SliceBase, bound: int, assert_isomorphic: bool = False) -> TruncatedSeries:
+def single_sliver(base: SliceBase, bound: int) -> TruncatedSeries:
     """Product form when all finite-colength slice submodules are copies of the slice.
 
-    Automatic for dvr bases (and one-class lattice bases); other bases need
-    the caller to assert the hypothesis explicitly.
+    Holds for dvr bases (one-class lattices and the zero module); any other
+    base is refused.
     """
-    if not (base.all_submodules_isomorphic() or assert_isomorphic):
-        raise SchemaError(
-            "single-sliver form needs all finite-colength slice submodules isomorphic; "
-            "pass assert_isomorphic=True to override"
-        )
+    if not base.all_submodules_isomorphic():
+        raise SchemaError("single-sliver form needs all finite-colength slice submodules isomorphic")
     al = base.alphabet()
     if bound < 0:
         raise TruncationBoundError(f"bound must be >= 0, got {bound}")
-    top = ClassSequence((base.top_class(),))
+    top = (base.top_class(),)
+    full = base.total_zeta(bound)
 
     def factors():
         for j in range(bound):
-            src = base.total_zeta(bound // (j + 1))
+            src = full.truncated(bound // (j + 1))
             mapping = change_of_variable(base, top, j)
             yield j + 1, src.substitute(al, mapping, bound)
 
@@ -633,18 +583,6 @@ def zjv_factor(ell: int, q: int, j: int, bound: int) -> TruncatedSeries:
     return out
 
 
-def _as_hereditary(base: SliceBase) -> tuple[_her.HereditaryOrderSpec, _her.HereditaryModuleSpec, SliceBase]:
-    if base.kind == "hereditary":
-        return base.order, base.module, base
-    if base.kind == "dvr":
-        if base.m < 1:
-            raise SchemaError("factored form needs a nonzero module")
-        order = _her.HereditaryOrderSpec(base.q, 1)
-        module = _her.HereditaryModuleSpec((1,) * base.m)
-        return order, module, SliceBase.hereditary(order, module, base.sigma)
-    raise SchemaError("factored form needs a lattice (hereditary or dvr) base")
-
-
 def brs_factored_prolif(
     base: SliceBase, bound: int, budget: int = DEFAULT_SEQUENCE_BUDGET
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -654,34 +592,35 @@ def brs_factored_prolif(
     remainder is the class-sequence sum with each layer count replaced by its
     polynomial part.  Their product must reproduce the plain assembled sum.
     """
-    order, module, her_base = _as_hereditary(base)
+    if base.kind != "hereditary":
+        raise SchemaError("factored form needs a lattice (hereditary or nonzero dvr) base")
+    order, module = base.order, base.module
     q, n, r = order.q, order.n, module.r
-    al = her_base.alphabet()
+    al = base.alphabet()
     if bound < 0:
         raise TruncationBoundError(f"bound must be >= 0, got {bound}")
     v_exps = (1,) * n
-    top_seq = ClassSequence((her_base.top_class(),))
+    top_seq = (base.top_class(),)
 
     def prefactor_layers():
         for j in range(bound):
             src = _her.solomon_hey_factor(r, q, bound // (j + 1), al, v_exps)
-            mapping = change_of_variable(her_base, top_seq, j)
+            mapping = change_of_variable(base, top_seq, j)
             yield (j + 1) * n, src.substitute(al, mapping, bound)
 
     prefactor = product_eval(al, bound, prefactor_layers())
 
-    f_cache: dict[ClassVec, TruncatedSeries] = {}
+    f_cache: dict[ClassVec, dict[ClassVec, TruncatedSeries]] = {}
 
-    def pair_poly(upper: ClassVec, lower: ClassVec, src_bound: int) -> TruncatedSeries:
-        poly = f_cache.get(upper)
-        if poly is None:
-            mod = _module_of_class(upper)
-            poly = f_cache[upper] = _her.brs_F(order, mod, 2 * r * n + r)
-        sliced = slice_coefficient(poly, (0,) * n + lower, n)
-        return sliced.extended(src_bound)
+    def poly_counts(upper: ClassVec, src_bound: int) -> dict[ClassVec, TruncatedSeries]:
+        split = f_cache.get(upper)
+        if split is None:
+            poly = _her.brs_F(order, _module_of_class(upper), 2 * r * n + r)
+            split = f_cache[upper] = split_trailing(poly, n)
+        return {lower: part.extended(src_bound) for lower, part in split.items()}
 
-    remainder = _proliferation_dfs(her_base, bound, pair_poly, budget)
-    direct = proliferation_sum(her_base, bound, budget)
+    remainder = _proliferation_dfs(base, bound, poly_counts, budget)
+    direct = proliferation_sum(base, bound, budget)
     if prefactor * remainder != direct:
         raise FormulaViolationError(
             "factored assembly disagrees with the direct class-sequence sum",

@@ -75,7 +75,7 @@ class AlphabetEntry:
 class Alphabet:
     """Ordered tuple of entries; fixes the exponent-vector layout."""
 
-    __slots__ = ("entries", "_by_label")
+    __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[AlphabetEntry | tuple]):
         # empty alphabets are legal: the series ring degenerates to constants
@@ -84,7 +84,6 @@ class Alphabet:
         if len(set(labels)) != len(labels):
             raise SchemaError(f"duplicate alphabet labels in {labels}")
         self.entries = ents
-        self._by_label = {e.label: i for i, e in enumerate(ents)}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -104,9 +103,6 @@ class Alphabet:
     def __repr__(self) -> str:
         inner = ", ".join(f"{e.label}:q^r={e.q}^{e.r}" for e in self.entries)
         return f"Alphabet({inner})"
-
-    def index(self, label: str) -> int:
-        return self._by_label[label]
 
     def zero(self) -> Monomial:
         return (0,) * len(self.entries)
@@ -222,11 +218,11 @@ class TruncatedSeries:
             and self.coeffs == other.coeffs
         )
 
-    def first_disagreement(self, other: "TruncatedSeries", up_to: int | None = None):
+    def first_disagreement(self, other: "TruncatedSeries"):
         """(monomial, self-coeff, other-coeff) at the least disagreeing monomial, or None."""
         if self.alphabet != other.alphabet:
             raise AlphabetMismatchError(f"{self.alphabet!r} vs {other.alphabet!r}")
-        cut = min(self.bound, other.bound) if up_to is None else up_to
+        cut = min(self.bound, other.bound)
         keys = sorted(
             (k for k in set(self.coeffs) | set(other.coeffs) if mono_degree(k) <= cut),
             key=lambda k: (mono_degree(k), k),
@@ -276,8 +272,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.alphabet, self.bound, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -482,11 +476,12 @@ def geometric_product(
     return out
 
 
+#: Factors :func:`product_eval` takes before it refuses a floor that never passes the bound.
+STALL_LIMIT = 20000
+
+
 def product_eval(
-    alphabet: Alphabet,
-    bound: int,
-    factors: Iterable[tuple[int, TruncatedSeries]],
-    stall_limit: int = 20000,
+    alphabet: Alphabet, bound: int, factors: Iterable[tuple[int, TruncatedSeries]]
 ) -> TruncatedSeries:
     """Evaluate a (possibly infinite) product of unit series at a truncation.
 
@@ -506,9 +501,9 @@ def product_eval(
         if floor > bound:
             break
         count += 1
-        if count > stall_limit:
+        if count > STALL_LIMIT:
             raise PseudoConvergenceError(
-                f"{stall_limit} factors consumed without the floor passing {bound}; "
+                f"{STALL_LIMIT} factors consumed without the floor passing {bound}; "
                 "the product is not certified to converge at this truncation"
             )
         if factor.alphabet != alphabet:
@@ -527,27 +522,16 @@ def product_eval(
     return acc
 
 
-def slice_coefficient(series: TruncatedSeries, h: Monomial, first_count: int) -> TruncatedSeries:
-    """Extract the coefficient of a second-copy monomial from a split alphabet.
+def split_trailing(series: TruncatedSeries, first_count: int) -> dict[Monomial, TruncatedSeries]:
+    """Split a series over a two-block alphabet by its trailing-block monomials.
 
     The alphabet is read as ``first_count`` leading entries plus a trailing
-    block; ``h`` is an exponent vector over the full alphabet supported on the
-    trailing block.  Returns the series over the leading block that multiplies
-    the trailing monomial; it is complete through ``bound - degree(h)``.
+    block.  Each key h is a trailing exponent vector that occurs; its value is
+    the series over the leading block that multiplies h, complete through
+    ``bound - degree(h)``.
     """
-    n = len(series.alphabet)
-    h = tuple(h)
-    if len(h) != n:
-        raise SchemaError(f"slice monomial has {len(h)} slots, alphabet has {n}")
-    if any(h[i] for i in range(first_count)):
-        raise SchemaError("slice monomial must be supported on the trailing block")
-    d = mono_degree(h)
-    if d > series.bound:
-        raise TruncationBoundError(f"slice degree {d} exceeds bound {series.bound}")
-    tail = h[first_count:]
-    sub_alphabet = Alphabet(series.alphabet.entries[:first_count])
-    out: dict[Monomial, Fraction] = {}
+    parts: dict[Monomial, dict[Monomial, Fraction]] = {}
     for k, c in series.coeffs.items():
-        if k[first_count:] == tail:
-            out[k[:first_count]] = c
-    return TruncatedSeries(sub_alphabet, series.bound - d, out)
+        parts.setdefault(k[first_count:], {})[k[:first_count]] = c
+    sub_alphabet = Alphabet(series.alphabet.entries[:first_count])
+    return {h: TruncatedSeries(sub_alphabet, series.bound - mono_degree(h), c) for h, c in parts.items()}

@@ -295,6 +295,10 @@ class TestInputHandling:
              "--colength", "1"],
             ["prolif", "--data", '{"base": 5}', "--truncate", "2"],
             ["prolif", "--data", '{"base": []}', "--truncate", "2"],
+            ["prolif", "--mode", "sliver", "--data", '{"kind": "semisimple", "entries": [{"q": 2, "m": 2}]}',
+             "--truncate", "3"],
+            ["prolif", "--mode", "sliver", "--data", '{"kind": "hereditary", "q": 2, "n": 2, "columns": [1, 2]}',
+             "--truncate", "3"],
         ],
         ids=[
             "non-prime-power-model",
@@ -323,6 +327,8 @@ class TestInputHandling:
             "triangular-columns-string",
             "prolif-base-number",
             "prolif-base-array",
+            "sliver-split-rank-two",
+            "sliver-two-class-lattice",
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):

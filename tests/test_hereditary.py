@@ -3,11 +3,13 @@
 import functools
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from brzeta import gfq
 from brzeta import hereditary as her
+from brzeta import oracle as orc
 from brzeta.errors import SchemaError
 from brzeta.qcomb import gaussian_binomial
 from brzeta.series import TruncatedSeries
@@ -32,7 +34,9 @@ class TestSpecs:
 
     def test_top_class_validation(self):
         with pytest.raises(SchemaError):
-            her.TopClass((1, -1))
+            her.partial_zeta(ORDER22, MOD12, (1, -1), 2)
+        with pytest.raises(SchemaError):
+            her.partial_zeta(ORDER22, MOD12, (2,), 2)
 
 
 class TestSubstitutionData:
@@ -238,7 +242,7 @@ class TestTwoVariable:
         assert all(exps[1] == 2 for exps, _ in joint.items())
 
     def test_mixed_columns_slice(self):
-        sliced = her.partial_zeta(ORDER22, MOD12, her.TopClass((1, 1)), 6)
+        sliced = her.partial_zeta(ORDER22, MOD12, (1, 1), 6)
         # (1+2v) * solomon_hey_factor(2,2,v): 1, 5, 13, 29 in v = z1 z2
         expect = {0: 1, 1: 5, 2: 13, 3: 29}
         for k, c in expect.items():
@@ -258,8 +262,24 @@ class TestTwoVariable:
         total = her.total_zeta(ORDER22, MOD12, 3)
         acc = TruncatedSeries.zero(total.alphabet, 3)
         for rho in [(0, 2), (1, 1), (2, 0)]:
-            acc = acc + her.partial_zeta(ORDER22, MOD12, her.TopClass(rho), 3)
+            acc = acc + her.partial_zeta(ORDER22, MOD12, rho, 3)
         assert acc == total
+
+
+class TestClassCounts:
+    @pytest.mark.parametrize(
+        "q,n,columns",
+        [(2, 2, (1, 2)), (3, 2, (1, 1)), (4, 2, (1, 2)), (2, 3, (1, 2, 3)), (4, 3, (1, 3))],
+    )
+    def test_each_class_matches_enumeration(self, q, n, columns):
+        order, module = her.HereditaryOrderSpec(q, n), her.HereditaryModuleSpec(columns)
+        table = her.class_counts(order, module, 2)
+        model = orc.triangular_module(q, n, -(-3 // n), columns)
+        zero = TruncatedSeries.zero(her.z_alphabet(q, n), 2)
+        rhos = [rho for rho in product(range(module.r + 1), repeat=n) if sum(rho) == module.r]
+        assert set(table) <= set(rhos)
+        for rho in rhos:
+            assert table.get(rho, zero) == orc.empirical_zeta(model, 2, partial=rho), rho
 
 
 class TestPolynomialFactor:

@@ -50,52 +50,59 @@ class TestSliceBase:
         )
         assert base.kind == "hereditary" and base.sigma == (1, 0)
         base = pr.SliceBase.from_json({"kind": "dvr", "q": 3, "m": 2})
-        assert (base.q, base.m) == (3, 2)
+        assert base.kind == "hereditary"
+        assert (base.order.q, base.order.n, base.module.columns) == (3, 1, (1, 1))
+        base = pr.SliceBase.from_json({"kind": "dvr", "q": 3, "m": 0})
+        assert base.kind == "semisimple" and base.top_class() == (0,)
         with pytest.raises(SchemaError):
             pr.SliceBase.from_json({"kind": "mystery"})
 
 
 class TestPairZeta:
+    """Entries of the per-class tables: one (upper, lower) pair each."""
+
     def test_semisimple_is_gaussian_monomial(self):
         semi = pr.SliceBase.semisimple(SemisimpleData.from_specs([(2, 2)]))
-        f = semi.pair_zeta((2,), (1,), 3)
-        assert f == TruncatedSeries.monomial(semi.alphabet(), 3, (1,), 3)
-        assert semi.pair_zeta((1,), (2,), 3).is_zero()
+        table = semi.class_counts((2,), 3)
+        assert table[(1,)] == TruncatedSeries.monomial(semi.alphabet(), 3, (1,), 3)
+        assert set(table) == {(0,), (1,), (2,)}
+        assert (2,) not in semi.class_counts((1,), 3)
 
     def test_dvr_is_hey(self):
-        f = DVR22.pair_zeta((2,), (2,), 3)
-        assert f == z_poly(DVR22, [1, 3, 7, 15])
+        table = DVR22.class_counts((2,), 3)
+        assert table == {(2,): z_poly(DVR22, [1, 3, 7, 15])}
 
     def test_hereditary_partial(self):
-        f = HER12.pair_zeta((1, 1), (1, 1), 4)
+        f = HER12.class_counts((1, 1), 4)[(1, 1)]
         assert f.coefficient((0, 0)) == 1
         assert f.coefficient((1, 1)) == 5
 
     def test_semisimple_partial_zeta_op(self):
-        assert pr.semisimple_partial_zeta(2, 2, 2, 0, 2).constant_term == 1
-        f = pr.semisimple_partial_zeta(2, 1, 2, 0, 2)
-        assert f.coefficient((1,)) == 3
-        f = pr.semisimple_partial_zeta(3, 1, 2, 0, 3)
-        assert f.coefficient((2,)) == 7
+        rank2 = pr.SliceBase.semisimple(SemisimpleData.from_specs([(2, 2)]))
+        assert rank2.class_counts((2,), 2)[(2,)].constant_term == 1
+        assert rank2.class_counts((2,), 2)[(1,)].coefficient((1,)) == 3
+        rank3 = pr.SliceBase.semisimple(SemisimpleData.from_specs([(2, 3)]))
+        assert rank3.class_counts((3,), 3)[(1,)].coefficient((2,)) == 7
+        # colength 3 lies above bound 2: the zero submodule's class is absent
+        assert (0,) not in rank3.class_counts((3,), 2)
 
 
 class TestChangeOfVariable:
     def test_layer_zero_is_identity(self):
-        seq = pr.ClassSequence(((1,), (1,)))
-        mapping = pr.change_of_variable(DVR21, seq, 0)
+        mapping = pr.change_of_variable(DVR21, ((1,), (1,)), 0)
         assert mapping == {0: (Fraction(1), (1,))}
 
     def test_dvr_layer_two(self):
-        seq = pr.ClassSequence(((1,), (1,), (1,), (1,)))
-        mapping = pr.change_of_variable(DVR21, seq, 2)
+        mapping = pr.change_of_variable(DVR21, ((1,), (1,), (1,), (1,)), 2)
         assert mapping == {0: (Fraction(4), (3,))}
+        # the last entry repeats: a one-entry sequence gives the same map
+        assert pr.change_of_variable(DVR21, ((1,),), 2) == mapping
 
     def test_hereditary_swap(self):
         base = pr.SliceBase.hereditary(
             her.HereditaryOrderSpec(2, 2), her.HereditaryModuleSpec((1, 2)), sigma=(1, 0)
         )
-        seq = pr.ClassSequence(((1, 1), (1, 1)))
-        mapping = pr.change_of_variable(base, seq, 1)
+        mapping = pr.change_of_variable(base, ((1, 1), (1, 1)), 1)
         scalar, exps = mapping[0]
         assert scalar == 2 and exps == (1, 1)
 
@@ -168,7 +175,15 @@ class TestSingleSliver:
     def test_isomorphism_hypothesis_check(self):
         with pytest.raises(SchemaError):
             pr.single_sliver(HER12, 2)
-        pr.single_sliver(HER12, 2, assert_isomorphic=True)
+        with pytest.raises(SchemaError):
+            pr.single_sliver(pr.SliceBase.semisimple(SemisimpleData.from_specs([(2, 2)])), 2)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_dvr_three_ways(self, q):
+        for m in range(4):
+            sliver = pr.single_sliver(pr.SliceBase.dvr(q, m), 5)
+            assert pr.proliferation_sum(pr.SliceBase.dvr(q, m), 5) == sliver, m
+            assert pr.lifted_hey(SemisimpleData.from_specs([(q, m)]), None, 5) == sliver, m
 
 
 class TestLiftedHey:
@@ -249,13 +264,12 @@ def _sequence_term(base, tops, bound):
     """Product of substituted pair zetas for one padded class sequence."""
     al = base.alphabet()
     top = base.top_class()
-    padded = tuple(tops) + (top,) * (bound + 1 - len(tops))
-    seq = pr.ClassSequence(padded)
+    seq = tuple(tops) + (top,) * (bound + 1 - len(tops))
     term = TruncatedSeries.one(al, bound)
     for j in range(bound):
         src_bound = bound // (j + 1)
-        factor = base.pair_zeta(seq.at(j + 1), seq.at(j), src_bound)
-        if factor.is_zero():
+        factor = base.class_counts(seq[j + 1], src_bound).get(seq[j])
+        if factor is None:
             return TruncatedSeries.zero(al, bound)
         term = term * factor.substitute(al, pr.change_of_variable(base, seq, j), bound)
     return term

@@ -20,7 +20,7 @@ from brzeta.series import (
     AlphabetEntry,
     TruncatedSeries,
     product_eval,
-    slice_coefficient,
+    split_trailing,
 )
 
 Z = Alphabet([("z", 2, 1)])
@@ -199,11 +199,13 @@ class TestDirichlet:
 
 
 class TestSliceCoefficient:
+    """Parts of :func:`split_trailing`: the coefficient of one trailing monomial."""
+
     ZW = Alphabet([("z", 2, 1), ("w", 2, 1)])
 
     def test_trivial_slice(self):
         f = TruncatedSeries(self.ZW, 2, {(0, 0): 1, (1, 0): 5})
-        sliced = slice_coefficient(f, (0, 0), 1)
+        sliced = split_trailing(f, 1)[(0,)]
         assert sliced.constant_term == 1
         assert sliced.coefficient((1,)) == 5
 
@@ -211,17 +213,12 @@ class TestSliceCoefficient:
         w_over_1mz = TruncatedSeries(
             self.ZW, 4, {(k, 1): 1 for k in range(4)}
         )
-        sliced = slice_coefficient(w_over_1mz, (0, 1), 1)
-        assert sliced == TruncatedSeries(Alphabet([("z", 2, 1)]), 3, {(k,): 1 for k in range(4)})
+        parts = split_trailing(w_over_1mz, 1)
+        assert parts == {(1,): TruncatedSeries(Alphabet([("z", 2, 1)]), 3, {(k,): 1 for k in range(4)})}
 
     def test_absent_monomial(self):
         f = TruncatedSeries(self.ZW, 2, {(0, 1): 1, (1, 1): 1})
-        assert slice_coefficient(f, (0, 2), 1).is_zero()
-
-    def test_monomial_must_live_in_second_block(self):
-        f = TruncatedSeries(self.ZW, 2, {})
-        with pytest.raises(SchemaError):
-            slice_coefficient(f, (1, 0), 1)
+        assert (2,) not in split_trailing(f, 1)
 
 
 small_series = st.builds(
@@ -259,6 +256,19 @@ def test_substitute_is_multiplicative(f, g):
     lhs = (f * g).substitute(Z3, mapping, 3)
     rhs = f.substitute(Z3, mapping, 3) * g.substitute(Z3, mapping, 3)
     assert lhs == rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_series, st.integers(0, 3))
+def test_split_trailing_reassembles(f, first_count):
+    # each part times its trailing monomial, summed, restores the series
+    acc = TruncatedSeries.zero(Z3, f.bound)
+    for h, part in split_trailing(f, first_count).items():
+        assert part.alphabet == Alphabet(Z3.entries[:first_count])
+        assert part.bound == f.bound - sum(h)
+        lifted = TruncatedSeries(Z3, f.bound, {k + (0,) * len(h): c for k, c in part.coeffs.items()})
+        acc = acc + lifted * TruncatedSeries.monomial(Z3, f.bound, (0,) * first_count + h)
+    assert acc == f
 
 
 @settings(max_examples=40, deadline=None)
