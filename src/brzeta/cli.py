@@ -49,6 +49,10 @@ class RunConfig:
     def __post_init__(self):
         if self.truncate is not None and self.truncate < 0:
             raise TruncationBoundError(f"bound must be >= 0, got {self.truncate}")
+        for name, flag in (("n_max", "--max"), ("budget", "--budget"), ("time_budget", "--budget")):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:  # also refuses a NaN time budget
+                raise SchemaError(f"{flag} must be >= 0, got {value}")
         if self.fmt not in ("json", "csv"):
             raise SchemaError(f"output format must be json or csv, got {self.fmt!r}")
 

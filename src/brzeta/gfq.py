@@ -1,17 +1,25 @@
 """Exact linear algebra over small finite fields GF(q), q = p^e <= 256.
 
 Field elements are integers ``0..q-1`` encoding polynomials over F_p in base
-p.  All arithmetic goes through lookup tables held as tuples, so prime and
-prime-power fields share one rref and one matrix-product loop, written in
-plain Python over matrices held as lists of rows.  Subspaces are held in
-reduced-row-echelon canonical form as tuples of rows, which makes them
-hashable and makes equality a tuple comparison; ``SubspaceRep.extend`` grows
-one by new rows without reducing its basis again, and the rows it reports
-as new span the bigger space modulo the old one, which is all the oracle
-needs of a quotient.  The one enumeration,
+p, with addition, multiplication, negation and inverse tables held as
+tuples.  A row vector is packed into one Python int, in one layout for every
+field: coordinate k of a width-n row sits in slot n-1-k, and a slot holds
+the element's e base-p digits in subslots of w bits (w = 1 for p = 2, else
+``p.bit_length() + 1``, one bit to spare for a carry).  Int order is then
+the order of the rows as tuples.  Over p = 2 addition is XOR; over odd p it
+is one integer add and a carry test per subslot; scaling acts on the digit
+planes.  A matrix is a list of packed rows whose width is passed alongside,
+and :func:`pack` and :func:`unpack` are the only conversions from and to
+lists of elements.  Subspaces are held in reduced-row-echelon canonical
+form as tuples of packed rows, which makes them hashable and makes equality
+a tuple comparison.  Reducing rows against an RREF basis reads their
+entries at the basis pivots once and visits only the nonzero ones;
+``SubspaceRep.extend`` grows a space by new rows without reducing its basis
+again, and the rows it reports as new span the bigger space modulo the old
+one, which is all the oracle needs of a quotient.  The one enumeration,
 :func:`enumerate_subspaces`, serves the brute-force oracle; it counts its
-output first (Gaussian binomials) and refuses to exceed the budget.  Chains of
-subspaces are not enumerated here: the closed engines count them with
+output first (Gaussian binomials) and refuses to exceed the budget.  Chains
+of subspaces are not enumerated here: the closed engines count them with
 Gaussian binomials.
 """
 
@@ -172,80 +180,252 @@ def tables(field: FieldSpec) -> Tables:
     return Tables(add, mul, neg, tuple(inv))
 
 
-# -- matrices -----------------------------------------------------------------
+# -- packed rows ----------------------------------------------------------------
 #
-# A matrix is a sequence of rows, each a sequence of field elements; results
-# are lists of row lists.  A matrix with no rows carries no width.
+# The layout is described in the module docstring.  Raw slot values order
+# like the element codes, so int order is tuple order.
 
 
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+class _Layout:
+    """Per-field constants of the packed layout, derived from the field's tables."""
+
+    def __init__(self, field: FieldSpec):
+        p, e, q = field.p, field.e, field.q
+        t = tables(field)
+        self.p, self.e = p, e
+        self.w = 1 if p == 2 else p.bit_length() + 1
+        self.S = e * self.w  # bits per slot
+        self.slot = (1 << self.S) - 1
+        #: code -> raw slot value, and back
+        self.raw = tuple(sum(d << (i * self.w) for i, d in enumerate(field.decode(v))) for v in range(q))
+        self.code = {r: v for v, r in enumerate(self.raw)}
+        self.inv = {self.raw[v]: self.raw[t.inv[v]] for v in range(1, q)}
+        self.minus_one = self.raw[t.neg[1]]
+        # m's F_p multiplication matrix as (source digit j, target digit i,
+        # coefficient c) terms, digit offsets in bits: digit i of m * alpha^j is c
+        self.terms = {}
+        for v in range(q):
+            cols = [field.decode(t.mul[v][p**j]) for j in range(e)]
+            self.terms[self.raw[v]] = tuple(
+                (j * self.w, i * self.w, c) for j in range(e) for i, c in enumerate(cols[j]) if c
+            )
 
 
-def rref(field: FieldSpec, mat) -> tuple[list[list[int]], int, list[int]]:
-    """RREF copy (zero rows last), rank, and pivot columns."""
-    add, mul, neg, inv = tables(field)
-    a = [list(row) for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    pivots = []
-    for c in range(cols):
-        rank = len(pivots)
-        if rank == rows:
-            break
-        for p in range(rank, rows):
-            if a[p][c]:
-                break
-        else:
-            continue
-        a[rank], a[p] = a[p], a[rank]
-        top = a[rank]
-        if top[c] != 1:
-            scale = mul[inv[top[c]]]
-            top = a[rank] = [scale[x] for x in top]
-        for r in range(rows):
-            f = a[r][c]
-            if f and r != rank:
-                m = mul[neg[f]]
-                a[r] = [add[x][m[y]] for x, y in zip(a[r], top)]
-        pivots.append(c)
-    return a, len(pivots), pivots
+@lru_cache(maxsize=None)
+def _layout(field: FieldSpec) -> _Layout:
+    return _Layout(field)
 
 
-def mat_mul(field: FieldSpec, a, b) -> list[list[int]]:
-    """Product a·b, accumulated one row of ``b`` at a time."""
-    add, mul = tables(field)[:2]
-    if a and len(a[0]) != len(b):
-        raise SchemaError(f"matmul shape mismatch {len(a)}x{len(a[0])} x {len(b)} rows")
-    width = len(b[0]) if b else 0
+class _Arith:
+    """``add``, ``scale`` and ``axpy`` (x - f * b) on packed rows of width n.
+
+    Over p = 2 scaling XORs at most e^2 shifted digit planes.  Over odd p,
+    ``add`` and ``sub`` subtract p from every subslot that reached it, and
+    scaling applies m's F_p matrix to the digit planes, multiplying each by
+    doubling and adding.  The operations are closures over the width's masks.
+    """
+
+    def __init__(self, lay: _Layout, n: int):
+        S, p, w, terms = lay.S, lay.p, lay.w, lay.terms
+        self.S, self.slot, self.inv = S, lay.slot, lay.inv
+        base = ((1 << (n * S)) - 1) // lay.slot  # the low bit of every slot
+
+        if p == 2:
+
+            def scale(m, x):
+                if m == 1:
+                    return x
+                y = 0
+                for j, i, _ in terms[m]:
+                    y ^= ((x >> j) & base) << i
+                return y
+
+            def axpy(x, f, b):
+                return x ^ (b if f == 1 else scale(f, b))
+
+            self.add, self.scale, self.axpy = int.__xor__, scale, axpy
+            return
+
+        top = w - 1
+        ones = base * sum(1 << (i * w) for i in range(lay.e))  # the low bit of every subslot
+        carry = ones * ((1 << top) - p)  # a subslot s >= p iff s + carry sets its bit w-1
+        big_p = ones * p
+        digit = base * ((1 << w) - 1)  # digit 0 of every slot
+        minus_one = lay.minus_one
+
+        def add(a, b):
+            s = a + b
+            return s - (((s + carry) >> top) & ones) * p
+
+        def sub(a, b):
+            s = a + big_p - b
+            return s - (((s + carry) >> top) & ones) * p
+
+        def times(c, x):
+            """c * x for an integer 1 <= c < p."""
+            y = x
+            for bit in bin(c)[3:]:
+                y = add(y, y)
+                if bit == "1":
+                    y = add(y, x)
+            return y
+
+        def scale(m, x):
+            if m == 1:
+                return x
+            y = 0
+            for j, i, c in terms[m]:
+                y = add(y, times(c, (x >> j) & digit) << i)
+            return y
+
+        def axpy(x, f, b):
+            if f == 1:
+                return sub(x, b)
+            if f == minus_one:
+                return add(x, b)
+            return sub(x, scale(f, b))
+
+        self.add, self.scale, self.axpy = add, scale, axpy
+
+
+@lru_cache(maxsize=None)
+def _arith(field: FieldSpec, n: int) -> _Arith:
+    return _Arith(_layout(field), n)
+
+
+def pack(field: FieldSpec, row) -> int:
+    """The packed int of a row of field elements (codes 0..q-1)."""
+    lay = _layout(field)
+    x = 0
+    for v in row:
+        if not 0 <= v < field.q:
+            raise SchemaError(f"entry {v!r} is not an element of GF({field.q})")
+        x = (x << lay.S) | lay.raw[v]
+    return x
+
+
+def unpack(field: FieldSpec, n: int, x: int) -> list[int]:
+    """The width-``n`` row of field elements held in the packed int ``x``."""
+    lay = _layout(field)
+    return [lay.code[(x >> ((n - 1 - k) * lay.S)) & lay.slot] for k in range(n)]
+
+
+def _units(field: FieldSpec, n: int) -> list[int]:
+    """Rows of the n x n identity matrix."""
+    S = _layout(field).S
+    return [1 << ((n - 1 - k) * S) for k in range(n)]
+
+
+def _check_width(S: int, n: int, mat) -> None:
+    if mat and (min(mat) < 0 or max(mat) >> (n * S)):
+        raise SchemaError(f"rows must have {n} columns, the ambient dimension")
+
+
+def _monic(ar: _Arith, x: int) -> tuple[int, int]:
+    """(bit offset of the leading slot, x scaled to lead with 1) for a nonzero row."""
+    sh = (x.bit_length() - 1) // ar.S * ar.S
+    return sh, x if x >> sh == 1 else ar.scale(ar.inv[x >> sh], x)
+
+
+def _clear(ar: _Arith, mat, mask: int, by_slot: dict[int, int]) -> list[int]:
+    """Each row with every RREF basis pivot in ``mask`` eliminated.
+
+    A basis row is zero at every other pivot, so the entries of a row at the
+    pivots are read once and only the nonzero ones cost a row operation.
+    """
+    S, axpy = ar.S, ar.axpy
     out = []
-    for row in a:
-        acc = [0] * width
-        for x, brow in zip(row, b):
-            if x:
-                m = mul[x]
-                acc = [add[s][m[y]] for s, y in zip(acc, brow)]
+    for x in mat:
+        hit = x & mask
+        while hit:
+            sh = (hit.bit_length() - 1) // S * S
+            x = axpy(x, hit >> sh, by_slot[sh])
+            hit &= (1 << sh) - 1
+        out.append(x)
+    return out
+
+
+def rref(field: FieldSpec, mat, n: int) -> tuple[list[int], int, list[int]]:
+    """RREF of width-``n`` packed rows (zero rows last), rank, and pivot columns.
+
+    Each row is reduced by the echelon rows found so far at its leading slot
+    until its lead is new, and then normalized; back-substitution from the
+    rightmost pivot clears the entries above the pivots.  A row operation
+    only ever touches rows that share a leading slot or hit a pivot.
+    """
+    ar = _arith(field, n)
+    S, axpy = ar.S, ar.axpy
+    by_slot: dict[int, int] = {}
+    for x in mat:
+        while x:
+            sh = (x.bit_length() - 1) // S * S
+            b = by_slot.get(sh)
+            if b is None:
+                by_slot[sh] = _monic(ar, x)[1]
+                break
+            x = axpy(x, x >> sh, b)
+    leads = sorted(by_slot)
+    mask = 0  # the pivots right of the current one, already cleared of each other
+    for sh in leads:
+        (by_slot[sh],) = _clear(ar, [by_slot[sh]], mask, by_slot)
+        mask |= ar.slot << sh
+    leads.reverse()
+    rows = [by_slot[sh] for sh in leads]
+    return rows + [0] * (len(mat) - len(rows)), len(rows), [n - 1 - sh // S for sh in leads]
+
+
+def mat_mul(field: FieldSpec, a, b, n: int) -> list[int]:
+    """Product a·b of packed matrices; ``b`` has ``len(b)`` rows of width ``n``."""
+    ar = _arith(field, n)
+    S, k, add, scale = ar.S, len(b), ar.add, ar.scale
+    out = []
+    for x in a:
+        if x < 0 or x >> (k * S):
+            raise SchemaError(f"matmul shape mismatch: a row of the left factor is wider than its {k} rows")
+        acc = 0
+        while x:
+            sh = (x.bit_length() - 1) // S * S
+            acc = add(acc, scale(x >> sh, b[k - 1 - sh // S]))
+            x &= (1 << sh) - 1
         out.append(acc)
     return out
 
 
-class SubspaceRep:
-    """Row space in RREF canonical form; hashable, equality by its rows."""
+def compile_gather(field: FieldSpec, n: int, src) -> tuple[tuple[tuple[int, int], ...], int]:
+    """A gather on width-``n`` rows as masked shifts: ``((mask, up), ...), down``.
 
-    __slots__ = ("field", "ambient", "rows", "pivots", "_key")
+    Entry k of ``src`` is the coordinate that the image reads at k, or -1 for
+    0; the image has width ``len(src)``.  Sources moving by the same number
+    of slots share one mask, and the image of x is the OR of
+    ``(x & mask) << up`` over the pairs, shifted right by ``down``.
+    """
+    lay, m = _layout(field), len(src)
+    masks: dict[int, int] = {}
+    for k, j in enumerate(src):
+        if j >= 0:
+            move = ((m - 1 - k) - (n - 1 - j)) * lay.S
+            masks[move] = masks.get(move, 0) | (lay.slot << ((n - 1 - j) * lay.S))
+    down = max([0, *(-move for move in masks)])
+    return tuple((mask, move + down) for move, mask in sorted(masks.items())), down
+
+
+class SubspaceRep:
+    """Row space in RREF canonical form; hashable, equality by its packed rows."""
+
+    __slots__ = ("field", "ambient", "rows", "pivots", "_key", "_index")
 
     def __init__(self, field: FieldSpec, ambient: int, rows, pivots):
         self.field = field
         self.ambient = ambient
-        self.rows = tuple(tuple(row) for row in rows)
+        self.rows = tuple(rows)
         self.pivots = tuple(pivots)
         self._key = (field, ambient, self.rows)
+        self._index = None
 
     @classmethod
     def from_rows(cls, field: FieldSpec, ambient: int, mat) -> "SubspaceRep":
-        if any(len(row) != ambient for row in mat):
-            raise SchemaError(f"rows must have {ambient} columns, the ambient dimension")
-        r, rank, piv = rref(field, mat)
+        _check_width(_layout(field).S, ambient, mat)
+        r, rank, piv = rref(field, mat, ambient)
         return cls(field, ambient, r[:rank], piv)
 
     @property
@@ -261,49 +441,52 @@ class SubspaceRep:
     def __repr__(self) -> str:
         return f"SubspaceRep(dim={self.dim}, ambient={self.ambient}, q={self.field.q})"
 
-    def reduce(self, mat) -> list[list[int]]:
-        """Eliminate this space's pivot columns from the given rows (a copy)."""
-        return [list(row) for row in _eliminate(self.field, mat, self.pivots, self.rows)]
+    def _eliminator(self):
+        """(arithmetic, pivot mask, pivot slot -> row), built once per space."""
+        if self._index is None:
+            ar = _arith(self.field, self.ambient)
+            by_slot = {(self.ambient - 1 - c) * ar.S: x for c, x in zip(self.pivots, self.rows)}
+            self._index = (ar, sum(ar.slot << sh for sh in by_slot), by_slot)
+        return self._index
 
-    def extend(self, mat) -> tuple["SubspaceRep", list[tuple[int, ...]]]:
+    def reduce(self, mat) -> list[int]:
+        """Eliminate this space's pivot columns from the given packed rows (a copy)."""
+        ar, mask, by_slot = self._eliminator()
+        return _clear(ar, mat, mask, by_slot)
+
+    def extend(self, mat) -> tuple["SubspaceRep", list[int]]:
         """This space plus the row space of ``mat``, and the rows that are new.
 
         The given rows are reduced against this basis, only their residue is
-        echelonized, and the residue's pivots are eliminated from the old
-        basis rows; the result equals ``from_rows(self.rows + mat)`` without
-        reducing the old basis again.  The new rows are the residue's RREF
-        rows: rows of the bigger basis that span it modulo this space.
+        echelonized (a single row is only normalized), and the residue's
+        pivots are eliminated from the old basis rows; the result equals
+        ``from_rows(self.rows + mat)`` without reducing the old basis again.
+        The new rows are the residue's RREF rows: rows of the bigger basis
+        that span it modulo this space.
         """
-        if any(len(row) != self.ambient for row in mat):
-            raise SchemaError(f"rows must have {self.ambient} columns, the ambient dimension")
-        residue = [row for row in _eliminate(self.field, mat, self.pivots, self.rows) if any(row)]
+        n = self.ambient
+        ar, mask, by_slot = self._eliminator()
+        _check_width(ar.S, n, mat)
+        residue = [x for x in _clear(ar, mat, mask, by_slot) if x]
         if not residue:
             return self, []
-        echelon, rank, new_pivots = rref(self.field, residue)
-        new = [tuple(row) for row in echelon[:rank]]
-        old = _eliminate(self.field, self.rows, new_pivots, new)
-        merged = sorted(zip((*self.pivots, *new_pivots), (*old, *new)), key=lambda pr: pr[0])
-        bigger = SubspaceRep(self.field, self.ambient, [row for _, row in merged], [c for c, _ in merged])
+        if len(residue) == 1:
+            sh, x = _monic(ar, residue[0])
+            new, new_pivots = [x], [n - 1 - sh // ar.S]
+        else:
+            echelon, rank, new_pivots = rref(self.field, residue, n)
+            new = echelon[:rank]
+        new_slots = {(n - 1 - c) * ar.S: x for c, x in zip(new_pivots, new)}
+        old = _clear(ar, self.rows, sum(ar.slot << sh for sh in new_slots), new_slots)
+        # distinct pivots: descending ints are ascending pivot columns
+        rows = sorted([*old, *new], reverse=True)
+        bigger = SubspaceRep(self.field, n, rows, sorted([*self.pivots, *new_pivots]))
         return bigger, new
 
     def contains(self, other: "SubspaceRep") -> bool:
         if other.dim > self.dim:
             return False
-        return not any(any(row) for row in self.reduce(other.rows))
-
-
-def _eliminate(field: FieldSpec, mat, pivots, basis) -> list:
-    """Clear each pivot column of ``basis`` (unit at its pivot) from every row of ``mat``."""
-    add, mul, neg, _ = tables(field)
-    out = []
-    for row in mat:
-        for c, brow in zip(pivots, basis):
-            f = row[c]
-            if f:
-                m = mul[neg[f]]
-                row = [add[x][m[y]] for x, y in zip(row, brow)]
-        out.append(row)
-    return out
+        return not any(self.reduce(other.rows))
 
 
 def zero_space(field: FieldSpec, ambient: int) -> SubspaceRep:
@@ -311,24 +494,25 @@ def zero_space(field: FieldSpec, ambient: int) -> SubspaceRep:
 
 
 def full_space(field: FieldSpec, ambient: int) -> SubspaceRep:
-    return SubspaceRep(field, ambient, identity(ambient), range(ambient))
+    return SubspaceRep(field, ambient, _units(field, ambient), range(ambient))
 
 
-def row_space(field: FieldSpec, mat, ambient: int | None = None) -> SubspaceRep:
-    if ambient is None:
-        ambient = len(mat[0]) if mat else 0
+def row_space(field: FieldSpec, mat, ambient: int) -> SubspaceRep:
     return SubspaceRep.from_rows(field, ambient, mat)
 
 
-def left_kernel(field: FieldSpec, mat) -> SubspaceRep:
-    """All row vectors v with v·mat = 0; ambient = number of rows of mat."""
+def left_kernel(field: FieldSpec, mat, n: int) -> SubspaceRep:
+    """All row vectors v with v·mat = 0 for width-``n`` rows; ambient = number of rows of mat."""
     k = len(mat)
     if k == 0:
         return zero_space(field, 0)
-    d = len(mat[0])
-    aug = [list(row) + unit for row, unit in zip(mat, identity(k))]
-    r, rank, piv = rref(field, aug)
-    return SubspaceRep.from_rows(field, k, [r[i][d:] for i in range(rank) if piv[i] >= d])
+    S = _layout(field).S
+    # [mat | identity]: the identity fills the low k slots
+    aug = [(x << (k * S)) | unit for x, unit in zip(mat, _units(field, k))]
+    r, rank, piv = rref(field, aug, n + k)
+    # rows pivoting in the identity block are zero on the mat block
+    kernel = [(x, c - n) for x, c in zip(r[:rank], piv) if c >= n]
+    return SubspaceRep(field, k, [x for x, _ in kernel], [c for _, c in kernel])
 
 
 def subspace_sum(a: SubspaceRep, b: SubspaceRep) -> SubspaceRep:
@@ -340,10 +524,12 @@ def intersection(a: SubspaceRep, b: SubspaceRep) -> SubspaceRep:
     _check_same_space(a, b)
     if a.dim == 0 or b.dim == 0:
         return zero_space(a.field, a.ambient)
-    ker = left_kernel(a.field, a.rows + b.rows)
+    ker = left_kernel(a.field, a.rows + b.rows, a.ambient)
     if ker.dim == 0:
         return zero_space(a.field, a.ambient)
-    vecs = mat_mul(a.field, [row[: a.dim] for row in ker.rows], a.rows)
+    S = _layout(a.field).S
+    # the first a.dim coordinates of a kernel vector combine a's rows
+    vecs = mat_mul(a.field, [x >> (b.dim * S) for x in ker.rows], a.rows, a.ambient)
     return SubspaceRep.from_rows(a.field, a.ambient, vecs)
 
 
@@ -378,14 +564,21 @@ def enumerate_subspaces(
     total = sum(gaussian_binomial(ambient, d, q) for d in dim_list)
     if total > budget:
         raise ResourceBudgetError("subspace enumeration too large", required=total, budget=budget)
+    lay = _layout(field)
     out: list[SubspaceRep] = []
     for d in dim_list:
         for piv in combinations(range(ambient), d):
-            free = [(i, c) for i in range(d) for c in range(piv[i] + 1, ambient) if c not in piv]
-            base = [[1 if c == p else 0 for c in range(ambient)] for p in piv]
-            for vals in product(range(q), repeat=len(free)):
-                mat = [list(row) for row in base]
-                for (i, c), v in zip(free, vals):
-                    mat[i][c] = v
-                out.append(SubspaceRep(field, ambient, mat, piv))
+            # (row, bit offset) of each free entry: right of its row's pivot, off the other pivots
+            free = [
+                (i, (ambient - 1 - c) * lay.S)
+                for i in range(d)
+                for c in range(piv[i] + 1, ambient)
+                if c not in piv
+            ]
+            base = [1 << ((ambient - 1 - p) * lay.S) for p in piv]
+            for vals in product(lay.raw, repeat=len(free)):
+                rows = list(base)
+                for (i, sh), v in zip(free, vals):
+                    rows[i] |= v << sh
+                out.append(SubspaceRep(field, ambient, rows, piv))
     return out

@@ -1,12 +1,13 @@
 """Brute-force ground truth over explicit finite quotient models.
 
 Each model realizes a module over a finite quotient of the ring of interest
-as a finite-field row space, held as lists of rows for :mod:`brzeta.gfq`
-(vectors are rows; a ring element acts on the right).  Every generator is a
-partial permutation (shifts, the corner g, coordinate idempotents), so it is
-held as a gather tuple and acts on rows by gathering coordinates; closures
-are computed by spinning: only rows new to the space are pushed through the
-generators again.  Submodules of colength <= B are found by repeated descent
+as a finite-field row space, its vectors held as packed rows of
+:mod:`brzeta.gfq` (one int per row; a ring element acts on the right).
+Every generator is a partial permutation (shifts, the corner g, coordinate
+idempotents), so it is held as a gather tuple, compiled once to masked
+shifts of packed rows, one per displacement; closures are computed by
+spinning: only rows new to the space are pushed through the generators
+again.  Submodules of colength <= B are found by repeated descent
 to maximal submodules, deduplicated by canonical echelon form; each child
 extends an echelon basis rather than re-reducing its parent.  One function
 splits the top X/JX into per-class row blocks: their sizes are the top
@@ -24,6 +25,7 @@ to its tower of slice images ((M meet I^-j X) + IM)/IM.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,6 +65,8 @@ class RingModel:
     params: dict
     slice_gen: str | None = None
     exact: bool = False
+    #: each generator's gather compiled to masked shifts of packed rows
+    acts: dict = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.gens = {name: tuple(src) for name, src in self.gens.items()}
@@ -74,6 +78,7 @@ class RingModel:
                 raise SchemaError(f"generator {name} has a source outside -1..{self.dim - 1}: {src}")
             if len(set(used)) != len(used):
                 raise SchemaError(f"generator {name} is not a partial permutation: a source repeats in {src}")
+        self.acts = {name: gfq.compile_gather(self.field, self.dim, src) for name, src in self.gens.items()}
 
     @property
     def n_classes(self) -> int:
@@ -273,9 +278,16 @@ def model_from_json(payload) -> RingModel:
 # -- generator actions and structural validation ------------------------------
 
 
-def _mm(rows, gather) -> list[list[int]]:
-    """rows times a generator, given as its gather tuple."""
-    return [[row[k] if k >= 0 else 0 for k in gather] for row in rows]
+def _mm(rows, act) -> list[int]:
+    """Packed rows times a generator, given as its compiled gather."""
+    pairs, down = act
+    out = []
+    for x in rows:
+        y = 0
+        for mask, up in pairs:
+            y |= (x & mask) << up
+        out.append(y >> down)
+    return out
 
 
 def _compose(a, b) -> tuple[int, ...]:
@@ -361,7 +373,8 @@ def module_closure(model: RingModel, rows) -> gfq.SubspaceRep:
     the generators, and extends the echelon basis by their images.
     """
     ident = tuple(range(model.dim))
-    acts = [act for act in model.gens.values() if act != ident]  # the identity fixes every space
+    # the identity fixes every space
+    acts = [model.acts[name] for name, src in model.gens.items() if src != ident]
     sub, new = gfq.zero_space(model.field, model.dim).extend(rows)
     while new:
         sub, new = sub.extend([img for act in acts for img in _mm(new, act)])
@@ -372,7 +385,7 @@ def radical_subspace(model: RingModel, rep: gfq.SubspaceRep) -> gfq.SubspaceRep:
     """J X for an action-stable X: closure of the radical generators' images."""
     if rep.dim == 0:
         return rep
-    images = [img for name in model.rad_names for img in _mm(rep.rows, model.gens[name])]
+    images = [img for name in model.rad_names for img in _mm(rep.rows, model.acts[name])]
     return module_closure(model, images)
 
 
@@ -383,7 +396,7 @@ def _top_rows(model: RingModel, rep: gfq.SubspaceRep):
     row blocks, and block i has the multiplicity of class i in the top.
     """
     jx = radical_subspace(model, rep)
-    return jx, [jx.extend(_mm(rep.rows, model.gens[name]))[1] for name in model.idem_names]
+    return jx, [jx.extend(_mm(rep.rows, model.acts[name]))[1] for name in model.idem_names]
 
 
 def top_class(model: RingModel, rep: gfq.SubspaceRep) -> Monomial:
@@ -400,7 +413,7 @@ def composition_class(model: RingModel, upper: gfq.SubspaceRep, lower: gfq.Subsp
     """
     if not upper.contains(lower):
         raise SchemaError("composition class needs lower <= upper")
-    return tuple(len(lower.extend(_mm(upper.rows, model.gens[name]))[1]) for name in model.idem_names)
+    return tuple(len(lower.extend(_mm(upper.rows, model.acts[name]))[1]) for name in model.idem_names)
 
 
 def maximal_submodules(
@@ -422,7 +435,7 @@ def maximal_submodules(
             continue
         base = jx.extend([row for j, rows in enumerate(blocks) if j != bi for row in rows])[0]
         for hyper in gfq.enumerate_subspaces(model.field, d, dims=d - 1, budget=budget):
-            child = base.extend(gfq.mat_mul(model.field, hyper.rows, block))[0]
+            child = base.extend(gfq.mat_mul(model.field, hyper.rows, block, model.dim))[0]
             out.append((child, bi))
     return out
 
@@ -547,7 +560,7 @@ def jordan_type(model: RingModel, rep: gfq.SubspaceRep, lower: gfq.SubspaceRep |
     """Partition of t-power ranks of X (or of X/lower) over a chain model."""
     if "t" not in model.gens:
         raise SchemaError(f"jordan_type needs a t action; model kind is {model.kind}")
-    t = model.gens["t"]
+    t = model.acts["t"]
     base = lower if lower is not None else gfq.zero_space(model.field, model.dim)
     cur = rep.rows
     ranks = []
@@ -647,23 +660,24 @@ class FiberContext:
             exact=model.exact,
         )
         self.slice_full = gfq.full_space(f, len(self.free))
-        self._powers = [gfq.identity(model.dim)]
+        self._project = gfq.compile_gather(f, model.dim, tuple(self.free))
+        self._powers = [list(model.full().rows)]
 
-    def _power(self, j: int) -> list[list[int]]:
+    def _power(self, j: int) -> list[int]:
         while len(self._powers) <= j:
-            self._powers.append(_mm(self._powers[-1], self.model.gens[self.model.slice_gen]))
+            self._powers.append(_mm(self._powers[-1], self.model.acts[self.model.slice_gen]))
         return self._powers[j]
 
-    def project(self, rows) -> list[list[int]]:
-        """Slice coordinates of each row: its entries off IM."""
-        return [[row[c] for c in self.free] for row in rows]
+    def project(self, rows) -> list[int]:
+        """Slice coordinates of each packed row: its entries off IM."""
+        return _mm(rows, self._project)
 
     def chart(self, rep: gfq.SubspaceRep, max_level: int) -> ChainData:
         """Class-level chain data of the slice tower of X; must stabilize."""
         f = self.model.field
         towers = []
         for j in range(max_level + 1):
-            pre = gfq.left_kernel(f, rep.reduce(self._power(j)))
+            pre = gfq.left_kernel(f, rep.reduce(self._power(j)), self.model.dim)
             y = gfq.SubspaceRep.from_rows(f, len(self.free), self.project(pre.rows))
             towers.append(y)
             if y == self.slice_full:

@@ -299,6 +299,14 @@ class TestInputHandling:
              "--truncate", "3"],
             ["prolif", "--mode", "sliver", "--data", '{"kind": "hereditary", "q": 2, "n": 2, "columns": [1, 2]}',
              "--truncate", "3"],
+            ["verify", "--suite", "rossmann", "--max", "-1"],
+            ["verify", "--suite", "moebius", "--max", "-1"],
+            ["rossmann", "--max", "-1"],
+            ["hom-slice", "--q", "2", "--r", "1", "--m", "1", "--s-count", "1", "--max", "-1"],
+            ["oracle", "--model", '{"kind": "chain", "q": 2, "c": 3}', "--colength", "1", "--budget", "-3"],
+            ["prolif", "--data", '{"kind": "dvr", "q": 2, "m": 1}', "--truncate", "2", "--budget", "-1"],
+            ["verify", "--suite", "moebius", "--budget", "-1"],
+            ["verify", "--suite", "moebius", "--budget", "nan"],
         ],
         ids=[
             "non-prime-power-model",
@@ -329,6 +337,14 @@ class TestInputHandling:
             "prolif-base-array",
             "sliver-split-rank-two",
             "sliver-two-class-lattice",
+            "verify-rossmann-negative-max",
+            "verify-moebius-negative-max",
+            "rossmann-negative-max",
+            "hom-slice-negative-max",
+            "oracle-negative-budget",
+            "prolif-negative-budget",
+            "verify-negative-time-budget",
+            "verify-nan-time-budget",
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):

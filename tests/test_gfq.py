@@ -3,10 +3,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brzeta import gfq, hereditary
 from brzeta.errors import ResourceBudgetError, SchemaError
 from brzeta.qcomb import gaussian_binomial
+
+
+#: one field per packed layout: p = 2 and odd p, prime and prime-power, and
+#: two fields whose moduli are not built in
+LAYOUT_QS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
+EXPLICIT_MODULI = {25: (2, 1, 1), 27: (1, 2, 0, 1)}
+
+
+def _field(q):
+    return gfq.GF(q, EXPLICIT_MODULI.get(q))
 
 
 class TestFieldConstruction:
@@ -40,9 +52,9 @@ class TestFieldConstruction:
 class TestRref:
     def test_idempotent(self):
         f = gfq.GF(3)
-        mat = [[1, 2, 0], [2, 1, 1], [0, 0, 2]]
-        r1, rank1, _ = gfq.rref(f, mat)
-        r2, rank2, _ = gfq.rref(f, r1)
+        mat = _packed(f, [[1, 2, 0], [2, 1, 1], [0, 0, 2]])
+        r1, rank1, _ = gfq.rref(f, mat, 3)
+        r2, rank2, _ = gfq.rref(f, r1, 3)
         assert rank1 == rank2
         assert r1[:rank1] == r2[:rank2]
 
@@ -51,15 +63,16 @@ class TestRref:
         rng = random.Random(7)
         for _ in range(20):
             mat = _random_matrix(rng, 2, 4, 6)
-            _, rank, _ = gfq.rref(f, mat)
-            ker = gfq.left_kernel(f, list(zip(*mat)))  # vectors v with v @ mat.T = 0
+            _, rank, _ = gfq.rref(f, _packed(f, mat), 6)
+            ker = gfq.left_kernel(f, _packed(f, zip(*mat)), 4)  # vectors v with v @ mat.T = 0
             assert ker.dim == 6 - rank
 
     def test_left_kernel_annihilates(self):
         f = gfq.GF(4)
+        t = gfq.tables(f)
         mat = _random_matrix(random.Random(11), 4, 5, 3)
-        ker = gfq.left_kernel(f, mat)
-        prod = gfq.mat_mul(f, ker.rows, mat)
+        ker = gfq.left_kernel(f, _packed(f, mat), 3)
+        prod = _reference_mat_mul(_unpacked(f, 5, ker.rows), mat, t.add, t.mul)
         assert ker.dim == 2
         assert not any(any(row) for row in prod)
 
@@ -89,16 +102,16 @@ class TestSubspaces:
 
     def test_lattice_ops_modular_law(self):
         f = gfq.GF(2)
-        a = gfq.row_space(f, [[1, 0, 0]])
-        b = gfq.row_space(f, [[1, 0, 0], [0, 1, 0]])
+        a = gfq.row_space(f, _packed(f, [[1, 0, 0]]), 3)
+        b = gfq.row_space(f, _packed(f, [[1, 0, 0], [0, 1, 0]]), 3)
         assert gfq.intersection(a, b) == a and gfq.subspace_sum(a, b) == b
 
     def test_dimension_formula(self):
         f = gfq.GF(2)
         rng = random.Random(3)
         for _ in range(15):
-            a = gfq.row_space(f, _random_matrix(rng, 2, 2, 4), 4)
-            b = gfq.row_space(f, _random_matrix(rng, 2, 2, 4), 4)
+            a = gfq.row_space(f, _packed(f, _random_matrix(rng, 2, 2, 4)), 4)
+            b = gfq.row_space(f, _packed(f, _random_matrix(rng, 2, 2, 4)), 4)
             meet, join = gfq.intersection(a, b), gfq.subspace_sum(a, b)
             assert a.dim + b.dim == meet.dim + join.dim
             assert a.contains(meet) and b.contains(meet) and join.contains(a) and join.contains(b)
@@ -112,39 +125,48 @@ class TestExtend:
         bigger, new = a.extend(rows)
         want = gfq.SubspaceRep.from_rows(a.field, a.ambient, [*a.rows, *rows])
         assert bigger == want and bigger.rows == want.rows and bigger.pivots == want.pivots
+        # the scalar reference RREF of the stacked rows, on unpacked lists
+        t = gfq.tables(a.field)
+        stacked = _unpacked(a.field, a.ambient, [*a.rows, *rows])
+        pivots = [0] * (len(stacked) + a.ambient)
+        rank = _reference_rref(stacked, t.add, t.mul, t.neg, t.inv, pivots) if stacked else 0
+        assert _unpacked(a.field, a.ambient, bigger.rows) == stacked[:rank]
+        assert list(bigger.pivots) == pivots[:rank]
         assert a.dim + len(new) == bigger.dim
         assert all(row in bigger.rows for row in new)
         assert gfq.intersection(a, gfq.row_space(a.field, new, a.ambient)).dim == 0
         return bigger, new
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+    @pytest.mark.parametrize("q", LAYOUT_QS)
     def test_matches_from_rows(self, q):
-        f = gfq.GF(q)
+        f = _field(q)
         rng = random.Random(100 + q)
         for trial in range(40):
             ambient = rng.randint(1, 9)
-            a = gfq.row_space(f, _random_matrix(rng, q, rng.randint(0, ambient), ambient), ambient)
+            basis = _random_matrix(rng, q, rng.randint(0, ambient), ambient)
+            a = gfq.row_space(f, _packed(f, basis), ambient)
             rows = _random_matrix(rng, q, rng.randint(0, 4), ambient)
             if trial % 4 == 1:  # sparse rows: zero columns and zero rows
                 rows = [[0 if rng.random() < 0.7 else x for x in row] for row in rows]
-            self._check(a, rows)
+            self._check(a, _packed(f, rows))
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+    @pytest.mark.parametrize("q", LAYOUT_QS)
     def test_edge_cases(self, q):
-        f = gfq.GF(q)
+        f = _field(q)
         rng = random.Random(q)
-        a = gfq.row_space(f, _random_matrix(rng, q, 3, 6), 6)
+        a = gfq.row_space(f, _packed(f, _random_matrix(rng, q, 3, 6)), 6)
         assert self._check(a, []) == (a, [])
-        inside = gfq.mat_mul(f, _random_matrix(rng, q, 4, a.dim), a.rows)
+        inside = gfq.mat_mul(f, _packed(f, _random_matrix(rng, q, 4, a.dim)), a.rows, 6)
         assert self._check(a, inside) == (a, [])
-        full, new = self._check(a, gfq.identity(6))
+        full, new = self._check(a, _packed(f, _identity(6)))
         assert full == gfq.full_space(f, 6) and len(new) == 6 - a.dim
         empty = gfq.zero_space(f, 6)
         assert self._check(empty, a.rows)[0] == a
 
     def test_rejects_wrong_width(self):
+        f = gfq.GF(2)
         with pytest.raises(SchemaError):
-            gfq.zero_space(gfq.GF(2), 3).extend([[1, 0]])
+            gfq.zero_space(f, 3).extend([gfq.pack(f, [1, 0, 0, 0])])
 
 
 class TestChains:
@@ -159,7 +181,7 @@ class TestChains:
     def _degree_vectors(dims):
         d1, d2 = dims
         field = gfq.GF(2)
-        v2 = gfq.row_space(field, gfq.identity(d1)[:d2], d1)
+        v2 = gfq.row_space(field, _packed(field, _identity(d1)[:d2]), d1)
         return sorted((d1 - w.dim, w.dim) for w in gfq.enumerate_subspaces(field, d1) if v2.contains(w))
 
     @staticmethod
@@ -182,6 +204,18 @@ class TestChains:
 
 def _random_matrix(rng, q, rows, cols):
     return [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+
+
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _packed(field, mat):
+    return [gfq.pack(field, row) for row in mat]
+
+
+def _unpacked(field, n, rows):
+    return [gfq.unpack(field, n, x) for x in rows]
 
 
 def _reference_rref(a, add, mul, neg, inv, pivots):
@@ -236,9 +270,9 @@ def _reference_mat_mul(a, b, add, mul):
 
 
 class TestKernels:
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+    @pytest.mark.parametrize("q", LAYOUT_QS)
     def test_rref_and_mat_mul_match_scalar_reference(self, q):
-        f = gfq.GF(q)
+        f = _field(q)
         t = gfq.tables(f)
         rng = random.Random(q)
         for trial in range(12):
@@ -253,13 +287,27 @@ class TestKernels:
             expected = [list(row) for row in mat]
             pivots = [0] * max(rows, cols)
             rank = _reference_rref(expected, t.add, t.mul, t.neg, t.inv, pivots)
-            got, got_rank, got_pivots = gfq.rref(f, mat)
+            got, got_rank, got_pivots = gfq.rref(f, _packed(f, mat), cols)
             assert got_rank == rank
-            assert got == expected
+            assert _unpacked(f, cols, got) == expected
             assert list(got_pivots) == pivots[:rank]
             other = _random_matrix(rng, q, cols, inner)
-            assert gfq.mat_mul(f, mat, other) == _reference_mat_mul(mat, other, t.add, t.mul)
+            product = gfq.mat_mul(f, _packed(f, mat), _packed(f, other), inner)
+            assert _unpacked(f, inner, product) == _reference_mat_mul(mat, other, t.add, t.mul)
 
     def test_mat_mul_shape_mismatch(self):
+        f = gfq.GF(2)
         with pytest.raises(SchemaError):
-            gfq.mat_mul(gfq.GF(2), [[1, 0]], [[1, 0, 1]])
+            gfq.mat_mul(f, [gfq.pack(f, [1, 0])], [gfq.pack(f, [1, 0, 1])], 3)
+
+    @pytest.mark.parametrize("q", LAYOUT_QS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_pack_roundtrip_and_order(self, q, data):
+        """Packing is invertible, and packed ints order like the rows as tuples."""
+        f = _field(q)
+        n = data.draw(st.integers(0, 8))
+        row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+        a, b = data.draw(row), data.draw(row)
+        assert gfq.unpack(f, n, gfq.pack(f, a)) == a
+        assert (gfq.pack(f, a) < gfq.pack(f, b)) == (tuple(a) < tuple(b))

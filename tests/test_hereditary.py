@@ -61,7 +61,7 @@ class TestSubstitutionData:
 
 def _unit_span(field, r, coords):
     """Coordinate subspace of F_q^r spanned by the given coordinates."""
-    return gfq.row_space(field, [[1 if c == k else 0 for c in range(r)] for k in coords], r)
+    return gfq.row_space(field, [gfq.pack(field, [1 if c == k else 0 for c in range(r)]) for k in coords], r)
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,7 +129,7 @@ class TestFilteredDims:
         assert her.stratum_counts(ORDER22, MOD12)[((2, 2), 0)] == 1
 
     def test_coordinate_line(self):
-        line = gfq.row_space(gfq.GF(2), [[1, 0]])
+        line = gfq.row_space(gfq.GF(2), [gfq.pack(gfq.GF(2), [1, 0])], 2)
         assert _filtration_dims(ORDER22, MOD12, line) == (2, 1)
         # e_1 and e_1 + e_2 miss e_2's span; e_2 alone gives (2, 2)
         counts = her.stratum_counts(ORDER22, MOD12)

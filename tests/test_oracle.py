@@ -10,6 +10,7 @@ import brzeta.hereditary as her
 import brzeta.oracle as orc
 import brzeta.prolif as pr
 from brzeta.errors import ResourceBudgetError, SchemaError
+from brzeta.hey import SemisimpleData, hey_product
 
 
 _TRI = orc.triangular_module(2, 2, 2, (1, 2))
@@ -83,6 +84,10 @@ def _random_rows(rng, model, count):
     return [[rng.randrange(model.field.q) for _ in range(model.dim)] for _ in range(count)]
 
 
+def _packed(field, mat):
+    return [gfq.pack(field, row) for row in mat]
+
+
 def _dense(src):
     """The partial permutation matrix of a gather: row src[k] has its 1 in column k."""
     mat = [[0] * len(src) for _ in src]
@@ -100,8 +105,9 @@ class TestGeneratorActions:
         for model in _models(q):
             kinds.add(model.kind)
             for name, src in model.gens.items():
-                rows = _random_rows(rng, model, 4)
-                assert orc._mm(rows, src) == gfq.mat_mul(model.field, rows, _dense(src)), (model.kind, name)
+                rows = _packed(model.field, _random_rows(rng, model, 4))
+                want = gfq.mat_mul(model.field, rows, _packed(model.field, _dense(src)), model.dim)
+                assert orc._mm(rows, model.acts[name]) == want, (model.kind, name)
         assert kinds == {"chain", "local2d", "triangular", "skew_poly", "local2d_slice", "skew_poly_slice"}
 
     def test_literal_generators(self):
@@ -119,10 +125,10 @@ class TestGeneratorActions:
             if model.slice_gen is None:
                 continue
             ctx = orc.FiberContext(model)
-            for name, src in model.gens.items():
-                rows = _random_rows(rng, model, 4)
-                got = ctx.project(orc._mm(rows, src))
-                assert got == orc._mm(ctx.project(rows), ctx.slice_model.gens[name]), (model.kind, name)
+            for name in model.gens:
+                rows = _packed(model.field, _random_rows(rng, model, 4))
+                got = ctx.project(orc._mm(rows, model.acts[name]))
+                assert got == orc._mm(ctx.project(rows), ctx.slice_model.acts[name]), (model.kind, name)
 
     @pytest.mark.parametrize(
         "bad",
@@ -143,11 +149,11 @@ class TestGeneratorActions:
 def _fixed_point_closure(model, rows):
     """Reference closure: re-reduce everything with every generator until the dimension stops."""
     sub = gfq.SubspaceRep.from_rows(model.field, model.dim, rows)
-    mats = [_dense(src) for src in model.gens.values()]
+    mats = [_packed(model.field, _dense(src)) for src in model.gens.values()]
     while True:
         stack = list(sub.rows)
         for mat in mats:
-            stack += gfq.mat_mul(model.field, sub.rows, mat)
+            stack += gfq.mat_mul(model.field, sub.rows, mat, model.dim)
         bigger = gfq.SubspaceRep.from_rows(model.field, model.dim, stack)
         if bigger.dim == sub.dim:
             return sub
@@ -157,12 +163,14 @@ def _fixed_point_closure(model, rows):
 def _reference_top(model, rep):
     """dim(JX + X E_i) - dim JX per class, with JX the closure of X's radical images."""
     f = model.field
-    radical_images = [row for name in model.rad_names for row in gfq.mat_mul(f, rep.rows, _dense(model.gens[name]))]
-    jx = _fixed_point_closure(model, radical_images)
+
+    def images(name):
+        return gfq.mat_mul(f, rep.rows, _packed(f, _dense(model.gens[name])), model.dim)
+
+    jx = _fixed_point_closure(model, [row for name in model.rad_names for row in images(name)])
     tops = []
     for name in model.idem_names:
-        images = gfq.mat_mul(f, rep.rows, _dense(model.gens[name]))
-        tops.append(gfq.SubspaceRep.from_rows(f, model.dim, list(jx.rows) + images).dim - jx.dim)
+        tops.append(gfq.SubspaceRep.from_rows(f, model.dim, list(jx.rows) + images(name)).dim - jx.dim)
     return tuple(tops)
 
 
@@ -175,9 +183,10 @@ class TestSpinAndTops:
                 rows = _random_rows(rng, model, count)
                 if count and rng.random() < 0.5:  # sparse rows spin further before filling up
                     rows = [[0 if rng.random() < 0.8 else x for x in row] for row in rows]
+                rows = _packed(model.field, rows)
                 assert orc.module_closure(model, rows) == _fixed_point_closure(model, rows), model.kind
             for k in range(model.dim):  # unit vectors: cyclic submodules of every depth
-                unit = [[1 if j == k else 0 for j in range(model.dim)]]
+                unit = _packed(model.field, [[1 if j == k else 0 for j in range(model.dim)]])
                 assert orc.module_closure(model, unit) == _fixed_point_closure(model, unit), (model.kind, k)
 
     @pytest.mark.parametrize(
@@ -262,12 +271,14 @@ class TestMaximalSubmodules:
         for node in orc.submodule_bfs(model, 2):
             x = node.rep
             class_images = [
-                gfq.SubspaceRep.from_rows(f, model.dim, gfq.mat_mul(f, x.rows, _dense(model.gens[name])))
+                gfq.SubspaceRep.from_rows(
+                    f, model.dim, gfq.mat_mul(f, x.rows, _packed(f, _dense(model.gens[name])), model.dim)
+                )
                 for name in model.idem_names
             ]
             want = set()
             for hyper in gfq.enumerate_subspaces(f, x.dim, dims=x.dim - 1):
-                h = gfq.SubspaceRep.from_rows(f, model.dim, gfq.mat_mul(f, hyper.rows, x.rows))
+                h = gfq.SubspaceRep.from_rows(f, model.dim, gfq.mat_mul(f, hyper.rows, x.rows, model.dim))
                 if orc.module_closure(model, h.rows) != h:
                     continue
                 # X/H is simple: exactly one class moves X out of H
@@ -397,6 +408,31 @@ class TestTwoVariableAgreement:
             orc.empirical_zeta(model, 2, partial=(1,))
 
 
+class TestPrimePowerFields:
+    """Closed engines against enumeration on fields that ``verify`` never runs.
+
+    q in {4, 8} are p = 2 with e > 1, q in {5, 7} odd primes other than 3,
+    and q = 9 odd p with e > 1: each exercises its own packed-row arithmetic.
+    """
+
+    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+    @pytest.mark.parametrize("rank, bound", [(1, 4), (2, 3), (3, 2)])
+    def test_chain_matches_hey_product(self, q, rank, bound):
+        got = orc.empirical_zeta(orc.chain_module(q, bound + 1, rank), bound)
+        assert got == hey_product(SemisimpleData.from_specs([(q, rank)]), bound)
+
+    @pytest.mark.parametrize("q", [4, 5])
+    @pytest.mark.parametrize(
+        "n, columns, bound",
+        [(2, (1, 2), 4), (2, (1, 1, 2), 3), (3, (1, 2, 3), 3), (3, (1, 1, 3), 3)],
+        ids=["n2-12", "n2-112", "n3-123", "n3-113"],
+    )
+    def test_triangular_matches_total_zeta(self, q, n, columns, bound):
+        model = orc.triangular_module(q, n, -(-(bound + 1) // n), columns)
+        want = her.total_zeta(her.HereditaryOrderSpec(q, n), her.HereditaryModuleSpec(columns), bound)
+        assert orc.empirical_zeta(model, bound) == want
+
+
 def test_skew_model_matches_proliferation():
     model = orc.skew_module(2, 2, 2, 4)
     got = orc.empirical_zeta(model, 3)
@@ -429,12 +465,12 @@ class TestFiberCharts:
 
     def test_two_generator_fibers(self):
         model = orc.local2d_module(2, 4)
-        e0 = [[1] + [0] * (model.dim - 1)]
+        e0 = [gfq.pack(model.field, [1] + [0] * (model.dim - 1))]
         assert orc.module_closure(model, e0) == model.full()
-        e0u = orc._mm(e0, model.gens["u"])
-        e0t = orc._mm(e0, model.gens["t"])
+        e0u = orc._mm(e0, model.acts["u"])
+        e0t = orc._mm(e0, model.acts["t"])
         ut = orc.module_closure(model, e0u + e0t)
-        ut2 = orc.module_closure(model, e0u + orc._mm(e0t, model.gens["t"]))
+        ut2 = orc.module_closure(model, e0u + orc._mm(e0t, model.acts["t"]))
         assert orc.composition_class(model, model.full(), ut) == (1,)
         assert orc.composition_class(model, model.full(), ut2) == (2,)
         ctx = orc.FiberContext(model)
