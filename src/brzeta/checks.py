@@ -191,7 +191,7 @@ def check_lustig(qs=(2, 3), i_formulas=12, i_oracle=4) -> CheckResult:
         cases += 1
         model = orc.local2d_module(q, i_oracle + 1, 1)
         counted = orc.empirical_zeta(model, i_oracle)
-        for i in range(i_oracle + 1):
+        for i in range(min(i_oracle, i_formulas) + 1):
             cases += 1
             got = counted.coefficient((i,))
             if got != coeffs[i]:

@@ -16,11 +16,13 @@ a tuple comparison.  Reducing rows against an RREF basis reads their
 entries at the basis pivots once and visits only the nonzero ones;
 ``SubspaceRep.extend`` grows a space by new rows without reducing its basis
 again, and the rows it reports as new span the bigger space modulo the old
-one, which is all the oracle needs of a quotient.  The one enumeration,
-:func:`enumerate_subspaces`, serves the brute-force oracle; it counts its
-output first (Gaussian binomials) and refuses to exceed the budget.  Chains
-of subspaces are not enumerated here: the closed engines count them with
-Gaussian binomials.
+one, which is all the oracle needs of a quotient; a sum of subspaces is one
+``extend``.  No intersection is computed here: the oracle's one kernel is
+:func:`left_kernel`, and its one product of general matrices is
+:func:`mat_mul`.  The one enumeration, :func:`enumerate_subspaces`, serves
+the brute-force oracle; it counts its output first (Gaussian binomials) and
+refuses to exceed the budget.  Chains of subspaces are not enumerated here:
+the closed engines count them with Gaussian binomials.
 """
 
 from __future__ import annotations
@@ -497,10 +499,6 @@ def full_space(field: FieldSpec, ambient: int) -> SubspaceRep:
     return SubspaceRep(field, ambient, _units(field, ambient), range(ambient))
 
 
-def row_space(field: FieldSpec, mat, ambient: int) -> SubspaceRep:
-    return SubspaceRep.from_rows(field, ambient, mat)
-
-
 def left_kernel(field: FieldSpec, mat, n: int) -> SubspaceRep:
     """All row vectors v with v·mat = 0 for width-``n`` rows; ambient = number of rows of mat."""
     k = len(mat)
@@ -513,29 +511,6 @@ def left_kernel(field: FieldSpec, mat, n: int) -> SubspaceRep:
     # rows pivoting in the identity block are zero on the mat block
     kernel = [(x, c - n) for x, c in zip(r[:rank], piv) if c >= n]
     return SubspaceRep(field, k, [x for x, _ in kernel], [c for _, c in kernel])
-
-
-def subspace_sum(a: SubspaceRep, b: SubspaceRep) -> SubspaceRep:
-    _check_same_space(a, b)
-    return a.extend(b.rows)[0]
-
-
-def intersection(a: SubspaceRep, b: SubspaceRep) -> SubspaceRep:
-    _check_same_space(a, b)
-    if a.dim == 0 or b.dim == 0:
-        return zero_space(a.field, a.ambient)
-    ker = left_kernel(a.field, a.rows + b.rows, a.ambient)
-    if ker.dim == 0:
-        return zero_space(a.field, a.ambient)
-    S = _layout(a.field).S
-    # the first a.dim coordinates of a kernel vector combine a's rows
-    vecs = mat_mul(a.field, [x >> (b.dim * S) for x in ker.rows], a.rows, a.ambient)
-    return SubspaceRep.from_rows(a.field, a.ambient, vecs)
-
-
-def _check_same_space(a: SubspaceRep, b: SubspaceRep):
-    if a.field != b.field or a.ambient != b.ambient:
-        raise SchemaError(f"subspace mismatch: {a!r} vs {b!r}")
 
 
 # -- enumeration ---------------------------------------------------------------

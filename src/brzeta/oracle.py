@@ -5,14 +5,15 @@ as a finite-field row space, its vectors held as packed rows of
 :mod:`brzeta.gfq` (one int per row; a ring element acts on the right).
 Every generator is a partial permutation (shifts, the corner g, coordinate
 idempotents), so it is held as a gather tuple, compiled once to masked
-shifts of packed rows, one per displacement; closures are computed by
-spinning: only rows new to the space are pushed through the generators
-again.  Submodules of colength <= B are found by repeated descent
-to maximal submodules, deduplicated by canonical echelon form; each child
-extends an echelon basis rather than re-reducing its parent.  One function
-splits the top X/JX into per-class row blocks: their sizes are the top
-class, and their hyperplanes give the maximal submodules; each expanded node
-keeps its top.  A depth guard keeps
+shifts of packed rows, one per displacement.  Each radical generator
+normalizes the ring (the relations :func:`validate_model` checks on every
+constructed model), so the radical JX of a submodule X is the span of X's
+images, one ``extend`` with no closure to compute.  Submodules of colength
+<= B are found by repeated descent to maximal submodules, deduplicated by
+canonical echelon form; each child extends an echelon basis rather than
+re-reducing its parent.  One function splits the top X/JX into per-class
+row blocks: their sizes are the top class, and their hyperplanes give the
+maximal submodules; each expanded node keeps its top.  A depth guard keeps
 truncation honest: when the model is a quotient of an infinite module by a
 kernel inside radical-power depth d, enumeration and labeling at colength <= B
 are faithful only if d >= B + 1, and that inequality is enforced rather than
@@ -99,7 +100,7 @@ def chain_module(q: int, c: int, rank: int = 1, exact: bool = False) -> RingMode
     dim = rank * c
     # t raises the t-power within each copy: coordinate k reads k - 1
     gens = {"t": tuple(k - 1 if k % c else -1 for k in range(dim)), "e1": tuple(range(dim))}
-    return RingModel(
+    model = RingModel(
         kind="chain",
         field=field,
         dim=dim,
@@ -111,6 +112,8 @@ def chain_module(q: int, c: int, rank: int = 1, exact: bool = False) -> RingMode
         params={"kind": "chain", "q": q, "c": c, "rank": rank},
         exact=exact,
     )
+    validate_model(model)
+    return model
 
 
 def local2d_module(q: int, c: int, rank: int = 1) -> RingModel:
@@ -131,7 +134,7 @@ def local2d_module(q: int, c: int, rank: int = 1) -> RingModel:
         )
 
     gens = {"u": shift(1, 0), "t": shift(0, 1), "e1": tuple(range(dim))}
-    return RingModel(
+    model = RingModel(
         kind="local2d",
         field=field,
         dim=dim,
@@ -143,6 +146,8 @@ def local2d_module(q: int, c: int, rank: int = 1) -> RingModel:
         params={"kind": "local2d", "q": q, "c": c, "rank": rank},
         slice_gen="u",
     )
+    validate_model(model)
+    return model
 
 
 def _column_basis(n: int, c: int, tau: int):
@@ -204,7 +209,7 @@ def triangular_module(q: int, n: int, c: int, columns) -> RingModel:
     gens = {"g": _block_diag(g_blocks)}
     for i in range(n):
         gens[f"e{i + 1}"] = _block_diag(idem_blocks[i])
-    return RingModel(
+    model = RingModel(
         kind="triangular",
         field=field,
         dim=len(gens["g"]),
@@ -215,6 +220,8 @@ def triangular_module(q: int, n: int, c: int, columns) -> RingModel:
         depth=n * c,
         params={"kind": "triangular", "q": q, "n": n, "c": c, "columns": list(columns)},
     )
+    validate_model(model)
+    return model
 
 
 def skew_module(q: int, n: int, c_pi: int, c_t: int) -> RingModel:
@@ -233,7 +240,7 @@ def skew_module(q: int, n: int, c_pi: int, c_t: int) -> RingModel:
     }
     for name in base.idem_names:
         gens[name] = _block_diag([base.gens[name]] * c_t)
-    return RingModel(
+    model = RingModel(
         kind="skew_poly",
         field=base.field,
         dim=dim,
@@ -245,6 +252,8 @@ def skew_module(q: int, n: int, c_pi: int, c_t: int) -> RingModel:
         params={"kind": "skew_poly", "q": q, "n": n, "c_pi": c_pi, "c_t": c_t},
         slice_gen="t",
     )
+    validate_model(model)
+    return model
 
 
 def model_from_json(payload) -> RingModel:
@@ -295,18 +304,12 @@ def _compose(a, b) -> tuple[int, ...]:
     return tuple(a[k] if k >= 0 else -1 for k in b)
 
 
-def radical_filtration(model: RingModel, start: gfq.SubspaceRep | None = None) -> list[gfq.SubspaceRep]:
-    """J^k X for k = 0, 1, ... down to zero."""
-    cur = start if start is not None else model.full()
-    out = [cur]
-    while cur.dim > 0:
-        cur = radical_subspace(model, cur)
-        out.append(cur)
-    return out
-
-
 def validate_model(model: RingModel) -> int:
-    """Check the structural identities; return the radical nilpotency index."""
+    """Check the ring relations and the dimension; return the radical nilpotency index.
+
+    Every model constructor runs it on the model it returns: the relations
+    are the premise of :func:`radical_subspace`.
+    """
     gens = model.gens
     idems = [gens[name] for name in model.idem_names]
     for i, e in enumerate(idems):
@@ -341,8 +344,9 @@ def validate_model(model: RingModel) -> int:
         for name, src in gens.items():
             if _compose(t, src) != _compose(src, t):
                 raise SchemaError(f"t is not central: fails against {name}")
-    filt = radical_filtration(model)
-    index = len(filt) - 1
+    index, jx = 0, model.full()
+    while jx.dim > 0:
+        index, jx = index + 1, radical_subspace(model, jx)
     if index < model.depth:
         raise SchemaError(
             f"radical nilpotency index {index} below the declared kernel depth {model.depth}"
@@ -366,27 +370,18 @@ def validate_model(model: RingModel) -> int:
 # -- submodule machinery -------------------------------------------------------
 
 
-def module_closure(model: RingModel, rows) -> gfq.SubspaceRep:
-    """Smallest action-stable row space containing the given rows.
-
-    Spins: each round pushes only the rows that the last round added through
-    the generators, and extends the echelon basis by their images.
-    """
-    ident = tuple(range(model.dim))
-    # the identity fixes every space
-    acts = [model.acts[name] for name, src in model.gens.items() if src != ident]
-    sub, new = gfq.zero_space(model.field, model.dim).extend(rows)
-    while new:
-        sub, new = sub.extend([img for act in acts for img in _mm(new, act)])
-    return sub
-
-
 def radical_subspace(model: RingModel, rep: gfq.SubspaceRep) -> gfq.SubspaceRep:
-    """J X for an action-stable X: closure of the radical generators' images."""
-    if rep.dim == 0:
-        return rep
+    """J X for a submodule X: the span of the radical generators' images of X.
+
+    That span is already a submodule.  For each radical generator g and each
+    generator b the ring has g b = a g for some a: the idempotents sum to 1,
+    u and t commute, e_i g = g e_{i+1}, and t is central (relations that
+    :func:`validate_model` checks and a slice model inherits as the induced
+    action on M/IM).  So (X g) b = (X a) g lies in X g, and one ``extend``
+    of the images gives J X with no closure to compute.
+    """
     images = [img for name in model.rad_names for img in _mm(rep.rows, model.acts[name])]
-    return module_closure(model, images)
+    return gfq.zero_space(model.field, model.dim).extend(images)[0]
 
 
 def _top_rows(model: RingModel, rep: gfq.SubspaceRep):

@@ -1,4 +1,4 @@
-"""Prime-power sizes, Gaussian binomials, subspace Moebius values, Cauchy products, partitions.
+"""Prime-power sizes, Gaussian binomials, Cauchy products, partition counts.
 
 Everything returns exact integers; the iterative Gaussian-binomial product
 uses stepwise exact division (each prefix is itself a Gaussian binomial).
@@ -73,18 +73,12 @@ def gaussian_binomial(m: int, d: int, q: int) -> int:
     return out
 
 
-def subspace_moebius(d: int, q: int) -> int:
-    """Moebius value of a d-step interval in the subspace lattice: (-1)^d q^C(d,2)."""
-    if d < 0:
-        raise SchemaError(f"dimension must be >= 0, got {d}")
-    return (-1) ** d * q ** (d * (d - 1) // 2)
-
-
 def cauchy_poly(m: int, q: int) -> list[int]:
     """Coefficients (low to high) of prod_{j=0}^{m-1} (1 - q^j z).
 
     By the Cauchy binomial theorem the degree-d coefficient equals
-    gaussian_binomial(m, d, q) * subspace_moebius(d, q).
+    gaussian_binomial(m, d, q) * (-1)^d q^C(d,2), the latter being the Moebius
+    value of a d-step interval in the subspace lattice.
     """
     if m < 0:
         raise SchemaError(f"m must be >= 0, got {m}")
@@ -118,23 +112,3 @@ def partition_count(i: int, j: int) -> int:
     if j < 1 or j > i:
         return 0
     return _partitions_max_at_most(i - j, j)
-
-
-def euler_coeffs(max_i: int) -> dict[tuple[int, int], int]:
-    """Coefficients of prod_{n>=1} (1 - w z^n)^-1 through z-degree max_i.
-
-    The (i, j) entry counts partitions of i into exactly j parts, i.e. the
-    partitions of i with greatest part j after conjugation, so the table
-    matches :func:`partition_count` away from (0, 0).
-    """
-    if max_i < 0:
-        raise SchemaError(f"max_i must be >= 0, got {max_i}")
-    # table[i][j]; j <= i always since every part is >= 1
-    table = [[0] * (max_i + 1) for _ in range(max_i + 1)]
-    table[0][0] = 1
-    for n in range(1, max_i + 1):
-        # multiply by (1 - w z^n)^-1: complete-knapsack update in place
-        for i in range(n, max_i + 1):
-            for j in range(1, max_i + 1):
-                table[i][j] += table[i - n][j - 1]
-    return {(i, j): table[i][j] for i in range(max_i + 1) for j in range(max_i + 1) if table[i][j]}

@@ -231,6 +231,14 @@ class TestVerifyCommand:
         assert out.startswith("FAIL rossmann")
         assert "n=4" in err
 
+    @pytest.mark.parametrize("suite", sorted(cli._SUITE_SIZE_KNOB))
+    @pytest.mark.parametrize("size", [0, 1, 2, 3])
+    def test_small_size_knob_passes(self, capsys, suite, size):
+        code, out, err = run_cli(capsys, ["verify", "--suite", suite, "--max", str(size)])
+        assert code == 0 and "Traceback" not in err
+        lines = out.splitlines()
+        assert lines and all(line.startswith(f"PASS {suite} ") for line in lines)
+
     def test_time_budget(self, capsys, monkeypatch):
         ticks = iter([0.0, 10.0, 20.0])
         monkeypatch.setattr(cli.time, "monotonic", lambda: next(ticks))

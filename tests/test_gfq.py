@@ -1,6 +1,7 @@
 """Finite-field linear algebra: fields, echelon forms, subspace enumeration."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -102,19 +103,28 @@ class TestSubspaces:
 
     def test_lattice_ops_modular_law(self):
         f = gfq.GF(2)
-        a = gfq.row_space(f, _packed(f, [[1, 0, 0]]), 3)
-        b = gfq.row_space(f, _packed(f, [[1, 0, 0], [0, 1, 0]]), 3)
-        assert gfq.intersection(a, b) == a and gfq.subspace_sum(a, b) == b
+        a = gfq.SubspaceRep.from_rows(f, 3, _packed(f, [[1, 0, 0]]))
+        b = gfq.SubspaceRep.from_rows(f, 3, _packed(f, [[1, 0, 0], [0, 1, 0]]))
+        assert _meet(a, b) == a and a.extend(b.rows)[0] == b
+        rng = random.Random(5)
+        for _ in range(15):
+            a, b, c = (
+                gfq.SubspaceRep.from_rows(f, 4, _packed(f, _random_matrix(rng, 2, 2, 4))) for _ in range(3)
+            )
+            c = c.extend(a.rows)[0]  # a <= c
+            assert a.extend(_meet(b, c).rows)[0] == _meet(a.extend(b.rows)[0], c)
 
     def test_dimension_formula(self):
         f = gfq.GF(2)
         rng = random.Random(3)
         for _ in range(15):
-            a = gfq.row_space(f, _packed(f, _random_matrix(rng, 2, 2, 4)), 4)
-            b = gfq.row_space(f, _packed(f, _random_matrix(rng, 2, 2, 4)), 4)
-            meet, join = gfq.intersection(a, b), gfq.subspace_sum(a, b)
+            a = gfq.SubspaceRep.from_rows(f, 4, _packed(f, _random_matrix(rng, 2, 2, 4)))
+            b = gfq.SubspaceRep.from_rows(f, 4, _packed(f, _random_matrix(rng, 2, 2, 4)))
+            meet, join = _meet(a, b), a.extend(b.rows)[0]
             assert a.dim + b.dim == meet.dim + join.dim
             assert a.contains(meet) and b.contains(meet) and join.contains(a) and join.contains(b)
+            # the relations between the two bases are the meet's vectors
+            assert gfq.left_kernel(f, a.rows + b.rows, 4).dim == meet.dim
 
 
 class TestExtend:
@@ -134,7 +144,8 @@ class TestExtend:
         assert list(bigger.pivots) == pivots[:rank]
         assert a.dim + len(new) == bigger.dim
         assert all(row in bigger.rows for row in new)
-        assert gfq.intersection(a, gfq.row_space(a.field, new, a.ambient)).dim == 0
+        # the new rows are independent modulo a
+        assert gfq.SubspaceRep.from_rows(a.field, a.ambient, a.reduce(new)).dim == len(new)
         return bigger, new
 
     @pytest.mark.parametrize("q", LAYOUT_QS)
@@ -144,7 +155,7 @@ class TestExtend:
         for trial in range(40):
             ambient = rng.randint(1, 9)
             basis = _random_matrix(rng, q, rng.randint(0, ambient), ambient)
-            a = gfq.row_space(f, _packed(f, basis), ambient)
+            a = gfq.SubspaceRep.from_rows(f, ambient, _packed(f, basis))
             rows = _random_matrix(rng, q, rng.randint(0, 4), ambient)
             if trial % 4 == 1:  # sparse rows: zero columns and zero rows
                 rows = [[0 if rng.random() < 0.7 else x for x in row] for row in rows]
@@ -154,7 +165,7 @@ class TestExtend:
     def test_edge_cases(self, q):
         f = _field(q)
         rng = random.Random(q)
-        a = gfq.row_space(f, _packed(f, _random_matrix(rng, q, 3, 6)), 6)
+        a = gfq.SubspaceRep.from_rows(f, 6, _packed(f, _random_matrix(rng, q, 3, 6)))
         assert self._check(a, []) == (a, [])
         inside = gfq.mat_mul(f, _packed(f, _random_matrix(rng, q, 4, a.dim)), a.rows, 6)
         assert self._check(a, inside) == (a, [])
@@ -181,7 +192,7 @@ class TestChains:
     def _degree_vectors(dims):
         d1, d2 = dims
         field = gfq.GF(2)
-        v2 = gfq.row_space(field, _packed(field, _identity(d1)[:d2]), d1)
+        v2 = gfq.SubspaceRep.from_rows(field, d1, _packed(field, _identity(d1)[:d2]))
         return sorted((d1 - w.dim, w.dim) for w in gfq.enumerate_subspaces(field, d1) if v2.contains(w))
 
     @staticmethod
@@ -212,6 +223,13 @@ def _identity(n):
 
 def _packed(field, mat):
     return [gfq.pack(field, row) for row in mat]
+
+
+def _meet(a, b):
+    """Brute-force intersection: the span of every vector that both spaces contain."""
+    vectors = _packed(a.field, product(range(a.field.q), repeat=a.ambient))
+    common = [x for x in vectors if not any(a.reduce([x]) + b.reduce([x]))]
+    return gfq.SubspaceRep.from_rows(a.field, a.ambient, common)
 
 
 def _unpacked(field, n, rows):

@@ -61,7 +61,8 @@ class TestSubstitutionData:
 
 def _unit_span(field, r, coords):
     """Coordinate subspace of F_q^r spanned by the given coordinates."""
-    return gfq.row_space(field, [gfq.pack(field, [1 if c == k else 0 for c in range(r)]) for k in coords], r)
+    units = [gfq.pack(field, [1 if c == k else 0 for c in range(r)]) for k in coords]
+    return gfq.SubspaceRep.from_rows(field, r, units)
 
 
 @functools.lru_cache(maxsize=None)
@@ -86,11 +87,14 @@ def _brute_chain_counts(q, dims):
 
 
 def _filtration_dims(order, module, ybar):
-    """Filtration dims of the stratum Ybar <= F_q^r, via intersections with the column flag."""
+    """Filtration dims of the stratum Ybar <= F_q^r, via intersections with the column flag.
+
+    dim(Ybar meet m_j) comes from the dimension formula: dim Ybar + dim m_j - dim(Ybar + m_j).
+    """
     field, r = ybar.field, module.r
     flag = [_unit_span(field, r, [k for k, c in enumerate(module.columns) if c >= j])
             for j in range(1, order.n + 1)]
-    return tuple(gfq.intersection(ybar, mj).dim + r - ybar.dim for mj in flag)
+    return tuple(mj.dim - ybar.extend(mj.rows)[0].dim + r for mj in flag)
 
 
 def _brute_stratum_counts(order, module):
@@ -129,7 +133,7 @@ class TestFilteredDims:
         assert her.stratum_counts(ORDER22, MOD12)[((2, 2), 0)] == 1
 
     def test_coordinate_line(self):
-        line = gfq.row_space(gfq.GF(2), [gfq.pack(gfq.GF(2), [1, 0])], 2)
+        line = gfq.SubspaceRep.from_rows(gfq.GF(2), 2, [gfq.pack(gfq.GF(2), [1, 0])])
         assert _filtration_dims(ORDER22, MOD12, line) == (2, 1)
         # e_1 and e_1 + e_2 miss e_2's span; e_2 alone gives (2, 2)
         counts = her.stratum_counts(ORDER22, MOD12)

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by the module that makes it."""
+"""Every module-level import in the package is used by the module that makes it,
+and every module-level definition is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "brzeta"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+#: the packed-row format's conversions to and from element lists, which the tests use
+DEAD_ALLOWED = {"gfq.pack", "gfq.unpack"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -22,6 +26,28 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def _names_read(node) -> set[str]:
+    """Every name that ``node`` loads, bare or as an attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each top-level function or class whose name no other
+    top-level statement of any module reads as a Name or an Attribute."""
+    statements = [(module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body]
+    reads = [(stmt, _names_read(stmt)) for _, stmt in statements]
+    return [
+        f"{module}.{stmt.name}"
+        for module, stmt in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not any(stmt.name in names for other, names in reads if other is not stmt)
+    ]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
@@ -30,3 +56,16 @@ def test_no_unused_imports(module):
 def test_scanner_sees_unused_names():
     source = "from __future__ import annotations\nimport os.path\nfrom a import b, c as d\nprint(d)\n"
     assert unused_imports(source) == ["os", "b"]
+
+
+def test_every_definition_is_read():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert sorted(set(unread_definitions(sources)) - DEAD_ALLOWED) == []
+
+
+def test_definition_scanner_skips_own_body_and_docstrings():
+    sources = {
+        "a": 'def f():\n    return f()\n\n\ndef g():\n    """Calls h."""\n\n\nclass C:\n    pass\n',
+        "b": "from .a import C\n\n\ndef h(x):\n    return x.g\n",
+    }
+    assert unread_definitions(sources) == ["a.f", "a.C", "b.h"]

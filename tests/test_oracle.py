@@ -25,6 +25,15 @@ class TestModelConstruction:
         assert orc.validate_model(orc.triangular_module(2, 2, 2, (1, 2))) == 4
         assert orc.validate_model(orc.skew_module(2, 2, 2, 3)) == 6
 
+    def test_constructors_validate_their_models(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(orc, "validate_model", lambda model: seen.append(model.kind))
+        orc.chain_module(2, 2)
+        orc.local2d_module(2, 2)
+        orc.triangular_module(2, 2, 1, (1,))
+        orc.skew_module(2, 2, 1, 1)  # validates its triangular base too
+        assert seen == ["chain", "local2d", "triangular", "triangular", "skew_poly"]
+
     def test_chain_rejects_empty(self):
         with pytest.raises(SchemaError):
             orc.chain_module(2, 0)
@@ -160,34 +169,43 @@ def _fixed_point_closure(model, rows):
         sub = bigger
 
 
+def _image(model, rows, name):
+    """Packed rows times a generator's dense matrix."""
+    return gfq.mat_mul(model.field, rows, _packed(model.field, _dense(model.gens[name])), model.dim)
+
+
+def _radical_images(model, rows):
+    return [row for name in model.rad_names for row in _image(model, rows, name)]
+
+
 def _reference_top(model, rep):
     """dim(JX + X E_i) - dim JX per class, with JX the closure of X's radical images."""
-    f = model.field
-
-    def images(name):
-        return gfq.mat_mul(f, rep.rows, _packed(f, _dense(model.gens[name])), model.dim)
-
-    jx = _fixed_point_closure(model, [row for name in model.rad_names for row in images(name)])
-    tops = []
-    for name in model.idem_names:
-        tops.append(gfq.SubspaceRep.from_rows(f, model.dim, list(jx.rows) + images(name)).dim - jx.dim)
-    return tuple(tops)
+    jx = _fixed_point_closure(model, _radical_images(model, rep.rows))
+    f, n = model.field, model.dim
+    return tuple(
+        gfq.SubspaceRep.from_rows(f, n, [*jx.rows, *_image(model, rep.rows, name)]).dim - jx.dim
+        for name in model.idem_names
+    )
 
 
 class TestSpinAndTops:
+    """The one-extend radical and the tops against the spinning reference closure."""
+
     @pytest.mark.parametrize("q", [2, 3, 4])
-    def test_spin_equals_fixed_point_closure(self, q):
+    def test_radical_equals_reference_closure(self, q):
         rng = random.Random(10 + q)
         for model in _models(q):
+            starts = []
             for count in (0, 1, 1, 2):
                 rows = _random_rows(rng, model, count)
-                if count and rng.random() < 0.5:  # sparse rows spin further before filling up
+                if count and rng.random() < 0.5:  # sparse rows generate deeper submodules
                     rows = [[0 if rng.random() < 0.8 else x for x in row] for row in rows]
-                rows = _packed(model.field, rows)
-                assert orc.module_closure(model, rows) == _fixed_point_closure(model, rows), model.kind
-            for k in range(model.dim):  # unit vectors: cyclic submodules of every depth
-                unit = _packed(model.field, [[1 if j == k else 0 for j in range(model.dim)]])
-                assert orc.module_closure(model, unit) == _fixed_point_closure(model, unit), (model.kind, k)
+                starts.append(_packed(model.field, rows))
+            starts += [[unit] for unit in model.full().rows]  # cyclic submodules of every depth
+            for rows in starts:
+                x = _fixed_point_closure(model, rows)
+                want = _fixed_point_closure(model, _radical_images(model, x.rows))
+                assert orc.radical_subspace(model, x) == want, model.kind
 
     @pytest.mark.parametrize(
         "model, bound",
@@ -271,15 +289,13 @@ class TestMaximalSubmodules:
         for node in orc.submodule_bfs(model, 2):
             x = node.rep
             class_images = [
-                gfq.SubspaceRep.from_rows(
-                    f, model.dim, gfq.mat_mul(f, x.rows, _packed(f, _dense(model.gens[name])), model.dim)
-                )
+                gfq.SubspaceRep.from_rows(f, model.dim, _image(model, x.rows, name))
                 for name in model.idem_names
             ]
             want = set()
             for hyper in gfq.enumerate_subspaces(f, x.dim, dims=x.dim - 1):
                 h = gfq.SubspaceRep.from_rows(f, model.dim, gfq.mat_mul(f, hyper.rows, x.rows, model.dim))
-                if orc.module_closure(model, h.rows) != h:
+                if _fixed_point_closure(model, h.rows) != h:
                     continue
                 # X/H is simple: exactly one class moves X out of H
                 (cls,) = [i for i, image in enumerate(class_images) if not h.contains(image)]
@@ -466,11 +482,11 @@ class TestFiberCharts:
     def test_two_generator_fibers(self):
         model = orc.local2d_module(2, 4)
         e0 = [gfq.pack(model.field, [1] + [0] * (model.dim - 1))]
-        assert orc.module_closure(model, e0) == model.full()
+        assert _fixed_point_closure(model, e0) == model.full()
         e0u = orc._mm(e0, model.acts["u"])
         e0t = orc._mm(e0, model.acts["t"])
-        ut = orc.module_closure(model, e0u + e0t)
-        ut2 = orc.module_closure(model, e0u + orc._mm(e0t, model.acts["t"]))
+        ut = _fixed_point_closure(model, e0u + e0t)
+        ut2 = _fixed_point_closure(model, e0u + orc._mm(e0t, model.acts["t"]))
         assert orc.composition_class(model, model.full(), ut) == (1,)
         assert orc.composition_class(model, model.full(), ut2) == (2,)
         ctx = orc.FiberContext(model)

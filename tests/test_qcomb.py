@@ -1,17 +1,15 @@
-"""q-combinatorics: Gaussian binomials, Moebius weights, partition counts."""
+"""q-combinatorics: Gaussian binomials, Cauchy products, partition counts."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brzeta.qcomb import (
-    cauchy_poly,
-    euler_coeffs,
-    gaussian_binomial,
-    partition_count,
-    prime_power_factors,
-    subspace_moebius,
-)
+from brzeta.qcomb import cauchy_poly, gaussian_binomial, partition_count, prime_power_factors
+
+
+def _subspace_moebius(d, q):
+    """Moebius value of a d-step interval in the subspace lattice: (-1)^d q^C(d,2)."""
+    return (-1) ** d * q ** (d * (d - 1) // 2)
 
 
 def _trial_division(q):
@@ -67,16 +65,15 @@ class TestGaussianBinomial:
 
 class TestSubspaceMoebius:
     def test_small_values(self):
-        assert subspace_moebius(0, 2) == 1
-        assert subspace_moebius(1, 2) == -1
-        assert subspace_moebius(2, 2) == 2
-        assert subspace_moebius(3, 2) == -8
+        # the top coefficient of cauchy_poly(d, q) is the Moebius value of a d-step interval
+        assert [cauchy_poly(d, 2)[d] for d in range(4)] == [1, -1, 2, -8]
+        assert [_subspace_moebius(d, 2) for d in range(4)] == [1, -1, 2, -8]
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_inversion_identity(self, q):
         # sum over subspaces of the Moebius weight is zero unless V = 0
         for m in range(0, 6):
-            total = sum(gaussian_binomial(m, d, q) * subspace_moebius(d, q) for d in range(m + 1))
+            total = sum(gaussian_binomial(m, d, q) * _subspace_moebius(d, q) for d in range(m + 1))
             assert total == (1 if m == 0 else 0)
 
 
@@ -96,7 +93,7 @@ class TestCauchyPoly:
             coeffs = cauchy_poly(m, q)
             assert len(coeffs) == m + 1
             for d, c in enumerate(coeffs):
-                assert c == gaussian_binomial(m, d, q) * subspace_moebius(d, q)
+                assert c == gaussian_binomial(m, d, q) * _subspace_moebius(d, q)
 
 
 class TestPartitionCount:
@@ -124,20 +121,3 @@ class TestPartitionCount:
 
         for j in range(1, i + 1):
             assert partition_count(i, j) == exactly_parts(i, j)
-
-
-class TestEulerCoeffs:
-    def test_constant(self):
-        table = euler_coeffs(4)
-        assert table[(0, 0)] == 1
-
-    def test_small_entries(self):
-        table = euler_coeffs(6)
-        assert table[(3, 2)] == 1
-        assert table[(4, 2)] == 2
-
-    def test_matches_partition_count_everywhere(self):
-        table = euler_coeffs(12)
-        for i in range(1, 13):
-            for j in range(1, i + 1):
-                assert table.get((i, j), 0) == partition_count(i, j)
