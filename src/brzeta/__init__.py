@@ -1,8 +1,8 @@
 """Exact truncated zeta functions of modules over semilocal orders.
 
 Submodule-counting generating functions are represented as truncated
-multivariate power series with rational coefficients, one variable per
-simple module class.  Closed-form engines (product formulas, recursive
+multivariate power series with exact rational coefficients, held as ``int``
+when integral, one variable per simple module class.  Closed-form engines (product formulas, recursive
 assembly over chain data, two-variable hereditary counts) are verified
 against a brute-force submodule enumerator over explicit matrix models.
 """

@@ -82,7 +82,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def _series_doc(series: TruncatedSeries) -> dict:
     terms = []
-    for exps, c in sorted(series.items(), key=lambda t: (sum(t[0]), t[0])):
+    for exps, c in series.items():
         terms.append(
             {
                 "monomial": series.alphabet.format_monomial(exps),
@@ -101,7 +101,7 @@ def _series_doc(series: TruncatedSeries) -> dict:
 
 def _series_csv(series: TruncatedSeries) -> str:
     lines = ["monomial,num,den"]
-    for exps, c in sorted(series.items(), key=lambda t: (sum(t[0]), t[0])):
+    for exps, c in series.items():
         mono = series.alphabet.format_monomial(exps)
         lines.append(f"{mono},{c.numerator},{c.denominator}")
     return "\n".join(lines) + "\n"

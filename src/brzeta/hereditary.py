@@ -27,10 +27,9 @@ the joint count gives one colength count per isomorphism class of sublattice
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import FormulaViolationError, NonUnitError, SchemaError, TruncationBoundError, as_int
-from .qcomb import gaussian_binomial
+from .qcomb import cauchy_poly, gaussian_binomial
 from .series import (
     Alphabet,
     AlphabetEntry,
@@ -198,7 +197,7 @@ def filtered_poly(
     if len(t_exps) != len(dims):
         raise SchemaError(f"{len(dims)} filtration levels need {len(dims)} t-monomials")
     width = len(alphabet)
-    coeffs: dict[Monomial, Fraction] = {}
+    coeffs: dict[Monomial, int] = {}
     for degvec, cnt in chain_degree_counts(q, dims).items():
         exps = [0] * width
         for j, d in enumerate(degvec):
@@ -208,7 +207,7 @@ def filtered_poly(
                     exps[idx] += tj[idx] * d
         key = tuple(exps)
         if mono_degree(key) <= bound:
-            coeffs[key] = coeffs.get(key, Fraction(0)) + cnt
+            coeffs[key] = coeffs.get(key, 0) + cnt
     return TruncatedSeries(alphabet, bound, coeffs)
 
 
@@ -216,31 +215,7 @@ def hermite_Q(m: int, r: int, q: int) -> list[int]:
     """Stratum weight v^(r-m) * prod_{i=1}^m (1 - q^(i-1) v), as v-coefficients."""
     if not 0 <= m <= r:
         raise SchemaError(f"stratum dimension must satisfy 0 <= m <= r, got m={m}, r={r}")
-    coeffs = [0] * (r - m) + [1]
-    for i in range(1, m + 1):
-        scale = q ** (i - 1)
-        nxt = coeffs + [0]
-        for k in range(len(coeffs)):
-            nxt[k + 1] -= scale * coeffs[k]
-        coeffs = nxt
-    return coeffs
-
-
-def poly_in_monomial(alphabet: Alphabet, bound: int, coeffs, exps: Monomial) -> TruncatedSeries:
-    """sum_k coeffs[k] * m^k for a degree >= 1 monomial m."""
-    exps = tuple(exps)
-    d = mono_degree(exps)
-    if d < 1:
-        raise TruncationBoundError("polynomial base monomial must have degree >= 1")
-    out: dict[Monomial, Fraction] = {}
-    cur = (0,) * len(alphabet)
-    for k, c in enumerate(coeffs):
-        if k * d > bound:
-            break
-        if c:
-            out[cur] = Fraction(c)
-        cur = tuple(a + b for a, b in zip(cur, exps))
-    return TruncatedSeries(alphabet, bound, out)
+    return [0] * (r - m) + cauchy_poly(m, q)
 
 
 def solomon_hey_factor(
@@ -286,7 +261,7 @@ def _stratum_sum(order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound
     acc = TruncatedSeries.zero(alphabet, bound)
     for (dims, m), count in sorted(stratum_counts(order, module).items()):
         p_series = filtered_poly(dims, q, t_exps, alphabet, bound)
-        q_series = poly_in_monomial(alphabet, bound, hermite_Q(m, r, q), v_exps)
+        q_series = TruncatedSeries.powers(alphabet, bound, v_exps, hermite_Q(m, r, q))
         acc = acc + (p_series * q_series).scaled(count)
     return acc
 
@@ -317,8 +292,8 @@ def brs_F(order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound: int) 
 
     Computed without truncation loss (all ingredients are polynomials with an
     a-priori degree bound), then restated at the requested bound.  Raises a
-    formula violation if coefficients are non-integral or the degree does not
-    sit below the requested bound.
+    formula violation if coefficients are non-integral, and a truncation-bound
+    error naming the degree of F if the requested bound is below it.
     """
     _validate_pair(order, module)
     r = module.r
@@ -334,12 +309,9 @@ def brs_F(order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound: int) 
             f"polynomial factor is not divisible by the column-shift monomial: {exc}"
         ) from exc
     poly.assert_integral(require_nonnegative=False)
-    if poly.max_degree() > bound:
-        raise FormulaViolationError(
-            "polynomial factor does not stabilize below the requested bound",
-            expected=f"degree < {bound}",
-            actual=f"degree {poly.max_degree()}",
-        )
+    degree = poly.max_degree()
+    if degree > bound:
+        raise TruncationBoundError(f"the polynomial factor has degree {degree}; bound {bound} would truncate it")
     return poly.extended(bound)
 
 

@@ -10,7 +10,6 @@ exactly, giving a fast in-package consistency check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import SchemaError, as_int
 from .qcomb import cauchy_poly
@@ -112,14 +111,7 @@ def moebius_inverse_series(data: SemisimpleData, bound: int) -> TruncatedSeries:
     coefficients are the alternating q-powered subspace counts.
     """
     al = data.alphabet()
-    n = len(al)
     out = TruncatedSeries.one(al, bound)
     for i, e in enumerate(data.entries):
-        coeffs = {}
-        for d, c in enumerate(cauchy_poly(e.m, e.q)):
-            if c and d <= bound:
-                exps = [0] * n
-                exps[i] = d
-                coeffs[tuple(exps)] = Fraction(c)
-        out = out * TruncatedSeries(al, bound, coeffs)
+        out = out * TruncatedSeries.powers(al, bound, al.unit(i), cauchy_poly(e.m, e.q))
     return out

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import gfq
 from .errors import FormulaViolationError, ResourceBudgetError, SchemaError, as_int
@@ -187,6 +186,20 @@ def _block_diag(gathers) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _triangular_gens(n: int, c: int, columns) -> dict[str, tuple[int, ...]]:
+    """Gathers of g and e1..en on the direct sum of the given column lattices mod pi^c."""
+    g_blocks, idem_blocks = [], [[] for _ in range(n)]
+    for tau in columns:
+        g, idems = _column_maps(n, c, tau)
+        g_blocks.append(g)
+        for i in range(n):
+            idem_blocks[i].append(idems[i])
+    gens = {"g": _block_diag(g_blocks)}
+    for i in range(n):
+        gens[f"e{i + 1}"] = _block_diag(idem_blocks[i])
+    return gens
+
+
 def triangular_module(q: int, n: int, c: int, columns) -> RingModel:
     """Direct sum of column lattices over the n x n triangular order mod pi^c.
 
@@ -199,19 +212,10 @@ def triangular_module(q: int, n: int, c: int, columns) -> RingModel:
         raise SchemaError(f"need n >= 1, c >= 1, nonempty columns; got n={n}, c={c}, columns={columns}")
     if any(x < 1 or x > n for x in columns):
         raise SchemaError(f"column types must lie in 1..{n}, got {columns}")
-    field = gfq.GF(q)
-    g_blocks, idem_blocks = [], [[] for _ in range(n)]
-    for tau in columns:
-        g, idems = _column_maps(n, c, tau)
-        g_blocks.append(g)
-        for i in range(n):
-            idem_blocks[i].append(idems[i])
-    gens = {"g": _block_diag(g_blocks)}
-    for i in range(n):
-        gens[f"e{i + 1}"] = _block_diag(idem_blocks[i])
+    gens = _triangular_gens(n, c, columns)
     model = RingModel(
         kind="triangular",
-        field=field,
+        field=gfq.GF(q),
         dim=len(gens["g"]),
         gens=gens,
         rad_names=("g",),
@@ -231,22 +235,19 @@ def skew_module(q: int, n: int, c_pi: int, c_t: int) -> RingModel:
     """
     if n < 1 or c_pi < 1 or c_t < 1:
         raise SchemaError(f"need n, c_pi, c_t >= 1; got n={n}, c_pi={c_pi}, c_t={c_t}")
-    base = triangular_module(q, n, c_pi, tuple(range(1, n + 1)))
-    d0 = base.dim
+    base = _triangular_gens(n, c_pi, range(1, n + 1))
+    d0 = len(base["g"])
     dim = d0 * c_t
-    gens = {
-        "g": _block_diag([base.gens["g"]] * c_t),
-        "t": tuple(k - d0 if k >= d0 else -1 for k in range(dim)),  # raise the t-digit
-    }
-    for name in base.idem_names:
-        gens[name] = _block_diag([base.gens[name]] * c_t)
+    # each t-digit is a copy of the base; t raises the digit
+    gens = {name: _block_diag([gather] * c_t) for name, gather in base.items()}
+    gens["t"] = tuple(k - d0 if k >= d0 else -1 for k in range(dim))
     model = RingModel(
         kind="skew_poly",
-        field=base.field,
+        field=gfq.GF(q),
         dim=dim,
         gens=gens,
         rad_names=("g", "t"),
-        idem_names=base.idem_names,
+        idem_names=tuple(f"e{i + 1}" for i in range(n)),
         alphabet=z_alphabet(q, n),
         depth=min(c_t, n * c_pi),
         params={"kind": "skew_poly", "q": q, "n": n, "c_pi": c_pi, "c_t": c_t},
@@ -519,14 +520,14 @@ def empirical_zeta(
     else:
         alphabet = model.alphabet
         out_bound = bound
-    coeffs: dict[Monomial, Fraction] = {}
+    coeffs: dict[Monomial, int] = {}
     for node in nodes:
         if partial is not None or joint:
             top = node.top if node.top is not None else top_class(model, node.rep)
         if partial is not None and top != partial:
             continue
         key = node.cls + top if joint else node.cls
-        coeffs[key] = coeffs.get(key, Fraction(0)) + 1
+        coeffs[key] = coeffs.get(key, 0) + 1
     return TruncatedSeries(alphabet, out_bound, coeffs)
 
 
@@ -704,7 +705,7 @@ def fiber_partition(
 
 def fiber_sum(model: RingModel, nodes, bound: int) -> TruncatedSeries:
     """Sum of quotient-class monomials of the given nodes, over the z alphabet."""
-    coeffs: dict[Monomial, Fraction] = {}
+    coeffs: dict[Monomial, int] = {}
     for node in nodes:
-        coeffs[node.cls] = coeffs.get(node.cls, Fraction(0)) + 1
+        coeffs[node.cls] = coeffs.get(node.cls, 0) + 1
     return TruncatedSeries(model.alphabet, bound, coeffs)

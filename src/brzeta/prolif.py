@@ -20,7 +20,6 @@ pulls the class-independent base count out of every layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as _iter_product
 
 from . import hereditary as _her
@@ -37,6 +36,7 @@ from .series import (
     Alphabet,
     AlphabetEntry,
     Monomial,
+    Rational,
     TruncatedSeries,
     geometric_product,
     product_eval,
@@ -267,31 +267,36 @@ class ChainData:
 
 def change_of_variable(
     base: SliceBase, seq: tuple[ClassVec, ...], j: int
-) -> dict[int, tuple[Fraction, Monomial]]:
-    """Layer-j substitution targets: z_i -> scalar_i * prod_k z_{sigma^k(i)}.
+) -> dict[int, tuple[int, Monomial]]:
+    """Layer-j substitution targets: z_i -> scalar_i * prod_{k<=j} z_{sigma^k(i)}.
 
-    ``seq`` supplies the classes P_0..P_j, its last entry repeating forever;
-    the scalar divides out the hom count from P_j and multiplies the hom counts
-    from P_{j-k} against the k-times-twisted class, so the j=0 map is the
-    identity.  Targets have degree j+1, which keeps truncation sound.
+    ``seq`` supplies the classes P_0..P_j, its last entry repeating forever.
+    The scalar is the product over k of the hom counts from P_{j-k} to the
+    k-times-twisted class, divided by the hom count from P_j to class i.  That
+    divisor is the k = 0 factor, so it cancels:
+
+        scalar_i = prod_{k=1}^{j} q_t^(P_{j-k}[t]),  t = sigma^k(i),
+
+    an integer, and the j = 0 map is the identity.  Targets have degree j+1,
+    which keeps truncation sound.
     """
     if j < 0:
         raise SchemaError(f"layer index must be >= 0, got {j}")
     last = len(seq) - 1
     n = base.n_classes
     sigma = base.sigma
-    mapping: dict[int, tuple[Fraction, Monomial]] = {}
+    qs = base.class_qs()
+    mapping: dict[int, tuple[int, Monomial]] = {}
     for i in range(n):
         exps = [0] * n
-        num = Fraction(1)
+        exps[i] = 1
+        scalar = 1
         tgt = i
-        for k in range(j + 1):
-            exps[tgt] += 1
-            unit = tuple(1 if s == tgt else 0 for s in range(n))
-            num *= base.hom_count(seq[min(j - k, last)], unit)
+        for k in range(1, j + 1):
             tgt = sigma[tgt]
-        unit_i = tuple(1 if s == i else 0 for s in range(n))
-        mapping[i] = (num / base.hom_count(seq[min(j, last)], unit_i), tuple(exps))
+            exps[tgt] += 1
+            scalar *= qs[tgt] ** seq[min(j - k, last)][tgt]
+        mapping[i] = (scalar, tuple(exps))
     return mapping
 
 
@@ -308,7 +313,7 @@ def fundamental_fiber_product(base: SliceBase, chain: ChainData, bound: int) -> 
         raise SchemaError(f"chain class width {len(chain.y_tops[0])} != {n} slice classes")
     if chain.y_tops[-1] != base.top_class():
         raise SchemaError("chain does not stabilize at the class of the slice module")
-    coeff = Fraction(1)
+    coeff = 1
     exps = [0] * n
     for j, ell in enumerate(chain.quotients):
         if not any(ell):
@@ -412,6 +417,8 @@ def lifted_hey(data: SemisimpleData, sigma, bound: int) -> TruncatedSeries:
 
     Layer n, class i, step j < m_i contributes
     (1 - q_i^(j - m_i) * prod_{k=0}^n w_{sigma^k(i)})^{-1} with w_i = q_i^(m_i) z_i.
+    The k = 0 factor q_i^(m_i) cancels q_i^(-m_i), so the scalar is the integer
+    q_i^j * prod_{k=1}^n q^m of class sigma^k(i).
     """
     entries = data.entries
     al = data.alphabet()
@@ -426,15 +433,15 @@ def lifted_hey(data: SemisimpleData, sigma, bound: int) -> TruncatedSeries:
         for layer in range(bound):
             for i, e in enumerate(entries):
                 exps = [0] * n_cls
-                w_scalar = Fraction(1)
+                exps[i] = 1
+                twist = 1
                 tgt = i
-                for _ in range(layer + 1):
-                    exps[tgt] += 1
-                    w_scalar *= entries[tgt].q ** entries[tgt].m
+                for _ in range(layer):
                     tgt = sigma[tgt]
+                    exps[tgt] += 1
+                    twist *= entries[tgt].q ** entries[tgt].m
                 for j in range(e.m):
-                    scalar = w_scalar * Fraction(e.q) ** (j - e.m)
-                    yield layer + 1, TruncatedSeries.geometric(al, bound, tuple(exps), scalar)
+                    yield layer + 1, TruncatedSeries.geometric(al, bound, tuple(exps), e.q**j * twist)
 
     return product_eval(al, bound, factors())
 
@@ -442,7 +449,7 @@ def lifted_hey(data: SemisimpleData, sigma, bound: int) -> TruncatedSeries:
 # -- Dirichlet specializations -------------------------------------------------
 
 
-def _int_coeffs(mapping: dict[int, Fraction], what: str) -> dict[int, int]:
+def _int_coeffs(mapping: dict[int, Rational], what: str) -> dict[int, int]:
     out = {}
     for k, c in sorted(mapping.items()):
         if c.denominator != 1:
@@ -572,7 +579,7 @@ def zjv_factor(ell: int, q: int, j: int, bound: int) -> TruncatedSeries:
         raise SchemaError(f"need ell >= 0 and j >= 0, got ell={ell}, j={j}")
     al = Alphabet((AlphabetEntry("v", q, 1),))
     src = _her.solomon_hey_factor(ell, q, bound // (j + 1))
-    out = src.substitute(al, {0: (Fraction(q) ** (j * ell), (j + 1,))}, bound)
+    out = src.substitute(al, {0: (q ** (j * ell), (j + 1,))}, bound)
     closed = geometric_product(al, bound, (((j + 1,), q ** (i + j * ell)) for i in range(ell)))
     if out != closed:
         raise FormulaViolationError(

@@ -6,9 +6,11 @@ the free commutative generator ``z_i`` has multiplicative norm ``q_i**r_i``.
 Monomials are plain exponent tuples, one slot per entry; their norm is the
 product of entry norms raised to the exponents.
 
-A :class:`TruncatedSeries` keeps exact :class:`~fractions.Fraction`
-coefficients for every monomial of total degree at most ``bound`` and drops
-everything above.  All arithmetic stays inside that quotient, so two series
+A :class:`TruncatedSeries` keeps exact rational coefficients for every
+monomial of total degree at most ``bound`` and drops everything above.  A
+coefficient is held as a plain ``int`` when it is integral and as a
+:class:`~fractions.Fraction` only when it is not, so counting stays in integer
+arithmetic.  All arithmetic stays inside that quotient, so two series
 may be combined only when their alphabets and bounds agree; re-truncate
 explicitly with :meth:`TruncatedSeries.truncated` first.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -32,6 +35,9 @@ from .qcomb import prime_power_factors
 
 #: Exponent vector of a monomial; one nonnegative entry per alphabet slot.
 Monomial = tuple[int, ...]
+
+#: An exact rational coefficient: an ``int`` when integral, else a ``Fraction``.
+Rational = int | Fraction
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -49,6 +55,11 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
 
 def mono_quotient(b: Monomial, a: Monomial) -> Monomial:
     return tuple(y - x for x, y in zip(a, b))
+
+
+def _graded(exps: Monomial) -> tuple[int, Monomial]:
+    """The graded order on monomials: total degree first, then exponents."""
+    return sum(exps), exps
 
 
 @dataclass(frozen=True)
@@ -128,12 +139,14 @@ class Alphabet:
         return "*".join(parts) if parts else "1"
 
 
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact(value) -> Rational:
+    """``value`` in canonical form: a plain int when integral, else a Fraction."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise SchemaError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
@@ -142,19 +155,19 @@ class TruncatedSeries:
 
     __slots__ = ("alphabet", "bound", "coeffs")
 
-    def __init__(self, alphabet: Alphabet, bound: int, coeffs: Mapping[Monomial, Fraction | int] | None = None):
+    def __init__(self, alphabet: Alphabet, bound: int, coeffs: Mapping[Monomial, Rational] | None = None):
         if bound < 0:
             raise TruncationBoundError(f"bound must be >= 0, got {bound}")
         self.alphabet = alphabet
         self.bound = bound
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Rational] = {}
         if coeffs:
             n = len(alphabet)
             for exps, c in coeffs.items():
                 exps = tuple(exps)
                 if len(exps) != n or any(e < 0 for e in exps):
                     raise SchemaError(f"bad exponent vector {exps} for {n}-entry alphabet")
-                c = _as_fraction(c)
+                c = _exact(c)
                 if c and mono_degree(exps) <= bound:
                     clean[exps] = c
         self.coeffs = clean
@@ -167,39 +180,39 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, alphabet: Alphabet, bound: int) -> "TruncatedSeries":
-        return cls(alphabet, bound, {alphabet.zero(): Fraction(1)})
+        return cls(alphabet, bound, {alphabet.zero(): 1})
 
     @classmethod
     def monomial(cls, alphabet: Alphabet, bound: int, exps: Monomial, coeff=1) -> "TruncatedSeries":
-        return cls(alphabet, bound, {tuple(exps): _as_fraction(coeff)})
+        return cls(alphabet, bound, {tuple(exps): coeff})
+
+    @classmethod
+    def powers(cls, alphabet: Alphabet, bound: int, exps: Monomial, coeffs: Iterable) -> "TruncatedSeries":
+        """``sum_k coeffs[k] * m**k`` for a monomial ``m`` of degree >= 1.
+
+        ``coeffs`` may be infinite: it is read only while ``m**k`` stays within ``bound``.
+        """
+        exps = tuple(exps)
+        d = mono_degree(exps)
+        if d < 1:
+            raise TruncationBoundError("a series in powers of a monomial needs degree >= 1")
+        terms = zip(range(bound // d + 1), coeffs)
+        return cls(alphabet, bound, {tuple(k * e for e in exps): c for k, c in terms})
 
     @classmethod
     def geometric(cls, alphabet: Alphabet, bound: int, exps: Monomial, scalar=1) -> "TruncatedSeries":
         """``(1 - scalar*m)**-1`` expanded directly; ``m`` must have degree >= 1."""
-        exps = tuple(exps)
-        d = mono_degree(exps)
-        if d < 1:
-            raise TruncationBoundError("geometric series needs a monomial of degree >= 1")
-        scalar = _as_fraction(scalar)
-        out: dict[Monomial, Fraction] = {}
-        cur = alphabet.zero()
-        val = Fraction(1)
-        k = 0
-        while k * d <= bound:
-            out[cur] = val
-            cur = mono_mul(cur, exps)
-            val *= scalar
-            k += 1
-        return cls(alphabet, bound, out)
+        scalar = _exact(scalar)
+        return cls.powers(alphabet, bound, exps, (scalar**k for k in count()))
 
     # -- inspection ------------------------------------------------------
 
-    def coefficient(self, exps: Monomial) -> Fraction:
-        return self.coeffs.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Monomial) -> Rational:
+        return self.coeffs.get(tuple(exps), 0)
 
     @property
-    def constant_term(self) -> Fraction:
-        return self.coeffs.get(self.alphabet.zero(), Fraction(0))
+    def constant_term(self) -> Rational:
+        return self.coeffs.get(self.alphabet.zero(), 0)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -207,8 +220,9 @@ class TruncatedSeries:
     def max_degree(self) -> int:
         return max((mono_degree(k) for k in self.coeffs), default=0)
 
-    def items(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.coeffs.items())
+    def items(self) -> list[tuple[Monomial, Rational]]:
+        """The nonzero terms in graded order: total degree first, then exponents."""
+        return [(k, self.coeffs[k]) for k in sorted(self.coeffs, key=_graded)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -223,11 +237,9 @@ class TruncatedSeries:
         if self.alphabet != other.alphabet:
             raise AlphabetMismatchError(f"{self.alphabet!r} vs {other.alphabet!r}")
         cut = min(self.bound, other.bound)
-        keys = sorted(
-            (k for k in set(self.coeffs) | set(other.coeffs) if mono_degree(k) <= cut),
-            key=lambda k: (mono_degree(k), k),
-        )
-        for k in keys:
+        for k in sorted(set(self.coeffs) | set(other.coeffs), key=_graded):
+            if mono_degree(k) > cut:
+                break
             a, b = self.coefficient(k), other.coefficient(k)
             if a != b:
                 return k, a, b
@@ -237,7 +249,7 @@ class TruncatedSeries:
         if not self.coeffs:
             return "0"
         parts = []
-        for exps, c in sorted(self.coeffs.items(), key=lambda kv: (mono_degree(kv[0]), kv[0])):
+        for exps, c in self.items():
             mono = self.alphabet.format_monomial(exps)
             if mono == "1":
                 parts.append(str(c))
@@ -259,11 +271,11 @@ class TruncatedSeries:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries(self.alphabet, self.bound, {self.alphabet.zero(): _as_fraction(other)})
+            other = TruncatedSeries(self.alphabet, self.bound, {self.alphabet.zero(): other})
         self._check_compatible(other)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return TruncatedSeries(self.alphabet, self.bound, out)
 
     __radd__ = __add__
@@ -282,7 +294,7 @@ class TruncatedSeries:
             return self.scaled(other)
         self._check_compatible(other)
         bound = self.bound
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rational] = {}
         # iterate the sparser operand outside
         a, b = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
         for ka, ca in a.coeffs.items():
@@ -291,13 +303,13 @@ class TruncatedSeries:
                 if da + mono_degree(kb) > bound:
                     continue
                 k = mono_mul(ka, kb)
-                out[k] = out.get(k, Fraction(0)) + ca * cb
+                out[k] = out.get(k, 0) + ca * cb
         return TruncatedSeries(self.alphabet, bound, out)
 
     __rmul__ = __mul__
 
     def scaled(self, scalar) -> "TruncatedSeries":
-        scalar = _as_fraction(scalar)
+        scalar = _exact(scalar)
         if not scalar:
             return TruncatedSeries.zero(self.alphabet, self.bound)
         return TruncatedSeries(self.alphabet, self.bound, {k: c * scalar for k, c in self.coeffs.items()})
@@ -316,8 +328,9 @@ class TruncatedSeries:
         if not c:
             raise NonUnitError("cannot invert a series with zero constant term")
         # f = c*(1 - g) with g of degree >= 1, so 1/f = (1/c) * sum g^k.
+        inv = _exact(Fraction(1) / c)
         one = TruncatedSeries.one(self.alphabet, self.bound)
-        g = one - self.scaled(Fraction(1, 1) / c)
+        g = one - self.scaled(inv)
         acc = one
         power = one
         for _ in range(self.bound):
@@ -325,7 +338,7 @@ class TruncatedSeries:
             if power.is_zero():
                 break
             acc = acc + power
-        return acc.scaled(Fraction(1, 1) / c)
+        return acc.scaled(inv)
 
     # -- truncation management ----------------------------------------------
 
@@ -367,12 +380,12 @@ class TruncatedSeries:
         n = len(self.alphabet)
         if set(mapping) != set(range(n)):
             raise SchemaError(f"substitution must map every entry index 0..{n - 1}")
-        scalars: list[Fraction] = []
+        scalars: list[Rational] = []
         targets: list[Monomial] = []
         m = len(out_alphabet)
         for i in range(n):
             scalar, exps = mapping[i]
-            scalar = _as_fraction(scalar)
+            scalar = _exact(scalar)
             exps = tuple(exps)
             if scalar <= 0:
                 raise SchemaError(f"substitution scalar for entry {i} must be positive, got {scalar}")
@@ -390,7 +403,7 @@ class TruncatedSeries:
                 f"out_bound {out_bound} not certified by source bound {self.bound} "
                 f"with min target degree {t_min}"
             )
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rational] = {}
         for exps, c in self.coeffs.items():
             acc = [0] * m
             val = c
@@ -403,7 +416,7 @@ class TruncatedSeries:
                 val *= scalars[i] ** e
             key = tuple(acc)
             if mono_degree(key) <= out_bound:
-                out[key] = out.get(key, Fraction(0)) + val
+                out[key] = out.get(key, 0) + val
         return TruncatedSeries(out_alphabet, out_bound, out)
 
     # -- monomial division -------------------------------------------------
@@ -415,7 +428,7 @@ class TruncatedSeries:
         """
         exps = tuple(exps)
         d = mono_degree(exps)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rational] = {}
         for k, c in self.coeffs.items():
             if not mono_divides(exps, k):
                 raise NonUnitError(
@@ -427,7 +440,7 @@ class TruncatedSeries:
 
     # -- Dirichlet extraction ------------------------------------------------
 
-    def dirichlet_coeffs(self, n_max: int) -> dict[int, Fraction]:
+    def dirichlet_coeffs(self, n_max: int) -> dict[int, Rational]:
         """Coefficients of the Dirichlet series ``z_i -> norm_i**-s``, by norm <= n_max.
 
         Warns when the truncation cannot certify completeness, i.e. when a
@@ -441,11 +454,11 @@ class TruncatedSeries:
                 CompletenessWarning,
                 stacklevel=2,
             )
-        out: dict[int, Fraction] = {}
+        out: dict[int, Rational] = {}
         for exps, c in self.coeffs.items():
             n = self.alphabet.mono_norm(exps)
             if n <= n_max:
-                out[n] = out.get(n, Fraction(0)) + c
+                out[n] = out.get(n, 0) + c
         return {n: out[n] for n in sorted(out) if out[n]}
 
     # -- integrality ----------------------------------------------------------
@@ -454,8 +467,7 @@ class TruncatedSeries:
         """Check all coefficients are integers (and by default >= 0)."""
         from .errors import FormulaViolationError
 
-        for k in sorted(self.coeffs, key=lambda k: (mono_degree(k), k)):
-            c = self.coeffs[k]
+        for k, c in self.items():
             if c.denominator != 1 or (require_nonnegative and c < 0):
                 raise FormulaViolationError(
                     "series coefficient is not a nonnegative integer",
@@ -467,7 +479,7 @@ class TruncatedSeries:
 
 
 def geometric_product(
-    alphabet: Alphabet, bound: int, factors: Iterable[tuple[Monomial, int | Fraction]]
+    alphabet: Alphabet, bound: int, factors: Iterable[tuple[Monomial, Rational]]
 ) -> TruncatedSeries:
     """``prod (1 - scalar*m)**-1`` over ``(exps, scalar)`` pairs, each ``m`` of degree >= 1."""
     out = TruncatedSeries.one(alphabet, bound)
@@ -530,7 +542,7 @@ def split_trailing(series: TruncatedSeries, first_count: int) -> dict[Monomial, 
     the series over the leading block that multiplies h, complete through
     ``bound - degree(h)``.
     """
-    parts: dict[Monomial, dict[Monomial, Fraction]] = {}
+    parts: dict[Monomial, dict[Monomial, Rational]] = {}
     for k, c in series.coeffs.items():
         parts.setdefault(k[first_count:], {})[k[:first_count]] = c
     sub_alphabet = Alphabet(series.alphabet.entries[:first_count])

@@ -315,6 +315,7 @@ class TestInputHandling:
             ["prolif", "--data", '{"kind": "dvr", "q": 2, "m": 1}', "--truncate", "2", "--budget", "-1"],
             ["verify", "--suite", "moebius", "--budget", "-1"],
             ["verify", "--suite", "moebius", "--budget", "nan"],
+            ["hereditary", "--data", '{"q": 2, "n": 2, "columns": [1, 2]}', "--factor", "--truncate", "3"],
         ],
         ids=[
             "non-prime-power-model",
@@ -353,6 +354,7 @@ class TestInputHandling:
             "prolif-negative-budget",
             "verify-negative-time-budget",
             "verify-nan-time-budget",
+            "factor-bound-below-degree",
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
@@ -365,6 +367,13 @@ class TestInputHandling:
         code, _, err = run_cli(capsys, ["hey", "--data", '[{"q": 2, "m": 1}]', "--truncate", "-1"])
         assert code == 2
         assert "bound" in err
+
+    def test_factor_bound_below_degree_names_it(self, capsys):
+        argv = ["hereditary", "--data", '{"q": 2, "n": 2, "columns": [1, 2]}', "--factor", "--truncate"]
+        code, _, err = run_cli(capsys, argv + ["3"])
+        assert code == 2 and "degree 4" in err
+        code, out, _ = run_cli(capsys, argv + ["4"])
+        assert code == 0 and out
 
     def test_exclusive_hereditary_modes(self, capsys):
         with pytest.raises(SystemExit):

@@ -202,7 +202,7 @@ class TestHermite:
                 for m in range(r + 1):
                     orbit = her.hermite_orbit_sum(m, r, q, 10)
                     al = orbit.alphabet
-                    qpoly = her.poly_in_monomial(al, 10, her.hermite_Q(m, r, q), (1,))
+                    qpoly = TruncatedSeries.powers(al, 10, (1,), her.hermite_Q(m, r, q))
                     assert orbit == qpoly * her.solomon_hey_factor(r, q, 10)
 
     def test_orbit_sum_values(self):

@@ -1,5 +1,6 @@
 """Every module-level import in the package is used by the module that makes it,
-and every module-level definition is read somewhere in the package."""
+every module-level definition is read somewhere in the package, and only the
+series ring imports ``fractions``: the engines count in integers."""
 
 import ast
 from pathlib import Path
@@ -24,6 +25,17 @@ def unused_imports(source: str) -> list[str]:
             imported += [a.asname or a.name for a in node.names]
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [name for name in imported if name not in used]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level package of every module an import statement anywhere in ``source`` names."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
 
 
 def _names_read(node) -> set[str]:
@@ -56,6 +68,17 @@ def test_no_unused_imports(module):
 def test_scanner_sees_unused_names():
     source = "from __future__ import annotations\nimport os.path\nfrom a import b, c as d\nprint(d)\n"
     assert unused_imports(source) == ["os", "b"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_series_imports_fractions(module):
+    assert module == "series.py" or "fractions" not in imported_modules((SRC / module).read_text())
+
+
+def test_import_scanner_sees_nested_imports():
+    source = "import os.path\nfrom . import series\n\n\ndef f():\n    from fractions import Fraction\n"
+    assert imported_modules(source) == {"os", "fractions"}
+    assert imported_modules("from .fractions import x\n") == set()
 
 
 def test_every_definition_is_read():

@@ -31,8 +31,8 @@ class TestModelConstruction:
         orc.chain_module(2, 2)
         orc.local2d_module(2, 2)
         orc.triangular_module(2, 2, 1, (1,))
-        orc.skew_module(2, 2, 1, 1)  # validates its triangular base too
-        assert seen == ["chain", "local2d", "triangular", "triangular", "skew_poly"]
+        orc.skew_module(2, 2, 1, 1)  # validates only the skew model, not a throwaway base
+        assert seen == ["chain", "local2d", "triangular", "skew_poly"]
 
     def test_chain_rejects_empty(self):
         with pytest.raises(SchemaError):

@@ -1,5 +1,6 @@
 """Class-sequence sums, layered products, and the Dirichlet-table identities."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,41 @@ class TestChangeOfVariable:
         mapping = pr.change_of_variable(base, ((1, 1), (1, 1)), 1)
         scalar, exps = mapping[0]
         assert scalar == 2 and exps == (1, 1)
+
+    @staticmethod
+    def _by_division(base, seq, j):
+        """Reference layer map: multiply the hom counts from P_(j-k) to each
+        twisted class, then divide out the hom count from P_j to class i."""
+        n, last = base.n_classes, len(seq) - 1
+        units = [tuple(int(s == t) for s in range(n)) for t in range(n)]
+        mapping = {}
+        for i in range(n):
+            exps, num, tgt = [0] * n, Fraction(1), i
+            for k in range(j + 1):
+                exps[tgt] += 1
+                num *= base.hom_count(seq[min(j - k, last)], units[tgt])
+                tgt = base.sigma[tgt]
+            mapping[i] = (num / base.hom_count(seq[min(j, last)], units[i]), tuple(exps))
+        return mapping
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_multiply_then_divide(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        if rng.random() < 0.5:
+            data = SemisimpleData.from_specs([(rng.choice((2, 3, 4, 5)), rng.randint(0, 3)) for _ in range(n)])
+            base = pr.SliceBase.semisimple(data, sigma)
+        else:
+            order = her.HereditaryOrderSpec(rng.choice((2, 3, 4)), n)
+            module = her.HereditaryModuleSpec([rng.randint(1, n) for _ in range(rng.randint(1, 4))])
+            base = pr.SliceBase.hereditary(order, module, sigma)
+        classes = base.fibre_classes()
+        for _ in range(10):
+            seq = tuple(rng.choice(classes) for _ in range(rng.randint(1, 5)))
+            for j in range(6):
+                assert pr.change_of_variable(base, seq, j) == self._by_division(base, seq, j)
 
 
 class TestFundamentalFiberProduct:

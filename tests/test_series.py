@@ -2,6 +2,7 @@
 
 import warnings
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,56 @@ class TestInvert:
     def test_zero_constant_term_rejected(self):
         with pytest.raises(NonUnitError):
             poly([0, 1]).invert()
+
+
+class TestCanonicalCoefficients:
+    def test_integral_fraction_is_stored_as_int(self):
+        c = TruncatedSeries(Z, 2, {(1,): Fraction(4, 2)}).coefficient((1,))
+        assert type(c) is int and c == 2
+
+    def test_bool_is_stored_as_plain_int(self):
+        c = TruncatedSeries(Z, 2, {(0,): True}).constant_term
+        assert type(c) is int and c == 1
+
+    def test_fraction_kept_only_when_not_integral(self):
+        inv = poly([2, 1], bound=3).invert()
+        assert inv == poly([Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8), Fraction(-1, 16)])
+        assert all(type(c) is Fraction for c in inv.coeffs.values())
+        back = inv * poly([2, 1], bound=3)
+        assert back == TruncatedSeries.one(Z, 3) and type(back.constant_term) is int
+
+    def test_unit_constant_inverts_in_ints(self):
+        inv = poly([-1, 3], bound=3).invert()
+        assert inv == poly([-1, -3, -9, -27])
+        assert all(type(c) is int for c in inv.coeffs.values())
+
+    def test_int_series_equals_fraction_twin(self):
+        ints = {(0, 0, 0): 1, (1, 2, 0): -3, (0, 1, 1): 7, (2, 0, 1): 12}
+        a = TruncatedSeries(Z3, 4, ints)
+        b = TruncatedSeries(Z3, 4, {k: Fraction(c) for k, c in ints.items()})
+        assert a == b and str(a) == str(b) and a.items() == b.items()
+        assert all(type(c) is int for c in b.coeffs.values())
+
+
+class TestPowers:
+    def test_polynomial_in_a_monomial(self):
+        got = TruncatedSeries.powers(Z3, 5, (1, 0, 1), [1, -3, 0, 2])
+        assert got == TruncatedSeries(Z3, 5, {(0, 0, 0): 1, (1, 0, 1): -3})
+        assert TruncatedSeries.powers(Z3, 6, (1, 0, 1), [1, -3, 0, 2]).coefficient((3, 0, 3)) == 2
+
+    def test_infinite_coefficients_read_to_the_bound(self):
+        assert TruncatedSeries.powers(Z, 4, (1,), count(1)) == poly([1, 2, 3, 4, 5])
+        assert TruncatedSeries.powers(Z, 4, (2,), count(1)) == poly([1, 0, 2, 0, 3])
+
+    def test_geometric_with_fraction_scalar(self):
+        assert geom(Fraction(1, 2), bound=3) == poly([1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)])
+        assert geom(Fraction(4, 2), bound=2) == poly([1, 2, 4])
+
+    def test_degree_zero_rejected(self):
+        with pytest.raises(TruncationBoundError):
+            TruncatedSeries.powers(Z, 3, (0,), [1, 1])
+        with pytest.raises(TruncationBoundError):
+            TruncatedSeries.geometric(Z, 3, (0,), 2)
 
 
 class TestSubstitute:
