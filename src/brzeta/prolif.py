@@ -334,12 +334,13 @@ def fundamental_fiber_product(base: SliceBase, chain: ChainData, bound: int) -> 
 def _proliferation_dfs(base: SliceBase, bound: int, class_counts, budget: int) -> TruncatedSeries:
     """Sum over class sequences of the product of substituted layer counts.
 
-    ``class_counts(upper, src_bound)`` supplies the layer counts in the slice
+    ``class_counts(upper, bound)`` supplies the layer counts in the slice
     alphabet, keyed by the lower class, as :meth:`SliceBase.class_counts`
-    does; it is asked once per (upper, src_bound).  Layers at positions
-    >= bound reduce to 1 at this bound because a class jump at position j
-    costs degree >= j+1.  Every visited
-    node of the search counts against ``budget``.
+    does; it is asked once per upper class, and layer j reads that table
+    truncated to bound // (j+1), without the entries that truncate to zero.
+    Layers at positions >= bound reduce to 1 at this bound because a class
+    jump at position j costs degree >= j+1.  Every visited node of the search
+    counts against ``budget``.
     """
     al = base.alphabet()
     if bound < 0:
@@ -350,8 +351,23 @@ def _proliferation_dfs(base: SliceBase, bound: int, class_counts, budget: int) -
     top = base.top_class()
     classes = base.fibre_classes()
     total = TruncatedSeries.zero(al, bound)
+    full: dict[ClassVec, dict[ClassVec, TruncatedSeries]] = {}
     tables: dict[tuple[ClassVec, int], dict[ClassVec, TruncatedSeries]] = {}
     visited = 0
+
+    def table_at(upper: ClassVec, src_bound: int) -> dict[ClassVec, TruncatedSeries]:
+        table = tables.get((upper, src_bound))
+        if table is None:
+            whole = full.get(upper)
+            if whole is None:
+                whole = full[upper] = class_counts(upper, bound)
+            table = {}
+            for lower, series in whole.items():
+                cut = series.truncated(src_bound)
+                if not cut.is_zero():
+                    table[lower] = cut
+            tables[upper, src_bound] = table
+        return table
 
     def rec(j: int, seq: tuple[ClassVec, ...], acc: TruncatedSeries):
         nonlocal total, visited
@@ -365,10 +381,7 @@ def _proliferation_dfs(base: SliceBase, bound: int, class_counts, budget: int) -
             return
         src_bound = bound // (j + 1)
         for upper in classes if j + 1 < bound else [top]:
-            table = tables.get((upper, src_bound))
-            if table is None:
-                table = tables[upper, src_bound] = class_counts(upper, src_bound)
-            raw = table.get(seq[j])
+            raw = table_at(upper, src_bound).get(seq[j])
             if raw is None:
                 continue
             mapping = change_of_variable(base, seq + (upper,), j)

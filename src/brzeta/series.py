@@ -21,6 +21,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -38,10 +39,6 @@ Monomial = tuple[int, ...]
 
 #: An exact rational coefficient: an ``int`` when integral, else a ``Fraction``.
 Rational = int | Fraction
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def mono_degree(a: Monomial) -> int:
@@ -150,6 +147,11 @@ def _exact(value) -> Rational:
     raise SchemaError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
+def _cleaned(coeffs: Mapping[Monomial, Rational]) -> dict[Monomial, Rational]:
+    """Ring-op output made canonical: zeros dropped, an integral value stored as ``int``."""
+    return {k: c if type(c) is int else _exact(c) for k, c in coeffs.items() if c}
+
+
 class TruncatedSeries:
     """Finitely supported exact series, complete through total degree ``bound``."""
 
@@ -171,6 +173,19 @@ class TruncatedSeries:
                 if c and mono_degree(exps) <= bound:
                     clean[exps] = c
         self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, bound: int, clean: dict[Monomial, Rational]) -> "TruncatedSeries":
+        """A series over ``clean``, stored as given.
+
+        For ring-op results only: every key is a valid exponent vector of
+        degree <= ``bound`` (>= 0), and every value is nonzero and canonical.
+        """
+        out = object.__new__(cls)
+        out.alphabet = alphabet
+        out.bound = bound
+        out.coeffs = clean
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -276,12 +291,12 @@ class TruncatedSeries:
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) + c
-        return TruncatedSeries(self.alphabet, self.bound, out)
+        return TruncatedSeries._trusted(self.alphabet, self.bound, _cleaned(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.alphabet, self.bound, {k: -c for k, c in self.coeffs.items()})
+        return TruncatedSeries._trusted(self.alphabet, self.bound, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -295,16 +310,17 @@ class TruncatedSeries:
         self._check_compatible(other)
         bound = self.bound
         out: dict[Monomial, Rational] = {}
-        # iterate the sparser operand outside
+        # iterate the sparser operand outside; each term's degree is summed once
         a, b = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
+        inner = [(sum(k), k, c) for k, c in b.coeffs.items()]
         for ka, ca in a.coeffs.items():
-            da = mono_degree(ka)
-            for kb, cb in b.coeffs.items():
-                if da + mono_degree(kb) > bound:
+            room = bound - sum(ka)
+            for db, kb, cb in inner:
+                if db > room:
                     continue
-                k = mono_mul(ka, kb)
+                k = tuple(map(add, ka, kb))
                 out[k] = out.get(k, 0) + ca * cb
-        return TruncatedSeries(self.alphabet, bound, out)
+        return TruncatedSeries._trusted(self.alphabet, bound, _cleaned(out))
 
     __rmul__ = __mul__
 
@@ -312,33 +328,51 @@ class TruncatedSeries:
         scalar = _exact(scalar)
         if not scalar:
             return TruncatedSeries.zero(self.alphabet, self.bound)
-        return TruncatedSeries(self.alphabet, self.bound, {k: c * scalar for k, c in self.coeffs.items()})
+        out = {k: c * scalar for k, c in self.coeffs.items()}
+        return TruncatedSeries._trusted(self.alphabet, self.bound, _cleaned(out))
 
     def __pow__(self, n: int):
         if n < 0:
             return self.invert() ** (-n)
         acc = TruncatedSeries.one(self.alphabet, self.bound)
-        for _ in range(n):
-            acc = acc * self
+        square = self
+        while n:
+            if n & 1:
+                acc = acc * square
+            n >>= 1
+            if n:
+                square = square * square
         return acc
 
     def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        Graded recurrence (Knuth, TAOCP vol. 2, 4.7): with c the constant term,
+        the degree-d part of the inverse is h_d = -(1/c) * sum_{a>=1} f_a * h_{d-a},
+        where f_a is the degree-a part of the series.  One pass per degree.
+        """
         c = self.constant_term
         if not c:
             raise NonUnitError("cannot invert a series with zero constant term")
-        # f = c*(1 - g) with g of degree >= 1, so 1/f = (1/c) * sum g^k.
         inv = _exact(Fraction(1) / c)
-        one = TruncatedSeries.one(self.alphabet, self.bound)
-        g = one - self.scaled(inv)
-        acc = one
-        power = one
-        for _ in range(self.bound):
-            power = power * g
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc.scaled(inv)
+        zero = self.alphabet.zero()
+        bound = self.bound
+        f_parts: list[list[tuple[Monomial, Rational]]] = [[] for _ in range(bound + 1)]
+        for k, fk in self.coeffs.items():
+            f_parts[sum(k)].append((k, fk))
+        h_parts = [[(zero, inv)]]
+        out = {zero: inv}
+        for d in range(1, bound + 1):
+            acc: dict[Monomial, Rational] = {}
+            for a in range(1, d + 1):
+                for ka, fa in f_parts[a]:
+                    for kh, hh in h_parts[d - a]:
+                        k = tuple(map(add, ka, kh))
+                        acc[k] = acc.get(k, 0) + fa * hh
+            part = _cleaned({k: -inv * v for k, v in acc.items()})
+            h_parts.append(list(part.items()))
+            out.update(part)
+        return TruncatedSeries._trusted(self.alphabet, bound, out)
 
     # -- truncation management ----------------------------------------------
 
@@ -349,7 +383,10 @@ class TruncatedSeries:
                 f"cannot raise bound {self.bound} -> {new_bound} without new information; "
                 "use extended() only on exact polynomials"
             )
-        return TruncatedSeries(self.alphabet, new_bound, self.coeffs)
+        if new_bound < 0:
+            raise TruncationBoundError(f"bound must be >= 0, got {new_bound}")
+        out = {k: c for k, c in self.coeffs.items() if sum(k) <= new_bound}
+        return TruncatedSeries._trusted(self.alphabet, new_bound, out)
 
     def extended(self, new_bound: int) -> "TruncatedSeries":
         """Restate an exact polynomial at a larger bound.
@@ -359,7 +396,7 @@ class TruncatedSeries:
         """
         if new_bound < self.bound:
             return self.truncated(new_bound)
-        return TruncatedSeries(self.alphabet, new_bound, self.coeffs)
+        return TruncatedSeries._trusted(self.alphabet, new_bound, self.coeffs)
 
     # -- substitution ---------------------------------------------------------
 
@@ -383,19 +420,22 @@ class TruncatedSeries:
         scalars: list[Rational] = []
         targets: list[Monomial] = []
         m = len(out_alphabet)
+        t_min = None
         for i in range(n):
             scalar, exps = mapping[i]
             scalar = _exact(scalar)
             exps = tuple(exps)
             if scalar <= 0:
                 raise SchemaError(f"substitution scalar for entry {i} must be positive, got {scalar}")
-            if len(exps) != m or any(e < 0 for e in exps):
+            if len(exps) != m or min(exps, default=0) < 0:
                 raise SchemaError(f"bad target exponent vector {exps} over {m}-entry alphabet")
-            if mono_degree(exps) < 1:
+            d = sum(exps)
+            if d < 1:
                 raise TruncationBoundError(f"target for entry {i} has degree 0; truncation would be unsound")
+            if t_min is None or d < t_min:
+                t_min = d
             scalars.append(scalar)
             targets.append(exps)
-        t_min = min(mono_degree(t) for t in targets)
         if out_bound is None:
             out_bound = self.bound
         if out_bound >= (self.bound + 1) * t_min:
@@ -403,21 +443,22 @@ class TruncatedSeries:
                 f"out_bound {out_bound} not certified by source bound {self.bound} "
                 f"with min target degree {t_min}"
             )
+        if out_bound < 0:
+            raise TruncationBoundError(f"bound must be >= 0, got {out_bound}")
         out: dict[Monomial, Rational] = {}
         for exps, c in self.coeffs.items():
             acc = [0] * m
             val = c
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                t = targets[i]
-                for j in range(m):
-                    acc[j] += t[j] * e
-                val *= scalars[i] ** e
+            for e, t, scalar in zip(exps, targets, scalars):
+                if e:
+                    for j, x in enumerate(t):
+                        if x:
+                            acc[j] += x * e
+                    val *= scalar**e
             key = tuple(acc)
-            if mono_degree(key) <= out_bound:
+            if sum(key) <= out_bound:
                 out[key] = out.get(key, 0) + val
-        return TruncatedSeries(out_alphabet, out_bound, out)
+        return TruncatedSeries._trusted(out_alphabet, out_bound, _cleaned(out))
 
     # -- monomial division -------------------------------------------------
 
@@ -427,6 +468,9 @@ class TruncatedSeries:
         The result is complete through ``bound - degree(exps)``.
         """
         exps = tuple(exps)
+        n = len(self.alphabet)
+        if len(exps) != n or any(e < 0 for e in exps):
+            raise SchemaError(f"bad exponent vector {exps} for {n}-entry alphabet")
         d = mono_degree(exps)
         out: dict[Monomial, Rational] = {}
         for k, c in self.coeffs.items():
@@ -436,7 +480,9 @@ class TruncatedSeries:
                     f"term {self.alphabet.format_monomial(k)}"
                 )
             out[mono_quotient(k, exps)] = c
-        return TruncatedSeries(self.alphabet, self.bound - d, out)
+        if d > self.bound:
+            raise TruncationBoundError(f"bound must be >= 0, got {self.bound - d}")
+        return TruncatedSeries._trusted(self.alphabet, self.bound - d, out)
 
     # -- Dirichlet extraction ------------------------------------------------
 
@@ -546,4 +592,4 @@ def split_trailing(series: TruncatedSeries, first_count: int) -> dict[Monomial, 
     for k, c in series.coeffs.items():
         parts.setdefault(k[first_count:], {})[k[:first_count]] = c
     sub_alphabet = Alphabet(series.alphabet.entries[:first_count])
-    return {h: TruncatedSeries(sub_alphabet, series.bound - mono_degree(h), c) for h, c in parts.items()}
+    return {h: TruncatedSeries._trusted(sub_alphabet, series.bound - mono_degree(h), c) for h, c in parts.items()}

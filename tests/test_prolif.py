@@ -193,6 +193,51 @@ class TestProliferationSum:
         assert pr.proliferation_sum(pr.SliceBase.semisimple(data), 6) == hey_product(data, 6)
 
 
+class TestClassTables:
+    """The DFS builds one table per slice class, at the full bound."""
+
+    BASE = pr.SliceBase.hereditary(her.HereditaryOrderSpec(2, 4), her.HereditaryModuleSpec((1, 2, 3, 4)))
+
+    def test_one_build_per_fibre_class(self, monkeypatch):
+        built = []
+        substituted = []
+        class_counts = pr.SliceBase.class_counts
+        substitute = TruncatedSeries.substitute
+
+        def counting(self, upper, bound):
+            table = class_counts(self, upper, bound)
+            built.append((upper, bound, table))
+            return table
+
+        def recording(self, *args, **kwargs):
+            substituted.append(self)
+            return substitute(self, *args, **kwargs)
+
+        monkeypatch.setattr(pr.SliceBase, "class_counts", counting)
+        monkeypatch.setattr(TruncatedSeries, "substitute", recording)
+        got = pr.proliferation_sum(self.BASE, 4)
+        monkeypatch.undo()
+
+        # one build per fibre class (35), where a build per layer bound made 105
+        assert len(self.BASE.fibre_classes()) == 35
+        assert len(built) == 35
+        assert {upper for upper, _, _ in built} == set(self.BASE.fibre_classes())
+        assert {bound for _, bound, _ in built} == {4}
+        for _, _, table in built:
+            assert not any(series.is_zero() for series in table.values())
+        # every table entry the layers read is nonzero after truncation
+        assert substituted and not any(series.is_zero() for series in substituted)
+        assert got == orc.empirical_zeta(orc.skew_module(2, 4, 2, 5), 4)
+
+    def test_truncated_table_is_the_table_at_the_smaller_bound(self):
+        for upper in self.BASE.fibre_classes()[::4]:
+            whole = self.BASE.class_counts(upper, 4)
+            for src_bound in (2, 1):
+                cut = {lower: s.truncated(src_bound) for lower, s in whole.items()}
+                cut = {lower: s for lower, s in cut.items() if not s.is_zero()}
+                assert cut == self.BASE.class_counts(upper, src_bound)
+
+
 class TestSingleSliver:
     def test_dvr_rank_one(self):
         assert pr.single_sliver(DVR21, 3) == z_poly(DVR21, [1, 1, 3, 7])

@@ -326,3 +326,154 @@ def test_split_trailing_reassembles(f, first_count):
 @given(small_series, small_series, st.integers(0, 3))
 def test_truncation_commutes_with_product(f, g, k):
     assert (f * g).truncated(k) == f.truncated(k) * g.truncated(k)
+
+
+# -- graded inversion and binary powering ------------------------------------------
+
+
+ALPHABETS = [Alphabet(Z3.entries[:n]) for n in (1, 2, 3)]
+
+
+@st.composite
+def unit_series(draw):
+    """A small series over 1-3 classes with a nonzero int or Fraction constant term."""
+    al = draw(st.sampled_from(ALPHABETS))
+    bound = draw(st.integers(0, 4))
+    n = len(al)
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * n),
+            st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+            max_size=4,
+        )
+    )
+    coeffs = {k: c for k, c in terms.items() if sum(k) <= bound}
+    coeffs[al.zero()] = draw(
+        st.one_of(
+            st.sampled_from([1, -1, 2, 3]),
+            st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+        )
+    )
+    return TruncatedSeries(al, bound, coeffs)
+
+
+def geometric_sum_inverse(f):
+    """1/f as (1/c) * sum_k (1 - f/c)^k, by repeated full products."""
+    inv = Fraction(1) / f.constant_term
+    one = TruncatedSeries.one(f.alphabet, f.bound)
+    g = one - f.scaled(inv)
+    acc, power = one, one
+    for _ in range(f.bound):
+        power = power * g
+        acc = acc + power
+    return acc.scaled(inv)
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_series())
+def test_graded_inverse(f):
+    inv = f.invert()
+    assert f * inv == TruncatedSeries.one(f.alphabet, f.bound)
+    assert inv == geometric_sum_inverse(f)
+    assert_canonical(inv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_series(), st.integers(0, 5))
+def test_binary_power(f, k):
+    folded = TruncatedSeries.one(f.alphabet, f.bound)
+    for _ in range(k):
+        folded = folded * f
+    assert f**k == folded
+    assert f**-k == f.invert() ** k
+    assert_canonical(f**k)
+    assert_canonical(f**-k)
+
+
+# -- ring results are stored canonically ---------------------------------------------
+
+
+def assert_canonical(series):
+    """Re-check a series against the public constructor's rules."""
+    n = len(series.alphabet)
+    for k, c in series.coeffs.items():
+        assert type(k) is tuple and len(k) == n, k
+        assert all(type(e) is int and e >= 0 for e in k), k
+        assert sum(k) <= series.bound, (k, series.bound)
+        assert c != 0, k
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (k, c)
+
+
+class TestTrustedResults:
+    F = TruncatedSeries(Z3, 3, {(0, 0, 0): 2, (1, 0, 0): Fraction(1, 2), (0, 1, 1): -3, (1, 1, 1): 4})
+    G = TruncatedSeries(Z3, 3, {(0, 0, 0): -2, (1, 0, 0): Fraction(1, 2), (0, 0, 2): 5})
+
+    def test_every_op_result(self):
+        f, g = self.F, self.G
+        mapping = {0: (Fraction(2, 3), (0, 1, 0)), 1: (2, (1, 0, 0)), 2: (1, (0, 0, 1))}
+        results = [
+            f + g,
+            f - g,
+            -f,
+            f * g,
+            f * 2,
+            f.scaled(3),
+            f.invert(),
+            g**3,
+            f**-2,
+            f.truncated(1),
+            f.truncated(0).extended(3),
+            f.extended(5),
+            f.substitute(Z3, mapping, 3),
+            TruncatedSeries.monomial(Z3, 4, (1, 0, 1), 6).divided_by_monomial((1, 0, 0)),
+            *split_trailing(f * g, 1).values(),
+        ]
+        for series in results:
+            assert_canonical(series)
+
+    def test_fraction_scale_to_integers(self):
+        halves = TruncatedSeries(Z, 2, {(0,): Fraction(1, 2), (1,): Fraction(3, 2), (2,): 1})
+        doubled = halves.scaled(Fraction(4, 2))
+        assert doubled == poly([1, 3, 2])
+        assert_canonical(doubled)
+        assert all(type(c) is int for c in doubled.coeffs.values())
+        assert_canonical(halves.scaled(Fraction(1, 3)))
+
+    def test_cancelling_add(self):
+        total = self.F + self.G
+        assert (0, 0, 0) not in total.coeffs
+        assert total.coefficient((1, 0, 0)) == 1 and type(total.coefficient((1, 0, 0))) is int
+        assert_canonical(total)
+        assert (self.F + (-self.F)).coeffs == {}
+
+    def test_truncated_drops_terms_above_the_new_bound(self):
+        cut = self.F.truncated(1)
+        assert cut == TruncatedSeries(Z3, 1, {(0, 0, 0): 2, (1, 0, 0): Fraction(1, 2)})
+        assert_canonical(cut)
+
+    def test_substitute_collapsing_terms_cancel(self):
+        f = TruncatedSeries(Z3, 2, {(1, 0, 0): 1, (0, 1, 0): -2})
+        image = f.substitute(Z3, {0: (2, (1, 0, 0)), 1: (1, (1, 0, 0)), 2: (1, (0, 0, 1))}, 2)
+        assert image.is_zero()
+
+    def test_caller_arguments_still_checked(self):
+        with pytest.raises(TruncationBoundError):
+            self.F.truncated(-1)
+        with pytest.raises(SchemaError):
+            self.F.substitute(Z3, {0: (0, (1, 0, 0)), 1: (1, (0, 1, 0)), 2: (1, (0, 0, 1))}, 3)
+        with pytest.raises(SchemaError):
+            self.F.substitute(Z3, {0: (1, (1, 0)), 1: (1, (0, 1, 0)), 2: (1, (0, 0, 1))}, 3)
+        with pytest.raises(NonUnitError):
+            self.F.divided_by_monomial((1, 0, 0))
+        with pytest.raises(TruncationBoundError):
+            TruncatedSeries.zero(Z3, 1).divided_by_monomial((1, 1, 0))
+        with pytest.raises(SchemaError):
+            TruncatedSeries.zero(Z3, 1).divided_by_monomial((1, 0))
+
+    def test_public_constructor_still_validates(self):
+        with pytest.raises(SchemaError):
+            TruncatedSeries(Z3, 2, {(1, 0): 1})
+        with pytest.raises(SchemaError):
+            TruncatedSeries(Z3, 2, {(1, -1, 0): 1})
+        with pytest.raises(SchemaError):
+            TruncatedSeries(Z3, 2, {(1, 0, 0): 0.5})
