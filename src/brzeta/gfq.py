@@ -17,12 +17,14 @@ entries at the basis pivots once and visits only the nonzero ones;
 ``SubspaceRep.extend`` grows a space by new rows without reducing its basis
 again, and the rows it reports as new span the bigger space modulo the old
 one, which is all the oracle needs of a quotient; a sum of subspaces is one
-``extend``.  No intersection is computed here: the oracle's one kernel is
-:func:`left_kernel`, and its one product of general matrices is
-:func:`mat_mul`.  The one enumeration, :func:`enumerate_subspaces`, serves
-the brute-force oracle; it counts its output first (Gaussian binomials) and
-refuses to exceed the budget.  Chains of subspaces are not enumerated here:
-the closed engines count them with Gaussian binomials.
+``extend``.  No intersection and no product of general matrices is
+computed here: the oracle's one kernel is :func:`left_kernel`.  The one
+enumeration, ``SubspaceRep.hyperplanes``, serves the brute-force oracle: it
+lists the hyperplanes of a space over a subspace and a set of the space's
+rows, read off the two RREFs with no echelonization per hyperplane, and it
+counts its output first and refuses to exceed the budget.  Chains of
+subspaces are not enumerated here: the closed engines count them with
+Gaussian binomials.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 from .errors import ResourceBudgetError, SchemaError
-from .qcomb import gaussian_binomial, prime_power_factors
+from .qcomb import prime_power_factors
 
 DEFAULT_BUDGET = 200_000
 
@@ -376,23 +378,6 @@ def rref(field: FieldSpec, mat, n: int) -> tuple[list[int], int, list[int]]:
     return rows + [0] * (len(mat) - len(rows)), len(rows), [n - 1 - sh // S for sh in leads]
 
 
-def mat_mul(field: FieldSpec, a, b, n: int) -> list[int]:
-    """Product a·b of packed matrices; ``b`` has ``len(b)`` rows of width ``n``."""
-    ar = _arith(field, n)
-    S, k, add, scale = ar.S, len(b), ar.add, ar.scale
-    out = []
-    for x in a:
-        if x < 0 or x >> (k * S):
-            raise SchemaError(f"matmul shape mismatch: a row of the left factor is wider than its {k} rows")
-        acc = 0
-        while x:
-            sh = (x.bit_length() - 1) // S * S
-            acc = add(acc, scale(x >> sh, b[k - 1 - sh // S]))
-            x &= (1 << sh) - 1
-        out.append(acc)
-    return out
-
-
 def compile_gather(field: FieldSpec, n: int, src) -> tuple[tuple[tuple[int, int], ...], int]:
     """A gather on width-``n`` rows as masked shifts: ``((mask, up), ...), down``.
 
@@ -490,6 +475,59 @@ class SubspaceRep:
             return False
         return not any(self.reduce(other.rows))
 
+    def hyperplanes(self, sub: "SubspaceRep", cols, budget: int = DEFAULT_BUDGET) -> list["SubspaceRep"]:
+        """Every hyperplane H with sub + (the rows off ``cols``) <= H < self.
+
+        ``sub`` lies in this space and ``cols`` are pivots of this space that
+        are not pivots of ``sub``, in ascending order.  With R_p this space's
+        row at pivot p, H is the kernel of a functional psi that is zero on
+        R_p for every pivot p outside ``cols`` and ``sub``'s pivots and
+        nonzero on some R_k, k in ``cols``: a point of projective space on
+        ``cols``, scaled so that its rightmost nonzero value, at c, is 1.  There are (q^d - 1)/(q - 1) of
+        them for d = len(cols), and that count is checked against ``budget``
+        first.  ``sub``'s row at pivot p is u = R_p + sum_k u[k] R_k over the
+        pivots k > p outside ``sub``, and psi(u) = 0, so psi(R_p) is
+        -sum u[k] psi(R_k) over ``cols``; it vanishes right of c.  Hence H's
+        RREF is R_p - psi(R_p) R_c for every pivot p != c, canonical as it
+        stands, and the H with one c share one pivots tuple.
+        """
+        q, n = self.field.q, self.ambient
+        count = (q ** len(cols) - 1) // (q - 1)
+        if count > budget:
+            raise ResourceBudgetError("subspace enumeration too large", required=count, budget=budget)
+        lay, t = _layout(self.field), tables(self.field)
+        add, mul, neg, raw, axpy = t.add, t.mul, t.neg, lay.raw, _arith(self.field, n).axpy
+        at = {c: i for i, c in enumerate(self.pivots)}
+        shifts = [(n - 1 - c) * lay.S for c in cols]
+        mask = sum(lay.slot << sh for sh in shifts)
+        # (row index, pivot, [(j, u[cols[j]]) nonzero]) for each row u of sub that meets cols
+        meets = [
+            (at[p], p, [(j, lay.code[(u >> sh) & lay.slot]) for j, sh in enumerate(shifts) if (u >> sh) & lay.slot])
+            for p, u in zip(sub.pivots, sub.rows)
+            if u & mask
+        ]
+        out = []
+        for k, c in enumerate(cols):
+            ic, rc = at[c], self.rows[at[c]]
+            pivots = self.pivots[:ic] + self.pivots[ic + 1 :]
+            free = [at[cols[j]] for j in range(k)]
+            left = [(i, [(j, v) for j, v in coeffs if j <= k]) for i, p, coeffs in meets if p < c]
+            for vals in product(range(q), repeat=k):
+                psi = (*vals, 1)
+                rows = list(self.rows)
+                for i, a in zip(free, vals):
+                    if a:
+                        rows[i] = axpy(rows[i], raw[a], rc)
+                for i, coeffs in left:
+                    s = 0
+                    for j, v in coeffs:
+                        s = add[s][mul[v][psi[j]]]
+                    if s:
+                        rows[i] = axpy(rows[i], raw[neg[s]], rc)
+                del rows[ic]
+                out.append(SubspaceRep(self.field, n, rows, pivots))
+        return out
+
 
 def zero_space(field: FieldSpec, ambient: int) -> SubspaceRep:
     return SubspaceRep(field, ambient, (), ())
@@ -511,49 +549,3 @@ def left_kernel(field: FieldSpec, mat, n: int) -> SubspaceRep:
     # rows pivoting in the identity block are zero on the mat block
     kernel = [(x, c - n) for x, c in zip(r[:rank], piv) if c >= n]
     return SubspaceRep(field, k, [x for x, _ in kernel], [c for _, c in kernel])
-
-
-# -- enumeration ---------------------------------------------------------------
-
-
-def enumerate_subspaces(
-    field: FieldSpec,
-    ambient: int,
-    dims=None,
-    budget: int = DEFAULT_BUDGET,
-) -> list[SubspaceRep]:
-    """All subspaces of F_q^ambient (optionally of given dimensions), RREF order.
-
-    The exact count is computed first; exceeding ``budget`` raises
-    ResourceBudgetError carrying the required count.
-    """
-    if dims is None:
-        dim_list = list(range(ambient + 1))
-    elif isinstance(dims, int):
-        dim_list = [dims]
-    else:
-        dim_list = sorted(set(dims))
-    if any(d < 0 or d > ambient for d in dim_list):
-        raise SchemaError(f"dimensions {dim_list} out of range for ambient {ambient}")
-    q = field.q
-    total = sum(gaussian_binomial(ambient, d, q) for d in dim_list)
-    if total > budget:
-        raise ResourceBudgetError("subspace enumeration too large", required=total, budget=budget)
-    lay = _layout(field)
-    out: list[SubspaceRep] = []
-    for d in dim_list:
-        for piv in combinations(range(ambient), d):
-            # (row, bit offset) of each free entry: right of its row's pivot, off the other pivots
-            free = [
-                (i, (ambient - 1 - c) * lay.S)
-                for i in range(d)
-                for c in range(piv[i] + 1, ambient)
-                if c not in piv
-            ]
-            base = [1 << ((ambient - 1 - p) * lay.S) for p in piv]
-            for vals in product(lay.raw, repeat=len(free)):
-                rows = list(base)
-                for (i, sh), v in zip(free, vals):
-                    rows[i] |= v << sh
-                out.append(SubspaceRep(field, ambient, rows, piv))
-    return out

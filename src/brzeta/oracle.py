@@ -8,12 +8,16 @@ idempotents), so it is held as a gather tuple, compiled once to masked
 shifts of packed rows, one per displacement.  Each radical generator
 normalizes the ring (the relations :func:`validate_model` checks on every
 constructed model), so the radical JX of a submodule X is the span of X's
-images, one ``extend`` with no closure to compute.  Submodules of colength
-<= B are found by repeated descent to maximal submodules, deduplicated by
-canonical echelon form; each child extends an echelon basis rather than
-re-reducing its parent.  One function splits the top X/JX into per-class
-row blocks: their sizes are the top class, and their hyperplanes give the
-maximal submodules; each expanded node keeps its top.  A depth guard keeps
+images, one ``extend`` with no closure to compute.  The idempotents are
+coordinate projections, so the RREF rows of a submodule lie in one class's
+coordinates each, and the top class of X is X's pivots per class less JX's.
+Submodules of colength <= B are found by repeated descent to maximal
+submodules (the lattice technique of the MeatAxe: Lux, Mueller and Ringe,
+J. Symb. Comp. 17, 1994), deduplicated by canonical echelon form; the
+maximal submodules of class i are the kernels of the functionals on X that
+vanish on JX and on the other classes' top rows, and their RREFs are read
+off X's and JX's with no echelonization per child.  JX is computed once
+per expanded node, which keeps its top.  A depth guard keeps
 truncation honest: when the model is a quotient of an infinite module by a
 kernel inside radical-power depth d, enumeration and labeling at colength <= B
 are faithful only if d >= B + 1, and that inequality is enforced rather than
@@ -67,6 +71,8 @@ class RingModel:
     exact: bool = False
     #: each generator's gather compiled to masked shifts of packed rows
     acts: dict = dataclasses.field(init=False, repr=False, compare=False)
+    #: the class of each coordinate: the i whose idempotent reads it
+    classes: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.gens = {name: tuple(src) for name, src in self.gens.items()}
@@ -79,6 +85,8 @@ class RingModel:
             if len(set(used)) != len(used):
                 raise SchemaError(f"generator {name} is not a partial permutation: a source repeats in {src}")
         self.acts = {name: gfq.compile_gather(self.field, self.dim, src) for name, src in self.gens.items()}
+        idems = [self.gens[name] for name in self.idem_names]
+        self.classes = tuple(next((i for i, e in enumerate(idems) if e[k] == k), -1) for k in range(self.dim))
 
     @property
     def n_classes(self) -> int:
@@ -385,19 +393,28 @@ def radical_subspace(model: RingModel, rep: gfq.SubspaceRep) -> gfq.SubspaceRep:
     return gfq.zero_space(model.field, model.dim).extend(images)[0]
 
 
-def _top_rows(model: RingModel, rep: gfq.SubspaceRep):
-    """(JX, per-class rows): class i's rows span JX + X e_i modulo JX.
+def _class_dims(model: RingModel, upper: gfq.SubspaceRep, lower: gfq.SubspaceRep) -> Monomial:
+    """dim e_i(upper/lower) per class i, from the pivots of two submodules.
 
-    The idempotents sum to the identity, so X/JX is the direct sum of these
-    row blocks, and block i has the multiplicity of class i in the top.
+    The idempotents are coordinate projections (checked by
+    :func:`validate_model`), so a submodule X is the direct sum of its X e_i,
+    every row of its RREF lies in one class's coordinates, and dim X e_i is
+    the number of X's pivots in class i.
     """
-    jx = radical_subspace(model, rep)
-    return jx, [jx.extend(_mm(rep.rows, model.acts[name]))[1] for name in model.idem_names]
+    dims = [0] * model.n_classes
+    for c in upper.pivots:
+        dims[model.classes[c]] += 1
+    for c in lower.pivots:
+        dims[model.classes[c]] -= 1
+    return tuple(dims)
 
 
-def top_class(model: RingModel, rep: gfq.SubspaceRep) -> Monomial:
-    """Multiplicity of each simple class in X/JX, as dim(JX + X e_i) - dim JX."""
-    return tuple(len(rows) for rows in _top_rows(model, rep)[1])
+def top_class(model: RingModel, rep: gfq.SubspaceRep, jx: gfq.SubspaceRep | None = None) -> Monomial:
+    """Multiplicity of each simple class in X/JX: X's pivots in the class less JX's.
+
+    ``jx`` passes in ``radical_subspace(model, rep)`` when the caller has it.
+    """
+    return _class_dims(model, rep, radical_subspace(model, rep) if jx is None else jx)
 
 
 def composition_class(model: RingModel, upper: gfq.SubspaceRep, lower: gfq.SubspaceRep) -> Monomial:
@@ -409,31 +426,28 @@ def composition_class(model: RingModel, upper: gfq.SubspaceRep, lower: gfq.Subsp
     """
     if not upper.contains(lower):
         raise SchemaError("composition class needs lower <= upper")
-    return tuple(len(lower.extend(_mm(upper.rows, model.acts[name]))[1]) for name in model.idem_names)
+    return _class_dims(model, upper, lower)
 
 
 def maximal_submodules(
-    model: RingModel, rep: gfq.SubspaceRep, budget: int = DEFAULT_NODE_BUDGET, top_rows=None
-):
+    model: RingModel, rep: gfq.SubspaceRep, budget: int = DEFAULT_NODE_BUDGET, jx: gfq.SubspaceRep | None = None
+) -> list[tuple[gfq.SubspaceRep, int]]:
     """All maximal submodules of X, each tagged with its simple quotient class.
 
-    They are the pullbacks of block hyperplanes of the top X/JX; the action on
-    each block is scalar, so every linear hyperplane of a block is stable.
-    JX is extended once per block by the other blocks' rows, and that base
-    once per hyperplane.  ``top_rows`` passes in ``_top_rows(model, rep)``
-    when the caller has it already.
+    A maximal submodule of class i is the kernel of a nonzero functional on X
+    that vanishes on JX and on every X e_j, j != i: the ring acts on X/JX
+    through scalars on each class, so every such kernel is stable.  They are
+    the hyperplanes of X over JX plus the rows at X's other top pivots, built
+    from X's and JX's RREF by :meth:`gfq.SubspaceRep.hyperplanes`.  ``jx``
+    passes in ``radical_subspace(model, rep)`` when the caller has it.
     """
-    jx, blocks = top_rows if top_rows is not None else _top_rows(model, rep)
-    out = []
-    for bi, block in enumerate(blocks):
-        d = len(block)
-        if d == 0:
-            continue
-        base = jx.extend([row for j, rows in enumerate(blocks) if j != bi for row in rows])[0]
-        for hyper in gfq.enumerate_subspaces(model.field, d, dims=d - 1, budget=budget):
-            child = base.extend(gfq.mat_mul(model.field, hyper.rows, block, model.dim))[0]
-            out.append((child, bi))
-    return out
+    jx = radical_subspace(model, rep) if jx is None else jx
+    below = set(jx.pivots)
+    cols = [[] for _ in range(model.n_classes)]
+    for c in rep.pivots:
+        if c not in below:
+            cols[model.classes[c]].append(c)
+    return [(child, i) for i, ci in enumerate(cols) if ci for child in rep.hyperplanes(jx, ci, budget)]
 
 
 @dataclass
@@ -471,9 +485,9 @@ def submodule_bfs(
     for level in range(1, bound + 1):
         nxt: dict[gfq.SubspaceRep, SubmoduleNode] = {}
         for parent in frontier:
-            top = _top_rows(model, parent.rep)
-            parent.top = tuple(len(rows) for rows in top[1])
-            for child, bi in maximal_submodules(model, parent.rep, budget, top_rows=top):
+            jx = radical_subspace(model, parent.rep)
+            parent.top = top_class(model, parent.rep, jx)
+            for child, bi in maximal_submodules(model, parent.rep, budget, jx):
                 if child in nxt or child in nodes:
                     continue
                 cls = tuple(c + (1 if i == bi else 0) for i, c in enumerate(parent.cls))

@@ -14,6 +14,8 @@ from brzeta.errors import SchemaError
 from brzeta.qcomb import gaussian_binomial
 from brzeta.series import TruncatedSeries
 
+import gfq_reference as ref
+
 
 ORDER22 = her.HereditaryOrderSpec(2, 2)
 MOD12 = her.HereditaryModuleSpec((1, 2))
@@ -69,7 +71,7 @@ def _unit_span(field, r, coords):
 def _brute_chain_counts(q, dims):
     """Chains V_1 = W_1 >= ... >= W_n, W_j <= V_j, found among all subspaces of F_q^{d_1}."""
     field = gfq.GF(q)
-    spaces = gfq.enumerate_subspaces(field, dims[0])
+    spaces = ref.enumerate_subspaces(field, dims[0])
     models = [_unit_span(field, dims[0], range(d)) for d in dims]
     counts = Counter()
 
@@ -100,7 +102,7 @@ def _filtration_dims(order, module, ybar):
 def _brute_stratum_counts(order, module):
     """(filtration dims, dim Ybar) over every subspace Ybar of F_q^r."""
     counts = Counter()
-    for ybar in gfq.enumerate_subspaces(gfq.GF(order.q), module.r):
+    for ybar in ref.enumerate_subspaces(gfq.GF(order.q), module.r):
         counts[(_filtration_dims(order, module, ybar), ybar.dim)] += 1
     return dict(counts)
 

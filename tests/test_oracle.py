@@ -12,6 +12,8 @@ import brzeta.prolif as pr
 from brzeta.errors import ResourceBudgetError, SchemaError
 from brzeta.hey import SemisimpleData, hey_product
 
+import gfq_reference as ref
+
 
 _TRI = orc.triangular_module(2, 2, 2, (1, 2))
 _LOCAL = orc.local2d_module(2, 3)
@@ -115,7 +117,7 @@ class TestGeneratorActions:
             kinds.add(model.kind)
             for name, src in model.gens.items():
                 rows = _packed(model.field, _random_rows(rng, model, 4))
-                want = gfq.mat_mul(model.field, rows, _packed(model.field, _dense(src)), model.dim)
+                want = ref.mat_mul(model.field, rows, _packed(model.field, _dense(src)), model.dim)
                 assert orc._mm(rows, model.acts[name]) == want, (model.kind, name)
         assert kinds == {"chain", "local2d", "triangular", "skew_poly", "local2d_slice", "skew_poly_slice"}
 
@@ -162,16 +164,21 @@ def _fixed_point_closure(model, rows):
     while True:
         stack = list(sub.rows)
         for mat in mats:
-            stack += gfq.mat_mul(model.field, sub.rows, mat, model.dim)
+            stack += ref.mat_mul(model.field, sub.rows, mat, model.dim)
         bigger = gfq.SubspaceRep.from_rows(model.field, model.dim, stack)
         if bigger.dim == sub.dim:
             return sub
         sub = bigger
 
 
+def _is_fixed_point(model, sub):
+    """Whether ``sub`` is its own fixed-point closure: no generator maps it outside itself."""
+    return not any(any(sub.reduce(_image(model, sub.rows, name))) for name in model.gens)
+
+
 def _image(model, rows, name):
     """Packed rows times a generator's dense matrix."""
-    return gfq.mat_mul(model.field, rows, _packed(model.field, _dense(model.gens[name])), model.dim)
+    return ref.mat_mul(model.field, rows, _packed(model.field, _dense(model.gens[name])), model.dim)
 
 
 def _radical_images(model, rows):
@@ -274,28 +281,43 @@ class TestMaximalSubmodules:
         assert {bi for _, bi in out} == {0, 1}
 
     @pytest.mark.parametrize(
-        "model",
+        "model, bound",
         [
-            orc.chain_module(3, 3, rank=2),
-            orc.local2d_module(2, 4),
-            orc.triangular_module(2, 2, 2, (1, 2)),
-            orc.triangular_module(2, 3, 1, (1, 2, 3)),
-            orc.local2d_module(4, 3),
+            (orc.chain_module(3, 3, rank=2), 2),
+            (orc.local2d_module(2, 4), 2),
+            (orc.triangular_module(2, 2, 2, (1, 2)), 2),
+            (orc.triangular_module(2, 3, 1, (1, 2, 3)), 2),
+            (orc.local2d_module(4, 3), 2),
+            (orc.local2d_module(3, 3), 2),
+            (orc.chain_module(4, 2, rank=2, exact=True), 3),
+            (orc.chain_module(8, 2, rank=2, exact=True), 3),
+            (orc.chain_module(9, 2, rank=2, exact=True), 3),
+            (orc.triangular_module(8, 2, 2, (1,)), 3),
+            (orc.triangular_module(9, 2, 2, (1,)), 3),
+            (orc.triangular_module(2, 3, 2, (1, 3)), 3),
+            (orc.triangular_module(3, 3, 2, (1,)), 3),
+            # the depth guard certifies labels against the infinite module; the
+            # maximal submodules of the finite model itself need no certificate
+            (dataclasses.replace(orc.skew_module(2, 2, 1, 2), exact=True), 3),
         ],
-        ids=["chain", "local2d", "triangular-n2", "triangular-n3", "local2d-q4"],
+        ids=[
+            "chain", "local2d", "triangular-n2", "triangular-n3", "local2d-q4", "local2d-q3", "chain-q4",
+            "chain-q8", "chain-q9", "triangular-q8", "triangular-q9", "triangular-n3-c2", "triangular-n3-q3",
+            "skew",
+        ],
     )
-    def test_matches_stable_hyperplanes(self, model):
+    def test_matches_stable_hyperplanes(self, model, bound):
         f = model.field
-        for node in orc.submodule_bfs(model, 2):
+        for node in orc.submodule_bfs(model, bound):
             x = node.rep
             class_images = [
                 gfq.SubspaceRep.from_rows(f, model.dim, _image(model, x.rows, name))
                 for name in model.idem_names
             ]
             want = set()
-            for hyper in gfq.enumerate_subspaces(f, x.dim, dims=x.dim - 1):
-                h = gfq.SubspaceRep.from_rows(f, model.dim, gfq.mat_mul(f, hyper.rows, x.rows, model.dim))
-                if _fixed_point_closure(model, h.rows) != h:
+            for hyper in ref.enumerate_subspaces(f, x.dim, dims=x.dim - 1):
+                h = gfq.SubspaceRep.from_rows(f, model.dim, ref.mat_mul(f, hyper.rows, x.rows, model.dim))
+                if not _is_fixed_point(model, h):
                     continue
                 # X/H is simple: exactly one class moves X out of H
                 (cls,) = [i for i, image in enumerate(class_images) if not h.contains(image)]
@@ -303,6 +325,26 @@ class TestMaximalSubmodules:
             got = orc.maximal_submodules(model, x)
             assert len(got) == len(want)
             assert set(got) == want
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_top_matches_reference_on_random_submodules(self, q):
+        rng = random.Random(40 + q)
+        for model in _models(q):
+            for count in (1, 1, 2, 3):
+                rows = _random_rows(rng, model, count)
+                if rng.random() < 0.5:  # sparse rows generate deeper submodules
+                    rows = [[0 if rng.random() < 0.8 else x for x in row] for row in rows]
+                x = _fixed_point_closure(model, _packed(model.field, rows))
+                assert orc.top_class(model, x) == _reference_top(model, x), model.kind
+
+    @pytest.mark.parametrize("q, rank", [(2, 3), (3, 3), (4, 2)])
+    def test_budget_counts_projective_points(self, q, rank):
+        model = orc.chain_module(q, 2, rank=rank)
+        points = (q**rank - 1) // (q - 1)  # hyperplanes of the rank-dimensional top
+        assert len(orc.maximal_submodules(model, model.full(), budget=points)) == points
+        with pytest.raises(ResourceBudgetError) as err:
+            orc.maximal_submodules(model, model.full(), budget=points - 1)
+        assert err.value.required == points
 
 
 class TestSubmoduleCounts:
