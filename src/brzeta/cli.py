@@ -10,6 +10,7 @@ enumeration or time budget was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -380,6 +381,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call uses, built on the first call.
+
+    Sharing is safe: each ``parse_args`` builds a fresh namespace, copies the
+    ``--suite`` list before appending, and tracks exclusive-group conflicts
+    per parse; help width is read when help is formatted.
+    """
+    return build_parser()
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     known = {"subcommand", "data", "truncate", "n_max", "fmt", "budget", "time_budget"}
     options = {k: v for k, v in vars(args).items() if k not in known and v is not None}
@@ -395,29 +407,40 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return run(_config_from_args(args))
-    except (
-        SchemaError,
-        TruncationBoundError,
-        AlphabetMismatchError,
-        NonUnitError,
-        PseudoConvergenceError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormulaViolationError as exc:
-        print(f"formula violation: {exc}", file=sys.stderr)
-        return 3
-    except ResourceBudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 4
-    except BrzetaError as exc:  # any future subtype defaults to schema-class exit
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    """Run one command line; each call is independent of the ones before it.
+
+    A warning is shown as one ``warning: <message>`` stderr line, and a
+    ``CompletenessWarning`` is shown on every call, not once per process.
+    """
+    args = _shared_parser().parse_args(argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", CompletenessWarning)
+        warnings.showwarning = _warning_line
+        try:
+            return run(_config_from_args(args))
+        except (
+            SchemaError,
+            TruncationBoundError,
+            AlphabetMismatchError,
+            NonUnitError,
+            PseudoConvergenceError,
+        ) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except FormulaViolationError as exc:
+            print(f"formula violation: {exc}", file=sys.stderr)
+            return 3
+        except ResourceBudgetError as exc:
+            print(f"budget exceeded: {exc}", file=sys.stderr)
+            return 4
+        except BrzetaError as exc:  # any future subtype defaults to schema-class exit
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

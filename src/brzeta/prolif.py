@@ -380,11 +380,13 @@ def _proliferation_dfs(base: SliceBase, bound: int, class_counts, budget: int) -
             total = total + acc
             return
         src_bound = bound // (j + 1)
+        mapping = None  # reads only seq[:j], so every child of this node shares it
         for upper in classes if j + 1 < bound else [top]:
             raw = table_at(upper, src_bound).get(seq[j])
             if raw is None:
                 continue
-            mapping = change_of_variable(base, seq + (upper,), j)
+            if mapping is None:
+                mapping = change_of_variable(base, seq, j)
             factor = raw.substitute(al, mapping, bound)
             nxt = acc * factor
             if nxt.is_zero():

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exact output, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 
 import brzeta.checks as chk
 import brzeta.cli as cli
-from brzeta.errors import CompletenessWarning, SchemaError, TruncationBoundError
+from brzeta.errors import SchemaError, TruncationBoundError
+from brzeta.series import Alphabet, AlphabetEntry, TruncatedSeries
 
 DVR = '{"kind": "dvr", "q": 2, "m": 1}'
 HER = '{"q": 2, "n": 2, "columns": [1, 2]}'
@@ -71,11 +73,27 @@ class TestTables:
     def test_hom_slice_unsound_truncation_warns(self, capsys):
         argv = ["hom-slice", "--q", "2", "--r", "1", "--m", "1", "--s-count", "1",
                 "--max", "64", "--truncate", "1", "--format", "csv"]
-        with pytest.warns(CompletenessWarning):
-            code = cli.main(argv)
-        assert code == 0
-        out = capsys.readouterr().out
-        assert out.splitlines()[-1] == "64,115"
+        # the warning is one stderr line on every call, not once per process
+        for _ in range(2):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 0
+            assert out.splitlines()[-1] == "64,115"
+            assert err == (
+                "warning: truncation 1 does not certify coefficients up to 64; "
+                "using the minimal sound bound instead\n"
+            )
+
+    def test_library_completeness_warning_is_one_line(self, capsys, monkeypatch):
+        def short_table(q, r, m, s_count, n_max):
+            al = Alphabet((AlphabetEntry("z", q, r),))
+            return TruncatedSeries.one(al, 0).dirichlet_coeffs(n_max)
+
+        monkeypatch.setattr(cli.pr, "hom_slice_dirichlet", short_table)
+        argv = ["hom-slice", "--q", "2", "--r", "1", "--m", "1", "--s-count", "1", "--max", "4"]
+        for _ in range(2):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 0 and json.loads(out) == {"coefficients": [{"n": 1, "a_n": "1"}]}
+            assert err.startswith("warning: norms up to 4 ") and len(err.splitlines()) == 1
 
 
 class TestSeriesOutput:
@@ -392,11 +410,75 @@ def test_output_is_deterministic(capsys):
     assert doc["terms"] and all(t["den"] == "1" for t in doc["terms"])
 
 
-def test_runs_with_numpy_blocked():
-    """The package has no dependency: the CLI runs in an interpreter where numpy cannot import."""
+class TestSharedParser:
+    """``main`` may be called many times in one process; the parser is built once."""
+
+    def test_two_calls_build_the_parser_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        cli._shared_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run_cli(capsys, ["rossmann", "--max", "4"])[0] == 0
+        assert len(built) == 10  # the top parser and one per subcommand
+        assert run_cli(capsys, ["lustig", "--q", "2", "--max", "3"])[0] == 0
+        assert len(built) == 10
+        assert cli._shared_parser.cache_info().misses == 1
+
+    def test_calls_match_fresh_processes(self, capsys):
+        her = ["hereditary", "--data", HER, "--truncate", "3"]
+        sequence = [
+            ["verify", "--suite", "rossmann", "--max", "4"],
+            ["verify", "--suite", "lustig", "--max", "2"],
+            her + ["--joint", "--factor"],
+            her + ["--joint"],
+            her,
+            her + ["--format", "csv"],
+        ]
+        in_process = []
+        for argv in sequence:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses a command line with exit 2
+                code = exc.code
+            in_process.append((code, capsys.readouterr().out))
+        fresh = [_subprocess_main(argv) for argv in sequence]
+        assert in_process == [(code, out) for code, out, _ in fresh]
+        assert [code for code, _ in in_process] == [0, 0, 2, 0, 0, 0]
+        # one suite per verify call: the appended --suite list starts empty each time
+        assert in_process[0][1].startswith("PASS rossmann") and in_process[0][1].count("PASS ") == 1
+        assert in_process[1][1].startswith("PASS lustig") and in_process[1][1].count("PASS ") == 1
+        assert len({out for _, out in in_process[3:]}) == 3
+
+    def test_help_width_is_read_per_call(self, capsys, monkeypatch):
+        widths = []
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["verify", "--help"])
+            assert exc.value.code == 0
+            widths.append(max(len(line) for line in capsys.readouterr().out.splitlines()))
+        assert widths[0] < widths[1]
+
+
+def _subprocess_main(argv, prelude=""):
+    """(exit code, stdout, stderr) of ``brzeta.cli.main(argv)`` in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys; sys.modules['numpy'] = None; from brzeta.cli import main; sys.exit(main(sys.argv[1:]))"
+    code = f"import sys; {prelude}from brzeta.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=env, capture_output=True, text=True, encoding="utf-8", timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_runs_with_numpy_blocked():
+    """The package has no dependency: the CLI runs in an interpreter where numpy cannot import."""
     cases = [
         (
             ["oracle", "--model", '{"kind": "chain", "q": 4, "c": 3, "rank": 2}', "--colength", "2",
@@ -409,8 +491,5 @@ def test_runs_with_numpy_blocked():
         ),
     ]
     for argv, expected in cases:
-        proc = subprocess.run(
-            [sys.executable, "-c", code, *argv],
-            env=env, capture_output=True, text=True, encoding="utf-8", timeout=120,
-        )
-        assert (proc.returncode, proc.stdout) == (0, expected), proc.stderr
+        code, out, err = _subprocess_main(argv, prelude="sys.modules['numpy'] = None; ")
+        assert (code, out) == (0, expected), err

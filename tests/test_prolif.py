@@ -194,15 +194,17 @@ class TestProliferationSum:
 
 
 class TestClassTables:
-    """The DFS builds one table per slice class, at the full bound."""
+    """The DFS builds one table per slice class, at the full bound, and one layer map per node."""
 
     BASE = pr.SliceBase.hereditary(her.HereditaryOrderSpec(2, 4), her.HereditaryModuleSpec((1, 2, 3, 4)))
 
     def test_one_build_per_fibre_class(self, monkeypatch):
         built = []
         substituted = []
+        mapped = []
         class_counts = pr.SliceBase.class_counts
         substitute = TruncatedSeries.substitute
+        change_of_variable = pr.change_of_variable
 
         def counting(self, upper, bound):
             table = class_counts(self, upper, bound)
@@ -213,8 +215,13 @@ class TestClassTables:
             substituted.append(self)
             return substitute(self, *args, **kwargs)
 
+        def mapping(base, seq, j):
+            mapped.append(seq[: j + 1])  # the node's path P_0..P_j
+            return change_of_variable(base, seq, j)
+
         monkeypatch.setattr(pr.SliceBase, "class_counts", counting)
         monkeypatch.setattr(TruncatedSeries, "substitute", recording)
+        monkeypatch.setattr(pr, "change_of_variable", mapping)
         got = pr.proliferation_sum(self.BASE, 4)
         monkeypatch.undo()
 
@@ -227,6 +234,11 @@ class TestClassTables:
             assert not any(series.is_zero() for series in table.values())
         # every table entry the layers read is nonzero after truncation
         assert substituted and not any(series.is_zero() for series in substituted)
+        # the layer map reads only P_0..P_{j-1}, so the children of a node share
+        # one: a call for each of the 2438 nodes with a surviving child (3879
+        # nodes are visited), where a call per edge made 10892
+        assert len(mapped) == len(set(mapped)) == 2438
+        assert len(substituted) == 10892
         assert got == orc.empirical_zeta(orc.skew_module(2, 4, 2, 5), 4)
 
     def test_truncated_table_is_the_table_at_the_smaller_bound(self):
