@@ -43,7 +43,7 @@ class RunConfig:
     truncate: int | None = None
     n_max: int | None = None
     fmt: str = "json"
-    budget: int | None = None  # enumeration budget (nodes / class sequences)
+    budget: int | None = None  # work budget (oracle nodes / class-sequence coefficient products)
     time_budget: float | None = None  # verification budget in seconds
     options: dict = field(default_factory=dict)
 
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prolif", help="class-sequence sum over a slice base")
     add_common(p, "slice base: {base: {...}, sigma: [...]}")
     p.add_argument("--mode", choices=("sum", "sliver", "factored"), default="sum")
-    p.add_argument("--budget", type=int, help="node budget of the class-sequence search")
+    p.add_argument("--budget", type=int, help="budget of coefficient products in the class-sequence sum")
 
     p = sub.add_parser("lustig", help="ideal counts of the basic two-generator local ring")
     p.add_argument("--q", type=int, required=True)

@@ -208,7 +208,8 @@ def filtered_poly(
         key = tuple(exps)
         if mono_degree(key) <= bound:
             coeffs[key] = coeffs.get(key, 0) + cnt
-    return TruncatedSeries(alphabet, bound, coeffs)
+    # valid keys of degree <= bound by construction, and every chain count is a positive int
+    return TruncatedSeries._trusted(alphabet, bound, coeffs)
 
 
 def hermite_Q(m: int, r: int, q: int) -> list[int]:

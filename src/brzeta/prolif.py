@@ -10,6 +10,8 @@ substituted slice counts: the layer-j substitution sends each class variable
 to a degree-(j+1) monomial with a hom-count scalar, so the sum is finite
 under any truncation bound.  Each layer reads one per-class table: the
 submodules of a slice module of the upper class, keyed by their own class.
+The sum runs backward over the layers as a transfer-matrix sum, so no class
+sequence is enumerated.
 
 Also here: the layered product form for split slices, Dirichlet
 specializations (one-class ideal counts, the integer power-series ring count
@@ -20,7 +22,9 @@ pulls the class-independent base count out of every layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product as _iter_product
+from operator import add
 
 from . import hereditary as _her
 from .errors import (
@@ -331,76 +335,80 @@ def fundamental_fiber_product(base: SliceBase, chain: ChainData, bound: int) -> 
 # -- proliferation sums -------------------------------------------------------
 
 
-def _proliferation_dfs(base: SliceBase, bound: int, class_counts, budget: int) -> TruncatedSeries:
-    """Sum over class sequences of the product of substituted layer counts.
+def _class_sequence_sum(base: SliceBase, bound: int, class_counts, budget: int) -> TruncatedSeries:
+    """Sum over class sequences of the product of substituted layer counts,
+    by the transfer-matrix method (Stanley, *Enumerative Combinatorics* 1, 4.7).
 
-    ``class_counts(upper, bound)`` supplies the layer counts in the slice
-    alphabet, keyed by the lower class, as :meth:`SliceBase.class_counts`
-    does; it is asked once per upper class, and layer j reads that table
-    truncated to bound // (j+1), without the entries that truncate to zero.
-    Layers at positions >= bound reduce to 1 at this bound because a class
-    jump at position j costs degree >= j+1.  Every visited node of the search
-    counts against ``budget``.
+    A sequence P_0, ..., P_bound = top of slice classes contributes, at each
+    layer j < bound, a term c*z^e of ``class_counts(P_{j+1}, bound)[P_j]``
+    (the tables of :meth:`SliceBase.class_counts`), sent by
+    :func:`change_of_variable` to the monomial z^(e + sigma e + ... + sigma^j e)
+    with scalar prod_{l<j} prod_t q_t^(P_l[t] (sigma^(j-l) e)[t]).  So class P_l
+    meets the later layers only through D_l = sum_{j>l} sigma^(j-l) e_j, and
+    D_{l-1} = sigma(e_l + D_l).  The sum runs backward from layer bound-1 to 0
+    over states (P_{j+1}, D_j), each holding the series of the layers above j;
+    only the states of one layer are kept.  Layers at positions >= bound
+    reduce to 1 at this bound, because a class jump at position j costs
+    degree >= j+1.  A table is built on first use, once per upper class, and
+    every coefficient product counts against ``budget``.
     """
-    al = base.alphabet()
     if bound < 0:
         raise TruncationBoundError(f"bound must be >= 0, got {bound}")
-    one = TruncatedSeries.one(al, bound)
-    if bound == 0:
-        return one
-    top = base.top_class()
-    classes = base.fibre_classes()
-    total = TruncatedSeries.zero(al, bound)
-    full: dict[ClassVec, dict[ClassVec, TruncatedSeries]] = {}
-    tables: dict[tuple[ClassVec, int], dict[ClassVec, TruncatedSeries]] = {}
-    visited = 0
-
-    def table_at(upper: ClassVec, src_bound: int) -> dict[ClassVec, TruncatedSeries]:
-        table = tables.get((upper, src_bound))
-        if table is None:
-            whole = full.get(upper)
-            if whole is None:
-                whole = full[upper] = class_counts(upper, bound)
-            table = {}
-            for lower, series in whole.items():
-                cut = series.truncated(src_bound)
-                if not cut.is_zero():
-                    table[lower] = cut
-            tables[upper, src_bound] = table
-        return table
-
-    def rec(j: int, seq: tuple[ClassVec, ...], acc: TruncatedSeries):
-        nonlocal total, visited
-        visited += 1
-        if visited > budget:
-            raise ResourceBudgetError(
-                "class-sequence search visited too many nodes", required=visited, budget=budget
-            )
-        if j == bound:
-            total = total + acc
-            return
-        src_bound = bound // (j + 1)
-        mapping = None  # reads only seq[:j], so every child of this node shares it
-        for upper in classes if j + 1 < bound else [top]:
-            raw = table_at(upper, src_bound).get(seq[j])
-            if raw is None:
-                continue
-            if mapping is None:
-                mapping = change_of_variable(base, seq, j)
-            factor = raw.substitute(al, mapping, bound)
-            nxt = acc * factor
-            if nxt.is_zero():
-                continue
-            rec(j + 1, seq + (upper,), nxt)
-
-    for p0 in classes:
-        rec(0, (p0,), one)
-    return total
+    sigma, qs = base.sigma, base.class_qs()
+    zero = (0,) * base.n_classes
+    tables: dict[ClassVec, list] = {}  # upper -> [(lower, [(|e|, e, c), ...] by degree)]
+    states: dict[tuple[ClassVec, ClassVec], dict[Monomial, Rational]] = {(base.top_class(), zero): {zero: 1}}
+    work = 0
+    for j in range(bound - 1, -1, -1):
+        span = j + 1  # the layer-j image of z^e has degree span * |e|
+        shifts: dict[Monomial, Monomial] = {}
+        built: dict[tuple[ClassVec, ClassVec], dict[Monomial, Rational]] = {}
+        for (upper, d), series in states.items():
+            terms = tables.get(upper)
+            if terms is None:
+                terms = tables[upper] = [
+                    (lower, sorted((sum(e), e, c) for e, c in counts.coeffs.items()))
+                    for lower, counts in class_counts(upper, bound).items()
+                ]
+            low = min(map(sum, series))
+            for lower, entries in terms:
+                weight = 1
+                for qt, p, x in zip(qs, lower, d):
+                    if p and x:
+                        weight *= qt ** (p * x)
+                for deg, e, c in entries:
+                    room = bound - span * deg
+                    if room < low:
+                        break
+                    shift = shifts.get(e)
+                    if shift is None:
+                        shift = image = e
+                        for _ in range(j):
+                            image = perm_apply(sigma, image)
+                            shift = tuple(map(add, shift, image))
+                        shifts[e] = shift
+                    target = built.setdefault((lower, perm_apply(sigma, tuple(map(add, e, d)))), {})
+                    factor = c * weight
+                    for mono, v in series.items():
+                        if sum(mono) <= room:
+                            key = tuple(map(add, mono, shift))
+                            target[key] = target.get(key, 0) + factor * v
+                            work += 1
+                    if work > budget:
+                        raise ResourceBudgetError(
+                            "class-sequence sum made too many coefficient products", required=work, budget=budget
+                        )
+        states = built
+    total: dict[Monomial, Rational] = {}
+    for series in states.values():
+        for mono, v in series.items():
+            total[mono] = total.get(mono, 0) + v
+    return TruncatedSeries(base.alphabet(), bound, total)
 
 
 def proliferation_sum(base: SliceBase, bound: int, budget: int = DEFAULT_SEQUENCE_BUDGET) -> TruncatedSeries:
     """Full submodule count of M assembled from slice counts over class sequences."""
-    return _proliferation_dfs(base, bound, base.class_counts, budget)
+    return _class_sequence_sum(base, bound, base.class_counts, budget)
 
 
 def single_sliver(base: SliceBase, bound: int) -> TruncatedSeries:
@@ -605,6 +613,16 @@ def zjv_factor(ell: int, q: int, j: int, bound: int) -> TruncatedSeries:
     return out
 
 
+def polynomial_class_counts(base: SliceBase, upper: ClassVec, bound: int) -> dict[ClassVec, TruncatedSeries]:
+    """The table of class ``upper`` over a lattice base with each entry replaced
+    by its polynomial part: the polynomial factor of a slice module of that
+    class, split by class.  The class-sequence sum over these tables is the
+    remainder of :func:`brs_factored_prolif`."""
+    n, r = base.order.n, base.module.r
+    poly = _her.brs_F(base.order, _module_of_class(upper), 2 * r * n + r)
+    return {lower: part.extended(bound) for lower, part in split_trailing(poly, n).items()}
+
+
 def brs_factored_prolif(
     base: SliceBase, bound: int, budget: int = DEFAULT_SEQUENCE_BUDGET
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -632,16 +650,7 @@ def brs_factored_prolif(
 
     prefactor = product_eval(al, bound, prefactor_layers())
 
-    f_cache: dict[ClassVec, dict[ClassVec, TruncatedSeries]] = {}
-
-    def poly_counts(upper: ClassVec, src_bound: int) -> dict[ClassVec, TruncatedSeries]:
-        split = f_cache.get(upper)
-        if split is None:
-            poly = _her.brs_F(order, _module_of_class(upper), 2 * r * n + r)
-            split = f_cache[upper] = split_trailing(poly, n)
-        return {lower: part.extended(src_bound) for lower, part in split.items()}
-
-    remainder = _proliferation_dfs(base, bound, poly_counts, budget)
+    remainder = _class_sequence_sum(base, bound, partial(polynomial_class_counts, base), budget)
     direct = proliferation_sum(base, bound, budget)
     if prefactor * remainder != direct:
         raise FormulaViolationError(

@@ -178,8 +178,10 @@ class TruncatedSeries:
     def _trusted(cls, alphabet: Alphabet, bound: int, clean: dict[Monomial, Rational]) -> "TruncatedSeries":
         """A series over ``clean``, stored as given.
 
-        For ring-op results only: every key is a valid exponent vector of
-        degree <= ``bound`` (>= 0), and every value is nonzero and canonical.
+        For results valid by construction (the ring's own ops, and the chain
+        sums of ``hereditary.filtered_poly``): every key is a valid exponent
+        vector of degree <= ``bound`` (>= 0), and every value is nonzero and
+        canonical.
         """
         out = object.__new__(cls)
         out.alphabet = alphabet

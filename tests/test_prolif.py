@@ -1,9 +1,13 @@
 """Class-sequence sums, layered products, and the Dirichlet-table identities."""
 
+import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brzeta import hereditary as her
 from brzeta import oracle as orc
@@ -11,6 +15,8 @@ from brzeta import prolif as pr
 from brzeta.errors import FormulaViolationError, ResourceBudgetError, SchemaError
 from brzeta.hey import SemisimpleData, hey_product
 from brzeta.series import TruncatedSeries
+
+import prolif_reference as ref
 
 
 DVR21 = pr.SliceBase.dvr(2, 1)
@@ -187,58 +193,89 @@ class TestProliferationSum:
         base = pr.SliceBase.semisimple(SemisimpleData.from_specs([(2, 3), (2, 3)]))
         with pytest.raises(ResourceBudgetError):
             pr.proliferation_sum(base, 6, budget=10)
-        # the budget counts visited nodes, so a 2-class base at bound 6 (16^6
-        # class sequences, few of them nonzero) runs under the default budget
+        # the budget counts coefficient products, so a 2-class base at bound 6
+        # (16^6 class sequences, few of them nonzero) runs under the default budget
         data = SemisimpleData.from_specs([(2, 2), (3, 2)])
         assert pr.proliferation_sum(pr.SliceBase.semisimple(data), 6) == hey_product(data, 6)
 
 
+@st.composite
+def small_bases(draw):
+    """A semisimple, hereditary or dvr slice base with at most 3 classes and a random sigma."""
+    kind = draw(st.sampled_from(["semisimple", "hereditary", "dvr"]))
+    if kind == "dvr":
+        return pr.SliceBase.dvr(draw(st.sampled_from([2, 3, 4])), draw(st.integers(0, 2)))
+    n = draw(st.integers(1, 3))
+    sigma = draw(st.permutations(range(n)))
+    if kind == "semisimple":
+        q_m_r = st.tuples(st.sampled_from([2, 3, 4]), st.integers(0, 2), st.integers(1, 2))
+        specs = [draw(q_m_r) for _ in range(n)]
+        return pr.SliceBase.semisimple(SemisimpleData.from_specs(specs), sigma)
+    columns = draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
+    order = her.HereditaryOrderSpec(draw(st.sampled_from([2, 3])), n)
+    return pr.SliceBase.hereditary(order, her.HereditaryModuleSpec(columns), sigma)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_bases(), st.integers(0, 5))
+def test_sum_matches_reference_dfs(base, bound):
+    """The transfer-matrix sum equals the search over every class sequence, on
+    the plain tables and on the polynomial tables of the factored form."""
+    got = pr.proliferation_sum(base, bound)
+    want = ref.proliferation_dfs(base, bound, base.class_counts, 10**9)
+    assert got == want, (base, bound, got.first_disagreement(want))
+    if base.kind == "hereditary":
+        _, remainder = pr.brs_factored_prolif(base, bound)
+        want = ref.proliferation_dfs(base, bound, partial(pr.polynomial_class_counts, base), 10**9)
+        assert remainder == want, (base, bound, remainder.first_disagreement(want))
+
+
+@pytest.mark.parametrize("q, n, bound", [(3, 2, 3), (4, 2, 3), (2, 3, 3), (3, 3, 2), (2, 2, 4), (2, 3, 4), (2, 2, 6)])
+def test_hereditary_sum_matches_skew_enumeration(q, n, bound):
+    """The sum over the basic hereditary slice (columns 1..n) counts the
+    submodules of the skew power-series model, enumerated."""
+    base = pr.SliceBase.hereditary(her.HereditaryOrderSpec(q, n), her.HereditaryModuleSpec(range(1, n + 1)))
+    got = pr.proliferation_sum(base, bound)
+    want = orc.empirical_zeta(orc.skew_module(q, n, math.ceil((bound + 1) / 2), bound + 1), bound)
+    assert got == want, got.first_disagreement(want)
+
+
 class TestClassTables:
-    """The DFS builds one table per slice class, at the full bound, and one layer map per node."""
+    """The sum builds each reachable table once, at the full bound, and substitutes nothing."""
 
     BASE = pr.SliceBase.hereditary(her.HereditaryOrderSpec(2, 4), her.HereditaryModuleSpec((1, 2, 3, 4)))
 
-    def test_one_build_per_fibre_class(self, monkeypatch):
+    def test_one_build_per_reachable_class(self, monkeypatch):
         built = []
         substituted = []
-        mapped = []
         class_counts = pr.SliceBase.class_counts
-        substitute = TruncatedSeries.substitute
-        change_of_variable = pr.change_of_variable
 
         def counting(self, upper, bound):
             table = class_counts(self, upper, bound)
             built.append((upper, bound, table))
             return table
 
-        def recording(self, *args, **kwargs):
-            substituted.append(self)
-            return substitute(self, *args, **kwargs)
-
-        def mapping(base, seq, j):
-            mapped.append(seq[: j + 1])  # the node's path P_0..P_j
-            return change_of_variable(base, seq, j)
-
         monkeypatch.setattr(pr.SliceBase, "class_counts", counting)
-        monkeypatch.setattr(TruncatedSeries, "substitute", recording)
-        monkeypatch.setattr(pr, "change_of_variable", mapping)
+        monkeypatch.setattr(TruncatedSeries, "substitute", lambda *args, **kwargs: substituted.append(args))
         got = pr.proliferation_sum(self.BASE, 4)
         monkeypatch.undo()
 
-        # one build per fibre class (35), where a build per layer bound made 105
+        # 11 of the 35 fibre classes are reached, each built once at the full
+        # bound; the top is reached first, every other one as a lower class of
+        # a table built before it
+        uppers = [upper for upper, _, _ in built]
         assert len(self.BASE.fibre_classes()) == 35
-        assert len(built) == 35
-        assert {upper for upper, _, _ in built} == set(self.BASE.fibre_classes())
+        assert len(uppers) == len(set(uppers)) == 11
+        assert uppers[0] == self.BASE.top_class()
+        for i, upper in enumerate(uppers[1:], start=1):
+            assert any(upper in table for _, _, table in built[:i]), upper
         assert {bound for _, bound, _ in built} == {4}
-        for _, _, table in built:
-            assert not any(series.is_zero() for series in table.values())
-        # every table entry the layers read is nonzero after truncation
-        assert substituted and not any(series.is_zero() for series in substituted)
-        # the layer map reads only P_0..P_{j-1}, so the children of a node share
-        # one: a call for each of the 2438 nodes with a surviving child (3879
-        # nodes are visited), where a call per edge made 10892
-        assert len(mapped) == len(set(mapped)) == 2438
-        assert len(substituted) == 10892
+        # the layer maps are applied to monomials directly: no series is substituted
+        assert substituted == []
+        # the sum makes 123 coefficient products: a budget of 123 runs it, 122 refuses
+        assert pr.proliferation_sum(self.BASE, 4, budget=123) == got
+        with pytest.raises(ResourceBudgetError):
+            pr.proliferation_sum(self.BASE, 4, budget=122)
         assert got == orc.empirical_zeta(orc.skew_module(2, 4, 2, 5), 4)
 
     def test_truncated_table_is_the_table_at_the_smaller_bound(self):
