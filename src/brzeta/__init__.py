@@ -13,25 +13,22 @@ from .errors import (
     CompletenessWarning,
     FormulaViolationError,
     NonUnitError,
-    PseudoConvergenceError,
     ResourceBudgetError,
     SchemaError,
     TruncationBoundError,
 )
-from .series import Alphabet, AlphabetEntry, TruncatedSeries, product_eval, split_trailing
+from .series import Alphabet, AlphabetEntry, TruncatedSeries, split_trailing
 
 __all__ = [
     "Alphabet",
     "AlphabetEntry",
     "TruncatedSeries",
-    "product_eval",
     "split_trailing",
     "BrzetaError",
     "SchemaError",
     "AlphabetMismatchError",
     "TruncationBoundError",
     "NonUnitError",
-    "PseudoConvergenceError",
     "FormulaViolationError",
     "ResourceBudgetError",
     "CompletenessWarning",

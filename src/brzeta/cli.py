@@ -27,7 +27,6 @@ from .errors import (
     CompletenessWarning,
     FormulaViolationError,
     NonUnitError,
-    PseudoConvergenceError,
     ResourceBudgetError,
     SchemaError,
     TruncationBoundError,
@@ -70,7 +69,7 @@ def _load_payload(text: str):
             raise SchemaError(f"cannot read {text[1:]!r}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal over the interpreter's digit limit
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
@@ -119,15 +118,26 @@ def _table_csv(table: dict[int, int]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(config: RunConfig, doc=None, series=None, table=None) -> int:
+def _format(config: RunConfig, doc, series, table) -> str:
     if series is not None:
-        out = _series_csv(series) if config.fmt == "csv" else json.dumps(_series_doc(series), sort_keys=True, indent=2) + "\n"
-    elif table is not None:
-        out = _table_csv(table) if config.fmt == "csv" else json.dumps(_table_doc(table), sort_keys=True, indent=2) + "\n"
-    else:
-        if config.fmt == "csv":
-            raise SchemaError("csv output is only available for series and tables")
-        out = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _series_csv(series) if config.fmt == "csv" else json.dumps(_series_doc(series), sort_keys=True, indent=2) + "\n"
+    if table is not None:
+        return _table_csv(table) if config.fmt == "csv" else json.dumps(_table_doc(table), sort_keys=True, indent=2) + "\n"
+    if config.fmt == "csv":
+        raise SchemaError("csv output is only available for series and tables")
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _emit(config: RunConfig, doc=None, series=None, table=None) -> int:
+    """Write one result to stdout.  An exact count may have more digits than
+    ``str(int)`` allows by default, so the limit is lifted only while the
+    result is formatted; input parsing keeps it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        out = _format(config, doc, series, table)
+    finally:
+        sys.set_int_max_str_digits(limit)
     sys.stdout.write(out)
     return 0
 
@@ -423,13 +433,7 @@ def main(argv=None) -> int:
         warnings.showwarning = _warning_line
         try:
             return run(_config_from_args(args))
-        except (
-            SchemaError,
-            TruncationBoundError,
-            AlphabetMismatchError,
-            NonUnitError,
-            PseudoConvergenceError,
-        ) as exc:
+        except (SchemaError, TruncationBoundError, AlphabetMismatchError, NonUnitError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except FormulaViolationError as exc:

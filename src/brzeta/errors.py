@@ -21,10 +21,6 @@ class NonUnitError(BrzetaError):
     """Inversion of a series whose constant term vanishes."""
 
 
-class PseudoConvergenceError(BrzetaError):
-    """An infinite product cannot be certified finite at the working bound."""
-
-
 class FormulaViolationError(BrzetaError):
     """Two routes that must agree exactly produced different values."""
 

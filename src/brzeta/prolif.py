@@ -13,10 +13,12 @@ submodules of a slice module of the upper class, keyed by their own class.
 The sum runs backward over the layers as a transfer-matrix sum, so no class
 sequence is enumerated.
 
-Also here: the layered product form for split slices, Dirichlet
-specializations (one-class ideal counts, the integer power-series ring count
-assembled prime by prime, hom-weighted slices), and the factored form that
-pulls the class-independent base count out of every layer.
+Also here: the layered products (for split slices, and the single-sliver
+form), each a finite product at any truncation because layer j has degree
+>= j+1; Dirichlet specializations (one-class ideal counts, the integer
+power-series ring count assembled prime by prime, hom-weighted slices); and
+the factored form, which pulls the class-independent base count out of every
+layer as a closed prefactor.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .series import (
     Rational,
     TruncatedSeries,
     geometric_product,
-    product_eval,
     split_trailing,
 )
 
@@ -141,25 +142,6 @@ class SliceBase:
         if self.kind == "semisimple":
             return tuple(e.m for e in self.data.entries)
         return self.module.top_vector(self.order.n)
-
-    def fibre_classes(self) -> list[ClassVec]:
-        """All classes a layer image can take (unrealizable steps count zero)."""
-        if self.kind == "semisimple":
-            ranges = [range(e.m + 1) for e in self.data.entries]
-            return [tuple(v) for v in _iter_product(*ranges)]
-        # lattice classes of the same rank: compositions of r into n parts
-        r, n = self.module.r, self.order.n
-        out = []
-
-        def rec(slots, remaining, acc):
-            if slots == 1:
-                out.append(tuple(acc + [remaining]))
-                return
-            for v in range(remaining + 1):
-                rec(slots - 1, remaining - v, acc + [v])
-
-        rec(n, r, [])
-        return out
 
     def hom_count(self, rho: ClassVec, ell: ClassVec) -> int:
         """Size of the hom space from the projective of top rho to the class ell."""
@@ -424,14 +406,10 @@ def single_sliver(base: SliceBase, bound: int) -> TruncatedSeries:
         raise TruncationBoundError(f"bound must be >= 0, got {bound}")
     top = (base.top_class(),)
     full = base.total_zeta(bound)
-
-    def factors():
-        for j in range(bound):
-            src = full.truncated(bound // (j + 1))
-            mapping = change_of_variable(base, top, j)
-            yield j + 1, src.substitute(al, mapping, bound)
-
-    return product_eval(al, bound, factors())
+    out = TruncatedSeries.one(al, bound)
+    for j in range(bound):
+        out = out * full.truncated(bound // (j + 1)).substitute(al, change_of_variable(base, top, j), bound)
+    return out
 
 
 def lifted_hey(data: SemisimpleData, sigma, bound: int) -> TruncatedSeries:
@@ -463,10 +441,12 @@ def lifted_hey(data: SemisimpleData, sigma, bound: int) -> TruncatedSeries:
                     tgt = sigma[tgt]
                     exps[tgt] += 1
                     twist *= entries[tgt].q ** entries[tgt].m
-                for j in range(e.m):
-                    yield layer + 1, TruncatedSeries.geometric(al, bound, tuple(exps), e.q**j * twist)
+                exps = tuple(exps)
+                for _ in range(e.m):  # step j has scalar q_i^j * twist
+                    yield exps, twist
+                    twist *= e.q
 
-    return product_eval(al, bound, factors())
+    return geometric_product(al, bound, factors())
 
 
 # -- Dirichlet specializations -------------------------------------------------
@@ -596,7 +576,9 @@ def rossmann_coeffs(n_max: int) -> dict[int, int]:
 def zjv_factor(ell: int, q: int, j: int, bound: int) -> TruncatedSeries:
     """Layer-j image of the rank-ell base count: v -> q^(j*ell) v^(j+1).
 
-    Cross-checked against the closed form prod_{i<ell} (1 - q^(i+j*ell) v^(j+1))^{-1}.
+    Substitutes the base count and checks it against the closed form
+    prod_{i<ell} (1 - q^(i+j*ell) v^(j+1))^{-1}, the layer factor that
+    :func:`brs_factored_prolif` builds its prefactor from.
     """
     if ell < 0 or j < 0:
         raise SchemaError(f"need ell >= 0 and j >= 0, got ell={ell}, j={j}")
@@ -628,9 +610,11 @@ def brs_factored_prolif(
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Split the assembled count into (class-independent prefactor, remainder).
 
-    The prefactor collects the layer images of the rank-r base count; the
-    remainder is the class-sequence sum with each layer count replaced by its
-    polynomial part.  Their product must reproduce the plain assembled sum.
+    The prefactor is the product of the layer images of the rank-r base
+    count, built in closed form as prod_{j, i<r} (1 - q^(i+j*r) v^(j+1))^{-1}
+    with v = z_1...z_n (see :func:`zjv_factor`); the remainder is the
+    class-sequence sum with each layer count replaced by its polynomial part.
+    Their product must reproduce the plain assembled sum.
     """
     if base.kind != "hereditary":
         raise SchemaError("factored form needs a lattice (hereditary or nonzero dvr) base")
@@ -639,17 +623,9 @@ def brs_factored_prolif(
     al = base.alphabet()
     if bound < 0:
         raise TruncationBoundError(f"bound must be >= 0, got {bound}")
-    v_exps = (1,) * n
-    top_seq = (base.top_class(),)
-
-    def prefactor_layers():
-        for j in range(bound):
-            src = _her.solomon_hey_factor(r, q, bound // (j + 1), al, v_exps)
-            mapping = change_of_variable(base, top_seq, j)
-            yield (j + 1) * n, src.substitute(al, mapping, bound)
-
-    prefactor = product_eval(al, bound, prefactor_layers())
-
+    # sigma permutes the classes, whose tops sum to r, so layer j sends v = z_1...z_n to q^(jr) v^(j+1)
+    layers = (((j + 1,) * n, q ** (i + j * r)) for j in range(bound // n) for i in range(r))
+    prefactor = geometric_product(al, bound, layers)
     remainder = _class_sequence_sum(base, bound, partial(polynomial_class_counts, base), budget)
     direct = proliferation_sum(base, bound, budget)
     if prefactor * remainder != direct:

@@ -28,7 +28,6 @@ from .errors import (
     AlphabetMismatchError,
     CompletenessWarning,
     NonUnitError,
-    PseudoConvergenceError,
     SchemaError,
     TruncationBoundError,
 )
@@ -534,52 +533,6 @@ def geometric_product(
     for exps, scalar in factors:
         out = out * TruncatedSeries.geometric(alphabet, bound, exps, scalar)
     return out
-
-
-#: Factors :func:`product_eval` takes before it refuses a floor that never passes the bound.
-STALL_LIMIT = 20000
-
-
-def product_eval(
-    alphabet: Alphabet, bound: int, factors: Iterable[tuple[int, TruncatedSeries]]
-) -> TruncatedSeries:
-    """Evaluate a (possibly infinite) product of unit series at a truncation.
-
-    ``factors`` yields ``(floor, series)`` pairs: factor k equals 1 strictly
-    below degree ``floor_k``, and the floors are nondecreasing and unbounded.
-    Factors whose floor exceeds ``bound`` are identically 1 at this truncation,
-    so iteration stops at the first such factor; the declared floors are
-    verified against the actual series.
-    """
-    acc = TruncatedSeries.one(alphabet, bound)
-    last_floor = 0
-    count = 0
-    for floor, factor in factors:
-        if floor < last_floor:
-            raise PseudoConvergenceError(f"floor sequence decreased: {last_floor} -> {floor}")
-        last_floor = floor
-        if floor > bound:
-            break
-        count += 1
-        if count > STALL_LIMIT:
-            raise PseudoConvergenceError(
-                f"{STALL_LIMIT} factors consumed without the floor passing {bound}; "
-                "the product is not certified to converge at this truncation"
-            )
-        if factor.alphabet != alphabet:
-            raise AlphabetMismatchError("product factor over a different alphabet")
-        if factor.bound != bound:
-            raise TruncationBoundError(f"factor bound {factor.bound} != product bound {bound}")
-        if factor.constant_term != 1:
-            raise PseudoConvergenceError(f"product factor has constant term {factor.constant_term} != 1")
-        low = min(
-            (mono_degree(k) for k in factor.coeffs if mono_degree(k) > 0),
-            default=None,
-        )
-        if low is not None and low < floor:
-            raise PseudoConvergenceError(f"factor declared floor {floor} but has a degree-{low} term")
-        acc = acc * factor
-    return acc
 
 
 def split_trailing(series: TruncatedSeries, first_count: int) -> dict[Monomial, TruncatedSeries]:

@@ -1,5 +1,5 @@
-"""The class-sequence sum by depth-first search over class sequences, which
-only the tests use.
+"""The class-sequence sum by depth-first search over class sequences, and the
+slice classes it walks, which only the tests use.
 
 ``prolif`` sums over class sequences by the transfer-matrix method; this
 search walks every sequence and substitutes each layer's table entry through
@@ -7,9 +7,30 @@ search walks every sequence and substitutes each layer's table entry through
 The tests compare them on random bases, as an independent check of the sum.
 """
 
+from itertools import product
+
 from brzeta.errors import ResourceBudgetError, TruncationBoundError
 from brzeta.prolif import ClassVec, SliceBase, change_of_variable
 from brzeta.series import TruncatedSeries
+
+
+def fibre_classes(base: SliceBase) -> list[ClassVec]:
+    """All classes a layer image over ``base`` can take (unrealizable steps count zero)."""
+    if base.kind == "semisimple":
+        return list(product(*(range(e.m + 1) for e in base.data.entries)))
+    # lattice classes of the same rank: compositions of r into n parts
+    r, n = base.module.r, base.order.n
+    out = []
+
+    def rec(slots, remaining, acc):
+        if slots == 1:
+            out.append(tuple(acc + [remaining]))
+            return
+        for v in range(remaining + 1):
+            rec(slots - 1, remaining - v, acc + [v])
+
+    rec(n, r, [])
+    return out
 
 
 def proliferation_dfs(base: SliceBase, bound: int, class_counts, budget: int) -> TruncatedSeries:
@@ -30,7 +51,7 @@ def proliferation_dfs(base: SliceBase, bound: int, class_counts, budget: int) ->
     if bound == 0:
         return one
     top = base.top_class()
-    classes = base.fibre_classes()
+    classes = fibre_classes(base)
     total = TruncatedSeries.zero(al, bound)
     full: dict[ClassVec, dict[ClassVec, TruncatedSeries]] = {}
     tables: dict[tuple[ClassVec, int], dict[ClassVec, TruncatedSeries]] = {}

@@ -105,6 +105,19 @@ class TestSeriesOutput:
         assert doc["bound"] == 2 and doc["variables"] == ["z"]
         assert doc["terms"][1] == {"monomial": "z", "exponents": [1], "num": "1", "den": "1"}
 
+    def test_huge_coefficient(self, capsys):
+        # the z coefficient 2^15000 - 1 has 4516 digits, over the default str(int) limit
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, ["hey", "--data", '[{"q": 2, "m": 15000}]', "--truncate", "1"])
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        num = json.loads(out)["terms"][1]["num"]
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(num) == 2**15000 - 1
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_inverse_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, ["hey", "--data", '[{"q": 2, "m": 1}]', "--truncate", "2", "--inverse", "--format", "csv"]
@@ -334,6 +347,7 @@ class TestInputHandling:
             ["verify", "--suite", "moebius", "--budget", "-1"],
             ["verify", "--suite", "moebius", "--budget", "nan"],
             ["hereditary", "--data", '{"q": 2, "n": 2, "columns": [1, 2]}', "--factor", "--truncate", "3"],
+            ["hey", "--data", '[{"q": 2, "m": ' + "1" * 5000 + "}]", "--truncate", "1"],
         ],
         ids=[
             "non-prime-power-model",
@@ -373,6 +387,7 @@ class TestInputHandling:
             "verify-negative-time-budget",
             "verify-nan-time-budget",
             "factor-bound-below-degree",
+            "json-integer-over-digit-limit",
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):

@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by the module that makes it,
-every module-level definition is read somewhere in the package, and only the
-series ring imports ``fractions``: the engines count in integers."""
+every module-level definition and every method of a module-level class is read
+somewhere in the package, and only the series ring imports ``fractions``: the
+engines count in integers."""
 
 import ast
 from pathlib import Path
@@ -10,8 +11,9 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "brzeta"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
-#: the packed-row format's conversions to and from element lists, which the tests use
-DEAD_ALLOWED = {"gfq.pack", "gfq.unpack"}
+#: the packed-row format's conversions to and from element lists, which the tests
+#: use, and the zero test of the public series API
+DEAD_ALLOWED = {"gfq.pack", "gfq.unpack", "series.TruncatedSeries.is_zero"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,15 +51,29 @@ def _names_read(node) -> set[str]:
 
 def unread_definitions(sources: dict[str, str]) -> list[str]:
     """``module.name`` of each top-level function or class whose name no other
-    top-level statement of any module reads as a Name or an Attribute."""
+    top-level statement of any module reads as a Name or an Attribute, then
+    ``module.Class.name`` of each non-dunder method of a top-level class whose
+    name nothing outside the method's own body reads."""
     statements = [(module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body]
     reads = [(stmt, _names_read(stmt)) for _, stmt in statements]
-    return [
+    out = [
         f"{module}.{stmt.name}"
         for module, stmt in statements
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not any(stmt.name in names for other, names in reads if other is not stmt)
     ]
+    for module, cls in statements:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        outside = [names for other, names in reads if other is not cls]
+        members = [(member, _names_read(member)) for member in cls.body]
+        for method, _ in members:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) or method.name.startswith("__"):
+                continue
+            inside = [names for other, names in members if other is not method]
+            if not any(method.name in names for names in outside + inside):
+                out.append(f"{module}.{cls.name}.{method.name}")
+    return out
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -92,3 +108,15 @@ def test_definition_scanner_skips_own_body_and_docstrings():
         "b": "from .a import C\n\n\ndef h(x):\n    return x.g\n",
     }
     assert unread_definitions(sources) == ["a.f", "a.C", "b.h"]
+
+
+def test_definition_scanner_sees_unread_methods():
+    source = (
+        "class C:\n"
+        "    def __init__(self):\n        self.a()\n\n"
+        "    def a(self):\n        return self.b\n\n"
+        "    def b(self):\n        return 1\n\n"
+        "    def c(self):\n        return self.c()\n\n\n"
+        "C()\n"
+    )
+    assert unread_definitions({"m": source}) == ["m.C.c"]

@@ -12,7 +12,6 @@ from brzeta.errors import (
     AlphabetMismatchError,
     CompletenessWarning,
     NonUnitError,
-    PseudoConvergenceError,
     SchemaError,
     TruncationBoundError,
 )
@@ -20,7 +19,6 @@ from brzeta.series import (
     Alphabet,
     AlphabetEntry,
     TruncatedSeries,
-    product_eval,
     split_trailing,
 )
 
@@ -195,37 +193,6 @@ class TestSubstitute:
         with pytest.raises(TruncationBoundError):
             f.substitute(Z, {0: (1, (2,))}, 6)
         f.substitute(Z, {0: (1, (2,))}, 5)
-
-
-class TestProductEval:
-    def test_empty_is_one(self):
-        assert product_eval(Z, 3, iter(())) == TruncatedSeries.one(Z, 3)
-
-    def test_layered_geometric(self):
-        # factors (1 - 2^n z^(n+1))^(-1), floor n+1
-        def factors():
-            for n in range(0, 6):
-                yield n + 1, TruncatedSeries.geometric(Z, 3, (n + 1,), 2**n)
-
-        assert product_eval(Z, 3, factors()) == poly([1, 1, 3, 7])
-
-    def test_two_geometric_factors(self):
-        factors = [(1, geom(1, 2)), (1, geom(2, 2))]
-        assert product_eval(Z, 2, iter(factors)) == poly([1, 3, 7])
-
-    def test_constant_term_must_be_one(self):
-        with pytest.raises(PseudoConvergenceError):
-            product_eval(Z, 2, iter([(1, poly([2, 1], bound=2))]))
-
-    def test_floor_must_not_decrease(self):
-        factors = [(2, geom(1, 2)), (1, geom(1, 2))]
-        with pytest.raises(PseudoConvergenceError):
-            product_eval(Z, 2, iter(factors))
-
-    def test_declared_floor_must_hold(self):
-        # factor with a degree-1 term declared to start at degree 2
-        with pytest.raises(PseudoConvergenceError):
-            product_eval(Z, 3, iter([(2, poly([1, 1], bound=3))]))
 
 
 class TestDirichlet:
