@@ -5,6 +5,9 @@ float — and output is byte-identical across runs of the same config.
 Exit codes: 0 success, 2 malformed input or unsound request, 3 an exact
 identity failed (the message carries the offending coefficient), 4 an
 enumeration or time budget was exceeded.
+
+Each handler imports the layers it runs, so a ``hey`` request never loads
+the oracle, the field kernels or the verification suites.
 """
 
 from __future__ import annotations
@@ -17,10 +20,6 @@ import time
 import warnings
 from dataclasses import dataclass, field
 
-from . import checks as chk
-from . import hereditary as her
-from . import oracle as orc
-from . import prolif as pr
 from .errors import (
     AlphabetMismatchError,
     BrzetaError,
@@ -69,8 +68,12 @@ def _load_payload(text: str):
             raise SchemaError(f"cannot read {text[1:]!r}: {exc}") from exc
     try:
         return json.loads(text)
-    except ValueError as exc:  # also an integer literal over the interpreter's digit limit
+    except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal over the interpreter's digit limit
+        raise SchemaError(
+            f"a JSON integer may have at most {sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -159,6 +162,8 @@ def _run_hey(config: RunConfig) -> int:
 
 
 def _run_hereditary(config: RunConfig) -> int:
+    from . import hereditary as her
+
     order, module = her.hereditary_from_json(_load_payload(_require(config.data, "--data")))
     bound = _require(config.truncate, "--truncate")
     partial = config.options.get("partial")
@@ -174,6 +179,8 @@ def _run_hereditary(config: RunConfig) -> int:
 
 
 def _run_lifted_hey(config: RunConfig) -> int:
+    from . import prolif as pr
+
     data = SemisimpleData.from_json(_load_payload(_require(config.data, "--data")))
     bound = _require(config.truncate, "--truncate")
     sigma_text = config.options.get("sigma")
@@ -184,6 +191,8 @@ def _run_lifted_hey(config: RunConfig) -> int:
 
 
 def _run_prolif(config: RunConfig) -> int:
+    from . import prolif as pr
+
     base = pr.SliceBase.from_json(_load_payload(_require(config.data, "--data")))
     bound = _require(config.truncate, "--truncate")
     budget = config.budget if config.budget is not None else pr.DEFAULT_SEQUENCE_BUDGET
@@ -202,6 +211,8 @@ def _run_prolif(config: RunConfig) -> int:
 
 
 def _run_lustig(config: RunConfig) -> int:
+    from . import prolif as pr
+
     q = int(config.options["q"])
     i_max = _require(config.n_max, "--max")
     coeffs = pr.lustig_coeffs(q, i_max)
@@ -209,11 +220,15 @@ def _run_lustig(config: RunConfig) -> int:
 
 
 def _run_rossmann(config: RunConfig) -> int:
+    from . import prolif as pr
+
     n_max = _require(config.n_max, "--max")
     return _emit(config, table=pr.rossmann_coeffs(n_max))
 
 
 def _run_hom_slice(config: RunConfig) -> int:
+    from . import prolif as pr
+
     opts = config.options
     q, r, m, s_count = int(opts["q"]), int(opts["r"]), int(opts["m"]), int(opts["s_count"])
     n_max = _require(config.n_max, "--max")
@@ -228,6 +243,8 @@ def _run_hom_slice(config: RunConfig) -> int:
 
 
 def _run_oracle(config: RunConfig) -> int:
+    from . import oracle as orc
+
     model = orc.model_from_json(_load_payload(_require(config.data, "--data")))
     bound = _require(config.truncate, "--colength")
     budget = config.budget if config.budget is not None else orc.DEFAULT_NODE_BUDGET
@@ -268,6 +285,8 @@ _SUITE_SIZE_KNOB = {
 
 
 def _run_verify(config: RunConfig) -> int:
+    from . import checks as chk
+
     suites = config.options.get("suites") or list(chk.ALL_CHECKS)
     if "all" in suites:
         suites = list(chk.ALL_CHECKS)

@@ -488,7 +488,7 @@ def submodule_bfs(
             jx = radical_subspace(model, parent.rep)
             parent.top = top_class(model, parent.rep, jx)
             for child, bi in maximal_submodules(model, parent.rep, budget, jx):
-                if child in nxt or child in nodes:
+                if child in nxt:
                     continue
                 cls = tuple(c + (1 if i == bi else 0) for i, c in enumerate(parent.cls))
                 nxt[child] = SubmoduleNode(child, level, cls)

@@ -11,6 +11,7 @@ import pytest
 
 import brzeta.checks as chk
 import brzeta.cli as cli
+import brzeta.prolif as pr
 from brzeta.errors import SchemaError, TruncationBoundError
 from brzeta.series import Alphabet, AlphabetEntry, TruncatedSeries
 
@@ -88,7 +89,7 @@ class TestTables:
             al = Alphabet((AlphabetEntry("z", q, r),))
             return TruncatedSeries.one(al, 0).dirichlet_coeffs(n_max)
 
-        monkeypatch.setattr(cli.pr, "hom_slice_dirichlet", short_table)
+        monkeypatch.setattr(pr, "hom_slice_dirichlet", short_table)
         argv = ["hom-slice", "--q", "2", "--r", "1", "--m", "1", "--s-count", "1", "--max", "4"]
         for _ in range(2):
             code, out, err = run_cli(capsys, argv)
@@ -256,7 +257,7 @@ class TestVerifyCommand:
                 "rossmann", False, 1, disagreement=("n=4", "3", "2")
             )
 
-        monkeypatch.setitem(cli.chk.ALL_CHECKS, "rossmann", broken)
+        monkeypatch.setitem(chk.ALL_CHECKS, "rossmann", broken)
         code, out, err = run_cli(capsys, ["verify", "--suite", "rossmann"])
         assert code == 3
         assert out.startswith("FAIL rossmann")
@@ -395,6 +396,7 @@ class TestInputHandling:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "set_int_max_str_digits" not in err  # advice only a Python caller can act on
 
     def test_negative_truncation(self, capsys):
         code, _, err = run_cli(capsys, ["hey", "--data", '[{"q": 2, "m": 1}]', "--truncate", "-1"])
@@ -508,3 +510,33 @@ def test_runs_with_numpy_blocked():
     for argv, expected in cases:
         code, out, err = _subprocess_main(argv, prelude="sys.modules['numpy'] = None; ")
         assert (code, out) == (0, expected), err
+
+
+HEY_LAYERS = {"brzeta", "brzeta.cli", "brzeta.errors", "brzeta.qcomb", "brzeta.series", "brzeta.hey"}
+HEREDITARY_LAYERS = HEY_LAYERS | {"brzeta.hereditary"}
+PROLIF_LAYERS = HEREDITARY_LAYERS | {"brzeta.prolif"}
+ORACLE_LAYERS = PROLIF_LAYERS | {"brzeta.gfq", "brzeta.oracle"}
+#: one small valid request per subcommand, and every package module it loads
+SUBCOMMAND_LAYERS = [
+    (["hey", "--data", '[{"q": 2, "m": 1}]', "--truncate", "2"], HEY_LAYERS),
+    (["hereditary", "--data", HER, "--truncate", "2"], HEREDITARY_LAYERS),
+    (["lifted-hey", "--data", '[{"q": 2, "m": 1}]', "--truncate", "2"], PROLIF_LAYERS),
+    (["prolif", "--data", DVR, "--truncate", "2"], PROLIF_LAYERS),
+    (["lustig", "--q", "2", "--max", "3"], PROLIF_LAYERS),
+    (["rossmann", "--max", "4"], PROLIF_LAYERS),
+    (["hom-slice", "--q", "2", "--r", "1", "--m", "1", "--s-count", "1", "--max", "4"], PROLIF_LAYERS),
+    (["oracle", "--model", '{"kind": "chain", "q": 2, "c": 3}', "--colength", "2"], ORACLE_LAYERS),
+    (["verify", "--suite", "rossmann", "--max", "4"], ORACLE_LAYERS | {"brzeta.checks"}),
+]
+
+
+@pytest.mark.parametrize("argv,layers", SUBCOMMAND_LAYERS, ids=[argv[0] for argv, _ in SUBCOMMAND_LAYERS])
+def test_subcommand_loads_only_its_layers(argv, layers):
+    """A request imports the package modules its handler runs and no others."""
+    list_loaded = (
+        "import atexit; atexit.register(lambda: print(*sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'brzeta'))); "
+    )
+    code, out, err = _subprocess_main(argv, prelude=list_loaded)
+    assert code == 0, err
+    assert set(out.splitlines()[-1].split()) == layers
