@@ -305,7 +305,12 @@ def _run_verify(config: RunConfig) -> int:
         kwargs = {}
         if config.n_max is not None and name in _SUITE_SIZE_KNOB:
             kwargs[_SUITE_SIZE_KNOB[name]] = config.n_max
-        result = chk.ALL_CHECKS[name](**kwargs)
+        try:
+            result = chk.ALL_CHECKS[name](**kwargs)
+        except FormulaViolationError as exc:  # an engine's own identity failed
+            where = str(exc) if exc.monomial is None else exc.monomial
+            want, got = ("-" if v is None else v for v in (exc.expected, exc.actual))
+            result = chk.CheckResult(name, False, 1, disagreement=(where, want, got))
         sys.stdout.write(result.line() + "\n")
         if not result.passed:
             failed.append(result)
@@ -390,7 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s-count", dest="s_count", type=int, required=True)
     p.add_argument("--max", dest="n_max", type=int, required=True, help="largest norm")
-    p.add_argument("--truncate", dest="truncate", type=int, help="optional bound override")
+    p.add_argument(
+        "--truncate", dest="truncate", type=int,
+        help="total-degree bound to check: warns if it cannot certify --max; the minimal sound bound is always used",
+    )
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("oracle", help="brute-force submodule enumeration of a finite model")

@@ -8,10 +8,16 @@ submodule X of M is rebuilt layer by layer from its images in M/IM, which
 turns the full count into a sum over sequences of slice classes of
 substituted slice counts: the layer-j substitution sends each class variable
 to a degree-(j+1) monomial with a hom-count scalar, so the sum is finite
-under any truncation bound.  Each layer reads one per-class table: the
-submodules of a slice module of the upper class, keyed by their own class.
-The sum runs backward over the layers as a transfer-matrix sum, so no class
-sequence is enumerated.
+under any truncation bound.  That layer map lives in one function,
+:func:`layer_image`: layer j sends a class-ell quotient to
+ell + sigma ell + ... + sigma^j ell, scaled by the hom counts from the
+earlier levels to the twisted classes.  The substitution targets, the
+per-chain fiber product, the layered products and the hom-weighted slice
+counts all read it.  Each layer reads one per-class table: the submodules
+of a slice module of the upper class, keyed by their own class.  The sum
+runs backward over the layers as a transfer-matrix sum, so no class sequence
+is enumerated; it applies the layer map to monomials by itself, which keeps
+the sequence-by-sequence reference search an independent check of it.
 
 Also here: the layered products (for split slices, and the single-sliver
 form), each a finite product at any truncation because layer j has degree
@@ -91,17 +97,17 @@ class SliceBase:
             if not data.entries:
                 raise SchemaError("semisimple base needs at least one class")
             self.data = data
-            n = len(data.entries)
+            self.class_qs = tuple(e.q for e in data.entries)
         elif kind == "hereditary":
             if not isinstance(order, _her.HereditaryOrderSpec) or not isinstance(
                 module, _her.HereditaryModuleSpec
             ):
                 raise SchemaError("hereditary base needs order and module specs")
             self.order, self.module = order, module
-            n = order.n
+            self.class_qs = (order.q,) * order.n
         else:
             raise SchemaError(f"unknown slice kind {kind!r}")
-        self.n_classes = n
+        self.n_classes = n = len(self.class_qs)
         self.sigma = validate_permutation(sigma if sigma is not None else range(n), n)
 
     @classmethod
@@ -133,11 +139,6 @@ class SliceBase:
             return self.data.alphabet()
         return _her.z_alphabet(self.order.q, self.order.n)
 
-    def class_qs(self) -> tuple[int, ...]:
-        if self.kind == "semisimple":
-            return tuple(e.q for e in self.data.entries)
-        return (self.order.q,) * self.order.n
-
     def top_class(self) -> ClassVec:
         if self.kind == "semisimple":
             return tuple(e.m for e in self.data.entries)
@@ -146,7 +147,7 @@ class SliceBase:
     def hom_count(self, rho: ClassVec, ell: ClassVec) -> int:
         """Size of the hom space from the projective of top rho to the class ell."""
         out = 1
-        for qi, a, b in zip(self.class_qs(), rho, ell):
+        for qi, a, b in zip(self.class_qs, rho, ell):
             if a and b:
                 out *= qi ** (a * b)
         return out
@@ -247,71 +248,59 @@ class ChainData:
             if any(x < 0 for x in v):
                 raise SchemaError(f"negative class multiplicity in {v}")
 
-    def top_at(self, j: int) -> ClassVec:
-        return self.y_tops[min(j, len(self.y_tops) - 1)]
+
+def layer_image(base: SliceBase, tops: tuple[ClassVec, ...], ell: ClassVec, j: int) -> tuple[int, ClassVec]:
+    """Layer-j image of a class-``ell`` quotient: (scalar, exponents).
+
+    ``tops`` supplies the classes P_0..P_j, its last entry repeating forever.
+    The quotient is sent to the class ell + sigma ell + ... + sigma^j ell with
+    the hom counts from P_{j-k} to each twisted class sigma^k ell.  The k = 0
+    count, against the layer's own class, cancels, so the scalar
+
+        prod_{k=1}^{j} hom(P_{j-k}, sigma^k ell)
+
+    is an integer, and layer 0 is the identity.
+    """
+    if j < 0:
+        raise SchemaError(f"layer index must be >= 0, got {j}")
+    last = len(tops) - 1
+    scalar, exps, twisted = 1, ell, ell
+    for k in range(1, j + 1):
+        twisted = perm_apply(base.sigma, twisted)
+        exps = tuple(map(add, exps, twisted))
+        scalar *= base.hom_count(tops[min(j - k, last)], twisted)
+    return scalar, exps
 
 
 def change_of_variable(
     base: SliceBase, seq: tuple[ClassVec, ...], j: int
 ) -> dict[int, tuple[int, Monomial]]:
-    """Layer-j substitution targets: z_i -> scalar_i * prod_{k<=j} z_{sigma^k(i)}.
+    """Layer-j substitution targets: z_i -> the :func:`layer_image` of class i.
 
-    ``seq`` supplies the classes P_0..P_j, its last entry repeating forever.
-    The scalar is the product over k of the hom counts from P_{j-k} to the
-    k-times-twisted class, divided by the hom count from P_j to class i.  That
-    divisor is the k = 0 factor, so it cancels:
-
-        scalar_i = prod_{k=1}^{j} q_t^(P_{j-k}[t]),  t = sigma^k(i),
-
-    an integer, and the j = 0 map is the identity.  Targets have degree j+1,
-    which keeps truncation sound.
+    So z_i -> scalar_i * prod_{k<=j} z_{sigma^k(i)}, with
+    scalar_i = prod_{k=1}^{j} q_t^(P_{j-k}[t]), t = sigma^k(i).  Targets have
+    degree j+1, which keeps truncation sound.
     """
-    if j < 0:
-        raise SchemaError(f"layer index must be >= 0, got {j}")
-    last = len(seq) - 1
     n = base.n_classes
-    sigma = base.sigma
-    qs = base.class_qs()
-    mapping: dict[int, tuple[int, Monomial]] = {}
-    for i in range(n):
-        exps = [0] * n
-        exps[i] = 1
-        scalar = 1
-        tgt = i
-        for k in range(1, j + 1):
-            tgt = sigma[tgt]
-            exps[tgt] += 1
-            scalar *= qs[tgt] ** seq[min(j - k, last)][tgt]
-        mapping[i] = (scalar, tuple(exps))
-    return mapping
+    return {i: layer_image(base, seq, tuple(int(t == i) for t in range(n)), j) for i in range(n)}
 
 
 def fundamental_fiber_product(base: SliceBase, chain: ChainData, bound: int) -> TruncatedSeries:
-    """Contribution of one stabilizing chain: a single scaled monomial.
-
-    Layer j contributes the hom counts of the earlier levels against the
-    twisted quotient class and the twisted-class monomials; the layer's own
-    hom count cancels, so the constant chain gives 1.
+    """Contribution of one stabilizing chain: a single scaled monomial, the
+    product of the :func:`layer_image` of each quotient over the chain's tops;
+    the constant chain gives 1.
     """
-    al = base.alphabet()
     n = base.n_classes
     if len(chain.y_tops[0]) != n:
         raise SchemaError(f"chain class width {len(chain.y_tops[0])} != {n} slice classes")
     if chain.y_tops[-1] != base.top_class():
         raise SchemaError("chain does not stabilize at the class of the slice module")
-    coeff = 1
-    exps = [0] * n
+    coeff, exps = 1, (0,) * n
     for j, ell in enumerate(chain.quotients):
-        if not any(ell):
-            continue
-        twisted = ell
-        for k in range(j + 1):
-            for idx, v in enumerate(twisted):
-                exps[idx] += v
-            if k:
-                coeff *= base.hom_count(chain.top_at(j - k), twisted)
-            twisted = perm_apply(base.sigma, twisted)
-    return TruncatedSeries(al, bound, {tuple(exps): coeff})
+        scalar, image = layer_image(base, chain.y_tops, ell, j)
+        coeff *= scalar
+        exps = tuple(map(add, exps, image))
+    return TruncatedSeries(base.alphabet(), bound, {exps: coeff})
 
 
 # -- proliferation sums -------------------------------------------------------
@@ -336,7 +325,7 @@ def _class_sequence_sum(base: SliceBase, bound: int, class_counts, budget: int) 
     """
     if bound < 0:
         raise TruncationBoundError(f"bound must be >= 0, got {bound}")
-    sigma, qs = base.sigma, base.class_qs()
+    sigma, qs = base.sigma, base.class_qs
     zero = (0,) * base.n_classes
     tables: dict[ClassVec, list] = {}  # upper -> [(lower, [(|e|, e, c), ...] by degree)]
     states: dict[tuple[ClassVec, ClassVec], dict[Monomial, Rational]] = {(base.top_class(), zero): {zero: 1}}
@@ -419,29 +408,20 @@ def lifted_hey(data: SemisimpleData, sigma, bound: int) -> TruncatedSeries:
     Layer n, class i, step j < m_i contributes
     (1 - q_i^(j - m_i) * prod_{k=0}^n w_{sigma^k(i)})^{-1} with w_i = q_i^(m_i) z_i.
     The k = 0 factor q_i^(m_i) cancels q_i^(-m_i), so the scalar is the integer
-    q_i^j * prod_{k=1}^n q^m of class sigma^k(i).
+    q_i^j times the twist of class i: the layer-n :func:`change_of_variable`
+    of the split slice, whose top class is (m_1, ..., m_n).
     """
-    entries = data.entries
     al = data.alphabet()
     if bound < 0:
         raise TruncationBoundError(f"bound must be >= 0, got {bound}")
-    n_cls = len(entries)
-    if n_cls == 0:
+    if not data.entries:
         return TruncatedSeries.one(al, bound)
-    sigma = validate_permutation(sigma if sigma is not None else range(n_cls), n_cls)
+    base = SliceBase.semisimple(data, sigma)
+    top = (base.top_class(),)
 
     def factors():
         for layer in range(bound):
-            for i, e in enumerate(entries):
-                exps = [0] * n_cls
-                exps[i] = 1
-                twist = 1
-                tgt = i
-                for _ in range(layer):
-                    tgt = sigma[tgt]
-                    exps[tgt] += 1
-                    twist *= entries[tgt].q ** entries[tgt].m
-                exps = tuple(exps)
+            for e, (twist, exps) in zip(data.entries, change_of_variable(base, top, layer).values()):
                 for _ in range(e.m):  # step j has scalar q_i^j * twist
                     yield exps, twist
                     twist *= e.q
@@ -467,18 +447,17 @@ def hom_slice_dirichlet(q: int, r: int, m: int, s_count: int, n_max: int) -> dic
     """Norm-indexed counts when all simple slice components match.
 
     Expands prod_{n>=0} prod_{j<m} (1 - q^(j+mn) z^(n+1))^(-s_count) with z of
-    norm q^r, then groups by norm up to n_max.
+    norm q^r, the s_count-th power of the one-class :func:`lifted_hey`, then
+    groups by norm up to n_max.
     """
     if q < 2 or r < 1 or m < 0 or s_count < 0:
         raise SchemaError(f"bad parameters q={q}, r={r}, m={m}, s_count={s_count}")
     if n_max < 1:
         return {}
-    al = Alphabet((AlphabetEntry("z", q, r),))
     bound = 0
     while (q**r) ** (bound + 1) <= n_max:
         bound += 1
-    factors = [((layer + 1,), q ** (j + m * layer)) for layer in range(bound) for j in range(m)]
-    out = geometric_product(al, bound, [f for f in factors for _ in range(s_count)])
+    out = lifted_hey(SemisimpleData.from_specs([(q, m, r)]), None, bound) ** s_count
     return _int_coeffs(out.dirichlet_coeffs(n_max), "hom-weighted slice count")
 
 
@@ -576,7 +555,8 @@ def rossmann_coeffs(n_max: int) -> dict[int, int]:
 def zjv_factor(ell: int, q: int, j: int, bound: int) -> TruncatedSeries:
     """Layer-j image of the rank-ell base count: v -> q^(j*ell) v^(j+1).
 
-    Substitutes the base count and checks it against the closed form
+    Substitutes the base count through the layer-j :func:`change_of_variable`
+    of the rank-ell dvr slice and checks it against the closed form
     prod_{i<ell} (1 - q^(i+j*ell) v^(j+1))^{-1}, the layer factor that
     :func:`brs_factored_prolif` builds its prefactor from.
     """
@@ -584,7 +564,7 @@ def zjv_factor(ell: int, q: int, j: int, bound: int) -> TruncatedSeries:
         raise SchemaError(f"need ell >= 0 and j >= 0, got ell={ell}, j={j}")
     al = Alphabet((AlphabetEntry("v", q, 1),))
     src = _her.solomon_hey_factor(ell, q, bound // (j + 1))
-    out = src.substitute(al, {0: (q ** (j * ell), (j + 1,))}, bound)
+    out = src.substitute(al, change_of_variable(SliceBase.dvr(q, ell), ((ell,),), j), bound)
     closed = geometric_product(al, bound, (((j + 1,), q ** (i + j * ell)) for i in range(ell)))
     if out != closed:
         raise FormulaViolationError(

@@ -12,7 +12,7 @@ import pytest
 import brzeta.checks as chk
 import brzeta.cli as cli
 import brzeta.prolif as pr
-from brzeta.errors import SchemaError, TruncationBoundError
+from brzeta.errors import FormulaViolationError, SchemaError, TruncationBoundError
 from brzeta.series import Alphabet, AlphabetEntry, TruncatedSeries
 
 DVR = '{"kind": "dvr", "q": 2, "m": 1}'
@@ -262,6 +262,28 @@ class TestVerifyCommand:
         assert code == 3
         assert out.startswith("FAIL rossmann")
         assert "n=4" in err
+
+    @pytest.mark.parametrize(
+        "error, tail",
+        [
+            (FormulaViolationError("sums disagree", monomial="z1^2", expected="7", actual="8"), "[at z1^2: expected 7, got 8]"),
+            (FormulaViolationError("sums disagree"), "[at sums disagree: expected -, got -]"),
+        ],
+        ids=["with-monomial", "message-only"],
+    )
+    def test_engine_violation_fails_its_suite_only(self, capsys, monkeypatch, error, tail):
+        def raising(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(pr, "brs_factored_prolif", raising)
+        code, out, err = run_cli(
+            capsys, ["verify", "--suite", "brs-factored", "--suite", "rossmann", "--max", "16"]
+        )
+        assert code == 3
+        fail, passed = out.splitlines()
+        assert fail == f"FAIL brs-factored (1 cases) {tail}"
+        assert passed.startswith("PASS rossmann")
+        assert "None" not in out + err and "Traceback" not in err
 
     @pytest.mark.parametrize("suite", sorted(cli._SUITE_SIZE_KNOB))
     @pytest.mark.parametrize("size", [0, 1, 2, 3])

@@ -14,7 +14,7 @@ from brzeta import oracle as orc
 from brzeta import prolif as pr
 from brzeta.errors import FormulaViolationError, ResourceBudgetError, SchemaError
 from brzeta.hey import SemisimpleData, hey_product
-from brzeta.series import TruncatedSeries
+from brzeta.series import Alphabet, AlphabetEntry, TruncatedSeries, geometric_product
 
 import prolif_reference as ref
 
@@ -27,6 +27,27 @@ HER12 = pr.SliceBase.hereditary(her.HereditaryOrderSpec(2, 2), her.HereditaryMod
 def z_poly(base, coeffs):
     al = base.alphabet()
     return TruncatedSeries(al, len(coeffs) - 1, {(d,): c for d, c in enumerate(coeffs) if c})
+
+
+def random_twisted_base(rng, n_max):
+    """A semisimple or hereditary base with 1..n_max classes and a random sigma."""
+    n = rng.randint(1, n_max)
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    if rng.random() < 0.5:
+        data = SemisimpleData.from_specs([(rng.choice((2, 3, 4, 5)), rng.randint(0, 3)) for _ in range(n)])
+        return pr.SliceBase.semisimple(data, sigma)
+    order = her.HereditaryOrderSpec(rng.choice((2, 3, 4)), n)
+    module = her.HereditaryModuleSpec([rng.randint(1, n) for _ in range(rng.randint(1, 4))])
+    return pr.SliceBase.hereditary(order, module, sigma)
+
+
+def twist(base, vec):
+    """sigma applied to a class vector by hand: entry i moves to slot sigma[i]."""
+    out = [0] * len(vec)
+    for i, v in enumerate(vec):
+        out[base.sigma[i]] = v
+    return tuple(out)
 
 
 class TestSliceBase:
@@ -132,16 +153,7 @@ class TestChangeOfVariable:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_multiply_then_divide(self, seed):
         rng = random.Random(seed)
-        n = rng.randint(1, 4)
-        sigma = list(range(n))
-        rng.shuffle(sigma)
-        if rng.random() < 0.5:
-            data = SemisimpleData.from_specs([(rng.choice((2, 3, 4, 5)), rng.randint(0, 3)) for _ in range(n)])
-            base = pr.SliceBase.semisimple(data, sigma)
-        else:
-            order = her.HereditaryOrderSpec(rng.choice((2, 3, 4)), n)
-            module = her.HereditaryModuleSpec([rng.randint(1, n) for _ in range(rng.randint(1, 4))])
-            base = pr.SliceBase.hereditary(order, module, sigma)
+        base = random_twisted_base(rng, 4)
         classes = ref.fibre_classes(base)
         for _ in range(10):
             seq = tuple(rng.choice(classes) for _ in range(rng.randint(1, 5)))
@@ -175,6 +187,39 @@ class TestFundamentalFiberProduct:
         chain = pr.ChainData(((0,),), ())
         with pytest.raises(SchemaError):
             pr.fundamental_fiber_product(DVR21, chain, 2)
+
+    @staticmethod
+    def _by_division(base, chain):
+        """Reference chart value: for the quotient ell at level j, multiply the
+        hom counts from Y_(j-k) to sigma^k ell over k = 0..j, then divide out
+        the k = 0 count, from Y_j to ell itself."""
+        last = len(chain.y_tops) - 1
+        coeff, exps = Fraction(1), (0,) * base.n_classes
+        for j, ell in enumerate(chain.quotients):
+            num, twisted = Fraction(1), ell
+            for k in range(j + 1):
+                exps = tuple(a + b for a, b in zip(exps, twisted))
+                num *= base.hom_count(chain.y_tops[min(j - k, last)], twisted)
+                twisted = twist(base, twisted)
+            coeff *= num / base.hom_count(chain.y_tops[j], ell)
+        return TruncatedSeries(base.alphabet(), sum(exps), {exps: coeff})
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_twisted_matches_multiply_then_divide(self, seed):
+        rng = random.Random(seed)
+        twisted_multi_class = 0
+        for _ in range(6):
+            base = random_twisted_base(rng, 3)
+            n, classes = base.n_classes, ref.fibre_classes(base)
+            twisted_multi_class += base.sigma != tuple(range(n))
+            for _ in range(8):
+                depth = rng.randint(0, 4)
+                tops = tuple(rng.choice(classes) for _ in range(depth)) + (base.top_class(),)
+                quotients = tuple(tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(depth))
+                chain = pr.ChainData(tops, quotients)
+                want = self._by_division(base, chain)
+                assert pr.fundamental_fiber_product(base, chain, want.bound) == want, (base, chain)
+        assert twisted_multi_class
 
 
 class TestProliferationSum:
@@ -340,6 +385,24 @@ class TestLiftedHey:
         data = SemisimpleData.from_specs([(2, 2)])
         assert pr.lifted_hey(data, None, 1) == z_poly(data, [1, 3])
 
+    def test_three_cycle_matches_w_form(self):
+        # layer n, class i, step j: (1 - q_i^(j - m_i) prod_{k<=n} w_{sigma^k(i)})^-1, w_i = q_i^(m_i) z_i
+        data = SemisimpleData.from_specs([(2, 1), (3, 2), (4, 1)])
+        sigma, bound = (1, 2, 0), 5
+        qs, ms = [e.q for e in data.entries], [e.m for e in data.entries]
+        w = [Fraction(q) ** m for q, m in zip(qs, ms)]
+        factors = []
+        for layer in range(bound):
+            for i in range(3):
+                exps, scalar, t = [0, 0, 0], Fraction(1), i
+                for _ in range(layer + 1):
+                    exps[t] += 1
+                    scalar *= w[t]
+                    t = sigma[t]
+                factors += [(tuple(exps), Fraction(qs[i]) ** (j - ms[i]) * scalar) for j in range(ms[i])]
+        want = geometric_product(data.alphabet(), bound, factors)
+        assert pr.lifted_hey(data, sigma, bound) == want
+
     def test_product_of_20001_factors(self):
         # layer 0 alone multiplies m = 20001 geometric factors at bound 1
         data = SemisimpleData.from_specs([(2, 20001)])
@@ -354,6 +417,16 @@ class TestDirichletTables:
     def test_hom_slice_rank_two(self):
         table = pr.hom_slice_dirichlet(2, 1, 2, 1, 8)
         assert table[2] == 3 and table[4] == 19 and table[8] == 99
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("s_count", [2, 3])
+    def test_hom_slice_power_is_repeated_factors(self, m, s_count):
+        q, r, n_max = 2, 2, 300
+        bound = 4  # the largest with (q^r)^bound <= n_max
+        al = Alphabet((AlphabetEntry("z", q, r),))
+        factors = [((layer + 1,), q ** (j + m * layer)) for layer in range(bound) for j in range(m)]
+        want = geometric_product(al, bound, [f for f in factors for _ in range(s_count)])
+        assert pr.hom_slice_dirichlet(q, r, m, s_count, n_max) == want.dirichlet_coeffs(n_max)
 
     def test_lustig_values(self):
         assert pr.lustig_coeffs(2, 3) == [1, 1, 3, 7]
