@@ -1,10 +1,11 @@
 """Exact truncated zeta functions of modules over semilocal orders.
 
 Submodule-counting generating functions are represented as truncated
-multivariate power series with exact rational coefficients, held as ``int``
-when integral, one variable per simple module class.  Closed-form engines (product formulas, recursive
-assembly over chain data, two-variable hereditary counts) are verified
-against a brute-force submodule enumerator over explicit matrix models.
+multivariate power series with integer coefficients, one variable per simple
+module class: every coefficient counts submodules.  Closed-form engines
+(product formulas, recursive assembly over chain data, two-variable
+hereditary counts) are verified against a brute-force submodule enumerator
+over explicit matrix models.
 """
 
 from .errors import (

@@ -124,7 +124,7 @@ def check_brs_polynomial(qs=(2, 3), n_max=3, r_max=3, z_bound=3) -> CheckResult:
         module = her.HereditaryModuleSpec(cols)
         r = module.r
         full = 2 * r * n + r
-        f_full = her.brs_F(order, module, full)  # raises unless integral
+        f_full = her.brs_F(order, module, full)  # raises unless divisible by the column shift
         f_again = her.brs_F(order, module, full + 3)
         cases += 1
         if f_again.truncated(full) != f_full:
@@ -311,7 +311,6 @@ def check_brs_factored(bound=3) -> CheckResult:
 
 
 def check_integrality(bound=4) -> CheckResult:
-    cases = 0
     emitted: list[tuple[str, TruncatedSeries]] = []
     for q, m in ((2, 2), (3, 1), (4, 3)):
         data = SemisimpleData.from_specs([(q, m)])
@@ -327,22 +326,17 @@ def check_integrality(bound=4) -> CheckResult:
     emitted.append(("sliver dvr", pr.single_sliver(pr.SliceBase.dvr(2, 3), bound)))
     emitted.append(("lifted hey", pr.lifted_hey(SemisimpleData.from_specs([(2, 1), (2, 1)]), (1, 0), bound)))
     emitted.append(("zjv", pr.zjv_factor(2, 2, 1, bound)))
-    for name, series in emitted:
-        cases += 1
-        try:
-            series.assert_integral()
-        except FormulaViolationError as exc:
-            return CheckResult("integrality", False, cases, disagreement=(name, "integer >= 0", str(exc)))
-    for name, table in (
+    tables = [(name, {series.alphabet.format_monomial(k): c for k, c in series.items()}) for name, series in emitted]
+    tables += [
         ("lustig q=2", dict(enumerate(pr.lustig_coeffs(2, 8)))),
         ("rossmann", pr.rossmann_coeffs(32)),
         ("hom-slice", pr.hom_slice_dirichlet(2, 1, 2, 1, 32)),
-    ):
-        cases += 1
+    ]
+    for cases, (name, table) in enumerate(tables, 1):
         bad = [(k, v) for k, v in table.items() if not isinstance(v, int) or v < 0]
         if bad:
             return CheckResult("integrality", False, cases, disagreement=(name, "integer >= 0", str(bad[0])))
-    return CheckResult("integrality", True, cases, "all emitted coefficients are nonnegative integers")
+    return CheckResult("integrality", True, len(tables), "all emitted coefficients are nonnegative integers")
 
 
 # -- 14: Hall numbers against direct enumeration --------------------------------------

@@ -232,7 +232,7 @@ def _run_hom_slice(config: RunConfig) -> int:
     opts = config.options
     q, r, m, s_count = int(opts["q"]), int(opts["r"]), int(opts["m"]), int(opts["s_count"])
     n_max = _require(config.n_max, "--max")
-    if config.truncate is not None and (q**r) ** (config.truncate + 1) <= n_max:
+    if config.truncate is not None and config.truncate < pr.hom_slice_bound(q, r, n_max):
         warnings.warn(
             f"truncation {config.truncate} does not certify coefficients up to {n_max}; "
             "using the minimal sound bound instead",
@@ -311,6 +311,8 @@ def _run_verify(config: RunConfig) -> int:
             where = str(exc) if exc.monomial is None else exc.monomial
             want, got = ("-" if v is None else v for v in (exc.expected, exc.actual))
             result = chk.CheckResult(name, False, 1, disagreement=(where, want, got))
+        if result.cases == 0:
+            raise SchemaError(f"suite {name} checked no cases at --max {config.n_max}")
         sys.stdout.write(result.line() + "\n")
         if not result.passed:
             failed.append(result)

@@ -293,8 +293,8 @@ def brs_F(order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound: int) 
 
     Computed without truncation loss (all ingredients are polynomials with an
     a-priori degree bound), then restated at the requested bound.  Raises a
-    formula violation if coefficients are non-integral, and a truncation-bound
-    error naming the degree of F if the requested bound is below it.
+    truncation-bound error naming the degree of F if the requested bound is
+    below it.
     """
     _validate_pair(order, module)
     r = module.r
@@ -309,7 +309,6 @@ def brs_F(order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound: int) 
         raise FormulaViolationError(
             f"polynomial factor is not divisible by the column-shift monomial: {exc}"
         ) from exc
-    poly.assert_integral(require_nonnegative=False)
     degree = poly.max_degree()
     if degree > bound:
         raise TruncationBoundError(f"the polynomial factor has degree {degree}; bound {bound} would truncate it")

@@ -86,8 +86,10 @@ class SemisimpleData:
                 raise SchemaError(
                     f"class {i} needs integer fields q and m (and r, if given): {exc}"
                 ) from exc
-            label = item.get("label") or ("z" if len(payload) == 1 else f"z{i + 1}")
-            entries.append(SemisimpleEntry(str(label), q, m, r))
+            label = item.get("label", "z" if len(payload) == 1 else f"z{i + 1}")
+            if not isinstance(label, str) or not label:
+                raise SchemaError(f"class {i}: label must be a nonempty string, got {label!r}")
+            entries.append(SemisimpleEntry(label, q, m, r))
         return cls(entries)
 
 

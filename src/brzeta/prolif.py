@@ -48,7 +48,6 @@ from .series import (
     Alphabet,
     AlphabetEntry,
     Monomial,
-    Rational,
     TruncatedSeries,
     geometric_product,
     split_trailing,
@@ -328,12 +327,12 @@ def _class_sequence_sum(base: SliceBase, bound: int, class_counts, budget: int) 
     sigma, qs = base.sigma, base.class_qs
     zero = (0,) * base.n_classes
     tables: dict[ClassVec, list] = {}  # upper -> [(lower, [(|e|, e, c), ...] by degree)]
-    states: dict[tuple[ClassVec, ClassVec], dict[Monomial, Rational]] = {(base.top_class(), zero): {zero: 1}}
+    states: dict[tuple[ClassVec, ClassVec], dict[Monomial, int]] = {(base.top_class(), zero): {zero: 1}}
     work = 0
     for j in range(bound - 1, -1, -1):
         span = j + 1  # the layer-j image of z^e has degree span * |e|
         shifts: dict[Monomial, Monomial] = {}
-        built: dict[tuple[ClassVec, ClassVec], dict[Monomial, Rational]] = {}
+        built: dict[tuple[ClassVec, ClassVec], dict[Monomial, int]] = {}
         for (upper, d), series in states.items():
             terms = tables.get(upper)
             if terms is None:
@@ -370,7 +369,7 @@ def _class_sequence_sum(base: SliceBase, bound: int, class_counts, budget: int) 
                             "class-sequence sum made too many coefficient products", required=work, budget=budget
                         )
         states = built
-    total: dict[Monomial, Rational] = {}
+    total: dict[Monomial, int] = {}
     for series in states.values():
         for mono, v in series.items():
             total[mono] = total.get(mono, 0) + v
@@ -432,15 +431,16 @@ def lifted_hey(data: SemisimpleData, sigma, bound: int) -> TruncatedSeries:
 # -- Dirichlet specializations -------------------------------------------------
 
 
-def _int_coeffs(mapping: dict[int, Rational], what: str) -> dict[int, int]:
-    out = {}
-    for k, c in sorted(mapping.items()):
-        if c.denominator != 1:
-            raise FormulaViolationError(
-                f"{what} produced a non-integer count", monomial=str(k), actual=str(c)
-            )
-        out[k] = c.numerator
-    return out
+def hom_slice_bound(q: int, r: int, n_max: int) -> int:
+    """The least truncation bound that certifies every norm up to n_max: the
+    least b with (q^r)^(b+1) > n_max."""
+    if q < 2 or r < 1:
+        raise SchemaError(f"bad parameters q={q}, r={r}")
+    norm = q**r
+    bound, reach = 0, norm
+    while reach <= n_max:
+        bound, reach = bound + 1, reach * norm
+    return bound
 
 
 def hom_slice_dirichlet(q: int, r: int, m: int, s_count: int, n_max: int) -> dict[int, int]:
@@ -452,13 +452,9 @@ def hom_slice_dirichlet(q: int, r: int, m: int, s_count: int, n_max: int) -> dic
     """
     if q < 2 or r < 1 or m < 0 or s_count < 0:
         raise SchemaError(f"bad parameters q={q}, r={r}, m={m}, s_count={s_count}")
-    if n_max < 1:
-        return {}
-    bound = 0
-    while (q**r) ** (bound + 1) <= n_max:
-        bound += 1
+    bound = hom_slice_bound(q, r, n_max)
     out = lifted_hey(SemisimpleData.from_specs([(q, m, r)]), None, bound) ** s_count
-    return _int_coeffs(out.dirichlet_coeffs(n_max), "hom-weighted slice count")
+    return out.dirichlet_coeffs(n_max)
 
 
 def lustig_coeffs(q: int, i_max: int) -> list[int]:
@@ -477,7 +473,7 @@ def lustig_coeffs(q: int, i_max: int) -> list[int]:
             by_partitions.append(sum(partition_count(i, j) * q ** (i - j) for j in range(1, i + 1)))
     al = Alphabet((AlphabetEntry("z", q, 1),))
     series = geometric_product(al, i_max, (((layer + 1,), q**layer) for layer in range(i_max)))
-    by_product = [int(series.coefficient((i,))) for i in range(i_max + 1)]
+    by_product = [series.coefficient((i,)) for i in range(i_max + 1)]
     if by_partitions != by_product:
         raise FormulaViolationError(
             "partition-sum and layered-product ideal counts disagree",

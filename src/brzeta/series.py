@@ -6,20 +6,19 @@ the free commutative generator ``z_i`` has multiplicative norm ``q_i**r_i``.
 Monomials are plain exponent tuples, one slot per entry; their norm is the
 product of entry norms raised to the exponents.
 
-A :class:`TruncatedSeries` keeps exact rational coefficients for every
-monomial of total degree at most ``bound`` and drops everything above.  A
-coefficient is held as a plain ``int`` when it is integral and as a
-:class:`~fractions.Fraction` only when it is not, so counting stays in integer
-arithmetic.  All arithmetic stays inside that quotient, so two series
-may be combined only when their alphabets and bounds agree; re-truncate
-explicitly with :meth:`TruncatedSeries.truncated` first.
+A :class:`TruncatedSeries` keeps an integer coefficient for every monomial
+of total degree at most ``bound`` and drops everything above: every series
+brzeta builds counts submodules, so the ring is over the integers, and a
+non-integer coefficient or scalar is refused.  All arithmetic stays inside
+that quotient, so two series may be combined only when their alphabets and
+bounds agree; re-truncate explicitly with :meth:`TruncatedSeries.truncated`
+first.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
 from operator import add
 from typing import Iterable, Iterator, Mapping
@@ -35,9 +34,6 @@ from .qcomb import prime_power_factors
 
 #: Exponent vector of a monomial; one nonnegative entry per alphabet slot.
 Monomial = tuple[int, ...]
-
-#: An exact rational coefficient: an ``int`` when integral, else a ``Fraction``.
-Rational = int | Fraction
 
 
 def mono_degree(a: Monomial) -> int:
@@ -135,20 +131,18 @@ class Alphabet:
         return "*".join(parts) if parts else "1"
 
 
-def _exact(value) -> Rational:
-    """``value`` in canonical form: a plain int when integral, else a Fraction."""
+def _exact(value) -> int:
+    """``value`` as a plain int (a ``bool`` included); anything else is refused."""
     if type(value) is int:
         return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
         return int(value)
-    raise SchemaError(f"coefficients must be exact rationals, got {type(value).__name__}")
+    raise SchemaError(f"coefficients and scalars must be integers, got {type(value).__name__}")
 
 
-def _cleaned(coeffs: Mapping[Monomial, Rational]) -> dict[Monomial, Rational]:
-    """Ring-op output made canonical: zeros dropped, an integral value stored as ``int``."""
-    return {k: c if type(c) is int else _exact(c) for k, c in coeffs.items() if c}
+def _cleaned(coeffs: Mapping[Monomial, int]) -> dict[Monomial, int]:
+    """Ring-op output with its zeros dropped."""
+    return {k: c for k, c in coeffs.items() if c}
 
 
 class TruncatedSeries:
@@ -156,12 +150,12 @@ class TruncatedSeries:
 
     __slots__ = ("alphabet", "bound", "coeffs")
 
-    def __init__(self, alphabet: Alphabet, bound: int, coeffs: Mapping[Monomial, Rational] | None = None):
+    def __init__(self, alphabet: Alphabet, bound: int, coeffs: Mapping[Monomial, int] | None = None):
         if bound < 0:
             raise TruncationBoundError(f"bound must be >= 0, got {bound}")
         self.alphabet = alphabet
         self.bound = bound
-        clean: dict[Monomial, Rational] = {}
+        clean: dict[Monomial, int] = {}
         if coeffs:
             n = len(alphabet)
             for exps, c in coeffs.items():
@@ -174,13 +168,12 @@ class TruncatedSeries:
         self.coeffs = clean
 
     @classmethod
-    def _trusted(cls, alphabet: Alphabet, bound: int, clean: dict[Monomial, Rational]) -> "TruncatedSeries":
+    def _trusted(cls, alphabet: Alphabet, bound: int, clean: dict[Monomial, int]) -> "TruncatedSeries":
         """A series over ``clean``, stored as given.
 
         For results valid by construction (the ring's own ops, and the chain
         sums of ``hereditary.filtered_poly``): every key is a valid exponent
-        vector of degree <= ``bound`` (>= 0), and every value is nonzero and
-        canonical.
+        vector of degree <= ``bound`` (>= 0), and every value is a nonzero int.
         """
         out = object.__new__(cls)
         out.alphabet = alphabet
@@ -217,17 +210,17 @@ class TruncatedSeries:
 
     @classmethod
     def geometric(cls, alphabet: Alphabet, bound: int, exps: Monomial, scalar=1) -> "TruncatedSeries":
-        """``(1 - scalar*m)**-1`` expanded directly; ``m`` must have degree >= 1."""
-        scalar = _exact(scalar)
+        """``(1 - scalar*m)**-1`` for an integer scalar, expanded directly; ``m``
+        must have degree >= 1."""
         return cls.powers(alphabet, bound, exps, (scalar**k for k in count()))
 
     # -- inspection ------------------------------------------------------
 
-    def coefficient(self, exps: Monomial) -> Rational:
+    def coefficient(self, exps: Monomial) -> int:
         return self.coeffs.get(tuple(exps), 0)
 
     @property
-    def constant_term(self) -> Rational:
+    def constant_term(self) -> int:
         return self.coeffs.get(self.alphabet.zero(), 0)
 
     def is_zero(self) -> bool:
@@ -236,7 +229,7 @@ class TruncatedSeries:
     def max_degree(self) -> int:
         return max((mono_degree(k) for k in self.coeffs), default=0)
 
-    def items(self) -> list[tuple[Monomial, Rational]]:
+    def items(self) -> list[tuple[Monomial, int]]:
         """The nonzero terms in graded order: total degree first, then exponents."""
         return [(k, self.coeffs[k]) for k in sorted(self.coeffs, key=_graded)]
 
@@ -286,7 +279,7 @@ class TruncatedSeries:
             raise TruncationBoundError(f"bound {self.bound} vs {other.bound}; re-truncate explicitly")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries(self.alphabet, self.bound, {self.alphabet.zero(): other})
         self._check_compatible(other)
         out = dict(self.coeffs)
@@ -306,11 +299,11 @@ class TruncatedSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, TruncatedSeries):
             return self.scaled(other)
         self._check_compatible(other)
         bound = self.bound
-        out: dict[Monomial, Rational] = {}
+        out: dict[Monomial, int] = {}
         # iterate the sparser operand outside; each term's degree is summed once
         a, b = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
         inner = [(sum(k), k, c) for k, c in b.coeffs.items()]
@@ -346,25 +339,25 @@ class TruncatedSeries:
         return acc
 
     def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires a nonzero constant term.
+        """Multiplicative inverse; requires a constant term of 1 or -1.
 
         Graded recurrence (Knuth, TAOCP vol. 2, 4.7): with c the constant term,
         the degree-d part of the inverse is h_d = -(1/c) * sum_{a>=1} f_a * h_{d-a},
         where f_a is the degree-a part of the series.  One pass per degree.
+        Over the integers c must be a unit, so 1/c = c.
         """
-        c = self.constant_term
-        if not c:
-            raise NonUnitError("cannot invert a series with zero constant term")
-        inv = _exact(Fraction(1) / c)
+        inv = self.constant_term
+        if inv not in (1, -1):
+            raise NonUnitError(f"cannot invert a series with constant term {inv}: not a unit of the integers")
         zero = self.alphabet.zero()
         bound = self.bound
-        f_parts: list[list[tuple[Monomial, Rational]]] = [[] for _ in range(bound + 1)]
+        f_parts: list[list[tuple[Monomial, int]]] = [[] for _ in range(bound + 1)]
         for k, fk in self.coeffs.items():
             f_parts[sum(k)].append((k, fk))
         h_parts = [[(zero, inv)]]
         out = {zero: inv}
         for d in range(1, bound + 1):
-            acc: dict[Monomial, Rational] = {}
+            acc: dict[Monomial, int] = {}
             for a in range(1, d + 1):
                 for ka, fa in f_parts[a]:
                     for kh, hh in h_parts[d - a]:
@@ -411,14 +404,14 @@ class TruncatedSeries:
 
         ``mapping[i] = (scalar_i, exps_i)`` with ``exps_i`` an exponent vector
         over ``out_alphabet`` of total degree >= 1 and ``scalar_i`` a positive
-        rational.  Truncation stays sound because any dropped source monomial
+        integer.  Truncation stays sound because any dropped source monomial
         (degree > ``self.bound``) lands above ``(self.bound+1)*t_min``, which
         must exceed ``out_bound``.
         """
         n = len(self.alphabet)
         if set(mapping) != set(range(n)):
             raise SchemaError(f"substitution must map every entry index 0..{n - 1}")
-        scalars: list[Rational] = []
+        scalars: list[int] = []
         targets: list[Monomial] = []
         m = len(out_alphabet)
         t_min = None
@@ -446,7 +439,7 @@ class TruncatedSeries:
             )
         if out_bound < 0:
             raise TruncationBoundError(f"bound must be >= 0, got {out_bound}")
-        out: dict[Monomial, Rational] = {}
+        out: dict[Monomial, int] = {}
         for exps, c in self.coeffs.items():
             acc = [0] * m
             val = c
@@ -473,7 +466,7 @@ class TruncatedSeries:
         if len(exps) != n or any(e < 0 for e in exps):
             raise SchemaError(f"bad exponent vector {exps} for {n}-entry alphabet")
         d = mono_degree(exps)
-        out: dict[Monomial, Rational] = {}
+        out: dict[Monomial, int] = {}
         for k, c in self.coeffs.items():
             if not mono_divides(exps, k):
                 raise NonUnitError(
@@ -487,7 +480,7 @@ class TruncatedSeries:
 
     # -- Dirichlet extraction ------------------------------------------------
 
-    def dirichlet_coeffs(self, n_max: int) -> dict[int, Rational]:
+    def dirichlet_coeffs(self, n_max: int) -> dict[int, int]:
         """Coefficients of the Dirichlet series ``z_i -> norm_i**-s``, by norm <= n_max.
 
         Warns when the truncation cannot certify completeness, i.e. when a
@@ -501,32 +494,16 @@ class TruncatedSeries:
                 CompletenessWarning,
                 stacklevel=2,
             )
-        out: dict[int, Rational] = {}
+        out: dict[int, int] = {}
         for exps, c in self.coeffs.items():
             n = self.alphabet.mono_norm(exps)
             if n <= n_max:
                 out[n] = out.get(n, 0) + c
         return {n: out[n] for n in sorted(out) if out[n]}
 
-    # -- integrality ----------------------------------------------------------
-
-    def assert_integral(self, require_nonnegative: bool = True) -> "TruncatedSeries":
-        """Check all coefficients are integers (and by default >= 0)."""
-        from .errors import FormulaViolationError
-
-        for k, c in self.items():
-            if c.denominator != 1 or (require_nonnegative and c < 0):
-                raise FormulaViolationError(
-                    "series coefficient is not a nonnegative integer",
-                    monomial=self.alphabet.format_monomial(k),
-                    expected="nonnegative integer",
-                    actual=str(c),
-                )
-        return self
-
 
 def geometric_product(
-    alphabet: Alphabet, bound: int, factors: Iterable[tuple[Monomial, Rational]]
+    alphabet: Alphabet, bound: int, factors: Iterable[tuple[Monomial, int]]
 ) -> TruncatedSeries:
     """``prod (1 - scalar*m)**-1`` over ``(exps, scalar)`` pairs, each ``m`` of degree >= 1."""
     out = TruncatedSeries.one(alphabet, bound)
@@ -543,7 +520,7 @@ def split_trailing(series: TruncatedSeries, first_count: int) -> dict[Monomial, 
     the series over the leading block that multiplies h, complete through
     ``bound - degree(h)``.
     """
-    parts: dict[Monomial, dict[Monomial, Rational]] = {}
+    parts: dict[Monomial, dict[Monomial, int]] = {}
     for k, c in series.coeffs.items():
         parts.setdefault(k[first_count:], {})[k[:first_count]] = c
     sub_alphabet = Alphabet(series.alphabet.entries[:first_count])

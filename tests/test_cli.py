@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,18 @@ class TestTables:
         )
         assert code == 0
         assert out == "n,a_n\n1,1\n2,3\n4,19\n"
+
+    @pytest.mark.parametrize("truncate,warns", [("1", True), ("2", False), ("1000000000", False)])
+    def test_hom_slice_truncation_against_the_sound_bound(self, capsys, truncate, warns):
+        # q=2, r=1: --max 4 needs bound 2, since 2^3 > 4 >= 2^2
+        argv = ["hom-slice", "--q", "2", "--r", "1", "--m", "1", "--s-count", "1",
+                "--max", "4", "--truncate", truncate, "--format", "csv"]
+        started = time.monotonic()
+        code, out, err = run_cli(capsys, argv)
+        assert time.monotonic() - started < 1.0
+        assert (code, out) == (0, "n,a_n\n1,1\n2,1\n4,3\n")
+        assert err.startswith(f"warning: truncation {truncate} does not certify") == warns
+        assert (err == "") != warns
 
     def test_hom_slice_unsound_truncation_warns(self, capsys):
         argv = ["hom-slice", "--q", "2", "--r", "1", "--m", "1", "--s-count", "1",
@@ -230,6 +243,10 @@ class TestOracleCommand:
         assert "budget" in err
 
 
+#: (size, suite) pairs at which a suite's size knob leaves it no case to check
+EMPTY_AT_SIZE = {(0, "moebius"), (0, "rossmann")}
+
+
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--suite", "rossmann", "--max", "64"])
@@ -285,13 +302,26 @@ class TestVerifyCommand:
         assert passed.startswith("PASS rossmann")
         assert "None" not in out + err and "Traceback" not in err
 
-    @pytest.mark.parametrize("suite", sorted(cli._SUITE_SIZE_KNOB))
-    @pytest.mark.parametrize("size", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "size,suite",
+        [
+            (size, suite)
+            for size in range(4)
+            for suite in sorted(cli._SUITE_SIZE_KNOB)
+            if (size, suite) not in EMPTY_AT_SIZE
+        ],
+    )
     def test_small_size_knob_passes(self, capsys, suite, size):
         code, out, err = run_cli(capsys, ["verify", "--suite", suite, "--max", str(size)])
         assert code == 0 and "Traceback" not in err
         lines = out.splitlines()
         assert lines and all(line.startswith(f"PASS {suite} ") for line in lines)
+
+    @pytest.mark.parametrize("size,suite", sorted(EMPTY_AT_SIZE))
+    def test_size_knob_that_checks_nothing_exits_2(self, capsys, suite, size):
+        code, out, err = run_cli(capsys, ["verify", "--suite", suite, "--max", str(size)])
+        assert (code, out) == (2, "")
+        assert err == f"error: suite {suite} checked no cases at --max {size}\n"
 
     def test_time_budget(self, capsys, monkeypatch):
         ticks = iter([0.0, 10.0, 20.0])
@@ -371,6 +401,8 @@ class TestInputHandling:
             ["verify", "--suite", "moebius", "--budget", "nan"],
             ["hereditary", "--data", '{"q": 2, "n": 2, "columns": [1, 2]}', "--factor", "--truncate", "3"],
             ["hey", "--data", '[{"q": 2, "m": ' + "1" * 5000 + "}]", "--truncate", "1"],
+            ["hey", "--data", '[{"q": 2, "m": 1, "label": 5}]', "--truncate", "2"],
+            ["hey", "--data", '[{"q": 2, "m": 1, "label": ""}]', "--truncate", "2"],
         ],
         ids=[
             "non-prime-power-model",
@@ -411,6 +443,8 @@ class TestInputHandling:
             "verify-nan-time-budget",
             "factor-bound-below-degree",
             "json-integer-over-digit-limit",
+            "label-number",
+            "label-empty",
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
@@ -554,11 +588,14 @@ SUBCOMMAND_LAYERS = [
 
 @pytest.mark.parametrize("argv,layers", SUBCOMMAND_LAYERS, ids=[argv[0] for argv, _ in SUBCOMMAND_LAYERS])
 def test_subcommand_loads_only_its_layers(argv, layers):
-    """A request imports the package modules its handler runs and no others."""
+    """A request imports the package modules its handler runs and no others,
+    and never ``fractions``: every count is an integer."""
     list_loaded = (
         "import atexit; atexit.register(lambda: print(*sorted(m for m in sys.modules "
-        "if m.split('.')[0] == 'brzeta'))); "
+        "if m.split('.')[0] in ('brzeta', 'fractions')))); "
     )
     code, out, err = _subprocess_main(argv, prelude=list_loaded)
     assert code == 0, err
-    assert set(out.splitlines()[-1].split()) == layers
+    loaded = set(out.splitlines()[-1].split())
+    assert "fractions" not in loaded
+    assert loaded == layers

@@ -107,4 +107,4 @@ def test_moebius_inverts_hey(data, bound):
 @settings(max_examples=30, deadline=None)
 @given(random_data(), st.integers(0, 6))
 def test_hey_coefficients_are_counts(data, bound):
-    hey_product(data, bound).assert_integral()
+    assert all(type(c) is int and c > 0 for c in hey_product(data, bound).coeffs.values())

@@ -202,7 +202,8 @@ class TestFundamentalFiberProduct:
                 num *= base.hom_count(chain.y_tops[min(j - k, last)], twisted)
                 twisted = twist(base, twisted)
             coeff *= num / base.hom_count(chain.y_tops[j], ell)
-        return TruncatedSeries(base.alphabet(), sum(exps), {exps: coeff})
+        assert coeff.denominator == 1
+        return TruncatedSeries(base.alphabet(), sum(exps), {exps: int(coeff)})
 
     @pytest.mark.parametrize("seed", range(8))
     def test_twisted_matches_multiply_then_divide(self, seed):
@@ -400,6 +401,8 @@ class TestLiftedHey:
                     scalar *= w[t]
                     t = sigma[t]
                 factors += [(tuple(exps), Fraction(qs[i]) ** (j - ms[i]) * scalar) for j in range(ms[i])]
+        assert all(scalar.denominator == 1 for _, scalar in factors)
+        factors = [(exps, int(scalar)) for exps, scalar in factors]
         want = geometric_product(data.alphabet(), bound, factors)
         assert pr.lifted_hey(data, sigma, bound) == want
 
