@@ -1,7 +1,7 @@
 """Command-line entry point: JSON specs in, exact series and tables out.
 
 Every number is emitted as an integer or a num/den string pair — never a
-float — and output is byte-identical across runs of the same config.
+float — and output is byte-identical across runs of the same command line.
 Exit codes: 0 success, 2 malformed input or unsound request, 3 an exact
 identity failed (the message carries the offending coefficient), 4 an
 enumeration or time budget was exceeded.
@@ -18,7 +18,6 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
 
 from .errors import (
     AlphabetMismatchError,
@@ -32,28 +31,6 @@ from .errors import (
 )
 from .hey import SemisimpleData, hey_product, moebius_inverse_series
 from .series import TruncatedSeries
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    data: str | None = None
-    truncate: int | None = None
-    n_max: int | None = None
-    fmt: str = "json"
-    budget: int | None = None  # work budget (oracle nodes / class-sequence coefficient products)
-    time_budget: float | None = None  # verification budget in seconds
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.truncate is not None and self.truncate < 0:
-            raise TruncationBoundError(f"bound must be >= 0, got {self.truncate}")
-        for name, flag in (("n_max", "--max"), ("budget", "--budget"), ("time_budget", "--budget")):
-            value = getattr(self, name)
-            if value is not None and not value >= 0:  # also refuses a NaN time budget
-                raise SchemaError(f"{flag} must be >= 0, got {value}")
-        if self.fmt not in ("json", "csv"):
-            raise SchemaError(f"output format must be json or csv, got {self.fmt!r}")
 
 
 def _load_payload(text: str):
@@ -121,24 +98,24 @@ def _table_csv(table: dict[int, int]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _format(config: RunConfig, doc, series, table) -> str:
+def _format(fmt: str, doc, series, table) -> str:
     if series is not None:
-        return _series_csv(series) if config.fmt == "csv" else json.dumps(_series_doc(series), sort_keys=True, indent=2) + "\n"
+        return _series_csv(series) if fmt == "csv" else json.dumps(_series_doc(series), sort_keys=True, indent=2) + "\n"
     if table is not None:
-        return _table_csv(table) if config.fmt == "csv" else json.dumps(_table_doc(table), sort_keys=True, indent=2) + "\n"
-    if config.fmt == "csv":
+        return _table_csv(table) if fmt == "csv" else json.dumps(_table_doc(table), sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
         raise SchemaError("csv output is only available for series and tables")
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(config: RunConfig, doc=None, series=None, table=None) -> int:
+def _emit(fmt: str, doc=None, series=None, table=None) -> int:
     """Write one result to stdout.  An exact count may have more digits than
     ``str(int)`` allows by default, so the limit is lifted only while the
     result is formatted; input parsing keeps it."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        out = _format(config, doc, series, table)
+        out = _format(fmt, doc, series, table)
     finally:
         sys.set_int_max_str_digits(limit)
     sys.stdout.write(out)
@@ -154,101 +131,93 @@ def _require(value, flag: str):
 # -- subcommand bodies -----------------------------------------------------------
 
 
-def _run_hey(config: RunConfig) -> int:
-    data = SemisimpleData.from_json(_load_payload(_require(config.data, "--data")))
-    bound = _require(config.truncate, "--truncate")
-    fn = moebius_inverse_series if config.options.get("inverse") else hey_product
-    return _emit(config, series=fn(data, bound))
+def _run_hey(args: argparse.Namespace) -> int:
+    data = SemisimpleData.from_json(_load_payload(_require(args.data, "--data")))
+    bound = _require(args.truncate, "--truncate")
+    fn = moebius_inverse_series if args.inverse else hey_product
+    return _emit(args.fmt, series=fn(data, bound))
 
 
-def _run_hereditary(config: RunConfig) -> int:
+def _run_hereditary(args: argparse.Namespace) -> int:
     from . import hereditary as her
 
-    order, module = her.hereditary_from_json(_load_payload(_require(config.data, "--data")))
-    bound = _require(config.truncate, "--truncate")
-    partial = config.options.get("partial")
-    if partial is not None:
-        series = her.partial_zeta(order, module, _parse_ints(partial), bound)
-    elif config.options.get("joint"):
+    order, module = her.hereditary_from_json(_load_payload(_require(args.data, "--data")))
+    bound = _require(args.truncate, "--truncate")
+    if args.partial is not None:
+        series = her.partial_zeta(order, module, _parse_ints(args.partial), bound)
+    elif args.joint:
         series = her.brz_two_variable(order, module, bound)
-    elif config.options.get("factor"):
+    elif args.factor:
         series = her.brs_F(order, module, bound)
     else:
         series = her.total_zeta(order, module, bound)
-    return _emit(config, series=series)
+    return _emit(args.fmt, series=series)
 
 
-def _run_lifted_hey(config: RunConfig) -> int:
+def _run_lifted_hey(args: argparse.Namespace) -> int:
     from . import prolif as pr
 
-    data = SemisimpleData.from_json(_load_payload(_require(config.data, "--data")))
-    bound = _require(config.truncate, "--truncate")
-    sigma_text = config.options.get("sigma")
+    data = SemisimpleData.from_json(_load_payload(_require(args.data, "--data")))
+    bound = _require(args.truncate, "--truncate")
     sigma = None
-    if sigma_text is not None:
-        sigma = pr.sigma_from_one_based(_parse_ints(sigma_text), len(data.entries))
-    return _emit(config, series=pr.lifted_hey(data, sigma, bound))
+    if args.sigma is not None:
+        sigma = pr.sigma_from_one_based(_parse_ints(args.sigma), len(data.entries))
+    return _emit(args.fmt, series=pr.lifted_hey(data, sigma, bound))
 
 
-def _run_prolif(config: RunConfig) -> int:
+def _run_prolif(args: argparse.Namespace) -> int:
     from . import prolif as pr
 
-    base = pr.SliceBase.from_json(_load_payload(_require(config.data, "--data")))
-    bound = _require(config.truncate, "--truncate")
-    budget = config.budget if config.budget is not None else pr.DEFAULT_SEQUENCE_BUDGET
-    mode = config.options.get("mode", "sum")
-    if mode == "sliver":
-        return _emit(config, series=pr.single_sliver(base, bound))
-    if mode == "factored":
+    base = pr.SliceBase.from_json(_load_payload(_require(args.data, "--data")))
+    bound = _require(args.truncate, "--truncate")
+    budget = args.budget if args.budget is not None else pr.DEFAULT_SEQUENCE_BUDGET
+    if args.mode == "sliver":
+        return _emit(args.fmt, series=pr.single_sliver(base, bound))
+    if args.mode == "factored":
         prefactor, remainder = pr.brs_factored_prolif(base, bound, budget)
         doc = {
             "prefactor": _series_doc(prefactor),
             "remainder": _series_doc(remainder),
             "product": _series_doc(prefactor * remainder),
         }
-        return _emit(config, doc=doc)
-    return _emit(config, series=pr.proliferation_sum(base, bound, budget))
+        return _emit(args.fmt, doc=doc)
+    return _emit(args.fmt, series=pr.proliferation_sum(base, bound, budget))
 
 
-def _run_lustig(config: RunConfig) -> int:
+def _run_lustig(args: argparse.Namespace) -> int:
     from . import prolif as pr
 
-    q = int(config.options["q"])
-    i_max = _require(config.n_max, "--max")
-    coeffs = pr.lustig_coeffs(q, i_max)
-    return _emit(config, table=dict(enumerate(coeffs)))
+    return _emit(args.fmt, table=dict(enumerate(pr.lustig_coeffs(args.q, args.n_max))))
 
 
-def _run_rossmann(config: RunConfig) -> int:
+def _run_rossmann(args: argparse.Namespace) -> int:
     from . import prolif as pr
 
-    n_max = _require(config.n_max, "--max")
-    return _emit(config, table=pr.rossmann_coeffs(n_max))
+    return _emit(args.fmt, table=pr.rossmann_coeffs(args.n_max))
 
 
-def _run_hom_slice(config: RunConfig) -> int:
+def _run_hom_slice(args: argparse.Namespace) -> int:
     from . import prolif as pr
 
-    opts = config.options
-    q, r, m, s_count = int(opts["q"]), int(opts["r"]), int(opts["m"]), int(opts["s_count"])
-    n_max = _require(config.n_max, "--max")
-    if config.truncate is not None and config.truncate < pr.hom_slice_bound(q, r, n_max):
+    if args.truncate is not None and args.truncate < pr.hom_slice_bound(args.q, args.r, args.n_max):
         warnings.warn(
-            f"truncation {config.truncate} does not certify coefficients up to {n_max}; "
+            f"truncation {args.truncate} does not certify coefficients up to {args.n_max}; "
             "using the minimal sound bound instead",
             CompletenessWarning,
             stacklevel=2,
         )
-    return _emit(config, table=pr.hom_slice_dirichlet(q, r, m, s_count, n_max))
+    return _emit(args.fmt, table=pr.hom_slice_dirichlet(args.q, args.r, args.m, args.s_count, args.n_max))
 
 
-def _run_oracle(config: RunConfig) -> int:
+def _run_oracle(args: argparse.Namespace) -> int:
     from . import oracle as orc
 
-    model = orc.model_from_json(_load_payload(_require(config.data, "--data")))
-    bound = _require(config.truncate, "--colength")
-    budget = config.budget if config.budget is not None else orc.DEFAULT_NODE_BUDGET
-    if config.options.get("fiber"):
+    model = orc.model_from_json(_load_payload(args.data))
+    bound = args.truncate
+    budget = args.budget if args.budget is not None else orc.DEFAULT_NODE_BUDGET
+    if args.fiber:
+        if args.joint or args.partial is not None:
+            raise SchemaError("--fiber groups all submodules by chart; it takes neither --joint nor --partial")
         parts = orc.fiber_partition(model, bound, budget)
         rows = []
         for chain in sorted(parts, key=lambda c: (len(c.quotients), c.quotients, c.y_tops)):
@@ -261,16 +230,15 @@ def _run_oracle(config: RunConfig) -> int:
                     "colengths": sorted(n.colength for n in nodes),
                 }
             )
-        return _emit(config, doc={"bound": bound, "fibers": rows})
-    partial = config.options.get("partial")
+        return _emit(args.fmt, doc={"bound": bound, "fibers": rows})
     series = orc.empirical_zeta(
         model,
         bound,
-        partial=_parse_ints(partial) if partial is not None else None,
-        joint=bool(config.options.get("joint")),
+        partial=_parse_ints(args.partial) if args.partial is not None else None,
+        joint=args.joint,
         budget=budget,
     )
-    return _emit(config, series=series)
+    return _emit(args.fmt, series=series)
 
 
 _SUITE_SIZE_KNOB = {
@@ -284,10 +252,10 @@ _SUITE_SIZE_KNOB = {
 }
 
 
-def _run_verify(config: RunConfig) -> int:
+def _run_verify(args: argparse.Namespace) -> int:
     from . import checks as chk
 
-    suites = config.options.get("suites") or list(chk.ALL_CHECKS)
+    suites = args.suites or list(chk.ALL_CHECKS)
     if "all" in suites:
         suites = list(chk.ALL_CHECKS)
     unknown = [s for s in suites if s not in chk.ALL_CHECKS]
@@ -296,15 +264,15 @@ def _run_verify(config: RunConfig) -> int:
     started = time.monotonic()
     failed = []
     for name in suites:
-        if config.time_budget is not None and time.monotonic() - started > config.time_budget:
+        if args.time_budget is not None and time.monotonic() - started > args.time_budget:
             raise ResourceBudgetError(
                 "verification time budget exhausted",
-                required=f"> {config.time_budget:.1f}s",
-                budget=f"{config.time_budget:.1f}s",
+                required=f"> {args.time_budget:.1f}s",
+                budget=f"{args.time_budget:.1f}s",
             )
         kwargs = {}
-        if config.n_max is not None and name in _SUITE_SIZE_KNOB:
-            kwargs[_SUITE_SIZE_KNOB[name]] = config.n_max
+        if args.n_max is not None and name in _SUITE_SIZE_KNOB:
+            kwargs[_SUITE_SIZE_KNOB[name]] = args.n_max
         try:
             result = chk.ALL_CHECKS[name](**kwargs)
         except FormulaViolationError as exc:  # an engine's own identity failed
@@ -312,7 +280,7 @@ def _run_verify(config: RunConfig) -> int:
             want, got = ("-" if v is None else v for v in (exc.expected, exc.actual))
             result = chk.CheckResult(name, False, 1, disagreement=(where, want, got))
         if result.cases == 0:
-            raise SchemaError(f"suite {name} checked no cases at --max {config.n_max}")
+            raise SchemaError(f"suite {name} checked no cases at --max {args.n_max}")
         sys.stdout.write(result.line() + "\n")
         if not result.passed:
             failed.append(result)
@@ -325,35 +293,22 @@ def _run_verify(config: RunConfig) -> int:
     return 0
 
 
-_HANDLERS = {
-    "hey": _run_hey,
-    "hereditary": _run_hereditary,
-    "lifted-hey": _run_lifted_hey,
-    "prolif": _run_prolif,
-    "lustig": _run_lustig,
-    "rossmann": _run_rossmann,
-    "hom-slice": _run_hom_slice,
-    "oracle": _run_oracle,
-    "verify": _run_verify,
-}
-
-
-def run(config: RunConfig) -> int:
-    handler = _HANDLERS.get(config.subcommand)
-    if handler is None:
-        raise SchemaError(f"unknown subcommand {config.subcommand!r}")
-    return handler(config)
-
-
 # -- argument parsing ------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one description of a request: each subcommand's namespace carries
+    its handler as ``run``, and the handler reads the parsed flags."""
     parser = argparse.ArgumentParser(
         prog="brzeta",
         description="Exact truncated zeta series of modules over semilocal orders.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def add(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
 
     def add_common(p, data_help=None, truncate_flag="--truncate"):
         if data_help:
@@ -362,36 +317,36 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(truncate_flag, dest="truncate", type=int, help="total-degree bound")
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("hey", help="closed product count of split-slice submodules")
+    p = add("hey", _run_hey, "closed product count of split-slice submodules")
     add_common(p, "semisimple class data")
     p.add_argument("--inverse", action="store_true", help="emit the reciprocal series")
 
-    p = sub.add_parser("hereditary", help="two-variable / total / partial lattice counts")
+    p = add("hereditary", _run_hereditary, "two-variable / total / partial lattice counts")
     add_common(p, "order and module: {q, n, columns}")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--partial", help="top class vector, e.g. 1,0")
     g.add_argument("--joint", action="store_true", help="keep the class markers")
     g.add_argument("--factor", action="store_true", help="emit the polynomial factor")
 
-    p = sub.add_parser("lifted-hey", help="layered product for split slices with a twist")
+    p = add("lifted-hey", _run_lifted_hey, "layered product for split slices with a twist")
     add_common(p, "semisimple class data")
     p.add_argument("--sigma", help="permutation as 1-based images, e.g. 2,1")
 
-    p = sub.add_parser("prolif", help="class-sequence sum over a slice base")
+    p = add("prolif", _run_prolif, "class-sequence sum over a slice base")
     add_common(p, "slice base: {base: {...}, sigma: [...]}")
     p.add_argument("--mode", choices=("sum", "sliver", "factored"), default="sum")
     p.add_argument("--budget", type=int, help="budget of coefficient products in the class-sequence sum")
 
-    p = sub.add_parser("lustig", help="ideal counts of the basic two-generator local ring")
+    p = add("lustig", _run_lustig, "ideal counts of the basic two-generator local ring")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--max", dest="n_max", type=int, required=True, help="largest colength")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("rossmann", help="global ideal-count Dirichlet coefficients")
+    p = add("rossmann", _run_rossmann, "global ideal-count Dirichlet coefficients")
     p.add_argument("--max", dest="n_max", type=int, required=True, help="largest norm")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("hom-slice", help="Dirichlet coefficients of a one-class slice power")
+    p = add("hom-slice", _run_hom_slice, "Dirichlet coefficients of a one-class slice power")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -403,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("oracle", help="brute-force submodule enumeration of a finite model")
+    p = add("oracle", _run_oracle, "brute-force submodule enumeration of a finite model")
     p.add_argument("--model", dest="data", required=True, help="model JSON (inline or @file)")
     p.add_argument("--colength", dest="truncate", type=int, required=True)
     p.add_argument("--partial", help="restrict to one top class, e.g. 1,1")
@@ -412,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, help="node budget")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("verify", help="run the dual-computation verification suites")
+    p = add("verify", _run_verify, "run the dual-computation verification suites")
     p.add_argument("--suite", dest="suites", action="append", help="suite name (repeatable) or 'all'")
     p.add_argument("--max", dest="n_max", type=int, help="size knob for suites that take one")
     p.add_argument("--budget", dest="time_budget", type=float, help="time budget in seconds")
@@ -431,19 +386,24 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    known = {"subcommand", "data", "truncate", "n_max", "fmt", "budget", "time_budget"}
-    options = {k: v for k, v in vars(args).items() if k not in known and v is not None}
-    return RunConfig(
-        subcommand=args.subcommand,
-        data=getattr(args, "data", None),
-        truncate=getattr(args, "truncate", None),
-        n_max=getattr(args, "n_max", None),
-        fmt=getattr(args, "fmt", "json"),
-        budget=getattr(args, "budget", None),
-        time_budget=getattr(args, "time_budget", None),
-        options=options,
-    )
+def __getattr__(name: str):
+    """``_HANDLERS``, each subcommand's handler, read off the shared parser:
+    the benchmark's tests list the subcommands by it."""
+    if name != "_HANDLERS":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    (sub,) = (a for a in _shared_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {cmd: p.get_default("run") for cmd, p in sub.choices.items()}
+
+
+def _check_ranges(args: argparse.Namespace) -> None:
+    """Refuse a negative bound, size or budget, and a NaN time budget."""
+    truncate = getattr(args, "truncate", None)
+    if truncate is not None and truncate < 0:
+        raise TruncationBoundError(f"bound must be >= 0, got {truncate}")
+    for name, flag in (("n_max", "--max"), ("budget", "--budget"), ("time_budget", "--budget")):
+        value = getattr(args, name, None)
+        if value is not None and not value >= 0:  # also refuses a NaN time budget
+            raise SchemaError(f"{flag} must be >= 0, got {value}")
 
 
 def _warning_line(message, category, filename, lineno, file=None, line=None):
@@ -461,7 +421,8 @@ def main(argv=None) -> int:
         warnings.simplefilter("always", CompletenessWarning)
         warnings.showwarning = _warning_line
         try:
-            return run(_config_from_args(args))
+            _check_ranges(args)
+            return args.run(args)
         except (SchemaError, TruncationBoundError, AlphabetMismatchError, NonUnitError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -39,14 +39,6 @@ from .qcomb import prime_power_factors
 
 DEFAULT_BUDGET = 200_000
 
-#: monic irreducible moduli over F_p, coefficients low -> high
-BUILTIN_MODULI = {
-    4: (1, 1, 1),
-    8: (1, 1, 0, 1),
-    9: (1, 0, 1),
-    16: (1, 1, 0, 0, 1),
-}
-
 Tables = namedtuple("Tables", "add mul neg inv")
 
 
@@ -103,7 +95,7 @@ def _poly_is_irreducible(m: tuple[int, ...], p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """GF(p^e) with an explicit monic irreducible modulus (ignored when e=1)."""
+    """GF(p^e) with its monic irreducible modulus (ignored when e=1)."""
 
     p: int
     e: int
@@ -127,12 +119,12 @@ class FieldSpec:
         return tuple(out)
 
 
-def GF(q: int, modulus=None) -> FieldSpec:
-    """Build a field spec; moduli for q in {4, 8, 9, 16} are built in.
+@lru_cache(maxsize=None)
+def GF(q: int) -> FieldSpec:
+    """Build a field spec for a prime power q <= 256; larger fields are out of scope.
 
-    Other prime-power sizes up to 256 need an explicit monic irreducible
-    ``modulus`` (coefficients low to high, length e+1); larger fields are out
-    of scope.
+    The modulus of GF(p^e) is the first monic irreducible of degree e, in the
+    order of its value at p (coefficients low to high as base-p digits).
     """
     if q > 256:
         raise SchemaError(f"fields beyond q=256 are out of scope, got q={q}")
@@ -142,17 +134,8 @@ def GF(q: int, modulus=None) -> FieldSpec:
     p, e = factors
     if e == 1:
         return FieldSpec(p, 1, (0, 1))
-    if modulus is None:
-        if q in BUILTIN_MODULI:
-            modulus = BUILTIN_MODULI[q]
-        else:
-            raise SchemaError(f"no built-in modulus for q={q}; supply a monic irreducible of degree {e}")
-    modulus = tuple(int(c) % p for c in modulus)
-    if len(modulus) != e + 1 or modulus[-1] != 1:
-        raise SchemaError(f"modulus must be monic of degree {e}, got {modulus}")
-    if not _poly_is_irreducible(modulus, p):
-        raise SchemaError(f"modulus {modulus} is reducible over F_{p}")
-    return FieldSpec(p, e, modulus)
+    candidates = (tuple(value // p**i % p for i in range(e + 1)) for value in range(q, 2 * q))
+    return FieldSpec(p, e, next(m for m in candidates if _poly_is_irreducible(m, p)))
 
 
 @lru_cache(maxsize=None)

@@ -7,10 +7,12 @@ multiset of column types c_1 <= ... <= c_r.  The count assembled here is
     sum over finite-colength sublattices X of  w^{iso class of X} z^{colength},
 
 computed by stratifying X by the image Ybar of X + pi*M_1 inside
-M_1/pi*M_1 = F_q^r, counting each stratum with a chain polynomial, a
-Hermite-form stratum polynomial in v = z_1...z_n, and the rank-r one-variable
-base count.  The assembled sum is exactly divisible by a fixed column-shift
-monomial u; non-divisibility is a formula violation.
+M_1/pi*M_1 = F_q^r and counting each stratum with a chain polynomial and a
+Hermite-form stratum polynomial in v = z_1...z_n.  The stratum sum is exactly
+divisible by a fixed column-shift monomial u (non-divisibility is a formula
+violation); the quotient is the polynomial factor F
+(:func:`polynomial_factor`), and the count is F times the rank-r
+one-variable base count.
 
 Nothing is enumerated: the strata are grouped by (filtration dims, dim Ybar),
 counted as Schubert cells of the coordinate column flag, and the chains of
@@ -267,48 +269,48 @@ def _stratum_sum(order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound
     return acc
 
 
-def brz_two_variable(order: HereditaryOrderSpec, module: HereditaryModuleSpec, z_bound: int) -> TruncatedSeries:
-    """Joint class/colength count over the doubled alphabet (z block, w block).
+def polynomial_factor(order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound: int) -> TruncatedSeries:
+    """The polynomial F with Z(M; z, w) = F * (rank-r base count in v), complete
+    through ``bound``.
 
-    Returned at total-degree bound z_bound + r; since every term has w-degree
-    exactly r, all colength degrees up to z_bound are complete.
+    The stratum sum is summed at ``bound + deg u`` and divided by the
+    column-shift monomial u; this is the one place u is divided out, and a
+    term that u does not divide is a formula violation.
     """
-    _validate_pair(order, module)
-    if z_bound < 0:
-        raise TruncationBoundError(f"bound must be >= 0, got {z_bound}")
-    u_exps, v_exps, _ = substitution_data(order, module)
-    internal_bound = z_bound + module.r + mono_degree(u_exps)
-    acc = _stratum_sum(order, module, internal_bound)
-    shifted = acc * solomon_hey_factor(module.r, order.q, internal_bound, acc.alphabet, v_exps)
+    u_exps, _, _ = substitution_data(order, module)
+    acc = _stratum_sum(order, module, bound + mono_degree(u_exps))
     try:
-        return shifted.divided_by_monomial(u_exps)
+        return acc.divided_by_monomial(u_exps)
     except NonUnitError as exc:
         raise FormulaViolationError(
             f"assembled stratum sum is not divisible by the column-shift monomial: {exc}"
         ) from exc
 
 
-def brs_F(order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound: int) -> TruncatedSeries:
-    """Exact polynomial F with Z(M; z, w) = F * (rank-r base count in v).
+def brz_two_variable(order: HereditaryOrderSpec, module: HereditaryModuleSpec, z_bound: int) -> TruncatedSeries:
+    """Joint class/colength count over the doubled alphabet (z block, w block):
+    the polynomial factor times the rank-r base count.
 
-    Computed without truncation loss (all ingredients are polynomials with an
-    a-priori degree bound), then restated at the requested bound.  Raises a
-    truncation-bound error naming the degree of F if the requested bound is
-    below it.
+    Returned at total-degree bound z_bound + r; since every term has w-degree
+    exactly r, all colength degrees up to z_bound are complete.
     """
-    _validate_pair(order, module)
+    _, v_exps, _ = substitution_data(order, module)
+    if z_bound < 0:
+        raise TruncationBoundError(f"bound must be >= 0, got {z_bound}")
+    bound = z_bound + module.r
+    poly = polynomial_factor(order, module, bound)
+    return poly * solomon_hey_factor(module.r, order.q, bound, poly.alphabet, v_exps)
+
+
+def brs_F(order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound: int) -> TruncatedSeries:
+    """The whole polynomial factor F, restated at the requested bound.
+
+    Raises a truncation-bound error naming the degree of F if the requested
+    bound is below it.
+    """
     r = module.r
-    u_exps, _, _ = substitution_data(order, module)
-    # every factor is an exact polynomial: chain sums have z-degree <= r(n-1)
-    # and stratum weights z-degree <= rn, so 2rn total covers the assembly
-    exact_bound = 2 * r * order.n + r
-    acc = _stratum_sum(order, module, exact_bound)
-    try:
-        poly = acc.divided_by_monomial(u_exps)
-    except NonUnitError as exc:
-        raise FormulaViolationError(
-            f"polynomial factor is not divisible by the column-shift monomial: {exc}"
-        ) from exc
+    # chain sums and stratum weights each have total degree <= rn, so 2rn + r covers all of F
+    poly = polynomial_factor(order, module, 2 * r * order.n + r)
     degree = poly.max_degree()
     if degree > bound:
         raise TruncationBoundError(f"the polynomial factor has degree {degree}; bound {bound} would truncate it")

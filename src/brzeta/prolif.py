@@ -576,9 +576,9 @@ def polynomial_class_counts(base: SliceBase, upper: ClassVec, bound: int) -> dic
     by its polynomial part: the polynomial factor of a slice module of that
     class, split by class.  The class-sequence sum over these tables is the
     remainder of :func:`brs_factored_prolif`."""
-    n, r = base.order.n, base.module.r
-    poly = _her.brs_F(base.order, _module_of_class(upper), 2 * r * n + r)
-    return {lower: part.extended(bound) for lower, part in split_trailing(poly, n).items()}
+    module = _module_of_class(upper)
+    # every w-degree of F is r, so each part is complete through bound
+    return split_trailing(_her.polynomial_factor(base.order, module, bound + module.r), base.order.n)
 
 
 def brs_factored_prolif(

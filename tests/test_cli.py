@@ -13,7 +13,7 @@ import pytest
 import brzeta.checks as chk
 import brzeta.cli as cli
 import brzeta.prolif as pr
-from brzeta.errors import FormulaViolationError, SchemaError, TruncationBoundError
+from brzeta.errors import FormulaViolationError
 from brzeta.series import Alphabet, AlphabetEntry, TruncatedSeries
 
 DVR = '{"kind": "dvr", "q": 2, "m": 1}'
@@ -24,20 +24,6 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-class TestRunConfig:
-    def test_negative_bound_rejected(self):
-        with pytest.raises(TruncationBoundError):
-            cli.RunConfig("hey", truncate=-1)
-
-    def test_odd_format_rejected(self):
-        with pytest.raises(SchemaError):
-            cli.RunConfig("hey", fmt="xml")
-
-    def test_defaults(self):
-        config = cli.RunConfig("hey")
-        assert config.fmt == "json" and config.options == {}
 
 
 class TestTables:
@@ -211,6 +197,17 @@ class TestOracleCommand:
         )
         assert code == 0
         assert out == "monomial,num,den\n1,1,1\nz,3,1\nz^2,7,1\n"
+
+    def test_field_with_a_searched_modulus(self, capsys):
+        """GF(32) gets its modulus by search, like every prime-power field."""
+        code, out, _ = run_cli(
+            capsys,
+            ["oracle", "--model", '{"kind": "chain", "q": 32, "c": 3, "rank": 2}', "--colength", "2"],
+        )
+        assert code == 0
+        assert json.loads(out)["display"] == "1 + 33*z + 1057*z^2"
+        code, out, _ = run_cli(capsys, ["hey", "--data", '[{"q": 32, "m": 2}]', "--truncate", "2"])
+        assert code == 0 and json.loads(out)["display"] == "1 + 33*z + 1057*z^2"
 
     def test_fiber_grouping(self, capsys):
         code, out, _ = run_cli(
@@ -403,6 +400,9 @@ class TestInputHandling:
             ["hey", "--data", '[{"q": 2, "m": ' + "1" * 5000 + "}]", "--truncate", "1"],
             ["hey", "--data", '[{"q": 2, "m": 1, "label": 5}]', "--truncate", "2"],
             ["hey", "--data", '[{"q": 2, "m": 1, "label": ""}]', "--truncate", "2"],
+            ["oracle", "--model", '{"kind": "local2d", "q": 2, "c": 2}', "--colength", "1", "--joint", "--fiber"],
+            ["oracle", "--model", '{"kind": "local2d", "q": 2, "c": 2}', "--colength", "1", "--partial", "1",
+             "--fiber"],
         ],
         ids=[
             "non-prime-power-model",
@@ -445,6 +445,8 @@ class TestInputHandling:
             "json-integer-over-digit-limit",
             "label-number",
             "label-empty",
+            "fiber-with-joint",
+            "fiber-with-partial",
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
@@ -469,6 +471,12 @@ class TestInputHandling:
     def test_exclusive_hereditary_modes(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["hereditary", "--data", HER, "--truncate", "2", "--joint", "--factor"])
+        capsys.readouterr()
+
+    def test_unknown_format_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["hey", "--data", '[{"q": 2, "m": 1}]', "--truncate", "2", "--format", "xml"])
+        assert exc.value.code == 2
         capsys.readouterr()
 
 

@@ -6,15 +6,19 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brzeta import gfq
 from brzeta import hereditary as her
 from brzeta import oracle as orc
+from brzeta import prolif as pr
 from brzeta.errors import SchemaError
 from brzeta.qcomb import gaussian_binomial
 from brzeta.series import TruncatedSeries
 
 import gfq_reference as ref
+import hereditary_reference as her_ref
 
 
 ORDER22 = her.HereditaryOrderSpec(2, 2)
@@ -310,6 +314,34 @@ class TestPolynomialFactor:
         f = her.brs_F(ORDER22, MOD12, 10).truncated(joint.bound)
         zfac = her.solomon_hey_factor(2, 2, joint.bound, joint.alphabet, (1, 1, 0, 0))
         assert f * zfac == joint
+
+
+@st.composite
+def hereditary_cases(draw):
+    """q in {2, 3, 4}, n <= 3 classes, r <= 3 columns, and a class of rank r."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    columns = st.lists(st.integers(1, n), min_size=r, max_size=r)
+    order = her.HereditaryOrderSpec(draw(st.sampled_from([2, 3, 4])), n)
+    return order, her.HereditaryModuleSpec(draw(columns)), her.HereditaryModuleSpec(draw(columns)).top_vector(n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(hereditary_cases(), st.integers(0, 4))
+def test_factor_first_matches_divide_after(case, bound):
+    """The joint count and the polynomial class tables, built from the factor
+    with u divided out first, equal the multiply-then-divide joint count and
+    the truncated exact factor."""
+    order, module, upper = case
+    got = her.brz_two_variable(order, module, bound)
+    want = her_ref.brz_two_variable(order, module, bound)
+    assert got == want, (order, module, bound, got.first_disagreement(want))
+    base = pr.SliceBase.hereditary(order, module)
+    got = pr.polynomial_class_counts(base, upper, bound)
+    # the table leaves out a class whose part vanishes through the bound
+    want = {k: v for k, v in her_ref.polynomial_class_counts(base, upper, bound).items() if not v.is_zero()}
+    assert got.keys() == want.keys(), (order, module, upper, bound)
+    for lower, part in got.items():
+        assert part == want[lower], (order, module, upper, lower, part.first_disagreement(want[lower]))
 
 
 class TestJson:
