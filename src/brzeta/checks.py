@@ -3,10 +3,16 @@
 Each check compares two computations that share no code path — a closed
 product against brute-force enumeration, a substitution identity against its
 closed form, dual expansions of the same Dirichlet series — and reports a
-structured result.  A failure always carries a (where, expected, actual)
-triple pinpointing the first disagreement.  All comparisons are exact.  An
-engine that checks itself raises a formula violation instead, which
-``verify`` reports as the failure of the suite that ran it.
+structured result.  All comparisons are exact.  A looping suite is a
+generator of cases, each a list of ``(label, got, want)`` comparisons, and
+:func:`_compare` is its one loop: it numbers the cases, computes each only
+when every case before it has agreed, and stops at the first disagreement.
+A failure always carries a (where, expected, actual) triple, printed as
+``FAIL <name> (<k> cases) [at <where>: expected <want>, got <got>]``, where k
+is the failing case and ``where`` is the label, followed for a series by
+``:`` and its least differing monomial.  An engine that checks itself raises
+a formula violation instead, which ``verify`` reports as the failure of the
+suite that ran it.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from . import prolif as pr
 from .errors import FormulaViolationError
 from .hey import SemisimpleData, hey_product, moebius_inverse_series
 from .qcomb import gaussian_binomial
-from .series import TruncatedSeries
+from .series import Alphabet, AlphabetEntry, TruncatedSeries
 
 
 @dataclass
@@ -41,31 +47,49 @@ class CheckResult:
         return f"{status} {self.name} ({self.cases} cases){tail}"
 
 
-def _series_case(name, cases, got: TruncatedSeries, want: TruncatedSeries, label) -> CheckResult | None:
-    """None if the two series agree; a failing result otherwise."""
+def _disagreement(got, want) -> tuple[str, str, str] | None:
+    """None if ``got == want``; else (where, expected, got) as text.
+
+    Two series are pinned at their least differing monomial, so ``where`` is
+    ``:`` and that monomial; any other pair is compared whole, with ``where``
+    empty.
+    """
     if got == want:
         return None
-    diff = got.first_disagreement(want)
-    where = f"{label}:{got.alphabet.format_monomial(diff[0])}" if diff else label
-    return CheckResult(name, False, cases, disagreement=(where, str(diff[2]) if diff else str(want), str(diff[1]) if diff else str(got)))
+    diff = got.first_disagreement(want) if isinstance(got, TruncatedSeries) else None
+    if diff is None:
+        return "", str(want), str(got)
+    return f":{got.alphabet.format_monomial(diff[0])}", str(diff[2]), str(diff[1])
+
+
+def _compare(name: str, detail: str, cases) -> CheckResult:
+    """Run ``cases``, an iterable of ``(label, got, want)`` lists, one list per case.
+
+    The first disagreement fails the suite at that case's number, and the
+    iterable is not advanced past it.
+    """
+    count = 0
+    for count, comparisons in enumerate(cases, 1):
+        for label, got, want in comparisons:
+            bad = _disagreement(got, want)
+            if bad is not None:
+                where, expected, actual = bad
+                return CheckResult(name, False, count, disagreement=(label + where, expected, actual))
+    return CheckResult(name, True, count, detail)
 
 
 # -- 1: Hey product vs chain-model enumeration ---------------------------------
 
 
 def check_hey_oracle(qs=(2, 3), ms=(1, 2, 3), bound=4) -> CheckResult:
-    cases = 0
-    for q in qs:
-        for m in ms:
-            data = SemisimpleData.from_specs([(q, m)])
-            engine = hey_product(data, bound)
-            model = orc.chain_module(q, bound + 1, m)
-            counted = orc.empirical_zeta(model, bound)
-            cases += 1
-            bad = _series_case("hey-oracle", cases, counted, engine, f"q={q},m={m}")
-            if bad:
-                return bad
-    return CheckResult("hey-oracle", True, cases, "product coefficients = submodule counts")
+    def cases():
+        for q in qs:
+            for m in ms:
+                engine = hey_product(SemisimpleData.from_specs([(q, m)]), bound)
+                counted = orc.empirical_zeta(orc.chain_module(q, bound + 1, m), bound)
+                yield [(f"q={q},m={m}", counted, engine)]
+
+    return _compare("hey-oracle", "product coefficients = submodule counts", cases())
 
 
 # -- 2: Moebius inverse --------------------------------------------------------
@@ -73,18 +97,16 @@ def check_hey_oracle(qs=(2, 3), ms=(1, 2, 3), bound=4) -> CheckResult:
 
 def check_moebius(bound=8, trials=20, seed=20260825) -> CheckResult:
     rng = random.Random(seed)
-    cases = 0
-    for _ in range(trials):
-        n = rng.randint(1, 3)
-        specs = [(rng.choice((2, 3, 4)), rng.randint(0, 4), rng.randint(1, 2)) for _ in range(n)]
-        data = SemisimpleData.from_specs(specs)
-        prod = hey_product(data, bound) * moebius_inverse_series(data, bound)
-        one = TruncatedSeries.one(data.alphabet(), bound)
-        cases += 1
-        bad = _series_case("moebius", cases, prod, one, f"specs={specs}")
-        if bad:
-            return bad
-    return CheckResult("moebius", True, cases, f"hey * inverse = 1 at bound {bound}")
+
+    def cases():
+        for _ in range(trials):
+            n = rng.randint(1, 3)
+            specs = [(rng.choice((2, 3, 4)), rng.randint(0, 4), rng.randint(1, 2)) for _ in range(n)]
+            data = SemisimpleData.from_specs(specs)
+            prod = hey_product(data, bound) * moebius_inverse_series(data, bound)
+            yield [(f"specs={specs}", prod, TruncatedSeries.one(data.alphabet(), bound))]
+
+    return _compare("moebius", f"hey * inverse = 1 at bound {bound}", cases())
 
 
 # -- 3: hereditary joint zeta vs triangular-model enumeration -------------------
@@ -99,108 +121,80 @@ def _hereditary_grid(qs=(2, 3), n_max=3, r_max=3):
 
 
 def check_hereditary_oracle(qs=(2, 3), n_max=3, r_max=3, bound=3) -> CheckResult:
-    cases = 0
-    for q, n, cols in _hereditary_grid(qs, n_max, r_max):
-        order = her.HereditaryOrderSpec(q, n)
-        module = her.HereditaryModuleSpec(cols)
-        engine = her.brz_two_variable(order, module, bound)
-        c = -(-(bound + 1) // n)
-        model = orc.triangular_module(q, n, c, cols)
-        counted = orc.empirical_zeta(model, bound, joint=True)
-        cases += 1
-        bad = _series_case("hereditary-oracle", cases, counted, engine, f"q={q},n={n},cols={cols}")
-        if bad:
-            return bad
-    return CheckResult("hereditary-oracle", True, cases, "joint (z,w) coefficients match enumeration")
+    def cases():
+        for q, n, cols in _hereditary_grid(qs, n_max, r_max):
+            engine = her.brz_two_variable(her.HereditaryOrderSpec(q, n), her.HereditaryModuleSpec(cols), bound)
+            model = orc.triangular_module(q, n, -(-(bound + 1) // n), cols)
+            counted = orc.empirical_zeta(model, bound, joint=True)
+            yield [(f"q={q},n={n},cols={cols}", counted, engine)]
+
+    return _compare("hereditary-oracle", "joint (z,w) coefficients match enumeration", cases())
 
 
 # -- 4: polynomiality and stabilization of the lattice factor -------------------
 
 
 def check_brs_polynomial(qs=(2, 3), n_max=3, r_max=3, z_bound=3) -> CheckResult:
-    cases = 0
-    for q, n, cols in _hereditary_grid(qs, n_max, r_max):
-        order = her.HereditaryOrderSpec(q, n)
-        module = her.HereditaryModuleSpec(cols)
-        r = module.r
-        full = 2 * r * n + r
-        f_full = her.brs_F(order, module, full)  # raises unless divisible by the column shift
-        f_again = her.brs_F(order, module, full + 3)
-        cases += 1
-        if f_again.truncated(full) != f_full:
-            diff = f_again.truncated(full).first_disagreement(f_full)
-            return CheckResult(
-                "brs-polynomial", False, cases,
-                disagreement=(f"q={q},n={n},cols={cols}:{diff[0]}", str(diff[2]), str(diff[1])),
-            )
-        # assembled identity: F times the rank-r base count = the joint zeta
-        joint = her.brz_two_variable(order, module, z_bound)
-        al = joint.alphabet
-        v_exps = (1,) * n + (0,) * n
-        zfac = her.solomon_hey_factor(r, q, joint.bound, al, v_exps)
-        prod = f_full.extended(joint.bound) * zfac
-        bad = _series_case("brs-polynomial", cases, prod, joint, f"q={q},n={n},cols={cols}")
-        if bad:
-            return bad
-    return CheckResult("brs-polynomial", True, cases, "integer, stable, and factors the joint zeta")
+    def cases():
+        for q, n, cols in _hereditary_grid(qs, n_max, r_max):
+            order = her.HereditaryOrderSpec(q, n)
+            module = her.HereditaryModuleSpec(cols)
+            full = 2 * n * module.r + module.r
+            f_full = her.brs_F(order, module, full)  # raises unless divisible by the column shift
+            # past its degree bound the factor gains no term
+            stable = her.polynomial_factor(order, module, full + 3)
+            # assembled identity: F times the rank-r base count = the joint zeta
+            joint = her.brz_two_variable(order, module, z_bound)
+            zfac = her.solomon_hey_factor(module.r, q, joint.bound, joint.alphabet, (1,) * n + (0,) * n)
+            label = f"q={q},n={n},cols={cols}"
+            yield [
+                (f"{label},stable", stable, f_full.extended(full + 3)),
+                (f"{label},joint", f_full.extended(joint.bound) * zfac, joint),
+            ]
+
+    return _compare("brs-polynomial", "integer, stable, and factors the joint zeta", cases())
 
 
 # -- 5: rank-step partition of unity and orbit sums ------------------------------
 
 
 def check_q_partition(r_max=6, qs=(2, 3, 4, 5), bound=10) -> CheckResult:
-    cases = 0
-    for q in qs:
-        for r in range(0, r_max + 1):
-            # sum of gauss(r,m,q) * Q(m,r,q) over m must collapse to 1
-            poly: dict[int, int] = {}
-            for m in range(r + 1):
-                g = gaussian_binomial(r, m, q)
-                for d, cf in enumerate(her.hermite_Q(m, r, q)):
-                    poly[d] = poly.get(d, 0) + g * cf
-            cases += 1
-            want = {0: 1}
-            got = {d: c for d, c in poly.items() if c}
-            if got != want:
-                d = next(k for k in sorted(set(got) | set(want)) if got.get(k, 0) != want.get(k, 0))
-                return CheckResult(
-                    "q-partition", False, cases,
-                    disagreement=(f"q={q},r={r}:v^{d}", str(want.get(d, 0)), str(got.get(d, 0))),
+    def cases():
+        for q in qs:
+            al = Alphabet((AlphabetEntry("v", q, 1),))
+            for r in range(0, r_max + 1):
+                # sum of gauss(r,m,q) * Q(m,r,q) over m must collapse to 1
+                terms = (
+                    TruncatedSeries.powers(al, r, (1,), her.hermite_Q(m, r, q)).scaled(gaussian_binomial(r, m, q))
+                    for m in range(r + 1)
                 )
-    for q in (2, 3):
-        for r in range(0, 5):
-            for m in range(r + 1):
-                orbit = her.hermite_orbit_sum(m, r, q, bound)
-                al = orbit.alphabet
-                qpoly = TruncatedSeries.powers(al, bound, (1,), her.hermite_Q(m, r, q))
-                closed = qpoly * her.solomon_hey_factor(r, q, bound)
-                cases += 1
-                bad = _series_case("q-partition", cases, orbit, closed, f"orbit q={q},r={r},m={m}")
-                if bad:
-                    return bad
-    return CheckResult("q-partition", True, cases, "partition of unity and orbit sums hold")
+                yield [(f"q={q},r={r}", sum(terms, TruncatedSeries.zero(al, r)), TruncatedSeries.one(al, r))]
+        for q in (2, 3):
+            for r in range(0, 5):
+                for m in range(r + 1):
+                    orbit = her.hermite_orbit_sum(m, r, q, bound)
+                    qpoly = TruncatedSeries.powers(orbit.alphabet, bound, (1,), her.hermite_Q(m, r, q))
+                    closed = qpoly * her.solomon_hey_factor(r, q, bound)
+                    yield [(f"orbit q={q},r={r},m={m}", orbit, closed)]
+
+    return _compare("q-partition", "partition of unity and orbit sums hold", cases())
 
 
 # -- 6: one-class ideal counts three ways ----------------------------------------
 
 
 def check_lustig(qs=(2, 3), i_formulas=12, i_oracle=4) -> CheckResult:
-    cases = 0
-    for q in qs:
-        coeffs = pr.lustig_coeffs(q, i_formulas)  # raises on internal disagreement
-        cases += 1
-        # an ideal of colength i contains m^i, so colengths <= top live mod m^(top+1)
-        top = min(i_oracle, i_formulas)
-        counted = orc.empirical_zeta(orc.local2d_module(q, top + 1, 1), top)
-        for i in range(top + 1):
-            cases += 1
-            got = counted.coefficient((i,))
-            if got != coeffs[i]:
-                return CheckResult(
-                    "lustig", False, cases,
-                    disagreement=(f"q={q},colength={i}", str(coeffs[i]), str(got)),
-                )
-    return CheckResult("lustig", True, cases, "partition formula = product = ideal enumeration")
+    def cases():
+        for q in qs:
+            coeffs = pr.lustig_coeffs(q, i_formulas)  # raises on internal disagreement
+            yield []
+            # an ideal of colength i contains m^i, so colengths <= top live mod m^(top+1)
+            top = min(i_oracle, i_formulas)
+            counted = orc.empirical_zeta(orc.local2d_module(q, top + 1, 1), top)
+            for i in range(top + 1):
+                yield [(f"q={q},colength={i}", counted.coefficient((i,)), coeffs[i])]
+
+    return _compare("lustig", "partition formula = product = ideal enumeration", cases())
 
 
 # -- 7: global ideal counts two ways ---------------------------------------------
@@ -215,38 +209,33 @@ def check_rossmann(n_max=64) -> CheckResult:
 
 
 def check_dvr_consistency(qs=(2, 3), m_max=3, bound=6) -> CheckResult:
-    cases = 0
-    for q in qs:
-        for m in range(0, m_max + 1):
-            base = pr.SliceBase.dvr(q, m)
-            sliver = pr.single_sliver(base, bound)
-            prolif = pr.proliferation_sum(base, bound)
-            lifted = pr.lifted_hey(SemisimpleData.from_specs([(q, m)]), None, bound)
-            cases += 1
-            bad = _series_case("dvr-consistency", cases, prolif, sliver, f"q={q},m={m},prolif-vs-sliver")
-            if bad:
-                return bad
-            bad = _series_case("dvr-consistency", cases, lifted, sliver, f"q={q},m={m},lifted-vs-sliver")
-            if bad:
-                return bad
-    return CheckResult("dvr-consistency", True, cases, "sliver = layered product = class-sequence sum")
+    def cases():
+        for q in qs:
+            for m in range(0, m_max + 1):
+                base = pr.SliceBase.dvr(q, m)
+                sliver = pr.single_sliver(base, bound)
+                prolif = pr.proliferation_sum(base, bound)
+                lifted = pr.lifted_hey(SemisimpleData.from_specs([(q, m)]), None, bound)
+                yield [
+                    (f"q={q},m={m},prolif-vs-sliver", prolif, sliver),
+                    (f"q={q},m={m},lifted-vs-sliver", lifted, sliver),
+                ]
+
+    return _compare("dvr-consistency", "sliver = layered product = class-sequence sum", cases())
 
 
 # -- 9: split-slice sum against the one-class product ------------------------------
 
 
 def check_voll(qs=(2, 3), m_max=3, bound=5) -> CheckResult:
-    cases = 0
-    for q in qs:
-        for m in range(0, m_max + 1):
-            data = SemisimpleData.from_specs([(q, m)])
-            summed = pr.proliferation_sum(pr.SliceBase.semisimple(data), bound)
-            closed = hey_product(data, bound)
-            cases += 1
-            bad = _series_case("voll", cases, summed, closed, f"q={q},m={m}")
-            if bad:
-                return bad
-    return CheckResult("voll", True, cases, "semisimple class-sequence sum = closed product")
+    def cases():
+        for q in qs:
+            for m in range(0, m_max + 1):
+                data = SemisimpleData.from_specs([(q, m)])
+                summed = pr.proliferation_sum(pr.SliceBase.semisimple(data), bound)
+                yield [(f"q={q},m={m}", summed, hey_product(data, bound))]
+
+    return _compare("voll", "semisimple class-sequence sum = closed product", cases())
 
 
 # -- 10: per-chain fiber values against enumeration --------------------------------
@@ -256,24 +245,16 @@ def check_fiber(bound=3, c=None) -> CheckResult:
     c = c if c is not None else bound + 1
     model = orc.local2d_module(2, c, 1)
     base = pr.SliceBase.dvr(2, 1)
+    # the partition files each node of its one BFS under exactly one chart
     parts = orc.fiber_partition(model, bound)
-    cases = 0
-    total_nodes = 0
-    for chain, nodes in parts.items():
-        got = orc.fiber_sum(model, nodes, bound)
-        want = pr.fundamental_fiber_product(base, chain, bound)
-        cases += 1
-        total_nodes += len(nodes)
-        bad = _series_case("fiber", cases, got, want, f"chain={chain.quotients}")
-        if bad:
-            return bad
-    lattice = len(orc.submodule_bfs(model, bound))
-    if total_nodes != lattice:
-        return CheckResult(
-            "fiber", False, cases,
-            disagreement=("fiber partition size", str(lattice), str(total_nodes)),
-        )
-    return CheckResult("fiber", True, cases, f"all charts match; partition covers {lattice} submodules")
+    covered = sum(map(len, parts.values()))
+
+    def cases():
+        for chain, nodes in parts.items():
+            want = pr.fundamental_fiber_product(base, chain, bound)
+            yield [(f"chain={chain.quotients}", orc.fiber_sum(model, nodes, bound), want)]
+
+    return _compare("fiber", f"all charts match; partition covers {covered} submodules", cases())
 
 
 # -- 11: the power-series order over the basic two-class lattice ring ---------------
@@ -282,18 +263,16 @@ def check_fiber(bound=3, c=None) -> CheckResult:
 def check_skew_example(bound=3) -> CheckResult:
     order = her.HereditaryOrderSpec(2, 2)
     module = her.HereditaryModuleSpec((1, 2))
-    through_lattice = pr.proliferation_sum(pr.SliceBase.hereditary(order, module), bound)
-    through_split = pr.lifted_hey(SemisimpleData.from_specs([(2, 1), (2, 1)]), (1, 0), bound)
-    c_pi = -(-(bound + 1) // 2)
-    model = orc.skew_module(2, 2, c_pi, bound + 1)
-    counted = orc.empirical_zeta(model, bound)
-    bad = _series_case("skew-example", 1, counted, through_lattice, "oracle-vs-lattice-slice")
-    if bad:
-        return bad
-    bad = _series_case("skew-example", 2, through_split, through_lattice, "split-slice-vs-lattice-slice")
-    if bad:
-        return bad
-    return CheckResult("skew-example", True, 3, "enumeration = lattice-slice sum = twisted split product")
+
+    def cases():
+        through_lattice = pr.proliferation_sum(pr.SliceBase.hereditary(order, module), bound)
+        counted = orc.empirical_zeta(orc.skew_module(2, 2, -(-(bound + 1) // 2), bound + 1), bound)
+        yield [("oracle-vs-lattice-slice", counted, through_lattice)]
+        through_split = pr.lifted_hey(SemisimpleData.from_specs([(2, 1), (2, 1)]), (1, 0), bound)
+        yield [("split-slice-vs-lattice-slice", through_split, through_lattice)]
+        yield []  # three computations, counted as three cases
+
+    return _compare("skew-example", "enumeration = lattice-slice sum = twisted split product", cases())
 
 
 # -- 12: factored form of the class-sequence sum ------------------------------------
@@ -343,51 +322,36 @@ def check_integrality(bound=4) -> CheckResult:
 
 
 def check_hall(qs=(2, 3)) -> CheckResult:
-    cases = 0
-    for q in qs:
-        model = orc.chain_module(q, 2, 2, exact=True)
-        ambient = model.full()
-        # partial zeta by iso class = Hall-number sum, per colength
-        for c_type in ((2, 1), (2,), (1, 1), (1,)):
-            colen = model.dim - sum(c_type)
-            if colen < 0 or colen > 2:
-                continue
-            direct = 0
-            for node in orc.submodule_bfs(model, colen):
-                if node.colength == colen and orc.jordan_type(model, node.rep) == c_type:
-                    direct += 1
-            via_hall = 0
-            for b_type in _partitions_of(colen):
-                via_hall += orc.hall_number(model, ambient, b_type, c_type)
-            cases += 1
-            if direct != via_hall:
-                return CheckResult(
-                    "hall", False, cases,
-                    disagreement=(f"q={q},C={c_type}", str(direct), str(via_hall)),
+    def cases():
+        for q in qs:
+            model = orc.chain_module(q, 2, 2, exact=True)
+            ambient = model.full()
+            # partial zeta by iso class = Hall-number sum, per colength
+            for c_type in ((2, 1), (2,), (1, 1), (1,)):
+                colen = model.dim - sum(c_type)
+                if colen < 0 or colen > 2:
+                    continue
+                direct = sum(
+                    node.colength == colen and orc.jordan_type(model, node.rep) == c_type
+                    for node in orc.submodule_bfs(model, colen)
                 )
-        # chain property with two and three steps
-        plans = [
-            [((2, 1), (1,)), ((2,), (1,))],
-            [((2, 1), (1,)), ((1, 1), (1,)), ((1,), (1,))],
-        ]
-        for plan in plans:
-            product = 1
-            amb_rep, ok = ambient, True
-            for sub_t, quo_t in plan:
-                f = orc.hall_number(model, amb_rep, quo_t, sub_t)
-                product *= f
-                if f == 0:
-                    ok = False
-                    break
-                amb_rep = _witness(model, amb_rep, sub_t, quo_t)
-            direct = orc.chain_type_count(model, ambient, plan)
-            cases += 1
-            if (product if ok else 0) != direct:
-                return CheckResult(
-                    "hall", False, cases,
-                    disagreement=(f"q={q},plan={plan}", str(direct), str(product)),
-                )
-    return CheckResult("hall", True, cases, "iso-class sums and chain products match enumeration")
+                via_hall = sum(orc.hall_number(model, ambient, b_type, c_type) for b_type in _partitions_of(colen))
+                yield [(f"q={q},C={c_type}", via_hall, direct)]
+            # chain property with two and three steps; a zero factor zeroes the product
+            plans = [
+                [((2, 1), (1,)), ((2,), (1,))],
+                [((2, 1), (1,)), ((1, 1), (1,)), ((1,), (1,))],
+            ]
+            for plan in plans:
+                product, amb_rep = 1, ambient
+                for sub_t, quo_t in plan:
+                    product *= orc.hall_number(model, amb_rep, quo_t, sub_t)
+                    if not product:
+                        break
+                    amb_rep = _witness(model, amb_rep, sub_t, quo_t)
+                yield [(f"q={q},plan={plan}", product, orc.chain_type_count(model, ambient, plan))]
+
+    return _compare("hall", "iso-class sums and chain products match enumeration", cases())
 
 
 def _partitions_of(n: int, cap: int | None = None):
@@ -424,4 +388,15 @@ ALL_CHECKS = {
     "brs-factored": check_brs_factored,
     "integrality": check_integrality,
     "hall": check_hall,
+}
+
+#: the parameter of each suite that ``verify --max`` sets
+SUITE_SIZE_KNOB = {
+    "rossmann": "n_max",
+    "lustig": "i_formulas",
+    "moebius": "trials",
+    "dvr-consistency": "bound",
+    "voll": "bound",
+    "fiber": "bound",
+    "hey-oracle": "bound",
 }

@@ -241,17 +241,6 @@ def _run_oracle(args: argparse.Namespace) -> int:
     return _emit(args.fmt, series=series)
 
 
-_SUITE_SIZE_KNOB = {
-    "rossmann": "n_max",
-    "lustig": "i_formulas",
-    "moebius": "trials",
-    "dvr-consistency": "bound",
-    "voll": "bound",
-    "fiber": "bound",
-    "hey-oracle": "bound",
-}
-
-
 def _run_verify(args: argparse.Namespace) -> int:
     from . import checks as chk
 
@@ -271,8 +260,8 @@ def _run_verify(args: argparse.Namespace) -> int:
                 budget=f"{args.time_budget:.1f}s",
             )
         kwargs = {}
-        if args.n_max is not None and name in _SUITE_SIZE_KNOB:
-            kwargs[_SUITE_SIZE_KNOB[name]] = args.n_max
+        if args.n_max is not None and name in chk.SUITE_SIZE_KNOB:
+            kwargs[chk.SUITE_SIZE_KNOB[name]] = args.n_max
         try:
             result = chk.ALL_CHECKS[name](**kwargs)
         except FormulaViolationError as exc:  # an engine's own identity failed

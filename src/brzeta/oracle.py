@@ -66,7 +66,6 @@ class RingModel:
     idem_names: tuple
     alphabet: Alphabet
     depth: int
-    params: dict
     slice_gen: str | None = None
     exact: bool = False
     #: each generator's gather compiled to masked shifts of packed rows
@@ -116,7 +115,6 @@ def chain_module(q: int, c: int, rank: int = 1, exact: bool = False) -> RingMode
         idem_names=("e1",),
         alphabet=z_alphabet(q, 1),
         depth=c,
-        params={"kind": "chain", "q": q, "c": c, "rank": rank},
         exact=exact,
     )
     validate_model(model)
@@ -150,7 +148,6 @@ def local2d_module(q: int, c: int, rank: int = 1) -> RingModel:
         idem_names=("e1",),
         alphabet=z_alphabet(q, 1),
         depth=c,
-        params={"kind": "local2d", "q": q, "c": c, "rank": rank},
         slice_gen="u",
     )
     validate_model(model)
@@ -230,7 +227,6 @@ def triangular_module(q: int, n: int, c: int, columns) -> RingModel:
         idem_names=tuple(f"e{i + 1}" for i in range(n)),
         alphabet=z_alphabet(q, n),
         depth=n * c,
-        params={"kind": "triangular", "q": q, "n": n, "c": c, "columns": list(columns)},
     )
     validate_model(model)
     return model
@@ -258,7 +254,6 @@ def skew_module(q: int, n: int, c_pi: int, c_t: int) -> RingModel:
         idem_names=tuple(f"e{i + 1}" for i in range(n)),
         alphabet=z_alphabet(q, n),
         depth=min(c_t, n * c_pi),
-        params={"kind": "skew_poly", "q": q, "n": n, "c_pi": c_pi, "c_t": c_t},
         slice_gen="t",
     )
     validate_model(model)
@@ -314,7 +309,7 @@ def _compose(a, b) -> tuple[int, ...]:
 
 
 def validate_model(model: RingModel) -> int:
-    """Check the ring relations and the dimension; return the radical nilpotency index.
+    """Check the ring relations and the kernel depth; return the radical nilpotency index.
 
     Every model constructor runs it on the model it returns: the relations
     are the premise of :func:`radical_subspace`.
@@ -360,19 +355,6 @@ def validate_model(model: RingModel) -> int:
         raise SchemaError(
             f"radical nilpotency index {index} below the declared kernel depth {model.depth}"
         )
-    p = model.params
-    if model.kind == "chain":
-        expected = p["rank"] * p["c"]
-    elif model.kind == "local2d":
-        expected = p["rank"] * p["c"] * (p["c"] + 1) // 2
-    elif model.kind == "triangular":
-        expected = len(p["columns"]) * p["n"] * p["c"]
-    elif model.kind == "skew_poly":
-        expected = p["n"] ** 2 * p["c_pi"] * p["c_t"]
-    else:
-        raise SchemaError(f"unknown model kind {model.kind!r}")
-    if model.dim != expected:
-        raise SchemaError(f"model dimension {model.dim} != expected {expected}")
     return index
 
 
@@ -522,7 +504,7 @@ def empirical_zeta(
     """
     nodes = submodule_bfs(model, bound, budget=budget)
     n = model.n_classes
-    q = model.params["q"]
+    q = model.field.q
     if partial is not None:
         partial = tuple(int(x) for x in partial)
         if len(partial) != n:
@@ -666,7 +648,6 @@ class FiberContext:
             idem_names=model.idem_names,
             alphabet=model.alphabet,
             depth=model.depth,
-            params=dict(model.params, slice_of=model.kind),
             exact=model.exact,
         )
         self.slice_full = gfq.full_space(f, len(self.free))

@@ -39,7 +39,6 @@ from .errors import (
     FormulaViolationError,
     ResourceBudgetError,
     SchemaError,
-    TruncationBoundError,
     as_int,
 )
 from .hey import SemisimpleData
@@ -322,8 +321,6 @@ def _class_sequence_sum(base: SliceBase, bound: int, class_counts, budget: int) 
     degree >= j+1.  A table is built on first use, once per upper class, and
     every coefficient product counts against ``budget``.
     """
-    if bound < 0:
-        raise TruncationBoundError(f"bound must be >= 0, got {bound}")
     sigma, qs = base.sigma, base.class_qs
     zero = (0,) * base.n_classes
     tables: dict[ClassVec, list] = {}  # upper -> [(lower, [(|e|, e, c), ...] by degree)]
@@ -390,8 +387,6 @@ def single_sliver(base: SliceBase, bound: int) -> TruncatedSeries:
     if not base.all_submodules_isomorphic():
         raise SchemaError("single-sliver form needs all finite-colength slice submodules isomorphic")
     al = base.alphabet()
-    if bound < 0:
-        raise TruncationBoundError(f"bound must be >= 0, got {bound}")
     top = (base.top_class(),)
     full = base.total_zeta(bound)
     out = TruncatedSeries.one(al, bound)
@@ -411,8 +406,6 @@ def lifted_hey(data: SemisimpleData, sigma, bound: int) -> TruncatedSeries:
     of the split slice, whose top class is (m_1, ..., m_n).
     """
     al = data.alphabet()
-    if bound < 0:
-        raise TruncationBoundError(f"bound must be >= 0, got {bound}")
     if not data.entries:
         return TruncatedSeries.one(al, bound)
     base = SliceBase.semisimple(data, sigma)
@@ -597,8 +590,6 @@ def brs_factored_prolif(
     order, module = base.order, base.module
     q, n, r = order.q, order.n, module.r
     al = base.alphabet()
-    if bound < 0:
-        raise TruncationBoundError(f"bound must be >= 0, got {bound}")
     # sigma permutes the classes, whose tops sum to r, so layer j sends v = z_1...z_n to q^(jr) v^(j+1)
     layers = (((j + 1,) * n, q ** (i + j * r)) for j in range(bound // n) for i in range(r))
     prefactor = geometric_product(al, bound, layers)

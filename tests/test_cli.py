@@ -304,7 +304,7 @@ class TestVerifyCommand:
         [
             (size, suite)
             for size in range(4)
-            for suite in sorted(cli._SUITE_SIZE_KNOB)
+            for suite in sorted(chk.SUITE_SIZE_KNOB)
             if (size, suite) not in EMPTY_AT_SIZE
         ],
     )

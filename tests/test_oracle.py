@@ -239,19 +239,19 @@ class TestModelFromJson:
     def test_chain_payload(self):
         m = orc.model_from_json({"kind": "chain", "q": 2, "c": 3, "rank": 2})
         assert m.kind == "chain"
-        assert m.params["rank"] == 2
+        assert m == orc.chain_module(2, 3, 2)
         assert m.dim == 6
 
     def test_local2d_rank_defaults_to_one(self):
         m = orc.model_from_json({"kind": "local2d", "q": 3, "c": 2})
-        assert m.params["rank"] == 1
+        assert m == orc.local2d_module(3, 2)
 
     def test_triangular_payload_matches_constructor(self):
         m = orc.model_from_json(
             {"kind": "triangular", "q": 2, "n": 2, "c": 2, "columns": [2, 1]}
         )
         direct = orc.triangular_module(2, 2, 2, (1, 2))
-        assert m.params == direct.params
+        assert m == direct
         assert orc.empirical_zeta(m, 2) == orc.empirical_zeta(direct, 2)
 
     def test_unknown_kind(self):

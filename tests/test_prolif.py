@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from brzeta import hereditary as her
 from brzeta import oracle as orc
 from brzeta import prolif as pr
-from brzeta.errors import FormulaViolationError, ResourceBudgetError, SchemaError
+from brzeta.errors import FormulaViolationError, ResourceBudgetError, SchemaError, TruncationBoundError
 from brzeta.hey import SemisimpleData, hey_product
 from brzeta.series import Alphabet, AlphabetEntry, TruncatedSeries, geometric_product
 
@@ -519,3 +519,27 @@ def test_inner_sum_collapse_on_skew_model():
         TruncatedSeries.zero(base.alphabet(), bound),
     )
     assert total == pr.proliferation_sum(base, bound)
+
+
+SPLIT21 = pr.SliceBase.semisimple(SemisimpleData.from_specs([(2, 1)]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: pr.proliferation_sum(SPLIT21, b),
+        lambda b: pr.proliferation_sum(HER12, b),
+        lambda b: pr.single_sliver(pr.SliceBase.dvr(2, 0), b),
+        lambda b: pr.single_sliver(DVR22, b),
+        lambda b: pr.lifted_hey(SemisimpleData.from_specs([]), None, b),
+        lambda b: pr.lifted_hey(SemisimpleData.from_specs([(2, 1), (2, 1)]), (1, 0), b),
+        lambda b: pr.brs_factored_prolif(HER12, b),
+        lambda b: pr.brs_factored_prolif(DVR22, b),
+    ],
+    ids=["prolif-split", "prolif-lattice", "sliver-dvr0", "sliver-dvr2", "lifted-empty", "lifted",
+         "factored-hereditary", "factored-dvr"],
+)
+def test_negative_bound_refused_by_the_series(call):
+    """Each engine leaves the bound check to the series it builds."""
+    with pytest.raises(TruncationBoundError, match=r"^bound must be >= 0, got -1$"):
+        call(-1)
