@@ -20,11 +20,9 @@ import time
 import warnings
 
 from .errors import (
-    AlphabetMismatchError,
     BrzetaError,
     CompletenessWarning,
     FormulaViolationError,
-    NonUnitError,
     ResourceBudgetError,
     SchemaError,
     TruncationBoundError,
@@ -35,8 +33,6 @@ from .series import TruncatedSeries
 
 def _load_payload(text: str):
     """Inline JSON, or @path to read it from a file."""
-    if text is None:
-        raise SchemaError("missing JSON input")
     if text.startswith("@"):
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
@@ -299,11 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         return p
 
-    def add_common(p, data_help=None, truncate_flag="--truncate"):
-        if data_help:
-            p.add_argument("--data", help=data_help + " (inline JSON or @file)")
-        if truncate_flag:
-            p.add_argument(truncate_flag, dest="truncate", type=int, help="total-degree bound")
+    def add_common(p, data_help):
+        p.add_argument("--data", help=data_help + " (inline JSON or @file)")
+        p.add_argument("--truncate", dest="truncate", type=int, help="total-degree bound")
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
     p = add("hey", _run_hey, "closed product count of split-slice submodules")
@@ -412,16 +406,13 @@ def main(argv=None) -> int:
         try:
             _check_ranges(args)
             return args.run(args)
-        except (SchemaError, TruncationBoundError, AlphabetMismatchError, NonUnitError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         except FormulaViolationError as exc:
             print(f"formula violation: {exc}", file=sys.stderr)
             return 3
         except ResourceBudgetError as exc:
             print(f"budget exceeded: {exc}", file=sys.stderr)
             return 4
-        except BrzetaError as exc:  # any future subtype defaults to schema-class exit
+        except BrzetaError as exc:  # schema, bound, alphabet and unit errors alike
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

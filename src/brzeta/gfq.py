@@ -12,13 +12,14 @@ planes.  A matrix is a list of packed rows whose width is passed alongside,
 and :func:`pack` and :func:`unpack` are the only conversions from and to
 lists of elements.  Subspaces are held in reduced-row-echelon canonical
 form as tuples of packed rows, which makes them hashable and makes equality
-a tuple comparison.  Reducing rows against an RREF basis reads their
-entries at the basis pivots once and visits only the nonzero ones;
-``SubspaceRep.extend`` grows a space by new rows without reducing its basis
-again, and the rows it reports as new span the bigger space modulo the old
-one, which is all the oracle needs of a quotient; a sum of subspaces is one
-``extend``.  No intersection and no product of general matrices is
-computed here: the oracle's one kernel is :func:`left_kernel`.  The one
+a tuple comparison.  Reducing a row against an RREF basis reads its
+entries at the basis pivots once and visits only the nonzero ones.
+``SubspaceRep.extend`` is the one echelon routine: it inserts rows one at a
+time into a reduced basis, which stays reduced after every row, so the
+basis is never reduced again.  ``from_rows`` extends the zero space, a sum
+of subspaces is one ``extend``, and :func:`left_kernel` extends the zero
+space by ``[mat | I]``.  No intersection and no product of general matrices
+is computed here: the oracle's one kernel is :func:`left_kernel`.  The one
 enumeration, ``SubspaceRep.hyperplanes``, serves the brute-force oracle: it
 lists the hyperplanes of a space over a subspace and a set of the space's
 rows, read off the two RREFs with no echelonization per hyperplane, and it
@@ -308,57 +309,19 @@ def _check_width(S: int, n: int, mat) -> None:
         raise SchemaError(f"rows must have {n} columns, the ambient dimension")
 
 
-def _monic(ar: _Arith, x: int) -> tuple[int, int]:
-    """(bit offset of the leading slot, x scaled to lead with 1) for a nonzero row."""
-    sh = (x.bit_length() - 1) // ar.S * ar.S
-    return sh, x if x >> sh == 1 else ar.scale(ar.inv[x >> sh], x)
+def _reduced(ar: _Arith, x: int, mask: int, by_slot: dict[int, int]) -> int:
+    """``x`` with every pivot in ``mask`` of a reduced basis eliminated.
 
-
-def _clear(ar: _Arith, mat, mask: int, by_slot: dict[int, int]) -> list[int]:
-    """Each row with every RREF basis pivot in ``mask`` eliminated.
-
-    A basis row is zero at every other pivot, so the entries of a row at the
+    A basis row is zero at every other pivot, so the entries of ``x`` at the
     pivots are read once and only the nonzero ones cost a row operation.
     """
     S, axpy = ar.S, ar.axpy
-    out = []
-    for x in mat:
-        hit = x & mask
-        while hit:
-            sh = (hit.bit_length() - 1) // S * S
-            x = axpy(x, hit >> sh, by_slot[sh])
-            hit &= (1 << sh) - 1
-        out.append(x)
-    return out
-
-
-def rref(field: FieldSpec, mat, n: int) -> tuple[list[int], int, list[int]]:
-    """RREF of width-``n`` packed rows (zero rows last), rank, and pivot columns.
-
-    Each row is reduced by the echelon rows found so far at its leading slot
-    until its lead is new, and then normalized; back-substitution from the
-    rightmost pivot clears the entries above the pivots.  A row operation
-    only ever touches rows that share a leading slot or hit a pivot.
-    """
-    ar = _arith(field, n)
-    S, axpy = ar.S, ar.axpy
-    by_slot: dict[int, int] = {}
-    for x in mat:
-        while x:
-            sh = (x.bit_length() - 1) // S * S
-            b = by_slot.get(sh)
-            if b is None:
-                by_slot[sh] = _monic(ar, x)[1]
-                break
-            x = axpy(x, x >> sh, b)
-    leads = sorted(by_slot)
-    mask = 0  # the pivots right of the current one, already cleared of each other
-    for sh in leads:
-        (by_slot[sh],) = _clear(ar, [by_slot[sh]], mask, by_slot)
-        mask |= ar.slot << sh
-    leads.reverse()
-    rows = [by_slot[sh] for sh in leads]
-    return rows + [0] * (len(mat) - len(rows)), len(rows), [n - 1 - sh // S for sh in leads]
+    hit = x & mask
+    while hit:
+        sh = (hit.bit_length() - 1) // S * S
+        x = axpy(x, hit >> sh, by_slot[sh])
+        hit &= (1 << sh) - 1
+    return x
 
 
 def compile_gather(field: FieldSpec, n: int, src) -> tuple[tuple[tuple[int, int], ...], int]:
@@ -394,9 +357,7 @@ class SubspaceRep:
 
     @classmethod
     def from_rows(cls, field: FieldSpec, ambient: int, mat) -> "SubspaceRep":
-        _check_width(_layout(field).S, ambient, mat)
-        r, rank, piv = rref(field, mat, ambient)
-        return cls(field, ambient, r[:rank], piv)
+        return zero_space(field, ambient).extend(mat)
 
     @property
     def dim(self) -> int:
@@ -422,36 +383,39 @@ class SubspaceRep:
     def reduce(self, mat) -> list[int]:
         """Eliminate this space's pivot columns from the given packed rows (a copy)."""
         ar, mask, by_slot = self._eliminator()
-        return _clear(ar, mat, mask, by_slot)
+        return [_reduced(ar, x, mask, by_slot) for x in mat]
 
-    def extend(self, mat) -> tuple["SubspaceRep", list[int]]:
-        """This space plus the row space of ``mat``, and the rows that are new.
+    def extend(self, mat) -> "SubspaceRep":
+        """This space plus the row space of ``mat``; ``self`` if nothing is new.
 
-        The given rows are reduced against this basis, only their residue is
-        echelonized (a single row is only normalized), and the residue's
-        pivots are eliminated from the old basis rows; the result equals
-        ``from_rows(self.rows + mat)`` without reducing the old basis again.
-        The new rows are the residue's RREF rows: rows of the bigger basis
-        that span it modulo this space.
+        The rows are inserted one at a time into the reduced basis: a row is
+        reduced at the basis pivots, and a nonzero residue is scaled to lead
+        with 1, its lead is cleared from every basis row that has an entry
+        there, and it joins the basis.  The basis is reduced after every row,
+        so no row is reduced twice, and the result is the RREF of the
+        stacked rows.
         """
         n = self.ambient
         ar, mask, by_slot = self._eliminator()
         _check_width(ar.S, n, mat)
-        residue = [x for x in _clear(ar, mat, mask, by_slot) if x]
-        if not residue:
-            return self, []
-        if len(residue) == 1:
-            sh, x = _monic(ar, residue[0])
-            new, new_pivots = [x], [n - 1 - sh // ar.S]
-        else:
-            echelon, rank, new_pivots = rref(self.field, residue, n)
-            new = echelon[:rank]
-        new_slots = {(n - 1 - c) * ar.S: x for c, x in zip(new_pivots, new)}
-        old = _clear(ar, self.rows, sum(ar.slot << sh for sh in new_slots), new_slots)
-        # distinct pivots: descending ints are ascending pivot columns
-        rows = sorted([*old, *new], reverse=True)
-        bigger = SubspaceRep(self.field, n, rows, sorted([*self.pivots, *new_pivots]))
-        return bigger, new
+        S, slot, axpy = ar.S, ar.slot, ar.axpy
+        by_slot = dict(by_slot)
+        for x in mat:
+            x = _reduced(ar, x, mask, by_slot)
+            if not x:
+                continue
+            sh = (x.bit_length() - 1) // S * S
+            x = ar.scale(ar.inv[x >> sh], x)
+            for s, b in by_slot.items():
+                f = (b >> sh) & slot
+                if f:
+                    by_slot[s] = axpy(b, f, x)
+            by_slot[sh] = x
+            mask |= slot << sh
+        if len(by_slot) == self.dim:
+            return self
+        leads = sorted(by_slot, reverse=True)  # ascending pivot columns
+        return SubspaceRep(self.field, n, [by_slot[sh] for sh in leads], [n - 1 - sh // S for sh in leads])
 
     def contains(self, other: "SubspaceRep") -> bool:
         if other.dim > self.dim:
@@ -523,12 +487,9 @@ def full_space(field: FieldSpec, ambient: int) -> SubspaceRep:
 def left_kernel(field: FieldSpec, mat, n: int) -> SubspaceRep:
     """All row vectors v with v·mat = 0 for width-``n`` rows; ambient = number of rows of mat."""
     k = len(mat)
-    if k == 0:
-        return zero_space(field, 0)
     S = _layout(field).S
     # [mat | identity]: the identity fills the low k slots
-    aug = [(x << (k * S)) | unit for x, unit in zip(mat, _units(field, k))]
-    r, rank, piv = rref(field, aug, n + k)
+    aug = zero_space(field, n + k).extend([(x << (k * S)) | unit for x, unit in zip(mat, _units(field, k))])
     # rows pivoting in the identity block are zero on the mat block
-    kernel = [(x, c - n) for x, c in zip(r[:rank], piv) if c >= n]
+    kernel = [(x, c - n) for x, c in zip(aug.rows, aug.pivots) if c >= n]
     return SubspaceRep(field, k, [x for x, _ in kernel], [c for _, c in kernel])

@@ -372,7 +372,7 @@ def radical_subspace(model: RingModel, rep: gfq.SubspaceRep) -> gfq.SubspaceRep:
     of the images gives J X with no closure to compute.
     """
     images = [img for name in model.rad_names for img in _mm(rep.rows, model.acts[name])]
-    return gfq.zero_space(model.field, model.dim).extend(images)[0]
+    return gfq.zero_space(model.field, model.dim).extend(images)
 
 
 def _class_dims(model: RingModel, upper: gfq.SubspaceRep, lower: gfq.SubspaceRep) -> Monomial:
@@ -507,8 +507,8 @@ def empirical_zeta(
     q = model.field.q
     if partial is not None:
         partial = tuple(int(x) for x in partial)
-        if len(partial) != n:
-            raise SchemaError(f"top vector has {len(partial)} slots, model has {n} classes")
+        if len(partial) != n or any(x < 0 for x in partial):
+            raise SchemaError(f"class vector needs {n} multiplicities >= 0, got {partial}")
     if joint:
         r = sum(top_class(model, model.full()))
         alphabet = doubled_alphabet(q, n)
@@ -557,7 +557,7 @@ def jordan_type(model: RingModel, rep: gfq.SubspaceRep, lower: gfq.SubspaceRep |
     cur = rep.rows
     ranks = []
     while True:
-        rank = len(base.extend(cur)[1])
+        rank = base.extend(cur).dim - base.dim
         ranks.append(rank)
         if rank == 0:
             break

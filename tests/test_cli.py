@@ -13,7 +13,14 @@ import pytest
 import brzeta.checks as chk
 import brzeta.cli as cli
 import brzeta.prolif as pr
-from brzeta.errors import FormulaViolationError
+from brzeta.errors import (
+    AlphabetMismatchError,
+    BrzetaError,
+    FormulaViolationError,
+    NonUnitError,
+    SchemaError,
+    TruncationBoundError,
+)
 from brzeta.series import Alphabet, AlphabetEntry, TruncatedSeries
 
 DVR = '{"kind": "dvr", "q": 2, "m": 1}'
@@ -403,6 +410,8 @@ class TestInputHandling:
             ["oracle", "--model", '{"kind": "local2d", "q": 2, "c": 2}', "--colength", "1", "--joint", "--fiber"],
             ["oracle", "--model", '{"kind": "local2d", "q": 2, "c": 2}', "--colength", "1", "--partial", "1",
              "--fiber"],
+            ["oracle", "--model", '{"kind": "triangular", "q": 2, "n": 2, "c": 2, "columns": [1, 2]}',
+             "--colength", "2", "--partial=-1,0"],
         ],
         ids=[
             "non-prime-power-model",
@@ -447,6 +456,7 @@ class TestInputHandling:
             "label-empty",
             "fiber-with-joint",
             "fiber-with-partial",
+            "oracle-negative-partial",
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
@@ -455,6 +465,17 @@ class TestInputHandling:
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "set_int_max_str_digits" not in err  # advice only a Python caller can act on
+
+    @pytest.mark.parametrize(
+        "error", [SchemaError, TruncationBoundError, AlphabetMismatchError, NonUnitError, BrzetaError]
+    )
+    def test_every_input_error_exits_2(self, capsys, monkeypatch, error):
+        def raising(data, bound):
+            raise error("refused")
+
+        monkeypatch.setattr(cli, "hey_product", raising)
+        code, out, err = run_cli(capsys, ["hey", "--data", '[{"q": 2, "m": 1}]', "--truncate", "2"])
+        assert (code, out, err) == (2, "", "error: refused\n")
 
     def test_negative_truncation(self, capsys):
         code, _, err = run_cli(capsys, ["hey", "--data", '[{"q": 2, "m": 1}]', "--truncate", "-1"])

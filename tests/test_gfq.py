@@ -54,20 +54,22 @@ class TestFieldConstruction:
 
 
 class TestRref:
+    """``SubspaceRep.from_rows`` (an ``extend`` of the zero space) is the RREF of its rows."""
+
     def test_idempotent(self):
         f = gfq.GF(3)
-        mat = _packed(f, [[1, 2, 0], [2, 1, 1], [0, 0, 2]])
-        r1, rank1, _ = gfq.rref(f, mat, 3)
-        r2, rank2, _ = gfq.rref(f, r1, 3)
-        assert rank1 == rank2
-        assert r1[:rank1] == r2[:rank2]
+        mat = [[1, 2, 0], [2, 1, 1], [0, 0, 2]]
+        s1 = gfq.SubspaceRep.from_rows(f, 3, _packed(f, mat))
+        s2 = gfq.SubspaceRep.from_rows(f, 3, s1.rows)
+        assert (s2.rows, s2.dim, s2.pivots) == (s1.rows, s1.dim, s1.pivots)
+        _assert_reference_rref(f, 3, mat, s1)
 
     def test_rank_nullity(self):
         f = gfq.GF(2)
         rng = random.Random(7)
         for _ in range(20):
             mat = _random_matrix(rng, 2, 4, 6)
-            _, rank, _ = gfq.rref(f, _packed(f, mat), 6)
+            rank = _assert_reference_rref(f, 6, mat, gfq.SubspaceRep.from_rows(f, 6, _packed(f, mat)))
             ker = gfq.left_kernel(f, _packed(f, zip(*mat)), 4)  # vectors v with v @ mat.T = 0
             assert ker.dim == 6 - rank
 
@@ -79,6 +81,26 @@ class TestRref:
         prod = _reference_mat_mul(_unpacked(f, 5, ker.rows), mat, t.add, t.mul)
         assert ker.dim == 2
         assert not any(any(row) for row in prod)
+
+    @pytest.mark.parametrize("q", LAYOUT_QS)
+    def test_left_kernel_every_layout(self, q):
+        """v·mat = 0 on the kernel, whose dimension is rows - rank by the scalar reference."""
+        f = gfq.GF(q)
+        t = gfq.tables(f)
+        rng = random.Random(200 + q)
+        for trial in range(12):
+            rows, cols = rng.randint(0, 8), rng.randint(1, 8)
+            mat = _random_matrix(rng, q, rows, cols)
+            if trial % 3 == 1:  # sparse: zero columns and rank deficiency
+                mat = [[0 if rng.random() < 0.7 else x for x in row] for row in mat]
+            ker = gfq.left_kernel(f, _packed(f, mat), cols)
+            assert ker.ambient == rows
+            assert ker == gfq.SubspaceRep.from_rows(f, rows, ker.rows)  # canonical as it stands
+            if rows:
+                prod = _reference_mat_mul(_unpacked(f, rows, ker.rows), mat, t.add, t.mul)
+                assert not any(any(row) for row in prod)
+            rank = _assert_reference_rref(f, cols, mat, gfq.SubspaceRep.from_rows(f, cols, _packed(f, mat)))
+            assert ker.dim == rows - rank
 
 
 class TestSubspaces:
@@ -108,14 +130,14 @@ class TestSubspaces:
         f = gfq.GF(2)
         a = gfq.SubspaceRep.from_rows(f, 3, _packed(f, [[1, 0, 0]]))
         b = gfq.SubspaceRep.from_rows(f, 3, _packed(f, [[1, 0, 0], [0, 1, 0]]))
-        assert _meet(a, b) == a and a.extend(b.rows)[0] == b
+        assert _meet(a, b) == a and a.extend(b.rows) == b
         rng = random.Random(5)
         for _ in range(15):
             a, b, c = (
                 gfq.SubspaceRep.from_rows(f, 4, _packed(f, _random_matrix(rng, 2, 2, 4))) for _ in range(3)
             )
-            c = c.extend(a.rows)[0]  # a <= c
-            assert a.extend(_meet(b, c).rows)[0] == _meet(a.extend(b.rows)[0], c)
+            c = c.extend(a.rows)  # a <= c
+            assert a.extend(_meet(b, c).rows) == _meet(a.extend(b.rows), c)
 
     def test_dimension_formula(self):
         f = gfq.GF(2)
@@ -123,7 +145,7 @@ class TestSubspaces:
         for _ in range(15):
             a = gfq.SubspaceRep.from_rows(f, 4, _packed(f, _random_matrix(rng, 2, 2, 4)))
             b = gfq.SubspaceRep.from_rows(f, 4, _packed(f, _random_matrix(rng, 2, 2, 4)))
-            meet, join = _meet(a, b), a.extend(b.rows)[0]
+            meet, join = _meet(a, b), a.extend(b.rows)
             assert a.dim + b.dim == meet.dim + join.dim
             assert a.contains(meet) and b.contains(meet) and join.contains(a) and join.contains(b)
             # the relations between the two bases are the meet's vectors
@@ -135,21 +157,12 @@ class TestExtend:
 
     @staticmethod
     def _check(a, rows):
-        bigger, new = a.extend(rows)
+        bigger = a.extend(rows)
         want = gfq.SubspaceRep.from_rows(a.field, a.ambient, [*a.rows, *rows])
         assert bigger == want and bigger.rows == want.rows and bigger.pivots == want.pivots
         # the scalar reference RREF of the stacked rows, on unpacked lists
-        t = gfq.tables(a.field)
-        stacked = _unpacked(a.field, a.ambient, [*a.rows, *rows])
-        pivots = [0] * (len(stacked) + a.ambient)
-        rank = _reference_rref(stacked, t.add, t.mul, t.neg, t.inv, pivots) if stacked else 0
-        assert _unpacked(a.field, a.ambient, bigger.rows) == stacked[:rank]
-        assert list(bigger.pivots) == pivots[:rank]
-        assert a.dim + len(new) == bigger.dim
-        assert all(row in bigger.rows for row in new)
-        # the new rows are independent modulo a
-        assert gfq.SubspaceRep.from_rows(a.field, a.ambient, a.reduce(new)).dim == len(new)
-        return bigger, new
+        _assert_reference_rref(a.field, a.ambient, _unpacked(a.field, a.ambient, [*a.rows, *rows]), bigger)
+        return bigger
 
     @pytest.mark.parametrize("q", LAYOUT_QS)
     def test_matches_from_rows(self, q):
@@ -169,13 +182,12 @@ class TestExtend:
         f = gfq.GF(q)
         rng = random.Random(q)
         a = gfq.SubspaceRep.from_rows(f, 6, _packed(f, _random_matrix(rng, q, 3, 6)))
-        assert self._check(a, []) == (a, [])
+        assert self._check(a, []) is a
         inside = ref.mat_mul(f, _packed(f, _random_matrix(rng, q, 4, a.dim)), a.rows, 6)
-        assert self._check(a, inside) == (a, [])
-        full, new = self._check(a, _packed(f, _identity(6)))
-        assert full == gfq.full_space(f, 6) and len(new) == 6 - a.dim
+        assert self._check(a, inside) is a
+        assert self._check(a, _packed(f, _identity(6))) == gfq.full_space(f, 6)
         empty = gfq.zero_space(f, 6)
-        assert self._check(empty, a.rows)[0] == a
+        assert self._check(empty, a.rows) == a
 
     def test_rejects_wrong_width(self):
         f = gfq.GF(2)
@@ -240,7 +252,7 @@ def _unpacked(field, n, rows):
 
 
 def _reference_rref(a, add, mul, neg, inv, pivots):
-    """Scalar table-driven RREF in place: the reference for ``gfq.rref``.
+    """Scalar table-driven RREF in place: the reference for ``SubspaceRep.from_rows``.
 
     Returns the rank; ``pivots[:rank]`` receives the pivot columns.
     """
@@ -276,6 +288,18 @@ def _reference_rref(a, add, mul, neg, inv, pivots):
     return rank
 
 
+def _assert_reference_rref(field, n, mat, space):
+    """``space`` has the rows, dimension and pivots of the reference RREF of ``mat``; returns the rank."""
+    t = gfq.tables(field)
+    expected = [list(row) for row in mat]
+    pivots = [0] * (len(mat) + n)
+    rank = _reference_rref(expected, t.add, t.mul, t.neg, t.inv, pivots) if mat else 0
+    assert _unpacked(field, n, space.rows) == expected[:rank]
+    assert space.dim == rank
+    assert list(space.pivots) == pivots[:rank]
+    return rank
+
+
 def _reference_mat_mul(a, b, add, mul):
     """Scalar table-driven matrix product: the reference for ``gfq.mat_mul``."""
     n, kk = len(a), len(b)
@@ -305,13 +329,7 @@ class TestKernels:
                 left = _random_matrix(rng, q, rows, 3)
                 right = _random_matrix(rng, q, 3, cols)
                 mat = _reference_mat_mul(left, right, t.add, t.mul)
-            expected = [list(row) for row in mat]
-            pivots = [0] * max(rows, cols)
-            rank = _reference_rref(expected, t.add, t.mul, t.neg, t.inv, pivots)
-            got, got_rank, got_pivots = gfq.rref(f, _packed(f, mat), cols)
-            assert got_rank == rank
-            assert _unpacked(f, cols, got) == expected
-            assert list(got_pivots) == pivots[:rank]
+            _assert_reference_rref(f, cols, mat, gfq.SubspaceRep.from_rows(f, cols, _packed(f, mat)))
             other = _random_matrix(rng, q, cols, inner)
             product = ref.mat_mul(f, _packed(f, mat), _packed(f, other), inner)
             assert _unpacked(f, inner, product) == _reference_mat_mul(mat, other, t.add, t.mul)

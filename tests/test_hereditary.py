@@ -100,7 +100,7 @@ def _filtration_dims(order, module, ybar):
     field, r = ybar.field, module.r
     flag = [_unit_span(field, r, [k for k, c in enumerate(module.columns) if c >= j])
             for j in range(1, order.n + 1)]
-    return tuple(mj.dim - ybar.extend(mj.rows)[0].dim + r for mj in flag)
+    return tuple(mj.dim - ybar.extend(mj.rows).dim + r for mj in flag)
 
 
 def _brute_stratum_counts(order, module):
