@@ -10,9 +10,10 @@ when every case before it has agreed, and stops at the first disagreement.
 A failure always carries a (where, expected, actual) triple, printed as
 ``FAIL <name> (<k> cases) [at <where>: expected <want>, got <got>]``, where k
 is the failing case and ``where`` is the label, followed for a series by
-``:`` and its least differing monomial.  An engine that checks itself raises
-a formula violation instead, which ``verify`` reports as the failure of the
-suite that ran it.
+``:`` and its least differing monomial.  The engines compute each count one
+way, and the second way is a case here; a formula violation raised inside a
+suite (an invariant of an engine or of a witness) is reported by ``verify``
+as the failure of that suite.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from . import oracle as orc
 from . import prolif as pr
 from .errors import FormulaViolationError
 from .hey import SemisimpleData, hey_product, moebius_inverse_series
-from .qcomb import gaussian_binomial
-from .series import Alphabet, AlphabetEntry, TruncatedSeries
+from .qcomb import gaussian_binomial, partition_count
+from .series import Alphabet, AlphabetEntry, TruncatedSeries, geometric_product
 
 
 @dataclass
@@ -186,8 +187,13 @@ def check_q_partition(r_max=6, qs=(2, 3, 4, 5), bound=10) -> CheckResult:
 def check_lustig(qs=(2, 3), i_formulas=12, i_oracle=4) -> CheckResult:
     def cases():
         for q in qs:
-            coeffs = pr.lustig_coeffs(q, i_formulas)  # raises on internal disagreement
-            yield []
+            coeffs = pr.lustig_coeffs(q, i_formulas)
+            # an ideal of colength i is counted by the partitions of i with greatest part j, at q^(i-j) each
+            yield [
+                (f"q={q},partitions,colength={i}", coeffs[i],
+                 sum(partition_count(i, j) * q ** (i - j) for j in range(i + 1)))
+                for i in range(i_formulas + 1)
+            ]
             # an ideal of colength i contains m^i, so colengths <= top live mod m^(top+1)
             top = min(i_oracle, i_formulas)
             counted = orc.empirical_zeta(orc.local2d_module(q, top + 1, 1), top)
@@ -200,9 +206,36 @@ def check_lustig(qs=(2, 3), i_formulas=12, i_oracle=4) -> CheckResult:
 # -- 7: global ideal counts two ways ---------------------------------------------
 
 
+def _factorize(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def check_rossmann(n_max=64) -> CheckResult:
-    table = pr.rossmann_coeffs(n_max)  # raises on disagreement
-    return CheckResult("rossmann", True, len(table), f"shifted-factor = prime-local up to {n_max}")
+    def cases():
+        table = pr.rossmann_coeffs(n_max)
+        # the count is multiplicative, and at a prime power p^e it is the one-class count at q=p
+        local: dict[int, list[int]] = {}
+        for n in range(1, n_max + 1):
+            want = 1
+            for p, e in _factorize(n).items():
+                if p not in local:
+                    e_max = 1
+                    while p ** (e_max + 1) <= n_max:
+                        e_max += 1
+                    local[p] = pr.lustig_coeffs(p, e_max)
+                want *= local[p][e]
+            yield [(f"n={n}", table.get(n, 0), want)]
+
+    return _compare("rossmann", f"shifted-factor = prime-local up to {n_max}", cases())
 
 
 # -- 8: three code paths for a valuation-ring slice -------------------------------
@@ -281,9 +314,20 @@ def check_skew_example(bound=3) -> CheckResult:
 def check_brs_factored(bound=3) -> CheckResult:
     order = her.HereditaryOrderSpec(2, 2)
     module = her.HereditaryModuleSpec((1, 2))
-    # raises unless prefactor * remainder is the plain class-sequence sum
-    pr.brs_factored_prolif(pr.SliceBase.hereditary(order, module), bound)
-    return CheckResult("brs-factored", True, 1, "prefactor * remainder = class-sequence sum")
+    base = pr.SliceBase.hereditary(order, module)
+
+    def cases():
+        prefactor, remainder = pr.brs_factored_prolif(base, bound)
+        comparisons = [("prefactor*remainder", prefactor * remainder, pr.proliferation_sum(base, bound))]
+        # the substituted layer factors of the base counts that the prefactor is built from, in closed form
+        al = Alphabet((AlphabetEntry("v", order.q, 1),))
+        for ell in range(1, module.r + 1):
+            for j in range(bound):
+                closed = geometric_product(al, bound, (((j + 1,), order.q ** (i + j * ell)) for i in range(ell)))
+                comparisons.append((f"zjv ell={ell},j={j}", pr.zjv_factor(ell, order.q, j, bound), closed))
+        yield comparisons
+
+    return _compare("brs-factored", "prefactor * remainder = class-sequence sum", cases())
 
 
 # -- 13: integrality of everything any engine emits ----------------------------------

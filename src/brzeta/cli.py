@@ -3,7 +3,8 @@
 Every number is emitted as an integer or a num/den string pair — never a
 float — and output is byte-identical across runs of the same command line.
 Exit codes: 0 success, 2 malformed input or unsound request, 3 an exact
-identity failed (the message carries the offending coefficient), 4 an
+identity failed (a ``verify`` suite, or an invariant of the lattice factor or
+of the Jordan types; the message carries the offending coefficient), 4 an
 enumeration or time budget was exceeded.
 
 Each handler imports the layers it runs, so a ``hey`` request never loads
@@ -94,13 +95,17 @@ def _table_csv(table: dict[int, int]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _refuse_csv(fmt: str) -> None:
+    """Refuse ``--format csv`` for a result that is a document, before computing it."""
+    if fmt == "csv":
+        raise SchemaError("csv output is only available for series and tables")
+
+
 def _format(fmt: str, doc, series, table) -> str:
     if series is not None:
         return _series_csv(series) if fmt == "csv" else json.dumps(_series_doc(series), sort_keys=True, indent=2) + "\n"
     if table is not None:
         return _table_csv(table) if fmt == "csv" else json.dumps(_table_doc(table), sort_keys=True, indent=2) + "\n"
-    if fmt == "csv":
-        raise SchemaError("csv output is only available for series and tables")
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -170,6 +175,7 @@ def _run_prolif(args: argparse.Namespace) -> int:
     if args.mode == "sliver":
         return _emit(args.fmt, series=pr.single_sliver(base, bound))
     if args.mode == "factored":
+        _refuse_csv(args.fmt)
         prefactor, remainder = pr.brs_factored_prolif(base, bound, budget)
         doc = {
             "prefactor": _series_doc(prefactor),
@@ -214,6 +220,7 @@ def _run_oracle(args: argparse.Namespace) -> int:
     if args.fiber:
         if args.joint or args.partial is not None:
             raise SchemaError("--fiber groups all submodules by chart; it takes neither --joint nor --partial")
+        _refuse_csv(args.fmt)
         parts = orc.fiber_partition(model, bound, budget)
         rows = []
         for chain in sorted(parts, key=lambda c: (len(c.quotients), c.quotients, c.y_tops)):
@@ -246,6 +253,8 @@ def _run_verify(args: argparse.Namespace) -> int:
     unknown = [s for s in suites if s not in chk.ALL_CHECKS]
     if unknown:
         raise SchemaError(f"unknown suite(s) {unknown}; known: {sorted(chk.ALL_CHECKS)}")
+    if args.n_max is not None and not any(s in chk.SUITE_SIZE_KNOB for s in suites):
+        raise SchemaError(f"--max sizes only the suites {sorted(chk.SUITE_SIZE_KNOB)}; none is selected")
     started = time.monotonic()
     failed = []
     for name in suites:
@@ -260,7 +269,7 @@ def _run_verify(args: argparse.Namespace) -> int:
             kwargs[chk.SUITE_SIZE_KNOB[name]] = args.n_max
         try:
             result = chk.ALL_CHECKS[name](**kwargs)
-        except FormulaViolationError as exc:  # an engine's own identity failed
+        except FormulaViolationError as exc:  # an invariant inside the suite failed
             where = str(exc) if exc.monomial is None else exc.monomial
             want, got = ("-" if v is None else v for v in (exc.expected, exc.actual))
             result = chk.CheckResult(name, False, 1, disagreement=(where, want, got))

@@ -502,13 +502,13 @@ def empirical_zeta(
     classify the projectives in scope).  ``joint`` appends the top class as a
     second block of variables, at bound ``bound + (generic length of M)``.
     """
-    nodes = submodule_bfs(model, bound, budget=budget)
     n = model.n_classes
     q = model.field.q
     if partial is not None:
         partial = tuple(int(x) for x in partial)
         if len(partial) != n or any(x < 0 for x in partial):
             raise SchemaError(f"class vector needs {n} multiplicities >= 0, got {partial}")
+    nodes = submodule_bfs(model, bound, budget=budget)
     if joint:
         r = sum(top_class(model, model.full()))
         alphabet = doubled_alphabet(q, n)

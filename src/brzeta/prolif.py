@@ -22,9 +22,10 @@ the sequence-by-sequence reference search an independent check of it.
 Also here: the layered products (for split slices, and the single-sliver
 form), each a finite product at any truncation because layer j has degree
 >= j+1; Dirichlet specializations (one-class ideal counts, the integer
-power-series ring count assembled prime by prime, hom-weighted slices); and
-the factored form, which pulls the class-independent base count out of every
-layer as a closed prefactor.
+power-series ring count as a product of shifted Riemann factors, hom-weighted
+slices); and the factored form, which pulls the class-independent base count
+out of every layer as a closed prefactor.  Each engine computes its count one
+way; the second way it must agree with is a case of a ``verify`` suite.
 """
 
 from __future__ import annotations
@@ -35,14 +36,9 @@ from itertools import product as _iter_product
 from operator import add
 
 from . import hereditary as _her
-from .errors import (
-    FormulaViolationError,
-    ResourceBudgetError,
-    SchemaError,
-    as_int,
-)
+from .errors import ResourceBudgetError, SchemaError, as_int
 from .hey import SemisimpleData
-from .qcomb import gaussian_binomial, partition_count
+from .qcomb import gaussian_binomial
 from .series import (
     Alphabet,
     AlphabetEntry,
@@ -453,27 +449,14 @@ def hom_slice_dirichlet(q: int, r: int, m: int, s_count: int, n_max: int) -> dic
 def lustig_coeffs(q: int, i_max: int) -> list[int]:
     """Ideal counts of the one-class power-series ring, colength 0..i_max.
 
-    Computed two ways — partition sums sum_j p(i,j) q^(i-j) and the layered
-    product prod_{n>=0} (1 - q^n z^(n+1))^(-1) — which must agree.
+    The coefficients of the layered product prod_{n>=0} (1 - q^n z^(n+1))^(-1),
+    which is the one-class :func:`lifted_hey`.  The partition sums
+    sum_j p(i,j) q^(i-j) are its witness in the ``lustig`` suite.
     """
     if q < 2 or i_max < 0:
         raise SchemaError(f"bad parameters q={q}, i_max={i_max}")
-    by_partitions = []
-    for i in range(i_max + 1):
-        if i == 0:
-            by_partitions.append(1)
-        else:
-            by_partitions.append(sum(partition_count(i, j) * q ** (i - j) for j in range(1, i + 1)))
-    al = Alphabet((AlphabetEntry("z", q, 1),))
-    series = geometric_product(al, i_max, (((layer + 1,), q**layer) for layer in range(i_max)))
-    by_product = [series.coefficient((i,)) for i in range(i_max + 1)]
-    if by_partitions != by_product:
-        raise FormulaViolationError(
-            "partition-sum and layered-product ideal counts disagree",
-            expected=str(by_partitions),
-            actual=str(by_product),
-        )
-    return by_partitions
+    series = lifted_hey(SemisimpleData.from_specs([(q, 1)]), None, i_max)
+    return [series.coefficient((i,)) for i in range(i_max + 1)]
 
 
 def _dirichlet_mul(a: dict[int, int], b: dict[int, int], n_max: int) -> dict[int, int]:
@@ -485,29 +468,16 @@ def _dirichlet_mul(a: dict[int, int], b: dict[int, int], n_max: int) -> dict[int
     return out
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def rossmann_coeffs(n_max: int) -> dict[int, int]:
-    """Ideal counts of the integer power-series ring by index, two ways.
+    """Ideal counts of the integer power-series ring by index, 1..n_max.
 
-    Path one multiplies shifted Riemann factors: index-n^j terms with weight
-    n^(j-1) for each j >= 1.  Path two is multiplicative, assembling each n
-    from one-class counts at its prime powers.  The two must agree.
+    The product of shifted Riemann factors: index-n^j terms with weight
+    n^(j-1) for each j >= 1.  The prime-local assembly from one-class counts
+    is its witness in the ``rossmann`` suite.
     """
     if n_max < 1:
         return {}
-    by_factors = {1: 1}
+    out = {1: 1}
     j = 1
     while 2**j <= n_max:
         layer = {1: 1}
@@ -515,27 +485,9 @@ def rossmann_coeffs(n_max: int) -> dict[int, int]:
         while k**j <= n_max:
             layer[k**j] = k ** (j - 1)
             k += 1
-        by_factors = _dirichlet_mul(by_factors, layer, n_max)
+        out = _dirichlet_mul(out, layer, n_max)
         j += 1
-    lustig_cache: dict[int, list[int]] = {}
-    by_primes = {}
-    for n in range(1, n_max + 1):
-        val = 1
-        for p, e in _factorize(n).items():
-            if p not in lustig_cache:
-                emax = 0
-                while p ** (emax + 1) <= n_max:
-                    emax += 1
-                lustig_cache[p] = lustig_coeffs(p, emax)
-            val *= lustig_cache[p][e]
-        by_primes[n] = val
-    if by_factors != by_primes:
-        diffs = {n: (by_factors.get(n), by_primes.get(n)) for n in sorted(set(by_factors) | set(by_primes)) if by_factors.get(n) != by_primes.get(n)}
-        raise FormulaViolationError(
-            "shifted-factor and prime-local ideal counts disagree",
-            actual=str(diffs),
-        )
-    return by_factors
+    return out
 
 
 # -- factored form over one-block lattice bases ---------------------------------
@@ -545,23 +497,15 @@ def zjv_factor(ell: int, q: int, j: int, bound: int) -> TruncatedSeries:
     """Layer-j image of the rank-ell base count: v -> q^(j*ell) v^(j+1).
 
     Substitutes the base count through the layer-j :func:`change_of_variable`
-    of the rank-ell dvr slice and checks it against the closed form
-    prod_{i<ell} (1 - q^(i+j*ell) v^(j+1))^{-1}, the layer factor that
-    :func:`brs_factored_prolif` builds its prefactor from.
+    of the rank-ell dvr slice.  The ``brs-factored`` suite checks it against
+    the closed form prod_{i<ell} (1 - q^(i+j*ell) v^(j+1))^{-1}, the layer
+    factor that :func:`brs_factored_prolif` builds its prefactor from.
     """
     if ell < 0 or j < 0:
         raise SchemaError(f"need ell >= 0 and j >= 0, got ell={ell}, j={j}")
     al = Alphabet((AlphabetEntry("v", q, 1),))
     src = _her.solomon_hey_factor(ell, q, bound // (j + 1))
-    out = src.substitute(al, change_of_variable(SliceBase.dvr(q, ell), ((ell,),), j), bound)
-    closed = geometric_product(al, bound, (((j + 1,), q ** (i + j * ell)) for i in range(ell)))
-    if out != closed:
-        raise FormulaViolationError(
-            "substituted and closed-form layer factors disagree",
-            expected=str(closed),
-            actual=str(out),
-        )
-    return out
+    return src.substitute(al, change_of_variable(SliceBase.dvr(q, ell), ((ell,),), j), bound)
 
 
 def polynomial_class_counts(base: SliceBase, upper: ClassVec, bound: int) -> dict[ClassVec, TruncatedSeries]:
@@ -583,7 +527,8 @@ def brs_factored_prolif(
     count, built in closed form as prod_{j, i<r} (1 - q^(i+j*r) v^(j+1))^{-1}
     with v = z_1...z_n (see :func:`zjv_factor`); the remainder is the
     class-sequence sum with each layer count replaced by its polynomial part.
-    Their product must reproduce the plain assembled sum.
+    Their product is the plain assembled sum, which the ``brs-factored``
+    suite checks; ``budget`` bounds the one class-sequence sum run here.
     """
     if base.kind != "hereditary":
         raise SchemaError("factored form needs a lattice (hereditary or nonzero dvr) base")
@@ -594,11 +539,4 @@ def brs_factored_prolif(
     layers = (((j + 1,) * n, q ** (i + j * r)) for j in range(bound // n) for i in range(r))
     prefactor = geometric_product(al, bound, layers)
     remainder = _class_sequence_sum(base, bound, partial(polynomial_class_counts, base), budget)
-    direct = proliferation_sum(base, bound, budget)
-    if prefactor * remainder != direct:
-        raise FormulaViolationError(
-            "factored assembly disagrees with the direct class-sequence sum",
-            expected=str(direct),
-            actual=str(prefactor * remainder),
-        )
     return prefactor, remainder

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: exact output, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brzeta.checks as chk
 import brzeta.cli as cli
@@ -307,6 +311,38 @@ class TestVerifyCommand:
         assert "None" not in out + err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "engine, patch, suite, line",
+        [
+            ("lustig_coeffs", lambda real: lambda q, i_max: [c + (i == 3) for i, c in enumerate(real(q, i_max))],
+             "lustig", "FAIL lustig (1 cases) [at q=2,partitions,colength=3: expected 7, got 8]"),
+            ("rossmann_coeffs", lambda real: lambda n_max: {n: c + (n == 12) for n, c in real(n_max).items()},
+             "rossmann", "FAIL rossmann (12 cases) [at n=12: expected 3, got 4]"),
+            ("zjv_factor", lambda real: lambda ell, q, j, bound: real(ell, q, j + (j == 1), bound),
+             "brs-factored", "FAIL brs-factored (1 cases) [at zjv ell=1,j=1:v^2: expected 2, got 0]"),
+            ("brs_factored_prolif",
+             lambda real: lambda base, bound: (real(base, bound)[0], real(base, bound)[1].scaled(2)),
+             "brs-factored", "FAIL brs-factored (1 cases) [at prefactor*remainder:1: expected 1, got 2]"),
+        ],
+        ids=["lustig-partitions", "rossmann-prime-local", "zjv-closed-form", "factored-product"],
+    )
+    def test_engine_disagreeing_with_its_witness_fails_its_suite(
+        self, capsys, monkeypatch, engine, patch, suite, line
+    ):
+        """Each closed engine's second computation is a case of the suite that names it."""
+        monkeypatch.setattr(pr, engine, patch(getattr(pr, engine)))
+        code, out, err = run_cli(capsys, ["verify", "--suite", suite, "--suite", "voll"])
+        assert code == 3
+        assert out.splitlines() == [line, "PASS voll (8 cases) \u2014 semisimple class-sequence sum = closed product"]
+        assert err.startswith("formula violation: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("suites", [["hall"], ["hall", "q-partition"]], ids=["one", "two"])
+    def test_max_without_a_sized_suite_exits_2(self, capsys, suites):
+        argv = ["verify"] + [arg for suite in suites for arg in ("--suite", suite)] + ["--max", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --max ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
         "size,suite",
         [
             (size, suite)
@@ -412,6 +448,12 @@ class TestInputHandling:
              "--fiber"],
             ["oracle", "--model", '{"kind": "triangular", "q": 2, "n": 2, "c": 2, "columns": [1, 2]}',
              "--colength", "2", "--partial=-1,0"],
+            ["oracle", "--partial=-1,0", "--budget", "3", "--model",
+             '{"kind": "triangular", "q": 2, "n": 2, "c": 2, "columns": [1, 2]}', "--colength", "2"],
+            ["oracle", "--fiber", "--format", "csv", "--budget", "2", "--model", '{"kind": "local2d", "q": 4, "c": 3}',
+             "--colength", "2"],
+            ["prolif", "--mode", "factored", "--format", "csv", "--budget", "1", "--data",
+             '{"kind": "hereditary", "q": 2, "n": 2, "columns": [1, 2]}', "--truncate", "3"],
         ],
         ids=[
             "non-prime-power-model",
@@ -457,6 +499,9 @@ class TestInputHandling:
             "fiber-with-joint",
             "fiber-with-partial",
             "oracle-negative-partial",
+            "oracle-negative-partial-small-budget",
+            "fiber-csv-small-budget",
+            "factored-csv-small-budget",
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
@@ -628,3 +673,76 @@ def test_subcommand_loads_only_its_layers(argv, layers):
     loaded = set(out.splitlines()[-1].split())
     assert "fractions" not in loaded
     assert loaded == layers
+
+
+# -- payload fuzz ------------------------------------------------------------------
+
+#: values of the wrong type or range, drawn for some fields of some payloads
+JUNK = st.sampled_from([None, True, "", "x", -1, 0, 6, 0.5, 2.0, [], [1, -1], {}])
+
+
+def _mostly(valid):
+    """``valid`` in seven branches of eight, as distinct copies: repeating one strategy does not weight it."""
+    return st.one_of(*(valid.map(lambda v: v) for _ in range(7)), JUNK)
+
+
+#: small field sizes and sizes, so each request runs in milliseconds
+Q = _mostly(st.sampled_from([2, 3, 4]))
+SMALL = _mostly(st.integers(0, 2))
+POSITIVE = _mostly(st.integers(1, 3))
+COLUMNS = _mostly(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+
+
+def _obj(required, **optional):
+    """A JSON object: every ``required`` field, and any subset of the ``optional`` ones."""
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+def _request(name, payload_flag, payload, *flag_sets):
+    """argv strategies: ``name``, the payload as JSON, and one choice from each flag set."""
+    return st.tuples(payload, *(st.sampled_from(flags) for flags in flag_sets)).map(
+        lambda drawn: [name, payload_flag, json.dumps(drawn[0]), *(f for flags in drawn[1:] for f in flags)]
+    )
+
+
+LABEL = _mostly(st.sampled_from(["a", "z1"]))
+ENTRIES = _mostly(st.lists(_obj({"q": Q, "m": SMALL}, r=POSITIVE, label=LABEL), max_size=2))
+LATTICE = _obj({"q": Q, "n": POSITIVE, "columns": COLUMNS})
+BASE = st.one_of(
+    _obj({"kind": st.just("dvr"), "q": Q, "m": SMALL}),
+    _obj({"kind": st.just("semisimple"), "entries": ENTRIES}),
+    _obj({"kind": st.just("hereditary"), "q": Q, "n": POSITIVE, "columns": COLUMNS}),
+)
+MODEL = st.one_of(
+    _obj({"kind": st.just("chain"), "q": Q, "c": POSITIVE}, rank=POSITIVE, exact=_mostly(st.booleans())),
+    _obj({"kind": st.just("local2d"), "q": Q, "c": POSITIVE}, rank=POSITIVE),
+    _obj({"kind": st.just("triangular"), "q": Q, "n": POSITIVE, "c": POSITIVE, "columns": COLUMNS}),
+    _obj({"kind": st.just("skew_poly"), "q": Q, "n": POSITIVE, "c_pi": POSITIVE, "c_t": POSITIVE}),
+)
+SIGMA = _mostly(st.lists(st.integers(1, 3), max_size=3))
+TRUNCATE = [["--truncate", str(t)] for t in (0, 1, 2, 3, -1)]
+FORMAT = [[], ["--format", "csv"]]
+BUDGET = [[], ["--budget", "0"], ["--budget", "40"], ["--budget", "400"]]
+REQUESTS = st.one_of(
+    _request("hey", "--data", ENTRIES, TRUNCATE, FORMAT, [[], ["--inverse"]]),
+    _request("lifted-hey", "--data", ENTRIES, TRUNCATE, FORMAT,
+             [[], ["--sigma", "1"], ["--sigma", "2,1"], ["--sigma", "x"]]),
+    _request("hereditary", "--data", _mostly(LATTICE), TRUNCATE, FORMAT,
+             [[], ["--joint"], ["--factor"], ["--partial", "1,0"], ["--partial", "1"]]),
+    _request("prolif", "--data", _mostly(st.one_of(BASE, _obj({"base": BASE}, sigma=SIGMA))), TRUNCATE, FORMAT,
+             [[], ["--mode", "sliver"], ["--mode", "factored"]], BUDGET),
+    _request("oracle", "--model", _mostly(MODEL), [["--colength", str(t)] for t in (0, 1, 2, -1)], FORMAT,
+             [[], ["--joint"], ["--fiber"], ["--partial", "1,0"], ["--partial=-1"]], BUDGET),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(argv=REQUESTS)
+def test_payload_fuzz_ends_in_a_defined_exit(argv):
+    """Any payload ends in exit 0, 2, 3 or 4, and a refusal is one stderr line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()

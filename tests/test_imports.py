@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by the module that makes it,
 every module-level definition and every method of a module-level class is read
-somewhere in the package, and no module imports ``fractions``: every count,
-the series ring's coefficients included, is an integer."""
+somewhere in the package, no module imports ``fractions``: every count, the
+series ring's coefficients included, is an integer, and only four named
+functions raise a formula violation."""
 
 import ast
 from pathlib import Path
@@ -122,3 +123,42 @@ def test_definition_scanner_sees_unread_methods():
         "C()\n"
     )
     assert unread_definitions({"m": source}) == ["m.C.c"]
+
+
+#: every function that raises a formula violation: ``verify``'s report of a
+#: failed suite, the ``hall`` suite's witness search, and the two invariants no
+#: second computation checks (u-divisibility of the stratum sum, convexity of a
+#: rank sequence); every other engine computes one way, checked by a suite
+FORMULA_VIOLATION_RAISERS = {
+    "checks._witness",
+    "cli._run_verify",
+    "hereditary.polynomial_factor",
+    "oracle._partition_from_ranks",
+}
+
+
+def formula_violation_raisers(sources: dict[str, str]) -> set[str]:
+    """``module.function`` of each function whose body raises ``FormulaViolationError``."""
+    return {
+        f"{module}.{fn.name}"
+        for module, source in sources.items()
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and "FormulaViolationError" in _names_read(node.exc)
+    }
+
+
+def test_only_the_named_functions_raise_formula_violations():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert formula_violation_raisers(sources) == FORMULA_VIOLATION_RAISERS
+
+
+def test_raiser_scanner_sees_calls_and_attributes():
+    source = (
+        "def f():\n    raise FormulaViolationError('x')\n\n\n"
+        "def g():\n    raise errors.FormulaViolationError\n\n\n"
+        "def h():\n    raise SchemaError('FormulaViolationError')\n"
+    )
+    assert formula_violation_raisers({"m": source}) == {"m.f", "m.g"}
