@@ -11,7 +11,13 @@ A failure always carries a (where, expected, actual) triple, printed as
 ``FAIL <name> (<k> cases) [at <where>: expected <want>, got <got>]``, where k
 is the failing case and ``where`` is the label, followed for a series by
 ``:`` and its least differing monomial.  The engines compute each count one
-way, and the second way is a case here; a formula violation raised inside a
+way, and the second way is a case here.  The closed engines expand each run
+of geometric factors as one series by the q-binomial theorem
+(``TruncatedSeries.geometric``); their factor-by-factor witnesses are
+``geometric_product`` in the ``q-partition`` orbit leg
+(``hermite_orbit_sum`` against ``solomon_hey_factor``) and in the
+``brs-factored`` zjv leg (the closed layer factors against ``zjv_factor``),
+next to enumeration in ``hey-oracle``.  A formula violation raised inside a
 suite (an invariant of an engine or of a witness) is reported by ``verify``
 as the failure of that suite.
 """

@@ -228,7 +228,8 @@ def solomon_hey_factor(
     alphabet: Alphabet | None = None,
     v_exps: Monomial | None = None,
 ) -> TruncatedSeries:
-    """Base count of the rank-r free lattice: prod_{j=0}^{r-1} (1 - q^j v)^{-1}."""
+    """Base count of the rank-r free lattice: the run prod_{j=0}^{r-1} (1 - q^j v)^{-1},
+    expanded as one series by the q-binomial theorem (:meth:`TruncatedSeries.geometric`)."""
     if r < 0:
         raise SchemaError(f"rank must be >= 0, got {r}")
     if alphabet is None:
@@ -236,7 +237,7 @@ def solomon_hey_factor(
         v_exps = (1,)
     if v_exps is None:
         raise SchemaError("custom alphabet needs explicit v exponents")
-    return geometric_product(alphabet, bound, ((v_exps, q**j) for j in range(r)))
+    return TruncatedSeries.geometric(alphabet, bound, v_exps, 1, r, q)
 
 
 def hermite_orbit_sum(m: int, r: int, q: int, bound: int) -> TruncatedSeries:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import SchemaError, as_int
 from .qcomb import cauchy_poly
-from .series import Alphabet, AlphabetEntry, TruncatedSeries, geometric_product
+from .series import Alphabet, AlphabetEntry, TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,9 @@ class SemisimpleEntry:
     r: int = 1
 
     def __post_init__(self):
-        if self.q < 2:
-            raise SchemaError(f"residue field size must be >= 2, got {self.q}")
+        # q and r are checked by the alphabet the data builds
         if self.m < 0:
             raise SchemaError(f"multiplicity must be >= 0, got {self.m}")
-        if self.r < 1:
-            raise SchemaError(f"norm exponent must be >= 1, got {self.r}")
 
 
 class SemisimpleData:
@@ -40,9 +37,7 @@ class SemisimpleData:
     def __init__(self, entries):
         # zero classes is legal: the zero module, whose count is 1
         self.entries = tuple(entries)
-        labels = [e.label for e in self.entries]
-        if len(set(labels)) != len(labels):
-            raise SchemaError(f"duplicate class labels in {labels}")
+        self._alphabet = Alphabet(AlphabetEntry(e.label, e.q, e.r) for e in self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -54,7 +49,7 @@ class SemisimpleData:
         return f"SemisimpleData({list(self.entries)!r})"
 
     def alphabet(self) -> Alphabet:
-        return Alphabet(tuple(AlphabetEntry(e.label, e.q, e.r) for e in self.entries))
+        return self._alphabet
 
     @classmethod
     def from_specs(cls, specs) -> "SemisimpleData":
@@ -96,14 +91,16 @@ class SemisimpleData:
 def hey_product(data: SemisimpleData, bound: int) -> TruncatedSeries:
     """Submodule-class generating series of the split module, as a product.
 
-    Class i of multiplicity m_i over a size-q_i residue field contributes
-    ``prod_{j=0}^{m_i - 1} (1 - q_i^j z_i)^{-1}``; the z_i-exponent records
-    the colength class along that block.
+    Class i of multiplicity m_i over a size-q_i residue field contributes the
+    run ``prod_{j=0}^{m_i - 1} (1 - q_i^j z_i)^{-1}``, expanded as one series
+    by the q-binomial theorem (:meth:`TruncatedSeries.geometric`); the
+    z_i-exponent records the colength class along that block.
     """
     al = data.alphabet()
-    return geometric_product(
-        al, bound, ((al.unit(i), e.q**j) for i, e in enumerate(data.entries) for j in range(e.m))
-    )
+    out = TruncatedSeries.one(al, bound)
+    for i, e in enumerate(data.entries):
+        out = out * TruncatedSeries.geometric(al, bound, al.unit(i), 1, e.m, e.q)
+    return out
 
 
 def moebius_inverse_series(data: SemisimpleData, bound: int) -> TruncatedSeries:

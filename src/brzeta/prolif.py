@@ -44,7 +44,6 @@ from .series import (
     AlphabetEntry,
     Monomial,
     TruncatedSeries,
-    geometric_product,
     split_trailing,
 )
 
@@ -56,10 +55,11 @@ DEFAULT_SEQUENCE_BUDGET = 200_000
 # -- permutations -------------------------------------------------------------
 
 
-def validate_permutation(sigma, n: int) -> tuple[int, ...]:
+def validate_permutation(sigma, n: int, first: int = 0) -> tuple[int, ...]:
+    """``sigma`` as a tuple, refused unless it is a bijection of first..first+n-1."""
     sigma = tuple(int(s) for s in sigma)
-    if sorted(sigma) != list(range(n)):
-        raise SchemaError(f"sigma must be a bijection of 0..{n - 1}, got {sigma}")
+    if sorted(sigma) != list(range(first, first + n)):
+        raise SchemaError(f"sigma must be a bijection of {first}..{first + n - 1}, got {sigma}")
     return sigma
 
 
@@ -207,7 +207,7 @@ def sigma_from_one_based(raw, n: int):
         return None
     if not isinstance(raw, (list, tuple)):
         raise SchemaError("sigma must be a list of 1-based images")
-    return validate_permutation([as_int(x, "sigma entry") - 1 for x in raw], n)
+    return tuple(s - 1 for s in validate_permutation([as_int(x, "sigma entry") for x in raw], n, 1))
 
 
 def _module_of_class(rho: ClassVec) -> _her.HereditaryModuleSpec:
@@ -399,22 +399,20 @@ def lifted_hey(data: SemisimpleData, sigma, bound: int) -> TruncatedSeries:
     (1 - q_i^(j - m_i) * prod_{k=0}^n w_{sigma^k(i)})^{-1} with w_i = q_i^(m_i) z_i.
     The k = 0 factor q_i^(m_i) cancels q_i^(-m_i), so the scalar is the integer
     q_i^j times the twist of class i: the layer-n :func:`change_of_variable`
-    of the split slice, whose top class is (m_1, ..., m_n).
+    of the split slice, whose top class is (m_1, ..., m_n).  So each (layer,
+    class) is one run in ratio q_i, expanded as one series by the q-binomial
+    theorem (:meth:`TruncatedSeries.geometric`).
     """
     al = data.alphabet()
+    out = TruncatedSeries.one(al, bound)
     if not data.entries:
-        return TruncatedSeries.one(al, bound)
+        return out
     base = SliceBase.semisimple(data, sigma)
     top = (base.top_class(),)
-
-    def factors():
-        for layer in range(bound):
-            for e, (twist, exps) in zip(data.entries, change_of_variable(base, top, layer).values()):
-                for _ in range(e.m):  # step j has scalar q_i^j * twist
-                    yield exps, twist
-                    twist *= e.q
-
-    return geometric_product(al, bound, factors())
+    for layer in range(bound):
+        for e, (twist, exps) in zip(data.entries, change_of_variable(base, top, layer).values()):
+            out = out * TruncatedSeries.geometric(al, bound, exps, twist, e.m, e.q)
+    return out
 
 
 # -- Dirichlet specializations -------------------------------------------------
@@ -525,7 +523,8 @@ def brs_factored_prolif(
 
     The prefactor is the product of the layer images of the rank-r base
     count, built in closed form as prod_{j, i<r} (1 - q^(i+j*r) v^(j+1))^{-1}
-    with v = z_1...z_n (see :func:`zjv_factor`); the remainder is the
+    with v = z_1...z_n (see :func:`zjv_factor`), one q-binomial run per layer
+    j (:meth:`TruncatedSeries.geometric`); the remainder is the
     class-sequence sum with each layer count replaced by its polynomial part.
     Their product is the plain assembled sum, which the ``brs-factored``
     suite checks; ``budget`` bounds the one class-sequence sum run here.
@@ -536,7 +535,8 @@ def brs_factored_prolif(
     q, n, r = order.q, order.n, module.r
     al = base.alphabet()
     # sigma permutes the classes, whose tops sum to r, so layer j sends v = z_1...z_n to q^(jr) v^(j+1)
-    layers = (((j + 1,) * n, q ** (i + j * r)) for j in range(bound // n) for i in range(r))
-    prefactor = geometric_product(al, bound, layers)
+    prefactor = TruncatedSeries.one(al, bound)
+    for j in range(bound // n):
+        prefactor = prefactor * TruncatedSeries.geometric(al, bound, (j + 1,) * n, q ** (j * r), r, q)
     remainder = _class_sequence_sum(base, bound, partial(polynomial_class_counts, base), budget)
     return prefactor, remainder

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import count
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
@@ -209,10 +208,28 @@ class TruncatedSeries:
         return cls(alphabet, bound, {tuple(k * e for e in exps): c for k, c in terms})
 
     @classmethod
-    def geometric(cls, alphabet: Alphabet, bound: int, exps: Monomial, scalar=1) -> "TruncatedSeries":
-        """``(1 - scalar*m)**-1`` for an integer scalar, expanded directly; ``m``
-        must have degree >= 1."""
-        return cls.powers(alphabet, bound, exps, (scalar**k for k in count()))
+    def geometric(cls, alphabet: Alphabet, bound: int, exps: Monomial, scalar=1, length=1, ratio=1) -> TruncatedSeries:
+        """The run ``prod_{j<length} (1 - scalar*ratio**j*m)**-1`` as one series;
+        ``m`` must have degree >= 1, and ``scalar`` and ``ratio >= 0`` are integers.
+
+        By the q-binomial theorem (Andrews, *The Theory of Partitions*, Thm 3.3)
+        coefficient k is ``scalar**k * [length+k-1 choose k]_ratio``, built as a
+        running product of q-integer ratios [length+k-1]/[k] with
+        [n+1] = 1 + ratio*[n]; every division is exact.  The defaults give the
+        single factor ``(1 - m)**-1``; :func:`geometric_product` multiplies a
+        run out factor by factor and is the witness of this one.
+        """
+        scalar, ratio = _exact(scalar), _exact(ratio)
+
+        def coeffs():
+            c, top, low = 1, 0, 1  # top = [length+k-1] and low = [k] at coefficient k >= 1
+            for _ in range(length):
+                top = 1 + ratio * top
+            while True:
+                yield c
+                c, top, low = c * scalar * top // low, 1 + ratio * top, 1 + ratio * low
+
+        return cls.powers(alphabet, bound, exps, coeffs())
 
     # -- inspection ------------------------------------------------------
 

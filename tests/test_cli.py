@@ -402,6 +402,8 @@ class TestInputHandling:
             ["hey", "--data", '[{"q": 2, "m": 1, "r": "x"}]', "--truncate", "2"],
             ["prolif", "--data", '{"kind": "semisimple", "entries": []}', "--truncate", "3"],
             ["hey", "--data", '[{"q": 6, "m": 1}]', "--truncate", "2"],
+            ["hey", "--data", '[{"q": 1, "m": 1}]', "--truncate", "2"],
+            ["hey", "--data", '[{"q": 2, "m": 1, "label": "a"}, {"q": 3, "m": 1, "label": "a"}]', "--truncate", "2"],
             ["lifted-hey", "--data", '[{"q": 6, "m": 1}]', "--truncate", "2"],
             ["hereditary", "--data", '{"q": 6, "n": 2, "columns": [1, 2]}', "--truncate", "2"],
             ["lustig", "--q", "6", "--max", "3"],
@@ -460,6 +462,8 @@ class TestInputHandling:
             "non-integer-r",
             "empty-semisimple-base",
             "hey-q6",
+            "hey-q1",
+            "hey-duplicate-labels",
             "lifted-hey-q6",
             "hereditary-q6",
             "lustig-q6",
@@ -521,6 +525,18 @@ class TestInputHandling:
         monkeypatch.setattr(cli, "hey_product", raising)
         code, out, err = run_cli(capsys, ["hey", "--data", '[{"q": 2, "m": 1}]', "--truncate", "2"])
         assert (code, out, err) == (2, "", "error: refused\n")
+
+    @pytest.mark.parametrize(
+        "data, sigma, message",
+        [
+            ('[{"q": 2, "m": 1}]', "3", "sigma must be a bijection of 1..1, got (3,)"),
+            ("[]", "1", "sigma must be a bijection of 1..0, got (1,)"),
+        ],
+        ids=["image-out-of-range", "no-classes"],
+    )
+    def test_sigma_refusal_is_one_based(self, capsys, data, sigma, message):
+        argv = ["lifted-hey", "--data", data, "--sigma", sigma, "--truncate", "2"]
+        assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
 
     def test_negative_truncation(self, capsys):
         code, _, err = run_cli(capsys, ["hey", "--data", '[{"q": 2, "m": 1}]', "--truncate", "-1"])

@@ -1,5 +1,7 @@
 """Closed product formula for split-slice submodule counts, and its inverse."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from brzeta.errors import SchemaError
 from brzeta.hey import SemisimpleData, hey_product, moebius_inverse_series
 from brzeta.qcomb import cauchy_poly
-from brzeta.series import TruncatedSeries
+from brzeta.series import TruncatedSeries, geometric_product
 
 
 def z_poly(data, coeffs):
@@ -50,6 +52,23 @@ class TestHeyProduct:
                 f = hey_product(SemisimpleData.from_specs([(q, m)]), 6)
                 coeffs = [f.coefficient((k,)) for k in range(7)]
                 assert all(a < b for a, b in zip(coeffs, coeffs[1:]))
+
+    def test_matches_factor_by_factor_product(self):
+        rng = random.Random(26)
+        for _ in range(60):
+            specs = [(rng.choice((2, 3, 4, 5, 7, 8, 9)), rng.randint(0, 5), rng.randint(1, 2))
+                     for _ in range(rng.randint(1, 3))]
+            data, bound = SemisimpleData.from_specs(specs), rng.randint(0, 7)
+            al = data.alphabet()
+            factors = [(al.unit(i), q**j) for i, (q, m, _) in enumerate(specs) for j in range(m)]
+            assert hey_product(data, bound) == geometric_product(al, bound, factors), (specs, bound)
+
+    def test_twenty_thousand_copies_of_one_class(self):
+        # the z and z^2 coefficients are the Gaussian binomials [m choose 1]_2 and [m+1 choose 2]_2
+        m = 20000
+        f = hey_product(SemisimpleData.from_specs([(2, m)]), 2)
+        assert f.coefficient((1,)) == 2**m - 1
+        assert f.coefficient((2,)) == (2 ** (m + 1) - 1) * (2**m - 1) // 3
 
 
 class TestMoebiusInverse:

@@ -386,28 +386,40 @@ class TestLiftedHey:
         data = SemisimpleData.from_specs([(2, 2)])
         assert pr.lifted_hey(data, None, 1) == z_poly(data, [1, 3])
 
-    def test_three_cycle_matches_w_form(self):
-        # layer n, class i, step j: (1 - q_i^(j - m_i) prod_{k<=n} w_{sigma^k(i)})^-1, w_i = q_i^(m_i) z_i
-        data = SemisimpleData.from_specs([(2, 1), (3, 2), (4, 1)])
-        sigma, bound = (1, 2, 0), 5
+    @staticmethod
+    def w_form(data, sigma, bound):
+        """The docstring's product, factor by factor: layer n, class i, step j gives
+        (1 - q_i^(j - m_i) prod_{k<=n} w_{sigma^k(i)})^-1 with w_i = q_i^(m_i) z_i."""
         qs, ms = [e.q for e in data.entries], [e.m for e in data.entries]
         w = [Fraction(q) ** m for q, m in zip(qs, ms)]
         factors = []
         for layer in range(bound):
-            for i in range(3):
-                exps, scalar, t = [0, 0, 0], Fraction(1), i
+            for i in range(len(qs)):
+                exps, scalar, t = [0] * len(qs), Fraction(1), i
                 for _ in range(layer + 1):
                     exps[t] += 1
                     scalar *= w[t]
                     t = sigma[t]
                 factors += [(tuple(exps), Fraction(qs[i]) ** (j - ms[i]) * scalar) for j in range(ms[i])]
         assert all(scalar.denominator == 1 for _, scalar in factors)
-        factors = [(exps, int(scalar)) for exps, scalar in factors]
-        want = geometric_product(data.alphabet(), bound, factors)
-        assert pr.lifted_hey(data, sigma, bound) == want
+        return geometric_product(data.alphabet(), bound, [(exps, int(scalar)) for exps, scalar in factors])
+
+    def test_three_cycle_matches_w_form(self):
+        data = SemisimpleData.from_specs([(2, 1), (3, 2), (4, 1)])
+        sigma, bound = (1, 2, 0), 5
+        assert pr.lifted_hey(data, sigma, bound) == self.w_form(data, sigma, bound)
+
+    def test_random_twists_match_w_form(self):
+        rng = random.Random(26)
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            data = SemisimpleData.from_specs([(rng.choice((2, 3, 4, 5, 7, 8, 9)), rng.randint(0, 3)) for _ in range(n)])
+            sigma = rng.sample(range(n), n)
+            bound = rng.randint(0, 6)
+            assert pr.lifted_hey(data, sigma, bound) == self.w_form(data, sigma, bound), (data, sigma, bound)
 
     def test_product_of_20001_factors(self):
-        # layer 0 alone multiplies m = 20001 geometric factors at bound 1
+        # layer 0 alone is one run of m = 20001 geometric factors at bound 1
         data = SemisimpleData.from_specs([(2, 20001)])
         assert pr.lifted_hey(data, None, 1) == z_poly(data, [1, 2**20001 - 1])
 

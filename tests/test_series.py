@@ -1,8 +1,9 @@
 """Truncated-series ring: exact arithmetic, truncation soundness, extraction."""
 
+import random
 import warnings
 from fractions import Fraction
-from itertools import count
+from itertools import count, product
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from brzeta.series import (
     Alphabet,
     AlphabetEntry,
     TruncatedSeries,
+    geometric_product,
     split_trailing,
 )
 
@@ -163,6 +165,19 @@ class TestPowers:
             TruncatedSeries.powers(Z, 3, (0,), [1, 1])
         with pytest.raises(TruncationBoundError):
             TruncatedSeries.geometric(Z, 3, (0,), 2)
+
+    def test_geometric_run_is_its_factors(self):
+        # the q-binomial run against its factors multiplied one by one
+        rng = random.Random(26)
+        for length, ratio in product(range(7), (1, 2, 3, 4, 5, 7, 8, 9)):
+            for scalar in (rng.randint(-9, -1), 0, rng.randint(1, 9)):
+                exps = (0, 0, 0)
+                while not 1 <= sum(exps) <= 3:
+                    exps = tuple(rng.randint(0, 2) for _ in range(3))
+                bound = rng.randint(0, 9)
+                run = TruncatedSeries.geometric(Z3, bound, exps, scalar, length, ratio)
+                factors = [(exps, scalar * ratio**j) for j in range(length)]
+                assert run == geometric_product(Z3, bound, factors), (exps, scalar, length, ratio, bound)
 
 
 class TestSubstitute:
