@@ -383,7 +383,7 @@ def check_hall(qs=(2, 3)) -> CheckResult:
                     continue
                 direct = sum(
                     node.colength == colen and orc.jordan_type(model, node.rep) == c_type
-                    for node in orc.submodule_bfs(model, colen)
+                    for node in orc.submodules(model, colen)
                 )
                 via_hall = sum(orc.hall_number(model, ambient, b_type, c_type) for b_type in _partitions_of(colen))
                 yield [(f"q={q},C={c_type}", via_hall, direct)]

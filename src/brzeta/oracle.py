@@ -11,13 +11,17 @@ constructed model), so the radical JX of a submodule X is the span of X's
 images, one ``extend`` with no closure to compute.  The idempotents are
 coordinate projections, so the RREF rows of a submodule lie in one class's
 coordinates each, and the top class of X is X's pivots per class less JX's.
-Submodules of colength <= B are found by repeated descent to maximal
-submodules (the lattice technique of the MeatAxe: Lux, Mueller and Ringe,
-J. Symb. Comp. 17, 1994), deduplicated by canonical echelon form; the
+Submodules of colength <= B are streamed by :func:`submodules`, one
+generator that descends level by level to maximal submodules (the lattice
+technique of the MeatAxe: Lux, Mueller and Ringe, J. Symb. Comp. 17, 1994),
+deduplicating each level by the canonical echelon rows of its nodes; the
 maximal submodules of class i are the kernels of the functionals on X that
 vanish on JX and on the other classes' top rows, and their RREFs are read
 off X's and JX's with no echelonization per child.  JX is computed once
-per expanded node, which keeps its top.  A depth guard keeps
+per expanded node, which is yielded then with its top; a node at colength
+B is a leaf, yielded when first found and never stored, so the generator
+holds only the frontier still to expand and one set of row tuples for the
+level being built.  Nodes come level by level, unsorted.  A depth guard keeps
 truncation honest: when the model is a quotient of an infinite module by a
 kernel inside radical-power depth d, enumeration and labeling at colength <= B
 are faithful only if d >= B + 1, and that inequality is enforced rather than
@@ -31,6 +35,8 @@ to its tower of slice images ((M meet I^-j X) + IM)/IM.
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import gfq
@@ -437,20 +443,31 @@ class SubmoduleNode:
     rep: gfq.SubspaceRep
     colength: int
     cls: Monomial  # composition class of (start module)/X
-    top: Monomial | None = None  # top class of X, kept once the BFS expands X
+    top: Monomial | None = None  # top class of X, set when X is expanded (colength < bound)
 
 
-def submodule_bfs(
+def submodules(
     model: RingModel,
     bound: int,
     start: gfq.SubspaceRep | None = None,
     budget: int = DEFAULT_NODE_BUDGET,
-) -> list[SubmoduleNode]:
-    """Every submodule of colength <= bound, deduplicated, with its class.
+) -> Iterator[SubmoduleNode]:
+    """Yield each submodule of ``start`` (default M) of colength <= bound once, with its class.
 
-    Descends through maximal submodules; a node found at level k has colength
-    exactly k, so levels never collide.  The depth guard rejects truncation
-    models too shallow to label colength-``bound`` quotients faithfully.
+    Descends level by level through maximal submodules; a node found at
+    level k has colength exactly k, so levels never collide and each level
+    is deduplicated on its own, by the RREF rows of its nodes.  A node of
+    colength < bound is yielded when it is expanded, with the top class its
+    JX gives; a node at the bound is a leaf, yielded as soon as it is first
+    found, with ``top=None``, and not kept.  The generator holds only the
+    frontier (the nodes still to expand: the rest of the level being
+    expanded and the part of the next level below the bound) and, for the
+    level being built, the set of RREF rows found on it.  The yield order is
+    level by level, each parent before the children first found under it;
+    it is not sorted.  The root counts against ``budget`` like every other
+    node.  The depth guard rejects truncation models too shallow to label
+    colength-``bound`` quotients faithfully; it and every budget refusal are
+    raised during iteration.
     """
     if bound < 0:
         raise SchemaError(f"colength bound must be >= 0, got {bound}")
@@ -459,34 +476,31 @@ def submodule_bfs(
             f"model depth {model.depth} cannot certify colength {bound}; "
             f"need depth >= {bound + 1}"
         )
-    n = model.n_classes
-    start = start if start is not None else model.full()
-    root = SubmoduleNode(start, 0, (0,) * n)
-    nodes = {start: root}
-    frontier = [root]
+    root = SubmoduleNode(start if start is not None else model.full(), 0, (0,) * model.n_classes)
+    found = 1
+    if found > budget:
+        raise ResourceBudgetError("submodule lattice too large", required=found, budget=budget)
+    frontier = deque([root])  # the nodes still to expand, one level after another
     for level in range(1, bound + 1):
-        nxt: dict[gfq.SubspaceRep, SubmoduleNode] = {}
-        for parent in frontier:
+        seen: set[tuple[int, ...]] = set()
+        for _ in range(len(frontier)):
+            parent = frontier.popleft()
             jx = radical_subspace(model, parent.rep)
             parent.top = top_class(model, parent.rep, jx)
+            yield parent
             for child, bi in maximal_submodules(model, parent.rep, budget, jx):
-                if child in nxt:
+                if child.rows in seen:
                     continue
+                seen.add(child.rows)
+                found += 1
+                if found > budget:
+                    raise ResourceBudgetError("submodule lattice too large", required=found, budget=budget)
                 cls = tuple(c + (1 if i == bi else 0) for i, c in enumerate(parent.cls))
-                nxt[child] = SubmoduleNode(child, level, cls)
-                if len(nodes) + len(nxt) > budget:
-                    raise ResourceBudgetError(
-                        "submodule lattice too large",
-                        required=len(nodes) + len(nxt),
-                        budget=budget,
-                    )
-        nodes.update(nxt)
-        frontier = list(nxt.values())
-        if not frontier:
-            break
-    out = list(nodes.values())
-    out.sort(key=lambda nd: (nd.colength, nd.rep.rows))
-    return out
+                if level < bound:
+                    frontier.append(SubmoduleNode(child, level, cls))
+                else:
+                    yield SubmoduleNode(child, level, cls)
+    yield from frontier  # the root, when bound is 0; empty otherwise
 
 
 def empirical_zeta(
@@ -508,7 +522,6 @@ def empirical_zeta(
         partial = tuple(int(x) for x in partial)
         if len(partial) != n or any(x < 0 for x in partial):
             raise SchemaError(f"class vector needs {n} multiplicities >= 0, got {partial}")
-    nodes = submodule_bfs(model, bound, budget=budget)
     if joint:
         r = sum(top_class(model, model.full()))
         alphabet = doubled_alphabet(q, n)
@@ -517,7 +530,7 @@ def empirical_zeta(
         alphabet = model.alphabet
         out_bound = bound
     coeffs: dict[Monomial, int] = {}
-    for node in nodes:
+    for node in submodules(model, bound, budget=budget):
         if partial is not None or joint:
             top = node.top if node.top is not None else top_class(model, node.rep)
         if partial is not None and top != partial:
@@ -572,13 +585,13 @@ def typed_submodules(
     quotient_type,
     budget: int = DEFAULT_NODE_BUDGET,
 ):
-    """Each D <= A with D of type ``sub_type`` and A/D of type ``quotient_type``, in BFS order."""
+    """Each D <= A with D of type ``sub_type`` and A/D of type ``quotient_type``, in the order of :func:`submodules`."""
     b = _as_partition(quotient_type)
     c = _as_partition(sub_type)
     colen = sum(b)
     if sum(c) + colen != ambient.dim:
         return  # lengths cannot match, so no D qualifies
-    for node in submodule_bfs(model, colen, start=ambient, budget=budget):
+    for node in submodules(model, colen, start=ambient, budget=budget):
         if (
             node.colength == colen
             and jordan_type(model, node.rep) == c
@@ -692,7 +705,7 @@ def fiber_partition(
     """All submodules of colength <= bound, grouped by their slice chart."""
     ctx = FiberContext(model)
     out: dict[ChainData, list[SubmoduleNode]] = {}
-    for node in submodule_bfs(model, bound, budget=budget):
+    for node in submodules(model, bound, budget=budget):
         chain = ctx.chart(node.rep, bound)
         out.setdefault(chain, []).append(node)
     return out

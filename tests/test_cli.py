@@ -250,6 +250,15 @@ class TestOracleCommand:
         assert code == 4
         assert "budget" in err
 
+    @pytest.mark.parametrize("colength", ["0", "1"])
+    def test_budget_counts_the_root(self, capsys, colength):
+        code, out, err = run_cli(
+            capsys,
+            ["oracle", "--model", '{"kind": "chain", "q": 2, "c": 3}', "--colength", colength, "--budget", "0"],
+        )
+        assert (code, out) == (4, "")
+        assert "required 1, budget 0" in err
+
 
 #: (size, suite) pairs at which a suite's size knob leaves it no case to check
 EMPTY_AT_SIZE = {(0, "moebius"), (0, "rossmann")}

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import weakref
 
 import pytest
 
@@ -226,7 +227,7 @@ class TestSpinAndTops:
         ids=["chain", "local2d", "triangular-n2", "triangular-n3", "skew"],
     )
     def test_every_node_top_matches_blocks(self, model, bound):
-        nodes = orc.submodule_bfs(model, bound)
+        nodes = list(orc.submodules(model, bound))
         for node in nodes:
             want = _reference_top(model, node.rep)
             assert orc.top_class(model, node.rep) == want
@@ -308,7 +309,7 @@ class TestMaximalSubmodules:
     )
     def test_matches_stable_hyperplanes(self, model, bound):
         f = model.field
-        for node in orc.submodule_bfs(model, bound):
+        for node in orc.submodules(model, bound):
             x = node.rep
             class_images = [
                 gfq.SubspaceRep.from_rows(f, model.dim, _image(model, x.rows, name))
@@ -366,21 +367,90 @@ class TestSubmoduleCounts:
         assert [z.coefficient((k,)) for k in range(3)] == [1, 3, 1]
 
     def test_nodes_are_deduplicated(self):
-        nodes = orc.submodule_bfs(orc.chain_module(2, 3, rank=2), 2)
+        nodes = list(orc.submodules(orc.chain_module(2, 3, rank=2), 2))
         assert len(nodes) == 11
         assert len({n.rep for n in nodes}) == 11
 
     def test_truncation_depth_guard(self):
+        nodes = orc.submodules(orc.chain_module(2, 2), 5)
         with pytest.raises(SchemaError, match="cannot certify colength"):
-            orc.submodule_bfs(orc.chain_module(2, 2), 5)
+            next(nodes)
 
     def test_exact_model_skips_depth_guard(self):
-        nodes = orc.submodule_bfs(orc.chain_module(2, 2, exact=True), 5)
+        nodes = list(orc.submodules(orc.chain_module(2, 2, exact=True), 5))
         assert max(n.colength for n in nodes) == 2
 
     def test_node_budget(self):
-        with pytest.raises(ResourceBudgetError):
-            orc.submodule_bfs(orc.chain_module(2, 4, rank=2), 3, budget=5)
+        with pytest.raises(ResourceBudgetError) as err:
+            list(orc.submodules(orc.chain_module(2, 4, rank=2), 3, budget=5))
+        assert (err.value.required, err.value.budget) == (6, 5)
+
+    def test_node_budget_counts_the_root(self):
+        model = orc.chain_module(2, 2)
+        assert len(list(orc.submodules(model, 0, budget=1))) == 1
+        with pytest.raises(ResourceBudgetError) as err:
+            list(orc.submodules(model, 0, budget=0))
+        assert (err.value.required, err.value.budget) == (1, 0)
+
+    def test_yield_order(self):
+        model = orc.chain_module(2, 3, rank=2)
+        nodes = list(orc.submodules(model, 2))
+        root = nodes[0]
+        assert (root.rep, root.colength, root.cls) == (model.full(), 0, (0,))
+        assert root.top == orc.top_class(model, model.full()) == (2,)
+        assert all((n.top is None) == (n.colength == 2) for n in nodes)
+        # expanded nodes come level by level; each leaf follows the node it was first found under
+        expanded = [n.colength for n in nodes if n.top is not None]
+        assert expanded == sorted(expanded)
+        parent = root
+        for node in nodes[1:]:
+            if node.top is not None:
+                parent = node
+            else:
+                assert parent.colength == 1 and parent.rep.contains(node.rep)
+        # a bound-0 enumeration expands nothing: the root is its one leaf
+        (only,) = orc.submodules(model, 0)
+        assert (only.rep, only.top) == (model.full(), None)
+
+    def test_leaves_are_not_kept(self):
+        model = orc.chain_module(2, 3, rank=2)
+        nodes = orc.submodules(model, 2)
+        count, leaf = 0, None
+        for node in nodes:
+            count += 1
+            if node.top is None:
+                leaf = weakref.ref(node)
+                break
+        del node
+        assert leaf is not None and leaf() is None
+        count += sum(1 for _ in nodes)
+        assert leaf() is None
+        assert count == 11
+
+
+class TestLatticeAgainstBruteForce:
+    """The streamed lattice against every stable subspace of small codimension."""
+
+    @pytest.mark.parametrize(
+        "model, bound",
+        [
+            (orc.chain_module(3, 2, rank=2, exact=True), 4),
+            (orc.local2d_module(2, 3), 2),
+            (orc.triangular_module(2, 2, 2, (1, 2)), 2),
+            (dataclasses.replace(orc.skew_module(2, 2, 1, 2), exact=True), 2),
+        ],
+        ids=["chain", "local2d", "triangular-n2", "skew"],
+    )
+    def test_yields_each_stable_subspace_once(self, model, bound):
+        full = model.full()
+        dims = range(model.dim - bound, model.dim + 1)
+        want = {h for h in ref.enumerate_subspaces(model.field, model.dim, dims) if _is_fixed_point(model, h)}
+        nodes = list(orc.submodules(model, bound))
+        assert len(nodes) == len({node.rep for node in nodes}) == len(want)
+        assert {node.rep for node in nodes} == want
+        for node in nodes:
+            assert node.colength == model.dim - node.rep.dim
+            assert node.cls == orc.composition_class(model, full, node.rep)
 
 
 class TestJordanAndHall:
@@ -421,7 +491,7 @@ class TestJordanAndHall:
         assert orc.chain_type_count(m, full, steps) == 3
         first = [
             n
-            for n in orc.submodule_bfs(m, 1)
+            for n in orc.submodules(m, 1)
             if n.colength == 1 and orc.jordan_type(m, n.rep) == (2, 1)
         ]
         assert len(first) == orc.hall_number(m, full, (1,), (2, 1))
@@ -516,7 +586,7 @@ class TestFiberCharts:
         base = pr.SliceBase.dvr(2, 1)
         parts = orc.fiber_partition(model, 3)
         assert len(parts) == 7
-        assert sum(len(v) for v in parts.values()) == len(orc.submodule_bfs(model, 3)) == 12
+        assert sum(len(v) for v in parts.values()) == len(list(orc.submodules(model, 3))) == 12
         for chain, nodes in parts.items():
             got = orc.fiber_sum(model, nodes, 3)
             assert got == pr.fundamental_fiber_product(base, chain, 3), chain
