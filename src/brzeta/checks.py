@@ -361,11 +361,13 @@ def check_integrality(bound=4) -> CheckResult:
         ("rossmann", pr.rossmann_coeffs(32)),
         ("hom-slice", pr.hom_slice_dirichlet(2, 1, 2, 1, 32)),
     ]
-    for cases, (name, table) in enumerate(tables, 1):
-        bad = [(k, v) for k, v in table.items() if not isinstance(v, int) or v < 0]
-        if bad:
-            return CheckResult("integrality", False, cases, disagreement=(name, "integer >= 0", str(bad[0])))
-    return CheckResult("integrality", True, len(tables), "all emitted coefficients are nonnegative integers")
+
+    def cases():
+        for name, table in tables:
+            bad = [(k, v) for k, v in table.items() if not isinstance(v, int) or v < 0]
+            yield [(name, str(bad[0]) if bad else "integer >= 0", "integer >= 0")]
+
+    return _compare("integrality", "all emitted coefficients are nonnegative integers", cases())
 
 
 # -- 14: Hall numbers against direct enumeration --------------------------------------

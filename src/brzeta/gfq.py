@@ -22,10 +22,10 @@ space by ``[mat | I]``.  No intersection and no product of general matrices
 is computed here: the oracle's one kernel is :func:`left_kernel`.  The one
 enumeration, ``SubspaceRep.hyperplanes``, serves the brute-force oracle: it
 lists the hyperplanes of a space over a subspace and a set of the space's
-rows, read off the two RREFs with no echelonization per hyperplane, and it
-counts its output first and refuses to exceed the budget.  Chains of
-subspaces are not enumerated here: the closed engines count them with
-Gaussian binomials.
+rows, read off the two RREFs with no echelonization per hyperplane.  The
+module is arithmetic without policy: the oracle bounds how many hyperplanes
+it asks for.  Chains of subspaces are not enumerated here: the closed
+engines count them with Gaussian binomials.
 """
 
 from __future__ import annotations
@@ -35,10 +35,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .errors import ResourceBudgetError, SchemaError
+from .errors import SchemaError
 from .qcomb import prime_power_factors
-
-DEFAULT_BUDGET = 200_000
 
 Tables = namedtuple("Tables", "add mul neg inv")
 
@@ -422,7 +420,7 @@ class SubspaceRep:
             return False
         return not any(self.reduce(other.rows))
 
-    def hyperplanes(self, sub: "SubspaceRep", cols, budget: int = DEFAULT_BUDGET) -> list["SubspaceRep"]:
+    def hyperplanes(self, sub: "SubspaceRep", cols) -> list["SubspaceRep"]:
         """Every hyperplane H with sub + (the rows off ``cols``) <= H < self.
 
         ``sub`` lies in this space and ``cols`` are pivots of this space that
@@ -430,18 +428,15 @@ class SubspaceRep:
         row at pivot p, H is the kernel of a functional psi that is zero on
         R_p for every pivot p outside ``cols`` and ``sub``'s pivots and
         nonzero on some R_k, k in ``cols``: a point of projective space on
-        ``cols``, scaled so that its rightmost nonzero value, at c, is 1.  There are (q^d - 1)/(q - 1) of
-        them for d = len(cols), and that count is checked against ``budget``
-        first.  ``sub``'s row at pivot p is u = R_p + sum_k u[k] R_k over the
-        pivots k > p outside ``sub``, and psi(u) = 0, so psi(R_p) is
+        ``cols``, scaled so that its rightmost nonzero value, at c, is 1.
+        There are (q^d - 1)/(q - 1) of them for d = len(cols), all built; the
+        caller bounds d.  ``sub``'s row at pivot p is u = R_p + sum_k u[k] R_k
+        over the pivots k > p outside ``sub``, and psi(u) = 0, so psi(R_p) is
         -sum u[k] psi(R_k) over ``cols``; it vanishes right of c.  Hence H's
         RREF is R_p - psi(R_p) R_c for every pivot p != c, canonical as it
         stands, and the H with one c share one pivots tuple.
         """
         q, n = self.field.q, self.ambient
-        count = (q ** len(cols) - 1) // (q - 1)
-        if count > budget:
-            raise ResourceBudgetError("subspace enumeration too large", required=count, budget=budget)
         lay, t = _layout(self.field), tables(self.field)
         add, mul, neg, raw, axpy = t.add, t.mul, t.neg, lay.raw, _arith(self.field, n).axpy
         at = {c: i for i, c in enumerate(self.pivots)}

@@ -255,18 +255,25 @@ def hermite_orbit_sum(m: int, r: int, q: int, bound: int) -> TruncatedSeries:
 def _stratum_sum(order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound: int) -> TruncatedSeries:
     """Sum over strata Ybar of F_q^r of chain polynomial times Hermite weight.
 
-    Strata are grouped by (filtration dims, dim Ybar), which is all the two
-    factors depend on.  The sum is over the doubled alphabet at ``bound``,
-    before the base count and the column-shift division.
+    Strata are counted by (filtration dims, dim Ybar), which is all the two
+    factors depend on, and only the Hermite weight depends on dim Ybar: the
+    weights of one dims are summed into one v-polynomial first, so each
+    chain polynomial is built and multiplied once.  The sum is over the
+    doubled alphabet at ``bound``, before the base count and the
+    column-shift division.
     """
     q, r = order.q, module.r
     alphabet = doubled_alphabet(q, order.n)
     _, v_exps, t_exps = substitution_data(order, module)
+    weights: dict[tuple[int, ...], list[int]] = {}
+    for (dims, m), count in stratum_counts(order, module).items():
+        w = weights.setdefault(dims, [0] * (r + 1))
+        for k, c in enumerate(hermite_Q(m, r, q)):
+            w[k] += count * c
     acc = TruncatedSeries.zero(alphabet, bound)
-    for (dims, m), count in sorted(stratum_counts(order, module).items()):
-        p_series = filtered_poly(dims, q, t_exps, alphabet, bound)
-        q_series = TruncatedSeries.powers(alphabet, bound, v_exps, hermite_Q(m, r, q))
-        acc = acc + (p_series * q_series).scaled(count)
+    for dims, w in sorted(weights.items()):
+        chains = filtered_poly(dims, q, t_exps, alphabet, bound)
+        acc = acc + chains * TruncatedSeries.powers(alphabet, bound, v_exps, w)
     return acc
 
 

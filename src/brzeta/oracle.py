@@ -11,6 +11,13 @@ constructed model), so the radical JX of a submodule X is the span of X's
 images, one ``extend`` with no closure to compute.  The idempotents are
 coordinate projections, so the RREF rows of a submodule lie in one class's
 coordinates each, and the top class of X is X's pivots per class less JX's.
+What does not depend on a submodule is read off the gathers with no
+elimination: J maps a span of coordinate vectors onto the span of the
+coordinates the radical gathers write from it, which gives the nilpotency
+index and the generic length dim M/JM, and the alphabet follows from the
+field and the class count.  Every budget decision is made here: the node
+budget of :func:`submodules` and the per-class hyperplane count of
+:func:`maximal_submodules`; :mod:`brzeta.gfq` enumerates without policy.
 Submodules of colength <= B are streamed by :func:`submodules`, one
 generator that descends level by level to maximal submodules (the lattice
 technique of the MeatAxe: Lux, Mueller and Ringe, J. Symb. Comp. 17, 1994),
@@ -70,7 +77,6 @@ class RingModel:
     gens: dict
     rad_names: tuple
     idem_names: tuple
-    alphabet: Alphabet
     depth: int
     slice_gen: str | None = None
     exact: bool = False
@@ -97,6 +103,11 @@ class RingModel:
     def n_classes(self) -> int:
         return len(self.idem_names)
 
+    @property
+    def alphabet(self) -> Alphabet:
+        """The colength markers z1..zn, one per simple class, over the model's field."""
+        return z_alphabet(self.field.q, self.n_classes)
+
     def full(self) -> gfq.SubspaceRep:
         return gfq.full_space(self.field, self.dim)
 
@@ -119,7 +130,6 @@ def chain_module(q: int, c: int, rank: int = 1, exact: bool = False) -> RingMode
         gens=gens,
         rad_names=("t",),
         idem_names=("e1",),
-        alphabet=z_alphabet(q, 1),
         depth=c,
         exact=exact,
     )
@@ -152,7 +162,6 @@ def local2d_module(q: int, c: int, rank: int = 1) -> RingModel:
         gens=gens,
         rad_names=("u", "t"),
         idem_names=("e1",),
-        alphabet=z_alphabet(q, 1),
         depth=c,
         slice_gen="u",
     )
@@ -231,7 +240,6 @@ def triangular_module(q: int, n: int, c: int, columns) -> RingModel:
         gens=gens,
         rad_names=("g",),
         idem_names=tuple(f"e{i + 1}" for i in range(n)),
-        alphabet=z_alphabet(q, n),
         depth=n * c,
     )
     validate_model(model)
@@ -258,7 +266,6 @@ def skew_module(q: int, n: int, c_pi: int, c_t: int) -> RingModel:
         gens=gens,
         rad_names=("g", "t"),
         idem_names=tuple(f"e{i + 1}" for i in range(n)),
-        alphabet=z_alphabet(q, n),
         depth=min(c_t, n * c_pi),
         slice_gen="t",
     )
@@ -314,11 +321,22 @@ def _compose(a, b) -> tuple[int, ...]:
     return tuple(a[k] if k >= 0 else -1 for k in b)
 
 
+def _radical_coords(model: RingModel, coords) -> set[int]:
+    """The coordinates k spanning J * span{e_j : j in coords}.
+
+    Each radical generator is a gather g moving e_j to e_k where g[k] = j, so
+    the image is spanned by the k with g[k] in ``coords`` for some g.
+    """
+    return {k for name in model.rad_names for k, j in enumerate(model.gens[name]) if j in coords}
+
+
 def validate_model(model: RingModel) -> int:
     """Check the ring relations and the kernel depth; return the radical nilpotency index.
 
     Every model constructor runs it on the model it returns: the relations
-    are the premise of :func:`radical_subspace`.
+    are the premise of :func:`radical_subspace`.  The index is read off the
+    gathers: each J^k M is spanned by coordinate vectors, and
+    :func:`_radical_coords` steps from J^k M to J^(k+1) M with no elimination.
     """
     gens = model.gens
     idems = [gens[name] for name in model.idem_names]
@@ -354,9 +372,9 @@ def validate_model(model: RingModel) -> int:
         for name, src in gens.items():
             if _compose(t, src) != _compose(src, t):
                 raise SchemaError(f"t is not central: fails against {name}")
-    index, jx = 0, model.full()
-    while jx.dim > 0:
-        index, jx = index + 1, radical_subspace(model, jx)
+    index, live = 0, set(range(model.dim))
+    while live:
+        index, live = index + 1, _radical_coords(model, live)
     if index < model.depth:
         raise SchemaError(
             f"radical nilpotency index {index} below the declared kernel depth {model.depth}"
@@ -426,7 +444,9 @@ def maximal_submodules(
     that vanishes on JX and on every X e_j, j != i: the ring acts on X/JX
     through scalars on each class, so every such kernel is stable.  They are
     the hyperplanes of X over JX plus the rows at X's other top pivots, built
-    from X's and JX's RREF by :meth:`gfq.SubspaceRep.hyperplanes`.  ``jx``
+    from X's and JX's RREF by :meth:`gfq.SubspaceRep.hyperplanes`.  Class i
+    has (q^d - 1)/(q - 1) of them for d top pivots in the class, and that
+    count is checked against ``budget`` before the class is built.  ``jx``
     passes in ``radical_subspace(model, rep)`` when the caller has it.
     """
     jx = radical_subspace(model, rep) if jx is None else jx
@@ -435,7 +455,15 @@ def maximal_submodules(
     for c in rep.pivots:
         if c not in below:
             cols[model.classes[c]].append(c)
-    return [(child, i) for i, ci in enumerate(cols) if ci for child in rep.hyperplanes(jx, ci, budget)]
+    q, out = model.field.q, []
+    for i, ci in enumerate(cols):
+        if not ci:
+            continue
+        count = (q ** len(ci) - 1) // (q - 1)
+        if count > budget:
+            raise ResourceBudgetError("subspace enumeration too large", required=count, budget=budget)
+        out += [(child, i) for child in rep.hyperplanes(jx, ci)]
+    return out
 
 
 @dataclass
@@ -523,7 +551,8 @@ def empirical_zeta(
         if len(partial) != n or any(x < 0 for x in partial):
             raise SchemaError(f"class vector needs {n} multiplicities >= 0, got {partial}")
     if joint:
-        r = sum(top_class(model, model.full()))
+        # the generic length dim M/JM; JM is spanned by the coordinates the radical writes
+        r = model.dim - len(_radical_coords(model, range(model.dim)))
         alphabet = doubled_alphabet(q, n)
         out_bound = bound + r
     else:
@@ -578,20 +607,14 @@ def jordan_type(model: RingModel, rep: gfq.SubspaceRep, lower: gfq.SubspaceRep |
     return _partition_from_ranks(ranks)
 
 
-def typed_submodules(
-    model: RingModel,
-    ambient: gfq.SubspaceRep,
-    sub_type,
-    quotient_type,
-    budget: int = DEFAULT_NODE_BUDGET,
-):
+def typed_submodules(model: RingModel, ambient: gfq.SubspaceRep, sub_type, quotient_type):
     """Each D <= A with D of type ``sub_type`` and A/D of type ``quotient_type``, in the order of :func:`submodules`."""
     b = _as_partition(quotient_type)
     c = _as_partition(sub_type)
     colen = sum(b)
     if sum(c) + colen != ambient.dim:
         return  # lengths cannot match, so no D qualifies
-    for node in submodules(model, colen, start=ambient, budget=budget):
+    for node in submodules(model, colen, start=ambient):
         if (
             node.colength == colen
             and jordan_type(model, node.rep) == c
@@ -600,23 +623,12 @@ def typed_submodules(
             yield node.rep
 
 
-def hall_number(
-    model: RingModel,
-    ambient: gfq.SubspaceRep,
-    quotient_type,
-    sub_type,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> int:
+def hall_number(model: RingModel, ambient: gfq.SubspaceRep, quotient_type, sub_type) -> int:
     """Count D <= A with D of type ``sub_type`` and A/D of type ``quotient_type``."""
-    return sum(1 for _ in typed_submodules(model, ambient, sub_type, quotient_type, budget))
+    return sum(1 for _ in typed_submodules(model, ambient, sub_type, quotient_type))
 
 
-def chain_type_count(
-    model: RingModel,
-    ambient: gfq.SubspaceRep,
-    steps,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> int:
+def chain_type_count(model: RingModel, ambient: gfq.SubspaceRep, steps) -> int:
     """Chains D_0 <= D_1 <= ... <= A with prescribed (sub, quotient) types.
 
     ``steps`` lists, outermost first, pairs (type of D_j, type of D_{j+1}/D_j);
@@ -626,10 +638,7 @@ def chain_type_count(
     if not steps:
         return 1
     (sub_t, quo_t), rest = steps[0], steps[1:]
-    return sum(
-        chain_type_count(model, rep, rest, budget)
-        for rep in typed_submodules(model, ambient, sub_t, quo_t, budget)
-    )
+    return sum(chain_type_count(model, rep, rest) for rep in typed_submodules(model, ambient, sub_t, quo_t))
 
 
 # -- fiber charts ---------------------------------------------------------------
@@ -659,7 +668,6 @@ class FiberContext:
             gens={name: tuple(pos.get(src[c], -1) for c in self.free) for name, src in model.gens.items()},
             rad_names=model.rad_names,
             idem_names=model.idem_names,
-            alphabet=model.alphabet,
             depth=model.depth,
             exact=model.exact,
         )

@@ -12,6 +12,8 @@ from brzeta import gfq
 from brzeta.errors import ResourceBudgetError, SchemaError
 from brzeta.qcomb import gaussian_binomial
 
+DEFAULT_BUDGET = 200_000
+
 
 def mat_mul(field, a, b, n):
     """Product a·b of packed matrices; ``b`` has ``len(b)`` rows of width ``n``."""
@@ -30,7 +32,7 @@ def mat_mul(field, a, b, n):
     return out
 
 
-def enumerate_subspaces(field, ambient, dims=None, budget=gfq.DEFAULT_BUDGET):
+def enumerate_subspaces(field, ambient, dims=None, budget=DEFAULT_BUDGET):
     """All subspaces of F_q^ambient (optionally of given dimensions), RREF order.
 
     The exact count is computed first; exceeding ``budget`` raises

@@ -78,6 +78,13 @@ class TestFailureLines:
         monkeypatch.setattr(orc, "hall_number", lambda *args: real(*args) + 1)
         assert chk.check_hall().line() == "FAIL hall (1 cases) [at q=2,C=(2, 1): expected 3, got 4]"
 
+    def test_table_suite_names_its_first_bad_entry(self, monkeypatch):
+        real = pr.rossmann_coeffs
+        monkeypatch.setattr(pr, "rossmann_coeffs", lambda n: {**real(n), 5: -3})
+        assert chk.check_integrality().line() == (
+            "FAIL integrality (13 cases) [at rossmann: expected integer >= 0, got (5, -3)]"
+        )
+
     def test_stable_leg_sees_a_term_past_the_degree_bound(self, monkeypatch):
         """F has no term above 2rn + r: a factor that gains one past that degree fails."""
         real = her.polynomial_factor

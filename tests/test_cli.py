@@ -259,6 +259,15 @@ class TestOracleCommand:
         assert (code, out) == (4, "")
         assert "required 1, budget 0" in err
 
+    def test_hyperplane_count_refused_before_any_is_built(self, capsys):
+        """The root's top over GF(16) has 273 hyperplanes; the oracle refuses them all at once."""
+        code, out, err = run_cli(
+            capsys,
+            ["oracle", "--budget", "100", "--model", '{"kind":"chain","q":16,"c":2,"rank":3}', "--colength", "1"],
+        )
+        assert (code, out) == (4, "")
+        assert err == "budget exceeded: subspace enumeration too large (required 273, budget 100)\n"
+
 
 #: (size, suite) pairs at which a suite's size knob leaves it no case to check
 EMPTY_AT_SIZE = {(0, "moebius"), (0, "rossmann")}

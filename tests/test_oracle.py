@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import weakref
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -78,6 +79,53 @@ class TestModelConstruction:
         broken = dataclasses.replace(model, gens={**model.gens, name: src})
         with pytest.raises(SchemaError, match=message):
             orc.validate_model(broken)
+
+
+def _gather_grid():
+    """Small models of each kind, keyed by kind; their gathers do not depend on q."""
+    grid = {"chain": [], "local2d": [], "triangular": [], "skew_poly": []}
+    for c in (1, 2, 3):
+        for rank in (1, 2):
+            grid["chain"].append(orc.chain_module(2, c, rank))
+            grid["local2d"].append(orc.local2d_module(3, c, rank))
+    for n in (1, 2, 3):
+        for c in (1, 2):
+            for k in (1, 2):
+                for columns in combinations_with_replacement(range(1, n + 1), k):
+                    grid["triangular"].append(orc.triangular_module(2, n, c, columns))
+    for n in (1, 2):
+        for c_pi in (1, 2):
+            for c_t in (1, 2, 3):
+                grid["skew_poly"].append(orc.skew_module(2, n, c_pi, c_t))
+    return grid
+
+
+_GATHER_GRID = _gather_grid()
+
+
+class TestGatherFacts:
+    """What the oracle reads off a model's gathers equals what elimination gives."""
+
+    @pytest.mark.parametrize("kind", sorted(_GATHER_GRID))
+    def test_nilpotency_index_matches_repeated_radicals(self, kind):
+        for model in _GATHER_GRID[kind]:
+            index, jx = 0, model.full()
+            while jx.dim:
+                index, jx = index + 1, orc.radical_subspace(model, jx)
+            assert orc.validate_model(model) == index, model.gens
+
+    @pytest.mark.parametrize("kind", sorted(_GATHER_GRID))
+    def test_joint_width_matches_the_top_of_m(self, kind):
+        for model in _GATHER_GRID[kind]:
+            width = sum(orc.top_class(model, model.full()))
+            assert orc.empirical_zeta(model, 0, joint=True).bound == width, model.gens
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_alphabet_follows_field_and_class_count(self, q):
+        for model in _models(q):
+            assert model.alphabet == her.z_alphabet(q, model.n_classes), model.kind
+            if model.slice_gen is not None:
+                assert orc.FiberContext(model).slice_model.alphabet == model.alphabet
 
 
 def _models(q):
