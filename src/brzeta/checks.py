@@ -34,7 +34,7 @@ from . import prolif as pr
 from .errors import FormulaViolationError
 from .hey import SemisimpleData, hey_product, moebius_inverse_series
 from .qcomb import gaussian_binomial, partition_count
-from .series import Alphabet, AlphabetEntry, TruncatedSeries, geometric_product
+from .series import TruncatedSeries, geometric_product
 
 
 @dataclass
@@ -111,7 +111,7 @@ def check_moebius(bound=8, trials=20, seed=20260825) -> CheckResult:
             specs = [(rng.choice((2, 3, 4)), rng.randint(0, 4), rng.randint(1, 2)) for _ in range(n)]
             data = SemisimpleData.from_specs(specs)
             prod = hey_product(data, bound) * moebius_inverse_series(data, bound)
-            yield [(f"specs={specs}", prod, TruncatedSeries.one(data.alphabet(), bound))]
+            yield [(f"specs={specs}", prod, TruncatedSeries.one(data.alphabet, bound))]
 
     return _compare("moebius", f"hey * inverse = 1 at bound {bound}", cases())
 
@@ -124,16 +124,20 @@ def _hereditary_grid(qs=(2, 3), n_max=3, r_max=3):
         for n in range(1, n_max + 1):
             for r in range(1, r_max + 1):
                 for cols in combinations_with_replacement(range(1, n + 1), r):
-                    yield q, n, cols
+                    yield her.Lattice(q, n, cols)
+
+
+def _grid_label(lat: her.Lattice) -> str:
+    return f"q={lat.q},n={lat.n},cols={lat.columns}"
 
 
 def check_hereditary_oracle(qs=(2, 3), n_max=3, r_max=3, bound=3) -> CheckResult:
     def cases():
-        for q, n, cols in _hereditary_grid(qs, n_max, r_max):
-            engine = her.brz_two_variable(her.HereditaryOrderSpec(q, n), her.HereditaryModuleSpec(cols), bound)
-            model = orc.triangular_module(q, n, -(-(bound + 1) // n), cols)
+        for lat in _hereditary_grid(qs, n_max, r_max):
+            engine = her.brz_two_variable(lat, bound)
+            model = orc.triangular_module(lat.q, lat.n, -(-(bound + 1) // lat.n), lat.columns)
             counted = orc.empirical_zeta(model, bound, joint=True)
-            yield [(f"q={q},n={n},cols={cols}", counted, engine)]
+            yield [(_grid_label(lat), counted, engine)]
 
     return _compare("hereditary-oracle", "joint (z,w) coefficients match enumeration", cases())
 
@@ -143,17 +147,16 @@ def check_hereditary_oracle(qs=(2, 3), n_max=3, r_max=3, bound=3) -> CheckResult
 
 def check_brs_polynomial(qs=(2, 3), n_max=3, r_max=3, z_bound=3) -> CheckResult:
     def cases():
-        for q, n, cols in _hereditary_grid(qs, n_max, r_max):
-            order = her.HereditaryOrderSpec(q, n)
-            module = her.HereditaryModuleSpec(cols)
-            full = 2 * n * module.r + module.r
-            f_full = her.brs_F(order, module, full)  # raises unless divisible by the column shift
+        for lat in _hereditary_grid(qs, n_max, r_max):
+            full = 2 * lat.n * lat.r + lat.r
+            f_full = her.brs_F(lat, full)  # raises unless divisible by the column shift
             # past its degree bound the factor gains no term
-            stable = her.polynomial_factor(order, module, full + 3)
+            stable = her.polynomial_factor(lat, full + 3)
             # assembled identity: F times the rank-r base count = the joint zeta
-            joint = her.brz_two_variable(order, module, z_bound)
-            zfac = her.solomon_hey_factor(module.r, q, joint.bound, joint.alphabet, (1,) * n + (0,) * n)
-            label = f"q={q},n={n},cols={cols}"
+            joint = her.brz_two_variable(lat, z_bound)
+            v_exps = (1,) * lat.n + (0,) * lat.n
+            zfac = TruncatedSeries.geometric(joint.alphabet, joint.bound, v_exps, 1, lat.r, lat.q)
+            label = _grid_label(lat)
             yield [
                 (f"{label},stable", stable, f_full.extended(full + 3)),
                 (f"{label},joint", f_full.extended(joint.bound) * zfac, joint),
@@ -168,7 +171,7 @@ def check_brs_polynomial(qs=(2, 3), n_max=3, r_max=3, z_bound=3) -> CheckResult:
 def check_q_partition(r_max=6, qs=(2, 3, 4, 5), bound=10) -> CheckResult:
     def cases():
         for q in qs:
-            al = Alphabet((AlphabetEntry("v", q, 1),))
+            al = her.v_alphabet(q)
             for r in range(0, r_max + 1):
                 # sum of gauss(r,m,q) * Q(m,r,q) over m must collapse to 1
                 terms = (
@@ -271,7 +274,7 @@ def check_voll(qs=(2, 3), m_max=3, bound=5) -> CheckResult:
         for q in qs:
             for m in range(0, m_max + 1):
                 data = SemisimpleData.from_specs([(q, m)])
-                summed = pr.proliferation_sum(pr.SliceBase.semisimple(data), bound)
+                summed = pr.proliferation_sum(pr.SliceBase(data), bound)
                 yield [(f"q={q},m={m}", summed, hey_product(data, bound))]
 
     return _compare("voll", "semisimple class-sequence sum = closed product", cases())
@@ -300,11 +303,8 @@ def check_fiber(bound=3, c=None) -> CheckResult:
 
 
 def check_skew_example(bound=3) -> CheckResult:
-    order = her.HereditaryOrderSpec(2, 2)
-    module = her.HereditaryModuleSpec((1, 2))
-
     def cases():
-        through_lattice = pr.proliferation_sum(pr.SliceBase.hereditary(order, module), bound)
+        through_lattice = pr.proliferation_sum(pr.SliceBase(her.Lattice(2, 2, (1, 2))), bound)
         counted = orc.empirical_zeta(orc.skew_module(2, 2, -(-(bound + 1) // 2), bound + 1), bound)
         yield [("oracle-vs-lattice-slice", counted, through_lattice)]
         through_split = pr.lifted_hey(SemisimpleData.from_specs([(2, 1), (2, 1)]), (1, 0), bound)
@@ -318,19 +318,18 @@ def check_skew_example(bound=3) -> CheckResult:
 
 
 def check_brs_factored(bound=3) -> CheckResult:
-    order = her.HereditaryOrderSpec(2, 2)
-    module = her.HereditaryModuleSpec((1, 2))
-    base = pr.SliceBase.hereditary(order, module)
+    lattice = her.Lattice(2, 2, (1, 2))
+    base = pr.SliceBase(lattice)
 
     def cases():
         prefactor, remainder = pr.brs_factored_prolif(base, bound)
         comparisons = [("prefactor*remainder", prefactor * remainder, pr.proliferation_sum(base, bound))]
         # the substituted layer factors of the base counts that the prefactor is built from, in closed form
-        al = Alphabet((AlphabetEntry("v", order.q, 1),))
-        for ell in range(1, module.r + 1):
+        al = her.v_alphabet(lattice.q)
+        for ell in range(1, lattice.r + 1):
             for j in range(bound):
-                closed = geometric_product(al, bound, (((j + 1,), order.q ** (i + j * ell)) for i in range(ell)))
-                comparisons.append((f"zjv ell={ell},j={j}", pr.zjv_factor(ell, order.q, j, bound), closed))
+                closed = geometric_product(al, bound, (((j + 1,), lattice.q ** (i + j * ell)) for i in range(ell)))
+                comparisons.append((f"zjv ell={ell},j={j}", pr.zjv_factor(ell, lattice.q, j, bound), closed))
         yield comparisons
 
     return _compare("brs-factored", "prefactor * remainder = class-sequence sum", cases())
@@ -344,14 +343,13 @@ def check_integrality(bound=4) -> CheckResult:
     for q, m in ((2, 2), (3, 1), (4, 3)):
         data = SemisimpleData.from_specs([(q, m)])
         emitted.append((f"hey q={q} m={m}", hey_product(data, bound)))
-    order = her.HereditaryOrderSpec(2, 2)
-    module = her.HereditaryModuleSpec((1, 2))
-    emitted.append(("hereditary joint", her.brz_two_variable(order, module, bound)))
-    emitted.append(("hereditary total", her.total_zeta(order, module, bound)))
-    emitted.append(("hereditary partial", her.partial_zeta(order, module, (1, 1), bound)))
-    emitted.append(("prolif hereditary", pr.proliferation_sum(pr.SliceBase.hereditary(order, module), 3)))
+    lattice = her.Lattice(2, 2, (1, 2))
+    emitted.append(("hereditary joint", her.brz_two_variable(lattice, bound)))
+    emitted.append(("hereditary total", her.total_zeta(lattice, bound)))
+    emitted.append(("hereditary partial", her.partial_zeta(lattice, (1, 1), bound)))
+    emitted.append(("prolif hereditary", pr.proliferation_sum(pr.SliceBase(lattice), 3)))
     emitted.append(("prolif semisimple", pr.proliferation_sum(
-        pr.SliceBase.semisimple(SemisimpleData.from_specs([(2, 1), (3, 2)])), 3)))
+        pr.SliceBase(SemisimpleData.from_specs([(2, 1), (3, 2)])), 3)))
     emitted.append(("sliver dvr", pr.single_sliver(pr.SliceBase.dvr(2, 3), bound)))
     emitted.append(("lifted hey", pr.lifted_hey(SemisimpleData.from_specs([(2, 1), (2, 1)]), (1, 0), bound)))
     emitted.append(("zjv", pr.zjv_factor(2, 2, 1, bound)))

@@ -142,16 +142,16 @@ def _run_hey(args: argparse.Namespace) -> int:
 def _run_hereditary(args: argparse.Namespace) -> int:
     from . import hereditary as her
 
-    order, module = her.hereditary_from_json(_load_payload(_require(args.data, "--data")))
+    lattice = her.hereditary_from_json(_load_payload(_require(args.data, "--data")))
     bound = _require(args.truncate, "--truncate")
     if args.partial is not None:
-        series = her.partial_zeta(order, module, _parse_ints(args.partial), bound)
+        series = her.partial_zeta(lattice, _parse_ints(args.partial), bound)
     elif args.joint:
-        series = her.brz_two_variable(order, module, bound)
+        series = her.brz_two_variable(lattice, bound)
     elif args.factor:
-        series = her.brs_F(order, module, bound)
+        series = her.brs_F(lattice, bound)
     else:
-        series = her.total_zeta(order, module, bound)
+        series = her.total_zeta(lattice, bound)
     return _emit(args.fmt, series=series)
 
 
@@ -162,7 +162,7 @@ def _run_lifted_hey(args: argparse.Namespace) -> int:
     bound = _require(args.truncate, "--truncate")
     sigma = None
     if args.sigma is not None:
-        sigma = pr.sigma_from_one_based(_parse_ints(args.sigma), len(data.entries))
+        sigma = pr.sigma_from_one_based(_parse_ints(args.sigma), len(data.ms))
     return _emit(args.fmt, series=pr.lifted_hey(data, sigma, bound))
 
 

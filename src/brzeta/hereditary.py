@@ -1,8 +1,10 @@
 """Two-variable submodule counts over basic orders with a cyclic radical chain.
 
-The order is determined by (q, n): residue field size q and n simple classes
-whose projective covers form a chain of column lattices.  A lattice M is a
-multiset of column types c_1 <= ... <= c_r.  The count assembled here is
+A :class:`Lattice` is one validated spec: the basic hereditary order of
+residue field size q whose n simple classes have projective covers forming a
+chain of column lattices (Reiner, *Maximal Orders*), and a lattice M over it,
+given by its column types c_1 <= ... <= c_r, one per projective summand.
+The count assembled here is
 
     sum over finite-colength sublattices X of  w^{iso class of X} z^{colength},
 
@@ -44,36 +46,47 @@ from .series import (
 
 
 @dataclass(frozen=True)
-class HereditaryOrderSpec:
-    """q = residue field size, n = number of simple classes in the chain."""
+class Lattice:
+    """A lattice over the basic hereditary order of residue field size q with
+    n simple classes: its column types c_1 <= ... <= c_r (stored sorted), one
+    per projective summand, each between 1 and n."""
 
     q: int
     n: int
+    columns: tuple[int, ...]
 
     def __post_init__(self):
         if self.q < 2:
             raise SchemaError(f"residue field size must be >= 2, got {self.q}")
         if self.n < 1:
             raise SchemaError(f"chain length must be >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
-class HereditaryModuleSpec:
-    """Column-type multiset c_1..c_r (stored sorted), one slot per projective summand."""
-
-    columns: tuple[int, ...]
-
-    def __post_init__(self):
         cols = tuple(sorted(int(c) for c in self.columns))
         object.__setattr__(self, "columns", cols)
         if not cols:
             raise SchemaError("module needs at least one column")
         if cols[0] < 1:
             raise SchemaError(f"column types start at 1, got {cols}")
+        if cols[-1] > self.n:
+            raise SchemaError(f"column type {cols[-1]} exceeds the order's chain length {self.n}")
+
+    @classmethod
+    def of_class(cls, q: int, top) -> "Lattice":
+        """The lattice whose top has multiplicity top[i-1] of each simple class i."""
+        return cls(q, len(top), tuple(i for i, v in enumerate(top, start=1) for _ in range(v)))
 
     @property
     def r(self) -> int:
         return len(self.columns)
+
+    @property
+    def top(self) -> tuple[int, ...]:
+        """Multiplicity of each simple class in M's top."""
+        return tuple(self.columns.count(i) for i in range(1, self.n + 1))
+
+    @property
+    def alphabet(self) -> Alphabet:
+        """The colength markers, one per simple class (:func:`z_alphabet`)."""
+        return z_alphabet(self.q, self.n)
 
     def flag_dim(self, j: int) -> int:
         """dim of the coordinate subspace of columns with type >= j."""
@@ -82,17 +95,6 @@ class HereditaryModuleSpec:
     def shift_length(self, i: int) -> int:
         """Number of columns of type < i (the z_i-exponent of u)."""
         return sum(1 for c in self.columns if c < i)
-
-    def top_vector(self, n: int) -> tuple[int, ...]:
-        """Multiplicity of each simple class in M's top."""
-        return tuple(sum(1 for c in self.columns if c == i) for i in range(1, n + 1))
-
-
-def _validate_pair(order: HereditaryOrderSpec, module: HereditaryModuleSpec):
-    if module.columns[-1] > order.n:
-        raise SchemaError(
-            f"column type {module.columns[-1]} exceeds the order's chain length {order.n}"
-        )
 
 
 def _labels(prefix: str, n: int) -> list[str]:
@@ -104,22 +106,24 @@ def z_alphabet(q: int, n: int) -> Alphabet:
     return Alphabet(tuple(AlphabetEntry(lab, q, 1) for lab in _labels("z", n)))
 
 
+def v_alphabet(q: int) -> Alphabet:
+    """The one variable v = z_1...z_n of the base count, over residue field size q."""
+    return Alphabet((AlphabetEntry("v", q, 1),))
+
+
 def doubled_alphabet(q: int, n: int) -> Alphabet:
     """The z block of :func:`z_alphabet` followed by the class markers w or w1..wn."""
     return Alphabet(tuple(AlphabetEntry(lab, q, 1) for lab in _labels("z", n) + _labels("w", n)))
 
 
-def substitution_data(
-    order: HereditaryOrderSpec, module: HereditaryModuleSpec
-) -> tuple[Monomial, Monomial, list[Monomial]]:
+def substitution_data(lattice: Lattice) -> tuple[Monomial, Monomial, list[Monomial]]:
     """(u, v, t_1..t_n) as exponent vectors over the doubled alphabet.
 
     u shifts by the columns already past each class, v is the product of all
     z_i, and t_j couples the class-j marker w_j with the z's strictly above j.
     """
-    _validate_pair(order, module)
-    n = order.n
-    u = tuple(module.shift_length(i) for i in range(1, n + 1)) + (0,) * n
+    n = lattice.n
+    u = tuple(lattice.shift_length(i) for i in range(1, n + 1)) + (0,) * n
     v = (1,) * n + (0,) * n
     t = []
     for j in range(1, n + 1):
@@ -162,9 +166,7 @@ def chain_degree_counts(q: int, dims: tuple[int, ...]) -> dict[tuple[int, ...], 
     return hit
 
 
-def stratum_counts(
-    order: HereditaryOrderSpec, module: HereditaryModuleSpec
-) -> dict[tuple[tuple[int, ...], int], int]:
+def stratum_counts(lattice: Lattice) -> dict[tuple[tuple[int, ...], int], int]:
     """How many subspaces Ybar of F_q^r have each (filtration dims, dim Ybar).
 
     With f_j the dimension of the coordinate span m_j of the columns of type
@@ -175,14 +177,13 @@ def stratum_counts(
 
     with k_j = a_j - a_{j+1}.
     """
-    _validate_pair(order, module)
-    q, r = order.q, module.r
-    flags = [module.flag_dim(j) for j in range(1, order.n + 1)]
+    q, r = lattice.q, lattice.r
+    flags = [lattice.flag_dim(j) for j in range(1, lattice.n + 1)]
     out = {}
     for m in range(r + 1):
         for a in _descending(m, flags[1:]):
             count = gaussian_binomial(flags[-1], a[-1], q)
-            for j in range(order.n - 1):
+            for j in range(lattice.n - 1):
                 k = a[j] - a[j + 1]
                 count *= q ** (k * (flags[j + 1] - a[j + 1]))
                 count *= gaussian_binomial(flags[j] - flags[j + 1], k, q)
@@ -221,23 +222,13 @@ def hermite_Q(m: int, r: int, q: int) -> list[int]:
     return [0] * (r - m) + cauchy_poly(m, q)
 
 
-def solomon_hey_factor(
-    r: int,
-    q: int,
-    bound: int,
-    alphabet: Alphabet | None = None,
-    v_exps: Monomial | None = None,
-) -> TruncatedSeries:
-    """Base count of the rank-r free lattice: the run prod_{j=0}^{r-1} (1 - q^j v)^{-1},
-    expanded as one series by the q-binomial theorem (:meth:`TruncatedSeries.geometric`)."""
+def solomon_hey_factor(r: int, q: int, bound: int) -> TruncatedSeries:
+    """Base count of the rank-r free lattice over :func:`v_alphabet`: the run
+    prod_{j=0}^{r-1} (1 - q^j v)^{-1}, expanded as one series by the
+    q-binomial theorem (:meth:`TruncatedSeries.geometric`)."""
     if r < 0:
         raise SchemaError(f"rank must be >= 0, got {r}")
-    if alphabet is None:
-        alphabet = Alphabet((AlphabetEntry("v", q, 1),))
-        v_exps = (1,)
-    if v_exps is None:
-        raise SchemaError("custom alphabet needs explicit v exponents")
-    return TruncatedSeries.geometric(alphabet, bound, v_exps, 1, r, q)
+    return TruncatedSeries.geometric(v_alphabet(q), bound, (1,), 1, r, q)
 
 
 def hermite_orbit_sum(m: int, r: int, q: int, bound: int) -> TruncatedSeries:
@@ -247,12 +238,12 @@ def hermite_orbit_sum(m: int, r: int, q: int, bound: int) -> TruncatedSeries:
     """
     if not 0 <= m <= r:
         raise SchemaError(f"stratum dimension must satisfy 0 <= m <= r, got m={m}, r={r}")
-    alphabet = Alphabet((AlphabetEntry("v", q, 1),))
+    alphabet = v_alphabet(q)
     orbits = geometric_product(alphabet, bound, (((1,), q ** (j - 1)) for j in range(m + 1, r + 1)))
     return TruncatedSeries.monomial(alphabet, bound, (r - m,)) * orbits
 
 
-def _stratum_sum(order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound: int) -> TruncatedSeries:
+def _stratum_sum(lattice: Lattice, bound: int) -> TruncatedSeries:
     """Sum over strata Ybar of F_q^r of chain polynomial times Hermite weight.
 
     Strata are counted by (filtration dims, dim Ybar), which is all the two
@@ -262,11 +253,11 @@ def _stratum_sum(order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound
     doubled alphabet at ``bound``, before the base count and the
     column-shift division.
     """
-    q, r = order.q, module.r
-    alphabet = doubled_alphabet(q, order.n)
-    _, v_exps, t_exps = substitution_data(order, module)
+    q, r = lattice.q, lattice.r
+    alphabet = doubled_alphabet(q, lattice.n)
+    _, v_exps, t_exps = substitution_data(lattice)
     weights: dict[tuple[int, ...], list[int]] = {}
-    for (dims, m), count in stratum_counts(order, module).items():
+    for (dims, m), count in stratum_counts(lattice).items():
         w = weights.setdefault(dims, [0] * (r + 1))
         for k, c in enumerate(hermite_Q(m, r, q)):
             w[k] += count * c
@@ -277,7 +268,7 @@ def _stratum_sum(order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound
     return acc
 
 
-def polynomial_factor(order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound: int) -> TruncatedSeries:
+def polynomial_factor(lattice: Lattice, bound: int) -> TruncatedSeries:
     """The polynomial F with Z(M; z, w) = F * (rank-r base count in v), complete
     through ``bound``.
 
@@ -285,8 +276,8 @@ def polynomial_factor(order: HereditaryOrderSpec, module: HereditaryModuleSpec, 
     column-shift monomial u; this is the one place u is divided out, and a
     term that u does not divide is a formula violation.
     """
-    u_exps, _, _ = substitution_data(order, module)
-    acc = _stratum_sum(order, module, bound + mono_degree(u_exps))
+    u_exps, _, _ = substitution_data(lattice)
+    acc = _stratum_sum(lattice, bound + mono_degree(u_exps))
     try:
         return acc.divided_by_monomial(u_exps)
     except NonUnitError as exc:
@@ -295,66 +286,62 @@ def polynomial_factor(order: HereditaryOrderSpec, module: HereditaryModuleSpec, 
         ) from exc
 
 
-def brz_two_variable(order: HereditaryOrderSpec, module: HereditaryModuleSpec, z_bound: int) -> TruncatedSeries:
+def brz_two_variable(lattice: Lattice, z_bound: int) -> TruncatedSeries:
     """Joint class/colength count over the doubled alphabet (z block, w block):
     the polynomial factor times the rank-r base count.
 
     Returned at total-degree bound z_bound + r; since every term has w-degree
     exactly r, all colength degrees up to z_bound are complete.
     """
-    _, v_exps, _ = substitution_data(order, module)
+    _, v_exps, _ = substitution_data(lattice)
     if z_bound < 0:
         raise TruncationBoundError(f"bound must be >= 0, got {z_bound}")
-    bound = z_bound + module.r
-    poly = polynomial_factor(order, module, bound)
-    return poly * solomon_hey_factor(module.r, order.q, bound, poly.alphabet, v_exps)
+    bound = z_bound + lattice.r
+    poly = polynomial_factor(lattice, bound)
+    return poly * TruncatedSeries.geometric(poly.alphabet, bound, v_exps, 1, lattice.r, lattice.q)
 
 
-def brs_F(order: HereditaryOrderSpec, module: HereditaryModuleSpec, bound: int) -> TruncatedSeries:
+def brs_F(lattice: Lattice, bound: int) -> TruncatedSeries:
     """The whole polynomial factor F, restated at the requested bound.
 
     Raises a truncation-bound error naming the degree of F if the requested
     bound is below it.
     """
-    r = module.r
+    r = lattice.r
     # chain sums and stratum weights each have total degree <= rn, so 2rn + r covers all of F
-    poly = polynomial_factor(order, module, 2 * r * order.n + r)
+    poly = polynomial_factor(lattice, 2 * r * lattice.n + r)
     degree = poly.max_degree()
     if degree > bound:
         raise TruncationBoundError(f"the polynomial factor has degree {degree}; bound {bound} would truncate it")
     return poly.extended(bound)
 
 
-def class_counts(
-    order: HereditaryOrderSpec, module: HereditaryModuleSpec, z_bound: int
-) -> dict[tuple[int, ...], TruncatedSeries]:
+def class_counts(lattice: Lattice, z_bound: int) -> dict[tuple[int, ...], TruncatedSeries]:
     """Sublattice counts by colength monomial, one entry per isomorphism class
     that occurs, keyed by its projective multiplicities.
 
     The joint series is split by its w block once; every w-degree is r, so
     each entry is complete through ``z_bound``.
     """
-    return split_trailing(brz_two_variable(order, module, z_bound), order.n)
+    return split_trailing(brz_two_variable(lattice, z_bound), lattice.n)
 
 
-def partial_zeta(
-    order: HereditaryOrderSpec, module: HereditaryModuleSpec, rho, z_bound: int
-) -> TruncatedSeries:
+def partial_zeta(lattice: Lattice, rho, z_bound: int) -> TruncatedSeries:
     """Count of sublattices in one isomorphism class, by colength monomial."""
     rho = tuple(rho)
-    if len(rho) != order.n or any(x < 0 for x in rho):
-        raise SchemaError(f"class vector needs {order.n} multiplicities >= 0, got {rho}")
-    hit = class_counts(order, module, z_bound).get(rho)
-    return hit if hit is not None else TruncatedSeries.zero(z_alphabet(order.q, order.n), z_bound)
+    if len(rho) != lattice.n or any(x < 0 for x in rho):
+        raise SchemaError(f"class vector needs {lattice.n} multiplicities >= 0, got {rho}")
+    hit = class_counts(lattice, z_bound).get(rho)
+    return hit if hit is not None else TruncatedSeries.zero(lattice.alphabet, z_bound)
 
 
-def total_zeta(order: HereditaryOrderSpec, module: HereditaryModuleSpec, z_bound: int) -> TruncatedSeries:
+def total_zeta(lattice: Lattice, z_bound: int) -> TruncatedSeries:
     """Colength count with the class markers forgotten (all w_i -> 1)."""
-    zero = TruncatedSeries.zero(z_alphabet(order.q, order.n), z_bound)
-    return sum(class_counts(order, module, z_bound).values(), zero)
+    zero = TruncatedSeries.zero(lattice.alphabet, z_bound)
+    return sum(class_counts(lattice, z_bound).values(), zero)
 
 
-def hereditary_from_json(payload) -> tuple[HereditaryOrderSpec, HereditaryModuleSpec]:
+def hereditary_from_json(payload) -> Lattice:
     if not isinstance(payload, dict):
         raise SchemaError("hereditary input must be an object with q, n, columns")
     try:
@@ -365,7 +352,4 @@ def hereditary_from_json(payload) -> tuple[HereditaryOrderSpec, HereditaryModule
         columns = tuple(as_int(c, "column type") for c in payload["columns"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"hereditary input needs q, n, columns: {exc}") from exc
-    order = HereditaryOrderSpec(q, n)
-    module = HereditaryModuleSpec(columns)
-    _validate_pair(order, module)
-    return order, module
+    return Lattice(q, n, columns)

@@ -13,55 +13,42 @@ from dataclasses import dataclass
 
 from .errors import SchemaError, as_int
 from .qcomb import cauchy_poly
-from .series import Alphabet, AlphabetEntry, TruncatedSeries
+from .series import Alphabet, TruncatedSeries
+
+
+def _multiplicity(m: int) -> int:
+    if m < 0:
+        raise SchemaError(f"multiplicity must be >= 0, got {m}")
+    return m
 
 
 @dataclass(frozen=True)
-class SemisimpleEntry:
-    """One simple class: residue field size q, multiplicity m, norm q**r."""
+class SemisimpleData:
+    """A module split along its top: one alphabet entry per simple class (its
+    label, residue field size q and norm q**r) and the class multiplicities
+    ``ms``, each >= 0.  Zero classes is legal: the zero module, whose count is 1.
 
-    label: str
-    q: int
-    m: int
-    r: int = 1
+    The constructors check each multiplicity before they build the alphabet,
+    which checks q, r and the labels.
+    """
+
+    alphabet: Alphabet
+    ms: tuple[int, ...]
 
     def __post_init__(self):
-        # q and r are checked by the alphabet the data builds
-        if self.m < 0:
-            raise SchemaError(f"multiplicity must be >= 0, got {self.m}")
+        object.__setattr__(self, "ms", tuple(map(_multiplicity, self.ms)))
+        if len(self.ms) != len(self.alphabet):
+            raise SchemaError(f"{len(self.alphabet)} classes need {len(self.alphabet)} multiplicities, got {self.ms}")
 
-
-class SemisimpleData:
-    """Ordered simple classes describing a module split along its top."""
-
-    def __init__(self, entries):
-        # zero classes is legal: the zero module, whose count is 1
-        self.entries = tuple(entries)
-        self._alphabet = Alphabet(AlphabetEntry(e.label, e.q, e.r) for e in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SemisimpleData) and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"SemisimpleData({list(self.entries)!r})"
-
-    def alphabet(self) -> Alphabet:
-        return self._alphabet
+    @property
+    def top(self) -> tuple[int, ...]:
+        """The class vector of the module's top: its multiplicities."""
+        return self.ms
 
     @classmethod
     def from_specs(cls, specs) -> "SemisimpleData":
         """Build from (q, m) or (q, m, r) tuples; labels default to z / z1..zn."""
-        specs = list(specs)
-        entries = []
-        for i, s in enumerate(specs):
-            q, m, *rest = s
-            r = rest[0] if rest else 1
-            label = "z" if len(specs) == 1 else f"z{i + 1}"
-            entries.append(SemisimpleEntry(label, int(q), int(m), int(r)))
-        return cls(entries)
+        return cls.from_json([dict(zip(("q", "m", "r"), spec)) for spec in specs])
 
     @classmethod
     def from_json(cls, payload) -> "SemisimpleData":
@@ -69,7 +56,7 @@ class SemisimpleData:
             payload = payload.get("entries", payload.get("classes", payload))
         if not isinstance(payload, (list, tuple)):
             raise SchemaError("semisimple data must be a list of class objects")
-        entries = []
+        entries, ms = [], []
         for i, item in enumerate(payload):
             if not isinstance(item, dict):
                 raise SchemaError(f"class {i} must be an object, got {type(item).__name__}")
@@ -84,8 +71,9 @@ class SemisimpleData:
             label = item.get("label", "z" if len(payload) == 1 else f"z{i + 1}")
             if not isinstance(label, str) or not label:
                 raise SchemaError(f"class {i}: label must be a nonempty string, got {label!r}")
-            entries.append(SemisimpleEntry(label, q, m, r))
-        return cls(entries)
+            ms.append(_multiplicity(m))
+            entries.append((label, q, r))
+        return cls(Alphabet(entries), tuple(ms))
 
 
 def hey_product(data: SemisimpleData, bound: int) -> TruncatedSeries:
@@ -96,10 +84,10 @@ def hey_product(data: SemisimpleData, bound: int) -> TruncatedSeries:
     by the q-binomial theorem (:meth:`TruncatedSeries.geometric`); the
     z_i-exponent records the colength class along that block.
     """
-    al = data.alphabet()
+    al = data.alphabet
     out = TruncatedSeries.one(al, bound)
-    for i, e in enumerate(data.entries):
-        out = out * TruncatedSeries.geometric(al, bound, al.unit(i), 1, e.m, e.q)
+    for i, (e, m) in enumerate(zip(al, data.ms)):
+        out = out * TruncatedSeries.geometric(al, bound, al.unit(i), 1, m, e.q)
     return out
 
 
@@ -109,8 +97,8 @@ def moebius_inverse_series(data: SemisimpleData, bound: int) -> TruncatedSeries:
     Multiplying by :func:`hey_product` at the same bound gives 1; the signed
     coefficients are the alternating q-powered subspace counts.
     """
-    al = data.alphabet()
+    al = data.alphabet
     out = TruncatedSeries.one(al, bound)
-    for i, e in enumerate(data.entries):
-        out = out * TruncatedSeries.powers(al, bound, al.unit(i), cauchy_poly(e.m, e.q))
+    for i, (e, m) in enumerate(zip(al, data.ms)):
+        out = out * TruncatedSeries.powers(al, bound, al.unit(i), cauchy_poly(m, e.q))
     return out

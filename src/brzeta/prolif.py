@@ -39,13 +39,7 @@ from . import hereditary as _her
 from .errors import ResourceBudgetError, SchemaError, as_int
 from .hey import SemisimpleData
 from .qcomb import gaussian_binomial
-from .series import (
-    Alphabet,
-    AlphabetEntry,
-    Monomial,
-    TruncatedSeries,
-    split_trailing,
-)
+from .series import Monomial, TruncatedSeries, split_trailing
 
 ClassVec = tuple[int, ...]
 
@@ -75,38 +69,26 @@ def perm_apply(sigma: tuple[int, ...], vec: ClassVec) -> ClassVec:
 
 
 class SliceBase:
-    """The slice M/IM plus the class permutation induced by tensoring with I.
+    """The slice M/IM plus the class permutation sigma induced by tensoring with I.
 
-    Kinds: ``semisimple`` (split module, one variable per simple class) and
-    ``hereditary`` (chain-order lattice, classes 1..n).  Each kind hands out
-    one table per slice class: the submodules of a slice module of that
-    class, keyed by their own class (:meth:`class_counts`).
+    The slice is one validated spec: a split module (:class:`SemisimpleData`,
+    one variable per simple class) or a lattice over a basic hereditary order
+    (:class:`hereditary.Lattice`, classes 1..n).  Both give the slice alphabet
+    and the top class, and the alphabet gives each class's residue field size.
+    Each hands out one table per slice class: the submodules of a slice module
+    of that class, keyed by their own class (:meth:`class_counts`).
     """
 
-    def __init__(self, kind, *, data=None, order=None, module=None, sigma=None):
-        self.kind = kind
-        if kind == "semisimple":
-            if not isinstance(data, SemisimpleData):
-                raise SchemaError("semisimple base needs SemisimpleData")
-            if not data.entries:
-                raise SchemaError("semisimple base needs at least one class")
-            self.data = data
-            self.class_qs = tuple(e.q for e in data.entries)
-        elif kind == "hereditary":
-            if not isinstance(order, _her.HereditaryOrderSpec) or not isinstance(
-                module, _her.HereditaryModuleSpec
-            ):
-                raise SchemaError("hereditary base needs order and module specs")
-            self.order, self.module = order, module
-            self.class_qs = (order.q,) * order.n
-        else:
-            raise SchemaError(f"unknown slice kind {kind!r}")
-        self.n_classes = n = len(self.class_qs)
+    def __init__(self, spec, sigma=None):
+        if not isinstance(spec, (SemisimpleData, _her.Lattice)):
+            raise SchemaError(f"slice base needs SemisimpleData or a Lattice, got {type(spec).__name__}")
+        self.spec, self.top = spec, spec.top
+        if not self.top:
+            raise SchemaError("semisimple base needs at least one class")
+        self.n_classes = n = len(self.top)
         self.sigma = validate_permutation(sigma if sigma is not None else range(n), n)
-
-    @classmethod
-    def semisimple(cls, data: SemisimpleData, sigma=None) -> "SliceBase":
-        return cls("semisimple", data=data, sigma=sigma)
+        self.alphabet = spec.alphabet
+        self.class_qs = tuple(e.q for e in self.alphabet)
 
     @classmethod
     def dvr(cls, q: int, m: int) -> "SliceBase":
@@ -115,28 +97,11 @@ class SliceBase:
         if q < 2 or m < 0:
             raise SchemaError(f"dvr base needs q >= 2 and m >= 0, got q={q}, m={m}")
         if m == 0:
-            return cls.semisimple(SemisimpleData.from_specs([(q, 0)]))
-        return cls.hereditary(_her.HereditaryOrderSpec(q, 1), _her.HereditaryModuleSpec((1,) * m))
-
-    @classmethod
-    def hereditary(cls, order, module, sigma=None) -> "SliceBase":
-        return cls("hereditary", order=order, module=module, sigma=sigma)
+            return cls(SemisimpleData.from_specs([(q, 0)]))
+        return cls(_her.Lattice(q, 1, (1,) * m))
 
     def __repr__(self) -> str:
-        core = repr(self.data) if self.kind == "semisimple" else f"{self.order}, {self.module}"
-        return f"SliceBase({self.kind}, {core}, sigma={self.sigma})"
-
-    # -- class bookkeeping -------------------------------------------------
-
-    def alphabet(self) -> Alphabet:
-        if self.kind == "semisimple":
-            return self.data.alphabet()
-        return _her.z_alphabet(self.order.q, self.order.n)
-
-    def top_class(self) -> ClassVec:
-        if self.kind == "semisimple":
-            return tuple(e.m for e in self.data.entries)
-        return self.module.top_vector(self.order.n)
+        return f"SliceBase({self.spec!r}, sigma={self.sigma})"
 
     def hom_count(self, rho: ClassVec, ell: ClassVec) -> int:
         """Size of the hom space from the projective of top rho to the class ell."""
@@ -152,29 +117,28 @@ class SliceBase:
         """Submodules of a slice module of class ``upper`` by colength monomial
         over the slice alphabet, keyed by their class; only classes that occur
         at this bound are present."""
-        if self.kind == "hereditary":
-            return _her.class_counts(self.order, _module_of_class(upper), bound)
-        al = self.alphabet()
+        if isinstance(self.spec, _her.Lattice):
+            return _her.class_counts(_her.Lattice.of_class(self.spec.q, upper), bound)
         out = {}
         for lower in _iter_product(*(range(a + 1) for a in upper)):
             exps = tuple(a - b for a, b in zip(upper, lower))
             if sum(exps) <= bound:
                 coeff = 1
-                for e, a, b in zip(self.data.entries, upper, lower):
-                    coeff *= gaussian_binomial(a, b, e.q)
-                out[lower] = TruncatedSeries(al, bound, {exps: coeff})
+                for qi, a, b in zip(self.class_qs, upper, lower):
+                    coeff *= gaussian_binomial(a, b, qi)
+                out[lower] = TruncatedSeries(self.alphabet, bound, {exps: coeff})
         return out
 
     def total_zeta(self, bound: int) -> TruncatedSeries:
         """Count of all finite-colength submodules of the slice module."""
-        zero = TruncatedSeries.zero(self.alphabet(), bound)
-        return sum(self.class_counts(self.top_class(), bound).values(), zero)
+        zero = TruncatedSeries.zero(self.alphabet, bound)
+        return sum(self.class_counts(self.top, bound).values(), zero)
 
     def all_submodules_isomorphic(self) -> bool:
         """True when every finite-colength submodule of the slice is a copy of it."""
-        if self.kind == "hereditary":
-            return self.order.n == 1
-        return not any(self.top_class())
+        if isinstance(self.spec, _her.Lattice):
+            return self.spec.n == 1
+        return not any(self.top)
 
     @classmethod
     def from_json(cls, payload) -> "SliceBase":
@@ -185,8 +149,7 @@ class SliceBase:
         raw_sigma = payload.get("sigma", spec.get("sigma"))
         if kind == "semisimple":
             data = SemisimpleData.from_json(spec.get("entries", spec.get("classes", [])))
-            sigma = sigma_from_one_based(raw_sigma, len(data.entries))
-            return cls.semisimple(data, sigma)
+            return cls(data, sigma_from_one_based(raw_sigma, len(data.ms)))
         if kind == "dvr":
             try:
                 base = cls.dvr(as_int(spec["q"], "q"), as_int(spec["m"], "m"))
@@ -196,9 +159,8 @@ class SliceBase:
                 raise SchemaError("dvr base has a single class; sigma must be [1]")
             return base
         if kind == "hereditary":
-            order, module = _her.hereditary_from_json(spec)
-            sigma = sigma_from_one_based(raw_sigma, order.n)
-            return cls.hereditary(order, module, sigma)
+            lattice = _her.hereditary_from_json(spec)
+            return cls(lattice, sigma_from_one_based(raw_sigma, lattice.n))
         raise SchemaError(f"unknown slice kind {kind!r}")
 
 
@@ -208,13 +170,6 @@ def sigma_from_one_based(raw, n: int):
     if not isinstance(raw, (list, tuple)):
         raise SchemaError("sigma must be a list of 1-based images")
     return tuple(s - 1 for s in validate_permutation([as_int(x, "sigma entry") for x in raw], n, 1))
-
-
-def _module_of_class(rho: ClassVec) -> _her.HereditaryModuleSpec:
-    cols = []
-    for i, v in enumerate(rho, start=1):
-        cols.extend([i] * v)
-    return _her.HereditaryModuleSpec(tuple(cols))
 
 
 # -- class sequences and chains ----------------------------------------------
@@ -287,14 +242,14 @@ def fundamental_fiber_product(base: SliceBase, chain: ChainData, bound: int) -> 
     n = base.n_classes
     if len(chain.y_tops[0]) != n:
         raise SchemaError(f"chain class width {len(chain.y_tops[0])} != {n} slice classes")
-    if chain.y_tops[-1] != base.top_class():
+    if chain.y_tops[-1] != base.top:
         raise SchemaError("chain does not stabilize at the class of the slice module")
     coeff, exps = 1, (0,) * n
     for j, ell in enumerate(chain.quotients):
         scalar, image = layer_image(base, chain.y_tops, ell, j)
         coeff *= scalar
         exps = tuple(map(add, exps, image))
-    return TruncatedSeries(base.alphabet(), bound, {exps: coeff})
+    return TruncatedSeries(base.alphabet, bound, {exps: coeff})
 
 
 # -- proliferation sums -------------------------------------------------------
@@ -320,7 +275,7 @@ def _class_sequence_sum(base: SliceBase, bound: int, class_counts, budget: int) 
     sigma, qs = base.sigma, base.class_qs
     zero = (0,) * base.n_classes
     tables: dict[ClassVec, list] = {}  # upper -> [(lower, [(|e|, e, c), ...] by degree)]
-    states: dict[tuple[ClassVec, ClassVec], dict[Monomial, int]] = {(base.top_class(), zero): {zero: 1}}
+    states: dict[tuple[ClassVec, ClassVec], dict[Monomial, int]] = {(base.top, zero): {zero: 1}}
     work = 0
     for j in range(bound - 1, -1, -1):
         span = j + 1  # the layer-j image of z^e has degree span * |e|
@@ -366,7 +321,7 @@ def _class_sequence_sum(base: SliceBase, bound: int, class_counts, budget: int) 
     for series in states.values():
         for mono, v in series.items():
             total[mono] = total.get(mono, 0) + v
-    return TruncatedSeries(base.alphabet(), bound, total)
+    return TruncatedSeries(base.alphabet, bound, total)
 
 
 def proliferation_sum(base: SliceBase, bound: int, budget: int = DEFAULT_SEQUENCE_BUDGET) -> TruncatedSeries:
@@ -382,8 +337,8 @@ def single_sliver(base: SliceBase, bound: int) -> TruncatedSeries:
     """
     if not base.all_submodules_isomorphic():
         raise SchemaError("single-sliver form needs all finite-colength slice submodules isomorphic")
-    al = base.alphabet()
-    top = (base.top_class(),)
+    al = base.alphabet
+    top = (base.top,)
     full = base.total_zeta(bound)
     out = TruncatedSeries.one(al, bound)
     for j in range(bound):
@@ -403,15 +358,14 @@ def lifted_hey(data: SemisimpleData, sigma, bound: int) -> TruncatedSeries:
     class) is one run in ratio q_i, expanded as one series by the q-binomial
     theorem (:meth:`TruncatedSeries.geometric`).
     """
-    al = data.alphabet()
-    out = TruncatedSeries.one(al, bound)
-    if not data.entries:
+    out = TruncatedSeries.one(data.alphabet, bound)
+    if not data.ms:
         return out
-    base = SliceBase.semisimple(data, sigma)
-    top = (base.top_class(),)
+    base = SliceBase(data, sigma)
+    top = (base.top,)
     for layer in range(bound):
-        for e, (twist, exps) in zip(data.entries, change_of_variable(base, top, layer).values()):
-            out = out * TruncatedSeries.geometric(al, bound, exps, twist, e.m, e.q)
+        for q, m, (twist, exps) in zip(base.class_qs, data.ms, change_of_variable(base, top, layer).values()):
+            out = out * TruncatedSeries.geometric(base.alphabet, bound, exps, twist, m, q)
     return out
 
 
@@ -501,9 +455,8 @@ def zjv_factor(ell: int, q: int, j: int, bound: int) -> TruncatedSeries:
     """
     if ell < 0 or j < 0:
         raise SchemaError(f"need ell >= 0 and j >= 0, got ell={ell}, j={j}")
-    al = Alphabet((AlphabetEntry("v", q, 1),))
     src = _her.solomon_hey_factor(ell, q, bound // (j + 1))
-    return src.substitute(al, change_of_variable(SliceBase.dvr(q, ell), ((ell,),), j), bound)
+    return src.substitute(src.alphabet, change_of_variable(SliceBase.dvr(q, ell), ((ell,),), j), bound)
 
 
 def polynomial_class_counts(base: SliceBase, upper: ClassVec, bound: int) -> dict[ClassVec, TruncatedSeries]:
@@ -511,9 +464,9 @@ def polynomial_class_counts(base: SliceBase, upper: ClassVec, bound: int) -> dic
     by its polynomial part: the polynomial factor of a slice module of that
     class, split by class.  The class-sequence sum over these tables is the
     remainder of :func:`brs_factored_prolif`."""
-    module = _module_of_class(upper)
+    lattice = _her.Lattice.of_class(base.spec.q, upper)
     # every w-degree of F is r, so each part is complete through bound
-    return split_trailing(_her.polynomial_factor(base.order, module, bound + module.r), base.order.n)
+    return split_trailing(_her.polynomial_factor(lattice, bound + lattice.r), lattice.n)
 
 
 def brs_factored_prolif(
@@ -529,11 +482,10 @@ def brs_factored_prolif(
     Their product is the plain assembled sum, which the ``brs-factored``
     suite checks; ``budget`` bounds the one class-sequence sum run here.
     """
-    if base.kind != "hereditary":
+    if not isinstance(base.spec, _her.Lattice):
         raise SchemaError("factored form needs a lattice (hereditary or nonzero dvr) base")
-    order, module = base.order, base.module
-    q, n, r = order.q, order.n, module.r
-    al = base.alphabet()
+    q, n, r = base.spec.q, base.spec.n, base.spec.r
+    al = base.alphabet
     # sigma permutes the classes, whose tops sum to r, so layer j sends v = z_1...z_n to q^(jr) v^(j+1)
     prefactor = TruncatedSeries.one(al, bound)
     for j in range(bound // n):

@@ -11,24 +11,25 @@ slip in either bound shows as a disagreement.
 """
 
 from brzeta import hereditary as her
-from brzeta.series import mono_degree, split_trailing
+from brzeta.series import TruncatedSeries, mono_degree, split_trailing
 
 
-def brz_two_variable(order, module, z_bound):
+def brz_two_variable(lattice, z_bound):
     """(stratum sum * rank-r base count) / u, at total-degree bound z_bound + r."""
-    u_exps, v_exps, _ = her.substitution_data(order, module)
-    internal_bound = z_bound + module.r + mono_degree(u_exps)
-    acc = her._stratum_sum(order, module, internal_bound)
-    shifted = acc * her.solomon_hey_factor(module.r, order.q, internal_bound, acc.alphabet, v_exps)
+    u_exps, v_exps, _ = her.substitution_data(lattice)
+    internal_bound = z_bound + lattice.r + mono_degree(u_exps)
+    acc = her._stratum_sum(lattice, internal_bound)
+    shifted = acc * TruncatedSeries.geometric(acc.alphabet, internal_bound, v_exps, 1, lattice.r, lattice.q)
     return shifted.divided_by_monomial(u_exps)
 
 
 def polynomial_class_counts(base, upper, bound):
     """The exact polynomial factor of a slice module of class ``upper``, split
     by class, each part truncated to ``bound``."""
-    n, r = base.order.n, base.module.r
-    module = her.HereditaryModuleSpec(tuple(i for i, v in enumerate(upper, start=1) for _ in range(v)))
-    u_exps, _, _ = her.substitution_data(base.order, module)
+    n = base.spec.n
+    lattice = her.Lattice(base.spec.q, n, tuple(i for i, v in enumerate(upper, start=1) for _ in range(v)))
+    r = lattice.r
+    u_exps, _, _ = her.substitution_data(lattice)
     # chain sums and stratum weights each have total degree <= rn
-    exact = her._stratum_sum(base.order, module, 2 * r * n + r).divided_by_monomial(u_exps)
+    exact = her._stratum_sum(lattice, 2 * r * n + r).divided_by_monomial(u_exps)
     return {lower: part.extended(bound) for lower, part in split_trailing(exact, n).items()}

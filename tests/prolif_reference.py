@@ -10,16 +10,17 @@ The tests compare them on random bases, as an independent check of the sum.
 from itertools import product
 
 from brzeta.errors import ResourceBudgetError, TruncationBoundError
+from brzeta.hey import SemisimpleData
 from brzeta.prolif import ClassVec, SliceBase, change_of_variable
 from brzeta.series import TruncatedSeries
 
 
 def fibre_classes(base: SliceBase) -> list[ClassVec]:
     """All classes a layer image over ``base`` can take (unrealizable steps count zero)."""
-    if base.kind == "semisimple":
-        return list(product(*(range(e.m + 1) for e in base.data.entries)))
+    if isinstance(base.spec, SemisimpleData):
+        return list(product(*(range(m + 1) for m in base.spec.ms)))
     # lattice classes of the same rank: compositions of r into n parts
-    r, n = base.module.r, base.order.n
+    r, n = base.spec.r, base.spec.n
     out = []
 
     def rec(slots, remaining, acc):
@@ -44,13 +45,13 @@ def proliferation_dfs(base: SliceBase, bound: int, class_counts, budget: int) ->
     jump at position j costs degree >= j+1.  Every visited node of the search
     counts against ``budget``.
     """
-    al = base.alphabet()
+    al = base.alphabet
     if bound < 0:
         raise TruncationBoundError(f"bound must be >= 0, got {bound}")
     one = TruncatedSeries.one(al, bound)
     if bound == 0:
         return one
-    top = base.top_class()
+    top = base.top
     classes = fibre_classes(base)
     total = TruncatedSeries.zero(al, bound)
     full: dict[ClassVec, dict[ClassVec, TruncatedSeries]] = {}

@@ -89,12 +89,12 @@ class TestFailureLines:
         """F has no term above 2rn + r: a factor that gains one past that degree fails."""
         real = her.polynomial_factor
 
-        def with_a_high_term(order, module, bound):
-            f = real(order, module, bound)
-            top = 2 * module.r * order.n + module.r
+        def with_a_high_term(lattice, bound):
+            f = real(lattice, bound)
+            top = 2 * lattice.r * lattice.n + lattice.r
             if bound <= top:
                 return f
-            return f + TruncatedSeries.monomial(f.alphabet, bound, (top + 1,) + (0,) * (2 * order.n - 1))
+            return f + TruncatedSeries.monomial(f.alphabet, bound, (top + 1,) + (0,) * (2 * lattice.n - 1))
 
         monkeypatch.setattr(her, "polynomial_factor", with_a_high_term)
         result = chk.check_brs_polynomial(z_bound=2)

@@ -556,6 +556,29 @@ class TestInputHandling:
         argv = ["lifted-hey", "--data", data, "--sigma", sigma, "--truncate", "2"]
         assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["hereditary", "--data", '{"q": 1, "n": 2, "columns": [1, 2]}'], "residue field size must be >= 2, got 1"),
+            (["hereditary", "--data", '{"q": 2, "n": 0, "columns": [1]}'], "chain length must be >= 1, got 0"),
+            (["hereditary", "--data", '{"q": 2, "n": 2, "columns": []}'], "module needs at least one column"),
+            (["hereditary", "--data", '{"q": 2, "n": 2, "columns": [0, 1]}'], "column types start at 1, got (0, 1)"),
+            (["hereditary", "--data", '{"q": 4, "n": 2, "columns": [1, 3]}'],
+             "column type 3 exceeds the order's chain length 2"),
+            (["prolif", "--data", '{"kind": "hereditary", "q": 2, "n": 2, "columns": [1, 3]}'],
+             "column type 3 exceeds the order's chain length 2"),
+            (["hey", "--data", '[{"q": 2, "m": -1}]'], "multiplicity must be >= 0, got -1"),
+            # q = 6 is no prime power either: the multiplicity is checked first
+            (["hey", "--data", '[{"q": 6, "m": -1}]'], "multiplicity must be >= 0, got -1"),
+            (["prolif", "--mode", "factored", "--data", '{"kind": "semisimple", "entries": [{"q": 2, "m": 1}]}'],
+             "factored form needs a lattice (hereditary or nonzero dvr) base"),
+        ],
+        ids=["q1", "n0", "no-columns", "column-0", "column-past-chain", "prolif-column-past-chain", "hey-m-negative",
+             "hey-q6-m-negative", "factored-semisimple"],
+    )
+    def test_spec_refusal_names_its_first_fault(self, capsys, argv, message):
+        assert run_cli(capsys, argv + ["--truncate", "2"]) == (2, "", f"error: {message}\n")
+
     def test_negative_truncation(self, capsys):
         code, _, err = run_cli(capsys, ["hey", "--data", '[{"q": 2, "m": 1}]', "--truncate", "-1"])
         assert code == 2

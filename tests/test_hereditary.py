@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brzeta import checks as chk
 from brzeta import gfq
 from brzeta import hereditary as her
 from brzeta import oracle as orc
@@ -21,45 +22,58 @@ import gfq_reference as ref
 import hereditary_reference as her_ref
 
 
-ORDER22 = her.HereditaryOrderSpec(2, 2)
-MOD12 = her.HereditaryModuleSpec((1, 2))
+LAT12 = her.Lattice(2, 2, (1, 2))
 
 
 class TestSpecs:
     def test_column_types_must_fit(self):
-        with pytest.raises(SchemaError):
-            her._validate_pair(her.HereditaryOrderSpec(2, 2), her.HereditaryModuleSpec((3,)))
+        # refused when built, so no engine counts the columns as some other lattice
+        for columns in ((3,), (1, 3)):
+            with pytest.raises(SchemaError, match=r"^column type 3 exceeds the order's chain length 2$"):
+                her.Lattice(2, 2, columns)
 
     def test_top_vector(self):
-        assert MOD12.top_vector(2) == (1, 1)
-        assert her.HereditaryModuleSpec((2, 2)).top_vector(2) == (0, 2)
+        assert LAT12.top == (1, 1)
+        assert her.Lattice(2, 2, (2, 2)).top == (0, 2)
 
     def test_empty_columns_rejected(self):
         with pytest.raises(SchemaError):
-            her.HereditaryModuleSpec(())
+            her.Lattice(2, 2, ())
+
+    def test_columns_are_stored_sorted(self):
+        assert her.Lattice(3, 3, [3, 1, 2, 1]).columns == (1, 1, 2, 3)
+        assert her.Lattice(3, 3, (3, 1, 2, 1)) == her.Lattice(3, 3, (1, 1, 2, 3))
+
+    def test_of_class_inverts_top_on_the_verify_grid(self):
+        lattices = list(chk._hereditary_grid())
+        assert len(lattices) == 2 * (3 + 9 + 19)
+        for lat in lattices:
+            assert her.Lattice.of_class(lat.q, lat.top) == lat
+
+    def test_alphabet_is_one_marker_per_class(self):
+        assert LAT12.alphabet == her.z_alphabet(2, 2)
+        assert her.Lattice(4, 1, (1, 1)).alphabet == her.z_alphabet(4, 1)
 
     def test_top_class_validation(self):
         with pytest.raises(SchemaError):
-            her.partial_zeta(ORDER22, MOD12, (1, -1), 2)
+            her.partial_zeta(LAT12, (1, -1), 2)
         with pytest.raises(SchemaError):
-            her.partial_zeta(ORDER22, MOD12, (2,), 2)
+            her.partial_zeta(LAT12, (2,), 2)
 
 
 class TestSubstitutionData:
     def test_single_class(self):
-        order = her.HereditaryOrderSpec(2, 1)
-        module = her.HereditaryModuleSpec((1,))
-        u, v, t = her.substitution_data(order, module)
+        u, v, t = her.substitution_data(her.Lattice(2, 1, (1,)))
         assert u == (0, 0) and v == (1, 0) and t == [(0, 1)]
 
     def test_mixed_columns(self):
-        u, v, t = her.substitution_data(ORDER22, MOD12)
+        u, v, t = her.substitution_data(LAT12)
         assert u == (0, 1, 0, 0)  # one column of type < 2 shifts by z2
         assert v == (1, 1, 0, 0)
         assert t == [(0, 1, 1, 0), (0, 0, 0, 1)]
 
     def test_uniform_columns(self):
-        u, v, t = her.substitution_data(ORDER22, her.HereditaryModuleSpec((2, 2)))
+        u, v, t = her.substitution_data(her.Lattice(2, 2, (2, 2)))
         assert u == (0, 0, 0, 0)
         assert v == (1, 1, 0, 0)
         assert t == [(0, 1, 1, 0), (0, 0, 0, 1)]
@@ -92,22 +106,22 @@ def _brute_chain_counts(q, dims):
     return dict(counts)
 
 
-def _filtration_dims(order, module, ybar):
+def _filtration_dims(lattice, ybar):
     """Filtration dims of the stratum Ybar <= F_q^r, via intersections with the column flag.
 
     dim(Ybar meet m_j) comes from the dimension formula: dim Ybar + dim m_j - dim(Ybar + m_j).
     """
-    field, r = ybar.field, module.r
-    flag = [_unit_span(field, r, [k for k, c in enumerate(module.columns) if c >= j])
-            for j in range(1, order.n + 1)]
+    field, r = ybar.field, lattice.r
+    flag = [_unit_span(field, r, [k for k, c in enumerate(lattice.columns) if c >= j])
+            for j in range(1, lattice.n + 1)]
     return tuple(mj.dim - ybar.extend(mj.rows).dim + r for mj in flag)
 
 
-def _brute_stratum_counts(order, module):
+def _brute_stratum_counts(lattice):
     """(filtration dims, dim Ybar) over every subspace Ybar of F_q^r."""
     counts = Counter()
-    for ybar in ref.enumerate_subspaces(gfq.GF(order.q), module.r):
-        counts[(_filtration_dims(order, module, ybar), ybar.dim)] += 1
+    for ybar in ref.enumerate_subspaces(gfq.GF(lattice.q), lattice.r):
+        counts[(_filtration_dims(lattice, ybar), ybar.dim)] += 1
     return dict(counts)
 
 
@@ -129,20 +143,20 @@ class TestFilteredDims:
 
     def test_full_space(self):
         full = gfq.full_space(gfq.GF(2), 2)
-        assert _filtration_dims(ORDER22, MOD12, full) == (2, 1)
+        assert _filtration_dims(LAT12, full) == (2, 1)
         # the full space is the only 2-dimensional stratum
-        assert her.stratum_counts(ORDER22, MOD12)[((2, 1), 2)] == 1
+        assert her.stratum_counts(LAT12)[((2, 1), 2)] == 1
 
     def test_zero_space(self):
         zero = gfq.zero_space(gfq.GF(2), 2)
-        assert _filtration_dims(ORDER22, MOD12, zero) == (2, 2)
-        assert her.stratum_counts(ORDER22, MOD12)[((2, 2), 0)] == 1
+        assert _filtration_dims(LAT12, zero) == (2, 2)
+        assert her.stratum_counts(LAT12)[((2, 2), 0)] == 1
 
     def test_coordinate_line(self):
         line = gfq.SubspaceRep.from_rows(gfq.GF(2), 2, [gfq.pack(gfq.GF(2), [1, 0])])
-        assert _filtration_dims(ORDER22, MOD12, line) == (2, 1)
+        assert _filtration_dims(LAT12, line) == (2, 1)
         # e_1 and e_1 + e_2 miss e_2's span; e_2 alone gives (2, 2)
-        counts = her.stratum_counts(ORDER22, MOD12)
+        counts = her.stratum_counts(LAT12)
         assert counts[((2, 1), 1)] == 2
         assert counts[((2, 2), 1)] == 1
 
@@ -176,9 +190,9 @@ class TestClosedCounts:
         ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else str(v),
     )
     def test_counts_match_brute_force(self, q, n, columns):
-        order, module = her.HereditaryOrderSpec(q, n), her.HereditaryModuleSpec(columns)
-        strata = her.stratum_counts(order, module)
-        assert strata == _brute_stratum_counts(order, module)
+        lattice = her.Lattice(q, n, columns)
+        strata = her.stratum_counts(lattice)
+        assert strata == _brute_stratum_counts(lattice)
         assert strata == LITERAL_STRATA.get((q, n, columns), strata)
         for dims in {dims for dims, _ in strata}:
             chains = her.chain_degree_counts(q, dims)
@@ -234,45 +248,41 @@ class TestSolomonHeyFactor:
 
 class TestTwoVariable:
     def test_rank_one_dvr_degeneration(self):
-        order = her.HereditaryOrderSpec(2, 1)
-        module = her.HereditaryModuleSpec((1,))
-        joint = her.brz_two_variable(order, module, 3)
+        joint = her.brz_two_variable(her.Lattice(2, 1, (1,)), 3)
         # w/(1-z): every submodule is free of full rank
         for k in range(4):
             assert joint.coefficient((k, 1)) == 1
             assert joint.coefficient((k, 0)) == 0
 
     def test_rank_two_collapse(self):
-        order = her.HereditaryOrderSpec(2, 1)
-        module = her.HereditaryModuleSpec((1, 1))
-        joint = her.brz_two_variable(order, module, 2)
+        joint = her.brz_two_variable(her.Lattice(2, 1, (1, 1)), 2)
         assert joint.coefficient((0, 2)) == 1
         assert joint.coefficient((1, 2)) == 3
         assert joint.coefficient((2, 2)) == 7
         assert all(exps[1] == 2 for exps, _ in joint.items())
 
     def test_mixed_columns_slice(self):
-        sliced = her.partial_zeta(ORDER22, MOD12, (1, 1), 6)
+        sliced = her.partial_zeta(LAT12, (1, 1), 6)
         # (1+2v) * solomon_hey_factor(2,2,v): 1, 5, 13, 29 in v = z1 z2
         expect = {0: 1, 1: 5, 2: 13, 3: 29}
         for k, c in expect.items():
             assert sliced.coefficient((k, k)) == c
 
     def test_w_support_is_rank(self):
-        joint = her.brz_two_variable(ORDER22, MOD12, 3)
+        joint = her.brz_two_variable(LAT12, 3)
         assert all(exps[2] + exps[3] == 2 for exps, _ in joint.items())
 
     def test_rank_eight_dvr_slice(self):
         # n = 1 is a DVR slice: the count is the rank-8 base count, with no
         # walk over the ~4e5 subspaces of F_2^8
-        total = her.total_zeta(her.HereditaryOrderSpec(2, 1), her.HereditaryModuleSpec((1,) * 8), 3)
-        assert total == her.solomon_hey_factor(8, 2, 3, total.alphabet, (1,))
+        total = her.total_zeta(her.Lattice(2, 1, (1,) * 8), 3)
+        assert total == TruncatedSeries.geometric(total.alphabet, 3, (1,), 1, 8, 2)
 
     def test_total_is_sum_of_partials(self):
-        total = her.total_zeta(ORDER22, MOD12, 3)
+        total = her.total_zeta(LAT12, 3)
         acc = TruncatedSeries.zero(total.alphabet, 3)
         for rho in [(0, 2), (1, 1), (2, 0)]:
-            acc = acc + her.partial_zeta(ORDER22, MOD12, rho, 3)
+            acc = acc + her.partial_zeta(LAT12, rho, 3)
         assert acc == total
 
 
@@ -282,11 +292,11 @@ class TestClassCounts:
         [(2, 2, (1, 2)), (3, 2, (1, 1)), (4, 2, (1, 2)), (2, 3, (1, 2, 3)), (4, 3, (1, 3))],
     )
     def test_each_class_matches_enumeration(self, q, n, columns):
-        order, module = her.HereditaryOrderSpec(q, n), her.HereditaryModuleSpec(columns)
-        table = her.class_counts(order, module, 2)
+        lattice = her.Lattice(q, n, columns)
+        table = her.class_counts(lattice, 2)
         model = orc.triangular_module(q, n, -(-3 // n), columns)
         zero = TruncatedSeries.zero(her.z_alphabet(q, n), 2)
-        rhos = [rho for rho in product(range(module.r + 1), repeat=n) if sum(rho) == module.r]
+        rhos = [rho for rho in product(range(lattice.r + 1), repeat=n) if sum(rho) == lattice.r]
         assert set(table) <= set(rhos)
         for rho in rhos:
             assert table.get(rho, zero) == orc.empirical_zeta(model, 2, partial=rho), rho
@@ -294,25 +304,23 @@ class TestClassCounts:
 
 class TestPolynomialFactor:
     def test_rank_one_is_monomial(self):
-        order = her.HereditaryOrderSpec(2, 1)
-        f = her.brs_F(order, her.HereditaryModuleSpec((1,)), 3)
+        f = her.brs_F(her.Lattice(2, 1, (1,)), 3)
         assert f == TruncatedSeries.monomial(f.alphabet, 3, (0, 1))
 
     def test_rank_two_free(self):
-        order = her.HereditaryOrderSpec(2, 1)
-        f = her.brs_F(order, her.HereditaryModuleSpec((1, 1)), 4)
+        f = her.brs_F(her.Lattice(2, 1, (1, 1)), 4)
         assert f == TruncatedSeries.monomial(f.alphabet, 4, (0, 2))
 
     def test_mixed_columns_value(self):
-        f = her.brs_F(ORDER22, MOD12, 7)
+        f = her.brs_F(LAT12, 7)
         # w1 w2 slice of F must be 1 + 2 z1 z2
         assert f.coefficient((0, 0, 1, 1)) == 1
         assert f.coefficient((1, 1, 1, 1)) == 2
 
     def test_factorization_identity(self):
-        joint = her.brz_two_variable(ORDER22, MOD12, 3)
-        f = her.brs_F(ORDER22, MOD12, 10).truncated(joint.bound)
-        zfac = her.solomon_hey_factor(2, 2, joint.bound, joint.alphabet, (1, 1, 0, 0))
+        joint = her.brz_two_variable(LAT12, 3)
+        f = her.brs_F(LAT12, 10).truncated(joint.bound)
+        zfac = TruncatedSeries.geometric(joint.alphabet, joint.bound, (1, 1, 0, 0), 1, 2, 2)
         assert f * zfac == joint
 
 
@@ -321,8 +329,8 @@ def hereditary_cases(draw):
     """q in {2, 3, 4}, n <= 3 classes, r <= 3 columns, and a class of rank r."""
     n, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     columns = st.lists(st.integers(1, n), min_size=r, max_size=r)
-    order = her.HereditaryOrderSpec(draw(st.sampled_from([2, 3, 4])), n)
-    return order, her.HereditaryModuleSpec(draw(columns)), her.HereditaryModuleSpec(draw(columns)).top_vector(n)
+    q = draw(st.sampled_from([2, 3, 4]))
+    return her.Lattice(q, n, draw(columns)), her.Lattice(q, n, draw(columns)).top
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -331,23 +339,23 @@ def test_factor_first_matches_divide_after(case, bound):
     """The joint count and the polynomial class tables, built from the factor
     with u divided out first, equal the multiply-then-divide joint count and
     the truncated exact factor."""
-    order, module, upper = case
-    got = her.brz_two_variable(order, module, bound)
-    want = her_ref.brz_two_variable(order, module, bound)
-    assert got == want, (order, module, bound, got.first_disagreement(want))
-    base = pr.SliceBase.hereditary(order, module)
+    lattice, upper = case
+    got = her.brz_two_variable(lattice, bound)
+    want = her_ref.brz_two_variable(lattice, bound)
+    assert got == want, (lattice, bound, got.first_disagreement(want))
+    base = pr.SliceBase(lattice)
     got = pr.polynomial_class_counts(base, upper, bound)
     # the table leaves out a class whose part vanishes through the bound
     want = {k: v for k, v in her_ref.polynomial_class_counts(base, upper, bound).items() if not v.is_zero()}
-    assert got.keys() == want.keys(), (order, module, upper, bound)
+    assert got.keys() == want.keys(), (lattice, upper, bound)
     for lower, part in got.items():
-        assert part == want[lower], (order, module, upper, lower, part.first_disagreement(want[lower]))
+        assert part == want[lower], (lattice, upper, lower, part.first_disagreement(want[lower]))
 
 
 class TestJson:
     def test_parse(self):
-        order, module = her.hereditary_from_json({"q": 2, "n": 2, "columns": [1, 2]})
-        assert (order.q, order.n, module.columns) == (2, 2, (1, 2))
+        lattice = her.hereditary_from_json({"q": 2, "n": 2, "columns": [2, 1]})
+        assert (lattice.q, lattice.n, lattice.columns) == (2, 2, (1, 2))
 
     def test_bad_payload(self):
         with pytest.raises(SchemaError):

@@ -8,19 +8,15 @@ from brzeta.hey import SemisimpleData, hey_product, moebius_inverse_series
 
 SPLIT = SemisimpleData.from_specs([(2, 2), (3, 1)])
 PAIR = SemisimpleData.from_specs([(2, 1), (3, 1)])
-LATTICE = pr.SliceBase.hereditary(her.HereditaryOrderSpec(2, 2), her.HereditaryModuleSpec((1, 2)))
-TWISTED_LATTICE = pr.SliceBase.hereditary(
-    her.HereditaryOrderSpec(3, 3), her.HereditaryModuleSpec((1, 2, 2)), sigma=(1, 2, 0)
-)
+LATTICE = pr.SliceBase(her.Lattice(2, 2, (1, 2)))
+TWISTED_LATTICE = pr.SliceBase(her.Lattice(3, 3, (1, 2, 2)), sigma=(1, 2, 0))
 
 ENGINES = {
     "hey_product": lambda: hey_product(SPLIT, 5),
     "moebius_inverse_series": lambda: moebius_inverse_series(SPLIT, 5),
-    "brz_two_variable": lambda: her.brz_two_variable(
-        her.HereditaryOrderSpec(3, 3), her.HereditaryModuleSpec((1, 2, 3)), 3
-    ),
-    "brs_F": lambda: her.brs_F(her.HereditaryOrderSpec(2, 3), her.HereditaryModuleSpec((1, 1, 3)), 12),
-    "prolif-split": lambda: pr.proliferation_sum(pr.SliceBase.semisimple(PAIR, sigma=(1, 0)), 4),
+    "brz_two_variable": lambda: her.brz_two_variable(her.Lattice(3, 3, (1, 2, 3)), 3),
+    "brs_F": lambda: her.brs_F(her.Lattice(2, 3, (1, 1, 3)), 12),
+    "prolif-split": lambda: pr.proliferation_sum(pr.SliceBase(PAIR, sigma=(1, 0)), 4),
     "prolif-lattice": lambda: pr.proliferation_sum(LATTICE, 4),
     "prolif-twisted-lattice": lambda: pr.proliferation_sum(TWISTED_LATTICE, 3),
     "prolif-dvr": lambda: pr.proliferation_sum(pr.SliceBase.dvr(3, 2), 4),

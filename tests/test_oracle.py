@@ -555,26 +555,20 @@ class TestTwoVariableAgreement:
     def test_joint_matches_closed_form_n2(self):
         model = orc.triangular_module(2, 2, 2, (1, 2))
         got = orc.empirical_zeta(model, 3, joint=True)
-        want = her.brz_two_variable(
-            her.HereditaryOrderSpec(2, 2), her.HereditaryModuleSpec((1, 2)), 3
-        )
+        want = her.brz_two_variable(her.Lattice(2, 2, (1, 2)), 3)
         assert got == want
         assert got.bound == 5  # colength bound + generic length
 
     def test_joint_matches_closed_form_n3(self):
         model = orc.triangular_module(2, 3, 1, (1, 2, 3))
         got = orc.empirical_zeta(model, 2, joint=True)
-        want = her.brz_two_variable(
-            her.HereditaryOrderSpec(2, 3), her.HereditaryModuleSpec((1, 2, 3)), 2
-        )
+        want = her.brz_two_variable(her.Lattice(2, 3, (1, 2, 3)), 2)
         assert got == want
 
     def test_partial_matches_closed_form(self):
         model = orc.triangular_module(2, 2, 2, (1, 2))
         got = orc.empirical_zeta(model, 3, partial=(1, 1))
-        want = her.partial_zeta(
-            her.HereditaryOrderSpec(2, 2), her.HereditaryModuleSpec((1, 2)), (1, 1), 3
-        )
+        want = her.partial_zeta(her.Lattice(2, 2, (1, 2)), (1, 1), 3)
         assert got == want
         assert got.coefficient((1, 1)) == 5
 
@@ -605,16 +599,14 @@ class TestPrimePowerFields:
     )
     def test_triangular_matches_total_zeta(self, q, n, columns, bound):
         model = orc.triangular_module(q, n, -(-(bound + 1) // n), columns)
-        want = her.total_zeta(her.HereditaryOrderSpec(q, n), her.HereditaryModuleSpec(columns), bound)
+        want = her.total_zeta(her.Lattice(q, n, columns), bound)
         assert orc.empirical_zeta(model, bound) == want
 
 
 def test_skew_model_matches_proliferation():
     model = orc.skew_module(2, 2, 2, 4)
     got = orc.empirical_zeta(model, 3)
-    base = pr.SliceBase.hereditary(
-        her.HereditaryOrderSpec(2, 2), her.HereditaryModuleSpec((1, 2))
-    )
+    base = pr.SliceBase(her.Lattice(2, 2, (1, 2)))
     assert got == pr.proliferation_sum(base, 3)
     mons = [
         (0, 0), (1, 0), (0, 1),

@@ -21,11 +21,11 @@ import prolif_reference as ref
 
 DVR21 = pr.SliceBase.dvr(2, 1)
 DVR22 = pr.SliceBase.dvr(2, 2)
-HER12 = pr.SliceBase.hereditary(her.HereditaryOrderSpec(2, 2), her.HereditaryModuleSpec((1, 2)))
+HER12 = pr.SliceBase(her.Lattice(2, 2, (1, 2)))
 
 
 def z_poly(base, coeffs):
-    al = base.alphabet()
+    al = base.alphabet
     return TruncatedSeries(al, len(coeffs) - 1, {(d,): c for d, c in enumerate(coeffs) if c})
 
 
@@ -36,10 +36,9 @@ def random_twisted_base(rng, n_max):
     rng.shuffle(sigma)
     if rng.random() < 0.5:
         data = SemisimpleData.from_specs([(rng.choice((2, 3, 4, 5)), rng.randint(0, 3)) for _ in range(n)])
-        return pr.SliceBase.semisimple(data, sigma)
-    order = her.HereditaryOrderSpec(rng.choice((2, 3, 4)), n)
-    module = her.HereditaryModuleSpec([rng.randint(1, n) for _ in range(rng.randint(1, 4))])
-    return pr.SliceBase.hereditary(order, module, sigma)
+        return pr.SliceBase(data, sigma)
+    lattice = her.Lattice(rng.choice((2, 3, 4)), n, [rng.randint(1, n) for _ in range(rng.randint(1, 4))])
+    return pr.SliceBase(lattice, sigma)
 
 
 def twist(base, vec):
@@ -52,14 +51,14 @@ def twist(base, vec):
 
 class TestSliceBase:
     def test_fibre_classes(self):
-        semi = pr.SliceBase.semisimple(SemisimpleData.from_specs([(2, 1), (3, 2)]))
+        semi = pr.SliceBase(SemisimpleData.from_specs([(2, 1), (3, 2)]))
         assert set(ref.fibre_classes(semi)) == {(a, b) for a in (0, 1) for b in (0, 1, 2)}
         assert ref.fibre_classes(DVR22) == [(2,)]
         assert sorted(ref.fibre_classes(HER12)) == [(0, 2), (1, 1), (2, 0)]
 
     def test_top_class(self):
-        assert DVR22.top_class() == (2,)
-        assert HER12.top_class() == (1, 1)
+        assert DVR22.top == (2,)
+        assert HER12.top == (1, 1)
 
     def test_hom_count(self):
         assert DVR21.hom_count((1,), (1,)) == 2
@@ -72,16 +71,22 @@ class TestSliceBase:
         with pytest.raises(SchemaError):
             pr.validate_permutation((0, 1, 2), 2)
 
+    def test_spec_is_split_data_or_a_lattice(self):
+        with pytest.raises(SchemaError, match=r"^slice base needs SemisimpleData or a Lattice, got tuple$"):
+            pr.SliceBase((2, 2, (1, 2)))
+        with pytest.raises(SchemaError, match=r"^semisimple base needs at least one class$"):
+            pr.SliceBase(SemisimpleData.from_specs([]))
+
     def test_json_roundtrip_kinds(self):
         base = pr.SliceBase.from_json(
             {"base": {"kind": "hereditary", "q": 2, "n": 2, "columns": [1, 2]}, "sigma": [2, 1]}
         )
-        assert base.kind == "hereditary" and base.sigma == (1, 0)
+        assert isinstance(base.spec, her.Lattice) and base.sigma == (1, 0)
         base = pr.SliceBase.from_json({"kind": "dvr", "q": 3, "m": 2})
-        assert base.kind == "hereditary"
-        assert (base.order.q, base.order.n, base.module.columns) == (3, 1, (1, 1))
+        assert isinstance(base.spec, her.Lattice)
+        assert (base.spec.q, base.spec.n, base.spec.columns) == (3, 1, (1, 1))
         base = pr.SliceBase.from_json({"kind": "dvr", "q": 3, "m": 0})
-        assert base.kind == "semisimple" and base.top_class() == (0,)
+        assert isinstance(base.spec, SemisimpleData) and base.top == (0,)
         with pytest.raises(SchemaError):
             pr.SliceBase.from_json({"kind": "mystery"})
 
@@ -90,9 +95,9 @@ class TestPairZeta:
     """Entries of the per-class tables: one (upper, lower) pair each."""
 
     def test_semisimple_is_gaussian_monomial(self):
-        semi = pr.SliceBase.semisimple(SemisimpleData.from_specs([(2, 2)]))
+        semi = pr.SliceBase(SemisimpleData.from_specs([(2, 2)]))
         table = semi.class_counts((2,), 3)
-        assert table[(1,)] == TruncatedSeries.monomial(semi.alphabet(), 3, (1,), 3)
+        assert table[(1,)] == TruncatedSeries.monomial(semi.alphabet, 3, (1,), 3)
         assert set(table) == {(0,), (1,), (2,)}
         assert (2,) not in semi.class_counts((1,), 3)
 
@@ -106,10 +111,10 @@ class TestPairZeta:
         assert f.coefficient((1, 1)) == 5
 
     def test_semisimple_partial_zeta_op(self):
-        rank2 = pr.SliceBase.semisimple(SemisimpleData.from_specs([(2, 2)]))
+        rank2 = pr.SliceBase(SemisimpleData.from_specs([(2, 2)]))
         assert rank2.class_counts((2,), 2)[(2,)].constant_term == 1
         assert rank2.class_counts((2,), 2)[(1,)].coefficient((1,)) == 3
-        rank3 = pr.SliceBase.semisimple(SemisimpleData.from_specs([(2, 3)]))
+        rank3 = pr.SliceBase(SemisimpleData.from_specs([(2, 3)]))
         assert rank3.class_counts((3,), 3)[(1,)].coefficient((2,)) == 7
         # colength 3 lies above bound 2: the zero submodule's class is absent
         assert (0,) not in rank3.class_counts((3,), 2)
@@ -127,9 +132,7 @@ class TestChangeOfVariable:
         assert pr.change_of_variable(DVR21, ((1,),), 2) == mapping
 
     def test_hereditary_swap(self):
-        base = pr.SliceBase.hereditary(
-            her.HereditaryOrderSpec(2, 2), her.HereditaryModuleSpec((1, 2)), sigma=(1, 0)
-        )
+        base = pr.SliceBase(her.Lattice(2, 2, (1, 2)), sigma=(1, 0))
         mapping = pr.change_of_variable(base, ((1, 1), (1, 1)), 1)
         scalar, exps = mapping[0]
         assert scalar == 2 and exps == (1, 1)
@@ -165,7 +168,7 @@ class TestFundamentalFiberProduct:
     def test_constant_chain(self):
         chain = pr.ChainData(((1,),), ())
         got = pr.fundamental_fiber_product(DVR21, chain, 3)
-        assert got == TruncatedSeries.one(DVR21.alphabet(), 3)
+        assert got == TruncatedSeries.one(DVR21.alphabet, 3)
 
     def test_depth_one_chain(self):
         chain = pr.ChainData(((1,), (1,)), ((1,),))
@@ -203,7 +206,7 @@ class TestFundamentalFiberProduct:
                 twisted = twist(base, twisted)
             coeff *= num / base.hom_count(chain.y_tops[j], ell)
         assert coeff.denominator == 1
-        return TruncatedSeries(base.alphabet(), sum(exps), {exps: int(coeff)})
+        return TruncatedSeries(base.alphabet, sum(exps), {exps: int(coeff)})
 
     @pytest.mark.parametrize("seed", range(8))
     def test_twisted_matches_multiply_then_divide(self, seed):
@@ -215,7 +218,7 @@ class TestFundamentalFiberProduct:
             twisted_multi_class += base.sigma != tuple(range(n))
             for _ in range(8):
                 depth = rng.randint(0, 4)
-                tops = tuple(rng.choice(classes) for _ in range(depth)) + (base.top_class(),)
+                tops = tuple(rng.choice(classes) for _ in range(depth)) + (base.top,)
                 quotients = tuple(tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(depth))
                 chain = pr.ChainData(tops, quotients)
                 want = self._by_division(base, chain)
@@ -225,24 +228,24 @@ class TestFundamentalFiberProduct:
 
 class TestProliferationSum:
     def test_rank_one_semisimple(self):
-        base = pr.SliceBase.semisimple(SemisimpleData.from_specs([(2, 1)]))
+        base = pr.SliceBase(SemisimpleData.from_specs([(2, 1)]))
         assert pr.proliferation_sum(base, 3) == z_poly(base, [1, 1, 1, 1])
 
     def test_rank_two_semisimple_single_jump(self):
-        base = pr.SliceBase.semisimple(SemisimpleData.from_specs([(2, 2)]))
+        base = pr.SliceBase(SemisimpleData.from_specs([(2, 2)]))
         assert pr.proliferation_sum(base, 1) == z_poly(base, [1, 3])
 
     def test_hereditary_bound_zero(self):
-        assert pr.proliferation_sum(HER12, 0) == TruncatedSeries.one(HER12.alphabet(), 0)
+        assert pr.proliferation_sum(HER12, 0) == TruncatedSeries.one(HER12.alphabet, 0)
 
     def test_sequence_budget(self):
-        base = pr.SliceBase.semisimple(SemisimpleData.from_specs([(2, 3), (2, 3)]))
+        base = pr.SliceBase(SemisimpleData.from_specs([(2, 3), (2, 3)]))
         with pytest.raises(ResourceBudgetError):
             pr.proliferation_sum(base, 6, budget=10)
         # the budget counts coefficient products, so a 2-class base at bound 6
         # (16^6 class sequences, few of them nonzero) runs under the default budget
         data = SemisimpleData.from_specs([(2, 2), (3, 2)])
-        assert pr.proliferation_sum(pr.SliceBase.semisimple(data), 6) == hey_product(data, 6)
+        assert pr.proliferation_sum(pr.SliceBase(data), 6) == hey_product(data, 6)
 
 
 @st.composite
@@ -256,10 +259,9 @@ def small_bases(draw):
     if kind == "semisimple":
         q_m_r = st.tuples(st.sampled_from([2, 3, 4]), st.integers(0, 2), st.integers(1, 2))
         specs = [draw(q_m_r) for _ in range(n)]
-        return pr.SliceBase.semisimple(SemisimpleData.from_specs(specs), sigma)
+        return pr.SliceBase(SemisimpleData.from_specs(specs), sigma)
     columns = draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
-    order = her.HereditaryOrderSpec(draw(st.sampled_from([2, 3])), n)
-    return pr.SliceBase.hereditary(order, her.HereditaryModuleSpec(columns), sigma)
+    return pr.SliceBase(her.Lattice(draw(st.sampled_from([2, 3])), n, columns), sigma)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -270,7 +272,7 @@ def test_sum_matches_reference_dfs(base, bound):
     got = pr.proliferation_sum(base, bound)
     want = ref.proliferation_dfs(base, bound, base.class_counts, 10**9)
     assert got == want, (base, bound, got.first_disagreement(want))
-    if base.kind == "hereditary":
+    if isinstance(base.spec, her.Lattice):
         _, remainder = pr.brs_factored_prolif(base, bound)
         want = ref.proliferation_dfs(base, bound, partial(pr.polynomial_class_counts, base), 10**9)
         assert remainder == want, (base, bound, remainder.first_disagreement(want))
@@ -280,7 +282,7 @@ def test_sum_matches_reference_dfs(base, bound):
 def test_hereditary_sum_matches_skew_enumeration(q, n, bound):
     """The sum over the basic hereditary slice (columns 1..n) counts the
     submodules of the skew power-series model, enumerated."""
-    base = pr.SliceBase.hereditary(her.HereditaryOrderSpec(q, n), her.HereditaryModuleSpec(range(1, n + 1)))
+    base = pr.SliceBase(her.Lattice(q, n, range(1, n + 1)))
     got = pr.proliferation_sum(base, bound)
     want = orc.empirical_zeta(orc.skew_module(q, n, math.ceil((bound + 1) / 2), bound + 1), bound)
     assert got == want, got.first_disagreement(want)
@@ -289,7 +291,7 @@ def test_hereditary_sum_matches_skew_enumeration(q, n, bound):
 class TestClassTables:
     """The sum builds each reachable table once, at the full bound, and substitutes nothing."""
 
-    BASE = pr.SliceBase.hereditary(her.HereditaryOrderSpec(2, 4), her.HereditaryModuleSpec((1, 2, 3, 4)))
+    BASE = pr.SliceBase(her.Lattice(2, 4, (1, 2, 3, 4)))
 
     def test_one_build_per_reachable_class(self, monkeypatch):
         built = []
@@ -312,7 +314,7 @@ class TestClassTables:
         uppers = [upper for upper, _, _ in built]
         assert len(ref.fibre_classes(self.BASE)) == 35
         assert len(uppers) == len(set(uppers)) == 11
-        assert uppers[0] == self.BASE.top_class()
+        assert uppers[0] == self.BASE.top
         for i, upper in enumerate(uppers[1:], start=1):
             assert any(upper in table for _, _, table in built[:i]), upper
         assert {bound for _, bound, _ in built} == {4}
@@ -339,7 +341,7 @@ class TestSingleSliver:
 
     def test_zero_module(self):
         base = pr.SliceBase.dvr(3, 0)
-        assert pr.single_sliver(base, 2) == TruncatedSeries.one(base.alphabet(), 2)
+        assert pr.single_sliver(base, 2) == TruncatedSeries.one(base.alphabet, 2)
 
     def test_dvr_rank_two_matches_enumeration(self):
         # ground truth: ideals*submodules of the free rank-2 module over F2[[u,t]]
@@ -352,7 +354,7 @@ class TestSingleSliver:
         with pytest.raises(SchemaError):
             pr.single_sliver(HER12, 2)
         with pytest.raises(SchemaError):
-            pr.single_sliver(pr.SliceBase.semisimple(SemisimpleData.from_specs([(2, 2)])), 2)
+            pr.single_sliver(pr.SliceBase(SemisimpleData.from_specs([(2, 2)])), 2)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_dvr_three_ways(self, q):
@@ -370,13 +372,13 @@ class TestLiftedHey:
 
     def test_empty(self):
         data = SemisimpleData.from_specs([])
-        assert pr.lifted_hey(data, None, 4) == TruncatedSeries.one(data.alphabet(), 4)
+        assert pr.lifted_hey(data, None, 4) == TruncatedSeries.one(data.alphabet, 4)
 
     def test_two_classes_swapped(self):
         data = SemisimpleData.from_specs([(2, 1), (2, 1)])
         got = pr.lifted_hey(data, (1, 0), 2)
         expect = TruncatedSeries(
-            data.alphabet(), 2,
+            data.alphabet, 2,
             {(0, 0): 1, (1, 0): 1, (0, 1): 1, (2, 0): 1, (0, 2): 1, (1, 1): 5},
         )
         assert got == expect
@@ -390,7 +392,7 @@ class TestLiftedHey:
     def w_form(data, sigma, bound):
         """The docstring's product, factor by factor: layer n, class i, step j gives
         (1 - q_i^(j - m_i) prod_{k<=n} w_{sigma^k(i)})^-1 with w_i = q_i^(m_i) z_i."""
-        qs, ms = [e.q for e in data.entries], [e.m for e in data.entries]
+        qs, ms = [e.q for e in data.alphabet], list(data.ms)
         w = [Fraction(q) ** m for q, m in zip(qs, ms)]
         factors = []
         for layer in range(bound):
@@ -402,7 +404,7 @@ class TestLiftedHey:
                     t = sigma[t]
                 factors += [(tuple(exps), Fraction(qs[i]) ** (j - ms[i]) * scalar) for j in range(ms[i])]
         assert all(scalar.denominator == 1 for _, scalar in factors)
-        return geometric_product(data.alphabet(), bound, [(exps, int(scalar)) for exps, scalar in factors])
+        return geometric_product(data.alphabet, bound, [(exps, int(scalar)) for exps, scalar in factors])
 
     def test_three_cycle_matches_w_form(self):
         data = SemisimpleData.from_specs([(2, 1), (3, 2), (4, 1)])
@@ -470,8 +472,8 @@ class TestZjv:
 class TestFactoredProliferation:
     def test_bound_zero(self):
         pre, rem = pr.brs_factored_prolif(HER12, 0)
-        assert pre == TruncatedSeries.one(HER12.alphabet(), 0)
-        assert rem == TruncatedSeries.one(HER12.alphabet(), 0)
+        assert pre == TruncatedSeries.one(HER12.alphabet, 0)
+        assert rem == TruncatedSeries.one(HER12.alphabet, 0)
 
     def test_rank_one_remainder_trivial(self):
         pre, rem = pr.brs_factored_prolif(pr.SliceBase.dvr(2, 1), 3)
@@ -484,13 +486,13 @@ class TestFactoredProliferation:
 
     def test_closed_prefactor_is_the_substituted_base_counts(self):
         # layer j: the rank-r base count in v = z1 z2 z3, sent through the layer map of the top class
-        order, module = her.HereditaryOrderSpec(3, 3), her.HereditaryModuleSpec((1, 1, 2, 3))
-        base = pr.SliceBase.hereditary(order, module, (1, 2, 0))
-        al, top = base.alphabet(), (base.top_class(),)
+        lattice = her.Lattice(3, 3, (1, 1, 2, 3))
+        base = pr.SliceBase(lattice, (1, 2, 0))
+        al, top = base.alphabet, (base.top,)
         for bound in range(7):
             expect = TruncatedSeries.one(al, bound)
             for j in range(bound):
-                layer = her.solomon_hey_factor(module.r, order.q, bound // (j + 1), al, (1, 1, 1))
+                layer = TruncatedSeries.geometric(al, bound // (j + 1), (1, 1, 1), 1, lattice.r, lattice.q)
                 expect = expect * layer.substitute(al, pr.change_of_variable(base, top, j), bound)
             prefactor, _ = pr.brs_factored_prolif(base, bound)
             assert prefactor == expect, bound
@@ -498,8 +500,8 @@ class TestFactoredProliferation:
 
 def _sequence_term(base, tops, bound):
     """Product of substituted pair zetas for one padded class sequence."""
-    al = base.alphabet()
-    top = base.top_class()
+    al = base.alphabet
+    top = base.top
     seq = tuple(tops) + (top,) * (bound + 1 - len(tops))
     term = TruncatedSeries.one(al, bound)
     for j in range(bound):
@@ -517,7 +519,7 @@ def test_inner_sum_collapse_on_skew_model():
     bound = 3
     model = orc.skew_module(2, 2, 2, bound + 1)
     base = HER12
-    top = base.top_class()
+    top = base.top
     groups: dict[tuple, list] = {}
     for chain, nodes in orc.fiber_partition(model, bound).items():
         padded = tuple(chain.y_tops) + (top,) * (bound + 1 - len(chain.y_tops))
@@ -528,12 +530,12 @@ def test_inner_sum_collapse_on_skew_model():
         assert got == _sequence_term(base, tops, bound), tops
     total = sum(
         (_sequence_term(base, tops, bound) for tops in groups),
-        TruncatedSeries.zero(base.alphabet(), bound),
+        TruncatedSeries.zero(base.alphabet, bound),
     )
     assert total == pr.proliferation_sum(base, bound)
 
 
-SPLIT21 = pr.SliceBase.semisimple(SemisimpleData.from_specs([(2, 1)]))
+SPLIT21 = pr.SliceBase(SemisimpleData.from_specs([(2, 1)]))
 
 
 @pytest.mark.parametrize(
