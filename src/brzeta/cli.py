@@ -64,8 +64,8 @@ def _series_doc(series: TruncatedSeries) -> dict:
             {
                 "monomial": series.alphabet.format_monomial(exps),
                 "exponents": list(exps),
-                "num": str(c.numerator),
-                "den": str(c.denominator),
+                "num": str(c),
+                "den": "1",
             }
         )
     return {
@@ -80,7 +80,7 @@ def _series_csv(series: TruncatedSeries) -> str:
     lines = ["monomial,num,den"]
     for exps, c in series.items():
         mono = series.alphabet.format_monomial(exps)
-        lines.append(f"{mono},{c.numerator},{c.denominator}")
+        lines.append(f"{mono},{c},1")
     return "\n".join(lines) + "\n"
 
 

@@ -11,15 +11,18 @@ The count assembled here is
 computed by stratifying X by the image Ybar of X + pi*M_1 inside
 M_1/pi*M_1 = F_q^r and counting each stratum with a chain polynomial and a
 Hermite-form stratum polynomial in v = z_1...z_n.  The stratum sum is exactly
-divisible by a fixed column-shift monomial u (non-divisibility is a formula
+divisible by the column-shift monomial u = prod_i z_i^(number of columns of
+type < i), read off :attr:`Lattice.shift` (non-divisibility is a formula
 violation); the quotient is the polynomial factor F
 (:func:`polynomial_factor`), and the count is F times the rank-r
 one-variable base count.
 
 Nothing is enumerated: the strata are grouped by (filtration dims, dim Ybar),
-counted as Schubert cells of the coordinate column flag, and the chains of
-each filtration are counted by degree vector; both counts are products of
-Gaussian binomials (Andrews, *The Theory of Partitions*, ch. 3).  The
+counted as Schubert cells of the coordinate column flag (whose dims are
+r - shift), and the chains of each filtration are counted by degree vector;
+both counts are products of Gaussian binomials (Andrews, *The Theory of
+Partitions*, ch. 3).  A chain's monomial is read off its degree vector d
+alone: z_i carries d_1 + ... + d_{i-1} and w_j carries d_j.  The
 brute-force oracle's triangular model is the independent check.
 
 Every returned term has w-degree exactly r, so a z-truncation at B is
@@ -31,9 +34,10 @@ the joint count gives one colength count per isomorphism class of sublattice
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import FormulaViolationError, NonUnitError, SchemaError, TruncationBoundError, as_int
-from .qcomb import cauchy_poly, gaussian_binomial
+from .qcomb import cauchy_poly, gaussian_binomial, prime_power_factors
 from .series import (
     Alphabet,
     AlphabetEntry,
@@ -47,9 +51,11 @@ from .series import (
 
 @dataclass(frozen=True)
 class Lattice:
-    """A lattice over the basic hereditary order of residue field size q with
-    n simple classes: its column types c_1 <= ... <= c_r (stored sorted), one
-    per projective summand, each between 1 and n."""
+    """A lattice over the basic hereditary order of residue field size q (a
+    prime power) with n simple classes: its column types c_1 <= ... <= c_r
+    (stored sorted), one per projective summand, each between 1 and n.
+    :attr:`shift` gives both the column-shift monomial u and the coordinate
+    column flag of the strata."""
 
     q: int
     n: int
@@ -58,6 +64,8 @@ class Lattice:
     def __post_init__(self):
         if self.q < 2:
             raise SchemaError(f"residue field size must be >= 2, got {self.q}")
+        if prime_power_factors(self.q) is None:
+            raise SchemaError(f"residue field size must be a prime power, got {self.q}")
         if self.n < 1:
             raise SchemaError(f"chain length must be >= 1, got {self.n}")
         cols = tuple(sorted(int(c) for c in self.columns))
@@ -88,13 +96,12 @@ class Lattice:
         """The colength markers, one per simple class (:func:`z_alphabet`)."""
         return z_alphabet(self.q, self.n)
 
-    def flag_dim(self, j: int) -> int:
-        """dim of the coordinate subspace of columns with type >= j."""
-        return sum(1 for c in self.columns if c >= j)
-
-    def shift_length(self, i: int) -> int:
-        """Number of columns of type < i (the z_i-exponent of u)."""
-        return sum(1 for c in self.columns if c < i)
+    @property
+    def shift(self) -> tuple[int, ...]:
+        """The number of columns of type < i, for i = 1..n: the z_i-exponent of
+        the column-shift monomial u.  The other r - shift[j-1] columns, of type
+        >= j, span the j-th coordinate subspace of the column flag."""
+        return tuple(sum(c < i for c in self.columns) for i in range(1, self.n + 1))
 
 
 def _labels(prefix: str, n: int) -> list[str]:
@@ -114,23 +121,6 @@ def v_alphabet(q: int) -> Alphabet:
 def doubled_alphabet(q: int, n: int) -> Alphabet:
     """The z block of :func:`z_alphabet` followed by the class markers w or w1..wn."""
     return Alphabet(tuple(AlphabetEntry(lab, q, 1) for lab in _labels("z", n) + _labels("w", n)))
-
-
-def substitution_data(lattice: Lattice) -> tuple[Monomial, Monomial, list[Monomial]]:
-    """(u, v, t_1..t_n) as exponent vectors over the doubled alphabet.
-
-    u shifts by the columns already past each class, v is the product of all
-    z_i, and t_j couples the class-j marker w_j with the z's strictly above j.
-    """
-    n = lattice.n
-    u = tuple(lattice.shift_length(i) for i in range(1, n + 1)) + (0,) * n
-    v = (1,) * n + (0,) * n
-    t = []
-    for j in range(1, n + 1):
-        z_part = tuple(1 if i > j else 0 for i in range(1, n + 1))
-        w_part = tuple(1 if i == j else 0 for i in range(1, n + 1))
-        t.append(z_part + w_part)
-    return u, v, t
 
 
 def _descending(first: int, caps) -> list[tuple[int, ...]]:
@@ -178,7 +168,7 @@ def stratum_counts(lattice: Lattice) -> dict[tuple[tuple[int, ...], int], int]:
     with k_j = a_j - a_{j+1}.
     """
     q, r = lattice.q, lattice.r
-    flags = [lattice.flag_dim(j) for j in range(1, lattice.n + 1)]
+    flags = [r - s for s in lattice.shift]
     out = {}
     for m in range(r + 1):
         for a in _descending(m, flags[1:]):
@@ -192,25 +182,18 @@ def stratum_counts(lattice: Lattice) -> dict[tuple[tuple[int, ...], int], int]:
     return out
 
 
-def filtered_poly(
-    dims: tuple[int, ...], q: int, t_exps: list[Monomial], alphabet: Alphabet, bound: int
-) -> TruncatedSeries:
-    """Chain-sum polynomial: sum over chains of prod_j t_j^(step dimension),
-    for the filtration with dimension vector ``dims``."""
-    if len(t_exps) != len(dims):
-        raise SchemaError(f"{len(dims)} filtration levels need {len(dims)} t-monomials")
-    width = len(alphabet)
+def filtered_poly(dims: tuple[int, ...], q: int, alphabet: Alphabet, bound: int) -> TruncatedSeries:
+    """Chain-sum polynomial of the filtration with dimension vector ``dims``
+    over the doubled alphabet: each chain of degree vector d contributes
+    prod_i z_i^(d_1 + ... + d_{i-1}) prod_j w_j^(d_j).
+
+    The w block is d itself, so no two degree vectors share a monomial.
+    """
     coeffs: dict[Monomial, int] = {}
-    for degvec, cnt in chain_degree_counts(q, dims).items():
-        exps = [0] * width
-        for j, d in enumerate(degvec):
-            if d:
-                tj = t_exps[j]
-                for idx in range(width):
-                    exps[idx] += tj[idx] * d
-        key = tuple(exps)
+    for d, cnt in chain_degree_counts(q, dims).items():
+        key = tuple(accumulate(d[:-1], initial=0)) + d
         if mono_degree(key) <= bound:
-            coeffs[key] = coeffs.get(key, 0) + cnt
+            coeffs[key] = cnt
     # valid keys of degree <= bound by construction, and every chain count is a positive int
     return TruncatedSeries._trusted(alphabet, bound, coeffs)
 
@@ -253,9 +236,8 @@ def _stratum_sum(lattice: Lattice, bound: int) -> TruncatedSeries:
     doubled alphabet at ``bound``, before the base count and the
     column-shift division.
     """
-    q, r = lattice.q, lattice.r
-    alphabet = doubled_alphabet(q, lattice.n)
-    _, v_exps, t_exps = substitution_data(lattice)
+    q, r, n = lattice.q, lattice.r, lattice.n
+    alphabet = doubled_alphabet(q, n)
     weights: dict[tuple[int, ...], list[int]] = {}
     for (dims, m), count in stratum_counts(lattice).items():
         w = weights.setdefault(dims, [0] * (r + 1))
@@ -263,8 +245,8 @@ def _stratum_sum(lattice: Lattice, bound: int) -> TruncatedSeries:
             w[k] += count * c
     acc = TruncatedSeries.zero(alphabet, bound)
     for dims, w in sorted(weights.items()):
-        chains = filtered_poly(dims, q, t_exps, alphabet, bound)
-        acc = acc + chains * TruncatedSeries.powers(alphabet, bound, v_exps, w)
+        chains = filtered_poly(dims, q, alphabet, bound)
+        acc = acc + chains * TruncatedSeries.powers(alphabet, bound, (1,) * n + (0,) * n, w)
     return acc
 
 
@@ -276,7 +258,7 @@ def polynomial_factor(lattice: Lattice, bound: int) -> TruncatedSeries:
     column-shift monomial u; this is the one place u is divided out, and a
     term that u does not divide is a formula violation.
     """
-    u_exps, _, _ = substitution_data(lattice)
+    u_exps = lattice.shift + (0,) * lattice.n
     acc = _stratum_sum(lattice, bound + mono_degree(u_exps))
     try:
         return acc.divided_by_monomial(u_exps)
@@ -293,12 +275,12 @@ def brz_two_variable(lattice: Lattice, z_bound: int) -> TruncatedSeries:
     Returned at total-degree bound z_bound + r; since every term has w-degree
     exactly r, all colength degrees up to z_bound are complete.
     """
-    _, v_exps, _ = substitution_data(lattice)
     if z_bound < 0:
         raise TruncationBoundError(f"bound must be >= 0, got {z_bound}")
-    bound = z_bound + lattice.r
+    n, r = lattice.n, lattice.r
+    bound = z_bound + r
     poly = polynomial_factor(lattice, bound)
-    return poly * TruncatedSeries.geometric(poly.alphabet, bound, v_exps, 1, lattice.r, lattice.q)
+    return poly * TruncatedSeries.geometric(poly.alphabet, bound, (1,) * n + (0,) * n, 1, r, lattice.q)
 
 
 def brs_F(lattice: Lattice, bound: int) -> TruncatedSeries:

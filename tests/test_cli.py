@@ -561,6 +561,16 @@ class TestInputHandling:
         [
             (["hereditary", "--data", '{"q": 1, "n": 2, "columns": [1, 2]}'], "residue field size must be >= 2, got 1"),
             (["hereditary", "--data", '{"q": 2, "n": 0, "columns": [1]}'], "chain length must be >= 1, got 0"),
+            (["hereditary", "--data", '{"q": 6, "n": 2, "columns": [1, 2]}'],
+             "residue field size must be a prime power, got 6"),
+            # the prime power check comes before the chain length check
+            (["hereditary", "--data", '{"q": 6, "n": 0, "columns": [1]}'],
+             "residue field size must be a prime power, got 6"),
+            (["prolif", "--data", '{"kind": "dvr", "q": 6, "m": 2}'],
+             "residue field size must be a prime power, got 6"),
+            # a rank-0 dvr base is split data: its alphabet names q
+            (["prolif", "--data", '{"kind": "dvr", "q": 6, "m": 0}'],
+             "entry 'z': residue size q must be a prime power, got 6"),
             (["hereditary", "--data", '{"q": 2, "n": 2, "columns": []}'], "module needs at least one column"),
             (["hereditary", "--data", '{"q": 2, "n": 2, "columns": [0, 1]}'], "column types start at 1, got (0, 1)"),
             (["hereditary", "--data", '{"q": 4, "n": 2, "columns": [1, 3]}'],
@@ -573,8 +583,9 @@ class TestInputHandling:
             (["prolif", "--mode", "factored", "--data", '{"kind": "semisimple", "entries": [{"q": 2, "m": 1}]}'],
              "factored form needs a lattice (hereditary or nonzero dvr) base"),
         ],
-        ids=["q1", "n0", "no-columns", "column-0", "column-past-chain", "prolif-column-past-chain", "hey-m-negative",
-             "hey-q6-m-negative", "factored-semisimple"],
+        ids=["q1", "n0", "q6", "q6-n0", "prolif-dvr-q6", "prolif-dvr-q6-m0", "no-columns", "column-0",
+             "column-past-chain", "prolif-column-past-chain", "hey-m-negative", "hey-q6-m-negative",
+             "factored-semisimple"],
     )
     def test_spec_refusal_names_its_first_fault(self, capsys, argv, message):
         assert run_cli(capsys, argv + ["--truncate", "2"]) == (2, "", f"error: {message}\n")

@@ -54,6 +54,10 @@ class TestSpecs:
         assert LAT12.alphabet == her.z_alphabet(2, 2)
         assert her.Lattice(4, 1, (1, 1)).alphabet == her.z_alphabet(4, 1)
 
+    def test_residue_field_size_must_be_a_prime_power(self):
+        with pytest.raises(SchemaError, match=r"^residue field size must be a prime power, got 6$"):
+            her.Lattice(6, 2, (1, 2))
+
     def test_top_class_validation(self):
         with pytest.raises(SchemaError):
             her.partial_zeta(LAT12, (1, -1), 2)
@@ -61,22 +65,32 @@ class TestSpecs:
             her.partial_zeta(LAT12, (2,), 2)
 
 
-class TestSubstitutionData:
+class TestShift:
+    """``Lattice.shift`` is the z block of the column-shift monomial u; the
+    reference's u, v and t-monomials over the doubled alphabet keep their values."""
+
     def test_single_class(self):
-        u, v, t = her.substitution_data(her.Lattice(2, 1, (1,)))
-        assert u == (0, 0) and v == (1, 0) and t == [(0, 1)]
+        lattice = her.Lattice(2, 1, (1,))
+        assert lattice.shift == (0,)
+        assert her_ref.u_v(lattice) == ((0, 0), (1, 0)) and her_ref.t_monomials(1) == [(0, 1)]
 
     def test_mixed_columns(self):
-        u, v, t = her.substitution_data(LAT12)
-        assert u == (0, 1, 0, 0)  # one column of type < 2 shifts by z2
-        assert v == (1, 1, 0, 0)
-        assert t == [(0, 1, 1, 0), (0, 0, 0, 1)]
+        assert LAT12.shift == (0, 1)  # one column of type < 2 shifts by z2
+        assert her_ref.u_v(LAT12) == ((0, 1, 0, 0), (1, 1, 0, 0))
+        assert her_ref.t_monomials(2) == [(0, 1, 1, 0), (0, 0, 0, 1)]
 
     def test_uniform_columns(self):
-        u, v, t = her.substitution_data(her.Lattice(2, 2, (2, 2)))
-        assert u == (0, 0, 0, 0)
-        assert v == (1, 1, 0, 0)
-        assert t == [(0, 1, 1, 0), (0, 0, 0, 1)]
+        lattice = her.Lattice(2, 2, (2, 2))
+        assert lattice.shift == (0, 0)
+        assert her_ref.u_v(lattice) == ((0, 0, 0, 0), (1, 1, 0, 0))
+        assert her_ref.t_monomials(2) == [(0, 1, 1, 0), (0, 0, 0, 1)]
+
+    def test_shift_counts_columns_below_and_flag_those_above_on_the_verify_grid(self):
+        for lat in chk._hereditary_grid():
+            assert len(lat.shift) == lat.n
+            for j in range(1, lat.n + 1):
+                assert lat.shift[j - 1] == sum(1 for c in lat.columns if c < j)
+                assert lat.r - lat.shift[j - 1] == sum(1 for c in lat.columns if c >= j)
 
 
 def _unit_span(field, r, coords):
@@ -198,6 +212,22 @@ class TestClosedCounts:
             chains = her.chain_degree_counts(q, dims)
             assert chains == _brute_chain_counts(q, dims)
             assert chains == LITERAL_CHAINS.get((q, dims), chains)
+
+
+#: the verify grid plus two lattices over GF(4)
+WITNESS_LATTICES = list(chk._hereditary_grid()) + [her.Lattice(4, 2, (1, 2, 2)), her.Lattice(4, 3, (1, 2, 3))]
+
+
+@pytest.mark.parametrize("lattice", WITNESS_LATTICES, ids=chk._grid_label)
+def test_chain_monomials_read_off_the_degree_vector(lattice):
+    """At full degree, the chain sum of every stratum's dims equals the sum of
+    t-monomial products over the same chains."""
+    alphabet = her.doubled_alphabet(lattice.q, lattice.n)
+    full = 2 * lattice.r * lattice.n
+    for dims in {dims for dims, _ in her.stratum_counts(lattice)}:
+        got = her.filtered_poly(dims, lattice.q, alphabet, full)
+        want = her_ref.filtered_poly(dims, lattice.q, alphabet, full)
+        assert got == want, (lattice, dims, got.first_disagreement(want))
 
 
 class TestHermite:
