@@ -9,21 +9,22 @@ The count assembled here is
     sum over finite-colength sublattices X of  w^{iso class of X} z^{colength},
 
 computed by stratifying X by the image Ybar of X + pi*M_1 inside
-M_1/pi*M_1 = F_q^r and counting each stratum with a chain polynomial and a
-Hermite-form stratum polynomial in v = z_1...z_n.  The stratum sum is exactly
+M_1/pi*M_1 = F_q^r: each stratum contributes its chains, each with a monomial,
+times a Hermite weight in v = z_1...z_n.  That stratum sum is exactly
 divisible by the column-shift monomial u = prod_i z_i^(number of columns of
-type < i), read off :attr:`Lattice.shift` (non-divisibility is a formula
-violation); the quotient is the polynomial factor F
-(:func:`polynomial_factor`), and the count is F times the rank-r
-one-variable base count.
+type < i), read off :attr:`Lattice.shift`; the quotient is the polynomial
+factor F, and the count is F times the rank-r one-variable base count.
 
 Nothing is enumerated: the strata are grouped by (filtration dims, dim Ybar),
 counted as Schubert cells of the coordinate column flag (whose dims are
 r - shift), and the chains of each filtration are counted by degree vector;
 both counts are products of Gaussian binomials (Andrews, *The Theory of
 Partitions*, ch. 3).  A chain's monomial is read off its degree vector d
-alone: z_i carries d_1 + ... + d_{i-1} and w_j carries d_j.  The
-brute-force oracle's triangular model is the independent check.
+alone: z_i carries d_1 + ... + d_{i-1} and w_j carries d_j.  So F is one sum
+of integers keyed by monomial, each key already divided by u
+(:func:`polynomial_factor`; a term u does not divide is a formula
+violation).  The brute-force oracle's triangular model is the independent
+check.
 
 Every returned term has w-degree exactly r, so a z-truncation at B is
 complete once the total-degree bound is B + r.  Split by its w block once,
@@ -35,8 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add, sub
 
-from .errors import FormulaViolationError, NonUnitError, SchemaError, TruncationBoundError, as_int
+from .errors import FormulaViolationError, SchemaError, TruncationBoundError, as_int
 from .qcomb import cauchy_poly, gaussian_binomial, prime_power_factors
 from .series import (
     Alphabet,
@@ -44,7 +46,6 @@ from .series import (
     Monomial,
     TruncatedSeries,
     geometric_product,
-    mono_degree,
     split_trailing,
 )
 
@@ -182,22 +183,6 @@ def stratum_counts(lattice: Lattice) -> dict[tuple[tuple[int, ...], int], int]:
     return out
 
 
-def filtered_poly(dims: tuple[int, ...], q: int, alphabet: Alphabet, bound: int) -> TruncatedSeries:
-    """Chain-sum polynomial of the filtration with dimension vector ``dims``
-    over the doubled alphabet: each chain of degree vector d contributes
-    prod_i z_i^(d_1 + ... + d_{i-1}) prod_j w_j^(d_j).
-
-    The w block is d itself, so no two degree vectors share a monomial.
-    """
-    coeffs: dict[Monomial, int] = {}
-    for d, cnt in chain_degree_counts(q, dims).items():
-        key = tuple(accumulate(d[:-1], initial=0)) + d
-        if mono_degree(key) <= bound:
-            coeffs[key] = cnt
-    # valid keys of degree <= bound by construction, and every chain count is a positive int
-    return TruncatedSeries._trusted(alphabet, bound, coeffs)
-
-
 def hermite_Q(m: int, r: int, q: int) -> list[int]:
     """Stratum weight v^(r-m) * prod_{i=1}^m (1 - q^(i-1) v), as v-coefficients."""
     if not 0 <= m <= r:
@@ -226,46 +211,45 @@ def hermite_orbit_sum(m: int, r: int, q: int, bound: int) -> TruncatedSeries:
     return TruncatedSeries.monomial(alphabet, bound, (r - m,)) * orbits
 
 
-def _stratum_sum(lattice: Lattice, bound: int) -> TruncatedSeries:
-    """Sum over strata Ybar of F_q^r of chain polynomial times Hermite weight.
+def polynomial_factor(lattice: Lattice, bound: int) -> TruncatedSeries:
+    """The polynomial F with Z(M; z, w) = F * (rank-r base count in v), complete
+    through ``bound``, as one sum of integers keyed by monomial.
 
-    Strata are counted by (filtration dims, dim Ybar), which is all the two
-    factors depend on, and only the Hermite weight depends on dim Ybar: the
-    weights of one dims are summed into one v-polynomial first, so each
-    chain polynomial is built and multiplied once.  The sum is over the
-    doubled alphabet at ``bound``, before the base count and the
-    column-shift division.
+    The stratum weights of one dims are summed into one v-polynomial first.
+    The chain of degree vector d times v^k, divided by the column-shift
+    monomial u, has z_i-exponent d_1 + ... + d_{i-1} + k - shift_i and w
+    block d.  A term that keeps a negative z exponent once the sum is done is
+    a stratum-sum term that u does not divide: a formula violation.
     """
-    q, r, n = lattice.q, lattice.r, lattice.n
-    alphabet = doubled_alphabet(q, n)
+    if bound < 0:
+        raise TruncationBoundError(f"bound must be >= 0, got {bound}")
+    q, r, n, shift = lattice.q, lattice.r, lattice.n, lattice.shift
     weights: dict[tuple[int, ...], list[int]] = {}
     for (dims, m), count in stratum_counts(lattice).items():
         w = weights.setdefault(dims, [0] * (r + 1))
         for k, c in enumerate(hermite_Q(m, r, q)):
             w[k] += count * c
-    acc = TruncatedSeries.zero(alphabet, bound)
-    for dims, w in sorted(weights.items()):
-        chains = filtered_poly(dims, q, alphabet, bound)
-        acc = acc + chains * TruncatedSeries.powers(alphabet, bound, (1,) * n + (0,) * n, w)
-    return acc
-
-
-def polynomial_factor(lattice: Lattice, bound: int) -> TruncatedSeries:
-    """The polynomial F with Z(M; z, w) = F * (rank-r base count in v), complete
-    through ``bound``.
-
-    The stratum sum is summed at ``bound + deg u`` and divided by the
-    column-shift monomial u; this is the one place u is divided out, and a
-    term that u does not divide is a formula violation.
-    """
-    u_exps = lattice.shift + (0,) * lattice.n
-    acc = _stratum_sum(lattice, bound + mono_degree(u_exps))
-    try:
-        return acc.divided_by_monomial(u_exps)
-    except NonUnitError as exc:
-        raise FormulaViolationError(
-            f"assembled stratum sum is not divisible by the column-shift monomial: {exc}"
-        ) from exc
+    coeffs: dict[Monomial, int] = {}
+    for dims, w in weights.items():
+        powers = [((k,) * n, n * k, c) for k, c in enumerate(w) if c]
+        for d, cnt in chain_degree_counts(q, dims).items():
+            z = tuple(map(sub, accumulate(d[:-1], initial=0), shift))
+            low = sum(z) + dims[0]  # the key's degree at k = 0: the w block d sums to dims[0]
+            for vk, nk, c in powers:
+                if low + nk > bound:
+                    break
+                key = tuple(map(add, z, vk)) + d
+                coeffs[key] = coeffs.get(key, 0) + cnt * c
+    alphabet = doubled_alphabet(q, n)
+    coeffs = {key: c for key, c in coeffs.items() if c}
+    for key in coeffs:
+        if min(key[:n]) < 0:
+            raise FormulaViolationError(
+                "assembled stratum sum is not divisible by the column-shift monomial: "
+                f"monomial {alphabet.format_monomial(shift + (0,) * n)} does not divide term "
+                f"{alphabet.format_monomial(tuple(map(add, key, shift)) + key[n:])}"
+            )
+    return TruncatedSeries._trusted(alphabet, bound, coeffs)
 
 
 def brz_two_variable(lattice: Lattice, z_bound: int) -> TruncatedSeries:

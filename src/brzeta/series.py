@@ -39,15 +39,6 @@ def mono_degree(a: Monomial) -> int:
     return sum(a)
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """Whether ``a`` divides ``b`` componentwise."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_quotient(b: Monomial, a: Monomial) -> Monomial:
-    return tuple(y - x for x, y in zip(a, b))
-
-
 def _graded(exps: Monomial) -> tuple[int, Monomial]:
     """The graded order on monomials: total degree first, then exponents."""
     return sum(exps), exps
@@ -170,8 +161,8 @@ class TruncatedSeries:
     def _trusted(cls, alphabet: Alphabet, bound: int, clean: dict[Monomial, int]) -> "TruncatedSeries":
         """A series over ``clean``, stored as given.
 
-        For results valid by construction (the ring's own ops, and the chain
-        sums of ``hereditary.filtered_poly``): every key is a valid exponent
+        For results valid by construction (the ring's own ops, and the keyed
+        sum of ``hereditary.polynomial_factor``): every key is a valid exponent
         vector of degree <= ``bound`` (>= 0), and every value is a nonzero int.
         """
         out = object.__new__(cls)
@@ -470,30 +461,6 @@ class TruncatedSeries:
             if sum(key) <= out_bound:
                 out[key] = out.get(key, 0) + val
         return TruncatedSeries._trusted(out_alphabet, out_bound, _cleaned(out))
-
-    # -- monomial division -------------------------------------------------
-
-    def divided_by_monomial(self, exps: Monomial) -> "TruncatedSeries":
-        """Exact division by a monomial; every term must be divisible.
-
-        The result is complete through ``bound - degree(exps)``.
-        """
-        exps = tuple(exps)
-        n = len(self.alphabet)
-        if len(exps) != n or any(e < 0 for e in exps):
-            raise SchemaError(f"bad exponent vector {exps} for {n}-entry alphabet")
-        d = mono_degree(exps)
-        out: dict[Monomial, int] = {}
-        for k, c in self.coeffs.items():
-            if not mono_divides(exps, k):
-                raise NonUnitError(
-                    f"monomial {self.alphabet.format_monomial(exps)} does not divide "
-                    f"term {self.alphabet.format_monomial(k)}"
-                )
-            out[mono_quotient(k, exps)] = c
-        if d > self.bound:
-            raise TruncationBoundError(f"bound must be >= 0, got {self.bound - d}")
-        return TruncatedSeries._trusted(self.alphabet, self.bound - d, out)
 
     # -- Dirichlet extraction ------------------------------------------------
 

@@ -1,17 +1,21 @@
-"""The hereditary engine's earlier assemblies of the joint count and the
-polynomial class tables, which only the tests use.
+"""The hereditary engine's earlier assembly of the polynomial factor, the joint
+count and the polynomial class tables, which only the tests use.
 
-``hereditary.polynomial_factor`` divides the column-shift monomial u out of
-the stratum sum once, at the bound its caller needs, and the joint count and
-the polynomial class tables are built from that factor.  Here the joint
-count multiplies the stratum sum by the base count at a bound inflated by
-deg u and divides afterwards, and the class tables split the whole exact
-factor and truncate each part.  The two share only the stratum sum, so a
-slip in either bound shows as a disagreement.
+``hereditary.polynomial_factor`` sums the factor as integers keyed by
+monomial, grouped by filtration dims, with the column-shift monomial u
+already divided out of each key.  Here the stratum sum is built as series,
+stratum by stratum: the t-monomial chain polynomial times the stratum's
+Hermite weight in powers of v, scaled by the stratum count.  u is divided out
+afterwards by an exact monomial division.  The joint count multiplies the
+stratum sum by the base count at a bound inflated by deg u and divides
+afterwards, and the class tables split the whole exact factor and truncate
+each part.  The engine and this module share only the chain and stratum
+counts and the Hermite weights, so a slip in a key or a bound shows as a
+disagreement.
 
 ``filtered_poly`` builds each chain monomial as the product of the
 t-monomials t_j = w_j * prod_{i>j} z_i raised to the chain's degree vector,
-the construction ``hereditary.filtered_poly`` reads off the degree vector
+the construction ``hereditary.polynomial_factor`` reads off the degree vector
 directly.
 """
 
@@ -46,13 +50,43 @@ def filtered_poly(dims, q, alphabet, bound):
     return TruncatedSeries(alphabet, bound, coeffs)
 
 
+def stratum_sum(lattice, bound):
+    """Sum over strata Ybar of F_q^r of chain polynomial times Hermite weight,
+    one stratum class (dims, dim Ybar) at a time, over the doubled alphabet."""
+    q, r = lattice.q, lattice.r
+    alphabet = her.doubled_alphabet(q, lattice.n)
+    _, v_exps = u_v(lattice)
+    acc = TruncatedSeries.zero(alphabet, bound)
+    for (dims, m), count in her.stratum_counts(lattice).items():
+        weight = TruncatedSeries.powers(alphabet, bound, v_exps, her.hermite_Q(m, r, q))
+        acc = acc + (filtered_poly(dims, q, alphabet, bound) * weight).scaled(count)
+    return acc
+
+
+def divided(series, exps):
+    """Exact division by the monomial ``exps``, complete through ``bound - deg exps``;
+    every term must be divisible."""
+    out = {}
+    for k, c in series.coeffs.items():
+        quotient = tuple(a - b for a, b in zip(k, exps))
+        assert min(quotient) >= 0, f"{exps} does not divide {k}"
+        out[quotient] = c
+    return TruncatedSeries(series.alphabet, series.bound - mono_degree(exps), out)
+
+
+def polynomial_factor(lattice, bound):
+    """The stratum sum at ``bound + deg u``, divided by u."""
+    u_exps, _ = u_v(lattice)
+    return divided(stratum_sum(lattice, bound + mono_degree(u_exps)), u_exps)
+
+
 def brz_two_variable(lattice, z_bound):
     """(stratum sum * rank-r base count) / u, at total-degree bound z_bound + r."""
     u_exps, v_exps = u_v(lattice)
     internal_bound = z_bound + lattice.r + mono_degree(u_exps)
-    acc = her._stratum_sum(lattice, internal_bound)
+    acc = stratum_sum(lattice, internal_bound)
     shifted = acc * TruncatedSeries.geometric(acc.alphabet, internal_bound, v_exps, 1, lattice.r, lattice.q)
-    return shifted.divided_by_monomial(u_exps)
+    return divided(shifted, u_exps)
 
 
 def polynomial_class_counts(base, upper, bound):
@@ -61,7 +95,6 @@ def polynomial_class_counts(base, upper, bound):
     n = base.spec.n
     lattice = her.Lattice(base.spec.q, n, tuple(i for i, v in enumerate(upper, start=1) for _ in range(v)))
     r = lattice.r
-    u_exps, _ = u_v(lattice)
     # chain sums and stratum weights each have total degree <= rn
-    exact = her._stratum_sum(lattice, 2 * r * n + r).divided_by_monomial(u_exps)
+    exact = polynomial_factor(lattice, 2 * r * n + r)
     return {lower: part.extended(bound) for lower, part in split_trailing(exact, n).items()}

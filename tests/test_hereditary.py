@@ -1,6 +1,7 @@
 """Two-variable lattice counts over chain-form orders and their factorization."""
 
 import functools
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -10,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brzeta import checks as chk
+from brzeta import cli
 from brzeta import gfq
 from brzeta import hereditary as her
 from brzeta import oracle as orc
 from brzeta import prolif as pr
-from brzeta.errors import SchemaError
+from brzeta.errors import FormulaViolationError, SchemaError, TruncationBoundError
 from brzeta.qcomb import gaussian_binomial
 from brzeta.series import TruncatedSeries
 
@@ -220,14 +222,88 @@ WITNESS_LATTICES = list(chk._hereditary_grid()) + [her.Lattice(4, 2, (1, 2, 2)),
 
 @pytest.mark.parametrize("lattice", WITNESS_LATTICES, ids=chk._grid_label)
 def test_chain_monomials_read_off_the_degree_vector(lattice):
-    """At full degree, the chain sum of every stratum's dims equals the sum of
-    t-monomial products over the same chains."""
-    alphabet = her.doubled_alphabet(lattice.q, lattice.n)
-    full = 2 * lattice.r * lattice.n
-    for dims in {dims for dims, _ in her.stratum_counts(lattice)}:
-        got = her.filtered_poly(dims, lattice.q, alphabet, full)
-        want = her_ref.filtered_poly(dims, lattice.q, alphabet, full)
-        assert got == want, (lattice, dims, got.first_disagreement(want))
+    """The keyed sum equals the stratum-by-stratum sum of t-monomial chain
+    polynomials times Hermite weights, divided by u afterwards, at a low
+    bound, a middle one and the factor's whole degree."""
+    for bound in (0, 3, 2 * lattice.r * lattice.n + lattice.r):
+        got = her.polynomial_factor(lattice, bound)
+        want = her_ref.polynomial_factor(lattice, bound)
+        assert got == want, (lattice, bound, got.first_disagreement(want))
+
+
+class TestColumnShiftDivisibility:
+    """No second computation checks that u divides the stratum sum, so a
+    chain count that breaks it is a formula violation: a library error, and
+    exit 3 on the command line."""
+
+    @pytest.fixture
+    def stray_chain(self, monkeypatch):
+        """Every dims gains one chain of degree vector (0, dims[0]), whose
+        monomial w_2^dims[0] u does not divide."""
+        real = her.chain_degree_counts
+
+        def with_stray(q, dims):
+            counts = dict(real(q, dims))
+            stray = (0, dims[0])
+            counts[stray] = counts.get(stray, 0) + 1
+            return counts
+
+        monkeypatch.setattr(her, "chain_degree_counts", with_stray)
+
+    def test_library_raises(self, stray_chain):
+        with pytest.raises(FormulaViolationError, match="not divisible by the column-shift monomial"):
+            her.polynomial_factor(LAT12, 8)
+
+    def test_cli_exits_3_naming_the_term(self, capsys, stray_chain):
+        code = cli.main(["hereditary", "--factor", "--data", '{"q":2,"n":2,"columns":[1,2]}', "--truncate", "8"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == (
+            "formula violation: assembled stratum sum is not divisible by the column-shift monomial: "
+            "monomial z2 does not divide term w2^2\n"
+        )
+
+    def test_negative_bound_refused(self):
+        with pytest.raises(TruncationBoundError):
+            her.polynomial_factor(LAT12, -1)
+
+
+def _rotated(t, k):
+    """rot^k(t): entry i of the result is t_{i-k mod n}."""
+    return tuple(t[(i - k) % len(t)] for i in range(len(t)))
+
+
+@pytest.mark.parametrize("lattice", [lat for lat in chk._hereditary_grid() if lat.n >= 2], ids=chk._grid_label)
+def test_rotating_the_top_rotates_the_joint_count(lattice):
+    """The basic hereditary order has an automorphism permuting its
+    projectives cyclically, P_i -> P_{i+1} (Reiner, *Maximal Orders*), so the
+    lattice of top rot^k(top) has the joint count with its z block and its w
+    block each rotated k places."""
+    n = lattice.n
+    joint = her.brz_two_variable(lattice, 3)
+    for k in range(1, n):
+        got = her.brz_two_variable(her.Lattice.of_class(lattice.q, _rotated(lattice.top, k)), 3)
+        rotated = {_rotated(key[:n], k) + _rotated(key[n:], k): c for key, c in joint.coeffs.items()}
+        want = TruncatedSeries(joint.alphabet, joint.bound, rotated)
+        assert got == want, (lattice, k, got.first_disagreement(want))
+
+
+def _drawn_lattices(count=25, seed=20261020):
+    """Lattices beyond the verify grid: q in {2, 3, 4}, n <= 4, r <= 3, and a
+    z_bound of at most 2, which keeps the oracle's model small."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        q, n, r = rng.choice((2, 3, 4)), rng.randint(1, 4), rng.randint(1, 3)
+        yield her.Lattice(q, n, [rng.randint(1, n) for _ in range(r)]), rng.randint(0, 2)
+
+
+@pytest.mark.parametrize(
+    "lattice,z_bound", _drawn_lattices(), ids=lambda v: chk._grid_label(v) if isinstance(v, her.Lattice) else f"b={v}"
+)
+def test_drawn_lattices_match_enumeration(lattice, z_bound):
+    """The joint count equals the oracle's enumeration of the triangular model."""
+    model = orc.triangular_module(lattice.q, lattice.n, -(-(z_bound + 1) // lattice.n), lattice.columns)
+    assert her.brz_two_variable(lattice, z_bound) == orc.empirical_zeta(model, z_bound, joint=True)
 
 
 class TestHermite:

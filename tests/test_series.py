@@ -403,7 +403,6 @@ class TestTrustedResults:
             f.truncated(0).extended(3),
             f.extended(5),
             f.substitute(Z3, mapping, 3),
-            TruncatedSeries.monomial(Z3, 4, (1, 0, 1), 6).divided_by_monomial((1, 0, 0)),
             *split_trailing(f * g, 1).values(),
         ]
         for series in results:
@@ -433,12 +432,6 @@ class TestTrustedResults:
             self.F.substitute(Z3, {0: (0, (1, 0, 0)), 1: (1, (0, 1, 0)), 2: (1, (0, 0, 1))}, 3)
         with pytest.raises(SchemaError):
             self.F.substitute(Z3, {0: (1, (1, 0)), 1: (1, (0, 1, 0)), 2: (1, (0, 0, 1))}, 3)
-        with pytest.raises(NonUnitError):
-            self.F.divided_by_monomial((1, 0, 0))
-        with pytest.raises(TruncationBoundError):
-            TruncatedSeries.zero(Z3, 1).divided_by_monomial((1, 1, 0))
-        with pytest.raises(SchemaError):
-            TruncatedSeries.zero(Z3, 1).divided_by_monomial((1, 0))
 
     def test_public_constructor_still_validates(self):
         with pytest.raises(SchemaError):
