@@ -7,6 +7,13 @@ identity failed (a ``verify`` suite, or an invariant of the lattice factor or
 of the Jordan types; the message carries the offending coefficient), 4 an
 enumeration or time budget was exceeded.
 
+JSON output is byte for byte ``json.dumps(doc, sort_keys=True, indent=2)``
+of its document, plus a newline.  Series and tables, and the three series of
+``prolif --mode factored``, are written straight to those bytes: each term is
+formatted once, and no document is built for the pure-Python indenting
+encoder to walk.  A command line that names a subcommand is parsed by that
+subcommand's parser alone.
+
 Each handler imports the layers it runs, so a ``hey`` request never loads
 the oracle, the field kernels or the verification suites.
 """
@@ -57,23 +64,48 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise SchemaError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _series_doc(series: TruncatedSeries) -> dict:
-    terms = []
+def _json_array(items: list[str], indent: str) -> str:
+    """``items``, each already JSON, as the array ``json.dumps(..., indent=2)``
+    writes at ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _json_object(fields, indent: str) -> str:
+    """``(key, JSON value)`` pairs, plain ASCII keys in sorted order, as the
+    nonempty object ``json.dumps(..., sort_keys=True, indent=2)`` writes at ``indent``."""
+    inner = "\n" + indent + "  "
+    return "{" + inner + ("," + inner).join(f'"{k}": {v}' for k, v in fields) + "\n" + indent + "}"
+
+
+def _series_json(series: TruncatedSeries, indent: str = "") -> str:
+    """The series document as ``json.dumps(doc, sort_keys=True, indent=2)``
+    writes it at ``indent``: its terms, each with its monomial, exponent vector
+    and num/den pair, and ``display``, the series as ``str`` shows it, are
+    written in one pass over the sorted terms."""
+    encode = json.encoder.encode_basestring_ascii
+    alphabet = series.alphabet
+    term, field, exponent = indent + "    ", indent + "      ", indent + "        "
+    sep = ",\n" + exponent
+    terms, shown = [], []
     for exps, c in series.items():
+        mono = alphabet.format_monomial(exps)
+        num = str(c)
+        shown.append(num if mono == "1" else mono if c == 1 else f"{num}*{mono}")
+        vector = f"[\n{exponent}{sep.join(map(str, exps))}\n{field}]" if exps else "[]"
         terms.append(
-            {
-                "monomial": series.alphabet.format_monomial(exps),
-                "exponents": list(exps),
-                "num": str(c),
-                "den": "1",
-            }
+            f'{{\n{field}"den": "1",\n{field}"exponents": {vector},\n'
+            f'{field}"monomial": {encode(mono)},\n{field}"num": "{num}"\n{term}}}'
         )
-    return {
-        "bound": series.bound,
-        "variables": [e.label for e in series.alphabet.entries],
-        "terms": terms,
-        "display": str(series),
-    }
+    fields = (
+        ("bound", str(series.bound)),
+        ("display", encode(" + ".join(shown) if shown else "0")),
+        ("terms", _json_array(terms, indent + "  ")),
+        ("variables", _json_array([encode(e.label) for e in alphabet.entries], indent + "  ")),
+    )
+    return _json_object(fields, indent)
 
 
 def _series_csv(series: TruncatedSeries) -> str:
@@ -84,8 +116,11 @@ def _series_csv(series: TruncatedSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table_doc(table: dict[int, int], key="n") -> dict:
-    return {"coefficients": [{key: n, "a_n": str(table[n])} for n in sorted(table)]}
+def _table_json(table: dict[int, int]) -> str:
+    """The table document ``{"coefficients": [{"a_n": "<a_n>", "n": n}, ...]}``
+    as ``json.dumps(doc, sort_keys=True, indent=2)`` writes it."""
+    rows = [f'{{\n      "a_n": "{table[n]}",\n      "n": {n}\n    }}' for n in sorted(table)]
+    return _json_object((("coefficients", _json_array(rows, "  ")),), "")
 
 
 def _table_csv(table: dict[int, int]) -> str:
@@ -101,22 +136,24 @@ def _refuse_csv(fmt: str) -> None:
         raise SchemaError("csv output is only available for series and tables")
 
 
-def _format(fmt: str, doc, series, table) -> str:
+def _format(fmt: str, doc, series, table, named_series) -> str:
     if series is not None:
-        return _series_csv(series) if fmt == "csv" else json.dumps(_series_doc(series), sort_keys=True, indent=2) + "\n"
+        return _series_csv(series) if fmt == "csv" else _series_json(series) + "\n"
     if table is not None:
-        return _table_csv(table) if fmt == "csv" else json.dumps(_table_doc(table), sort_keys=True, indent=2) + "\n"
+        return _table_csv(table) if fmt == "csv" else _table_json(table) + "\n"
+    if named_series is not None:  # a document of series, refused as csv before it is computed
+        return _json_object([(k, _series_json(s, "  ")) for k, s in sorted(named_series.items())], "") + "\n"
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(fmt: str, doc=None, series=None, table=None) -> int:
+def _emit(fmt: str, doc=None, series=None, table=None, named_series=None) -> int:
     """Write one result to stdout.  An exact count may have more digits than
     ``str(int)`` allows by default, so the limit is lifted only while the
     result is formatted; input parsing keeps it."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        out = _format(fmt, doc, series, table)
+        out = _format(fmt, doc, series, table, named_series)
     finally:
         sys.set_int_max_str_digits(limit)
     sys.stdout.write(out)
@@ -177,12 +214,8 @@ def _run_prolif(args: argparse.Namespace) -> int:
     if args.mode == "factored":
         _refuse_csv(args.fmt)
         prefactor, remainder = pr.brs_factored_prolif(base, bound, budget)
-        doc = {
-            "prefactor": _series_doc(prefactor),
-            "remainder": _series_doc(remainder),
-            "product": _series_doc(prefactor * remainder),
-        }
-        return _emit(args.fmt, doc=doc)
+        parts = {"prefactor": prefactor, "remainder": remainder, "product": prefactor * remainder}
+        return _emit(args.fmt, named_series=parts)
     return _emit(args.fmt, series=pr.proliferation_sum(base, bound, budget))
 
 
@@ -290,14 +323,38 @@ def _run_verify(args: argparse.Namespace) -> int:
 # -- argument parsing ------------------------------------------------------------
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser by name, read off the top-level ``parser``."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+class _Parser(argparse.ArgumentParser):
+    """The top-level parser.  A command line that starts with a subcommand's
+    name is parsed by that subcommand's parser alone; argparse's own top-level
+    parse would scan every argument before passing them all to it.  Any other
+    command line (none, ``-h``, an unknown name) takes argparse's path."""
+
+    def parse_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        parser = _subcommands(self).get(args[0]) if args else None
+        if parser is None:
+            return super().parse_args(args, namespace)
+        parsed, extras = parser.parse_known_args(args[1:], namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        parsed.subcommand = args[0]
+        return parsed
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The one description of a request: each subcommand's namespace carries
     its handler as ``run``, and the handler reads the parsed flags."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="brzeta",
         description="Exact truncated zeta series of modules over semilocal orders.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=argparse.ArgumentParser)
 
     def add(name, run, help):
         p = sub.add_parser(name, help=help)
@@ -383,8 +440,7 @@ def __getattr__(name: str):
     the benchmark's tests list the subcommands by it."""
     if name != "_HANDLERS":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    (sub,) = (a for a in _shared_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {cmd: p.get_default("run") for cmd, p in sub.choices.items()}
+    return {cmd: p.get_default("run") for cmd, p in _subcommands(_shared_parser()).items()}
 
 
 def _check_ranges(args: argparse.Namespace) -> None:

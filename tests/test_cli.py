@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 import brzeta.checks as chk
 import brzeta.cli as cli
+import brzeta.hereditary as her
 import brzeta.prolif as pr
+import cli_reference as ref
 from brzeta.errors import (
     AlphabetMismatchError,
     BrzetaError,
@@ -25,6 +27,7 @@ from brzeta.errors import (
     SchemaError,
     TruncationBoundError,
 )
+from brzeta.hey import SemisimpleData, hey_product, moebius_inverse_series
 from brzeta.series import Alphabet, AlphabetEntry, TruncatedSeries
 
 DVR = '{"kind": "dvr", "q": 2, "m": 1}'
@@ -197,6 +200,103 @@ class TestSeriesOutput:
         )
         assert code == 2
         assert "csv" in err
+
+
+def _dumped(doc) -> str:
+    """The reference bytes of a document."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _emitted(**result) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli._emit("json", **result) == 0
+    return out.getvalue()
+
+
+PRIME_POWERS = st.sampled_from((2, 3, 4, 5, 8, 9, 27))
+
+
+@st.composite
+def drawn_series(draw):
+    labels = draw(st.lists(st.text(min_size=1, max_size=4), max_size=3, unique=True))
+    alphabet = Alphabet([AlphabetEntry(label, draw(PRIME_POWERS), draw(st.integers(1, 3))) for label in labels])
+    bound = draw(st.integers(0, 4))
+    exponents = st.tuples(*[st.integers(0, 3)] * len(labels))
+    coeffs = draw(st.dictionaries(exponents, st.integers() | st.integers(-2, 2), max_size=8))
+    return TruncatedSeries(alphabet, bound, coeffs)
+
+
+TABLES = st.dictionaries(st.integers(0, 10**6), st.integers() | st.integers(0, 3), max_size=12)
+
+
+class TestJsonWriters:
+    """Series and tables are written straight to the bytes ``json.dumps(doc,
+    sort_keys=True, indent=2)`` gives for their documents."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(series=drawn_series())
+    def test_series_bytes(self, series):
+        assert _emitted(series=series) == _dumped(ref.series_doc(series))
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=TABLES)
+    def test_table_bytes(self, table):
+        assert _emitted(table=table) == _dumped(ref.table_doc(table))
+
+    @settings(max_examples=100, deadline=None)
+    @given(parts=st.fixed_dictionaries({"prefactor": drawn_series(), "remainder": drawn_series(),
+                                        "product": drawn_series()}))
+    def test_named_series_bytes(self, parts):
+        want = _dumped({k: ref.series_doc(s) for k, s in parts.items()})
+        assert _emitted(named_series=parts) == want
+
+    def test_zero_series_and_empty_table(self, capsys):
+        zero = TruncatedSeries.zero(Alphabet([("z", 2), ("w", 3)]), 3)
+        assert _emitted(series=zero) == _dumped(ref.series_doc(zero))
+        assert json.loads(_emitted(series=zero))["display"] == "0"
+        assert _emitted(table={}) == _dumped({"coefficients": []})
+        code, out, _ = run_cli(capsys, ["rossmann", "--max", "0"])
+        assert (code, out) == (0, _dumped({"coefficients": []}))
+
+    def test_empty_alphabet(self, capsys):
+        code, out, _ = run_cli(capsys, ["hey", "--data", "[]", "--truncate", "2"])
+        assert code == 0
+        assert out == _dumped(ref.series_doc(hey_product(SemisimpleData.from_json([]), 2)))
+        assert json.loads(out)["terms"][0]["exponents"] == []
+
+    def test_negative_coefficients(self, capsys):
+        data = '[{"q": 3, "m": 2}, {"q": 4, "m": 1}]'
+        code, out, _ = run_cli(capsys, ["hey", "--data", data, "--truncate", "3", "--inverse"])
+        want = moebius_inverse_series(SemisimpleData.from_json(json.loads(data)), 3)
+        assert code == 0 and out == _dumped(ref.series_doc(want))
+        assert any(t["num"].startswith("-") for t in json.loads(out)["terms"])
+
+    def test_doubled_alphabet(self, capsys):
+        code, out, _ = run_cli(capsys, ["hereditary", "--joint", "--data", HER, "--truncate", "3"])
+        want = her.brz_two_variable(her.hereditary_from_json(json.loads(HER)), 3)
+        assert code == 0 and out == _dumped(ref.series_doc(want))
+        assert json.loads(out)["variables"] == ["z1", "z2", "w1", "w2"]
+
+    def test_coefficient_over_the_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, ["hey", "--data", '[{"q": 2, "m": 15000}]', "--truncate", "1"])
+        assert code == 0 and sys.get_int_max_str_digits() == limit
+        want = hey_product(SemisimpleData.from_json([{"q": 2, "m": 15000}]), 1)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == _dumped(ref.series_doc(want))
+            assert len(json.loads(out)["terms"][1]["num"]) > 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_factored_document(self, capsys):
+        data = '{"kind": "hereditary", "q": 4, "n": 2, "columns": [1, 2]}'
+        code, out, _ = run_cli(capsys, ["prolif", "--mode", "factored", "--data", data, "--truncate", "3"])
+        base = pr.SliceBase.from_json(json.loads(data))
+        prefactor, remainder = pr.brs_factored_prolif(base, 3, pr.DEFAULT_SEQUENCE_BUDGET)
+        want = {"prefactor": prefactor, "remainder": remainder, "product": prefactor * remainder}
+        assert code == 0 and out == _dumped({k: ref.series_doc(s) for k, s in want.items()})
 
 
 class TestOracleCommand:
@@ -678,6 +778,74 @@ class TestSharedParser:
             assert exc.value.code == 0
             widths.append(max(len(line) for line in capsys.readouterr().out.splitlines()))
         assert widths[0] < widths[1]
+
+
+def _argparse_parse(argv):
+    """argparse's own top-level parse of ``argv`` on a fresh parser: the
+    reference for the parse that starts at the subcommand's parser."""
+    return argparse.ArgumentParser.parse_args(cli.build_parser(), argv)
+
+
+def _outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr, parsed flags) of one parse."""
+    try:
+        flags, code = vars(parse(argv)), 0
+    except SystemExit as exc:
+        flags, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, flags
+
+
+class TestParsePath:
+    """A command line that names a subcommand is parsed by that subcommand's
+    parser alone, with the outcome of argparse's top-level parse."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["nope", "--q", "2"],
+            ["-h", "hey"],
+            ["hey", "-h"],
+            ["hey", "--data", "[]", "--truncate", "2", "--bogus", "x"],
+            ["hey", "--data", "[]", "stray"],
+            ["oracle", "--colength", "2"],
+            ["hey", "--data", "[]", "--truncate", "two"],
+            ["hey", "--data", "[]", "--truncate", "2", "--format", "xml"],
+            ["hereditary", "--data", HER, "--truncate", "2", "--joint", "--factor"],
+        ],
+    )
+    def test_refusals_and_help_match_argparse(self, capsys, argv):
+        got = _outcome(capsys, cli.main, argv)
+        want = _outcome(capsys, _argparse_parse, argv)
+        assert got[:3] == want[:3]
+        assert got[0] in (0, 2) and (got[1] or got[2])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hey", "--data=[]", "--truncate", "2", "--inverse"],
+            ["hey", "--trunc", "-1", "--data", "[]"],
+            ["hereditary", "--data", HER, "--truncate", "2", "--partial", "1,0", "--format", "csv"],
+            ["prolif", "--data", DVR, "--truncate", "2", "--mode", "factored", "--budget", "9"],
+            ["lifted-hey", "--data", "[]", "--sigma", "1"],
+            ["lustig", "--q", "2", "--max", "3"],
+            ["rossmann", "--max", "4"],
+            ["hom-slice", "--q", "2", "--r", "1", "--m", "1", "--s-count", "1", "--max", "4", "--truncate", "1"],
+            ["oracle", "--model", DVR, "--colength", "2", "--fiber"],
+            ["verify", "--suite", "hall", "--suite", "lustig", "--max", "2"],
+            ["verify"],
+        ],
+    )
+    def test_flags_match_argparse(self, capsys, argv):
+        got = _outcome(capsys, cli._shared_parser().parse_args, argv)
+        assert got == _outcome(capsys, _argparse_parse, argv)
+        assert got[3]["subcommand"] == argv[0]
+
+    def test_argv_defaults_to_the_command_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["brzeta", "rossmann", "--max", "2", "--format", "csv"])
+        assert run_cli(capsys, None) == (0, "n,a_n\n1,1\n2,1\n", "")
 
 
 def _subprocess_main(argv, prelude=""):
