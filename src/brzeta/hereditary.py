@@ -26,6 +26,15 @@ of integers keyed by monomial, each key already divided by u
 violation).  The brute-force oracle's triangular model is the independent
 check.
 
+Both walks stop at the bound, on two degree bounds.  A chain whose
+subspaces have dims x_1 >= x_2 >= ... carries the v^k term of degree
+sum_i (x_1 - x_i) - sum shift + x_1 + n k, and every later x_j is at most
+the last one placed; a stratum (dims, m) has chains with x_i <= dims_i and
+Hermite weight starting at v^(r - m), so all its terms have degree at least
+sum_i (r - dims_i) + n(r - m) + r - sum shift.  One descending walk
+(:func:`_descending`) builds both the chain dims and the Schubert cells
+within such a room.
+
 Every returned term has w-degree exactly r, so a z-truncation at B is
 complete once the total-degree bound is B + r.  Split by its w block once,
 the joint count gives one colength count per isomorphism class of sublattice
@@ -124,30 +133,50 @@ def doubled_alphabet(q: int, n: int) -> Alphabet:
     return Alphabet(tuple(AlphabetEntry(lab, q, 1) for lab in _labels("z", n) + _labels("w", n)))
 
 
-def _descending(first: int, caps) -> list[tuple[int, ...]]:
-    """Weakly decreasing vectors (first, x_2, ...) with 0 <= x_j <= caps[j - 2]."""
-    out = [(first,)]
-    for cap in caps:
-        out = [v + (x,) for v in out for x in range(min(v[-1], cap) + 1)]
-    return out
+def _descending(first: int, caps, room: int) -> list[tuple[int, ...]]:
+    """Weakly decreasing vectors (first, x_2, ...) with 0 <= x_j <= caps[j - 2]
+    and sum_j (first - x_j) <= room, in lexicographic order.
+
+    Every entry after x_j is at most x_j, so once x_j is placed the vector
+    spends at least ``used + left * (first - x_j)`` of the room, where
+    ``used`` is what the entries before x_j spend and ``left`` counts the
+    entries still to place, x_j among them.  So x_j starts at the least value
+    that keeps this within the room, and no branch is entered that must
+    overrun it.
+    """
+    if room < 0:
+        return []
+    out = [((first,), 0)]
+    for left, cap in zip(range(len(caps), 0, -1), caps):
+        out = [
+            (v + (x,), used + first - x)
+            for v, used in out
+            for x in range(max(0, first - (room - used) // left), min(v[-1], cap) + 1)
+        ]
+    return [v for v, _ in out]
 
 
-_chain_count_cache: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], int]] = {}
+_chain_count_cache: dict[tuple[int, tuple[int, ...], int], dict[tuple[int, ...], int]] = {}
 
 
-def chain_degree_counts(q: int, dims: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+def chain_degree_counts(q: int, dims: tuple[int, ...], room: int | None = None) -> dict[tuple[int, ...], int]:
     """How many chains V_1 = W_1 >= W_2 >= ... >= W_n with W_j <= V_j have each
     degree vector dim(W_j / W_{j+1}), where V_j is the span of the first dims[j-1]
     coordinates and W_{n+1} = 0.
 
     The chains with dim W_j = w_j number prod_{j>=2} [d_j - w_{j+1} choose w_j - w_{j+1}]_q.
+    Only the w with sum_j (dims[0] - w_j) <= ``room`` are walked.  The default
+    room, dims[0] * (n - 1), cuts nothing; a larger room is read as it, and
+    a negative one as -1, so the cache holds one entry per distinct cut.
     """
     dims = tuple(dims)
-    key = (q, dims)
+    cap = dims[0] * (len(dims) - 1)
+    room = cap if room is None else max(min(room, cap), -1)
+    key = (q, dims, room)
     hit = _chain_count_cache.get(key)
     if hit is None:
         hit = {}
-        for w in _descending(dims[0], dims[1:]):
+        for w in _descending(dims[0], dims[1:], room):
             w = w + (0,)
             count = 1
             for j in range(1, len(dims)):
@@ -157,7 +186,7 @@ def chain_degree_counts(q: int, dims: tuple[int, ...]) -> dict[tuple[int, ...], 
     return hit
 
 
-def stratum_counts(lattice: Lattice) -> dict[tuple[tuple[int, ...], int], int]:
+def stratum_counts(lattice: Lattice, bound: int | None = None) -> dict[tuple[tuple[int, ...], int], int]:
     """How many subspaces Ybar of F_q^r have each (filtration dims, dim Ybar).
 
     With f_j the dimension of the coordinate span m_j of the columns of type
@@ -166,15 +195,20 @@ def stratum_counts(lattice: Lattice) -> dict[tuple[tuple[int, ...], int], int]:
 
         [f_n choose a_n]_q * prod_{j<n} q^(k_j (f_{j+1} - a_{j+1})) [f_j - f_{j+1} choose k_j]_q,
 
-    with k_j = a_j - a_{j+1}.
+    with k_j = a_j - a_{j+1}.  Given a ``bound``, only the strata with a term of
+    the polynomial factor through it are walked: those with
+    sum_j (m - a_j) <= bound + sum shift - r - n(r - m), where m = dim Ybar
+    (see :func:`polynomial_factor`).  The default cuts nothing.
     """
-    q, r = lattice.q, lattice.r
+    q, r, n = lattice.q, lattice.r, lattice.n
     flags = [r - s for s in lattice.shift]
+    spare = None if bound is None else bound + sum(lattice.shift) - r
     out = {}
     for m in range(r + 1):
-        for a in _descending(m, flags[1:]):
+        room = m * (n - 1) if spare is None else spare - n * (r - m)
+        for a in _descending(m, flags[1:], room):
             count = gaussian_binomial(flags[-1], a[-1], q)
-            for j in range(lattice.n - 1):
+            for j in range(n - 1):
                 k = a[j] - a[j + 1]
                 count *= q ** (k * (flags[j + 1] - a[j + 1]))
                 count *= gaussian_binomial(flags[j] - flags[j + 1], k, q)
@@ -220,19 +254,33 @@ def polynomial_factor(lattice: Lattice, bound: int) -> TruncatedSeries:
     monomial u, has z_i-exponent d_1 + ... + d_{i-1} + k - shift_i and w
     block d.  A term that keeps a negative z exponent once the sum is done is
     a stratum-sum term that u does not divide: a formula violation.
+
+    Two degree bounds let both walks stop at ``bound``.  A chain whose
+    subspaces have dims x (x_1 = dims[0]) has key degree
+    sum_i (x_1 - x_i) - sum shift + x_1 + n k, so with k_min the least power
+    of v whose weight is nonzero, only the chains with
+    sum_i (x_1 - x_i) <= bound + sum shift - x_1 - n k_min are walked.  A
+    stratum (dims, m) has dims_i = a_i + r - m, chains with x_i <= dims_i and
+    x_1 = r, and Hermite weight starting at v^(r - m), so all its terms have
+    degree >= sum_i (m - a_i) + n(r - m) + r - sum shift
+    (:func:`stratum_counts`).  A cut drops only terms past ``bound``.
     """
     if bound < 0:
         raise TruncationBoundError(f"bound must be >= 0, got {bound}")
     q, r, n, shift = lattice.q, lattice.r, lattice.n, lattice.shift
+    spare = bound + sum(shift)
     weights: dict[tuple[int, ...], list[int]] = {}
-    for (dims, m), count in stratum_counts(lattice).items():
+    for (dims, m), count in stratum_counts(lattice, bound).items():
         w = weights.setdefault(dims, [0] * (r + 1))
         for k, c in enumerate(hermite_Q(m, r, q)):
             w[k] += count * c
     coeffs: dict[Monomial, int] = {}
     for dims, w in weights.items():
         powers = [((k,) * n, n * k, c) for k, c in enumerate(w) if c]
-        for d, cnt in chain_degree_counts(q, dims).items():
+        if not powers:
+            continue
+        room = spare - dims[0] - powers[0][1]
+        for d, cnt in chain_degree_counts(q, dims, room).items():
             z = tuple(map(sub, accumulate(d[:-1], initial=0), shift))
             low = sum(z) + dims[0]  # the key's degree at k = 0: the w block d sums to dims[0]
             for vk, nk, c in powers:

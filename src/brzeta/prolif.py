@@ -30,6 +30,7 @@ way; the second way it must agree with is a case of a ``verify`` suite.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import product as _iter_product
@@ -52,9 +53,14 @@ DEFAULT_SEQUENCE_BUDGET = 200_000
 def validate_permutation(sigma, n: int, first: int = 0) -> tuple[int, ...]:
     """``sigma`` as a tuple, refused unless it is a bijection of first..first+n-1."""
     sigma = tuple(int(s) for s in sigma)
-    if sorted(sigma) != list(range(first, first + n)):
+    if len(sigma) != n or sorted(sigma) != list(range(first, first + n)):
         raise SchemaError(f"sigma must be a bijection of {first}..{first + n - 1}, got {sigma}")
     return sigma
+
+
+def rotated(vec: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """rot^k(vec): entry i of the result is vec[i - k mod n]."""
+    return vec[-k:] + vec[:-k] if k else vec
 
 
 def perm_apply(sigma: tuple[int, ...], vec: ClassVec) -> ClassVec:
@@ -77,6 +83,14 @@ class SliceBase:
     and the top class, and the alphabet gives each class's residue field size.
     Each hands out one table per slice class: the submodules of a slice module
     of that class, keyed by their own class (:meth:`class_counts`).
+
+    The basic hereditary order has an automorphism permuting its projectives
+    cyclically, P_i -> P_{i+1} (Reiner, *Maximal Orders*), so the table of
+    class rot^k(t) is that of t with its z block and its class keys rotated k
+    places.  A lattice base builds each table once per rotation orbit and
+    bound, at the orbit's lexicographically least class, and rotates it for
+    the other classes (:meth:`orbit_table`); a split base's classes carry
+    different fields, so it builds every table.
     """
 
     def __init__(self, spec, sigma=None):
@@ -89,6 +103,7 @@ class SliceBase:
         self.sigma = validate_permutation(sigma if sigma is not None else range(n), n)
         self.alphabet = spec.alphabet
         self.class_qs = tuple(e.q for e in self.alphabet)
+        self._orbit_tables: dict[tuple, dict[ClassVec, TruncatedSeries]] = {}
 
     @classmethod
     def dvr(cls, q: int, m: int) -> "SliceBase":
@@ -96,6 +111,8 @@ class SliceBase:
         lattice of rank m, or for m = 0 the zero split module."""
         if q < 2 or m < 0:
             raise SchemaError(f"dvr base needs q >= 2 and m >= 0, got q={q}, m={m}")
+        if m > sys.maxsize:  # one column per rank, held in a tuple
+            raise SchemaError(f"dvr base rank must be at most {sys.maxsize}, got m={m}")
         if m == 0:
             return cls(SemisimpleData.from_specs([(q, 0)]))
         return cls(_her.Lattice(q, 1, (1,) * m))
@@ -118,7 +135,7 @@ class SliceBase:
         over the slice alphabet, keyed by their class; only classes that occur
         at this bound are present."""
         if isinstance(self.spec, _her.Lattice):
-            return _her.class_counts(_her.Lattice.of_class(self.spec.q, upper), bound)
+            return self.orbit_table(_her.class_counts, upper, bound)
         out = {}
         for lower in _iter_product(*(range(a + 1) for a in upper)):
             exps = tuple(a - b for a, b in zip(upper, lower))
@@ -128,6 +145,26 @@ class SliceBase:
                     coeff *= gaussian_binomial(a, b, qi)
                 out[lower] = TruncatedSeries(self.alphabet, bound, {exps: coeff})
         return out
+
+    def orbit_table(self, build, upper: ClassVec, bound: int) -> dict[ClassVec, TruncatedSeries]:
+        """``build(lattice, bound)``, a table keyed by class over the z block,
+        for the lattice of class ``upper`` over a lattice base: the table of
+        the least rotation of ``upper``, built on first use, rotated onto
+        ``upper``."""
+        n = self.n_classes
+        least, back = min((rotated(upper, -k), k) for k in range(n))
+        key = (build, least, bound)
+        table = self._orbit_tables.get(key)
+        if table is None:
+            table = self._orbit_tables[key] = build(_her.Lattice.of_class(self.spec.q, least), bound)
+        if not back:
+            return table
+        return {
+            rotated(lower, back): TruncatedSeries._trusted(
+                part.alphabet, part.bound, {rotated(e, back): c for e, c in part.coeffs.items()}
+            )
+            for lower, part in table.items()
+        }
 
     def total_zeta(self, bound: int) -> TruncatedSeries:
         """Count of all finite-colength submodules of the slice module."""
@@ -270,7 +307,9 @@ def _class_sequence_sum(base: SliceBase, bound: int, class_counts, budget: int) 
     only the states of one layer are kept.  Layers at positions >= bound
     reduce to 1 at this bound, because a class jump at position j costs
     degree >= j+1.  A table is built on first use, once per upper class, and
-    every coefficient product counts against ``budget``.
+    read in class order, so the order of the products does not depend on how
+    the table was built (directly, or rotated off its orbit's table); every
+    coefficient product counts against ``budget``.
     """
     sigma, qs = base.sigma, base.class_qs
     zero = (0,) * base.n_classes
@@ -286,7 +325,7 @@ def _class_sequence_sum(base: SliceBase, bound: int, class_counts, budget: int) 
             if terms is None:
                 terms = tables[upper] = [
                     (lower, sorted((sum(e), e, c) for e, c in counts.coeffs.items()))
-                    for lower, counts in class_counts(upper, bound).items()
+                    for lower, counts in sorted(class_counts(upper, bound).items())
                 ]
             low = min(map(sum, series))
             for lower, entries in terms:
@@ -459,14 +498,19 @@ def zjv_factor(ell: int, q: int, j: int, bound: int) -> TruncatedSeries:
     return src.substitute(src.alphabet, change_of_variable(SliceBase.dvr(q, ell), ((ell,),), j), bound)
 
 
+def _polynomial_parts(lattice: _her.Lattice, bound: int) -> dict[ClassVec, TruncatedSeries]:
+    """The polynomial factor of ``lattice`` split by class, each part complete
+    through ``bound``: every w-degree of F is r."""
+    return split_trailing(_her.polynomial_factor(lattice, bound + lattice.r), lattice.n)
+
+
 def polynomial_class_counts(base: SliceBase, upper: ClassVec, bound: int) -> dict[ClassVec, TruncatedSeries]:
     """The table of class ``upper`` over a lattice base with each entry replaced
     by its polynomial part: the polynomial factor of a slice module of that
-    class, split by class.  The class-sequence sum over these tables is the
-    remainder of :func:`brs_factored_prolif`."""
-    lattice = _her.Lattice.of_class(base.spec.q, upper)
-    # every w-degree of F is r, so each part is complete through bound
-    return split_trailing(_her.polynomial_factor(lattice, bound + lattice.r), lattice.n)
+    class, split by class, built once per rotation orbit
+    (:meth:`SliceBase.orbit_table`).  The class-sequence sum over these
+    tables is the remainder of :func:`brs_factored_prolif`."""
+    return base.orbit_table(_polynomial_parts, upper, bound)
 
 
 def brs_factored_prolif(

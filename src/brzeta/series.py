@@ -161,8 +161,9 @@ class TruncatedSeries:
     def _trusted(cls, alphabet: Alphabet, bound: int, clean: dict[Monomial, int]) -> "TruncatedSeries":
         """A series over ``clean``, stored as given.
 
-        For results valid by construction (the ring's own ops, and the keyed
-        sum of ``hereditary.polynomial_factor``): every key is a valid exponent
+        For results valid by construction (the ring's own ops, the keyed sum
+        of ``hereditary.polynomial_factor``, and the class tables
+        ``prolif.SliceBase.orbit_table`` rotates): every key is a valid exponent
         vector of degree <= ``bound`` (>= 0), and every value is a nonzero int.
         """
         out = object.__new__(cls)

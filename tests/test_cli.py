@@ -682,10 +682,16 @@ class TestInputHandling:
             (["hey", "--data", '[{"q": 6, "m": -1}]'], "multiplicity must be >= 0, got -1"),
             (["prolif", "--mode", "factored", "--data", '{"kind": "semisimple", "entries": [{"q": 2, "m": 1}]}'],
              "factored form needs a lattice (hereditary or nonzero dvr) base"),
+            # a rank past the largest tuple size, and a chain length no sigma list can match
+            (["prolif", "--data", '{"kind": "dvr", "q": 2, "m": 1000000000000000000000000000000}'],
+             f"dvr base rank must be at most {sys.maxsize}, got m=1000000000000000000000000000000"),
+            (["prolif", "--data", '{"base": {"kind": "hereditary", "q": 3, "n": 1000000000000000000000000000000, '
+                                  '"columns": [1, 2]}, "sigma": [1, 2]}'],
+             "sigma must be a bijection of 1..1000000000000000000000000000000, got (1, 2)"),
         ],
         ids=["q1", "n0", "q6", "q6-n0", "prolif-dvr-q6", "prolif-dvr-q6-m0", "no-columns", "column-0",
              "column-past-chain", "prolif-column-past-chain", "hey-m-negative", "hey-q6-m-negative",
-             "factored-semisimple"],
+             "factored-semisimple", "prolif-dvr-huge-rank", "prolif-hereditary-huge-chain-with-sigma"],
     )
     def test_spec_refusal_names_its_first_fault(self, capsys, argv, message):
         assert run_cli(capsys, argv + ["--truncate", "2"]) == (2, "", f"error: {message}\n")

@@ -4,7 +4,7 @@ import functools
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -242,8 +242,8 @@ class TestColumnShiftDivisibility:
         monomial w_2^dims[0] u does not divide."""
         real = her.chain_degree_counts
 
-        def with_stray(q, dims):
-            counts = dict(real(q, dims))
+        def with_stray(q, dims, room=None):
+            counts = dict(real(q, dims, room))
             stray = (0, dims[0])
             counts[stray] = counts.get(stray, 0) + 1
             return counts
@@ -283,9 +283,68 @@ def test_rotating_the_top_rotates_the_joint_count(lattice):
     joint = her.brz_two_variable(lattice, 3)
     for k in range(1, n):
         got = her.brz_two_variable(her.Lattice.of_class(lattice.q, _rotated(lattice.top, k)), 3)
-        rotated = {_rotated(key[:n], k) + _rotated(key[n:], k): c for key, c in joint.coeffs.items()}
-        want = TruncatedSeries(joint.alphabet, joint.bound, rotated)
+        want = _rotated_series(joint, n, k)
         assert got == want, (lattice, k, got.first_disagreement(want))
+
+
+def _rotated_series(series, n, k):
+    """``series`` over the doubled alphabet with its z block and its w block each rotated k places."""
+    rotated = {_rotated(key[:n], k) + _rotated(key[n:], k): c for key, c in series.coeffs.items()}
+    return TruncatedSeries(series.alphabet, series.bound, rotated)
+
+
+@pytest.mark.parametrize("lattice", [lat for lat in chk._hereditary_grid() if lat.n >= 2], ids=chk._grid_label)
+def test_rotating_the_top_rotates_the_polynomial_factor(lattice):
+    """The base count in v = z_1...z_n is rotation-invariant, so the whole
+    polynomial factor rotates with the top, as the joint count does; the
+    factored form's class tables are built once per rotation orbit on this."""
+    n, whole = lattice.n, 2 * lattice.r * lattice.n + lattice.r
+    factor = her.polynomial_factor(lattice, whole)
+    for k in range(1, n):
+        got = her.polynomial_factor(her.Lattice.of_class(lattice.q, _rotated(lattice.top, k)), whole)
+        want = _rotated_series(factor, n, k)
+        assert got == want, (lattice, k, got.first_disagreement(want))
+
+
+def _off_grid_lattices(count=30, seed=20261021):
+    """Seeded lattices beyond the verify grid: q in {2, 3, 4}, n <= 5, r <= 4."""
+    rng = random.Random(seed)
+    grid = set(chk._hereditary_grid())
+    out = []
+    while len(out) < count:
+        q, n, r = rng.choice((2, 3, 4)), rng.randint(1, 5), rng.randint(1, 4)
+        lattice = her.Lattice(q, n, [rng.randint(1, n) for _ in range(r)])
+        if lattice not in grid:
+            out.append(lattice)
+    return out
+
+
+def _spread(degvec):
+    """sum_i (x_1 - x_i) for the chain dims x_i = d_i + ... + d_n of a degree vector."""
+    return sum(accumulate(degvec[:-1], initial=0))
+
+
+@pytest.mark.parametrize("lattice", _off_grid_lattices(), ids=chk._grid_label)
+def test_walks_cut_only_terms_past_the_bound(lattice):
+    """The bounded walks drop exactly what lies past the bound: the factor is
+    the whole factor truncated, each cut stratum table is the uncut one
+    restricted by the strata's degree bound, and each cut chain table is the
+    uncut one restricted to the room."""
+    q, n, r = lattice.q, lattice.n, lattice.r
+    whole_bound = 2 * r * n + r
+    whole = her.polynomial_factor(lattice, whole_bound)
+    strata = her.stratum_counts(lattice)
+    for bound in (0, 1, 3, r + 2, whole_bound):
+        assert her.polynomial_factor(lattice, bound) == whole.truncated(bound), (lattice, bound)
+        # a stratum (dims, m) has a_i = dims_i - r + m, so sum_i (m - a_i) = sum_i (r - dims_i)
+        spare = bound + sum(lattice.shift) - r
+        want = {key: c for key, c in strata.items() if sum(r - x for x in key[0]) <= spare - n * (r - key[1])}
+        assert her.stratum_counts(lattice, bound) == want, (lattice, bound)
+    for dims in {dims for dims, _ in strata}:
+        uncut = her.chain_degree_counts(q, dims)
+        for room in range(-2, dims[0] * (n - 1) + 2):
+            want = {d: c for d, c in uncut.items() if _spread(d) <= room}
+            assert her.chain_degree_counts(q, dims, room) == want, (q, dims, room)
 
 
 def _drawn_lattices(count=25, seed=20261020):

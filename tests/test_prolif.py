@@ -14,7 +14,7 @@ from brzeta import oracle as orc
 from brzeta import prolif as pr
 from brzeta.errors import FormulaViolationError, ResourceBudgetError, SchemaError, TruncationBoundError
 from brzeta.hey import SemisimpleData, hey_product
-from brzeta.series import Alphabet, AlphabetEntry, TruncatedSeries, geometric_product
+from brzeta.series import Alphabet, AlphabetEntry, TruncatedSeries, geometric_product, split_trailing
 
 import prolif_reference as ref
 
@@ -286,6 +286,49 @@ def test_hereditary_sum_matches_skew_enumeration(q, n, bound):
     got = pr.proliferation_sum(base, bound)
     want = orc.empirical_zeta(orc.skew_module(q, n, math.ceil((bound + 1) / 2), bound + 1), bound)
     assert got == want, got.first_disagreement(want)
+
+
+def _orbit_bases(seed=20261022):
+    """Seeded lattice bases, n = 2..5 over q in {2, 4}, each with sigma the
+    identity and the rotation i -> i + 1."""
+    rng = random.Random(seed)
+    for n in range(2, 6):
+        for q in (2, 4):
+            lattice = her.Lattice(q, n, [rng.randint(1, n) for _ in range(rng.randint(2, 4))])
+            for sigma in (range(n), [(i + 1) % n for i in range(n)]):
+                yield pr.SliceBase(lattice, sigma)
+
+
+@pytest.mark.parametrize(
+    "base", _orbit_bases(), ids=lambda b: f"q={b.spec.q},n={b.n_classes},cols={b.spec.columns},sigma={b.sigma}"
+)
+def test_orbit_tables_equal_the_tables_built_directly(base):
+    """A table read off its rotation orbit's table equals the one built for
+    its own class, for every class the sum reaches, plain and polynomial; so
+    the sums over them agree too."""
+    bound, q, n = 3, base.spec.q, base.n_classes
+
+    def direct(upper, bound):
+        return her.class_counts(her.Lattice.of_class(q, upper), bound)
+
+    def direct_polynomial(upper, bound):
+        lattice = her.Lattice.of_class(q, upper)
+        return split_trailing(her.polynomial_factor(lattice, bound + lattice.r), n)
+
+    reached, queue = {base.top}, [base.top]
+    while queue:
+        upper = queue.pop()
+        want = direct(upper, bound)
+        assert base.class_counts(upper, bound) == want, upper
+        assert pr.polynomial_class_counts(base, upper, bound) == direct_polynomial(upper, bound), upper
+        for lower in want.keys() - reached:
+            reached.add(lower)
+            queue.append(lower)
+    assert any(min(pr.rotated(t, k) for k in range(n)) != t for t in reached)
+    budget = pr.DEFAULT_SEQUENCE_BUDGET
+    assert pr.proliferation_sum(base, bound) == pr._class_sequence_sum(base, bound, direct, budget)
+    _, remainder = pr.brs_factored_prolif(base, bound)
+    assert remainder == pr._class_sequence_sum(base, bound, direct_polynomial, budget)
 
 
 class TestClassTables:
