@@ -49,10 +49,9 @@ class CompletenessWarning(UserWarning):
 
 
 def as_int(value, name: str) -> int:
-    """``int(value)`` for a payload field; a bool, a fractional number or a non-number is a SchemaError."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise SchemaError(f"{name} must be an integer, got {value!r}")
-    try:
+    """A payload field as an int: a non-bool int, or a float with an integer value; anything else is a SchemaError."""
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{name} must be an integer, got {value!r}") from exc
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{name} must be an integer, got {value!r}")
+    return value

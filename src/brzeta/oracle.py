@@ -3,9 +3,14 @@
 Each model realizes a module over a finite quotient of the ring of interest
 as a finite-field row space, its vectors held as packed rows of
 :mod:`brzeta.gfq` (one int per row; a ring element acts on the right).
-Every generator is a partial permutation (shifts, the corner g, coordinate
-idempotents), so it is held as a gather tuple, compiled once to masked
-shifts of packed rows, one per displacement.  Each radical generator
+A model is a monomial module: an ordered basis of labels, one per
+coordinate, a move per radical generator sending each label to a label (or
+out of the basis, to 0), and a class per label.  One builder,
+:func:`_labelled_model`, turns the moves into gathers and the classes into
+the coordinate idempotents; each constructor only checks its arguments and
+lists its labels and moves.  So every generator is a partial permutation,
+held as a gather tuple and compiled once to masked shifts of packed rows,
+one per displacement.  Each radical generator
 normalizes the ring (the relations :func:`validate_model` checks on every
 constructed model), so the radical JX of a submodule X is the span of X's
 images, one ``extend`` with no closure to compute.  The idempotents are
@@ -115,109 +120,70 @@ class RingModel:
 # -- model constructors ----------------------------------------------------
 
 
-def chain_module(q: int, c: int, rank: int = 1, exact: bool = False) -> RingModel:
-    """Free rank-``rank`` module over F_q[t]/(t^c); basis (copy, t-power)."""
-    if c < 1 or rank < 1:
-        raise SchemaError(f"need c >= 1 and rank >= 1, got c={c}, rank={rank}")
-    field = gfq.GF(q)
-    dim = rank * c
-    # t raises the t-power within each copy: coordinate k reads k - 1
-    gens = {"t": tuple(k - 1 if k % c else -1 for k in range(dim)), "e1": tuple(range(dim))}
-    model = RingModel(
-        kind="chain",
-        field=field,
-        dim=dim,
-        gens=gens,
-        rad_names=("t",),
-        idem_names=("e1",),
-        depth=c,
-        exact=exact,
-    )
+def _one_class(label) -> int:
+    return 0
+
+
+def _labelled_model(kind, q, basis, moves, depth, cls=_one_class, slice_gen=None, exact=False) -> RingModel:
+    """The validated model with one coordinate per label of ``basis``, in order.
+
+    ``moves`` maps each radical generator's name to its move on labels: if it
+    sends b to b', the image of e_b is e_b' (0 when b' is not a label), so the
+    gather entry at b' reads b.  Idempotent e_(i+1) reads the labels b with
+    ``cls(b) == i``.  Two labels moving to one are refused with SchemaError, since
+    an assigned gather would drop one of them unseen.
+    """
+    pos = {b: k for k, b in enumerate(basis)}
+    gens = {}
+    for name, move in moves.items():
+        src = [-1] * len(basis)
+        for k, b in enumerate(basis):
+            j = pos.get(move(b))
+            if j is not None:
+                if src[j] >= 0:
+                    raise SchemaError(
+                        f"generator {name} is not a partial permutation: {basis[src[j]]} and {b} move to {basis[j]}"
+                    )
+                src[j] = k
+        gens[name] = src
+    classes = [cls(b) for b in basis]
+    idem_names = tuple(f"e{i + 1}" for i in range(max(classes) + 1))
+    for i, name in enumerate(idem_names):
+        gens[name] = [k if c == i else -1 for k, c in enumerate(classes)]
+    model = RingModel(kind, gfq.GF(q), len(basis), gens, tuple(moves), idem_names, depth, slice_gen, exact)
     validate_model(model)
     return model
+
+
+def _triangular_labels(n: int, c: int, columns) -> list[tuple[int, int, int]]:
+    """(copy, i, a) for pi^a in coordinate i of each column of type tau: c powers, from 1 when i > tau."""
+    return [(j, i, a) for j, tau in enumerate(columns) for i in range(1, n + 1) for a in range(i > tau, (i > tau) + c)]
+
+
+def _corner(n: int):
+    """The move of g on labels ending (i, a): i to i - 1, and 1 to n with one more power of pi."""
+    return lambda b: (*b[:-2], b[-2] - 1, b[-1]) if b[-2] > 1 else (*b[:-2], n, b[-1] + 1)
+
+
+def _corner_class(label) -> int:
+    return label[-2] - 1
+
+
+def chain_module(q: int, c: int, rank: int = 1, exact: bool = False) -> RingModel:
+    """Free rank-``rank`` module over F_q[t]/(t^c); labels (copy, t-power), t raises the power."""
+    if c < 1 or rank < 1:
+        raise SchemaError(f"need c >= 1 and rank >= 1, got c={c}, rank={rank}")
+    basis = [(i, a) for i in range(rank) for a in range(c)]
+    return _labelled_model("chain", q, basis, {"t": lambda b: (b[0], b[1] + 1)}, c, exact=exact)
 
 
 def local2d_module(q: int, c: int, rank: int = 1) -> RingModel:
-    """Free rank-``rank`` module over F_q[u,t]/m^c, m = (u,t); basis u^a t^b."""
+    """Free rank-``rank`` module over F_q[u,t]/m^c, m = (u,t); labels (copy, a, b) for u^a t^b."""
     if c < 1 or rank < 1:
         raise SchemaError(f"need c >= 1 and rank >= 1, got c={c}, rank={rank}")
-    field = gfq.GF(q)
-    monos = [(a, b) for a in range(c) for b in range(c - a)]
-    pos = {m: k for k, m in enumerate(monos)}
-    block = len(monos)
-    dim = rank * block
-
-    def shift(da, db):
-        return tuple(
-            i * block + pos[(a - da, b - db)] if a >= da and b >= db else -1
-            for i in range(rank)
-            for a, b in monos
-        )
-
-    gens = {"u": shift(1, 0), "t": shift(0, 1), "e1": tuple(range(dim))}
-    model = RingModel(
-        kind="local2d",
-        field=field,
-        dim=dim,
-        gens=gens,
-        rad_names=("u", "t"),
-        idem_names=("e1",),
-        depth=c,
-        slice_gen="u",
-    )
-    validate_model(model)
-    return model
-
-
-def _column_basis(n: int, c: int, tau: int):
-    """Basis of one column-``tau`` lattice mod pi^c: (coordinate, pi-power).
-
-    Coordinate i carries pi-powers a with offset <= a < offset + c where the
-    offset is 1 below the diagonal cut (i > tau) and 0 above.
-    """
-    basis = []
-    for i in range(1, n + 1):
-        off = 1 if i > tau else 0
-        for a in range(off, off + c):
-            basis.append((i, a))
-    return basis
-
-
-def _column_maps(n: int, c: int, tau: int):
-    """Gathers of the corner generator g and the idempotents on one column."""
-    basis = _column_basis(n, c, tau)
-    pos = {b: k for k, b in enumerate(basis)}
-    g = [-1] * len(basis)
-    for (i, a), k in pos.items():
-        # g sends coordinate i to i-1, wrapping 1 -> n with one extra pi
-        j, b = (i - 1, a) if i > 1 else (n, a + 1)
-        if (j, b) in pos:
-            g[pos[(j, b)]] = k
-    idems = [tuple(k if i == cls else -1 for k, (i, _) in enumerate(basis)) for cls in range(1, n + 1)]
-    return tuple(g), idems
-
-
-def _block_diag(gathers) -> tuple[int, ...]:
-    """The gather acting as each given gather on its own block of coordinates."""
-    out, at = [], 0
-    for src in gathers:
-        out += [k + at if k >= 0 else -1 for k in src]
-        at += len(src)
-    return tuple(out)
-
-
-def _triangular_gens(n: int, c: int, columns) -> dict[str, tuple[int, ...]]:
-    """Gathers of g and e1..en on the direct sum of the given column lattices mod pi^c."""
-    g_blocks, idem_blocks = [], [[] for _ in range(n)]
-    for tau in columns:
-        g, idems = _column_maps(n, c, tau)
-        g_blocks.append(g)
-        for i in range(n):
-            idem_blocks[i].append(idems[i])
-    gens = {"g": _block_diag(g_blocks)}
-    for i in range(n):
-        gens[f"e{i + 1}"] = _block_diag(idem_blocks[i])
-    return gens
+    basis = [(i, a, b) for i in range(rank) for a in range(c) for b in range(c - a)]
+    moves = {"u": lambda x: (x[0], x[1] + 1, x[2]), "t": lambda x: (x[0], x[1], x[2] + 1)}
+    return _labelled_model("local2d", q, basis, moves, c, slice_gen="u")
 
 
 def triangular_module(q: int, n: int, c: int, columns) -> RingModel:
@@ -232,45 +198,21 @@ def triangular_module(q: int, n: int, c: int, columns) -> RingModel:
         raise SchemaError(f"need n >= 1, c >= 1, nonempty columns; got n={n}, c={c}, columns={columns}")
     if any(x < 1 or x > n for x in columns):
         raise SchemaError(f"column types must lie in 1..{n}, got {columns}")
-    gens = _triangular_gens(n, c, columns)
-    model = RingModel(
-        kind="triangular",
-        field=gfq.GF(q),
-        dim=len(gens["g"]),
-        gens=gens,
-        rad_names=("g",),
-        idem_names=tuple(f"e{i + 1}" for i in range(n)),
-        depth=n * c,
-    )
-    validate_model(model)
-    return model
+    basis = _triangular_labels(n, c, columns)
+    return _labelled_model("triangular", q, basis, {"g": _corner(n)}, n * c, _corner_class)
 
 
 def skew_module(q: int, n: int, c_pi: int, c_t: int) -> RingModel:
     """The triangular order's power-series extension mod (t^c_t, pi^c_pi),
     as a module over itself: one copy of each column, tensored with t-digits.
-    t is central; the slice by I = (t) is the triangular order itself.
+    t is central; the slice by I = (t) is the triangular order itself.  The
+    labels are the triangular ones with a t-digit in front, which t raises.
     """
     if n < 1 or c_pi < 1 or c_t < 1:
         raise SchemaError(f"need n, c_pi, c_t >= 1; got n={n}, c_pi={c_pi}, c_t={c_t}")
-    base = _triangular_gens(n, c_pi, range(1, n + 1))
-    d0 = len(base["g"])
-    dim = d0 * c_t
-    # each t-digit is a copy of the base; t raises the digit
-    gens = {name: _block_diag([gather] * c_t) for name, gather in base.items()}
-    gens["t"] = tuple(k - d0 if k >= d0 else -1 for k in range(dim))
-    model = RingModel(
-        kind="skew_poly",
-        field=gfq.GF(q),
-        dim=dim,
-        gens=gens,
-        rad_names=("g", "t"),
-        idem_names=tuple(f"e{i + 1}" for i in range(n)),
-        depth=min(c_t, n * c_pi),
-        slice_gen="t",
-    )
-    validate_model(model)
-    return model
+    basis = [(k, *b) for k in range(c_t) for b in _triangular_labels(n, c_pi, range(1, n + 1))]
+    moves = {"g": _corner(n), "t": lambda b: (b[0] + 1, *b[1:])}
+    return _labelled_model("skew_poly", q, basis, moves, min(c_t, n * c_pi), _corner_class, slice_gen="t")
 
 
 def model_from_json(payload) -> RingModel:
@@ -333,8 +275,9 @@ def _radical_coords(model: RingModel, coords) -> set[int]:
 def validate_model(model: RingModel) -> int:
     """Check the ring relations and the kernel depth; return the radical nilpotency index.
 
-    Every model constructor runs it on the model it returns: the relations
-    are the premise of :func:`radical_subspace`.  The index is read off the
+    :func:`_labelled_model` runs it on every model it builds, so every
+    constructor's model is checked: the relations are the premise of
+    :func:`radical_subspace`.  The index is read off the
     gathers: each J^k M is spanned by coordinate vectors, and
     :func:`_radical_coords` steps from J^k M to J^(k+1) M with no elimination.
     """

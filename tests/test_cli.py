@@ -537,6 +537,10 @@ class TestInputHandling:
             ["hey", "--data", '[{"q": 2, "m": true}]', "--truncate", "2"],
             ["oracle", "--model", '{"kind": "chain", "q": 2.9, "c": 2}', "--colength", "1"],
             ["hereditary", "--data", '{"q": 2, "n": 2, "columns": [1, 2.5]}', "--truncate", "2"],
+            ["hey", "--data", '[{"q": "\u0662", "m": 1}]', "--truncate", "1"],
+            ["hey", "--data", '[{"q": " 2", "m": "1_0"}]', "--truncate", "1"],
+            ["oracle", "--model", '{"kind": "chain", "q": 2, "c": "3"}', "--colength", "1"],
+            ["hereditary", "--data", '{"q": 2, "n": 2, "columns": [1, "2"]}', "--truncate", "2"],
             ["prolif", "--data", '{"kind": "dvr", "q": 2, "m": 1.5}', "--truncate", "2"],
             ["oracle", "--model", '{"kind": "chain", "q": 2, "c": 3, "exact": "no"}', "--colength", "5"],
             ["oracle", "--model", '{"kind": "chain", "q": 2, "c": 3, "exact": "false"}', "--colength", "5"],
@@ -595,6 +599,10 @@ class TestInputHandling:
             "bool-m",
             "fractional-model-q",
             "fractional-column",
+            "string-q-non-ascii-digit",
+            "string-q-and-m",
+            "string-model-c",
+            "string-column",
             "fractional-dvr-m",
             "exact-string-no",
             "exact-string-false",

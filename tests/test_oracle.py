@@ -1,6 +1,7 @@
 """Brute-force enumeration models: construction, counting, Hall numbers, fibers."""
 
 import dataclasses
+import hashlib
 import random
 import weakref
 from itertools import combinations_with_replacement
@@ -177,6 +178,45 @@ class TestGeneratorActions:
         assert local.gens == {"u": (-1, -1, 0), "t": (-1, 0, -1), "e1": (0, 1, 2)}
         tri = orc.triangular_module(2, 2, 1, (1,))  # basis (1, pi^0), (2, pi^1)
         assert tri.gens == {"g": (-1, 0), "e1": (0, -1), "e2": (-1, 1)}
+        skew = orc.skew_module(2, 2, 1, 2)  # t-digits 0 and 1 over the columns 1 and 2
+        assert skew.gens == {
+            "g": (-1, 0, 3, -1, -1, 4, 7, -1),
+            "e1": (0, -1, 2, -1, 4, -1, 6, -1),
+            "e2": (-1, 1, -1, 3, -1, 5, -1, 7),
+            "t": (-1, -1, -1, -1, 0, 1, 2, 3),
+        }
+        repeated = orc.triangular_module(2, 2, 1, (2, 1, 2))  # columns sorted to 1, 2, 2
+        assert repeated.gens == {"g": (-1, 0, 3, -1, 5, -1), "e1": (0, -1, 2, -1, 4, -1), "e2": (-1, 1, -1, 3, -1, 5)}
+
+    def test_gathers_of_a_model_grid_are_pinned(self):
+        """276 models of every kind keep the gathers, classes and fields they were built with."""
+        models = []
+        for c in range(1, 6):
+            for rank in range(1, 4):
+                models += [
+                    orc.chain_module(2, c, rank),
+                    orc.chain_module(2, c, rank, exact=True),
+                    orc.local2d_module(3, c, rank),
+                ]
+        for n in range(1, 5):
+            for c in range(1, 4):
+                for k in range(1, 4):
+                    for columns in combinations_with_replacement(range(1, n + 1), k):
+                        models.append(orc.triangular_module(2, n, c, columns))
+        for n in range(1, 4):
+            for c_pi in range(1, 4):
+                for c_t in range(1, 5):
+                    models.append(orc.skew_module(2, n, c_pi, c_t))
+        assert len(models) == 276
+        fields = [(m.kind, m.dim, sorted(m.gens.items()), m.rad_names, m.idem_names, m.depth, m.slice_gen, m.exact)
+                  for m in models]
+        digest = hashlib.sha256(repr(fields).encode()).hexdigest()
+        assert digest == "b4bf29e59e3c5dd5be2983d669ff11816a34cac9086ba1496e6a65baac9f951c"
+
+    def test_builder_refuses_two_labels_moving_to_one(self):
+        # both labels move to (0,): an assigned gather would keep only one of them
+        with pytest.raises(SchemaError, match="generator t is not a partial permutation"):
+            orc._labelled_model("chain", 2, [(0,), (1,)], {"t": lambda b: (0,)}, 1)
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_slice_gathers_commute_with_projection(self, q):
