@@ -3,7 +3,9 @@
 Each check compares two computations that share no code path — a closed
 product against brute-force enumeration, a substitution identity against its
 closed form, dual expansions of the same Dirichlet series — and reports a
-structured result.  All comparisons are exact.  A looping suite is a
+structured result.  All comparisons are exact.  Each suite's grid is fixed
+in its body.  A sized suite takes one parameter, its size, which ``verify
+--max`` sets; every other suite takes none.  A looping suite is a
 generator of cases, each a list of ``(label, got, want)`` comparisons, and
 :func:`_compare` is its one loop: it numbers the cases, computes each only
 when every case before it has agreed, and stops at the first disagreement.
@@ -88,10 +90,10 @@ def _compare(name: str, detail: str, cases) -> CheckResult:
 # -- 1: Hey product vs chain-model enumeration ---------------------------------
 
 
-def check_hey_oracle(qs=(2, 3), ms=(1, 2, 3), bound=4) -> CheckResult:
+def check_hey_oracle(bound=4) -> CheckResult:
     def cases():
-        for q in qs:
-            for m in ms:
+        for q in (2, 3):
+            for m in (1, 2, 3):
                 engine = hey_product(SemisimpleData.from_specs([(q, m)]), bound)
                 counted = orc.empirical_zeta(orc.chain_module(q, bound + 1, m), bound)
                 yield [(f"q={q},m={m}", counted, engine)]
@@ -102,8 +104,9 @@ def check_hey_oracle(qs=(2, 3), ms=(1, 2, 3), bound=4) -> CheckResult:
 # -- 2: Moebius inverse --------------------------------------------------------
 
 
-def check_moebius(bound=8, trials=20, seed=20260825) -> CheckResult:
-    rng = random.Random(seed)
+def check_moebius(trials=20) -> CheckResult:
+    bound = 8
+    rng = random.Random(20260825)
 
     def cases():
         for _ in range(trials):
@@ -119,10 +122,10 @@ def check_moebius(bound=8, trials=20, seed=20260825) -> CheckResult:
 # -- 3: hereditary joint zeta vs triangular-model enumeration -------------------
 
 
-def _hereditary_grid(qs=(2, 3), n_max=3, r_max=3):
-    for q in qs:
-        for n in range(1, n_max + 1):
-            for r in range(1, r_max + 1):
+def _hereditary_grid():
+    for q in (2, 3):
+        for n in range(1, 4):
+            for r in range(1, 4):
                 for cols in combinations_with_replacement(range(1, n + 1), r):
                     yield her.Lattice(q, n, cols)
 
@@ -131,9 +134,11 @@ def _grid_label(lat: her.Lattice) -> str:
     return f"q={lat.q},n={lat.n},cols={lat.columns}"
 
 
-def check_hereditary_oracle(qs=(2, 3), n_max=3, r_max=3, bound=3) -> CheckResult:
+def check_hereditary_oracle() -> CheckResult:
+    bound = 3
+
     def cases():
-        for lat in _hereditary_grid(qs, n_max, r_max):
+        for lat in _hereditary_grid():
             engine = her.brz_two_variable(lat, bound)
             model = orc.triangular_module(lat.q, lat.n, -(-(bound + 1) // lat.n), lat.columns)
             counted = orc.empirical_zeta(model, bound, joint=True)
@@ -145,15 +150,15 @@ def check_hereditary_oracle(qs=(2, 3), n_max=3, r_max=3, bound=3) -> CheckResult
 # -- 4: polynomiality and stabilization of the lattice factor -------------------
 
 
-def check_brs_polynomial(qs=(2, 3), n_max=3, r_max=3, z_bound=3) -> CheckResult:
+def check_brs_polynomial() -> CheckResult:
     def cases():
-        for lat in _hereditary_grid(qs, n_max, r_max):
+        for lat in _hereditary_grid():
             full = 2 * lat.n * lat.r + lat.r
             f_full = her.brs_F(lat, full)  # raises unless divisible by the column shift
             # past its degree bound the factor gains no term
             stable = her.polynomial_factor(lat, full + 3)
             # assembled identity: F times the rank-r base count = the joint zeta
-            joint = her.brz_two_variable(lat, z_bound)
+            joint = her.brz_two_variable(lat, 3)
             v_exps = (1,) * lat.n + (0,) * lat.n
             zfac = TruncatedSeries.geometric(joint.alphabet, joint.bound, v_exps, 1, lat.r, lat.q)
             label = _grid_label(lat)
@@ -168,11 +173,13 @@ def check_brs_polynomial(qs=(2, 3), n_max=3, r_max=3, z_bound=3) -> CheckResult:
 # -- 5: rank-step partition of unity and orbit sums ------------------------------
 
 
-def check_q_partition(r_max=6, qs=(2, 3, 4, 5), bound=10) -> CheckResult:
+def check_q_partition() -> CheckResult:
+    bound = 10
+
     def cases():
-        for q in qs:
+        for q in (2, 3, 4, 5):
             al = her.v_alphabet(q)
-            for r in range(0, r_max + 1):
+            for r in range(0, 7):
                 # sum of gauss(r,m,q) * Q(m,r,q) over m must collapse to 1
                 terms = (
                     TruncatedSeries.powers(al, r, (1,), her.hermite_Q(m, r, q)).scaled(gaussian_binomial(r, m, q))
@@ -193,9 +200,9 @@ def check_q_partition(r_max=6, qs=(2, 3, 4, 5), bound=10) -> CheckResult:
 # -- 6: one-class ideal counts three ways ----------------------------------------
 
 
-def check_lustig(qs=(2, 3), i_formulas=12, i_oracle=4) -> CheckResult:
+def check_lustig(i_formulas=12) -> CheckResult:
     def cases():
-        for q in qs:
+        for q in (2, 3):
             coeffs = pr.lustig_coeffs(q, i_formulas)
             # an ideal of colength i is counted by the partitions of i with greatest part j, at q^(i-j) each
             yield [
@@ -204,7 +211,7 @@ def check_lustig(qs=(2, 3), i_formulas=12, i_oracle=4) -> CheckResult:
                 for i in range(i_formulas + 1)
             ]
             # an ideal of colength i contains m^i, so colengths <= top live mod m^(top+1)
-            top = min(i_oracle, i_formulas)
+            top = min(4, i_formulas)
             counted = orc.empirical_zeta(orc.local2d_module(q, top + 1, 1), top)
             for i in range(top + 1):
                 yield [(f"q={q},colength={i}", counted.coefficient((i,)), coeffs[i])]
@@ -250,10 +257,10 @@ def check_rossmann(n_max=64) -> CheckResult:
 # -- 8: three code paths for a valuation-ring slice -------------------------------
 
 
-def check_dvr_consistency(qs=(2, 3), m_max=3, bound=6) -> CheckResult:
+def check_dvr_consistency(bound=6) -> CheckResult:
     def cases():
-        for q in qs:
-            for m in range(0, m_max + 1):
+        for q in (2, 3):
+            for m in range(0, 4):
                 base = pr.SliceBase.dvr(q, m)
                 sliver = pr.single_sliver(base, bound)
                 prolif = pr.proliferation_sum(base, bound)
@@ -269,10 +276,10 @@ def check_dvr_consistency(qs=(2, 3), m_max=3, bound=6) -> CheckResult:
 # -- 9: split-slice sum against the one-class product ------------------------------
 
 
-def check_voll(qs=(2, 3), m_max=3, bound=5) -> CheckResult:
+def check_voll(bound=5) -> CheckResult:
     def cases():
-        for q in qs:
-            for m in range(0, m_max + 1):
+        for q in (2, 3):
+            for m in range(0, 4):
                 data = SemisimpleData.from_specs([(q, m)])
                 summed = pr.proliferation_sum(pr.SliceBase(data), bound)
                 yield [(f"q={q},m={m}", summed, hey_product(data, bound))]
@@ -283,9 +290,8 @@ def check_voll(qs=(2, 3), m_max=3, bound=5) -> CheckResult:
 # -- 10: per-chain fiber values against enumeration --------------------------------
 
 
-def check_fiber(bound=3, c=None) -> CheckResult:
-    c = c if c is not None else bound + 1
-    model = orc.local2d_module(2, c, 1)
+def check_fiber(bound=3) -> CheckResult:
+    model = orc.local2d_module(2, bound + 1, 1)
     base = pr.SliceBase.dvr(2, 1)
     # the partition files each node of its one BFS under exactly one chart
     parts = orc.fiber_partition(model, bound)
@@ -302,7 +308,9 @@ def check_fiber(bound=3, c=None) -> CheckResult:
 # -- 11: the power-series order over the basic two-class lattice ring ---------------
 
 
-def check_skew_example(bound=3) -> CheckResult:
+def check_skew_example() -> CheckResult:
+    bound = 3
+
     def cases():
         through_lattice = pr.proliferation_sum(pr.SliceBase(her.Lattice(2, 2, (1, 2))), bound)
         counted = orc.empirical_zeta(orc.skew_module(2, 2, -(-(bound + 1) // 2), bound + 1), bound)
@@ -317,7 +325,8 @@ def check_skew_example(bound=3) -> CheckResult:
 # -- 12: factored form of the class-sequence sum ------------------------------------
 
 
-def check_brs_factored(bound=3) -> CheckResult:
+def check_brs_factored() -> CheckResult:
+    bound = 3
     lattice = her.Lattice(2, 2, (1, 2))
     base = pr.SliceBase(lattice)
 
@@ -338,7 +347,8 @@ def check_brs_factored(bound=3) -> CheckResult:
 # -- 13: integrality of everything any engine emits ----------------------------------
 
 
-def check_integrality(bound=4) -> CheckResult:
+def check_integrality() -> CheckResult:
+    bound = 4
     emitted: list[tuple[str, TruncatedSeries]] = []
     for q, m in ((2, 2), (3, 1), (4, 3)):
         data = SemisimpleData.from_specs([(q, m)])
@@ -371,9 +381,9 @@ def check_integrality(bound=4) -> CheckResult:
 # -- 14: Hall numbers against direct enumeration --------------------------------------
 
 
-def check_hall(qs=(2, 3)) -> CheckResult:
+def check_hall() -> CheckResult:
     def cases():
-        for q in qs:
+        for q in (2, 3):
             model = orc.chain_module(q, 2, 2, exact=True)
             ambient = model.full()
             # partial zeta by iso class = Hall-number sum, per colength
@@ -440,13 +450,5 @@ ALL_CHECKS = {
     "hall": check_hall,
 }
 
-#: the parameter of each suite that ``verify --max`` sets
-SUITE_SIZE_KNOB = {
-    "rossmann": "n_max",
-    "lustig": "i_formulas",
-    "moebius": "trials",
-    "dvr-consistency": "bound",
-    "voll": "bound",
-    "fiber": "bound",
-    "hey-oracle": "bound",
-}
+#: the suites ``verify --max`` sizes: each takes its size as its one parameter
+SIZED_SUITES = frozenset(name for name, fn in ALL_CHECKS.items() if fn.__code__.co_argcount)

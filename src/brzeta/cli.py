@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 import warnings
@@ -57,11 +58,19 @@ def _load_payload(text: str):
         ) from exc
 
 
+_ASCII_INT = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
+
+
 def _parse_ints(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, each an optional sign and ASCII digits;
+    spaces around an item are dropped, and so is an empty item."""
+    parts = [p for p in text.split(",") if p.strip(" \t")]
     try:
-        return tuple(int(p) for p in text.split(",") if p.strip() != "")
-    except ValueError as exc:
-        raise SchemaError(f"expected comma-separated integers, got {text!r}") from exc
+        if all(map(_ASCII_INT.fullmatch, parts)):
+            return tuple(map(int, parts))
+    except ValueError:  # more digits than the interpreter reads
+        pass
+    raise SchemaError(f"expected comma-separated integers, got {text!r}")
 
 
 def _json_array(items: list[str], indent: str) -> str:
@@ -280,14 +289,12 @@ def _run_oracle(args: argparse.Namespace) -> int:
 def _run_verify(args: argparse.Namespace) -> int:
     from . import checks as chk
 
-    suites = args.suites or list(chk.ALL_CHECKS)
-    if "all" in suites:
-        suites = list(chk.ALL_CHECKS)
+    suites = list(chk.ALL_CHECKS) if not args.suites or "all" in args.suites else args.suites
     unknown = [s for s in suites if s not in chk.ALL_CHECKS]
     if unknown:
         raise SchemaError(f"unknown suite(s) {unknown}; known: {sorted(chk.ALL_CHECKS)}")
-    if args.n_max is not None and not any(s in chk.SUITE_SIZE_KNOB for s in suites):
-        raise SchemaError(f"--max sizes only the suites {sorted(chk.SUITE_SIZE_KNOB)}; none is selected")
+    if args.n_max is not None and chk.SIZED_SUITES.isdisjoint(suites):
+        raise SchemaError(f"--max sizes only the suites {sorted(chk.SIZED_SUITES)}; none is selected")
     started = time.monotonic()
     failed = []
     for name in suites:
@@ -297,11 +304,9 @@ def _run_verify(args: argparse.Namespace) -> int:
                 required=f"> {args.time_budget:.1f}s",
                 budget=f"{args.time_budget:.1f}s",
             )
-        kwargs = {}
-        if args.n_max is not None and name in chk.SUITE_SIZE_KNOB:
-            kwargs[chk.SUITE_SIZE_KNOB[name]] = args.n_max
+        size = (args.n_max,) if args.n_max is not None and name in chk.SIZED_SUITES else ()
         try:
-            result = chk.ALL_CHECKS[name](**kwargs)
+            result = chk.ALL_CHECKS[name](*size)
         except FormulaViolationError as exc:  # an invariant inside the suite failed
             where = str(exc) if exc.monomial is None else exc.monomial
             want, got = ("-" if v is None else v for v in (exc.expected, exc.actual))

@@ -78,7 +78,7 @@ class Lattice:
             raise SchemaError(f"residue field size must be a prime power, got {self.q}")
         if self.n < 1:
             raise SchemaError(f"chain length must be >= 1, got {self.n}")
-        cols = tuple(sorted(int(c) for c in self.columns))
+        cols = tuple(sorted(as_int(c, "column type") for c in self.columns))
         object.__setattr__(self, "columns", cols)
         if not cols:
             raise SchemaError("module needs at least one column")

@@ -53,7 +53,7 @@ class SemisimpleData:
     @classmethod
     def from_json(cls, payload) -> "SemisimpleData":
         if isinstance(payload, dict):
-            payload = payload.get("entries", payload.get("classes", payload))
+            payload = payload.get("entries", payload)
         if not isinstance(payload, (list, tuple)):
             raise SchemaError("semisimple data must be a list of class objects")
         entries, ms = [], []

@@ -193,7 +193,7 @@ def triangular_module(q: int, n: int, c: int, columns) -> RingModel:
     entries divisible by pi; its radical is generated by the corner matrix g
     (superdiagonal ones plus pi in the lower-left), and g^n acts as pi.
     """
-    columns = tuple(sorted(int(x) for x in columns))
+    columns = tuple(sorted(as_int(x, "column type") for x in columns))
     if n < 1 or c < 1 or not columns:
         raise SchemaError(f"need n >= 1, c >= 1, nonempty columns; got n={n}, c={c}, columns={columns}")
     if any(x < 1 or x > n for x in columns):
@@ -490,7 +490,7 @@ def empirical_zeta(
     n = model.n_classes
     q = model.field.q
     if partial is not None:
-        partial = tuple(int(x) for x in partial)
+        partial = tuple(as_int(x, "class multiplicity") for x in partial)
         if len(partial) != n or any(x < 0 for x in partial):
             raise SchemaError(f"class vector needs {n} multiplicities >= 0, got {partial}")
     if joint:
@@ -516,7 +516,7 @@ def empirical_zeta(
 
 
 def _as_partition(spec) -> tuple[int, ...]:
-    parts = tuple(sorted((int(x) for x in spec), reverse=True))
+    parts = tuple(sorted((as_int(x, "partition part") for x in spec), reverse=True))
     if any(p < 1 for p in parts):
         raise SchemaError(f"partition parts must be >= 1, got {parts}")
     return parts

@@ -52,7 +52,7 @@ DEFAULT_SEQUENCE_BUDGET = 200_000
 
 def validate_permutation(sigma, n: int, first: int = 0) -> tuple[int, ...]:
     """``sigma`` as a tuple, refused unless it is a bijection of first..first+n-1."""
-    sigma = tuple(int(s) for s in sigma)
+    sigma = tuple(as_int(s, "sigma entry") for s in sigma)
     if len(sigma) != n or sorted(sigma) != list(range(first, first + n)):
         raise SchemaError(f"sigma must be a bijection of {first}..{first + n - 1}, got {sigma}")
     return sigma
@@ -185,7 +185,7 @@ class SliceBase:
         kind = spec.get("kind")
         raw_sigma = payload.get("sigma", spec.get("sigma"))
         if kind == "semisimple":
-            data = SemisimpleData.from_json(spec.get("entries", spec.get("classes", [])))
+            data = SemisimpleData.from_json(spec.get("entries", []))
             return cls(data, sigma_from_one_based(raw_sigma, len(data.ms)))
         if kind == "dvr":
             try:
@@ -206,7 +206,7 @@ def sigma_from_one_based(raw, n: int):
         return None
     if not isinstance(raw, (list, tuple)):
         raise SchemaError("sigma must be a list of 1-based images")
-    return tuple(s - 1 for s in validate_permutation([as_int(x, "sigma entry") for x in raw], n, 1))
+    return tuple(s - 1 for s in validate_permutation(raw, n, 1))
 
 
 # -- class sequences and chains ----------------------------------------------

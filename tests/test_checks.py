@@ -50,6 +50,15 @@ class TestCompare:
         assert chk._compare("demo", "nothing", iter(())).line() == "PASS demo (0 cases) — nothing"
 
 
+class TestSuiteGrids:
+    def test_a_suite_takes_at_most_its_size(self):
+        """Each grid is fixed: a suite takes no parameter, or its size alone."""
+        counts = {name: fn.__code__.co_argcount + fn.__code__.co_kwonlyargcount for name, fn in chk.ALL_CHECKS.items()}
+        assert max(counts.values()) == 1
+        assert chk.SIZED_SUITES == {name for name, count in counts.items() if count}
+        assert chk.SIZED_SUITES == {"hey-oracle", "moebius", "lustig", "rossmann", "dvr-consistency", "voll", "fiber"}
+
+
 class TestFailureLines:
     def test_series_suite_names_the_monomial(self, monkeypatch):
         real = chk.hey_product
@@ -97,7 +106,7 @@ class TestFailureLines:
             return f + TruncatedSeries.monomial(f.alphabet, bound, (top + 1,) + (0,) * (2 * lattice.n - 1))
 
         monkeypatch.setattr(her, "polynomial_factor", with_a_high_term)
-        result = chk.check_brs_polynomial(z_bound=2)
+        result = chk.check_brs_polynomial()
         assert not result.passed
         assert (result.cases, result.disagreement) == (1, ("q=2,n=1,cols=(1,),stable:z^4", "0", "1"))
 

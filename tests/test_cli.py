@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -465,7 +466,7 @@ class TestVerifyCommand:
         [
             (size, suite)
             for size in range(4)
-            for suite in sorted(chk.SUITE_SIZE_KNOB)
+            for suite in sorted(chk.SIZED_SUITES)
             if (size, suite) not in EMPTY_AT_SIZE
         ],
     )
@@ -474,6 +475,18 @@ class TestVerifyCommand:
         assert code == 0 and "Traceback" not in err
         lines = out.splitlines()
         assert lines and all(line.startswith(f"PASS {suite} ") for line in lines)
+
+    def test_sized_outputs_are_pinned(self, capsys):
+        """Sizes 1 to 3 of each sized suite, in this order, print stdout of a
+        pinned sha256: 21 PASS lines."""
+        out = []
+        for suite in ("hey-oracle", "moebius", "lustig", "rossmann", "dvr-consistency", "voll", "fiber"):
+            for size in (1, 2, 3):
+                code, text, _ = run_cli(capsys, ["verify", "--suite", suite, "--max", str(size)])
+                assert code == 0
+                out.append(text)
+        digest = hashlib.sha256("".join(out).encode()).hexdigest()
+        assert digest == "65127e150457e82d1127091e14e244382e2be351906333115215005a7f7a202d"
 
     @pytest.mark.parametrize("size,suite", sorted(EMPTY_AT_SIZE))
     def test_size_knob_that_checks_nothing_exits_2(self, capsys, suite, size):
@@ -578,6 +591,9 @@ class TestInputHandling:
              "--colength", "2"],
             ["prolif", "--mode", "factored", "--format", "csv", "--budget", "1", "--data",
              '{"kind": "hereditary", "q": 2, "n": 2, "columns": [1, 2]}', "--truncate", "3"],
+            ["hereditary", "--partial", "\u0661,1", "--data", '{"q": 2, "n": 2, "columns": [1, 2]}', "--truncate", "1"],
+            ["lifted-hey", "--sigma", "\u0662,1", "--data", '[{"q": 2, "m": 1}, {"q": 2, "m": 1}]', "--truncate", "1"],
+            ["hereditary", "--partial", "1_0,0", "--data", '{"q": 2, "n": 2, "columns": [1, 2]}', "--truncate", "1"],
         ],
         ids=[
             "non-prime-power-model",
@@ -632,6 +648,9 @@ class TestInputHandling:
             "oracle-negative-partial-small-budget",
             "fiber-csv-small-budget",
             "factored-csv-small-budget",
+            "partial-non-ascii-digit",
+            "sigma-non-ascii-digit",
+            "partial-underscore",
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):

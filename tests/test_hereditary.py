@@ -46,6 +46,11 @@ class TestSpecs:
         assert her.Lattice(3, 3, [3, 1, 2, 1]).columns == (1, 1, 2, 3)
         assert her.Lattice(3, 3, (3, 1, 2, 1)) == her.Lattice(3, 3, (1, 1, 2, 3))
 
+    def test_column_types_must_be_integers(self):
+        with pytest.raises(SchemaError, match=r"^column type must be an integer, got 1.5$"):
+            her.Lattice(2, 2, (1.5, 2))
+        assert her.Lattice(2, 2, (2.0, 1)).columns == (1, 2)
+
     def test_of_class_inverts_top_on_the_verify_grid(self):
         lattices = list(chk._hereditary_grid())
         assert len(lattices) == 2 * (3 + 9 + 19)

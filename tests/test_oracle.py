@@ -55,6 +55,11 @@ class TestModelConstruction:
         with pytest.raises(SchemaError):
             orc.triangular_module(2, 2, 2, ())
 
+    def test_triangular_columns_must_be_integers(self):
+        with pytest.raises(SchemaError, match=r"^column type must be an integer, got 1.5$"):
+            orc.triangular_module(2, 2, 1, [1.5, 2])
+        assert orc.triangular_module(2, 2, 1, [2.0, 1]).gens == orc.triangular_module(2, 2, 1, (1, 2)).gens
+
     def test_skew_rejects_zero_digit_length(self):
         with pytest.raises(SchemaError):
             orc.skew_module(2, 2, 2, 0)
@@ -568,6 +573,12 @@ class TestJordanAndHall:
         assert orc.hall_number(m, full, (1, 1), (2,)) == 0
         assert orc.hall_number(m, full, (2,), (2,)) == 6
 
+    def test_partition_parts_must_be_integers(self):
+        m = orc.chain_module(2, 2, rank=2, exact=True)
+        with pytest.raises(SchemaError, match=r"^partition part must be an integer, got 1.5$"):
+            orc.hall_number(m, m.full(), (1.5,), (2, 1))
+        assert orc.hall_number(m, m.full(), (1.0,), (2.0, 1)) == 3
+
     def test_hall_length_mismatch_is_zero(self):
         m = orc.chain_module(2, 2, rank=2, exact=True)
         assert orc.hall_number(m, m.full(), (1,), (1,)) == 0
@@ -611,6 +622,12 @@ class TestTwoVariableAgreement:
         want = her.partial_zeta(her.Lattice(2, 2, (1, 2)), (1, 1), 3)
         assert got == want
         assert got.coefficient((1, 1)) == 5
+
+    def test_partial_entries_must_be_integers(self):
+        model = orc.triangular_module(2, 2, 2, (1, 2))
+        with pytest.raises(SchemaError, match=r"^class multiplicity must be an integer, got 1.5$"):
+            orc.empirical_zeta(model, 2, partial=(1.5, 1))
+        assert orc.empirical_zeta(model, 2, partial=(1.0, 1)) == orc.empirical_zeta(model, 2, partial=(1, 1))
 
     def test_partial_top_width_must_match(self):
         model = orc.triangular_module(2, 2, 2, (1, 2))

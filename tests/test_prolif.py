@@ -71,6 +71,11 @@ class TestSliceBase:
         with pytest.raises(SchemaError):
             pr.validate_permutation((0, 1, 2), 2)
 
+    def test_sigma_entries_must_be_integers(self):
+        with pytest.raises(SchemaError, match=r"^sigma entry must be an integer, got 0.7$"):
+            pr.validate_permutation([0.7, 1.2], 2)
+        assert pr.validate_permutation([1.0, 0], 2) == (1, 0)
+
     def test_spec_is_split_data_or_a_lattice(self):
         with pytest.raises(SchemaError, match=r"^slice base needs SemisimpleData or a Lattice, got tuple$"):
             pr.SliceBase((2, 2, (1, 2)))
