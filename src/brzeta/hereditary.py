@@ -72,6 +72,8 @@ class Lattice:
     columns: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "q", as_int(self.q, "q"))
+        object.__setattr__(self, "n", as_int(self.n, "n"))
         if self.q < 2:
             raise SchemaError(f"residue field size must be >= 2, got {self.q}")
         if prime_power_factors(self.q) is None:

@@ -9,6 +9,7 @@ exactly, giving a fast in-package consistency check.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import SchemaError, as_int
@@ -19,6 +20,8 @@ from .series import Alphabet, TruncatedSeries
 def _multiplicity(m: int) -> int:
     if m < 0:
         raise SchemaError(f"multiplicity must be >= 0, got {m}")
+    if m > sys.maxsize:  # a run of m factors is built in m steps
+        raise SchemaError(f"multiplicity must be at most {sys.maxsize}, got {m}")
     return m
 
 

@@ -6,16 +6,17 @@ as a finite-field row space, its vectors held as packed rows of
 A model is a monomial module: an ordered basis of labels, one per
 coordinate, a move per radical generator sending each label to a label (or
 out of the basis, to 0), and a class per label.  One builder,
-:func:`_labelled_model`, turns the moves into gathers and the classes into
-the coordinate idempotents; each constructor only checks its arguments and
+:func:`_labelled_model`, turns the moves into gathers and gives each
+coordinate its label's class; each constructor only checks its arguments and
 lists its labels and moves.  So every generator is a partial permutation,
 held as a gather tuple and compiled once to masked shifts of packed rows,
 one per displacement.  Each radical generator
 normalizes the ring (the relations :func:`validate_model` checks on every
-constructed model), so the radical JX of a submodule X is the span of X's
-images, one ``extend`` with no closure to compute.  The idempotents are
-coordinate projections, so the RREF rows of a submodule lie in one class's
-coordinates each, and the top class of X is X's pivots per class less JX's.
+constructed model, stated on the classes), so the radical JX of a submodule
+X is the span of X's images, one ``extend`` with no closure to compute.  The
+idempotent of class i is the projection onto that class's coordinates, so
+the RREF rows of a submodule lie in one class's coordinates each, and the
+top class of X is X's pivots per class less JX's.
 What does not depend on a submodule is read off the gathers with no
 elimination: J maps a span of coordinate vectors onto the span of the
 coordinates the radical gathers write from it, which gives the nilpotency
@@ -64,12 +65,13 @@ DEFAULT_NODE_BUDGET = 200_000
 class RingModel:
     """A finite module with ring generator actions.
 
-    ``gens`` maps generator names to gather tuples of length ``dim``: entry k
-    is the coordinate that a row vector's image reads at k, or -1 where the
-    image is 0.  No source may repeat, so each generator is a partial
-    permutation; any other tuple is refused with SchemaError.
+    ``gens`` maps each radical generator's name to a gather tuple of length
+    ``dim``: entry k is the coordinate that a row vector's image reads at k,
+    or -1 where the image is 0.  No source may repeat, so each generator is a
+    partial permutation; any other tuple is refused with SchemaError.
     ``rad_names`` generate the radical as a two-sided ideal;
-    ``idem_names`` list one idempotent per simple class, in class order
+    ``classes`` gives each coordinate its simple class, 0-based: the
+    projection onto the coordinates of class i is the ring's idempotent e_i
     (every simple class here is one-dimensional over its idempotent block).
     ``depth``: the kernel of the defining quotient lies inside radical-power
     ``depth`` of the true module; ``exact`` marks models that are the object
@@ -81,14 +83,14 @@ class RingModel:
     dim: int
     gens: dict
     rad_names: tuple
-    idem_names: tuple
+    classes: tuple
     depth: int
     slice_gen: str | None = None
     exact: bool = False
     #: each generator's gather compiled to masked shifts of packed rows
     acts: dict = dataclasses.field(init=False, repr=False, compare=False)
-    #: the class of each coordinate: the i whose idempotent reads it
-    classes: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    #: one more than the largest class
+    n_classes: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.gens = {name: tuple(src) for name, src in self.gens.items()}
@@ -100,13 +102,11 @@ class RingModel:
                 raise SchemaError(f"generator {name} has a source outside -1..{self.dim - 1}: {src}")
             if len(set(used)) != len(used):
                 raise SchemaError(f"generator {name} is not a partial permutation: a source repeats in {src}")
+        self.classes = tuple(self.classes)
+        if len(self.classes) != self.dim or any(i < 0 for i in self.classes):
+            raise SchemaError(f"classes must be {self.dim} entries >= 0, got {self.classes}")
         self.acts = {name: gfq.compile_gather(self.field, self.dim, src) for name, src in self.gens.items()}
-        idems = [self.gens[name] for name in self.idem_names]
-        self.classes = tuple(next((i for i, e in enumerate(idems) if e[k] == k), -1) for k in range(self.dim))
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.idem_names)
+        self.n_classes = max(self.classes, default=-1) + 1
 
     @property
     def alphabet(self) -> Alphabet:
@@ -129,9 +129,9 @@ def _labelled_model(kind, q, basis, moves, depth, cls=_one_class, slice_gen=None
 
     ``moves`` maps each radical generator's name to its move on labels: if it
     sends b to b', the image of e_b is e_b' (0 when b' is not a label), so the
-    gather entry at b' reads b.  Idempotent e_(i+1) reads the labels b with
-    ``cls(b) == i``.  Two labels moving to one are refused with SchemaError, since
-    an assigned gather would drop one of them unseen.
+    gather entry at b' reads b.  Label b's coordinate has class ``cls(b)``.
+    Two labels moving to one are refused with SchemaError, since an assigned
+    gather would drop one of them unseen.
     """
     pos = {b: k for k, b in enumerate(basis)}
     gens = {}
@@ -146,11 +146,8 @@ def _labelled_model(kind, q, basis, moves, depth, cls=_one_class, slice_gen=None
                     )
                 src[j] = k
         gens[name] = src
-    classes = [cls(b) for b in basis]
-    idem_names = tuple(f"e{i + 1}" for i in range(max(classes) + 1))
-    for i, name in enumerate(idem_names):
-        gens[name] = [k if c == i else -1 for k, c in enumerate(classes)]
-    model = RingModel(kind, gfq.GF(q), len(basis), gens, tuple(moves), idem_names, depth, slice_gen, exact)
+    classes = tuple(cls(b) for b in basis)
+    model = RingModel(kind, gfq.GF(q), len(basis), gens, tuple(moves), classes, depth, slice_gen, exact)
     validate_model(model)
     return model
 
@@ -171,6 +168,7 @@ def _corner_class(label) -> int:
 
 def chain_module(q: int, c: int, rank: int = 1, exact: bool = False) -> RingModel:
     """Free rank-``rank`` module over F_q[t]/(t^c); labels (copy, t-power), t raises the power."""
+    q, c, rank = as_int(q, "q"), as_int(c, "c"), as_int(rank, "rank")
     if c < 1 or rank < 1:
         raise SchemaError(f"need c >= 1 and rank >= 1, got c={c}, rank={rank}")
     basis = [(i, a) for i in range(rank) for a in range(c)]
@@ -179,6 +177,7 @@ def chain_module(q: int, c: int, rank: int = 1, exact: bool = False) -> RingMode
 
 def local2d_module(q: int, c: int, rank: int = 1) -> RingModel:
     """Free rank-``rank`` module over F_q[u,t]/m^c, m = (u,t); labels (copy, a, b) for u^a t^b."""
+    q, c, rank = as_int(q, "q"), as_int(c, "c"), as_int(rank, "rank")
     if c < 1 or rank < 1:
         raise SchemaError(f"need c >= 1 and rank >= 1, got c={c}, rank={rank}")
     basis = [(i, a, b) for i in range(rank) for a in range(c) for b in range(c - a)]
@@ -194,6 +193,7 @@ def triangular_module(q: int, n: int, c: int, columns) -> RingModel:
     (superdiagonal ones plus pi in the lower-left), and g^n acts as pi.
     """
     columns = tuple(sorted(as_int(x, "column type") for x in columns))
+    q, n, c = as_int(q, "q"), as_int(n, "n"), as_int(c, "c")
     if n < 1 or c < 1 or not columns:
         raise SchemaError(f"need n >= 1, c >= 1, nonempty columns; got n={n}, c={c}, columns={columns}")
     if any(x < 1 or x > n for x in columns):
@@ -208,6 +208,7 @@ def skew_module(q: int, n: int, c_pi: int, c_t: int) -> RingModel:
     t is central; the slice by I = (t) is the triangular order itself.  The
     labels are the triangular ones with a t-digit in front, which t raises.
     """
+    q, n, c_pi, c_t = as_int(q, "q"), as_int(n, "n"), as_int(c_pi, "c_pi"), as_int(c_t, "c_t")
     if n < 1 or c_pi < 1 or c_t < 1:
         raise SchemaError(f"need n, c_pi, c_t >= 1; got n={n}, c_pi={c_pi}, c_t={c_t}")
     basis = [(k, *b) for k in range(c_t) for b in _triangular_labels(n, c_pi, range(1, n + 1))]
@@ -272,49 +273,42 @@ def _radical_coords(model: RingModel, coords) -> set[int]:
     return {k for name in model.rad_names for k, j in enumerate(model.gens[name]) if j in coords}
 
 
+def _unshifted_class(model: RingModel, src, s: int) -> int | None:
+    """The class of the first source that the gather ``src`` does not move from
+    class i to class i + s (mod the class count), or None when it moves all."""
+    cls, n = model.classes, model.n_classes
+    return next((cls[j] for k, j in enumerate(src) if j >= 0 and cls[k] != (cls[j] + s) % n), None)
+
+
 def validate_model(model: RingModel) -> int:
     """Check the ring relations and the kernel depth; return the radical nilpotency index.
 
     :func:`_labelled_model` runs it on every model it builds, so every
     constructor's model is checked: the relations are the premise of
-    :func:`radical_subspace`.  The index is read off the
-    gathers: each J^k M is spanned by coordinate vectors, and
-    :func:`_radical_coords` steps from J^k M to J^(k+1) M with no elimination.
+    :func:`radical_subspace`.  They are stated on the classes, since the
+    idempotent e_i is the projection onto the coordinates of class i.  The
+    index is read off the gathers: each J^k M is spanned by coordinate
+    vectors, and :func:`_radical_coords` steps from J^k M to J^(k+1) M with
+    no elimination.
     """
     gens = model.gens
-    idems = [gens[name] for name in model.idem_names]
-    for i, e in enumerate(idems):
-        if _compose(e, e) != e:
-            raise SchemaError(f"idempotent {model.idem_names[i]} is not idempotent")
-        for j, f in enumerate(idems):
-            if i != j and any(k >= 0 for k in _compose(e, f)):
-                raise SchemaError("idempotents are not orthogonal")
-    # the sum of the idempotents is the identity: each coordinate k is read
-    # by exactly one of them, and from k itself
-    if any([e[k] for e in idems if e[k] >= 0] != [k] for k in range(model.dim)):
-        raise SchemaError("idempotents do not sum to the identity")
     if model.kind == "local2d":
         if _compose(gens["u"], gens["t"]) != _compose(gens["t"], gens["u"]):
             raise SchemaError("u and t do not commute")
     if model.kind in ("triangular", "skew_poly"):
-        g = gens["g"]
-        n = model.n_classes
-        # ring relation e_i g = g e_{i+1} (indices mod n): right actions
-        # compose in reverse, so acting by g then e_i equals e_{i+1} then g
-        for i in range(n):
-            if _compose(g, idems[i]) != _compose(idems[(i + 1) % n], g):
-                raise SchemaError(f"corner generator does not shift class {i + 1}")
-        gn = tuple(range(model.dim))
-        for _ in range(n):
-            gn = _compose(gn, g)
-        for name, src in gens.items():
-            if _compose(gn, src) != _compose(src, gn):
-                raise SchemaError(f"g^{n} (= pi) does not commute with {name}")
+        # e_i g = g e_{i+1} (indices mod n): g moves class i + 1 to class i.
+        # So g^n (= pi) keeps every class, and with t g = g t below it is
+        # central: it needs no check of its own.
+        i = _unshifted_class(model, gens["g"], -1)
+        if i is not None:
+            raise SchemaError(f"corner generator does not shift class {i + 1}")
     if model.kind == "skew_poly":
-        t = gens["t"]
-        for name, src in gens.items():
-            if _compose(t, src) != _compose(src, t):
-                raise SchemaError(f"t is not central: fails against {name}")
+        t, g = gens["t"], gens["g"]
+        i = _unshifted_class(model, t, 0)
+        if i is not None:
+            raise SchemaError(f"t is not central: it moves class {i + 1}")
+        if _compose(t, g) != _compose(g, t):
+            raise SchemaError("t is not central: fails against g")
     index, live = 0, set(range(model.dim))
     while live:
         index, live = index + 1, _radical_coords(model, live)
@@ -332,11 +326,12 @@ def radical_subspace(model: RingModel, rep: gfq.SubspaceRep) -> gfq.SubspaceRep:
     """J X for a submodule X: the span of the radical generators' images of X.
 
     That span is already a submodule.  For each radical generator g and each
-    generator b the ring has g b = a g for some a: the idempotents sum to 1,
-    u and t commute, e_i g = g e_{i+1}, and t is central (relations that
-    :func:`validate_model` checks and a slice model inherits as the induced
-    action on M/IM).  So (X g) b = (X a) g lies in X g, and one ``extend``
-    of the images gives J X with no closure to compute.
+    generator b the ring has g b = a g for some a: each idempotent e_i is the
+    projection onto the coordinates of class i, u and t commute,
+    e_i g = g e_{i+1} (g moves class i + 1 to class i), and t is central
+    (relations that :func:`validate_model` checks and a slice model inherits
+    as the induced action on M/IM).  So (X g) b = (X a) g lies in X g, and
+    one ``extend`` of the images gives J X with no closure to compute.
     """
     images = [img for name in model.rad_names for img in _mm(rep.rows, model.acts[name])]
     return gfq.zero_space(model.field, model.dim).extend(images)
@@ -345,8 +340,8 @@ def radical_subspace(model: RingModel, rep: gfq.SubspaceRep) -> gfq.SubspaceRep:
 def _class_dims(model: RingModel, upper: gfq.SubspaceRep, lower: gfq.SubspaceRep) -> Monomial:
     """dim e_i(upper/lower) per class i, from the pivots of two submodules.
 
-    The idempotents are coordinate projections (checked by
-    :func:`validate_model`), so a submodule X is the direct sum of its X e_i,
+    Each idempotent e_i is the projection onto the coordinates of class i
+    (``model.classes``), so a submodule X is the direct sum of its X e_i,
     every row of its RREF lies in one class's coordinates, and dim X e_i is
     the number of X's pivots in class i.
     """
@@ -610,7 +605,7 @@ class FiberContext:
             dim=len(self.free),
             gens={name: tuple(pos.get(src[c], -1) for c in self.free) for name, src in model.gens.items()},
             rad_names=model.rad_names,
-            idem_names=model.idem_names,
+            classes=tuple(model.classes[c] for c in self.free),
             depth=model.depth,
             exact=model.exact,
         )

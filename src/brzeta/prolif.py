@@ -109,6 +109,7 @@ class SliceBase:
     def dvr(cls, q: int, m: int) -> "SliceBase":
         """Free rank-m module over a discrete valuation slice: the one-class
         lattice of rank m, or for m = 0 the zero split module."""
+        q, m = as_int(q, "q"), as_int(m, "m")
         if q < 2 or m < 0:
             raise SchemaError(f"dvr base needs q >= 2 and m >= 0, got q={q}, m={m}")
         if m > sys.maxsize:  # one column per rank, held in a tuple
@@ -137,7 +138,7 @@ class SliceBase:
         if isinstance(self.spec, _her.Lattice):
             return self.orbit_table(_her.class_counts, upper, bound)
         out = {}
-        for lower in _iter_product(*(range(a + 1) for a in upper)):
+        for lower in _iter_product(*(range(max(0, a - bound), a + 1) for a in upper)):
             exps = tuple(a - b for a, b in zip(upper, lower))
             if sum(exps) <= bound:
                 coeff = 1

@@ -715,10 +715,19 @@ class TestInputHandling:
             (["prolif", "--data", '{"base": {"kind": "hereditary", "q": 3, "n": 1000000000000000000000000000000, '
                                   '"columns": [1, 2]}, "sigma": [1, 2]}'],
              "sigma must be a bijection of 1..1000000000000000000000000000000, got (1, 2)"),
+            # a multiplicity past the largest run of factors, for each reader of split data
+            (["hey", "--data", '[{"q": 2, "m": 1000000000000000000000000000000}]'],
+             f"multiplicity must be at most {sys.maxsize}, got 1000000000000000000000000000000"),
+            (["lifted-hey", "--data", '[{"q": 2, "m": 1000000000000000000000000000000}]'],
+             f"multiplicity must be at most {sys.maxsize}, got 1000000000000000000000000000000"),
+            (["prolif", "--data", '{"kind": "semisimple", "entries": [{"q": 2, "m": 1000000000000000000000000000000}, '
+                                  '{"q": 3, "m": 2000}]}'],
+             f"multiplicity must be at most {sys.maxsize}, got 1000000000000000000000000000000"),
         ],
         ids=["q1", "n0", "q6", "q6-n0", "prolif-dvr-q6", "prolif-dvr-q6-m0", "no-columns", "column-0",
              "column-past-chain", "prolif-column-past-chain", "hey-m-negative", "hey-q6-m-negative",
-             "factored-semisimple", "prolif-dvr-huge-rank", "prolif-hereditary-huge-chain-with-sigma"],
+             "factored-semisimple", "prolif-dvr-huge-rank", "prolif-hereditary-huge-chain-with-sigma",
+             "hey-huge-multiplicity", "lifted-hey-huge-multiplicity", "prolif-semisimple-huge-multiplicity"],
     )
     def test_spec_refusal_names_its_first_fault(self, capsys, argv, message):
         assert run_cli(capsys, argv + ["--truncate", "2"]) == (2, "", f"error: {message}\n")

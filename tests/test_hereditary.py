@@ -51,6 +51,15 @@ class TestSpecs:
             her.Lattice(2, 2, (1.5, 2))
         assert her.Lattice(2, 2, (2.0, 1)).columns == (1, 2)
 
+    def test_field_size_and_chain_length_must_be_integers(self):
+        with pytest.raises(SchemaError, match=r"^n must be an integer, got 2.5$"):
+            her.Lattice(2, 2.5, (1, 2))
+        with pytest.raises(SchemaError, match=r"^q must be an integer, got '4'$"):
+            her.Lattice("4", 2, (1, 2))
+        lattice = her.Lattice(4.0, 2.0, (1, 2))
+        assert (type(lattice.q), type(lattice.n)) == (int, int)
+        assert her.total_zeta(lattice, 3) == her.total_zeta(her.Lattice(4, 2, (1, 2)), 3)
+
     def test_of_class_inverts_top_on_the_verify_grid(self):
         lattices = list(chk._hereditary_grid())
         assert len(lattices) == 2 * (3 + 9 + 19)

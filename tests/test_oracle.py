@@ -60,6 +60,29 @@ class TestModelConstruction:
             orc.triangular_module(2, 2, 1, [1.5, 2])
         assert orc.triangular_module(2, 2, 1, [2.0, 1]).gens == orc.triangular_module(2, 2, 1, (1, 2)).gens
 
+    @pytest.mark.parametrize(
+        "build, args, message",
+        [
+            (orc.chain_module, (2, 2.5), r"^c must be an integer, got 2.5$"),
+            (orc.chain_module, (2.0, 2, 1.5), r"^rank must be an integer, got 1.5$"),
+            (orc.local2d_module, (2.5, 2), r"^q must be an integer, got 2.5$"),
+            (orc.triangular_module, (2, 2.5, 1, (1,)), r"^n must be an integer, got 2.5$"),
+            (orc.skew_module, (2, 2, 1.5, 2), r"^c_pi must be an integer, got 1.5$"),
+            (orc.skew_module, (2, 2, 1, "2"), r"^c_t must be an integer, got '2'$"),
+        ],
+        ids=["chain-c", "chain-rank", "local2d-q", "triangular-n", "skew-c_pi", "skew-c_t"],
+    )
+    def test_numeric_arguments_must_be_integers(self, build, args, message):
+        with pytest.raises(SchemaError, match=message):
+            build(*args)
+
+    def test_integral_float_arguments_read_as_integers(self):
+        assert orc.chain_module(2.0, 2.0, 2.0) == orc.chain_module(2, 2, 2)
+        assert orc.local2d_module(3.0, 2.0) == orc.local2d_module(3, 2)
+        assert orc.triangular_module(2.0, 2.0, 1.0, (1,)) == orc.triangular_module(2, 2, 1, (1,))
+        skew = orc.skew_module(2.0, 2.0, 1.0, 2.0)
+        assert skew == orc.skew_module(2, 2, 1, 2) and type(skew.depth) is int
+
     def test_skew_rejects_zero_digit_length(self):
         with pytest.raises(SchemaError):
             orc.skew_module(2, 2, 2, 0)
@@ -69,22 +92,27 @@ class TestModelConstruction:
             orc.chain_module(6, 2)
 
     @pytest.mark.parametrize(
-        "model, name, src, message",
+        "model, changes, message",
         [
-            (_TRI, "e1", _TRI.gens["g"], "e1 is not idempotent"),
-            (_TRI, "e1", (0, -1, -1, -1, 4, 5, -1, -1), "do not sum to the identity"),
-            (_LOCAL, "t", (-1, 3, -1, -1, -1, -1), "u and t do not commute"),
-            (_TRI, "g", (-1, 0, -1, 2, -1, 4, -1, 6), "does not shift class 1"),  # g stays in each class
-            (_SKEW, "t", _SKEW.gens["g"], "t is not central"),
+            (_TRI, {"classes": _TRI.classes[:-1]}, r"classes must be 8 entries >= 0"),
+            (_TRI, {"classes": (-1, *_TRI.classes[1:])}, r"classes must be 8 entries >= 0"),
+            (_LOCAL, {"gens": {**_LOCAL.gens, "t": (-1, 3, -1, -1, -1, -1)}}, "u and t do not commute"),
+            # g stays in each class
+            (_TRI, {"gens": {"g": (-1, 0, -1, 2, -1, 4, -1, 6)}}, "does not shift class 1"),
+            (_SKEW, {"gens": {**_SKEW.gens, "t": _SKEW.gens["g"]}}, "t is not central"),
         ],
-        ids=[
-            "not-idempotent", "idempotents-miss-a-coordinate", "u-t-not-commuting", "g-not-shifting", "t-not-central"
-        ],
+        ids=["classes-too-short", "classes-negative", "u-t-not-commuting", "g-not-shifting", "t-not-central"],
     )
-    def test_validate_refuses_broken_relations(self, model, name, src, message):
-        broken = dataclasses.replace(model, gens={**model.gens, name: src})
+    def test_validate_refuses_broken_relations(self, model, changes, message):
         with pytest.raises(SchemaError, match=message):
-            orc.validate_model(broken)
+            orc.validate_model(dataclasses.replace(model, **changes))
+
+    def test_skew_t_must_commute_with_g(self):
+        # this t keeps every class but swaps the columns as it raises the
+        # t-digit, so acting by g then t differs from t then g
+        swapped = (-1, -1, -1, -1, 2, 3, 0, 1)
+        with pytest.raises(SchemaError, match="t is not central: fails against g"):
+            orc.validate_model(dataclasses.replace(_SKEW, gens={**_SKEW.gens, "t": swapped}))
 
 
 def _gather_grid():
@@ -178,45 +206,37 @@ class TestGeneratorActions:
 
     def test_literal_generators(self):
         chain = orc.chain_module(2, 3, rank=2)
-        assert chain.gens == {"t": (-1, 0, 1, -1, 3, 4), "e1": (0, 1, 2, 3, 4, 5)}
+        assert chain.gens == {"t": (-1, 0, 1, -1, 3, 4)}
+        assert chain.classes == (0,) * 6
         local = orc.local2d_module(2, 2)  # basis 1, t, u
-        assert local.gens == {"u": (-1, -1, 0), "t": (-1, 0, -1), "e1": (0, 1, 2)}
+        assert local.gens == {"u": (-1, -1, 0), "t": (-1, 0, -1)}
+        assert local.classes == (0, 0, 0)
         tri = orc.triangular_module(2, 2, 1, (1,))  # basis (1, pi^0), (2, pi^1)
-        assert tri.gens == {"g": (-1, 0), "e1": (0, -1), "e2": (-1, 1)}
+        assert tri.gens == {"g": (-1, 0)}
+        assert tri.classes == (0, 1)
         skew = orc.skew_module(2, 2, 1, 2)  # t-digits 0 and 1 over the columns 1 and 2
-        assert skew.gens == {
-            "g": (-1, 0, 3, -1, -1, 4, 7, -1),
-            "e1": (0, -1, 2, -1, 4, -1, 6, -1),
-            "e2": (-1, 1, -1, 3, -1, 5, -1, 7),
-            "t": (-1, -1, -1, -1, 0, 1, 2, 3),
-        }
+        assert skew.gens == {"g": (-1, 0, 3, -1, -1, 4, 7, -1), "t": (-1, -1, -1, -1, 0, 1, 2, 3)}
+        assert skew.classes == (0, 1) * 4
         repeated = orc.triangular_module(2, 2, 1, (2, 1, 2))  # columns sorted to 1, 2, 2
-        assert repeated.gens == {"g": (-1, 0, 3, -1, 5, -1), "e1": (0, -1, 2, -1, 4, -1), "e2": (-1, 1, -1, 3, -1, 5)}
+        assert repeated.gens == {"g": (-1, 0, 3, -1, 5, -1)}
+        assert repeated.classes == (0, 1) * 3
 
     def test_gathers_of_a_model_grid_are_pinned(self):
         """276 models of every kind keep the gathers, classes and fields they were built with."""
-        models = []
-        for c in range(1, 6):
-            for rank in range(1, 4):
-                models += [
-                    orc.chain_module(2, c, rank),
-                    orc.chain_module(2, c, rank, exact=True),
-                    orc.local2d_module(3, c, rank),
-                ]
-        for n in range(1, 5):
-            for c in range(1, 4):
-                for k in range(1, 4):
-                    for columns in combinations_with_replacement(range(1, n + 1), k):
-                        models.append(orc.triangular_module(2, n, c, columns))
-        for n in range(1, 4):
-            for c_pi in range(1, 4):
-                for c_t in range(1, 5):
-                    models.append(orc.skew_module(2, n, c_pi, c_t))
+        models = _pinned_grid()
         assert len(models) == 276
-        fields = [(m.kind, m.dim, sorted(m.gens.items()), m.rad_names, m.idem_names, m.depth, m.slice_gen, m.exact)
+        fields = [(m.kind, m.dim, sorted(m.gens.items()), m.rad_names, m.classes, m.depth, m.slice_gen, m.exact)
                   for m in models]
         digest = hashlib.sha256(repr(fields).encode()).hexdigest()
-        assert digest == "b4bf29e59e3c5dd5be2983d669ff11816a34cac9086ba1496e6a65baac9f951c"
+        assert digest == "d6b57c491e8f72d4c64bac8717c54dfd0c404478ecc3aefdf6a31fda150b4858"
+
+    def test_slice_models_of_the_grid_are_pinned(self):
+        """The 51 fiber slice models of that grid keep their gathers and classes."""
+        slices = [orc.FiberContext(m).slice_model for m in _pinned_grid() if m.slice_gen is not None]
+        assert len(slices) == 51
+        fields = [(m.kind, m.dim, sorted(m.gens.items()), m.classes, m.n_classes) for m in slices]
+        digest = hashlib.sha256(repr(fields).encode()).hexdigest()
+        assert digest == "95802acadfe97bbf00f63877cbb1dc2fe59dcae3dd2ce5239953d32666d8d2c2"
 
     def test_builder_refuses_two_labels_moving_to_one(self):
         # both labels move to (0,): an assigned gather would keep only one of them
@@ -251,10 +271,42 @@ class TestGeneratorActions:
             dataclasses.replace(model, gens={**model.gens, "t": bad})
 
 
+def _pinned_grid():
+    """276 small models of every kind, in a fixed order."""
+    models = []
+    for c in range(1, 6):
+        for rank in range(1, 4):
+            models += [
+                orc.chain_module(2, c, rank),
+                orc.chain_module(2, c, rank, exact=True),
+                orc.local2d_module(3, c, rank),
+            ]
+    for n in range(1, 5):
+        for c in range(1, 4):
+            for k in range(1, 4):
+                for columns in combinations_with_replacement(range(1, n + 1), k):
+                    models.append(orc.triangular_module(2, n, c, columns))
+    for n in range(1, 4):
+        for c_pi in range(1, 4):
+            for c_t in range(1, 5):
+                models.append(orc.skew_module(2, n, c_pi, c_t))
+    return models
+
+
+def _class_projections(model):
+    """One gather per class, in class order: the projection onto that class's coordinates."""
+    return [tuple(k if c == i else -1 for k, c in enumerate(model.classes)) for i in range(model.n_classes)]
+
+
+def _ring_gathers(model):
+    """Gathers that generate the ring: the radical generators and the class projections."""
+    return [*model.gens.values(), *_class_projections(model)]
+
+
 def _fixed_point_closure(model, rows):
     """Reference closure: re-reduce everything with every generator until the dimension stops."""
     sub = gfq.SubspaceRep.from_rows(model.field, model.dim, rows)
-    mats = [_packed(model.field, _dense(src)) for src in model.gens.values()]
+    mats = [_packed(model.field, _dense(src)) for src in _ring_gathers(model)]
     while True:
         stack = list(sub.rows)
         for mat in mats:
@@ -267,16 +319,16 @@ def _fixed_point_closure(model, rows):
 
 def _is_fixed_point(model, sub):
     """Whether ``sub`` is its own fixed-point closure: no generator maps it outside itself."""
-    return not any(any(sub.reduce(_image(model, sub.rows, name))) for name in model.gens)
+    return not any(any(sub.reduce(_image(model, sub.rows, src))) for src in _ring_gathers(model))
 
 
-def _image(model, rows, name):
-    """Packed rows times a generator's dense matrix."""
-    return ref.mat_mul(model.field, rows, _packed(model.field, _dense(model.gens[name])), model.dim)
+def _image(model, rows, src):
+    """Packed rows times a gather's dense matrix."""
+    return ref.mat_mul(model.field, rows, _packed(model.field, _dense(src)), model.dim)
 
 
 def _radical_images(model, rows):
-    return [row for name in model.rad_names for row in _image(model, rows, name)]
+    return [row for name in model.rad_names for row in _image(model, rows, model.gens[name])]
 
 
 def _reference_top(model, rep):
@@ -284,8 +336,8 @@ def _reference_top(model, rep):
     jx = _fixed_point_closure(model, _radical_images(model, rep.rows))
     f, n = model.field, model.dim
     return tuple(
-        gfq.SubspaceRep.from_rows(f, n, [*jx.rows, *_image(model, rep.rows, name)]).dim - jx.dim
-        for name in model.idem_names
+        gfq.SubspaceRep.from_rows(f, n, [*jx.rows, *_image(model, rep.rows, e)]).dim - jx.dim
+        for e in _class_projections(model)
     )
 
 
@@ -405,8 +457,8 @@ class TestMaximalSubmodules:
         for node in orc.submodules(model, bound):
             x = node.rep
             class_images = [
-                gfq.SubspaceRep.from_rows(f, model.dim, _image(model, x.rows, name))
-                for name in model.idem_names
+                gfq.SubspaceRep.from_rows(f, model.dim, _image(model, x.rows, e))
+                for e in _class_projections(model)
             ]
             want = set()
             for hyper in ref.enumerate_subspaces(f, x.dim, dims=x.dim - 1):

@@ -76,6 +76,13 @@ class TestSliceBase:
             pr.validate_permutation([0.7, 1.2], 2)
         assert pr.validate_permutation([1.0, 0], 2) == (1, 0)
 
+    def test_dvr_field_size_and_rank_must_be_integers(self):
+        with pytest.raises(SchemaError, match=r"^m must be an integer, got 1.5$"):
+            pr.SliceBase.dvr(2, 1.5)
+        with pytest.raises(SchemaError, match=r"^q must be an integer, got 2.5$"):
+            pr.SliceBase.dvr(2.5, 1)
+        assert pr.SliceBase.dvr(2.0, 2.0).spec == DVR22.spec
+
     def test_spec_is_split_data_or_a_lattice(self):
         with pytest.raises(SchemaError, match=r"^slice base needs SemisimpleData or a Lattice, got tuple$"):
             pr.SliceBase((2, 2, (1, 2)))
@@ -105,6 +112,12 @@ class TestPairZeta:
         assert table[(1,)] == TruncatedSeries.monomial(semi.alphabet, 3, (1,), 3)
         assert set(table) == {(0,), (1,), (2,)}
         assert (2,) not in semi.class_counts((1,), 3)
+
+    def test_split_table_walks_only_classes_within_the_bound(self):
+        big = pr.SliceBase(SemisimpleData.from_specs([(2, 2000), (3, 2000)]))
+        table = big.class_counts((2000, 2000), 2)
+        assert sorted(table) == [(1998, 2000), (1999, 1999), (1999, 2000), (2000, 1998), (2000, 1999), (2000, 2000)]
+        assert table[(1999, 1999)].coefficient((1, 1)) == (2**2000 - 1) * (3**2000 - 1) // 2
 
     def test_dvr_is_hey(self):
         table = DVR22.class_counts((2,), 3)
