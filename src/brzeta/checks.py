@@ -42,10 +42,14 @@ from .series import TruncatedSeries, geometric_product
 @dataclass
 class CheckResult:
     name: str
-    passed: bool
     cases: int
     detail: str = ""
     disagreement: tuple | None = None  # (where, expected, actual)
+
+    @property
+    def passed(self) -> bool:
+        """A suite fails exactly when it names a disagreement."""
+        return self.disagreement is None
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -83,8 +87,8 @@ def _compare(name: str, detail: str, cases) -> CheckResult:
             bad = _disagreement(got, want)
             if bad is not None:
                 where, expected, actual = bad
-                return CheckResult(name, False, count, disagreement=(label + where, expected, actual))
-    return CheckResult(name, True, count, detail)
+                return CheckResult(name, count, disagreement=(label + where, expected, actual))
+    return CheckResult(name, count, detail)
 
 
 # -- 1: Hey product vs chain-model enumeration ---------------------------------

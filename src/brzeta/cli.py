@@ -112,7 +112,7 @@ def _series_json(series: TruncatedSeries, indent: str = "") -> str:
         ("bound", str(series.bound)),
         ("display", encode(" + ".join(shown) if shown else "0")),
         ("terms", _json_array(terms, indent + "  ")),
-        ("variables", _json_array([encode(e.label) for e in alphabet.entries], indent + "  ")),
+        ("variables", _json_array([encode(e.label) for e in alphabet], indent + "  ")),
     )
     return _json_object(fields, indent)
 
@@ -121,6 +121,8 @@ def _series_csv(series: TruncatedSeries) -> str:
     lines = ["monomial,num,den"]
     for exps, c in series.items():
         mono = series.alphabet.format_monomial(exps)
+        if any(ch in mono for ch in ',"\r\n'):  # an RFC 4180 quoted field, its quotes doubled
+            mono = '"' + mono.replace('"', '""') + '"'
         lines.append(f"{mono},{c},1")
     return "\n".join(lines) + "\n"
 
@@ -310,7 +312,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         except FormulaViolationError as exc:  # an invariant inside the suite failed
             where = str(exc) if exc.monomial is None else exc.monomial
             want, got = ("-" if v is None else v for v in (exc.expected, exc.actual))
-            result = chk.CheckResult(name, False, 1, disagreement=(where, want, got))
+            result = chk.CheckResult(name, 1, disagreement=(where, want, got))
         if result.cases == 0:
             raise SchemaError(f"suite {name} checked no cases at --max {args.n_max}")
         sys.stdout.write(result.line() + "\n")
@@ -318,7 +320,7 @@ def _run_verify(args: argparse.Namespace) -> int:
             failed.append(result)
     if failed:
         first = failed[0]
-        where, want, got = first.disagreement or ("?", "?", "?")
+        where, want, got = first.disagreement
         raise FormulaViolationError(
             f"suite {first.name} failed", monomial=where, expected=want, actual=got
         )
@@ -328,21 +330,18 @@ def _run_verify(args: argparse.Namespace) -> int:
 # -- argument parsing ------------------------------------------------------------
 
 
-def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
-    """Each subcommand's parser by name, read off the top-level ``parser``."""
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices
-
-
 class _Parser(argparse.ArgumentParser):
     """The top-level parser.  A command line that starts with a subcommand's
     name is parsed by that subcommand's parser alone; argparse's own top-level
     parse would scan every argument before passing them all to it.  Any other
-    command line (none, ``-h``, an unknown name) takes argparse's path."""
+    command line (none, ``-h``, an unknown name) takes argparse's path.
+    ``subcommands`` maps each subcommand's name to its parser."""
+
+    subcommands: dict[str, argparse.ArgumentParser]
 
     def parse_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
-        parser = _subcommands(self).get(args[0]) if args else None
+        parser = self.subcommands.get(args[0]) if args else None
         if parser is None:
             return super().parse_args(args, namespace)
         parsed, extras = parser.parse_known_args(args[1:], namespace)
@@ -360,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact truncated zeta series of modules over semilocal orders.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=argparse.ArgumentParser)
+    parser.subcommands = sub.choices
 
     def add(name, run, help):
         p = sub.add_parser(name, help=help)
@@ -445,7 +445,7 @@ def __getattr__(name: str):
     the benchmark's tests list the subcommands by it."""
     if name != "_HANDLERS":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return {cmd: p.get_default("run") for cmd, p in _subcommands(_shared_parser()).items()}
+    return {cmd: p.get_default("run") for cmd, p in _shared_parser().subcommands.items()}
 
 
 def _check_ranges(args: argparse.Namespace) -> None:

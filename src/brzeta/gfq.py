@@ -94,7 +94,7 @@ def _poly_is_irreducible(m: tuple[int, ...], p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """GF(p^e) with its monic irreducible modulus (ignored when e=1)."""
+    """GF(p^e) with its monic irreducible modulus."""
 
     p: int
     e: int
@@ -131,8 +131,6 @@ def GF(q: int) -> FieldSpec:
     if factors is None:
         raise SchemaError(f"field size must be a prime power, got {q}")
     p, e = factors
-    if e == 1:
-        return FieldSpec(p, 1, (0, 1))
     candidates = (tuple(value // p**i % p for i in range(e + 1)) for value in range(q, 2 * q))
     return FieldSpec(p, e, next(m for m in candidates if _poly_is_irreducible(m, p)))
 
@@ -141,23 +139,15 @@ def GF(q: int) -> FieldSpec:
 def tables(field: FieldSpec) -> Tables:
     """Addition, multiplication, negation and inverse tables as tuples; ``inv[0]`` is 0."""
     q, p = field.q, field.p
-    if field.e == 1:
-        add = tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
-        mul = tuple(tuple(a * b % q for b in range(q)) for a in range(q))
-        neg = tuple(-a % q for a in range(q))
-    else:
-        polys = [field.decode(v) for v in range(q)]
-        add = tuple(
-            tuple(field.encode(tuple((x + y) % p for x, y in zip(pa, pb))) for pb in polys) for pa in polys
+    polys = [field.decode(v) for v in range(q)]
+    add = tuple(tuple(field.encode(tuple((x + y) % p for x, y in zip(pa, pb))) for pb in polys) for pa in polys)
+    mul = tuple(
+        tuple(
+            field.encode(_poly_mod(_poly_mul(_poly_trim(pa), _poly_trim(pb), p), field.modulus, p)) for pb in polys
         )
-        mul = tuple(
-            tuple(
-                field.encode(_poly_mod(_poly_mul(_poly_trim(pa), _poly_trim(pb), p), field.modulus, p))
-                for pb in polys
-            )
-            for pa in polys
-        )
-        neg = tuple(field.encode(tuple(-c % p for c in pa)) for pa in polys)
+        for pa in polys
+    )
+    neg = tuple(field.encode(tuple(-c % p for c in pa)) for pa in polys)
     inv = [0] * q
     for a in range(1, q):
         if mul[a].count(1) != 1:

@@ -65,11 +65,11 @@ DEFAULT_NODE_BUDGET = 200_000
 class RingModel:
     """A finite module with ring generator actions.
 
-    ``gens`` maps each radical generator's name to a gather tuple of length
-    ``dim``: entry k is the coordinate that a row vector's image reads at k,
-    or -1 where the image is 0.  No source may repeat, so each generator is a
-    partial permutation; any other tuple is refused with SchemaError.
-    ``rad_names`` generate the radical as a two-sided ideal;
+    ``gens`` maps each radical generator's name to a gather tuple, one entry
+    per coordinate: entry k is the coordinate that a row vector's image reads
+    at k, or -1 where the image is 0.  No source may repeat, so each generator
+    is a partial permutation; any other tuple is refused with SchemaError.
+    The generators generate the radical as a two-sided ideal.
     ``classes`` gives each coordinate its simple class, 0-based: the
     projection onto the coordinates of class i is the ring's idempotent e_i
     (every simple class here is one-dimensional over its idempotent block).
@@ -80,9 +80,7 @@ class RingModel:
 
     kind: str
     field: gfq.FieldSpec
-    dim: int
     gens: dict
-    rad_names: tuple
     classes: tuple
     depth: int
     slice_gen: str | None = None
@@ -93,6 +91,9 @@ class RingModel:
     n_classes: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.classes = tuple(self.classes)
+        if any(i < 0 for i in self.classes):
+            raise SchemaError(f"classes must be >= 0, got {self.classes}")
         self.gens = {name: tuple(src) for name, src in self.gens.items()}
         for name, src in self.gens.items():
             if len(src) != self.dim:
@@ -102,11 +103,13 @@ class RingModel:
                 raise SchemaError(f"generator {name} has a source outside -1..{self.dim - 1}: {src}")
             if len(set(used)) != len(used):
                 raise SchemaError(f"generator {name} is not a partial permutation: a source repeats in {src}")
-        self.classes = tuple(self.classes)
-        if len(self.classes) != self.dim or any(i < 0 for i in self.classes):
-            raise SchemaError(f"classes must be {self.dim} entries >= 0, got {self.classes}")
         self.acts = {name: gfq.compile_gather(self.field, self.dim, src) for name, src in self.gens.items()}
         self.n_classes = max(self.classes, default=-1) + 1
+
+    @property
+    def dim(self) -> int:
+        """The number of coordinates, one per class entry."""
+        return len(self.classes)
 
     @property
     def alphabet(self) -> Alphabet:
@@ -147,7 +150,7 @@ def _labelled_model(kind, q, basis, moves, depth, cls=_one_class, slice_gen=None
                 src[j] = k
         gens[name] = src
     classes = tuple(cls(b) for b in basis)
-    model = RingModel(kind, gfq.GF(q), len(basis), gens, tuple(moves), classes, depth, slice_gen, exact)
+    model = RingModel(kind, gfq.GF(q), gens, classes, depth, slice_gen, exact)
     validate_model(model)
     return model
 
@@ -270,7 +273,7 @@ def _radical_coords(model: RingModel, coords) -> set[int]:
     Each radical generator is a gather g moving e_j to e_k where g[k] = j, so
     the image is spanned by the k with g[k] in ``coords`` for some g.
     """
-    return {k for name in model.rad_names for k, j in enumerate(model.gens[name]) if j in coords}
+    return {k for src in model.gens.values() for k, j in enumerate(src) if j in coords}
 
 
 def _unshifted_class(model: RingModel, src, s: int) -> int | None:
@@ -333,7 +336,7 @@ def radical_subspace(model: RingModel, rep: gfq.SubspaceRep) -> gfq.SubspaceRep:
     as the induced action on M/IM).  So (X g) b = (X a) g lies in X g, and
     one ``extend`` of the images gives J X with no closure to compute.
     """
-    images = [img for name in model.rad_names for img in _mm(rep.rows, model.acts[name])]
+    images = [img for act in model.acts.values() for img in _mm(rep.rows, act)]
     return gfq.zero_space(model.field, model.dim).extend(images)
 
 
@@ -602,9 +605,7 @@ class FiberContext:
         self.slice_model = RingModel(
             kind=f"{model.kind}_slice",
             field=f,
-            dim=len(self.free),
             gens={name: tuple(pos.get(src[c], -1) for c in self.free) for name, src in model.gens.items()},
-            rad_names=model.rad_names,
             classes=tuple(model.classes[c] for c in self.free),
             depth=model.depth,
             exact=model.exact,

@@ -167,17 +167,6 @@ class SliceBase:
             for lower, part in table.items()
         }
 
-    def total_zeta(self, bound: int) -> TruncatedSeries:
-        """Count of all finite-colength submodules of the slice module."""
-        zero = TruncatedSeries.zero(self.alphabet, bound)
-        return sum(self.class_counts(self.top, bound).values(), zero)
-
-    def all_submodules_isomorphic(self) -> bool:
-        """True when every finite-colength submodule of the slice is a copy of it."""
-        if isinstance(self.spec, _her.Lattice):
-            return self.spec.n == 1
-        return not any(self.top)
-
     @classmethod
     def from_json(cls, payload) -> "SliceBase":
         spec = payload.get("base", payload) if isinstance(payload, dict) else payload
@@ -370,17 +359,21 @@ def proliferation_sum(base: SliceBase, bound: int, budget: int = DEFAULT_SEQUENC
 
 
 def single_sliver(base: SliceBase, bound: int) -> TruncatedSeries:
-    """Product form when all finite-colength slice submodules are copies of the slice.
+    """Product form when every slice submodule under the bound is a copy of the slice.
 
-    Holds for dvr bases (one-class lattices and the zero module); any other
-    base is refused.
+    The rule is read off the slice's own table at ``bound``, which keys the
+    submodules of colength at most ``bound`` by their class: the product
+    holds when ``base.top`` is the table's only key, and any other base is
+    refused.  So a dvr base (a one-class lattice, or the zero module) passes
+    at every bound, and every base passes at bound 0.
     """
-    if not base.all_submodules_isomorphic():
-        raise SchemaError("single-sliver form needs all finite-colength slice submodules isomorphic")
     al = base.alphabet
-    top = (base.top,)
-    full = base.total_zeta(bound)
     out = TruncatedSeries.one(al, bound)
+    table = base.class_counts(base.top, bound)
+    if list(table) != [base.top]:
+        raise SchemaError("single-sliver form needs all finite-colength slice submodules isomorphic")
+    full = table[base.top]
+    top = (base.top,)
     for j in range(bound):
         out = out * full.truncated(bound // (j + 1)).substitute(al, change_of_variable(base, top, j), bound)
     return out

@@ -20,7 +20,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from operator import add
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     AlphabetMismatchError,
@@ -65,55 +65,40 @@ class AlphabetEntry:
         return self.q**self.r
 
 
-class Alphabet:
+class Alphabet(tuple):
     """Ordered tuple of entries; fixes the exponent-vector layout."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries: Iterable[AlphabetEntry | tuple]):
+    def __new__(cls, entries: Iterable[AlphabetEntry | tuple]):
         # empty alphabets are legal: the series ring degenerates to constants
         ents = tuple(e if isinstance(e, AlphabetEntry) else AlphabetEntry(*e) for e in entries)
         labels = [e.label for e in ents]
         if len(set(labels)) != len(labels):
             raise SchemaError(f"duplicate alphabet labels in {labels}")
-        self.entries = ents
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[AlphabetEntry]:
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> AlphabetEntry:
-        return self.entries[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Alphabet) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
+        return super().__new__(cls, ents)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{e.label}:q^r={e.q}^{e.r}" for e in self.entries)
+        inner = ", ".join(f"{e.label}:q^r={e.q}^{e.r}" for e in self)
         return f"Alphabet({inner})"
 
     def zero(self) -> Monomial:
-        return (0,) * len(self.entries)
+        return (0,) * len(self)
 
     def unit(self, i: int) -> Monomial:
         """Exponent vector of the single generator ``z_i``."""
-        return tuple(1 if j == i else 0 for j in range(len(self.entries)))
+        return tuple(1 if j == i else 0 for j in range(len(self)))
 
     def mono_norm(self, exps: Monomial) -> int:
         n = 1
-        for e, entry in zip(exps, self.entries):
+        for e, entry in zip(exps, self):
             if e:
                 n *= entry.norm**e
         return n
 
     def format_monomial(self, exps: Monomial) -> str:
         parts = []
-        for e, entry in zip(exps, self.entries):
+        for e, entry in zip(exps, self):
             if e == 1:
                 parts.append(entry.label)
             elif e > 1:
@@ -508,5 +493,5 @@ def split_trailing(series: TruncatedSeries, first_count: int) -> dict[Monomial, 
     parts: dict[Monomial, dict[Monomial, int]] = {}
     for k, c in series.coeffs.items():
         parts.setdefault(k[first_count:], {})[k[:first_count]] = c
-    sub_alphabet = Alphabet(series.alphabet.entries[:first_count])
+    sub_alphabet = Alphabet(series.alphabet[:first_count])
     return {h: TruncatedSeries._trusted(sub_alphabet, series.bound - mono_degree(h), c) for h, c in parts.items()}

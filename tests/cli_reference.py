@@ -21,7 +21,7 @@ def series_doc(series: TruncatedSeries) -> dict:
         )
     return {
         "bound": series.bound,
-        "variables": [e.label for e in series.alphabet.entries],
+        "variables": [e.label for e in series.alphabet],
         "terms": terms,
         "display": str(series),
     }

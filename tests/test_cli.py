@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -140,6 +141,14 @@ class TestSeriesOutput:
         assert code == 0
         assert out == "monomial,num,den\n1,1,1\nz,-1,1\n"
 
+    @pytest.mark.parametrize("label", ["a,b", 'say "z"', "two\nlines", "cr\rhere"])
+    def test_csv_quotes_a_label_that_breaks_a_field(self, capsys, label):
+        data = json.dumps([{"q": 2, "m": 1, "label": label}])
+        code, out, _ = run_cli(capsys, ["hey", "--format", "csv", "--data", data, "--truncate", "2"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert rows == [["monomial", "num", "den"], ["1", "1", "1"], [label, "1", "1"], [f"{label}^2", "1", "1"]]
+
     def test_hereditary_total_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, ["hereditary", "--data", HER, "--truncate", "2", "--format", "csv"]
@@ -180,6 +189,21 @@ class TestSeriesOutput:
         assert code == 0
         assert out1 == out2
         assert json.loads(out1)["display"] == "1 + z + 3*z^2 + 7*z^3"
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            '{"kind": "semisimple", "entries": [{"q": 2, "m": 2}]}',
+            '{"kind": "hereditary", "q": 2, "n": 2, "columns": [1, 2]}',
+        ],
+        ids=["split-rank-two", "two-class-lattice"],
+    )
+    def test_sliver_of_any_base_at_bound_zero_is_one(self, capsys, data):
+        code, out, _ = run_cli(capsys, ["prolif", "--mode", "sliver", "--data", data, "--truncate", "0"])
+        assert (code, json.loads(out)["display"]) == (0, "1")
+        code, out, err = run_cli(capsys, ["prolif", "--mode", "sliver", "--data", data, "--truncate", "1"])
+        assert (code, out) == (2, "")
+        assert err == "error: single-sliver form needs all finite-colength slice submodules isomorphic\n"
 
     def test_prolif_factored_doc(self, capsys):
         payload = json.dumps({"base": json.loads(HER), "kind": "hereditary"})
@@ -397,9 +421,7 @@ class TestVerifyCommand:
 
     def test_failing_suite_exits_three(self, capsys, monkeypatch):
         def broken():
-            return chk.CheckResult(
-                "rossmann", False, 1, disagreement=("n=4", "3", "2")
-            )
+            return chk.CheckResult("rossmann", 1, disagreement=("n=4", "3", "2"))
 
         monkeypatch.setitem(chk.ALL_CHECKS, "rossmann", broken)
         code, out, err = run_cli(capsys, ["verify", "--suite", "rossmann"])

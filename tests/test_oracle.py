@@ -94,8 +94,9 @@ class TestModelConstruction:
     @pytest.mark.parametrize(
         "model, changes, message",
         [
-            (_TRI, {"classes": _TRI.classes[:-1]}, r"classes must be 8 entries >= 0"),
-            (_TRI, {"classes": (-1, *_TRI.classes[1:])}, r"classes must be 8 entries >= 0"),
+            # one class fewer than the gather has entries
+            (_TRI, {"classes": _TRI.classes[:-1]}, "generator g must have 7 entries, got 8"),
+            (_TRI, {"classes": (-1, *_TRI.classes[1:])}, r"classes must be >= 0"),
             (_LOCAL, {"gens": {**_LOCAL.gens, "t": (-1, 3, -1, -1, -1, -1)}}, "u and t do not commute"),
             # g stays in each class
             (_TRI, {"gens": {"g": (-1, 0, -1, 2, -1, 4, -1, 6)}}, "does not shift class 1"),
@@ -225,10 +226,9 @@ class TestGeneratorActions:
         """276 models of every kind keep the gathers, classes and fields they were built with."""
         models = _pinned_grid()
         assert len(models) == 276
-        fields = [(m.kind, m.dim, sorted(m.gens.items()), m.rad_names, m.classes, m.depth, m.slice_gen, m.exact)
-                  for m in models]
+        fields = [(m.kind, m.dim, sorted(m.gens.items()), m.classes, m.depth, m.slice_gen, m.exact) for m in models]
         digest = hashlib.sha256(repr(fields).encode()).hexdigest()
-        assert digest == "d6b57c491e8f72d4c64bac8717c54dfd0c404478ecc3aefdf6a31fda150b4858"
+        assert digest == "796223438a22e76e99e78b0d515a5af30f9bb9e839b2f8de2b4d5bfc4f12bb22"
 
     def test_slice_models_of_the_grid_are_pinned(self):
         """The 51 fiber slice models of that grid keep their gathers and classes."""
@@ -328,7 +328,7 @@ def _image(model, rows, src):
 
 
 def _radical_images(model, rows):
-    return [row for name in model.rad_names for row in _image(model, rows, model.gens[name])]
+    return [row for src in model.gens.values() for row in _image(model, rows, src)]
 
 
 def _reference_top(model, rep):

@@ -417,6 +417,17 @@ class TestSingleSliver:
         with pytest.raises(SchemaError):
             pr.single_sliver(pr.SliceBase(SemisimpleData.from_specs([(2, 2)])), 2)
 
+    @pytest.mark.parametrize(
+        "base", [HER12, pr.SliceBase(SemisimpleData.from_specs([(2, 2)]))], ids=["two-class-lattice", "split-rank-two"]
+    )
+    def test_the_rule_is_read_off_the_table_at_the_bound(self, base):
+        # at bound 0 the slice is its own only submodule; at bound 1 a smaller class occurs
+        assert pr.single_sliver(base, 0) == TruncatedSeries.one(base.alphabet, 0)
+        with pytest.raises(SchemaError, match="single-sliver form needs"):
+            pr.single_sliver(base, 1)
+        with pytest.raises(TruncationBoundError):
+            pr.single_sliver(base, -1)
+
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_dvr_three_ways(self, q):
         for m in range(4):

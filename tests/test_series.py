@@ -56,6 +56,13 @@ class TestAlphabet:
         with pytest.raises(SchemaError, match="prime power"):
             AlphabetEntry("z", 6, 1)
 
+    def test_alphabet_is_the_tuple_of_its_entries(self):
+        entries = (AlphabetEntry("z1", 2, 1), AlphabetEntry("z2", 3, 1), AlphabetEntry("z3", 2, 2))
+        assert Z3 == entries and hash(Z3) == hash(entries)
+        assert (len(Z3), Z3[2], list(Z3)) == (3, entries[2], list(entries))
+        part = split_trailing(TruncatedSeries(Z3, 2, {(1, 0, 1): 5}), 2)[(1,)]
+        assert type(part.alphabet) is Alphabet and part.alphabet == entries[:2]
+
     def test_format(self):
         assert Z3.format_monomial((0, 0, 0)) == "1"
         assert Z3.format_monomial((2, 1, 0)) == "z1^2*z2"
@@ -298,7 +305,7 @@ def test_split_trailing_reassembles(f, first_count):
     # each part times its trailing monomial, summed, restores the series
     acc = TruncatedSeries.zero(Z3, f.bound)
     for h, part in split_trailing(f, first_count).items():
-        assert part.alphabet == Alphabet(Z3.entries[:first_count])
+        assert part.alphabet == Alphabet(Z3[:first_count])
         assert part.bound == f.bound - sum(h)
         lifted = TruncatedSeries(Z3, f.bound, {k + (0,) * len(h): c for k, c in part.coeffs.items()})
         acc = acc + lifted * TruncatedSeries.monomial(Z3, f.bound, (0,) * first_count + h)
@@ -314,7 +321,7 @@ def test_truncation_commutes_with_product(f, g, k):
 # -- graded inversion and binary powering ------------------------------------------
 
 
-ALPHABETS = [Alphabet(Z3.entries[:n]) for n in (1, 2, 3)]
+ALPHABETS = [Alphabet(Z3[:n]) for n in (1, 2, 3)]
 
 
 @st.composite
