@@ -17,19 +17,24 @@ entries at the basis pivots once and visits only the nonzero ones.
 ``SubspaceRep.extend`` is the one echelon routine: it inserts rows one at a
 time into a reduced basis, which stays reduced after every row, so the
 basis is never reduced again.  ``from_rows`` extends the zero space, a sum
-of subspaces is one ``extend``, and :func:`left_kernel` extends the zero
-space by ``[mat | I]``.  No intersection and no product of general matrices
-is computed here: the oracle's one kernel is :func:`left_kernel`.  The one
-enumeration, ``SubspaceRep.hyperplanes``, serves the brute-force oracle: it
-lists the hyperplanes of a space over a subspace and a set of the space's
-rows, read off the two RREFs with no echelonization per hyperplane.  The
-module is arithmetic without policy: the oracle bounds how many hyperplanes
-it asks for.  Chains of subspaces are not enumerated here: the closed
+of subspaces is one ``extend``, :func:`left_kernel` extends the zero
+space by ``[mat | I]``, and :class:`Preimage` inserts one wide row per
+unknown of its system into a basis seeded with unit vectors.  No
+intersection and no product of general matrices is computed here.  Three
+routines serve the brute-force oracle's walk over annihilators:
+``SubspaceRep.annihilator``, read off the RREF under the pairing of
+coordinate k with n-1-k; :class:`Preimage`, the common preimage of a
+subspace under partial permutations; and the one enumeration,
+``SubspaceRep.lines``, which lists the spaces sub + <v> over the lines of
+some of a space's rows, read off the two RREFs with no echelonization per
+line.  The module is arithmetic without policy: the oracle bounds how many
+lines it asks for.  Chains of subspaces are not enumerated here: the closed
 engines count them with Gaussian binomials.
 """
 
 from __future__ import annotations
 
+import bisect
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -312,6 +317,35 @@ def _reduced(ar: _Arith, x: int, mask: int, by_slot: dict[int, int]) -> int:
     return x
 
 
+def _insert(ar: _Arith, by_slot: dict[int, int], mask: int, mat) -> None:
+    """Insert rows into a reduced basis held as pivot slot -> row, in place.
+
+    A row is reduced at the basis pivots (``mask``), and a nonzero residue is
+    scaled to lead with 1, its lead is cleared from every basis row that has
+    an entry there, and it joins the basis.  The basis is reduced after every
+    row, so no row is reduced twice.
+    """
+    S, slot, axpy = ar.S, ar.slot, ar.axpy
+    for x in mat:
+        x = _reduced(ar, x, mask, by_slot)
+        if not x:
+            continue
+        sh = (x.bit_length() - 1) // S * S
+        x = ar.scale(ar.inv[x >> sh], x)
+        for s, b in by_slot.items():
+            f = (b >> sh) & slot
+            if f:
+                by_slot[s] = axpy(b, f, x)
+        by_slot[sh] = x
+        mask |= slot << sh
+
+
+def _from_slots(field: FieldSpec, n: int, S: int, by_slot: dict[int, int]) -> "SubspaceRep":
+    """The space of a reduced basis held as pivot slot -> row."""
+    leads = sorted(by_slot, reverse=True)  # ascending pivot columns
+    return SubspaceRep(field, n, [by_slot[sh] for sh in leads], [n - 1 - sh // S for sh in leads])
+
+
 def compile_gather(field: FieldSpec, n: int, src) -> tuple[tuple[tuple[int, int], ...], int]:
     """A gather on width-``n`` rows as masked shifts: ``((mask, up), ...), down``.
 
@@ -376,89 +410,136 @@ class SubspaceRep:
     def extend(self, mat) -> "SubspaceRep":
         """This space plus the row space of ``mat``; ``self`` if nothing is new.
 
-        The rows are inserted one at a time into the reduced basis: a row is
-        reduced at the basis pivots, and a nonzero residue is scaled to lead
-        with 1, its lead is cleared from every basis row that has an entry
-        there, and it joins the basis.  The basis is reduced after every row,
-        so no row is reduced twice, and the result is the RREF of the
+        The rows go through :func:`_insert`, so the result is the RREF of the
         stacked rows.
         """
         n = self.ambient
         ar, mask, by_slot = self._eliminator()
         _check_width(ar.S, n, mat)
-        S, slot, axpy = ar.S, ar.slot, ar.axpy
         by_slot = dict(by_slot)
-        for x in mat:
-            x = _reduced(ar, x, mask, by_slot)
-            if not x:
-                continue
-            sh = (x.bit_length() - 1) // S * S
-            x = ar.scale(ar.inv[x >> sh], x)
-            for s, b in by_slot.items():
-                f = (b >> sh) & slot
-                if f:
-                    by_slot[s] = axpy(b, f, x)
-            by_slot[sh] = x
-            mask |= slot << sh
+        _insert(ar, by_slot, mask, mat)
         if len(by_slot) == self.dim:
             return self
-        leads = sorted(by_slot, reverse=True)  # ascending pivot columns
-        return SubspaceRep(self.field, n, [by_slot[sh] for sh in leads], [n - 1 - sh // S for sh in leads])
+        return _from_slots(self.field, n, ar.S, by_slot)
 
     def contains(self, other: "SubspaceRep") -> bool:
         if other.dim > self.dim:
             return False
         return not any(self.reduce(other.rows))
 
-    def hyperplanes(self, sub: "SubspaceRep", cols) -> list["SubspaceRep"]:
-        """Every hyperplane H with sub + (the rows off ``cols``) <= H < self.
+    def lines(self, sub: "SubspaceRep", cols) -> list["SubspaceRep"]:
+        """Every sub + <v>, one per line <v> of the span of this space's rows at ``cols``.
 
         ``sub`` lies in this space and ``cols`` are pivots of this space that
-        are not pivots of ``sub``, in ascending order.  With R_p this space's
-        row at pivot p, H is the kernel of a functional psi that is zero on
-        R_p for every pivot p outside ``cols`` and ``sub``'s pivots and
-        nonzero on some R_k, k in ``cols``: a point of projective space on
-        ``cols``, scaled so that its rightmost nonzero value, at c, is 1.
-        There are (q^d - 1)/(q - 1) of them for d = len(cols), all built; the
-        caller bounds d.  ``sub``'s row at pivot p is u = R_p + sum_k u[k] R_k
-        over the pivots k > p outside ``sub``, and psi(u) = 0, so psi(R_p) is
-        -sum u[k] psi(R_k) over ``cols``; it vanishes right of c.  Hence H's
-        RREF is R_p - psi(R_p) R_c for every pivot p != c, canonical as it
-        stands, and the H with one c share one pivots tuple.
+        are not pivots of ``sub``, in ascending order.  The rows R_c at those
+        pivots are zero at ``sub``'s pivots, which are pivots here too.  The
+        line whose lead is at c is spanned by v = R_c + sum_(j > c) a_j R_j
+        over ``cols``, and the RREF of sub + <v> is ``sub``'s rows with their
+        entries at c cleared by v, plus v: canonical as it stands.  There are
+        (q^d - 1)/(q - 1) of them for d = len(cols), all built; the caller
+        bounds d.
         """
-        q, n = self.field.q, self.ambient
-        lay, t = _layout(self.field), tables(self.field)
-        add, mul, neg, raw, axpy = t.add, t.mul, t.neg, lay.raw, _arith(self.field, n).axpy
-        at = {c: i for i, c in enumerate(self.pivots)}
-        shifts = [(n - 1 - c) * lay.S for c in cols]
-        mask = sum(lay.slot << sh for sh in shifts)
-        # (row index, pivot, [(j, u[cols[j]]) nonzero]) for each row u of sub that meets cols
-        meets = [
-            (at[p], p, [(j, lay.code[(u >> sh) & lay.slot]) for j, sh in enumerate(shifts) if (u >> sh) & lay.slot])
-            for p, u in zip(sub.pivots, sub.rows)
-            if u & mask
-        ]
+        n, q = self.ambient, self.field.q
+        ar, raw = _arith(self.field, n), _layout(self.field).raw
+        S, slot, add, axpy = ar.S, ar.slot, ar.add, ar.axpy
+        at = dict(zip(self.pivots, self.rows))
         out = []
-        for k, c in enumerate(cols):
-            ic, rc = at[c], self.rows[at[c]]
-            pivots = self.pivots[:ic] + self.pivots[ic + 1 :]
-            free = [at[cols[j]] for j in range(k)]
-            left = [(i, [(j, v) for j, v in coeffs if j <= k]) for i, p, coeffs in meets if p < c]
-            for vals in product(range(q), repeat=k):
-                psi = (*vals, 1)
-                rows = list(self.rows)
-                for i, a in zip(free, vals):
-                    if a:
-                        rows[i] = axpy(rows[i], raw[a], rc)
-                for i, coeffs in left:
-                    s = 0
-                    for j, v in coeffs:
-                        s = add[s][mul[v][psi[j]]]
-                    if s:
-                        rows[i] = axpy(rows[i], raw[neg[s]], rc)
-                del rows[ic]
+        for t, c in enumerate(cols):
+            sh = (n - 1 - c) * S
+            hits = [(r, (y >> sh) & slot) for r, y in enumerate(sub.rows) if (y >> sh) & slot]
+            pos = bisect.bisect(sub.pivots, c)
+            pivots = sub.pivots[:pos] + (c,) + sub.pivots[pos:]
+            vs = [at[c]]
+            for j in cols[t + 1 :]:
+                vs += [add(v, m) for m in [ar.scale(raw[a], at[j]) for a in range(1, q)] for v in vs]
+            head, tail = sub.rows[:pos], sub.rows[pos:]
+            for v in vs:
+                rows = head + (v,) + tail
+                if hits:
+                    rows = list(rows)
+                    for r, f in hits:  # a row with an entry at c leads left of it: r < pos
+                        rows[r] = axpy(rows[r], f, v)
                 out.append(SubspaceRep(self.field, n, rows, pivots))
         return out
+
+    def annihilator(self) -> "SubspaceRep":
+        """The x with sum_k x[k] y[n-1-k] = 0 for every y here, in RREF.
+
+        This pairs coordinate k with n-1-k.  Each non-pivot d of this space
+        gives the row e_c - sum_r y_r[d] e_(n-1-p_r) at c = n-1-d, over the
+        rows y_r at pivots p_r.  y_r[d] is nonzero only for d > p_r, so that
+        row leads at c and is zero at every other such c: the rows are the
+        RREF as they stand, with no elimination, and the map is an involution.
+        """
+        n = self.ambient
+        ar = _arith(self.field, n)
+        S, slot = ar.S, ar.slot
+        below = set(self.pivots)
+        rows, pivots = [], []
+        for d in range(n - 1, -1, -1):
+            if d in below:
+                continue
+            sh, part = (n - 1 - d) * S, 0
+            for p, y in zip(self.pivots, self.rows):
+                part |= ((y >> sh) & slot) << (p * S)
+            rows.append(ar.axpy(1 << (d * S), 1, part))
+            pivots.append(n - 1 - d)
+        return SubspaceRep(self.field, n, rows, pivots)
+
+
+class Preimage:
+    """Y -> {f : f h in Y for every gather h}, for partial permutations h of width-n rows.
+
+    Write f h_l = a_l Y, with one unknown per (gather l, row of Y).  Then
+    a_l Y is zero where h_l writes nothing; f is a_l Y read back through h_l
+    on the coordinates h_l reads; and two gathers that read one coordinate
+    of f agree on it.  Each gather is compiled once to a wide gather of Y's
+    rows, one row of the system per (l, y): block l holds y where h_l writes
+    nothing; one agreement block per later gather holds y's entries read
+    back, the first reader's as they are and the later reader's negated;
+    the last block holds the read-back on the coordinates h_l is first to
+    read.  The RREF rows of the system that lead in the last block span the
+    f that meet every condition.  The coordinates that no gather reads are
+    free: their unit vectors seed the basis, where the system is zero.
+    """
+
+    def __init__(self, field: FieldSpec, n: int, gathers):
+        lay, count = _layout(field), len(gathers)
+        width = 2 * count * n
+        last = width - n  # the first coordinate of the last block
+        readers = [[] for _ in range(n)]  # (l, k) with h_l[k] = j, in gather order
+        srcs = [[-1] * width for _ in gathers]
+        for l, h in enumerate(gathers):
+            for k, j in enumerate(h):
+                if j >= 0:
+                    readers[j].append((l, k))
+                else:
+                    srcs[l][l * n + k] = k
+        negs = [0] * count
+        for j, ((l0, k0), *rest) in ((j, rd) for j, rd in enumerate(readers) if rd):
+            srcs[l0][last + j] = k0
+            for l, k in rest:
+                col = (count + l - 1) * n + j
+                srcs[l0][col], srcs[l][col] = k0, k
+                negs[l] |= lay.slot << ((width - 1 - col) * lay.S)
+        self.field, self.n, self.ar = field, n, _arith(field, width)
+        self.acts = [(compile_gather(field, n, src), neg) for src, neg in zip(srcs, negs)]
+        self.units = {(n - 1 - j) * lay.S: 1 << ((n - 1 - j) * lay.S) for j, rd in enumerate(readers) if not rd}
+        self.mask = sum(lay.slot << sh for sh in self.units)
+
+    def __call__(self, sub: SubspaceRep) -> SubspaceRep:
+        ar, rows = self.ar, []
+        for (pairs, down), neg in self.acts:
+            for y in sub.rows:
+                x = 0
+                for mask, up in pairs:
+                    x |= (y & mask) << up
+                x >>= down
+                rows.append(ar.axpy(x & ~neg, 1, x & neg) if neg else x)
+        by_slot = dict(self.units)
+        _insert(ar, by_slot, self.mask, rows)
+        low = self.n * ar.S
+        return _from_slots(self.field, self.n, ar.S, {sh: x for sh, x in by_slot.items() if sh < low})
 
 
 def zero_space(field: FieldSpec, ambient: int) -> SubspaceRep:

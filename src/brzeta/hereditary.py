@@ -169,7 +169,10 @@ def chain_degree_counts(q: int, dims: tuple[int, ...], room: int | None = None) 
     The chains with dim W_j = w_j number prod_{j>=2} [d_j - w_{j+1} choose w_j - w_{j+1}]_q.
     Only the w with sum_j (dims[0] - w_j) <= ``room`` are walked.  The default
     room, dims[0] * (n - 1), cuts nothing; a larger room is read as it, and
-    a negative one as -1, so the cache holds one entry per distinct cut.
+    a negative one as -1, so the cache holds one entry per distinct cut.  A
+    cut table is the cached uncut one restricted to the room when there is
+    one (w_1 - w_j is d_1 + ... + d_(j-1)); an uncut table is never built
+    in order to cut it.
     """
     dims = tuple(dims)
     cap = dims[0] * (len(dims) - 1)
@@ -177,13 +180,17 @@ def chain_degree_counts(q: int, dims: tuple[int, ...], room: int | None = None) 
     key = (q, dims, room)
     hit = _chain_count_cache.get(key)
     if hit is None:
-        hit = {}
-        for w in _descending(dims[0], dims[1:], room):
-            w = w + (0,)
-            count = 1
-            for j in range(1, len(dims)):
-                count *= gaussian_binomial(dims[j] - w[j + 1], w[j] - w[j + 1], q)
-            hit[tuple(w[j] - w[j + 1] for j in range(len(dims)))] = count
+        uncut = _chain_count_cache.get((q, dims, cap))
+        if uncut is not None:
+            hit = {d: c for d, c in uncut.items() if sum(accumulate(d[:-1])) <= room}
+        else:
+            hit = {}
+            for w in _descending(dims[0], dims[1:], room):
+                w = w + (0,)
+                count = 1
+                for j in range(1, len(dims)):
+                    count *= gaussian_binomial(dims[j] - w[j + 1], w[j] - w[j + 1], q)
+                hit[tuple(w[j] - w[j + 1] for j in range(len(dims)))] = count
         _chain_count_cache[key] = hit
     return hit
 

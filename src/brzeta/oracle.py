@@ -22,19 +22,26 @@ elimination: J maps a span of coordinate vectors onto the span of the
 coordinates the radical gathers write from it, which gives the nilpotency
 index and the generic length dim M/JM, and the alphabet follows from the
 field and the class count.  Every budget decision is made here: the node
-budget of :func:`submodules` and the per-class hyperplane count of
-:func:`maximal_submodules`; :mod:`brzeta.gfq` enumerates without policy.
-Submodules of colength <= B are streamed by :func:`submodules`, one
-generator that descends level by level to maximal submodules (the lattice
-technique of the MeatAxe: Lux, Mueller and Ringe, J. Symb. Comp. 17, 1994),
-deduplicating each level by the canonical echelon rows of its nodes; the
-maximal submodules of class i are the kernels of the functionals on X that
-vanish on JX and on the other classes' top rows, and their RREFs are read
-off X's and JX's with no echelonization per child.  JX is computed once
-per expanded node, which is yielded then with its top; a node at colength
-B is a leaf, yielded when first found and never stored, so the generator
-holds only the frontier still to expand and one set of row tuples for the
-level being built.  Nodes come level by level, unsorted.  A depth guard keeps
+budget of :func:`submodules` and the per-class line count of its step;
+:mod:`brzeta.gfq` enumerates without policy.
+Submodules of colength <= B are streamed by :func:`submodules`, which walks
+their annihilators.  X -> X^perp is an inclusion-reversing bijection onto
+the submodules of the dual module M*, where each generator acts by its
+transposed gather; each idempotent is a coordinate projection, so quotient
+classes are kept.
+So a node of colength k is a k-dimensional submodule Y of M*, and the walk
+rises level by level to its minimal supermodules (the lattice technique of
+the MeatAxe, which works on both sides of this duality: Lux, Mueller and
+Ringe, J. Symb. Comp. 17, 1994), deduplicating each level by the canonical
+echelon rows of its nodes, at most B packed ints each.  One solve per
+expanded node, the preimage P(Y) = (JX)^perp of Y under the dual generators,
+gives both the top of X (P's pivots per class less Y's) and the children
+Y + <v>, one per line of P e_i / Y e_i, whose RREFs are read off Y's and
+P's with no echelonization per child.  A node at colength B is a leaf,
+yielded when first found and never stored, so the generator holds only the
+frontier still to expand and one set of row tuples for the level being
+built.  X itself is read off Y on first use.  Nodes come level by level,
+unsorted.  A depth guard keeps
 truncation honest: when the model is a quotient of an infinite module by a
 kernel inside radical-power depth d, enumeration and labeling at colength <= B
 are faithful only if d >= B + 1, and that inequality is enforced rather than
@@ -48,6 +55,7 @@ to its tower of slice images ((M meet I^-j X) + IM)/IM.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -340,13 +348,13 @@ def radical_subspace(model: RingModel, rep: gfq.SubspaceRep) -> gfq.SubspaceRep:
     return gfq.zero_space(model.field, model.dim).extend(images)
 
 
-def _class_dims(model: RingModel, upper: gfq.SubspaceRep, lower: gfq.SubspaceRep) -> Monomial:
+def _class_dims(model: RingModel | _Dual, upper: gfq.SubspaceRep, lower: gfq.SubspaceRep) -> Monomial:
     """dim e_i(upper/lower) per class i, from the pivots of two submodules.
 
     Each idempotent e_i is the projection onto the coordinates of class i
     (``model.classes``), so a submodule X is the direct sum of its X e_i,
     every row of its RREF lies in one class's coordinates, and dim X e_i is
-    the number of X's pivots in class i.
+    the number of X's pivots in class i.  The same holds in the dual module.
     """
     dims = [0] * model.n_classes
     for c in upper.pivots:
@@ -376,43 +384,84 @@ def composition_class(model: RingModel, upper: gfq.SubspaceRep, lower: gfq.Subsp
     return _class_dims(model, upper, lower)
 
 
-def maximal_submodules(
-    model: RingModel, rep: gfq.SubspaceRep, budget: int = DEFAULT_NODE_BUDGET, jx: gfq.SubspaceRep | None = None
-) -> list[tuple[gfq.SubspaceRep, int]]:
-    """All maximal submodules of X, each tagged with its simple quotient class.
+def _dual_gather(src) -> tuple[int, ...]:
+    """The gather of a generator's transpose on M*, whose coordinate k pairs with M's n-1-k.
 
-    A maximal submodule of class i is the kernel of a nonzero functional on X
-    that vanishes on JX and on every X e_j, j != i: the ring acts on X/JX
-    through scalars on each class, so every such kernel is stable.  They are
-    the hyperplanes of X over JX plus the rows at X's other top pivots, built
-    from X's and JX's RREF by :meth:`gfq.SubspaceRep.hyperplanes`.  Class i
-    has (q^d - 1)/(q - 1) of them for d top pivots in the class, and that
-    count is checked against ``budget`` before the class is built.  ``jx``
-    passes in ``radical_subspace(model, rep)`` when the caller has it.
+    <x g, y> = <x, y h> for h[n-1-src[j]] = n-1-j: each source of ``src``
+    becomes a target, both read backwards.
     """
-    jx = radical_subspace(model, rep) if jx is None else jx
-    below = set(jx.pivots)
-    cols = [[] for _ in range(model.n_classes)]
-    for c in rep.pivots:
-        if c not in below:
-            cols[model.classes[c]].append(c)
-    q, out = model.field.q, []
-    for i, ci in enumerate(cols):
-        if not ci:
-            continue
-        count = (q ** len(ci) - 1) // (q - 1)
-        if count > budget:
-            raise ResourceBudgetError("subspace enumeration too large", required=count, budget=budget)
-        out += [(child, i) for child in rep.hyperplanes(jx, ci)]
-    return out
+    n, out = len(src), [-1] * len(src)
+    for j, k in enumerate(src):
+        if k >= 0:
+            out[n - 1 - k] = n - 1 - j
+    return tuple(out)
+
+
+class _Dual:
+    """The dual module M* that :func:`submodules` walks.
+
+    Coordinate k of M* pairs with coordinate n-1-k of M, so X^perp is
+    :meth:`gfq.SubspaceRep.annihilator`, with no elimination; each radical
+    generator acts on M* by its transposed gather, and coordinate k has the
+    class of n-1-k (``classes`` and ``n_classes``, as a model holds them,
+    so :func:`_class_dims` reads them).  For a submodule Y = X^perp, the
+    preimage P(Y) = {f : f h in Y for every dual generator h} is (JX)^perp,
+    one :class:`gfq.Preimage` solve that gives both the top of X and the
+    minimal submodules over Y.
+    """
+
+    def __init__(self, model: RingModel):
+        self.classes, self.n_classes, self.q = model.classes[::-1], model.n_classes, model.field.q
+        self.preimage = gfq.Preimage(model.field, model.dim, [_dual_gather(src) for src in model.gens.values()])
+
+    def top(self, ann: gfq.SubspaceRep, p: gfq.SubspaceRep | None = None) -> Monomial:
+        """top(X)_i = dim_i P(Y) - dim_i Y for Y = X^perp; ``p`` passes in P(Y) when the caller has it.
+
+        X/JX is dual to P(Y)/Y, class by class.
+        """
+        return _class_dims(self, self.preimage(ann) if p is None else p, ann)
+
+    def children(self, ann: gfq.SubspaceRep, p: gfq.SubspaceRep, budget: int):
+        """Each Y + <v> for a line v of P_i(Y)/Y_i, tagged with its class i.
+
+        Y + <v> is a submodule with Y + <v>/Y simple of class i exactly when v
+        lies in P(Y) e_i, and every minimal submodule over Y is one of them:
+        (Y + <v>)^perp is a maximal submodule of X.  Class i has
+        (q^d - 1)/(q - 1) of them for d = top(X)_i, and that count is
+        checked against ``budget`` before the class is built.
+        """
+        below = set(ann.pivots)
+        cols = [[] for _ in range(self.n_classes)]
+        for c in p.pivots:
+            if c not in below:
+                cols[self.classes[c]].append(c)
+        out = []
+        for i, ci in enumerate(cols):
+            if ci:
+                count = (self.q ** len(ci) - 1) // (self.q - 1)
+                if count > budget:
+                    raise ResourceBudgetError("subspace enumeration too large", required=count, budget=budget)
+                out += [(child, i) for child in p.lines(ann, ci)]
+        return out
 
 
 @dataclass
 class SubmoduleNode:
-    rep: gfq.SubspaceRep
+    """A submodule X, held as its annihilator Y = X^perp in M* (see :class:`_Dual`).
+
+    ``rep`` is X itself, read off Y on first use and kept: the fiber charts,
+    Jordan types and typed submodules read it, a count of classes never does.
+    """
+
+    ann: gfq.SubspaceRep  # Y = X^perp, a submodule of M*
     colength: int
     cls: Monomial  # composition class of (start module)/X
     top: Monomial | None = None  # top class of X, set when X is expanded (colength < bound)
+
+    @functools.cached_property
+    def rep(self) -> gfq.SubspaceRep:
+        """X itself, read off its annihilator on first use."""
+        return self.ann.annihilator()
 
 
 def submodules(
@@ -423,20 +472,24 @@ def submodules(
 ) -> Iterator[SubmoduleNode]:
     """Yield each submodule of ``start`` (default M) of colength <= bound once, with its class.
 
-    Descends level by level through maximal submodules; a node found at
-    level k has colength exactly k, so levels never collide and each level
-    is deduplicated on its own, by the RREF rows of its nodes.  A node of
-    colength < bound is yielded when it is expanded, with the top class its
-    JX gives; a node at the bound is a leaf, yielded as soon as it is first
-    found, with ``top=None``, and not kept.  The generator holds only the
-    frontier (the nodes still to expand: the rest of the level being
-    expanded and the part of the next level below the bound) and, for the
-    level being built, the set of RREF rows found on it.  The yield order is
-    level by level, each parent before the children first found under it;
-    it is not sorted.  The root counts against ``budget`` like every other
-    node.  The depth guard rejects truncation models too shallow to label
-    colength-``bound`` quotients faithfully; it and every budget refusal are
-    raised during iteration.
+    X <-> X^perp reverses inclusion and keeps quotient classes, since each
+    idempotent is a coordinate projection: so the submodules of ``start`` of
+    colength k are the submodules Y >= start^perp of M* with
+    dim Y/start^perp = k.  The walk rises level by level to minimal
+    supermodules Y + <v>; a node found at level k has colength exactly k, so
+    levels never collide and each level is deduplicated on its own, by the
+    RREF rows of its annihilators.  A node of colength < bound is yielded when it is
+    expanded, with the top class that P(Y) = (JX)^perp gives; a node at the
+    bound is a leaf, yielded as soon as it is first found, with
+    ``top=None``, and not kept.  The generator holds only the frontier (the
+    nodes still to expand: the rest of the level being expanded and the part
+    of the next level below the bound) and, for the level being built, the
+    set of RREF rows found on it.  The yield order is level by level, each
+    parent before the children first found under it; it is not sorted.  The
+    root counts against ``budget`` like every other node.  The depth guard
+    rejects truncation models too shallow to label colength-``bound``
+    quotients faithfully; it and every budget refusal are raised during
+    iteration.
     """
     if bound < 0:
         raise SchemaError(f"colength bound must be >= 0, got {bound}")
@@ -445,7 +498,9 @@ def submodules(
             f"model depth {model.depth} cannot certify colength {bound}; "
             f"need depth >= {bound + 1}"
         )
-    root = SubmoduleNode(start if start is not None else model.full(), 0, (0,) * model.n_classes)
+    dual = _Dual(model)
+    root_ann = gfq.zero_space(model.field, model.dim) if start is None else start.annihilator()
+    root = SubmoduleNode(root_ann, 0, (0,) * model.n_classes)
     found = 1
     if found > budget:
         raise ResourceBudgetError("submodule lattice too large", required=found, budget=budget)
@@ -454,21 +509,21 @@ def submodules(
         seen: set[tuple[int, ...]] = set()
         for _ in range(len(frontier)):
             parent = frontier.popleft()
-            jx = radical_subspace(model, parent.rep)
-            parent.top = top_class(model, parent.rep, jx)
+            p = dual.preimage(parent.ann)
+            parent.top = dual.top(parent.ann, p)
             yield parent
-            for child, bi in maximal_submodules(model, parent.rep, budget, jx):
+            up = [tuple(c + (i == bi) for i, c in enumerate(parent.cls)) for bi in range(model.n_classes)]
+            for child, bi in dual.children(parent.ann, p, budget):
                 if child.rows in seen:
                     continue
                 seen.add(child.rows)
                 found += 1
                 if found > budget:
                     raise ResourceBudgetError("submodule lattice too large", required=found, budget=budget)
-                cls = tuple(c + (1 if i == bi else 0) for i, c in enumerate(parent.cls))
                 if level < bound:
-                    frontier.append(SubmoduleNode(child, level, cls))
+                    frontier.append(SubmoduleNode(child, level, up[bi]))
                 else:
-                    yield SubmoduleNode(child, level, cls)
+                    yield SubmoduleNode(child, level, up[bi])
     yield from frontier  # the root, when bound is 0; empty otherwise
 
 
@@ -499,10 +554,11 @@ def empirical_zeta(
     else:
         alphabet = model.alphabet
         out_bound = bound
+    dual = _Dual(model)
     coeffs: dict[Monomial, int] = {}
     for node in submodules(model, bound, budget=budget):
         if partial is not None or joint:
-            top = node.top if node.top is not None else top_class(model, node.rep)
+            top = node.top if node.top is not None else dual.top(node.ann)
         if partial is not None and top != partial:
             continue
         key = node.cls + top if joint else node.cls

@@ -196,6 +196,89 @@ class TestExtend:
             gfq.zero_space(f, 3).extend([gfq.pack(f, [1, 0, 0, 0])])
 
 
+def _vectors(f, n):
+    """Every packed vector of F_q^n."""
+    return [gfq.pack(f, v) for v in product(range(f.q), repeat=n)]
+
+
+def _random_space(rng, f, n):
+    rows = _random_matrix(rng, f.q, rng.randint(0, n), n)
+    if rng.random() < 0.5:  # sparse rows
+        rows = [[0 if rng.random() < 0.6 else x for x in row] for row in rows]
+    return gfq.SubspaceRep.from_rows(f, n, _packed(f, rows))
+
+
+def _pairing(f, n, x, y):
+    """sum_k x[k] y[n-1-k], the pairing that ``annihilator`` is taken under."""
+    t = gfq.tables(f)
+    s = 0
+    for a, b in zip(gfq.unpack(f, n, x), reversed(gfq.unpack(f, n, y))):
+        s = t.add[s][t.mul[a][b]]
+    return s
+
+
+def _gathered(f, n, x, src):
+    """x times a gather, on unpacked entries."""
+    v = gfq.unpack(f, n, x)
+    return gfq.pack(f, [v[j] if j >= 0 else 0 for j in src])
+
+
+class TestDualSteps:
+    """The annihilator, the common preimage and the lines over a subspace, against brute force."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+    def test_annihilator_is_the_orthogonal_space(self, q):
+        f = gfq.GF(q)
+        rng = random.Random(300 + q)
+        for _ in range(12):
+            n = rng.randint(0, 4 if q > 4 else 5)
+            y = _random_space(rng, f, n)
+            x = y.annihilator()
+            want = [v for v in _vectors(f, n) if all(_pairing(f, n, v, b) == 0 for b in y.rows)]
+            assert x == gfq.SubspaceRep.from_rows(f, n, want) and x.dim == n - y.dim
+            assert x == gfq.SubspaceRep.from_rows(f, n, x.rows)  # canonical as it stands
+            assert x.annihilator() == y
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+    def test_preimage_of_partial_permutations(self, q):
+        f = gfq.GF(q)
+        rng = random.Random(400 + q)
+        for _ in range(12):
+            n = rng.randint(1, 4 if q > 4 else 5)
+            gathers = []
+            for _ in range(rng.randint(0, 3)):
+                src = rng.sample(range(n), rng.randint(0, n))
+                src += [-1] * (n - len(src))
+                rng.shuffle(src)
+                gathers.append(tuple(src))
+            y = _random_space(rng, f, n)
+            got = gfq.Preimage(f, n, gathers)(y)
+            want = [v for v in _vectors(f, n) if not any(y.reduce([_gathered(f, n, v, h) for h in gathers]))]
+            assert got == gfq.SubspaceRep.from_rows(f, n, want), gathers
+            assert got == gfq.SubspaceRep.from_rows(f, n, got.rows)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_lines_over_a_subspace(self, q):
+        f = gfq.GF(q)
+        rng = random.Random(500 + q)
+        for _ in range(12):
+            n = rng.randint(1, 6)
+            space = _random_space(rng, f, n)
+            picks = _random_matrix(rng, q, rng.randint(0, space.dim), space.dim)
+            sub = gfq.SubspaceRep.from_rows(f, n, ref.mat_mul(f, _packed(f, picks), space.rows, n))
+            free = [c for c in space.pivots if c not in sub.pivots]
+            cols = sorted(rng.sample(free, rng.randint(0, len(free))))
+            at = dict(zip(space.pivots, space.rows))
+            spans = ref.mat_mul(f, _vectors(f, len(cols))[1:], [at[c] for c in cols], n) if cols else []
+            want = {gfq.SubspaceRep.from_rows(f, n, [*sub.rows, v]) for v in spans}
+            got = space.lines(sub, cols)
+            assert len(got) == len(want) == (q ** len(cols) - 1) // (q - 1)
+            assert set(got) == want
+            for rep in got:  # canonical as built
+                canon = gfq.SubspaceRep.from_rows(f, n, rep.rows)
+                assert (rep.rows, rep.pivots) == (canon.rows, canon.pivots)
+
+
 class TestChains:
     """Chains V_1 >= W_2, W_2 <= V_2 of a two-layer filtered space over F_2.
 

@@ -361,6 +361,23 @@ def test_walks_cut_only_terms_past_the_bound(lattice):
             assert her.chain_degree_counts(q, dims, room) == want, (q, dims, room)
 
 
+@pytest.mark.parametrize("lattice", _off_grid_lattices(), ids=chk._grid_label)
+def test_cut_chain_table_filters_a_cached_uncut_one(lattice, monkeypatch):
+    """With the uncut chain table of (q, dims) cached, a cut request restricts
+    it to the room without walking, and gets the table the walk gives."""
+    q, n = lattice.q, lattice.n
+    for dims in {dims for dims, _ in her.stratum_counts(lattice)}:
+        for room in range(-2, dims[0] * (n - 1) + 2):
+            monkeypatch.setattr(her, "_chain_count_cache", {})
+            walked = her.chain_degree_counts(q, dims, room)
+            monkeypatch.setattr(her, "_chain_count_cache", {})
+            her.chain_degree_counts(q, dims)
+            with monkeypatch.context() as m:
+                m.setattr(her, "_descending", None)  # a walk would call it
+                filtered = her.chain_degree_counts(q, dims, room)
+            assert filtered == walked, (q, dims, room)
+
+
 def _drawn_lattices(count=25, seed=20261020):
     """Lattices beyond the verify grid: q in {2, 3, 4}, n <= 4, r <= 3, and a
     z_bound of at most 2, which keeps the oracle's model small."""

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import random
 import weakref
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -14,6 +15,7 @@ import brzeta.oracle as orc
 import brzeta.prolif as pr
 from brzeta.errors import ResourceBudgetError, SchemaError
 from brzeta.hey import SemisimpleData, hey_product
+from brzeta.series import TruncatedSeries
 
 import gfq_reference as ref
 
@@ -413,16 +415,23 @@ class TestModelFromJson:
             orc.model_from_json({"kind": "chain", "c": 2})
 
 
+def _maximal_submodules(model, x, budget=orc.DEFAULT_NODE_BUDGET):
+    """The walk's step from X: each (X', class) over a minimal Y' > X^perp of the dual module."""
+    dual = orc._Dual(model)
+    ann = x.annihilator()
+    return [(child.annihilator(), i) for child, i in dual.children(ann, dual.preimage(ann), budget)]
+
+
 class TestMaximalSubmodules:
     def test_free_rank_two_has_line_count_of_plane(self):
         m = orc.chain_module(2, 3, rank=2)
-        out = orc.maximal_submodules(m, m.full())
+        out = _maximal_submodules(m, m.full())
         assert len(out) == 3
         assert {bi for _, bi in out} == {0}
 
     def test_two_class_top_gives_one_per_class(self):
         m = orc.triangular_module(2, 2, 2, (1, 2))
-        out = orc.maximal_submodules(m, m.full())
+        out = _maximal_submodules(m, m.full())
         assert len(out) == 2
         assert {bi for _, bi in out} == {0, 1}
 
@@ -468,7 +477,7 @@ class TestMaximalSubmodules:
                 # X/H is simple: exactly one class moves X out of H
                 (cls,) = [i for i, image in enumerate(class_images) if not h.contains(image)]
                 want.add((h, cls))
-            got = orc.maximal_submodules(model, x)
+            got = _maximal_submodules(model, x)
             assert len(got) == len(want)
             assert set(got) == want
 
@@ -476,20 +485,22 @@ class TestMaximalSubmodules:
     def test_top_matches_reference_on_random_submodules(self, q):
         rng = random.Random(40 + q)
         for model in _models(q):
+            dual = orc._Dual(model)
             for count in (1, 1, 2, 3):
                 rows = _random_rows(rng, model, count)
                 if rng.random() < 0.5:  # sparse rows generate deeper submodules
                     rows = [[0 if rng.random() < 0.8 else x for x in row] for row in rows]
                 x = _fixed_point_closure(model, _packed(model.field, rows))
-                assert orc.top_class(model, x) == _reference_top(model, x), model.kind
+                want = _reference_top(model, x)
+                assert dual.top(x.annihilator()) == orc.top_class(model, x) == want, model.kind
 
     @pytest.mark.parametrize("q, rank", [(2, 3), (3, 3), (4, 2)])
     def test_budget_counts_projective_points(self, q, rank):
         model = orc.chain_module(q, 2, rank=rank)
         points = (q**rank - 1) // (q - 1)  # hyperplanes of the rank-dimensional top
-        assert len(orc.maximal_submodules(model, model.full(), budget=points)) == points
+        assert len(_maximal_submodules(model, model.full(), budget=points)) == points
         with pytest.raises(ResourceBudgetError) as err:
-            orc.maximal_submodules(model, model.full(), budget=points - 1)
+            _maximal_submodules(model, model.full(), budget=points - 1)
         assert err.value.required == points
 
 
@@ -583,8 +594,12 @@ class TestLatticeAgainstBruteForce:
             (orc.local2d_module(2, 3), 2),
             (orc.triangular_module(2, 2, 2, (1, 2)), 2),
             (dataclasses.replace(orc.skew_module(2, 2, 1, 2), exact=True), 2),
+            (orc.triangular_module(4, 2, 2, (1,)), 2),
+            (orc.chain_module(9, 2, rank=2, exact=True), 2),
+            # two generators that both read the coordinate of ut in the dual
+            (orc.local2d_module(3, 3), 2),
         ],
-        ids=["chain", "local2d", "triangular-n2", "skew"],
+        ids=["chain", "local2d", "triangular-n2", "skew", "triangular-q4", "chain-q9", "local2d-q3"],
     )
     def test_yields_each_stable_subspace_once(self, model, bound):
         full = model.full()
@@ -593,9 +608,40 @@ class TestLatticeAgainstBruteForce:
         nodes = list(orc.submodules(model, bound))
         assert len(nodes) == len({node.rep for node in nodes}) == len(want)
         assert {node.rep for node in nodes} == want
+        tops = {h: _reference_top(model, h) for h in want}
+        dual = orc._Dual(model)
         for node in nodes:
             assert node.colength == model.dim - node.rep.dim
             assert node.cls == orc.composition_class(model, full, node.rep)
+            assert node.top == (None if node.colength == bound else tops[node.rep])
+            assert dual.top(node.ann) == tops[node.rep]  # how a joint count reads a leaf's top
+        joint = orc.empirical_zeta(model, bound, joint=True)
+        want_joint = Counter(orc.composition_class(model, full, h) + top for h, top in tops.items())
+        assert joint == TruncatedSeries(joint.alphabet, joint.bound, want_joint)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_submodules_of_a_submodule(self, q):
+        """With ``start`` = A, the walk and the typed submodules of A against every stable subspace of A."""
+        model = orc.chain_module(q, 2, rank=2, exact=True)
+        units = model.full().rows
+        ambient = _fixed_point_closure(model, [units[0], units[3]])  # type (2, 1)
+        subspaces = ref.enumerate_subspaces(model.field, model.dim)
+        stable = [h for h in subspaces if ambient.contains(h) and _is_fixed_point(model, h)]
+        nodes = list(orc.submodules(model, 2, start=ambient))
+        assert {node.rep for node in nodes} == {h for h in stable if h.dim >= ambient.dim - 2}
+        assert len(nodes) == len({node.rep for node in nodes})
+        for node in nodes:
+            assert node.colength == ambient.dim - node.rep.dim
+            assert node.cls == orc.composition_class(model, ambient, node.rep)
+        for sub_t in ((), (1,), (2,), (1, 1), (2, 1)):
+            for quo_t in ((1,), (2,), (1, 1), (2, 1), (3,)):
+                want = {
+                    h
+                    for h in stable
+                    if orc.jordan_type(model, h) == sub_t and orc.jordan_type(model, ambient, lower=h) == quo_t
+                }
+                got = list(orc.typed_submodules(model, ambient, sub_t, quo_t))
+                assert len(got) == len(want) and set(got) == want, (sub_t, quo_t)
 
 
 class TestJordanAndHall:
