@@ -16,11 +16,13 @@ a tuple comparison.  Reducing a row against an RREF basis reads its
 entries at the basis pivots once and visits only the nonzero ones.
 ``SubspaceRep.extend`` is the one echelon routine: it inserts rows one at a
 time into a reduced basis, which stays reduced after every row, so the
-basis is never reduced again.  ``from_rows`` extends the zero space, a sum
-of subspaces is one ``extend``, :func:`left_kernel` extends the zero
-space by ``[mat | I]``, and :class:`Preimage` inserts one wide row per
-unknown of its system into a basis seeded with unit vectors.  No
-intersection and no product of general matrices is computed here.  Three
+basis is never reduced again.  A span of rows extends the zero space, a
+sum of subspaces is one ``extend``, and :class:`Preimage` inserts one wide row
+per unknown of its system into a basis seeded with unit vectors.  No
+kernel, no general intersection and no product of general matrices is
+computed here: the one intersection the oracle needs, a span with a span
+of unit vectors, is an ``extend`` of the gathered rows with those unit
+coordinates moved last.  Three
 routines serve the brute-force oracle's walk over annihilators:
 ``SubspaceRep.annihilator``, read off the RREF under the pairing of
 coordinate k with n-1-k; :class:`Preimage`, the common preimage of a
@@ -377,10 +379,6 @@ class SubspaceRep:
         self._key = (field, ambient, self.rows)
         self._index = None
 
-    @classmethod
-    def from_rows(cls, field: FieldSpec, ambient: int, mat) -> "SubspaceRep":
-        return zero_space(field, ambient).extend(mat)
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -402,11 +400,6 @@ class SubspaceRep:
             self._index = (ar, sum(ar.slot << sh for sh in by_slot), by_slot)
         return self._index
 
-    def reduce(self, mat) -> list[int]:
-        """Eliminate this space's pivot columns from the given packed rows (a copy)."""
-        ar, mask, by_slot = self._eliminator()
-        return [_reduced(ar, x, mask, by_slot) for x in mat]
-
     def extend(self, mat) -> "SubspaceRep":
         """This space plus the row space of ``mat``; ``self`` if nothing is new.
 
@@ -421,11 +414,6 @@ class SubspaceRep:
         if len(by_slot) == self.dim:
             return self
         return _from_slots(self.field, n, ar.S, by_slot)
-
-    def contains(self, other: "SubspaceRep") -> bool:
-        if other.dim > self.dim:
-            return False
-        return not any(self.reduce(other.rows))
 
     def lines(self, sub: "SubspaceRep", cols) -> list["SubspaceRep"]:
         """Every sub + <v>, one per line <v> of the span of this space's rows at ``cols``.
@@ -549,13 +537,3 @@ def zero_space(field: FieldSpec, ambient: int) -> SubspaceRep:
 def full_space(field: FieldSpec, ambient: int) -> SubspaceRep:
     return SubspaceRep(field, ambient, _units(field, ambient), range(ambient))
 
-
-def left_kernel(field: FieldSpec, mat, n: int) -> SubspaceRep:
-    """All row vectors v with v·mat = 0 for width-``n`` rows; ambient = number of rows of mat."""
-    k = len(mat)
-    S = _layout(field).S
-    # [mat | identity]: the identity fills the low k slots
-    aug = zero_space(field, n + k).extend([(x << (k * S)) | unit for x, unit in zip(mat, _units(field, k))])
-    # rows pivoting in the identity block are zero on the mat block
-    kernel = [(x, c - n) for x, c in zip(aug.rows, aug.pivots) if c >= n]
-    return SubspaceRep(field, k, [x for x, _ in kernel], [c for _, c in kernel])

@@ -13,10 +13,10 @@ held as a gather tuple and compiled once to masked shifts of packed rows,
 one per displacement.  Each radical generator
 normalizes the ring (the relations :func:`validate_model` checks on every
 constructed model, stated on the classes), so the radical JX of a submodule
-X is the span of X's images, one ``extend`` with no closure to compute.  The
-idempotent of class i is the projection onto that class's coordinates, so
-the RREF rows of a submodule lie in one class's coordinates each, and the
-top class of X is X's pivots per class less JX's.
+X is the span of X's images, with no closure to compute.  The idempotent of
+class i is the projection onto that class's coordinates, so the RREF rows
+of a submodule lie in one class's coordinates each, and a class count of a
+submodule or a quotient is a count of pivots per class.
 What does not depend on a submodule is read off the gathers with no
 elimination: J maps a span of coordinate vectors onto the span of the
 coordinates the radical gathers write from it, which gives the nilpotency
@@ -40,8 +40,8 @@ Y + <v>, one per line of P e_i / Y e_i, whose RREFs are read off Y's and
 P's with no echelonization per child.  A node at colength B is a leaf,
 yielded when first found and never stored, so the generator holds only the
 frontier still to expand and one set of row tuples for the level being
-built.  X itself is read off Y on first use.  Nodes come level by level,
-unsorted.  A depth guard keeps
+built.  X itself is read off Y only for Jordan types.  Nodes come level
+by level, unsorted.  A depth guard keeps
 truncation honest: when the model is a quotient of an infinite module by a
 kernel inside radical-power depth d, enumeration and labeling at colength <= B
 are faithful only if d >= B + 1, and that inequality is enforced rather than
@@ -49,7 +49,9 @@ assumed.
 
 Also here: Jordan types and Hall numbers over chain models, chain counting
 with prescribed isomorphism types, and the fiber chart sending a submodule X
-to its tower of slice images ((M meet I^-j X) + IM)/IM.
+to its tower of slice images ((M meet I^-j X) + IM)/IM, read off Y: each
+level is dual to the span of Y's images under a power of the dual slice
+generator, met with the slice's dual coordinates, one ``extend`` per level.
 """
 
 from __future__ import annotations
@@ -296,11 +298,13 @@ def validate_model(model: RingModel) -> int:
 
     :func:`_labelled_model` runs it on every model it builds, so every
     constructor's model is checked: the relations are the premise of
-    :func:`radical_subspace`.  They are stated on the classes, since the
-    idempotent e_i is the projection onto the coordinates of class i.  The
-    index is read off the gathers: each J^k M is spanned by coordinate
-    vectors, and :func:`_radical_coords` steps from J^k M to J^(k+1) M with
-    no elimination.
+    :class:`_Dual`, whose preimage P(Y) is (JX)^perp only because the span
+    of X's images under the radical generators is already a submodule, and
+    so is JX.  They are stated on the classes, since the idempotent e_i is
+    the projection onto the coordinates of class i.  The index is read off
+    the gathers: each J^k M is spanned by coordinate vectors, and
+    :func:`_radical_coords` steps from J^k M to J^(k+1) M with no
+    elimination.
     """
     gens = model.gens
     if model.kind == "local2d":
@@ -333,21 +337,6 @@ def validate_model(model: RingModel) -> int:
 # -- submodule machinery -------------------------------------------------------
 
 
-def radical_subspace(model: RingModel, rep: gfq.SubspaceRep) -> gfq.SubspaceRep:
-    """J X for a submodule X: the span of the radical generators' images of X.
-
-    That span is already a submodule.  For each radical generator g and each
-    generator b the ring has g b = a g for some a: each idempotent e_i is the
-    projection onto the coordinates of class i, u and t commute,
-    e_i g = g e_{i+1} (g moves class i + 1 to class i), and t is central
-    (relations that :func:`validate_model` checks and a slice model inherits
-    as the induced action on M/IM).  So (X g) b = (X a) g lies in X g, and
-    one ``extend`` of the images gives J X with no closure to compute.
-    """
-    images = [img for act in model.acts.values() for img in _mm(rep.rows, act)]
-    return gfq.zero_space(model.field, model.dim).extend(images)
-
-
 def _class_dims(model: RingModel | _Dual, upper: gfq.SubspaceRep, lower: gfq.SubspaceRep) -> Monomial:
     """dim e_i(upper/lower) per class i, from the pivots of two submodules.
 
@@ -362,26 +351,6 @@ def _class_dims(model: RingModel | _Dual, upper: gfq.SubspaceRep, lower: gfq.Sub
     for c in lower.pivots:
         dims[model.classes[c]] -= 1
     return tuple(dims)
-
-
-def top_class(model: RingModel, rep: gfq.SubspaceRep, jx: gfq.SubspaceRep | None = None) -> Monomial:
-    """Multiplicity of each simple class in X/JX: X's pivots in the class less JX's.
-
-    ``jx`` passes in ``radical_subspace(model, rep)`` when the caller has it.
-    """
-    return _class_dims(model, rep, radical_subspace(model, rep) if jx is None else jx)
-
-
-def composition_class(model: RingModel, upper: gfq.SubspaceRep, lower: gfq.SubspaceRep) -> Monomial:
-    """Composition multiplicities of upper/lower, one slot per simple class.
-
-    The idempotent is exact on composition factors and every simple here is
-    one-dimensional over its block, so the multiplicity of class i is just
-    the F_q-dimension of e_i(upper/lower).
-    """
-    if not upper.contains(lower):
-        raise SchemaError("composition class needs lower <= upper")
-    return _class_dims(model, upper, lower)
 
 
 def _dual_gather(src) -> tuple[int, ...]:
@@ -449,8 +418,8 @@ class _Dual:
 class SubmoduleNode:
     """A submodule X, held as its annihilator Y = X^perp in M* (see :class:`_Dual`).
 
-    ``rep`` is X itself, read off Y on first use and kept: the fiber charts,
-    Jordan types and typed submodules read it, a count of classes never does.
+    ``rep`` is X itself, read off Y on first use and kept: Jordan types and
+    typed submodules read it; a count of classes and a fiber chart never do.
     """
 
     ann: gfq.SubspaceRep  # Y = X^perp, a submodule of M*
@@ -554,10 +523,11 @@ def empirical_zeta(
     else:
         alphabet = model.alphabet
         out_bound = bound
-    dual = _Dual(model)
+    # leaf tops are read only by a joint or partial count
+    dual = _Dual(model) if partial is not None or joint else None
     coeffs: dict[Monomial, int] = {}
     for node in submodules(model, bound, budget=budget):
-        if partial is not None or joint:
+        if dual is not None:
             top = node.top if node.top is not None else dual.top(node.ann)
         if partial is not None and top != partial:
             continue
@@ -642,21 +612,27 @@ def chain_type_count(model: RingModel, ambient: gfq.SubspaceRep, steps) -> int:
 
 
 class FiberContext:
-    """Slice data for the chart X -> ((M meet I^-j X) + IM)/IM.
+    """Slice data for the chart X -> ((M meet I^-j X) + IM)/IM, read off Y = X^perp.
 
     Built once per model: the coordinates ``free`` that the generator's
     gather never writes (its image IM is spanned by the unit vectors e_k
     with gather[k] >= 0, so the other coordinates are the slice M/IM), the
-    induced slice model, and the cached powers of the generator's matrix.
+    induced slice model and its dual, and one compiled gather per level of
+    the tower.  The slice's dual (M/IM)* = (IM)^perp is spanned by the
+    coordinates n-1-k of M* for k in ``free``: its coordinate p pairs with
+    slice coordinate nf-1-p, so it is M*'s coordinate n-1-free[nf-1-p], and
+    these rise with p.  Level j's gather acts by h^j, for h the transposed
+    gather of the generator, and then moves those coordinates last, in
+    order; the levels stop at the first power of h that is zero.
     """
 
     def __init__(self, model: RingModel):
         if model.slice_gen is None:
             raise SchemaError(f"model kind {model.kind} has no designated ideal generator")
         self.model = model
-        f = model.field
+        f, n = model.field, model.dim
         gen = model.gens[model.slice_gen]
-        self.free = [k for k in range(model.dim) if gen[k] < 0]
+        self.free = [k for k in range(n) if gen[k] < 0]
         pos = {c: j for j, c in enumerate(self.free)}
         self.slice_model = RingModel(
             kind=f"{model.kind}_slice",
@@ -666,39 +642,43 @@ class FiberContext:
             depth=model.depth,
             exact=model.exact,
         )
-        self.slice_full = gfq.full_space(f, len(self.free))
-        self._project = gfq.compile_gather(f, model.dim, tuple(self.free))
-        self._powers = [list(model.full().rows)]
+        self.slice_dual = _Dual(self.slice_model)
+        wall = [n - 1 - k for k in reversed(self.free)]
+        src, h = tuple(sorted(set(range(n)).difference(wall)) + wall), _dual_gather(gen)
+        self._levels = [gfq.compile_gather(f, n, src)]
+        while any(k >= 0 for k in src):
+            src = _compose(h, src)
+            self._levels.append(gfq.compile_gather(f, n, src))
 
-    def _power(self, j: int) -> list[int]:
-        while len(self._powers) <= j:
-            self._powers.append(_mm(self._powers[-1], self.model.acts[self.model.slice_gen]))
-        return self._powers[j]
+    def chart(self, ann: gfq.SubspaceRep, max_level: int) -> ChainData:
+        """Class-level chain data of the slice tower of X = ann^perp; must stabilize.
 
-    def project(self, rows) -> list[int]:
-        """Slice coordinates of each packed row: its entries off IM."""
-        return _mm(rows, self._project)
-
-    def chart(self, rep: gfq.SubspaceRep, max_level: int) -> ChainData:
-        """Class-level chain data of the slice tower of X; must stabilize."""
-        f = self.model.field
-        towers = []
+        v u^j lies in X exactly when v pairs to 0 with Y h^j, so
+        (X : u^j)^perp = span(Y h^j), and the dual of level j of the tower is
+        its wall W_j = span(Y h^j) meet (M/IM)*: the RREF rows of Y's rows
+        under level j's gather that pivot among the last nf coordinates,
+        already in the slice's dual coordinates.  The tower reaches the
+        whole slice where W_j = 0.  The top of level j is the slice dual's
+        top of W_j, and the quotient of levels j + 1 and j is dual to
+        W_j / W_(j+1), class by class.
+        """
+        f, n = self.model.field, self.model.dim
+        cut = n - len(self.free)
+        zero = gfq.zero_space(f, n)
+        walls = []
         for j in range(max_level + 1):
-            pre = gfq.left_kernel(f, rep.reduce(self._power(j)), self.model.dim)
-            y = gfq.SubspaceRep.from_rows(f, len(self.free), self.project(pre.rows))
-            towers.append(y)
-            if y == self.slice_full:
+            span = zero.extend(_mm(ann.rows, self._levels[j]))
+            last = [(x, c - cut) for x, c in zip(span.rows, span.pivots) if c >= cut]
+            walls.append(gfq.SubspaceRep(f, len(self.free), [x for x, _ in last], [c for _, c in last]))
+            if not last:
                 break
         else:
             raise SchemaError(
                 f"slice tower did not stabilize within {max_level} levels; "
                 "raise the model depth"
             )
-        tops = tuple(top_class(self.slice_model, y) for y in towers)
-        quots = tuple(
-            composition_class(self.slice_model, towers[j + 1], towers[j])
-            for j in range(len(towers) - 1)
-        )
+        tops = tuple(self.slice_dual.top(w) for w in walls)
+        quots = tuple(_class_dims(self.slice_dual, walls[j], walls[j + 1]) for j in range(len(walls) - 1))
         return ChainData(tops, quots)
 
 
@@ -709,7 +689,7 @@ def fiber_partition(
     ctx = FiberContext(model)
     out: dict[ChainData, list[SubmoduleNode]] = {}
     for node in submodules(model, bound, budget=budget):
-        chain = ctx.chart(node.rep, bound)
+        chain = ctx.chart(node.ann, bound)
         out.setdefault(chain, []).append(node)
     return out
 

@@ -1,9 +1,10 @@
 """Reference linear algebra on packed GF(q) rows that only the tests use.
 
-The oracle needs neither a product of general matrices nor an enumeration
-of all subspaces, so these two live here: the tests build generator
-matrices and brute-force hyperplane sets with them, as an independent check
-of the oracle's kernels.
+The oracle needs neither a product of general matrices, nor an enumeration
+of all subspaces, nor a left kernel, so these three live here: the tests
+build generator matrices and brute-force hyperplane sets with the first two,
+as an independent check of the oracle's kernels, and the X-side fiber chart
+of ``tests/oracle_reference.py`` solves one left kernel per tower level.
 """
 
 from itertools import combinations, product
@@ -67,3 +68,32 @@ def enumerate_subspaces(field, ambient, dims=None, budget=DEFAULT_BUDGET):
                     rows[i] |= v << sh
                 out.append(gfq.SubspaceRep(field, ambient, rows, piv))
     return out
+
+
+def left_kernel(field, mat, n):
+    """All row vectors v with v·mat = 0 for width-``n`` rows; ambient = number of rows of mat.
+
+    The zero space extended by ``[mat | I]``: the rows that pivot in the
+    identity block are zero on the mat block.
+    """
+    k, S = len(mat), gfq._layout(field).S
+    units = [1 << ((k - 1 - i) * S) for i in range(k)]
+    aug = gfq.zero_space(field, n + k).extend([(x << (k * S)) | unit for x, unit in zip(mat, units)])
+    kernel = [(x, c - n) for x, c in zip(aug.rows, aug.pivots) if c >= n]
+    return gfq.SubspaceRep(field, k, [x for x, _ in kernel], [c for _, c in kernel])
+
+
+def from_rows(field, ambient, mat):
+    """The row space of ``mat`` in RREF: the zero space extended by its rows."""
+    return gfq.zero_space(field, ambient).extend(mat)
+
+
+def contains(space, other):
+    """Whether ``other`` lies in ``space``: each of its rows reduces to zero."""
+    return other.dim <= space.dim and not any(reduce(space, other.rows))
+
+
+def reduce(space, mat):
+    """Each packed row of ``mat`` with ``space``'s pivot columns eliminated."""
+    ar, mask, by_slot = space._eliminator()
+    return [gfq._reduced(ar, x, mask, by_slot) for x in mat]

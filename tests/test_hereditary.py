@@ -112,7 +112,7 @@ class TestShift:
 def _unit_span(field, r, coords):
     """Coordinate subspace of F_q^r spanned by the given coordinates."""
     units = [gfq.pack(field, [1 if c == k else 0 for c in range(r)]) for k in coords]
-    return gfq.SubspaceRep.from_rows(field, r, units)
+    return ref.from_rows(field, r, units)
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,7 +129,7 @@ def _brute_chain_counts(q, dims):
             counts[tuple(chain_dims[i] - chain_dims[i + 1] for i in range(len(dims)))] += 1
             return
         for w in spaces:
-            if above.contains(w) and models[j].contains(w):
+            if ref.contains(above, w) and ref.contains(models[j], w):
                 rec(j + 1, w, chain_dims + [w.dim])
 
     rec(1, models[0], [dims[0]])
@@ -183,7 +183,7 @@ class TestFilteredDims:
         assert her.stratum_counts(LAT12)[((2, 2), 0)] == 1
 
     def test_coordinate_line(self):
-        line = gfq.SubspaceRep.from_rows(gfq.GF(2), 2, [gfq.pack(gfq.GF(2), [1, 0])])
+        line = ref.from_rows(gfq.GF(2), 2, [gfq.pack(gfq.GF(2), [1, 0])])
         assert _filtration_dims(LAT12, line) == (2, 1)
         # e_1 and e_1 + e_2 miss e_2's span; e_2 alone gives (2, 2)
         counts = her.stratum_counts(LAT12)

@@ -18,6 +18,7 @@ from brzeta.hey import SemisimpleData, hey_product
 from brzeta.series import TruncatedSeries
 
 import gfq_reference as ref
+import oracle_reference as oref
 
 
 _TRI = orc.triangular_module(2, 2, 2, (1, 2))
@@ -148,13 +149,13 @@ class TestGatherFacts:
         for model in _GATHER_GRID[kind]:
             index, jx = 0, model.full()
             while jx.dim:
-                index, jx = index + 1, orc.radical_subspace(model, jx)
+                index, jx = index + 1, oref.radical_subspace(model, jx)
             assert orc.validate_model(model) == index, model.gens
 
     @pytest.mark.parametrize("kind", sorted(_GATHER_GRID))
     def test_joint_width_matches_the_top_of_m(self, kind):
         for model in _GATHER_GRID[kind]:
-            width = sum(orc.top_class(model, model.full()))
+            width = sum(oref.top_class(model, model.full()))
             assert orc.empirical_zeta(model, 0, joint=True).bound == width, model.gens
 
     @pytest.mark.parametrize("q", [2, 3, 4])
@@ -254,8 +255,8 @@ class TestGeneratorActions:
             ctx = orc.FiberContext(model)
             for name in model.gens:
                 rows = _packed(model.field, _random_rows(rng, model, 4))
-                got = ctx.project(orc._mm(rows, model.acts[name]))
-                assert got == orc._mm(ctx.project(rows), ctx.slice_model.acts[name]), (model.kind, name)
+                got = oref.project(ctx, orc._mm(rows, model.acts[name]))
+                assert got == orc._mm(oref.project(ctx, rows), ctx.slice_model.acts[name]), (model.kind, name)
 
     @pytest.mark.parametrize(
         "bad",
@@ -307,13 +308,13 @@ def _ring_gathers(model):
 
 def _fixed_point_closure(model, rows):
     """Reference closure: re-reduce everything with every generator until the dimension stops."""
-    sub = gfq.SubspaceRep.from_rows(model.field, model.dim, rows)
+    sub = ref.from_rows(model.field, model.dim, rows)
     mats = [_packed(model.field, _dense(src)) for src in _ring_gathers(model)]
     while True:
         stack = list(sub.rows)
         for mat in mats:
             stack += ref.mat_mul(model.field, sub.rows, mat, model.dim)
-        bigger = gfq.SubspaceRep.from_rows(model.field, model.dim, stack)
+        bigger = ref.from_rows(model.field, model.dim, stack)
         if bigger.dim == sub.dim:
             return sub
         sub = bigger
@@ -321,7 +322,7 @@ def _fixed_point_closure(model, rows):
 
 def _is_fixed_point(model, sub):
     """Whether ``sub`` is its own fixed-point closure: no generator maps it outside itself."""
-    return not any(any(sub.reduce(_image(model, sub.rows, src))) for src in _ring_gathers(model))
+    return not any(any(ref.reduce(sub, _image(model, sub.rows, src))) for src in _ring_gathers(model))
 
 
 def _image(model, rows, src):
@@ -338,7 +339,7 @@ def _reference_top(model, rep):
     jx = _fixed_point_closure(model, _radical_images(model, rep.rows))
     f, n = model.field, model.dim
     return tuple(
-        gfq.SubspaceRep.from_rows(f, n, [*jx.rows, *_image(model, rep.rows, e)]).dim - jx.dim
+        ref.from_rows(f, n, [*jx.rows, *_image(model, rep.rows, e)]).dim - jx.dim
         for e in _class_projections(model)
     )
 
@@ -360,7 +361,7 @@ class TestSpinAndTops:
             for rows in starts:
                 x = _fixed_point_closure(model, rows)
                 want = _fixed_point_closure(model, _radical_images(model, x.rows))
-                assert orc.radical_subspace(model, x) == want, model.kind
+                assert oref.radical_subspace(model, x) == want, model.kind
 
     @pytest.mark.parametrize(
         "model, bound",
@@ -377,7 +378,7 @@ class TestSpinAndTops:
         nodes = list(orc.submodules(model, bound))
         for node in nodes:
             want = _reference_top(model, node.rep)
-            assert orc.top_class(model, node.rep) == want
+            assert oref.top_class(model, node.rep) == want
             if node.colength < bound:
                 assert node.top == want
         assert any(node.top is None for node in nodes)
@@ -466,16 +467,16 @@ class TestMaximalSubmodules:
         for node in orc.submodules(model, bound):
             x = node.rep
             class_images = [
-                gfq.SubspaceRep.from_rows(f, model.dim, _image(model, x.rows, e))
+                ref.from_rows(f, model.dim, _image(model, x.rows, e))
                 for e in _class_projections(model)
             ]
             want = set()
             for hyper in ref.enumerate_subspaces(f, x.dim, dims=x.dim - 1):
-                h = gfq.SubspaceRep.from_rows(f, model.dim, ref.mat_mul(f, hyper.rows, x.rows, model.dim))
+                h = ref.from_rows(f, model.dim, ref.mat_mul(f, hyper.rows, x.rows, model.dim))
                 if not _is_fixed_point(model, h):
                     continue
                 # X/H is simple: exactly one class moves X out of H
-                (cls,) = [i for i, image in enumerate(class_images) if not h.contains(image)]
+                (cls,) = [i for i, image in enumerate(class_images) if not ref.contains(h, image)]
                 want.add((h, cls))
             got = _maximal_submodules(model, x)
             assert len(got) == len(want)
@@ -492,7 +493,7 @@ class TestMaximalSubmodules:
                     rows = [[0 if rng.random() < 0.8 else x for x in row] for row in rows]
                 x = _fixed_point_closure(model, _packed(model.field, rows))
                 want = _reference_top(model, x)
-                assert dual.top(x.annihilator()) == orc.top_class(model, x) == want, model.kind
+                assert dual.top(x.annihilator()) == oref.top_class(model, x) == want, model.kind
 
     @pytest.mark.parametrize("q, rank", [(2, 3), (3, 3), (4, 2)])
     def test_budget_counts_projective_points(self, q, rank):
@@ -553,7 +554,7 @@ class TestSubmoduleCounts:
         nodes = list(orc.submodules(model, 2))
         root = nodes[0]
         assert (root.rep, root.colength, root.cls) == (model.full(), 0, (0,))
-        assert root.top == orc.top_class(model, model.full()) == (2,)
+        assert root.top == oref.top_class(model, model.full()) == (2,)
         assert all((n.top is None) == (n.colength == 2) for n in nodes)
         # expanded nodes come level by level; each leaf follows the node it was first found under
         expanded = [n.colength for n in nodes if n.top is not None]
@@ -563,7 +564,7 @@ class TestSubmoduleCounts:
             if node.top is not None:
                 parent = node
             else:
-                assert parent.colength == 1 and parent.rep.contains(node.rep)
+                assert parent.colength == 1 and ref.contains(parent.rep, node.rep)
         # a bound-0 enumeration expands nothing: the root is its one leaf
         (only,) = orc.submodules(model, 0)
         assert (only.rep, only.top) == (model.full(), None)
@@ -612,11 +613,11 @@ class TestLatticeAgainstBruteForce:
         dual = orc._Dual(model)
         for node in nodes:
             assert node.colength == model.dim - node.rep.dim
-            assert node.cls == orc.composition_class(model, full, node.rep)
+            assert node.cls == oref.composition_class(model, full, node.rep)
             assert node.top == (None if node.colength == bound else tops[node.rep])
             assert dual.top(node.ann) == tops[node.rep]  # how a joint count reads a leaf's top
         joint = orc.empirical_zeta(model, bound, joint=True)
-        want_joint = Counter(orc.composition_class(model, full, h) + top for h, top in tops.items())
+        want_joint = Counter(oref.composition_class(model, full, h) + top for h, top in tops.items())
         assert joint == TruncatedSeries(joint.alphabet, joint.bound, want_joint)
 
     @pytest.mark.parametrize("q", [2, 3])
@@ -626,13 +627,13 @@ class TestLatticeAgainstBruteForce:
         units = model.full().rows
         ambient = _fixed_point_closure(model, [units[0], units[3]])  # type (2, 1)
         subspaces = ref.enumerate_subspaces(model.field, model.dim)
-        stable = [h for h in subspaces if ambient.contains(h) and _is_fixed_point(model, h)]
+        stable = [h for h in subspaces if ref.contains(ambient, h) and _is_fixed_point(model, h)]
         nodes = list(orc.submodules(model, 2, start=ambient))
         assert {node.rep for node in nodes} == {h for h in stable if h.dim >= ambient.dim - 2}
         assert len(nodes) == len({node.rep for node in nodes})
         for node in nodes:
             assert node.colength == ambient.dim - node.rep.dim
-            assert node.cls == orc.composition_class(model, ambient, node.rep)
+            assert node.cls == oref.composition_class(model, ambient, node.rep)
         for sub_t in ((), (1,), (2,), (1, 1), (2, 1)):
             for quo_t in ((1,), (2,), (1, 1), (2, 1), (3,)):
                 want = {
@@ -653,7 +654,7 @@ class TestJordanAndHall:
 
     def test_jordan_type_of_radical_and_quotient(self):
         m3 = orc.chain_module(2, 3)
-        rad = orc.radical_subspace(m3, m3.full())
+        rad = oref.radical_subspace(m3, m3.full())
         assert orc.jordan_type(m3, rad) == (2,)
         assert orc.jordan_type(m3, m3.full(), lower=rad) == (1,)
 
@@ -794,10 +795,10 @@ class TestFiberCharts:
         e0t = orc._mm(e0, model.acts["t"])
         ut = _fixed_point_closure(model, e0u + e0t)
         ut2 = _fixed_point_closure(model, e0u + orc._mm(e0t, model.acts["t"]))
-        assert orc.composition_class(model, model.full(), ut) == (1,)
-        assert orc.composition_class(model, model.full(), ut2) == (2,)
+        assert oref.composition_class(model, model.full(), ut) == (1,)
+        assert oref.composition_class(model, model.full(), ut2) == (2,)
         ctx = orc.FiberContext(model)
-        ch1, ch2 = ctx.chart(ut, 3), ctx.chart(ut2, 3)
+        ch1, ch2 = ctx.chart(ut.annihilator(), 3), ctx.chart(ut2.annihilator(), 3)
         assert ch1.y_tops == ch2.y_tops == ((1,), (1,))
         assert (ch1.quotients, ch2.quotients) == (((1,),), ((2,),))
         parts = orc.fiber_partition(model, 3)
@@ -806,3 +807,50 @@ class TestFiberCharts:
         assert [n.cls for n in f1] == [(1,)]
         assert [n.cls for n in f2] == [(2,)]
         assert f1[0].rep == ut and f2[0].rep == ut2
+
+    def test_partition_never_reads_x(self):
+        parts = orc.fiber_partition(orc.local2d_module(4, 3), 2)
+        nodes = [node for group in parts.values() for node in group]
+        assert len(nodes) == 7
+        assert not any("rep" in node.__dict__ for node in nodes)
+
+    def test_unstable_tower_is_refused(self):
+        model = orc.local2d_module(2, 3)
+        rad = oref.radical_subspace(model, model.full())  # its tower reaches the slice at level 1
+        ctx = orc.FiberContext(model)
+        assert ctx.chart(rad.annihilator(), 1) == oref.chart(ctx, rad, 1)
+        with pytest.raises(SchemaError, match="did not stabilize within 0 levels"):
+            ctx.chart(rad.annihilator(), 0)
+        with pytest.raises(SchemaError, match="did not stabilize within 0 levels"):
+            oref.chart(ctx, rad, 0)
+
+
+def _fiber_grid(q):
+    """(model, bound) pairs over GF(q) whose charts are checked node by node against the X side."""
+    grid = []
+    for c in (1, 2, 3, 4):
+        grid += [(orc.local2d_module(q, c, 1), c - 1), (orc.local2d_module(q, c, 2), min(c - 1, 2))]
+    if q <= 4:
+        for n in (1, 2, 3):
+            for c_pi in (1, 2):
+                for c_t in (1, 2, 3):
+                    model = orc.skew_module(q, n, c_pi, c_t)
+                    grid.append((model, model.depth - 1))
+    return grid
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_charts_read_off_the_annihilator_match_the_x_side(q):
+    """``FiberContext.chart`` of Y = X^perp equals the chart read off X, on every node.
+
+    Rank 2 splits the slice coordinates into runs with gaps between them.
+    """
+    nodes, gaps = 0, False
+    for model, bound in _fiber_grid(q):
+        ctx = orc.FiberContext(model)
+        gaps = gaps or ctx.free[-1] - ctx.free[0] >= len(ctx.free)
+        for node in orc.submodules(model, bound):
+            assert ctx.chart(node.ann, bound) == oref.chart(ctx, node.rep, bound), (model.kind, model.dim, bound)
+            nodes += 1
+    assert nodes == {2: 142, 3: 221, 4: 346, 5: 434, 8: 1427, 9: 1954}[q]
+    assert gaps
