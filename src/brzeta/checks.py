@@ -30,6 +30,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
+from . import gfq
 from . import hereditary as her
 from . import oracle as orc
 from . import prolif as pr
@@ -389,14 +390,15 @@ def check_hall() -> CheckResult:
     def cases():
         for q in (2, 3):
             model = orc.chain_module(q, 2, 2, exact=True)
-            ambient = model.full()
+            full = model.full()
+            ambient = gfq.zero_space(model.field, model.dim)  # the annihilator of M
             # partial zeta by iso class = Hall-number sum, per colength
             for c_type in ((2, 1), (2,), (1, 1), (1,)):
                 colen = model.dim - sum(c_type)
                 if colen < 0 or colen > 2:
                     continue
                 direct = sum(
-                    node.colength == colen and orc.jordan_type(model, node.rep) == c_type
+                    node.colength == colen and orc.jordan_type(model, full, node.ann) == c_type
                     for node in orc.submodules(model, colen)
                 )
                 via_hall = sum(orc.hall_number(model, ambient, b_type, c_type) for b_type in _partitions_of(colen))

@@ -22,11 +22,10 @@ per unknown of its system into a basis seeded with unit vectors.  No
 kernel, no general intersection and no product of general matrices is
 computed here: the one intersection the oracle needs, a span with a span
 of unit vectors, is an ``extend`` of the gathered rows with those unit
-coordinates moved last.  Three
-routines serve the brute-force oracle's walk over annihilators:
-``SubspaceRep.annihilator``, read off the RREF under the pairing of
-coordinate k with n-1-k; :class:`Preimage`, the common preimage of a
-subspace under partial permutations; and the one enumeration,
+coordinates moved last.  Two
+routines serve the brute-force oracle's walk over annihilators, which never
+reads a submodule back off its annihilator: :class:`Preimage`, the common
+preimage of a subspace under partial permutations; and the one enumeration,
 ``SubspaceRep.lines``, which lists the spaces sub + <v> over the lines of
 some of a space's rows, read off the two RREFs with no echelonization per
 line.  The module is arithmetic without policy: the oracle bounds how many
@@ -449,30 +448,6 @@ class SubspaceRep:
                         rows[r] = axpy(rows[r], f, v)
                 out.append(SubspaceRep(self.field, n, rows, pivots))
         return out
-
-    def annihilator(self) -> "SubspaceRep":
-        """The x with sum_k x[k] y[n-1-k] = 0 for every y here, in RREF.
-
-        This pairs coordinate k with n-1-k.  Each non-pivot d of this space
-        gives the row e_c - sum_r y_r[d] e_(n-1-p_r) at c = n-1-d, over the
-        rows y_r at pivots p_r.  y_r[d] is nonzero only for d > p_r, so that
-        row leads at c and is zero at every other such c: the rows are the
-        RREF as they stand, with no elimination, and the map is an involution.
-        """
-        n = self.ambient
-        ar = _arith(self.field, n)
-        S, slot = ar.S, ar.slot
-        below = set(self.pivots)
-        rows, pivots = [], []
-        for d in range(n - 1, -1, -1):
-            if d in below:
-                continue
-            sh, part = (n - 1 - d) * S, 0
-            for p, y in zip(self.pivots, self.rows):
-                part |= ((y >> sh) & slot) << (p * S)
-            rows.append(ar.axpy(1 << (d * S), 1, part))
-            pivots.append(n - 1 - d)
-        return SubspaceRep(self.field, n, rows, pivots)
 
 
 class Preimage:

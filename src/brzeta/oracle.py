@@ -40,24 +40,25 @@ Y + <v>, one per line of P e_i / Y e_i, whose RREFs are read off Y's and
 P's with no echelonization per child.  A node at colength B is a leaf,
 yielded when first found and never stored, so the generator holds only the
 frontier still to expand and one set of row tuples for the level being
-built.  X itself is read off Y only for Jordan types.  Nodes come level
-by level, unsorted.  A depth guard keeps
+built.  X itself is never built.  Nodes come level by level, unsorted.
+A depth guard keeps
 truncation honest: when the model is a quotient of an infinite module by a
 kernel inside radical-power depth d, enumeration and labeling at colength <= B
 are faithful only if d >= B + 1, and that inequality is enforced rather than
 assumed.
 
-Also here: Jordan types and Hall numbers over chain models, chain counting
-with prescribed isomorphism types, and the fiber chart sending a submodule X
-to its tower of slice images ((M meet I^-j X) + IM)/IM, read off Y: each
-level is dual to the span of Y's images under a power of the dual slice
-generator, met with the slice's dual coordinates, one ``extend`` per level.
+Also here, all read off annihilators: Jordan types and Hall numbers over
+chain models (a finite F_q[t]-module and its dual have one Jordan type, and
+X* = M*/X^perp, (A/X)* = X^perp/A^perp), chain counting with prescribed
+isomorphism types, and the fiber chart sending a submodule X to its tower of
+slice images ((M meet I^-j X) + IM)/IM: each level is dual to the span of
+Y's images under a power of the dual slice generator, met with the slice's
+dual coordinates, one ``extend`` per level.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -85,7 +86,8 @@ class RingModel:
     (every simple class here is one-dimensional over its idempotent block).
     ``depth``: the kernel of the defining quotient lies inside radical-power
     ``depth`` of the true module; ``exact`` marks models that are the object
-    of study itself rather than a truncation.
+    of study itself rather than a truncation.  ``dual`` is the dual module M*
+    that every computation here reads (see :class:`_Dual`), built once.
     """
 
     kind: str
@@ -95,10 +97,9 @@ class RingModel:
     depth: int
     slice_gen: str | None = None
     exact: bool = False
-    #: each generator's gather compiled to masked shifts of packed rows
-    acts: dict = dataclasses.field(init=False, repr=False, compare=False)
     #: one more than the largest class
     n_classes: int = dataclasses.field(init=False, repr=False, compare=False)
+    dual: _Dual = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.classes = tuple(self.classes)
@@ -113,8 +114,8 @@ class RingModel:
                 raise SchemaError(f"generator {name} has a source outside -1..{self.dim - 1}: {src}")
             if len(set(used)) != len(used):
                 raise SchemaError(f"generator {name} is not a partial permutation: a source repeats in {src}")
-        self.acts = {name: gfq.compile_gather(self.field, self.dim, src) for name, src in self.gens.items()}
         self.n_classes = max(self.classes, default=-1) + 1
+        self.dual = _Dual(self)
 
     @property
     def dim(self) -> int:
@@ -367,21 +368,23 @@ def _dual_gather(src) -> tuple[int, ...]:
 
 
 class _Dual:
-    """The dual module M* that :func:`submodules` walks.
+    """The dual module M* of a model, which :func:`submodules` walks; each model builds one.
 
-    Coordinate k of M* pairs with coordinate n-1-k of M, so X^perp is
-    :meth:`gfq.SubspaceRep.annihilator`, with no elimination; each radical
-    generator acts on M* by its transposed gather, and coordinate k has the
-    class of n-1-k (``classes`` and ``n_classes``, as a model holds them,
-    so :func:`_class_dims` reads them).  For a submodule Y = X^perp, the
-    preimage P(Y) = {f : f h in Y for every dual generator h} is (JX)^perp,
-    one :class:`gfq.Preimage` solve that gives both the top of X and the
-    minimal submodules over Y.
+    Coordinate k of M* pairs with coordinate n-1-k of M; each radical
+    generator acts on M* by its transposed gather, compiled to masked shifts
+    of packed rows in ``acts`` under the generator's name, and coordinate k
+    has the class of n-1-k (``classes`` and ``n_classes``, as a model holds
+    them, so :func:`_class_dims` reads them).  For a submodule Y = X^perp,
+    the preimage P(Y) = {f : f h in Y for every dual generator h} is
+    (JX)^perp, one :class:`gfq.Preimage` solve that gives both the top of X
+    and the minimal submodules over Y.
     """
 
     def __init__(self, model: RingModel):
         self.classes, self.n_classes, self.q = model.classes[::-1], model.n_classes, model.field.q
-        self.preimage = gfq.Preimage(model.field, model.dim, [_dual_gather(src) for src in model.gens.values()])
+        gathers = {name: _dual_gather(src) for name, src in model.gens.items()}
+        self.acts = {name: gfq.compile_gather(model.field, model.dim, h) for name, h in gathers.items()}
+        self.preimage = gfq.Preimage(model.field, model.dim, list(gathers.values()))
 
     def top(self, ann: gfq.SubspaceRep, p: gfq.SubspaceRep | None = None) -> Monomial:
         """top(X)_i = dim_i P(Y) - dim_i Y for Y = X^perp; ``p`` passes in P(Y) when the caller has it.
@@ -416,21 +419,12 @@ class _Dual:
 
 @dataclass
 class SubmoduleNode:
-    """A submodule X, held as its annihilator Y = X^perp in M* (see :class:`_Dual`).
-
-    ``rep`` is X itself, read off Y on first use and kept: Jordan types and
-    typed submodules read it; a count of classes and a fiber chart never do.
-    """
+    """A submodule X, held only as its annihilator Y = X^perp in M* (see :class:`_Dual`)."""
 
     ann: gfq.SubspaceRep  # Y = X^perp, a submodule of M*
     colength: int
     cls: Monomial  # composition class of (start module)/X
     top: Monomial | None = None  # top class of X, set when X is expanded (colength < bound)
-
-    @functools.cached_property
-    def rep(self) -> gfq.SubspaceRep:
-        """X itself, read off its annihilator on first use."""
-        return self.ann.annihilator()
 
 
 def submodules(
@@ -439,12 +433,13 @@ def submodules(
     start: gfq.SubspaceRep | None = None,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> Iterator[SubmoduleNode]:
-    """Yield each submodule of ``start`` (default M) of colength <= bound once, with its class.
+    """Yield each submodule of A of colength <= bound once, with its class.
 
-    X <-> X^perp reverses inclusion and keeps quotient classes, since each
-    idempotent is a coordinate projection: so the submodules of ``start`` of
-    colength k are the submodules Y >= start^perp of M* with
-    dim Y/start^perp = k.  The walk rises level by level to minimal
+    ``start`` is A^perp, the annihilator of A in M* (default the zero space:
+    A = M).  X <-> X^perp reverses inclusion and keeps quotient classes,
+    since each idempotent is a coordinate projection: so the submodules of A
+    of colength k are the submodules Y >= A^perp of M* with
+    dim Y/A^perp = k.  The walk rises level by level to minimal
     supermodules Y + <v>; a node found at level k has colength exactly k, so
     levels never collide and each level is deduplicated on its own, by the
     RREF rows of its annihilators.  A node of colength < bound is yielded when it is
@@ -467,8 +462,8 @@ def submodules(
             f"model depth {model.depth} cannot certify colength {bound}; "
             f"need depth >= {bound + 1}"
         )
-    dual = _Dual(model)
-    root_ann = gfq.zero_space(model.field, model.dim) if start is None else start.annihilator()
+    dual = model.dual
+    root_ann = gfq.zero_space(model.field, model.dim) if start is None else start
     root = SubmoduleNode(root_ann, 0, (0,) * model.n_classes)
     found = 1
     if found > budget:
@@ -523,12 +518,10 @@ def empirical_zeta(
     else:
         alphabet = model.alphabet
         out_bound = bound
-    # leaf tops are read only by a joint or partial count
-    dual = _Dual(model) if partial is not None or joint else None
     coeffs: dict[Monomial, int] = {}
     for node in submodules(model, bound, budget=budget):
-        if dual is not None:
-            top = node.top if node.top is not None else dual.top(node.ann)
+        if partial is not None or joint:  # leaf tops are read only by a joint or partial count
+            top = node.top if node.top is not None else model.dual.top(node.ann)
         if partial is not None and top != partial:
             continue
         key = node.cls + top if joint else node.cls
@@ -557,13 +550,19 @@ def _partition_from_ranks(ranks: list[int]) -> tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
-def jordan_type(model: RingModel, rep: gfq.SubspaceRep, lower: gfq.SubspaceRep | None = None) -> tuple[int, ...]:
-    """Partition of t-power ranks of X (or of X/lower) over a chain model."""
+def jordan_type(model: RingModel, upper: gfq.SubspaceRep, lower: gfq.SubspaceRep | None = None) -> tuple[int, ...]:
+    """Partition of t-power ranks of upper/lower (lower defaults to 0), two submodules of M*.
+
+    t acts on M* by its transposed gather.  A finite F_q[t]-module and its
+    dual have one Jordan type, X* = M*/X^perp and (A/X)* = X^perp/A^perp, so
+    the type of X is ``jordan_type(model, model.full(), X^perp)`` and that of
+    A/X is ``jordan_type(model, X^perp, A^perp)``.
+    """
     if "t" not in model.gens:
         raise SchemaError(f"jordan_type needs a t action; model kind is {model.kind}")
-    t = model.acts["t"]
+    t = model.dual.acts["t"]
     base = lower if lower is not None else gfq.zero_space(model.field, model.dim)
-    cur = rep.rows
+    cur = upper.rows
     ranks = []
     while True:
         rank = base.extend(cur).dim - base.dim
@@ -575,28 +574,32 @@ def jordan_type(model: RingModel, rep: gfq.SubspaceRep, lower: gfq.SubspaceRep |
 
 
 def typed_submodules(model: RingModel, ambient: gfq.SubspaceRep, sub_type, quotient_type):
-    """Each D <= A with D of type ``sub_type`` and A/D of type ``quotient_type``, in the order of :func:`submodules`."""
+    """D^perp for each D <= A with D of type ``sub_type`` and A/D of type ``quotient_type``.
+
+    ``ambient`` is A^perp; the D come in the order of :func:`submodules`.
+    """
     b = _as_partition(quotient_type)
     c = _as_partition(sub_type)
     colen = sum(b)
-    if sum(c) + colen != ambient.dim:
+    if sum(c) + colen + ambient.dim != model.dim:
         return  # lengths cannot match, so no D qualifies
+    full = model.full()
     for node in submodules(model, colen, start=ambient):
         if (
             node.colength == colen
-            and jordan_type(model, node.rep) == c
-            and jordan_type(model, ambient, lower=node.rep) == b
+            and jordan_type(model, full, node.ann) == c
+            and jordan_type(model, node.ann, ambient) == b
         ):
-            yield node.rep
+            yield node.ann
 
 
 def hall_number(model: RingModel, ambient: gfq.SubspaceRep, quotient_type, sub_type) -> int:
-    """Count D <= A with D of type ``sub_type`` and A/D of type ``quotient_type``."""
+    """Count D <= A with D of type ``sub_type`` and A/D of type ``quotient_type``; ``ambient`` is A^perp."""
     return sum(1 for _ in typed_submodules(model, ambient, sub_type, quotient_type))
 
 
 def chain_type_count(model: RingModel, ambient: gfq.SubspaceRep, steps) -> int:
-    """Chains D_0 <= D_1 <= ... <= A with prescribed (sub, quotient) types.
+    """Chains D_0 <= D_1 <= ... <= A with prescribed (sub, quotient) types; ``ambient`` is A^perp.
 
     ``steps`` lists, outermost first, pairs (type of D_j, type of D_{j+1}/D_j);
     the count enumerates directly, for cross-checking the Hall-number product.
@@ -605,7 +608,7 @@ def chain_type_count(model: RingModel, ambient: gfq.SubspaceRep, steps) -> int:
     if not steps:
         return 1
     (sub_t, quo_t), rest = steps[0], steps[1:]
-    return sum(chain_type_count(model, rep, rest) for rep in typed_submodules(model, ambient, sub_t, quo_t))
+    return sum(chain_type_count(model, ann, rest) for ann in typed_submodules(model, ambient, sub_t, quo_t))
 
 
 # -- fiber charts ---------------------------------------------------------------
@@ -617,8 +620,8 @@ class FiberContext:
     Built once per model: the coordinates ``free`` that the generator's
     gather never writes (its image IM is spanned by the unit vectors e_k
     with gather[k] >= 0, so the other coordinates are the slice M/IM), the
-    induced slice model and its dual, and one compiled gather per level of
-    the tower.  The slice's dual (M/IM)* = (IM)^perp is spanned by the
+    induced slice model (which holds its dual), and one compiled gather per
+    level of the tower.  The slice's dual (M/IM)* = (IM)^perp is spanned by the
     coordinates n-1-k of M* for k in ``free``: its coordinate p pairs with
     slice coordinate nf-1-p, so it is M*'s coordinate n-1-free[nf-1-p], and
     these rise with p.  Level j's gather acts by h^j, for h the transposed
@@ -642,7 +645,6 @@ class FiberContext:
             depth=model.depth,
             exact=model.exact,
         )
-        self.slice_dual = _Dual(self.slice_model)
         wall = [n - 1 - k for k in reversed(self.free)]
         src, h = tuple(sorted(set(range(n)).difference(wall)) + wall), _dual_gather(gen)
         self._levels = [gfq.compile_gather(f, n, src)]
@@ -677,8 +679,9 @@ class FiberContext:
                 f"slice tower did not stabilize within {max_level} levels; "
                 "raise the model depth"
             )
-        tops = tuple(self.slice_dual.top(w) for w in walls)
-        quots = tuple(_class_dims(self.slice_dual, walls[j], walls[j + 1]) for j in range(len(walls) - 1))
+        dual = self.slice_model.dual
+        tops = tuple(dual.top(w) for w in walls)
+        quots = tuple(_class_dims(dual, walls[j], walls[j + 1]) for j in range(len(walls) - 1))
         return ChainData(tops, quots)
 
 

@@ -1,10 +1,13 @@
 """Reference linear algebra on packed GF(q) rows that only the tests use.
 
 The oracle needs neither a product of general matrices, nor an enumeration
-of all subspaces, nor a left kernel, so these three live here: the tests
-build generator matrices and brute-force hyperplane sets with the first two,
-as an independent check of the oracle's kernels, and the X-side fiber chart
-of ``tests/oracle_reference.py`` solves one left kernel per tower level.
+of all subspaces, nor a left kernel, nor a submodule read back off its
+annihilator, so these four live here: the tests build generator matrices
+and brute-force hyperplane sets with the first two, as an independent check
+of the oracle's kernels, the X-side fiber chart of
+``tests/oracle_reference.py`` solves one left kernel per tower level, and
+the tests read each submodule X off the annihilator Y = X^perp that the
+oracle holds with :func:`annihilator`.
 """
 
 from itertools import combinations, product
@@ -97,3 +100,28 @@ def reduce(space, mat):
     """Each packed row of ``mat`` with ``space``'s pivot columns eliminated."""
     ar, mask, by_slot = space._eliminator()
     return [gfq._reduced(ar, x, mask, by_slot) for x in mat]
+
+
+def annihilator(space):
+    """The x with sum_k x[k] y[n-1-k] = 0 for every y in ``space``, in RREF.
+
+    This pairs coordinate k with n-1-k.  Each non-pivot d of the space gives
+    the row e_c - sum_r y_r[d] e_(n-1-p_r) at c = n-1-d, over the rows y_r at
+    pivots p_r.  y_r[d] is nonzero only for d > p_r, so that row leads at c
+    and is zero at every other such c: the rows are the RREF as they stand,
+    with no elimination, and the map is an involution.
+    """
+    n = space.ambient
+    ar = gfq._arith(space.field, n)
+    S, slot = ar.S, ar.slot
+    below = set(space.pivots)
+    rows, pivots = [], []
+    for d in range(n - 1, -1, -1):
+        if d in below:
+            continue
+        sh, part = (n - 1 - d) * S, 0
+        for p, y in zip(space.pivots, space.rows):
+            part |= ((y >> sh) & slot) << (p * S)
+        rows.append(ar.axpy(1 << (d * S), 1, part))
+        pivots.append(n - 1 - d)
+    return gfq.SubspaceRep(space.field, n, rows, pivots)
