@@ -1,4 +1,4 @@
-"""Shared exception types, and the integer check for JSON payload fields."""
+"""Shared exception types, and the integer and class-vector checks for payload fields."""
 
 
 class BrzetaError(Exception):
@@ -55,3 +55,11 @@ def as_int(value, name: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def class_vector(values, n: int) -> tuple[int, ...]:
+    """A class vector as a tuple of n multiplicities, each read by :func:`as_int` and >= 0; else a SchemaError."""
+    vec = tuple(as_int(x, "class multiplicity") for x in values)
+    if len(vec) != n or any(x < 0 for x in vec):
+        raise SchemaError(f"class vector needs {n} multiplicities >= 0, got {vec}")
+    return vec

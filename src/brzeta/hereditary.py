@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, sub
 
-from .errors import FormulaViolationError, SchemaError, TruncationBoundError, as_int
+from .errors import FormulaViolationError, SchemaError, TruncationBoundError, as_int, class_vector
 from .qcomb import cauchy_poly, gaussian_binomial, prime_power_factors
 from .series import (
     Alphabet,
@@ -351,10 +351,7 @@ def class_counts(lattice: Lattice, z_bound: int) -> dict[tuple[int, ...], Trunca
 
 def partial_zeta(lattice: Lattice, rho, z_bound: int) -> TruncatedSeries:
     """Count of sublattices in one isomorphism class, by colength monomial."""
-    rho = tuple(rho)
-    if len(rho) != lattice.n or any(x < 0 for x in rho):
-        raise SchemaError(f"class vector needs {lattice.n} multiplicities >= 0, got {rho}")
-    hit = class_counts(lattice, z_bound).get(rho)
+    hit = class_counts(lattice, z_bound).get(class_vector(rho, lattice.n))
     return hit if hit is not None else TruncatedSeries.zero(lattice.alphabet, z_bound)
 
 

@@ -6,41 +6,42 @@ as a finite-field row space, its vectors held as packed rows of
 A model is a monomial module: an ordered basis of labels, one per
 coordinate, a move per radical generator sending each label to a label (or
 out of the basis, to 0), and a class per label.  One builder,
-:func:`_labelled_model`, turns the moves into gathers and gives each
-coordinate its label's class; each constructor only checks its arguments and
-lists its labels and moves.  So every generator is a partial permutation,
-held as a gather tuple and compiled once to masked shifts of packed rows,
-one per displacement.  Each radical generator
+:func:`_labelled_model`, reads each move as the coordinate each coordinate
+moves to and gives each coordinate its label's class; each constructor only
+checks its arguments and lists its labels and moves.  So every generator is
+a partial permutation, held as its moves.  Each radical generator
 normalizes the ring (the relations :func:`validate_model` checks on every
 constructed model, stated on the classes), so the radical JX of a submodule
 X is the span of X's images, with no closure to compute.  The idempotent of
 class i is the projection onto that class's coordinates, so the RREF rows
 of a submodule lie in one class's coordinates each, and a class count of a
 submodule or a quotient is a count of pivots per class.
-What does not depend on a submodule is read off the gathers with no
+What does not depend on a submodule is read off the moves with no
 elimination: J maps a span of coordinate vectors onto the span of the
-coordinates the radical gathers write from it, which gives the nilpotency
+coordinates the radical generators move them to, which gives the nilpotency
 index and the generic length dim M/JM, and the alphabet follows from the
 field and the class count.  Every budget decision is made here: the node
 budget of :func:`submodules` and the per-class line count of its step;
 :mod:`brzeta.gfq` enumerates without policy.
 Submodules of colength <= B are streamed by :func:`submodules`, which walks
-their annihilators.  X -> X^perp is an inclusion-reversing bijection onto
-the submodules of the dual module M*, where each generator acts by its
-transposed gather; each idempotent is a coordinate projection, so quotient
-classes are kept.
+their annihilators.  Under the pairing of coordinate k with k,
+X -> X^perp is an inclusion-reversing bijection onto the submodules of the
+dual module M*, where each generator acts by the gather that its moves are
+as they stand (the image reads at k the coordinate k moves to), compiled
+once to masked shifts of packed rows, one per displacement; each idempotent
+is a coordinate projection, so quotient classes are kept.
 So a node of colength k is a k-dimensional submodule Y of M*, and the walk
 rises level by level to its minimal supermodules (the lattice technique of
 the MeatAxe, which works on both sides of this duality: Lux, Mueller and
 Ringe, J. Symb. Comp. 17, 1994), deduplicating each level by the canonical
 echelon rows of its nodes, at most B packed ints each.  One solve per
-expanded node, the preimage P(Y) = (JX)^perp of Y under the dual generators,
-gives both the top of X (P's pivots per class less Y's) and the children
-Y + <v>, one per line of P e_i / Y e_i, whose RREFs are read off Y's and
-P's with no echelonization per child.  A node at colength B is a leaf,
-yielded when first found and never stored, so the generator holds only the
-frontier still to expand and one set of row tuples for the level being
-built.  X itself is never built.  Nodes come level by level, unsorted.
+expanded node, the preimage P(Y) = (JX)^perp of Y under the generators'
+gathers, gives both the top of X (P's pivots per class less Y's) and the
+children Y + <v>, one per line of P e_i / Y e_i, whose RREFs are read off
+Y's and P's with no echelonization per child.  A node at colength B is a
+leaf, yielded when first found and never stored, so the generator holds
+only the frontier still to expand and one set of row tuples for the level
+being built.  X itself is never built.  Nodes come level by level, unsorted.
 A depth guard keeps
 truncation honest: when the model is a quotient of an infinite module by a
 kernel inside radical-power depth d, enumeration and labeling at colength <= B
@@ -52,8 +53,8 @@ chain models (a finite F_q[t]-module and its dual have one Jordan type, and
 X* = M*/X^perp, (A/X)* = X^perp/A^perp), chain counting with prescribed
 isomorphism types, and the fiber chart sending a submodule X to its tower of
 slice images ((M meet I^-j X) + IM)/IM: each level is dual to the span of
-Y's images under a power of the dual slice generator, met with the slice's
-dual coordinates, one ``extend`` per level.
+Y's images under a power of the slice generator's gather, met with the
+slice's coordinates, one ``extend`` per level.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import gfq
-from .errors import FormulaViolationError, ResourceBudgetError, SchemaError, as_int
+from .errors import FormulaViolationError, ResourceBudgetError, SchemaError, as_int, class_vector
 from .hereditary import doubled_alphabet, z_alphabet
 from .prolif import ChainData
 from .series import Alphabet, Monomial, TruncatedSeries
@@ -74,20 +75,28 @@ DEFAULT_NODE_BUDGET = 200_000
 
 @dataclass
 class RingModel:
-    """A finite module with ring generator actions.
+    """A finite module with ring generator actions, and the dual module M* it is read through.
 
-    ``gens`` maps each radical generator's name to a gather tuple, one entry
-    per coordinate: entry k is the coordinate that a row vector's image reads
-    at k, or -1 where the image is 0.  No source may repeat, so each generator
-    is a partial permutation; any other tuple is refused with SchemaError.
+    ``gens`` maps each radical generator's name to its moves, one entry per
+    coordinate: entry k is the coordinate that e_k moves to, or -1 where the
+    image of e_k is 0.  No target may repeat, so each generator is a partial
+    permutation; any other tuple is refused with SchemaError.
     The generators generate the radical as a two-sided ideal.
     ``classes`` gives each coordinate its simple class, 0-based: the
     projection onto the coordinates of class i is the ring's idempotent e_i
     (every simple class here is one-dimensional over its idempotent block).
     ``depth``: the kernel of the defining quotient lies inside radical-power
     ``depth`` of the true module; ``exact`` marks models that are the object
-    of study itself rather than a truncation.  ``dual`` is the dual module M*
-    that every computation here reads (see :class:`_Dual`), built once.
+    of study itself rather than a truncation.
+    Every computation here reads M*, whose coordinate k pairs with M's
+    coordinate k and has its class.  <x g, y> = <x, y m> for the moves m of
+    a generator g, so each tuple of ``gens`` is, as it stands, the gather by
+    which its generator acts on M*: ``gathers`` holds them compiled to
+    masked shifts of packed rows, and ``preimage`` is the one
+    :class:`gfq.Preimage` they define, both built once.  For a submodule
+    Y = X^perp, P(Y) = {f : f m in Y for every generator's moves m} is
+    (JX)^perp, one solve that gives both the top of X and the minimal
+    submodules over Y.
     """
 
     kind: str
@@ -99,23 +108,25 @@ class RingModel:
     exact: bool = False
     #: one more than the largest class
     n_classes: int = dataclasses.field(init=False, repr=False, compare=False)
-    dual: _Dual = dataclasses.field(init=False, repr=False, compare=False)
+    gathers: dict = dataclasses.field(init=False, repr=False, compare=False)
+    preimage: gfq.Preimage = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.classes = tuple(self.classes)
         if any(i < 0 for i in self.classes):
             raise SchemaError(f"classes must be >= 0, got {self.classes}")
-        self.gens = {name: tuple(src) for name, src in self.gens.items()}
-        for name, src in self.gens.items():
-            if len(src) != self.dim:
-                raise SchemaError(f"generator {name} must have {self.dim} entries, got {len(src)}")
-            used = [k for k in src if k != -1]
+        self.gens = {name: tuple(moves) for name, moves in self.gens.items()}
+        for name, moves in self.gens.items():
+            if len(moves) != self.dim:
+                raise SchemaError(f"generator {name} must have {self.dim} entries, got {len(moves)}")
+            used = [k for k in moves if k != -1]
             if any(not 0 <= k < self.dim for k in used):
-                raise SchemaError(f"generator {name} has a source outside -1..{self.dim - 1}: {src}")
+                raise SchemaError(f"generator {name} has a target outside -1..{self.dim - 1}: {moves}")
             if len(set(used)) != len(used):
-                raise SchemaError(f"generator {name} is not a partial permutation: a source repeats in {src}")
+                raise SchemaError(f"generator {name} is not a partial permutation: a target repeats in {moves}")
         self.n_classes = max(self.classes, default=-1) + 1
-        self.dual = _Dual(self)
+        self.gathers = {name: gfq.compile_gather(self.field, self.dim, m) for name, m in self.gens.items()}
+        self.preimage = gfq.Preimage(self.field, self.dim, list(self.gens.values()))
 
     @property
     def dim(self) -> int:
@@ -130,6 +141,36 @@ class RingModel:
     def full(self) -> gfq.SubspaceRep:
         return gfq.full_space(self.field, self.dim)
 
+    def top(self, ann: gfq.SubspaceRep, p: gfq.SubspaceRep | None = None) -> Monomial:
+        """top(X)_i = dim_i P(Y) - dim_i Y for Y = X^perp; ``p`` passes in P(Y) when the caller has it.
+
+        X/JX is dual to P(Y)/Y, class by class.
+        """
+        return _class_dims(self, self.preimage(ann) if p is None else p, ann)
+
+    def children(self, ann: gfq.SubspaceRep, p: gfq.SubspaceRep, budget: int):
+        """Each Y + <v> for a line v of P_i(Y)/Y_i, tagged with its class i.
+
+        Y + <v> is a submodule with Y + <v>/Y simple of class i exactly when v
+        lies in P(Y) e_i, and every minimal submodule over Y is one of them:
+        (Y + <v>)^perp is a maximal submodule of X.  Class i has
+        (q^d - 1)/(q - 1) of them for d = top(X)_i, and that count is
+        checked against ``budget`` before the class is built.
+        """
+        q, below = self.field.q, set(ann.pivots)
+        cols = [[] for _ in range(self.n_classes)]
+        for c in p.pivots:
+            if c not in below:
+                cols[self.classes[c]].append(c)
+        out = []
+        for i, ci in enumerate(cols):
+            if ci:
+                count = (q ** len(ci) - 1) // (q - 1)
+                if count > budget:
+                    raise ResourceBudgetError("subspace enumeration too large", required=count, budget=budget)
+                out += [(child, i) for child in p.lines(ann, ci)]
+        return out
+
 
 # -- model constructors ----------------------------------------------------
 
@@ -142,26 +183,13 @@ def _labelled_model(kind, q, basis, moves, depth, cls=_one_class, slice_gen=None
     """The validated model with one coordinate per label of ``basis``, in order.
 
     ``moves`` maps each radical generator's name to its move on labels: if it
-    sends b to b', the image of e_b is e_b' (0 when b' is not a label), so the
-    gather entry at b' reads b.  Label b's coordinate has class ``cls(b)``.
-    Two labels moving to one are refused with SchemaError, since an assigned
-    gather would drop one of them unseen.
+    sends b to b', e_b moves to e_b' (to 0 when b' is not a label), so the
+    generator's entry at b is b'.  Label b's coordinate has class ``cls(b)``.
+    :class:`RingModel` refuses two labels moving to one.
     """
     pos = {b: k for k, b in enumerate(basis)}
-    gens = {}
-    for name, move in moves.items():
-        src = [-1] * len(basis)
-        for k, b in enumerate(basis):
-            j = pos.get(move(b))
-            if j is not None:
-                if src[j] >= 0:
-                    raise SchemaError(
-                        f"generator {name} is not a partial permutation: {basis[src[j]]} and {b} move to {basis[j]}"
-                    )
-                src[j] = k
-        gens[name] = src
-    classes = tuple(cls(b) for b in basis)
-    model = RingModel(kind, gfq.GF(q), gens, classes, depth, slice_gen, exact)
+    gens = {name: [pos.get(move(b), -1) for b in basis] for name, move in moves.items()}
+    model = RingModel(kind, gfq.GF(q), gens, tuple(cls(b) for b in basis), depth, slice_gen, exact)
     validate_model(model)
     return model
 
@@ -274,24 +302,20 @@ def _mm(rows, act) -> list[int]:
 
 
 def _compose(a, b) -> tuple[int, ...]:
-    """Gather of acting by ``a`` and then by ``b``."""
+    """Gather of acting by ``a`` and then by ``b``; read as moves, of ``b`` and then ``a``."""
     return tuple(a[k] if k >= 0 else -1 for k in b)
 
 
 def _radical_coords(model: RingModel, coords) -> set[int]:
-    """The coordinates k spanning J * span{e_j : j in coords}.
-
-    Each radical generator is a gather g moving e_j to e_k where g[k] = j, so
-    the image is spanned by the k with g[k] in ``coords`` for some g.
-    """
-    return {k for src in model.gens.values() for k, j in enumerate(src) if j in coords}
+    """The coordinates spanning J * span{e_j : j in coords}: where the radical generators move the e_j."""
+    return {m[j] for m in model.gens.values() for j in coords if m[j] >= 0}
 
 
-def _unshifted_class(model: RingModel, src, s: int) -> int | None:
-    """The class of the first source that the gather ``src`` does not move from
-    class i to class i + s (mod the class count), or None when it moves all."""
+def _unshifted_class(model: RingModel, moves, s: int) -> int | None:
+    """The class of the first coordinate that ``moves`` does not send from class i
+    to class i + s (mod the class count), or None when it sends all."""
     cls, n = model.classes, model.n_classes
-    return next((cls[j] for k, j in enumerate(src) if j >= 0 and cls[k] != (cls[j] + s) % n), None)
+    return next((cls[j] for j, k in enumerate(moves) if k >= 0 and cls[k] != (cls[j] + s) % n), None)
 
 
 def validate_model(model: RingModel) -> int:
@@ -299,13 +323,13 @@ def validate_model(model: RingModel) -> int:
 
     :func:`_labelled_model` runs it on every model it builds, so every
     constructor's model is checked: the relations are the premise of
-    :class:`_Dual`, whose preimage P(Y) is (JX)^perp only because the span
-    of X's images under the radical generators is already a submodule, and
-    so is JX.  They are stated on the classes, since the idempotent e_i is
-    the projection onto the coordinates of class i.  The index is read off
-    the gathers: each J^k M is spanned by coordinate vectors, and
-    :func:`_radical_coords` steps from J^k M to J^(k+1) M with no
-    elimination.
+    :meth:`RingModel.top`, whose preimage P(Y) is (JX)^perp only because
+    the span of X's images under the radical generators is already a
+    submodule, and so is JX.  They are stated on the classes, since the
+    idempotent e_i is the projection onto the coordinates of class i.  The
+    index is read off the moves: each J^k M is spanned by coordinate
+    vectors, and :func:`_radical_coords` steps from J^k M to J^(k+1) M with
+    no elimination.
     """
     gens = model.gens
     if model.kind == "local2d":
@@ -338,7 +362,7 @@ def validate_model(model: RingModel) -> int:
 # -- submodule machinery -------------------------------------------------------
 
 
-def _class_dims(model: RingModel | _Dual, upper: gfq.SubspaceRep, lower: gfq.SubspaceRep) -> Monomial:
+def _class_dims(model: RingModel, upper: gfq.SubspaceRep, lower: gfq.SubspaceRep) -> Monomial:
     """dim e_i(upper/lower) per class i, from the pivots of two submodules.
 
     Each idempotent e_i is the projection onto the coordinates of class i
@@ -354,72 +378,9 @@ def _class_dims(model: RingModel | _Dual, upper: gfq.SubspaceRep, lower: gfq.Sub
     return tuple(dims)
 
 
-def _dual_gather(src) -> tuple[int, ...]:
-    """The gather of a generator's transpose on M*, whose coordinate k pairs with M's n-1-k.
-
-    <x g, y> = <x, y h> for h[n-1-src[j]] = n-1-j: each source of ``src``
-    becomes a target, both read backwards.
-    """
-    n, out = len(src), [-1] * len(src)
-    for j, k in enumerate(src):
-        if k >= 0:
-            out[n - 1 - k] = n - 1 - j
-    return tuple(out)
-
-
-class _Dual:
-    """The dual module M* of a model, which :func:`submodules` walks; each model builds one.
-
-    Coordinate k of M* pairs with coordinate n-1-k of M; each radical
-    generator acts on M* by its transposed gather, compiled to masked shifts
-    of packed rows in ``acts`` under the generator's name, and coordinate k
-    has the class of n-1-k (``classes`` and ``n_classes``, as a model holds
-    them, so :func:`_class_dims` reads them).  For a submodule Y = X^perp,
-    the preimage P(Y) = {f : f h in Y for every dual generator h} is
-    (JX)^perp, one :class:`gfq.Preimage` solve that gives both the top of X
-    and the minimal submodules over Y.
-    """
-
-    def __init__(self, model: RingModel):
-        self.classes, self.n_classes, self.q = model.classes[::-1], model.n_classes, model.field.q
-        gathers = {name: _dual_gather(src) for name, src in model.gens.items()}
-        self.acts = {name: gfq.compile_gather(model.field, model.dim, h) for name, h in gathers.items()}
-        self.preimage = gfq.Preimage(model.field, model.dim, list(gathers.values()))
-
-    def top(self, ann: gfq.SubspaceRep, p: gfq.SubspaceRep | None = None) -> Monomial:
-        """top(X)_i = dim_i P(Y) - dim_i Y for Y = X^perp; ``p`` passes in P(Y) when the caller has it.
-
-        X/JX is dual to P(Y)/Y, class by class.
-        """
-        return _class_dims(self, self.preimage(ann) if p is None else p, ann)
-
-    def children(self, ann: gfq.SubspaceRep, p: gfq.SubspaceRep, budget: int):
-        """Each Y + <v> for a line v of P_i(Y)/Y_i, tagged with its class i.
-
-        Y + <v> is a submodule with Y + <v>/Y simple of class i exactly when v
-        lies in P(Y) e_i, and every minimal submodule over Y is one of them:
-        (Y + <v>)^perp is a maximal submodule of X.  Class i has
-        (q^d - 1)/(q - 1) of them for d = top(X)_i, and that count is
-        checked against ``budget`` before the class is built.
-        """
-        below = set(ann.pivots)
-        cols = [[] for _ in range(self.n_classes)]
-        for c in p.pivots:
-            if c not in below:
-                cols[self.classes[c]].append(c)
-        out = []
-        for i, ci in enumerate(cols):
-            if ci:
-                count = (self.q ** len(ci) - 1) // (self.q - 1)
-                if count > budget:
-                    raise ResourceBudgetError("subspace enumeration too large", required=count, budget=budget)
-                out += [(child, i) for child in p.lines(ann, ci)]
-        return out
-
-
 @dataclass
 class SubmoduleNode:
-    """A submodule X, held only as its annihilator Y = X^perp in M* (see :class:`_Dual`)."""
+    """A submodule X, held only as its annihilator Y = X^perp in M* (see :class:`RingModel`)."""
 
     ann: gfq.SubspaceRep  # Y = X^perp, a submodule of M*
     colength: int
@@ -462,7 +423,6 @@ def submodules(
             f"model depth {model.depth} cannot certify colength {bound}; "
             f"need depth >= {bound + 1}"
         )
-    dual = model.dual
     root_ann = gfq.zero_space(model.field, model.dim) if start is None else start
     root = SubmoduleNode(root_ann, 0, (0,) * model.n_classes)
     found = 1
@@ -473,11 +433,11 @@ def submodules(
         seen: set[tuple[int, ...]] = set()
         for _ in range(len(frontier)):
             parent = frontier.popleft()
-            p = dual.preimage(parent.ann)
-            parent.top = dual.top(parent.ann, p)
+            p = model.preimage(parent.ann)
+            parent.top = model.top(parent.ann, p)
             yield parent
             up = [tuple(c + (i == bi) for i, c in enumerate(parent.cls)) for bi in range(model.n_classes)]
-            for child, bi in dual.children(parent.ann, p, budget):
+            for child, bi in model.children(parent.ann, p, budget):
                 if child.rows in seen:
                     continue
                 seen.add(child.rows)
@@ -507,11 +467,9 @@ def empirical_zeta(
     n = model.n_classes
     q = model.field.q
     if partial is not None:
-        partial = tuple(as_int(x, "class multiplicity") for x in partial)
-        if len(partial) != n or any(x < 0 for x in partial):
-            raise SchemaError(f"class vector needs {n} multiplicities >= 0, got {partial}")
+        partial = class_vector(partial, n)
     if joint:
-        # the generic length dim M/JM; JM is spanned by the coordinates the radical writes
+        # the generic length dim M/JM; JM is spanned by the coordinates the radical moves to
         r = model.dim - len(_radical_coords(model, range(model.dim)))
         alphabet = doubled_alphabet(q, n)
         out_bound = bound + r
@@ -521,7 +479,7 @@ def empirical_zeta(
     coeffs: dict[Monomial, int] = {}
     for node in submodules(model, bound, budget=budget):
         if partial is not None or joint:  # leaf tops are read only by a joint or partial count
-            top = node.top if node.top is not None else model.dual.top(node.ann)
+            top = node.top if node.top is not None else model.top(node.ann)
         if partial is not None and top != partial:
             continue
         key = node.cls + top if joint else node.cls
@@ -553,14 +511,14 @@ def _partition_from_ranks(ranks: list[int]) -> tuple[int, ...]:
 def jordan_type(model: RingModel, upper: gfq.SubspaceRep, lower: gfq.SubspaceRep | None = None) -> tuple[int, ...]:
     """Partition of t-power ranks of upper/lower (lower defaults to 0), two submodules of M*.
 
-    t acts on M* by its transposed gather.  A finite F_q[t]-module and its
+    t acts on M* by the gather its moves are.  A finite F_q[t]-module and its
     dual have one Jordan type, X* = M*/X^perp and (A/X)* = X^perp/A^perp, so
     the type of X is ``jordan_type(model, model.full(), X^perp)`` and that of
     A/X is ``jordan_type(model, X^perp, A^perp)``.
     """
     if "t" not in model.gens:
         raise SchemaError(f"jordan_type needs a t action; model kind is {model.kind}")
-    t = model.dual.acts["t"]
+    t = model.gathers["t"]
     base = lower if lower is not None else gfq.zero_space(model.field, model.dim)
     cur = upper.rows
     ranks = []
@@ -617,16 +575,15 @@ def chain_type_count(model: RingModel, ambient: gfq.SubspaceRep, steps) -> int:
 class FiberContext:
     """Slice data for the chart X -> ((M meet I^-j X) + IM)/IM, read off Y = X^perp.
 
-    Built once per model: the coordinates ``free`` that the generator's
-    gather never writes (its image IM is spanned by the unit vectors e_k
-    with gather[k] >= 0, so the other coordinates are the slice M/IM), the
-    induced slice model (which holds its dual), and one compiled gather per
-    level of the tower.  The slice's dual (M/IM)* = (IM)^perp is spanned by the
-    coordinates n-1-k of M* for k in ``free``: its coordinate p pairs with
-    slice coordinate nf-1-p, so it is M*'s coordinate n-1-free[nf-1-p], and
-    these rise with p.  Level j's gather acts by h^j, for h the transposed
-    gather of the generator, and then moves those coordinates last, in
-    order; the levels stop at the first power of h that is zero.
+    Built once per model: the coordinates ``free`` that no move of the slice
+    generator reaches (its image IM is spanned by the e_k it moves to, so
+    the other coordinates are the slice M/IM), the induced slice model, and
+    one compiled gather per level of the tower.  The slice's dual
+    (M/IM)* = (IM)^perp is spanned by the coordinates ``free`` of M*, in
+    order: its coordinate p is M*'s coordinate free[p], and it pairs with
+    slice coordinate p.  Level j's gather acts by h^j, for h the gather of
+    the generator's moves, and then moves those coordinates last, in order;
+    the levels stop at the first power of h that is zero.
     """
 
     def __init__(self, model: RingModel):
@@ -634,19 +591,19 @@ class FiberContext:
             raise SchemaError(f"model kind {model.kind} has no designated ideal generator")
         self.model = model
         f, n = model.field, model.dim
-        gen = model.gens[model.slice_gen]
-        self.free = [k for k in range(n) if gen[k] < 0]
+        h = model.gens[model.slice_gen]
+        reached = set(h)
+        self.free = [k for k in range(n) if k not in reached]
         pos = {c: j for j, c in enumerate(self.free)}
         self.slice_model = RingModel(
             kind=f"{model.kind}_slice",
             field=f,
-            gens={name: tuple(pos.get(src[c], -1) for c in self.free) for name, src in model.gens.items()},
+            gens={name: tuple(pos.get(m[c], -1) for c in self.free) for name, m in model.gens.items()},
             classes=tuple(model.classes[c] for c in self.free),
             depth=model.depth,
             exact=model.exact,
         )
-        wall = [n - 1 - k for k in reversed(self.free)]
-        src, h = tuple(sorted(set(range(n)).difference(wall)) + wall), _dual_gather(gen)
+        src = tuple([k for k in range(n) if k in reached] + self.free)
         self._levels = [gfq.compile_gather(f, n, src)]
         while any(k >= 0 for k in src):
             src = _compose(h, src)
@@ -660,7 +617,7 @@ class FiberContext:
         its wall W_j = span(Y h^j) meet (M/IM)*: the RREF rows of Y's rows
         under level j's gather that pivot among the last nf coordinates,
         already in the slice's dual coordinates.  The tower reaches the
-        whole slice where W_j = 0.  The top of level j is the slice dual's
+        whole slice where W_j = 0.  The top of level j is the slice model's
         top of W_j, and the quotient of levels j + 1 and j is dual to
         W_j / W_(j+1), class by class.
         """
@@ -679,9 +636,9 @@ class FiberContext:
                 f"slice tower did not stabilize within {max_level} levels; "
                 "raise the model depth"
             )
-        dual = self.slice_model.dual
-        tops = tuple(dual.top(w) for w in walls)
-        quots = tuple(_class_dims(dual, walls[j], walls[j + 1]) for j in range(len(walls) - 1))
+        sm = self.slice_model
+        tops = tuple(sm.top(w) for w in walls)
+        quots = tuple(_class_dims(sm, walls[j], walls[j + 1]) for j in range(len(walls) - 1))
         return ChainData(tops, quots)
 
 

@@ -7,7 +7,7 @@ and brute-force hyperplane sets with the first two, as an independent check
 of the oracle's kernels, the X-side fiber chart of
 ``tests/oracle_reference.py`` solves one left kernel per tower level, and
 the tests read each submodule X off the annihilator Y = X^perp that the
-oracle holds with :func:`annihilator`.
+oracle holds with :func:`annihilator`, under :func:`pairing`.
 """
 
 from itertools import combinations, product
@@ -102,26 +102,39 @@ def reduce(space, mat):
     return [gfq._reduced(ar, x, mask, by_slot) for x in mat]
 
 
-def annihilator(space):
-    """The x with sum_k x[k] y[n-1-k] = 0 for every y in ``space``, in RREF.
+def pairing(field, n, x, y):
+    """sum_k x[k] y[k] for packed rows of width n, the pairing :func:`annihilator` is taken under."""
+    t = gfq.tables(field)
+    s = 0
+    for a, b in zip(gfq.unpack(field, n, x), gfq.unpack(field, n, y)):
+        s = t.add[s][t.mul[a][b]]
+    return s
 
-    This pairs coordinate k with n-1-k.  Each non-pivot d of the space gives
-    the row e_c - sum_r y_r[d] e_(n-1-p_r) at c = n-1-d, over the rows y_r at
-    pivots p_r.  y_r[d] is nonzero only for d > p_r, so that row leads at c
-    and is zero at every other such c: the rows are the RREF as they stand,
-    with no elimination, and the map is an involution.
+
+def annihilator(space):
+    """The x with sum_k x[k] y[k] = 0 for every y in ``space``, in RREF.
+
+    Reversing the coordinates of the space gives Z (one ``extend`` puts it
+    in RREF), and the answer is the x with sum_k x[k] z[n-1-k] = 0 for every
+    z in Z, which has a closed form: each non-pivot d of Z gives the row
+    e_c - sum_r z_r[d] e_(n-1-p_r) at c = n-1-d, over the rows z_r at pivots
+    p_r.  z_r[d] is nonzero only for d > p_r, so that row leads at c and is
+    zero at every other such c: the rows are the RREF as they stand, and the
+    map is an involution.
     """
     n = space.ambient
-    ar = gfq._arith(space.field, n)
+    f = space.field
+    ar = gfq._arith(f, n)
     S, slot = ar.S, ar.slot
-    below = set(space.pivots)
+    z = from_rows(f, n, [gfq.pack(f, gfq.unpack(f, n, y)[::-1]) for y in space.rows])
+    below = set(z.pivots)
     rows, pivots = [], []
     for d in range(n - 1, -1, -1):
         if d in below:
             continue
         sh, part = (n - 1 - d) * S, 0
-        for p, y in zip(space.pivots, space.rows):
+        for p, y in zip(z.pivots, z.rows):
             part |= ((y >> sh) & slot) << (p * S)
         rows.append(ar.axpy(1 << (d * S), 1, part))
         pivots.append(n - 1 - d)
-    return gfq.SubspaceRep(space.field, n, rows, pivots)
+    return gfq.SubspaceRep(f, n, rows, pivots)

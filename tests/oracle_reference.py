@@ -2,12 +2,13 @@
 
 The oracle walks annihilators Y = X^perp and reads tops, quotient classes,
 fiber charts and Jordan types off Y, with each generator acting on the dual
-module by its transposed gather.  These compute the same things from X
-itself, read off Y with ``gfq_reference.annihilator``, and act by the
-generators' own gathers (:func:`acts`): the radical JX as the span of X's
-images, the top of X as its pivots per class less JX's, the slice tower as
-the projection of the left kernel of X's reduction of u^j, one kernel per
-level, and Jordan types as the ranks of t^j on X.
+module by the gather its moves are.  These compute the same things from X
+itself, read off Y with ``gfq_reference.annihilator``, and act on M by the
+generators' X-side gathers (:func:`x_gather`, compiled by :func:`acts`):
+the radical JX as the span of X's images, the top of X as its pivots per
+class less JX's, the slice tower as the projection of the left kernel of
+X's reduction of u^j, one kernel per level, and Jordan types as the ranks
+of t^j on X.
 """
 
 import brzeta.gfq as gfq
@@ -18,9 +19,18 @@ from brzeta.prolif import ChainData
 import gfq_reference as ref
 
 
+def x_gather(moves):
+    """The gather by which a generator acts on M, from its moves: entry k reads the coordinate that moves to k."""
+    src = [-1] * len(moves)
+    for j, k in enumerate(moves):
+        if k >= 0:
+            src[k] = j
+    return tuple(src)
+
+
 def acts(model):
-    """Each radical generator's own gather on M, compiled to masked shifts of packed rows."""
-    return {name: gfq.compile_gather(model.field, model.dim, src) for name, src in model.gens.items()}
+    """Each radical generator's X-side gather on M, compiled to masked shifts of packed rows."""
+    return {name: gfq.compile_gather(model.field, model.dim, x_gather(m)) for name, m in model.gens.items()}
 
 
 def radical_subspace(model, rep):

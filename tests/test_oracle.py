@@ -115,7 +115,7 @@ class TestModelConstruction:
     def test_skew_t_must_commute_with_g(self):
         # this t keeps every class but swaps the columns as it raises the
         # t-digit, so acting by g then t differs from t then g
-        swapped = (-1, -1, -1, -1, 2, 3, 0, 1)
+        swapped = (6, 7, 4, 5, -1, -1, -1, -1)
         with pytest.raises(SchemaError, match="t is not central: fails against g"):
             orc.validate_model(dataclasses.replace(_SKEW, gens={**_SKEW.gens, "t": swapped}))
 
@@ -203,47 +203,47 @@ class TestGeneratorActions:
         kinds = set()
         for model in _models(q):
             kinds.add(model.kind)
-            for name, src in model.gens.items():
+            for name, moves in model.gens.items():
                 rows = _packed(model.field, _random_rows(rng, model, 4))
-                want = ref.mat_mul(model.field, rows, _packed(model.field, _dense(src)), model.dim)
+                want = ref.mat_mul(model.field, rows, _packed(model.field, _dense(oref.x_gather(moves))), model.dim)
                 assert orc._mm(rows, oref.acts(model)[name]) == want, (model.kind, name)
         assert kinds == {"chain", "local2d", "triangular", "skew_poly", "local2d_slice", "skew_poly_slice"}
 
     def test_literal_generators(self):
         chain = orc.chain_module(2, 3, rank=2)
-        assert chain.gens == {"t": (-1, 0, 1, -1, 3, 4)}
+        assert dict(_x_gathers(chain)) == {"t": (-1, 0, 1, -1, 3, 4)}
         assert chain.classes == (0,) * 6
         local = orc.local2d_module(2, 2)  # basis 1, t, u
-        assert local.gens == {"u": (-1, -1, 0), "t": (-1, 0, -1)}
+        assert dict(_x_gathers(local)) == {"u": (-1, -1, 0), "t": (-1, 0, -1)}
         assert local.classes == (0, 0, 0)
         tri = orc.triangular_module(2, 2, 1, (1,))  # basis (1, pi^0), (2, pi^1)
-        assert tri.gens == {"g": (-1, 0)}
+        assert dict(_x_gathers(tri)) == {"g": (-1, 0)}
         assert tri.classes == (0, 1)
         skew = orc.skew_module(2, 2, 1, 2)  # t-digits 0 and 1 over the columns 1 and 2
-        assert skew.gens == {"g": (-1, 0, 3, -1, -1, 4, 7, -1), "t": (-1, -1, -1, -1, 0, 1, 2, 3)}
+        assert dict(_x_gathers(skew)) == {"g": (-1, 0, 3, -1, -1, 4, 7, -1), "t": (-1, -1, -1, -1, 0, 1, 2, 3)}
         assert skew.classes == (0, 1) * 4
         repeated = orc.triangular_module(2, 2, 1, (2, 1, 2))  # columns sorted to 1, 2, 2
-        assert repeated.gens == {"g": (-1, 0, 3, -1, 5, -1)}
+        assert dict(_x_gathers(repeated)) == {"g": (-1, 0, 3, -1, 5, -1)}
         assert repeated.classes == (0, 1) * 3
 
     def test_gathers_of_a_model_grid_are_pinned(self):
-        """276 models of every kind keep the gathers, classes and fields they were built with."""
+        """276 models of every kind keep the X-side gathers, classes and fields they were built with."""
         models = _pinned_grid()
         assert len(models) == 276
-        fields = [(m.kind, m.dim, sorted(m.gens.items()), m.classes, m.depth, m.slice_gen, m.exact) for m in models]
+        fields = [(m.kind, m.dim, _x_gathers(m), m.classes, m.depth, m.slice_gen, m.exact) for m in models]
         digest = hashlib.sha256(repr(fields).encode()).hexdigest()
         assert digest == "796223438a22e76e99e78b0d515a5af30f9bb9e839b2f8de2b4d5bfc4f12bb22"
 
     def test_slice_models_of_the_grid_are_pinned(self):
-        """The 51 fiber slice models of that grid keep their gathers and classes."""
+        """The 51 fiber slice models of that grid keep their X-side gathers and classes."""
         slices = [orc.FiberContext(m).slice_model for m in _pinned_grid() if m.slice_gen is not None]
         assert len(slices) == 51
-        fields = [(m.kind, m.dim, sorted(m.gens.items()), m.classes, m.n_classes) for m in slices]
+        fields = [(m.kind, m.dim, _x_gathers(m), m.classes, m.n_classes) for m in slices]
         digest = hashlib.sha256(repr(fields).encode()).hexdigest()
         assert digest == "95802acadfe97bbf00f63877cbb1dc2fe59dcae3dd2ce5239953d32666d8d2c2"
 
     def test_builder_refuses_two_labels_moving_to_one(self):
-        # both labels move to (0,): an assigned gather would keep only one of them
+        # both labels move to (0,): one coordinate cannot take both
         with pytest.raises(SchemaError, match="generator t is not a partial permutation"):
             orc._labelled_model("chain", 2, [(0,), (1,)], {"t": lambda b: (0,)}, 1)
 
@@ -262,9 +262,9 @@ class TestGeneratorActions:
     @pytest.mark.parametrize(
         "bad",
         [
-            (-1, 0, 0),  # source 0 read twice: row 0 of the matrix has two 1s
-            (-1, 0, 3),  # a source past the last coordinate
-            (-2, 0, 1),  # a source below -1
+            (-1, 0, 0),  # coordinates 1 and 2 both move to 0: column 0 of the matrix has two 1s
+            (-1, 0, 3),  # a target past the last coordinate
+            (-2, 0, 1),  # a target below -1
             (-1, 0),  # wrong length
         ],
         ids=["row-two-ones", "source-dim", "source-minus-2", "wrong-shape"],
@@ -273,6 +273,11 @@ class TestGeneratorActions:
         model = orc.chain_module(3, 3)
         with pytest.raises(SchemaError, match="generator t"):
             dataclasses.replace(model, gens={**model.gens, "t": bad})
+
+
+def _x_gathers(model):
+    """The model's generators as sorted (name, X-side gather) pairs, the form the pinned digests hash."""
+    return sorted((name, oref.x_gather(moves)) for name, moves in model.gens.items())
 
 
 def _pinned_grid():
@@ -304,7 +309,7 @@ def _class_projections(model):
 
 def _ring_gathers(model):
     """Gathers that generate the ring: the radical generators and the class projections."""
-    return [*model.gens.values(), *_class_projections(model)]
+    return [*map(oref.x_gather, model.gens.values()), *_class_projections(model)]
 
 
 def _fixed_point_closure(model, rows):
@@ -332,7 +337,7 @@ def _image(model, rows, src):
 
 
 def _radical_images(model, rows):
-    return [row for src in model.gens.values() for row in _image(model, rows, src)]
+    return [row for moves in model.gens.values() for row in _image(model, rows, oref.x_gather(moves))]
 
 
 def _reference_top(model, rep):
@@ -420,9 +425,8 @@ class TestModelFromJson:
 
 def _maximal_submodules(model, x, budget=orc.DEFAULT_NODE_BUDGET):
     """The walk's step from X: each (X', class) over a minimal Y' > X^perp of the dual module."""
-    dual = model.dual
     ann = ref.annihilator(x)
-    return [(ref.annihilator(child), i) for child, i in dual.children(ann, dual.preimage(ann), budget)]
+    return [(ref.annihilator(child), i) for child, i in model.children(ann, model.preimage(ann), budget)]
 
 
 class TestMaximalSubmodules:
@@ -488,14 +492,13 @@ class TestMaximalSubmodules:
     def test_top_matches_reference_on_random_submodules(self, q):
         rng = random.Random(40 + q)
         for model in _models(q):
-            dual = model.dual
             for count in (1, 1, 2, 3):
                 rows = _random_rows(rng, model, count)
                 if rng.random() < 0.5:  # sparse rows generate deeper submodules
                     rows = [[0 if rng.random() < 0.8 else x for x in row] for row in rows]
                 x = _fixed_point_closure(model, _packed(model.field, rows))
                 want = _reference_top(model, x)
-                assert dual.top(ref.annihilator(x)) == oref.top_class(model, x) == want, model.kind
+                assert model.top(ref.annihilator(x)) == oref.top_class(model, x) == want, model.kind
 
     @pytest.mark.parametrize("q, rank", [(2, 3), (3, 3), (4, 2)])
     def test_budget_counts_projective_points(self, q, rank):
@@ -617,7 +620,7 @@ class TestLatticeAgainstBruteForce:
             assert node.colength == model.dim - x.dim
             assert node.cls == oref.composition_class(model, full, x)
             assert node.top == (None if node.colength == bound else tops[x])
-            assert model.dual.top(node.ann) == tops[x]  # how a joint count reads a leaf's top
+            assert model.top(node.ann) == tops[x]  # how a joint count reads a leaf's top
         joint = orc.empirical_zeta(model, bound, joint=True)
         want_joint = Counter(oref.composition_class(model, full, h) + top for h, top in tops.items())
         assert joint == TruncatedSeries(joint.alphabet, joint.bound, want_joint)
@@ -775,6 +778,32 @@ def test_one_preimage_per_model(monkeypatch):
     node = next(iter(parts.values()))[0]
     assert [f.name for f in dataclasses.fields(node)] == ["ann", "colength", "cls", "top"]
     assert not any(f.name == "acts" for f in dataclasses.fields(orc.RingModel))
+    assert not any(f.name == "dual" for f in dataclasses.fields(orc.RingModel))
+    assert not hasattr(orc, "_Dual") and not hasattr(orc, "_dual_gather")
+    for model in _models(4):
+        for name, moves in model.gens.items():
+            assert model.gathers[name] == gfq.compile_gather(model.field, model.dim, moves), (model.kind, name)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_moves_are_the_dual_gathers(q):
+    """<x g, y> = <x, y m> for each generator g of every pinned-grid model and slice model, with g acting
+    on M by its X-side gather and m its moves compiled as they stand (``model.gathers``)."""
+    models = _pinned_grid()
+    models += [orc.FiberContext(m).slice_model for m in models if m.slice_gen is not None]
+    rng, field, checked = random.Random(700 + q), gfq.GF(q), 0
+    for model in models:
+        model = dataclasses.replace(model, field=field)
+        n = model.dim
+        for name, moves in model.gens.items():
+            g = gfq.compile_gather(field, n, oref.x_gather(moves))
+            xs = _packed(field, _random_rows(rng, model, 3))
+            ys = _packed(field, _random_rows(rng, model, 3))
+            for x, xg in zip(xs, orc._mm(xs, g)):
+                for y, ym in zip(ys, orc._mm(ys, model.gathers[name])):
+                    assert ref.pairing(field, n, xg, y) == ref.pairing(field, n, x, ym), (model.kind, n, name)
+                    checked += 1
+    assert checked == 9 * sum(len(m.gens) for m in models)
 
 
 class TestTwoVariableAgreement:
@@ -808,6 +837,30 @@ class TestTwoVariableAgreement:
         model = orc.triangular_module(2, 2, 2, (1, 2))
         with pytest.raises(SchemaError):
             orc.empirical_zeta(model, 2, partial=(1,))
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (("1", 0), r"^class multiplicity must be an integer, got '1'$"),
+            ((1.5, 0), r"^class multiplicity must be an integer, got 1.5$"),
+            ((True, 0), r"^class multiplicity must be an integer, got True$"),
+            ((1, 0, 0), r"^class vector needs 2 multiplicities >= 0, got \(1, 0, 0\)$"),
+            ((1, -1), r"^class vector needs 2 multiplicities >= 0, got \(1, -1\)$"),
+        ],
+        ids=["string", "fraction", "bool", "wrong-length", "negative"],
+    )
+    def test_both_engines_refuse_a_bad_class_vector_alike(self, rho, message):
+        model, lattice = orc.triangular_module(2, 2, 2, (1, 2)), her.Lattice(2, 2, (1, 2))
+        with pytest.raises(SchemaError, match=message):
+            her.partial_zeta(lattice, rho, 2)
+        with pytest.raises(SchemaError, match=message):
+            orc.empirical_zeta(model, 2, partial=rho)
+
+    def test_both_engines_read_an_integral_float_class_vector(self):
+        model, lattice = orc.triangular_module(2, 2, 2, (1, 2)), her.Lattice(2, 2, (1, 2))
+        want = her.partial_zeta(lattice, (1, 0), 2)
+        assert her.partial_zeta(lattice, (1.0, 0), 2) == want
+        assert orc.empirical_zeta(model, 2, partial=(1.0, 0)) == orc.empirical_zeta(model, 2, partial=(1, 0)) == want
 
 
 class TestPrimePowerFields:
